@@ -22,27 +22,23 @@ import numpy as np
 from .clifford import Paravector, unit_imag
 from .errors import (
     ArgumentError,
-    NotInvertibleError,
     NumericalFailureError,
     PreconditionError,
 )
 from .functions import (
     IntrinsicFunction,
-    gl_panel_grid,
     product_function,
     regularizer,
     scale_function,
 )
 from .module import (
-    INVERTIBILITY_RTOL,
     CliffordOperator,
+    OperatorSolver,
     operator_from_real,
     rho_matrix,
 )
-from .reduction import pairwise_sum
-from .spectrum import BisectorReport, check_bisectorial
-
-_CHUNK = 128
+from .quadrature import gauss_panels, gl_panel_grid, pairwise_sum, trapezoid_grid
+from .spectrum import _CHUNK, BisectorReport, check_bisectorial, left_resolvent_stack
 
 
 @dataclass(frozen=True)
@@ -111,11 +107,9 @@ def combined_tolerance(*results, floor=1e-9):
 def _ray_nodes(cfg):
     """Per-ray quadrature nodes and (full, half) weights in u = log r."""
     n = cfg.nodes if cfg.nodes % 2 == 1 else cfg.nodes + 1
-    u = np.linspace(cfg.u_min, cfg.u_max, n)
-    h = u[1] - u[0]
     if cfg.rule == "trapezoid":
-        w = np.full(n, h)
-        w[0] = w[-1] = 0.5 * h
+        u, w = trapezoid_grid(cfg.u_min, cfg.u_max, n)
+        h = u[1] - u[0]
         w_half = np.zeros(n)
         w_half[::2] = 2.0 * h
         w_half[0] = w_half[-1] = h
@@ -125,26 +119,17 @@ def _ray_nodes(cfg):
     # zero weight in the coarse rule and vice versa)
     p = 8
     panels = max(2, n // p)
-    edges = np.linspace(cfg.u_min, cfg.u_max, panels + 1)
-    x_f, w_f = np.polynomial.legendre.leggauss(p)
-    x_c, w_c = np.polynomial.legendre.leggauss(p // 2)
-    us, ws, ws_half = [], [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mid, rad = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        us.append(mid + rad * x_f)
-        ws.append(rad * w_f)
-        ws_half.append(np.zeros(p))
-        us.append(mid + rad * x_c)
-        ws.append(np.zeros(p // 2))
-        ws_half.append(rad * w_c)
-    return np.concatenate(us), np.concatenate(ws), np.concatenate(ws_half)
+    u_f, w_f = gauss_panels(cfg.u_min, cfg.u_max, panels, p)
+    u_c, w_c = gauss_panels(cfg.u_min, cfg.u_max, panels, p // 2)
+    return (np.concatenate([u_f, u_c]), np.concatenate([w_f, np.zeros_like(w_c)]),
+            np.concatenate([np.zeros_like(w_f), w_c]))
 
 
 class ContourEngine:
     """Precomputed resolvent data along the contour for one operator.
 
-    evaluate(f, t) integrates f(t s) against the stored resolvents; the
-    family variant reuses the same data for a whole vector of scalings.
+    evaluate_family(f, ts) integrates f(t s) against the stored resolvents
+    for a whole vector of scalings; evaluate(f, t) is its one-scaling case.
     """
 
     def __init__(self, T: CliffordOperator, report: BisectorReport,
@@ -182,31 +167,16 @@ class ContourEngine:
 
         rho_t = rho_matrix(T)
         d = rho_t.shape[0]
-        rho_t2 = rho_t @ rho_t
         j_full = np.kron(np.eye(T.m), self.axis.left_matrix())
-        s0 = np.real(self.z)
-        sim = np.imag(self.z)
-        r2 = r * r
-        eye = np.eye(d)
-        Q = (
-            rho_t2[None]
-            - 2.0 * s0[:, None, None] * rho_t[None]
-            + r2[:, None, None] * eye[None]
-        )
         try:
-            qinv = np.linalg.inv(Q)
+            resolv = left_resolvent_stack(rho_t, np.real(self.z), np.imag(self.z),
+                                          r * r, j_full)
         except np.linalg.LinAlgError as exc:
             raise NumericalFailureError(
                 "pseudo-resolvent singular on the contour (operator spectrum "
                 "touches the integration rays)",
                 node={"phi": self.phi},
             ) from exc
-        qj = qinv @ j_full
-        resolv = (
-            s0[:, None, None] * qinv
-            - sim[:, None, None] * qj
-            - np.einsum("ab,kbc->kac", rho_t, qinv)
-        )
         if not np.all(np.isfinite(resolv)):
             bad = int(np.argwhere(~np.isfinite(resolv))[0][0])
             raise NumericalFailureError(
@@ -232,40 +202,10 @@ class ContourEngine:
         tail = math.atan(a ** alpha) + math.pi / 2 - math.atan(b ** alpha)
         return 2.0 * self.c_phi * c_alpha * tail / (math.pi * alpha)
 
-    def _coefs(self, f, t):
-        vals = f.eval_complex(t * self.z)
-        if not np.all(np.isfinite(vals)):
-            bad = int(np.argwhere(~np.isfinite(np.asarray(vals)))[0][0])
-            raise NumericalFailureError(
-                "non-finite function value on the contour",
-                node={"u": float(self.u[bad]), "t": float(t)},
-            )
-        return vals * self.phase
-
     def evaluate(self, f: IntrinsicFunction, t=1.0):
         """Real-representation matrix of f(tT) with error estimates."""
-        if f.decay is None:
-            raise PreconditionError("contour calculus requires a decay certificate")
-        gamma = self._coefs(f, t)
-        coef = gamma * self.wts
-        if self._half_nests:
-            even = self._reduce(coef[self._even], self.A[self._even])
-            odd = self._reduce(coef[~self._even], self.A[~self._even])
-            full = even + odd
-            disc = float(np.linalg.svd(odd - even, compute_uv=False)[0])
-        else:
-            full = self._reduce(coef, self.A)
-            half = self._reduce(gamma * self.wts_half, self.A)
-            disc = float(np.linalg.svd(full - half, compute_uv=False)[0])
-        trunc = self.truncation_bound(f.decay, t)
-        return full, trunc, disc
-
-    def _reduce(self, coef, a):
-        # the slice unit is node independent, so the imaginary part sums
-        # first and multiplies by rho(J) once
-        real = pairwise_sum(coef.real[:, None, None] * a)
-        imag = pairwise_sum(coef.imag[:, None, None] * a)
-        return real + imag @ self.j_full
+        mats, truncs, discs = self.evaluate_family(f, [t])
+        return mats[0], float(truncs[0]), float(discs[0])
 
     def evaluate_family(self, f: IntrinsicFunction, ts):
         """Stack of f(t T) matrices for a whole vector of nonzero scalings.
@@ -282,36 +222,37 @@ class ContourEngine:
         discs = np.empty(ts.size)
         ev = self._even
 
-        def assemble(re_part, im_part, nb):
-            return (re_part.reshape(nb, d, d)
-                    + im_part.reshape(nb, d, d) @ self.j_full)
+        def contract(coef, a_flat):
+            # the slice unit is node independent, so the imaginary part sums
+            # first and multiplies by rho(J) once; contiguous copies of the
+            # real/imag parts keep matmul on the fast BLAS path (strided
+            # views fall off it badly)
+            nb = coef.shape[0]
+            re_part = np.ascontiguousarray(coef.real) @ a_flat
+            im_part = np.ascontiguousarray(coef.imag) @ a_flat
+            return re_part.reshape(nb, d, d) + im_part.reshape(nb, d, d) @ self.j_full
 
         for lo in range(0, ts.size, _CHUNK):
             chunk = ts[lo:lo + _CHUNK]
-            z_all = chunk[:, None] * self.z[None, :]
-            vals = f.eval_complex(z_all) * self.phase[None, :]
+            vals = f.eval_complex(chunk[:, None] * self.z[None, :])
+            if not np.all(np.isfinite(vals)):
+                i, k = np.argwhere(~np.isfinite(vals))[0]
+                raise NumericalFailureError(
+                    "non-finite function value on the contour",
+                    node={"u": float(self.u[k]), "t": float(chunk[i])},
+                )
+            vals = vals * self.phase[None, :]
             coef = vals * self.wts[None, :]
             nb = chunk.size
             if self._half_nests:
-                # contiguous copies of the real/imag parts keep matmul on the
-                # fast BLAS path (strided views fall off it badly)
-                ce = np.ascontiguousarray(coef[:, ev].real),                     np.ascontiguousarray(coef[:, ev].imag)
-                co = np.ascontiguousarray(coef[:, ~ev].real),                     np.ascontiguousarray(coef[:, ~ev].imag)
-                even = assemble(ce[0] @ self._a_flat[ev],
-                                ce[1] @ self._a_flat[ev], nb)
-                odd = assemble(co[0] @ self._a_flat[~ev],
-                               co[1] @ self._a_flat[~ev], nb)
+                even = contract(coef[:, ev], self._a_flat[ev])
+                odd = contract(coef[:, ~ev], self._a_flat[~ev])
                 mats[lo:lo + nb] = even + odd
                 diff = odd - even
             else:
-                block = assemble(np.ascontiguousarray(coef.real) @ self._a_flat,
-                                 np.ascontiguousarray(coef.imag) @ self._a_flat, nb)
-                coef_h = vals * self.wts_half[None, :]
-                block_h = assemble(
-                    np.ascontiguousarray(coef_h.real) @ self._a_flat,
-                    np.ascontiguousarray(coef_h.imag) @ self._a_flat, nb)
+                block = contract(coef, self._a_flat)
                 mats[lo:lo + nb] = block
-                diff = block - block_h
+                diff = block - contract(vals * self.wts_half[None, :], self._a_flat)
             discs[lo:lo + nb] = np.linalg.svd(diff, compute_uv=False)[:, 0]
         truncs = np.array([self.truncation_bound(f.decay, t) for t in ts])
         return mats, truncs, discs
@@ -354,29 +295,9 @@ def rational_calculus(f: IntrinsicFunction, T: CliffordOperator) -> CliffordOper
 
     p = horner(num)
     q = horner(den)
-    solver = _MatrixSolver(q, T)
-    x = solver.solve(p)
-    return operator_from_real(x, T.n, T.m)
-
-
-class _MatrixSolver:
-    """Invertibility-checked dense solve in the real representation."""
-
-    def __init__(self, matrix, T, what="denominator"):
-        svals = np.linalg.svd(matrix, compute_uv=False)
-        self.sigma_min = float(svals[-1])
-        self.sigma_max = float(svals[0])
-        if self.sigma_min <= INVERTIBILITY_RTOL * self.sigma_max:
-            raise NotInvertibleError(
-                f"{what} singular to tolerance at the operator "
-                f"(sigma_min={self.sigma_min:.3e})",
-                sigma_min=self.sigma_min,
-            )
-        self.matrix = matrix
-
-    def solve(self, rhs):
-        x = np.linalg.solve(self.matrix, rhs)
-        return x + np.linalg.solve(self.matrix, rhs - self.matrix @ x)
+    solver = OperatorSolver.from_real(q, T.n, T.m)
+    solver.require_invertible(what="denominator")
+    return operator_from_real(solver.solve_real(p), T.n, T.m)
 
 
 def hinf_calculus(f: IntrinsicFunction, T: CliffordOperator,
@@ -398,8 +319,9 @@ def hinf_calculus(f: IntrinsicFunction, T: CliffordOperator,
     eng = engine or ContourEngine(T, report, f.theta, cfg)
     ef_mat, trunc, disc = eng.evaluate(ef)
     e_mat = rho_matrix(rational_calculus(e, T))
-    solver = _MatrixSolver(e_mat, T, what="regularizer operator e(T)")
-    x = solver.solve(ef_mat)
+    solver = OperatorSolver.from_real(e_mat, T.n, T.m)
+    solver.require_invertible(what="regularizer operator e(T)")
+    x = solver.solve_real(ef_mat)
     scale = 1.0 / solver.sigma_min
     return CalculusResult(operator_from_real(x, T.n, T.m),
                           trunc * scale, disc * scale)

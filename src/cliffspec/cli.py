@@ -24,6 +24,7 @@ from .errors import CliffSpecError
 from .functions import certify_bounded, resolve_function
 from .quadratic import frame_bounds, default_quad_grid
 from .serialization import (
+    bisector_report_dict,
     dumps_report,
     frame_report_dict,
     load_function_spec,
@@ -124,18 +125,8 @@ def cmd_spectrum(args):
 def cmd_bisect(args):
     T = parse_operator_file(args.operator)
     report = check_bisectorial(T, args.omega)
-    payload = {
-        "operator": operator_to_dict(T),
-        "omega": report.omega,
-        "injective": report.injective,
-        "spectrum_in_sector": report.spectrum_in_sector,
-        "certified": report.certified,
-        "c_phi_table": [[p, c if math.isfinite(c) else None]
-                        for p, c in report.c_phi_table],
-        "detections": [{"x": d.x, "y": d.y, "kind": d.kind}
-                       for d in report.detections],
-    }
-    write_json(payload, args.out)
+    write_json({"operator": operator_to_dict(T), **bisector_report_dict(report)},
+               args.out)
     return EXIT_PASS if report.certified else EXIT_FAIL
 
 

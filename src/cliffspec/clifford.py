@@ -9,7 +9,9 @@ stored as 2**n real coefficients in ascending mask order:
 
 The product of two blades is computed by counting the transpositions
 needed to merge the two sorted generator lists (one -1 per swap) plus
-one -1 per repeated generator.  Both tables are precomputed per n.
+one -1 per repeated generator.  Both tables are precomputed per n, and
+every product of coefficient arrays is one contraction with the stack of
+left-multiplication matrices (``blade_contract``).
 """
 
 from __future__ import annotations
@@ -77,6 +79,21 @@ def basis_left_matrices(n):
     return stack
 
 
+def blade_contract(spec, a, b, n):
+    """Contract two coefficient arrays whose last axis is the blade axis of R_n.
+
+    ``spec`` is the einsum of the other axes; blades multiply in order, a
+    on the left.  "ij,jk->ik" is the product of two Clifford matrices and
+    ",->" the product of two numbers.
+    """
+    inputs, out = spec.split("->")
+    left, right = inputs.split(",")
+    # left-multiplication matrices of a's entries first: a three-operand
+    # einsum would loop over all (2^n)^3 blade triples
+    left_mats = np.einsum(f"{left}X,XZY->{left}ZY", a, basis_left_matrices(n))
+    return np.einsum(f"{left}ZY,{right}Y->{out}Z", left_mats, b)
+
+
 def _check_n(n):
     if not 1 <= n <= MAX_DIMENSION:
         raise ArgumentError(f"algebra dimension n={n} outside 1..{MAX_DIMENSION}")
@@ -130,15 +147,7 @@ class CliffordNum:
 
     def right_matrix(self):
         """Matrix R with (x * self).coeffs == R @ x.coeffs."""
-        signs, masks = multiplication_table(self.n)
-        dim = 1 << self.n
-        out = np.zeros((dim, dim))
-        rows = np.arange(dim)
-        for b in range(dim):
-            sb = self.coeffs[b]
-            if sb != 0.0:
-                out[masks[:, b], rows] += signs[:, b] * sb
-        return out
+        return blade_contract("i,->i", np.eye(1 << self.n), self.coeffs, self.n).T
 
     def __add__(self, other):
         other = _coerce(other, self.n)
@@ -200,11 +209,7 @@ def clifford_product(a: CliffordNum, b: CliffordNum) -> CliffordNum:
     """Bilinear associative product of two elements of the same R_n."""
     if a.n != b.n:
         raise DimensionMismatchError(f"mixed algebras R_{a.n} and R_{b.n}")
-    signs, masks = multiplication_table(a.n)
-    contrib = (a.coeffs[:, None] * b.coeffs[None, :]) * signs
-    out = np.zeros_like(a.coeffs)
-    np.add.at(out, masks, contrib)
-    return CliffordNum(a.n, out)
+    return CliffordNum(a.n, blade_contract(",->", a.coeffs, b.coeffs, a.n))
 
 
 def conjugate(a: CliffordNum) -> CliffordNum:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .clifford import Paravector, polar_decompose
 from .errors import ArgumentError, CertificationError, DomainError, PreconditionError
-from .reduction import pairwise_sum
+from .quadrature import gl_panel_grid, pairwise_sum, trapezoid_grid
 
 DEFAULT_THETA = math.pi / 4
 
@@ -295,30 +295,6 @@ def _require_decay(f):
     return f.decay
 
 
-def _log_grid(u_lo, u_hi, max_h=0.05, min_nodes=64):
-    n = max(min_nodes, int(math.ceil((u_hi - u_lo) / max_h)) + 1)
-    u = np.linspace(u_lo, u_hi, n)
-    w = np.full(n, u[1] - u[0] if n > 1 else 0.0)
-    if n > 1:
-        w[0] *= 0.5
-        w[-1] *= 0.5
-    return u, w
-
-
-def gl_panel_grid(u_lo, u_hi, points=12, panel_width=0.5):
-    """Gauss-Legendre panels on [u_lo, u_hi]; spectral accuracy on finite
-    intervals where the trapezoid rule would pay O(h^2) endpoint terms."""
-    n_panels = max(2, int(math.ceil((u_hi - u_lo) / panel_width)))
-    edges = np.linspace(u_lo, u_hi, n_panels + 1)
-    x, w = np.polynomial.legendre.leggauss(points)
-    us, ws = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mid, rad = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        us.append(mid + rad * x)
-        ws.append(rad * w)
-    return np.concatenate(us), np.concatenate(ws)
-
-
 def f0_infty(f: IntrinsicFunction, direction: Paravector | None = None,
              tail_tol=1e-9) -> float:
     """The constant given by integrating f(t)/t over the real line.
@@ -330,7 +306,8 @@ def f0_infty(f: IntrinsicFunction, direction: Paravector | None = None,
     cert = _require_decay(f)
     alpha, c = cert.alpha, max(cert.c_alpha, 1.0)
     U = math.log(4.0 * c / (alpha * tail_tol)) / alpha
-    u, w = _log_grid(-U, U)
+    # step at most 0.05 and at least 64 nodes
+    u, w = trapezoid_grid(-U, U, max(64, int(math.ceil(2.0 * U / 0.05)) + 1))
     t = np.exp(u)
     if direction is None:
         z = t.astype(complex)

@@ -13,14 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .clifford import (
     CliffordNum,
     Paravector,
     basis_left_matrices,
+    blade_contract,
     conjugation_signs,
-    multiplication_table,
 )
 from .errors import DimensionMismatchError, NotInvertibleError
 
@@ -155,15 +154,8 @@ class CliffordOperator:
         """Direct entrywise application, independent of the real representation."""
         if v.n != self.n or v.m != self.m:
             raise DimensionMismatchError("operator and vector of different shape")
-        signs, masks = multiplication_table(self.n)
-        dim = 1 << self.n
-        # prod[i, A, B] = sum_j t_ijA v_jB, then scatter over A ^ B
-        prod = np.einsum("ija,jb->iab", self.coeffs, v.coeffs) * signs
-        out = np.zeros((self.m, dim))
-        flat = masks.ravel()
-        for i in range(self.m):
-            np.add.at(out[i], flat, prod[i].ravel())
-        return ModuleVector(self.n, self.m, out)
+        return ModuleVector(self.n, self.m,
+                            blade_contract("ij,j->i", self.coeffs, v.coeffs, self.n))
 
     def __matmul__(self, other):
         if isinstance(other, ModuleVector):
@@ -172,15 +164,8 @@ class CliffordOperator:
             return NotImplemented
         if other.n != self.n or other.m != self.m:
             raise DimensionMismatchError("operators of different shape")
-        signs, masks = multiplication_table(self.n)
-        dim = 1 << self.n
-        prod = np.einsum("ija,jkb->ikab", self.coeffs, other.coeffs) * signs
-        out = np.zeros((self.m, self.m, dim))
-        flat = masks.ravel()
-        for i in range(self.m):
-            for k in range(self.m):
-                np.add.at(out[i, k], flat, prod[i, k].ravel())
-        return CliffordOperator(self.n, self.m, out)
+        return CliffordOperator(self.n, self.m,
+                                blade_contract("ij,jk->ik", self.coeffs, other.coeffs, self.n))
 
     def __add__(self, other):
         self._check(other)
@@ -258,12 +243,8 @@ def inner_product(v: ModuleVector, w: ModuleVector) -> CliffordNum:
     """Module inner product, right-linear in w and right-antilinear in v."""
     if v.n != w.n or v.m != w.m:
         raise DimensionMismatchError("vectors of different shape")
-    signs, masks = multiplication_table(v.n)
-    dots = v.coeffs.T @ w.coeffs                      # dots[A, B] = <v_A, w_B>_R
-    contrib = dots * signs * conjugation_signs(v.n)[:, None]
-    out = np.zeros(1 << v.n)
-    np.add.at(out, masks, contrib)
-    return CliffordNum(v.n, out)
+    conj_v = v.coeffs * conjugation_signs(v.n)
+    return CliffordNum(v.n, blade_contract("i,i->", conj_v, w.coeffs, v.n))
 
 
 def scalar_part(v: ModuleVector, w: ModuleVector) -> float:
@@ -299,16 +280,25 @@ def operator_norm(T: CliffordOperator) -> float:
 
 
 class OperatorSolver:
-    """Cached factorization of rho(T); shareable for reads after construction."""
+    """Invertibility-checked solves with rho(T); shareable for reads after construction."""
 
     def __init__(self, T: CliffordOperator):
-        self.n = T.n
-        self.m = T.m
-        self.rho = rho_matrix(T)
-        svals = np.linalg.svd(self.rho, compute_uv=False)
+        self._set_matrix(rho_matrix(T), T.n, T.m)
+
+    @classmethod
+    def from_real(cls, matrix, n, m):
+        """Solver for a real (m 2^n)-square matrix, used exactly as given."""
+        solver = cls.__new__(cls)
+        solver._set_matrix(np.asarray(matrix, dtype=float), n, m)
+        return solver
+
+    def _set_matrix(self, rho, n, m):
+        self.n = n
+        self.m = m
+        self.rho = rho
+        svals = np.linalg.svd(rho, compute_uv=False)
         self.sigma_max = float(svals[0])
         self.sigma_min = float(svals[-1])
-        self._lu = None
 
     def invertible(self, rtol=INVERTIBILITY_RTOL):
         return self.sigma_min > rtol * self.sigma_max
@@ -321,15 +311,11 @@ class OperatorSolver:
                 sigma_min=self.sigma_min,
             )
 
-    def solve_real(self, rhs, refine=1):
-        """Solve rho(T) x = rhs with cached LU and iterative refinement."""
+    def solve_real(self, rhs):
+        """Solve rho(T) x = rhs with one step of iterative refinement."""
         self.require_invertible()
-        if self._lu is None:
-            self._lu = scipy.linalg.lu_factor(self.rho)
-        x = scipy.linalg.lu_solve(self._lu, rhs)
-        for _ in range(refine):
-            x = x + scipy.linalg.lu_solve(self._lu, rhs - self.rho @ x)
-        return x
+        x = np.linalg.solve(self.rho, rhs)
+        return x + np.linalg.solve(self.rho, rhs - self.rho @ x)
 
     def solve(self, w: ModuleVector) -> ModuleVector:
         if w.n != self.n or w.m != self.m:

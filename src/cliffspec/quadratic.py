@@ -18,7 +18,7 @@ from .calculus import ContourConfig, ContourEngine
 from .errors import ArgumentError
 from .functions import IntrinsicFunction
 from .module import CliffordOperator, ModuleVector, operator_norm
-from .reduction import pairwise_sum
+from .quadrature import pairwise_sum, trapezoid_grid
 from .spectrum import BisectorReport, check_bisectorial
 
 MAX_SIGN_WINDOW = 20  # exact enumeration cap on 2n
@@ -41,10 +41,7 @@ class QuadGridConfig:
     def grid(self):
         """(t, w) with both signs interleaved as (+grid, -grid)."""
         n = self.nodes if self.nodes % 2 == 1 else self.nodes + 1
-        u = np.linspace(math.log(self.t_min), math.log(self.t_max), n)
-        h = u[1] - u[0]
-        w = np.full(n, h)
-        w[0] = w[-1] = 0.5 * h
+        u, w = trapezoid_grid(math.log(self.t_min), math.log(self.t_max), n)
         t = np.exp(u)
         return np.concatenate([t, -t]), np.concatenate([w, w])
 
@@ -140,16 +137,11 @@ def frame_bounds(g: IntrinsicFunction, T: CliffordOperator,
 def adjoint_frame_bounds(g: IntrinsicFunction, T: CliffordOperator,
                          qcfg: QuadGridConfig | None = None,
                          cfg: ContourConfig | None = None,
-                         report: BisectorReport | None = None,
-                         engine=None) -> FrameBounds:
+                         report: BisectorReport | None = None) -> FrameBounds:
     """Frame bounds of the adjoint operator (certified afresh at the same angle)."""
     t_star = T.adjoint()
-    if engine is None:
-        omega = report.omega if report is not None else _default_omega(g)
-        report_star = check_bisectorial(t_star, omega)
-    else:
-        report_star = None
-    return frame_bounds(g, t_star, qcfg, cfg, report_star, engine)
+    omega = report.omega if report is not None else _default_omega(g)
+    return frame_bounds(g, t_star, qcfg, cfg, check_bisectorial(t_star, omega))
 
 
 def sign_matrix(half_window):

@@ -3,15 +3,18 @@
 Operator files are JSON objects
     {"n": int, "m": int, "matrix": m x m array of 2^n-length real arrays}
 with coefficients in ascending mask order; vectors use "entries" instead of
-"matrix".  Parsers reject wrong lengths with positional messages.
+"matrix".  Parsers reject wrong lengths and non-finite coefficients with
+positional messages.
 """
 
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
+from .clifford import MAX_DIMENSION
 from .errors import SchemaError
 from .module import CliffordOperator, ModuleVector
 
@@ -25,6 +28,19 @@ def _as_int(obj, key):
     return val
 
 
+def _dims(obj):
+    """(n, m) of an operator or vector object, each within its range."""
+    if not isinstance(obj, dict):
+        raise SchemaError("expected a JSON object with fields 'n' and 'm'")
+    n = _as_int(obj, "n")
+    m = _as_int(obj, "m")
+    if not 1 <= n <= MAX_DIMENSION:
+        raise SchemaError(f"field 'n' must lie in 1..{MAX_DIMENSION}, got {n}")
+    if m < 1:
+        raise SchemaError(f"field 'm' must be at least 1, got {m}")
+    return n, m
+
+
 def _coeff_list(raw, n, where):
     if not isinstance(raw, list):
         raise SchemaError(f"{where}: expected a list of reals")
@@ -33,14 +49,16 @@ def _coeff_list(raw, n, where):
             f"{where}: expected {1 << n} coefficients (n={n}), got {len(raw)}"
         )
     try:
-        return [float(x) for x in raw]
+        vals = [float(x) for x in raw]
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"{where}: non-numeric coefficient") from exc
+    if not all(math.isfinite(x) for x in vals):
+        raise SchemaError(f"{where}: non-finite coefficient")
+    return vals
 
 
 def operator_from_dict(obj) -> CliffordOperator:
-    n = _as_int(obj, "n")
-    m = _as_int(obj, "m")
+    n, m = _dims(obj)
     matrix = obj.get("matrix")
     if not isinstance(matrix, list) or len(matrix) != m:
         raise SchemaError(f"matrix: expected {m} rows")
@@ -63,8 +81,7 @@ def operator_to_dict(T: CliffordOperator) -> dict:
 
 
 def vector_from_dict(obj) -> ModuleVector:
-    n = _as_int(obj, "n")
-    m = _as_int(obj, "m")
+    n, m = _dims(obj)
     entries = obj.get("entries")
     if not isinstance(entries, list) or len(entries) != m:
         raise SchemaError(f"entries: expected {m} entries")
@@ -135,6 +152,20 @@ def frame_report_dict(bounds) -> dict:
             "truncation": bounds.truncation_error,
             "discretization": bounds.discretization_error,
         },
+    }
+
+
+def bisector_report_dict(report) -> dict:
+    """Certificate fields of a BisectorReport; infinite C_phi become null."""
+    return {
+        "omega": report.omega,
+        "injective": report.injective,
+        "spectrum_in_sector": report.spectrum_in_sector,
+        "certified": report.certified,
+        "c_phi_table": [[p, c if math.isfinite(c) else None]
+                        for p, c in report.c_phi_table],
+        "detections": [{"x": d.x, "y": d.y, "kind": d.kind}
+                       for d in report.detections],
     }
 
 

@@ -6,6 +6,11 @@ representation) at most 1e-10 times its largest.  Q_s depends on s only
 through (s0, |s|), so scanning the half-plane y = |Im s| >= 0 determines the
 whole axially symmetric spectrum; scans report sigma_min heatmaps in the
 pseudospectra style rather than running root finders.
+
+Every batched use of Q_s (the scan, the ray bounds, the contour engine)
+goes through ``q_blocks`` and ``left_resolvent_stack``, which work through
+the nodes in fixed blocks of ``_CHUNK`` so that no full stack of Q_s or of
+its inverse is ever held.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from .module import (
 )
 
 SPECTRUM_RTOL = INVERTIBILITY_RTOL
+_CHUNK = 128
 
 
 def q_operator(s: Paravector, T: CliffordOperator) -> CliffordOperator:
@@ -54,36 +60,61 @@ def pseudo_resolvent_point(s: Paravector, T: CliffordOperator) -> PseudoResolven
     return PseudoResolventPoint(s, Q, float(svals[-1]))
 
 
-def _imag_left_matrix_full(s: Paravector, m):
-    """rho of left multiplication by Im(s) on the whole module."""
-    L = Paravector(0.0, s.svec).left_matrix()
-    return np.kron(np.eye(m), L)
+def q_blocks(rho_t, s0, abs2):
+    """rho(Q_s) = rho_t^2 - 2 s0 rho_t + |s|^2 I at each node, block by block.
+
+    Yields (slice of the nodes, stack of Q_s over that slice) for
+    consecutive blocks of ``_CHUNK`` nodes.
+    """
+    d = rho_t.shape[0]
+    rho_t2 = rho_t @ rho_t
+    eye = np.eye(d)
+    for lo in range(0, s0.size, _CHUNK):
+        sl = slice(lo, lo + _CHUNK)
+        yield sl, (
+            rho_t2[None]
+            - 2.0 * s0[sl, None, None] * rho_t[None]
+            + abs2[sl, None, None] * eye[None]
+        )
 
 
-def _resolvent_real(s: Paravector, T: CliffordOperator, solver=None):
-    """Real representations (left, right) of the two S-resolvents at s."""
-    Q = q_operator(s, T)
-    qsolver = OperatorSolver(Q)
-    qsolver.require_invertible(SPECTRUM_RTOL, what=f"Q_s[T] at s={s!r}")
-    D = qsolver.rho.shape[0]
-    qinv = qsolver.solve_real(np.eye(D))
-    rho_t = rho_matrix(T)
-    msbar = s.s0 * np.eye(D) - _imag_left_matrix_full(s, T.m)
-    left = qinv @ msbar - rho_t @ qinv
-    right = (msbar - rho_t) @ qinv
-    return left, right
+def left_resolvent_stack(rho_t, s0, y, abs2, rho_j):
+    """Left S-resolvents s0 Q^-1 - y Q^-1 rho(J) - rho(T) Q^-1 at s = s0 + J y.
+
+    One (nodes, D, D) array; raises np.linalg.LinAlgError when Q_s is
+    exactly singular at a node.
+    """
+    d = rho_t.shape[0]
+    out = np.empty((s0.size, d, d))
+    for sl, q in q_blocks(rho_t, s0, abs2):
+        qinv = np.linalg.inv(q)
+        out[sl] = (
+            s0[sl, None, None] * qinv
+            - y[sl, None, None] * (qinv @ rho_j)
+            - np.einsum("ab,kbc->kac", rho_t, qinv)
+        )
+    return out
 
 
 def left_s_resolvent(s: Paravector, T: CliffordOperator) -> CliffordOperator:
     """Left S-resolvent Q_s[T]^{-1} sbar - T Q_s[T]^{-1} (sbar acting by left multiplication)."""
-    left, _ = _resolvent_real(s, T)
-    return operator_from_real(left, T.n, T.m)
+    OperatorSolver(q_operator(s, T)).require_invertible(
+        SPECTRUM_RTOL, what=f"Q_s[T] at s={s!r}")
+    y = s.imag_norm()
+    unit = Paravector(0.0, s.svec / y if y else s.svec)
+    rho_j = np.kron(np.eye(T.m), unit.left_matrix())
+    left = left_resolvent_stack(rho_matrix(T), np.array([s.s0]), np.array([y]),
+                                np.array([s.abs2()]), rho_j)
+    return operator_from_real(left[0], T.n, T.m)
 
 
 def right_s_resolvent(s: Paravector, T: CliffordOperator) -> CliffordOperator:
-    """Right S-resolvent (sbar - T) Q_s[T]^{-1}."""
-    _, right = _resolvent_real(s, T)
-    return operator_from_real(right, T.n, T.m)
+    """Right S-resolvent (sbar - T) Q_s[T]^{-1}.
+
+    It is the adjoint of the left S-resolvent of T* at sbar, since
+    Q_sbar[T*] = Q_s[T]* and Q_s[T] commutes with T.
+    """
+    return left_s_resolvent(s.conjugate(), T.adjoint()).adjoint()
 
 
 @dataclass(frozen=True)
@@ -136,19 +167,16 @@ class SpectrumScan:
 
 def _batched_sigma(rho_t, xs, ys):
     """sigma_min and sigma_max of rho(Q_s) on the grid, batched over nodes."""
-    D = rho_t.shape[0]
-    rho_t2 = rho_t @ rho_t
     X, Y = np.meshgrid(xs, ys)
     x = X.ravel()
     y = Y.ravel()
-    Q = (
-        rho_t2[None, :, :]
-        - 2.0 * x[:, None, None] * rho_t[None, :, :]
-        + (x * x + y * y)[:, None, None] * np.eye(D)[None, :, :]
-    )
-    svals = np.linalg.svd(Q, compute_uv=False)
-    shape = X.shape
-    return svals[:, -1].reshape(shape), svals[:, 0].reshape(shape)
+    smin = np.empty(x.size)
+    smax = np.empty(x.size)
+    for sl, q in q_blocks(rho_t, x, x * x + y * y):
+        svals = np.linalg.svd(q, compute_uv=False)
+        smin[sl] = svals[:, -1]
+        smax[sl] = svals[:, 0]
+    return smin.reshape(X.shape), smax.reshape(X.shape)
 
 
 def scan_spectrum_slice(T: CliffordOperator, grid: GridSpec, tol=SPECTRUM_RTOL) -> SpectrumScan:
@@ -234,35 +262,20 @@ class BisectorReport:
         return best
 
 
-def _ray_resolvent_bound(T, rho_t, rho_t2, phi, radii, axis_vec, m):
+def _ray_resolvent_bound(rho_t, phi, radii, rho_j):
     """max over the four boundary rays of |s| * ||S_L^{-1}(s, T)||, batched."""
-    D = rho_t.shape[0]
-    J_full = np.kron(np.eye(m), axis_vec)
-    eye = np.eye(D)
-    worst = 0.0
-    for branch in (1.0, -1.0):
-        for sign in (1.0, -1.0):
-            s0 = sign * radii * math.cos(phi)
-            simag = branch * sign * radii * math.sin(phi)
-            r2 = radii * radii
-            Q = (
-                rho_t2[None]
-                - 2.0 * s0[:, None, None] * rho_t[None]
-                + r2[:, None, None] * eye[None]
-            )
-            try:
-                qinv = np.linalg.inv(Q)
-            except np.linalg.LinAlgError:
-                return math.inf
-            msbar = s0[:, None, None] * eye[None] - simag[:, None, None] * J_full[None]
-            left = np.einsum("kab,kbc->kac", qinv, msbar) - np.einsum(
-                "ab,kbc->kac", rho_t, qinv
-            )
-            norms = np.linalg.svd(left, compute_uv=False)[:, 0]
-            if not np.all(np.isfinite(norms)):
-                return math.inf
-            worst = max(worst, float(np.max(radii * norms)))
-    return worst
+    rays = [(branch, sign) for branch in (1.0, -1.0) for sign in (1.0, -1.0)]
+    s0 = np.concatenate([sign * radii * math.cos(phi) for _, sign in rays])
+    y = np.concatenate([branch * sign * radii * math.sin(phi) for branch, sign in rays])
+    r = np.tile(radii, len(rays))
+    try:
+        left = left_resolvent_stack(rho_t, s0, y, r * r, rho_j)
+    except np.linalg.LinAlgError:
+        return math.inf
+    norms = np.linalg.svd(left, compute_uv=False)[:, 0]
+    if not np.all(np.isfinite(norms)):
+        return math.inf
+    return float(np.max(r * norms))
 
 
 def check_bisectorial(
@@ -300,13 +313,12 @@ def check_bisectorial(
         math.log10(sampling.radius_span[1]),
         sampling.radii_per_ray,
     )
-    rho_t2 = rho_t @ rho_t
-    axis_vec = unit_imag(T.n, sampling.axis).left_matrix()
+    rho_j = np.kron(np.eye(T.m), unit_imag(T.n, sampling.axis).left_matrix())
     table = []
     for phi in sampling.resolved_phis(omega):
         if not omega < phi < math.pi / 2:
             raise ArgumentError(f"sampled phi={phi} outside (omega, pi/2)")
-        c = _ray_resolvent_bound(T, rho_t, rho_t2, phi, radii, axis_vec, T.m)
+        c = _ray_resolvent_bound(rho_t, phi, radii, rho_j)
         table.append((float(phi), float(c)))
     return BisectorReport(
         omega=float(omega),

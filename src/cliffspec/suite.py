@@ -31,8 +31,8 @@ from .quadratic import (
     default_quad_grid,
     frame_bounds,
 )
-from .reduction import pairwise_sum
-from .serialization import frame_report_dict, operator_to_dict
+from .quadrature import pairwise_sum, trapezoid_grid
+from .serialization import bisector_report_dict, frame_report_dict, operator_to_dict
 from .spectrum import RaySampling, check_bisectorial
 
 
@@ -173,16 +173,7 @@ def run_theorem_suite(T: CliffordOperator, g_specs=None, f_specs=None,
     phis = tuple(sorted(set(spread) | {theta, phi_resolved}))
     bisector = check_bisectorial(T, config.omega, RaySampling(phis=phis))
     stages.append({"name": "bisectorial", "status": "done"})
-    report["bisector"] = {
-        "omega": bisector.omega,
-        "injective": bisector.injective,
-        "spectrum_in_sector": bisector.spectrum_in_sector,
-        "certified": bisector.certified,
-        "c_phi_table": [[p, c if math.isfinite(c) else None]
-                        for p, c in bisector.c_phi_table],
-        "detections": [{"x": d.x, "y": d.y, "kind": d.kind}
-                       for d in bisector.detections],
-    }
+    report["bisector"] = bisector_report_dict(bisector)
     records.append(_record("bisectorial_certificate",
                            0.0 if bisector.certified else 1.0, 0.0))
     records.append(_record("injectivity",
@@ -246,6 +237,7 @@ def run_theorem_suite(T: CliffordOperator, g_specs=None, f_specs=None,
 
     # stage: inequality records --------------------------------------------
     e = regularizer(theta)
+    g_hinf = {gname: hinf_calculus(g, T, bisector, cfg, engine=engine) for gname, g in gs}
     sandwich_vecs = _random_vectors(rng, T.n, T.m, config.n_sandwich)
     for gname, g in gs:
         fb, fb_star = frames[gname]
@@ -261,8 +253,7 @@ def run_theorem_suite(T: CliffordOperator, g_specs=None, f_specs=None,
         for fname, (f, res, norm) in hinf.items():
             records.append(_frame_ratio_bound(gname, fname, f, norm, res, fb, cg, theta))
         records.append(_adjoint_side_lower(gname, g, fb, fb_star))
-        records.extend(_sup_domination_records(gname, T, engine, fam, cg, rng,
-                                               gs, bisector, cfg))
+        records.extend(_sup_domination_records(gname, T, fam, cg, rng, gs, g_hinf))
     stages.append({"name": "inequalities", "status": "done"})
 
     # stage: parameter-truncation convergence ladder ------------------------
@@ -339,11 +330,8 @@ def _composition_bound_records(gname, g, engine, c_theta, family, config, rng):
     # iii) square-kernel inequality with an indicator-weighted sample family
     n3 = config.kernel_grid
     center = math.sqrt(np.abs(t_grid).min() * np.abs(t_grid).max())
-    u = np.linspace(math.log(center) - 3 * math.log(10.0),
-                    math.log(center) + 3 * math.log(10.0), n3)
-    h = u[1] - u[0]
-    w3 = np.full(n3, h)
-    w3[0] = w3[-1] = 0.5 * h
+    u, w3 = trapezoid_grid(math.log(center) - 3 * math.log(10.0),
+                           math.log(center) + 3 * math.log(10.0), n3)
     t3 = np.exp(u)
     t3 = np.concatenate([t3, -t3])
     w3 = np.concatenate([w3, w3])
@@ -376,8 +364,9 @@ def _domination_constant(g, e, c_theta, theta):
         2.0 * math.cos(theta) * beta ** 2 * denom)
 
 
-def _sup_domination_records(gname, T, engine, family, cg, rng, gs, bisector, cfg):
-    """Square-integral domination of f(T) by the sup norm, per decay-class f."""
+def _sup_domination_records(gname, T, family, cg, rng, gs, g_hinf):
+    """Square-integral domination of f(T) by the sup norm, per decay-class f;
+    ``g_hinf`` maps each name in ``gs`` to its hinf_calculus result."""
     records = []
     t_grid, w_grid, fam, _, _ = family
     v = ModuleVector(T.n, T.m, rng.standard_normal((T.m, 1 << T.n)))
@@ -385,8 +374,7 @@ def _sup_domination_records(gname, T, engine, family, cg, rng, gs, bisector, cfg
     base = np.einsum("kij,j->ki", fam, x)
     base_sq = float(pairwise_sum(w_grid * np.einsum("ki,ki->k", base, base)))
     for fname, f in gs:
-        res = hinf_calculus(f, T, bisector, cfg, engine=engine)
-        y = rho_matrix(res.op) @ x
+        y = rho_matrix(g_hinf[fname].op) @ x
         applied = np.einsum("kij,j->ki", fam, y)
         lhs = float(pairwise_sum(w_grid * np.einsum("ki,ki->k", applied, applied)))
         rhs = cg ** 2 * f.bounded.sup_norm ** 2 * base_sq

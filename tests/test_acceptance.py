@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import cliffspec as cs
-from cliffspec.reduction import pairwise_sum
+from cliffspec.quadrature import pairwise_sum
 
 from conftest import (
     OMEGA,

@@ -109,6 +109,20 @@ def test_parse_failure_exit_code(tmp_path):
                  "--out", str(out)]) == 2
 
 
+@pytest.mark.parametrize("text", [
+    '{"n": 1, "m": 1, "matrix": [[[NaN, 0.0]]]}',
+    '{"n": 1, "m": 1, "matrix": [[[Infinity, 0.0]]]}',
+    '{"n": 1, "m": 0, "matrix": []}',
+], ids=["nan", "infinity", "m0"])
+def test_bisect_rejects_malformed_operator(tmp_path, capsys, text):
+    op = tmp_path / "op.json"
+    op.write_text(text)
+    out = tmp_path / "o.json"
+    assert main(["bisect", "--operator", str(op), "--omega", "0.3",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_calc_subcommand(tmp_path):
     op = tmp_path / "op.json"
     write_operator(op, [[1.0, 0.0], [0.0, 2.0]])

@@ -193,3 +193,16 @@ def test_dyadic_sign_identity_wide_window(rng, diag12):
     v = random_vector(rng, 1, 2)
     lhs, rhs = cs.dyadic_sign_identity(e, diag12, v, 0.3, 7, report=rep)
     assert rhs == pytest.approx(lhs, abs=1e-10 * max(1.0, lhs))
+
+
+def test_adjoint_frame_bounds_of_non_normal_operator():
+    # T and T* have different frame bounds here, so returning those of T
+    # instead of T* shows
+    T = cs.CliffordOperator.from_real_matrix(
+        [[1.0, 3.0, 0.5], [0.0, 2.0, -4.0], [0.0, 0.0, -1.5]], n=1)
+    rep = cs.check_bisectorial(T, OMEGA)
+    e = cs.regularizer(THETA)
+    fb = cs.frame_bounds(e, T, report=rep)
+    fb_star = cs.adjoint_frame_bounds(e, T, report=rep)
+    assert (fb.c_lower, fb.d_upper) == pytest.approx((0.3971, 4.4689), abs=1e-4)
+    assert (fb_star.c_lower, fb_star.d_upper) == pytest.approx((0.3099, 4.3384), abs=1e-4)

@@ -5,7 +5,7 @@ import pytest
 
 import cliffspec as cs
 
-from conftest import random_paravector
+from conftest import OMEGA, THETA, random_operator, random_paravector
 
 
 def scalar_resolvent(s, lam):
@@ -180,3 +180,31 @@ def test_empty_grid_rejected():
         cs.GridSpec(0.0, 1.0, 0.0, 1.0, 0, 3)
     with pytest.raises(cs.ArgumentError):
         cs.GridSpec(0.0, 1.0, -0.5, 1.0, 3, 3)
+
+
+def test_s_resolvent_identity_on_non_normal_operators(rng):
+    """Q_s[T] S_L^{-1}(s, T) = sbar - T over R_2 and R_3, and the contour
+    engine stores the same left S-resolvent at its nodes."""
+    for n in (2, 3):
+        for _ in range(5):
+            T = random_operator(rng, n, 2)
+            s = random_paravector(rng, n)
+            if cs.pseudo_resolvent_point(s, T).sigma_min < 1e-3:
+                continue
+            q = cs.rho_matrix(cs.q_operator(s, T))
+            left = cs.rho_matrix(cs.left_s_resolvent(s, T))
+            rhs = cs.rho_matrix(cs.CliffordOperator.scalar_mul(s.conjugate(), 2) - T)
+            scale = np.linalg.norm(q, 2) * np.linalg.norm(left, 2)
+            assert np.abs(q @ left - rhs).max() <= 1e-10 * scale
+
+        # non-normal with real spectrum {1, -2}: certified, so the engine builds
+        off = rng.standard_normal(1 << n)
+        coeffs = np.zeros((2, 2, 1 << n))
+        coeffs[0, 0, 0], coeffs[1, 1, 0], coeffs[0, 1] = 1.0, -2.0, off
+        T = cs.CliffordOperator(n, 2, coeffs)
+        eng = cs.ContourEngine(T, cs.check_bisectorial(T, OMEGA), THETA,
+                               cs.ContourConfig(nodes=64))
+        for k in np.flatnonzero(np.abs(eng.u) < 1.0)[::9]:
+            s = cs.Paravector(eng.z[k].real, eng.z[k].imag * eng.axis.svec)
+            expected = cs.rho_matrix(cs.left_s_resolvent(s, T))
+            assert np.abs(eng.A[k] - expected).max() <= 1e-10 * max(1.0, np.abs(expected).max())
