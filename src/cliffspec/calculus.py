@@ -150,17 +150,19 @@ class ContourEngine:
 
         u, w_ray, w_half_ray = _ray_nodes(cfg)
         n = u.size
-        branch = np.repeat([1.0, 1.0, -1.0, -1.0], n)
-        sign = np.repeat([1.0, -1.0, 1.0, -1.0], n)
-        u_all = np.tile(u, 4)
+        # nodes are stored [even | odd] by their index along the ray, each part
+        # ray by ray, so the half-resolution sums contract slices of A
+        order = np.argsort(np.tile(np.arange(n) % 2, 4), kind="stable")
+        self._n_even = 4 * ((n + 1) // 2)
+        branch = np.repeat([1.0, 1.0, -1.0, -1.0], n)[order]
+        sign = np.repeat([1.0, -1.0, 1.0, -1.0], n)[order]
+        u_all = np.tile(u, 4)[order]
         r = np.exp(u_all)
         self.u = u_all
-        self.branch = branch
-        self.sign = sign
         self.z = sign * r * np.exp(1j * branch * self.phi)
         # dr = e^u du on each half-line; 1/(2 pi) prefactor folded in
-        self.wts = np.tile(w_ray, 4) * r / (2.0 * math.pi)
-        self.wts_half = np.tile(w_half_ray, 4) * r / (2.0 * math.pi)
+        self.wts = np.tile(w_ray, 4)[order] * r / (2.0 * math.pi)
+        self.wts_half = np.tile(w_half_ray, 4)[order] * r / (2.0 * math.pi)
         # right multiplication of an operator by a slice scalar c = c0 + c1 J
         # is composition with left multiplication, Re(c) I + Im(c) rho(J)
         self.phase = branch * sign * np.exp(1j * branch * self.phi) * 1j
@@ -191,9 +193,7 @@ class ContourEngine:
         # on trapezoid grids the doubled even-node weights equal the halved
         # rule exactly, so half = 2 * (even part) and full = even + odd
         self._half_nests = bool(np.array_equal(
-            np.where(np.tile(np.arange(n) % 2 == 0, 4), 2.0 * self.wts, 0.0),
-            self.wts_half))
-        self._even = np.tile(np.arange(n) % 2 == 0, 4)
+            np.where(np.arange(4 * n) < self._n_even, 2.0 * self.wts, 0.0), self.wts_half))
 
     def truncation_bound(self, decay, t=1.0):
         alpha, c_alpha = decay.alpha, decay.c_alpha
@@ -220,7 +220,7 @@ class ContourEngine:
         d = self.dim
         mats = np.empty((ts.size, d, d))
         discs = np.empty(ts.size)
-        ev = self._even
+        ne = self._n_even
 
         def contract(coef, a_flat):
             # the slice unit is node independent, so the imaginary part sums
@@ -245,8 +245,8 @@ class ContourEngine:
             coef = vals * self.wts[None, :]
             nb = chunk.size
             if self._half_nests:
-                even = contract(coef[:, ev], self._a_flat[ev])
-                odd = contract(coef[:, ~ev], self._a_flat[~ev])
+                even = contract(coef[:, :ne], self._a_flat[:ne])
+                odd = contract(coef[:, ne:], self._a_flat[ne:])
                 mats[lo:lo + nb] = even + odd
                 diff = odd - even
             else:

@@ -33,7 +33,7 @@ from .serialization import (
     scan_to_csv,
     write_json,
 )
-from .spectrum import GridSpec, check_bisectorial, scan_spectrum_slice
+from .spectrum import GridSpec, check_bisectorial, default_scan_grid, scan_spectrum_slice
 from .suite import SuiteConfig, run_theorem_suite
 
 EXIT_PASS = 0
@@ -112,13 +112,8 @@ def build_parser():
 
 def cmd_spectrum(args):
     T = parse_operator_file(args.operator)
-    if args.grid:
-        grid = _parse_grid(args.grid)
-    else:
-        from .spectrum import default_scan_grid
-        grid = default_scan_grid(T)
-    scan = scan_spectrum_slice(T, grid)
-    scan_to_csv(scan, args.out)
+    grid = _parse_grid(args.grid) if args.grid else default_scan_grid(T)
+    scan_to_csv(scan_spectrum_slice(T, grid), args.out)
     return EXIT_PASS
 
 

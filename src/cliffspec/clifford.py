@@ -329,13 +329,6 @@ class DoubleSector:
         phi = s.angle()
         return phi < self.omega or phi > math.pi - self.omega
 
-    def contains_closed(self, s: Paravector, tol=1e-12) -> bool:
-        """Membership in the closure, with an angular slack for scans."""
-        if s.is_zero():
-            return True
-        phi = s.angle()
-        return phi <= self.omega + tol or phi >= math.pi - self.omega - tol
-
 
 def in_sector(s: Paravector, sector: DoubleSector) -> bool:
     return sector.contains(s)

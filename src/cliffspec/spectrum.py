@@ -1,11 +1,10 @@
-"""Pseudo-resolvent, S-resolvents, spectrum scans and bisectoriality reports.
+"""Pseudo-resolvent, S-resolvents, the S-spectrum and bisectoriality reports.
 
-A paravector s is in the numerical S-spectrum of T when the pseudo-resolvent
-Q_s[T] = T^2 - 2 s0 T + |s|^2 has smallest singular value (in the real
-representation) at most 1e-10 times its largest.  Q_s depends on s only
-through (s0, |s|), so scanning the half-plane y = |Im s| >= 0 determines the
-whole axially symmetric spectrum; scans report sigma_min heatmaps in the
-pseudospectra style rather than running root finders.
+In the real representation rho(Q_s[T]) = (rho T - z)(rho T - zbar) with
+z = s0 + i|s|, so the S-spectrum of T is eig(rho T) folded to the
+half-plane y = |Im s| >= 0.  ``check_bisectorial`` certifies from those
+eigenvalues.  Scans report sigma_min heatmaps of Q_s over a grid in the
+pseudospectra style; they serve ``cliffspec spectrum`` only.
 
 Every batched use of Q_s (the scan, the ray bounds, the contour engine)
 goes through ``q_blocks`` and ``left_resolvent_stack``, which work through
@@ -20,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import DoubleSector, Paravector, unit_imag
-from .errors import ArgumentError, DimensionMismatchError
+from .clifford import Paravector, unit_imag
+from .errors import ArgumentError, DimensionMismatchError, NumericalFailureError
 from .module import (
     INVERTIBILITY_RTOL,
     CliffordOperator,
@@ -33,6 +32,9 @@ from .module import (
 
 SPECTRUM_RTOL = INVERTIBILITY_RTOL
 _CHUNK = 128
+# a node costs one SVD of a D x D matrix and one heatmap line; a million is
+# minutes of SVDs at D = 32 and a 60 MB CSV, so larger default grids are refused
+_MAX_SCAN_NODES = 1_000_000
 
 
 def q_operator(s: Paravector, T: CliffordOperator) -> CliffordOperator:
@@ -40,10 +42,7 @@ def q_operator(s: Paravector, T: CliffordOperator) -> CliffordOperator:
     if s.n != T.n:
         raise DimensionMismatchError("paravector and operator in different algebras")
     qc = (T @ T).coeffs - (2.0 * s.s0) * T.coeffs
-    qc = qc.copy()
-    abs2 = s.abs2()
-    for i in range(T.m):
-        qc[i, i, 0] += abs2
+    qc[np.arange(T.m), np.arange(T.m), 0] += s.abs2()
     return CliffordOperator(T.n, T.m, qc)
 
 
@@ -149,20 +148,27 @@ class GridSpec:
 
 
 @dataclass(frozen=True)
-class Detection:
+class SpectralPoint:
+    """The sphere x + S y, y = |Im s| >= 0, of an S-spectrum ("real" if y = 0)."""
+
     x: float
     y: float
-    sigma_min: float
-    kind: str  # "real" for y = 0, else "sphere" [x + S y]
+
+    @property
+    def kind(self) -> str:
+        return "real" if self.y == 0.0 else "sphere"
+
+
+@dataclass(frozen=True)
+class Detection(SpectralPoint):
+    sigma_min: float    # at the flagged scan node
 
 
 @dataclass(frozen=True)
 class SpectrumScan:
     grid: GridSpec
     values: np.ndarray      # sigma_min per node, shape (ny, nx)
-    sigma_max: np.ndarray   # sigma_max per node, shape (ny, nx)
     detections: tuple
-    tol: float
 
 
 def _batched_sigma(rho_t, xs, ys):
@@ -200,11 +206,8 @@ def scan_spectrum_slice(T: CliffordOperator, grid: GridSpec, tol=SPECTRUM_RTOL) 
     xs, ys = grid.xs(), grid.ys()
     detections = []
     for iy, ix in np.argwhere(flagged):
-        y = float(ys[iy])
-        detections.append(
-            Detection(float(xs[ix]), y, float(smin[iy, ix]), "real" if y == 0.0 else "sphere")
-        )
-    return SpectrumScan(grid, smin, smax, tuple(detections), tol)
+        detections.append(Detection(float(xs[ix]), float(ys[iy]), float(smin[iy, ix])))
+    return SpectrumScan(grid, smin, tuple(detections))
 
 
 def default_scan_grid(T: CliffordOperator, per_unit=8) -> GridSpec:
@@ -213,9 +216,14 @@ def default_scan_grid(T: CliffordOperator, per_unit=8) -> GridSpec:
     The step is a power of two over ``per_unit`` so that integer and
     half-integer spectra land exactly on nodes.
     """
-    radius = 1.25 * max(1.0, operator_norm(T))
+    norm = operator_norm(T)
     h = 1.0 / per_unit
-    k = int(math.ceil(radius / h))
+    k = float(np.ceil(1.25 * max(1.0, norm) / h))   # inf when ||T|| overflows
+    if not (2 * k + 1) * (k + 1) <= _MAX_SCAN_NODES:
+        raise ArgumentError(
+            f"default scan grid for ||T|| = {norm:.3g} exceeds {_MAX_SCAN_NODES} "
+            "nodes; pass a coarser --grid")
+    k = int(k)
     r = k * h
     return GridSpec(-r, r, 0.0, r, 2 * k + 1, k + 1)
 
@@ -241,9 +249,7 @@ class BisectorReport:
     injective: bool
     c_phi_table: tuple          # pairs (phi, estimated C_phi)
     spectrum_in_sector: bool
-    detections: tuple = ()
-    sigma_min_T: float = 0.0
-    sigma_max_T: float = 0.0
+    detections: tuple = ()      # SpectralPoints of the S-spectrum
 
     @property
     def certified(self) -> bool:
@@ -278,15 +284,31 @@ def _ray_resolvent_bound(rho_t, phi, radii, rho_j):
     return float(np.max(r * norms))
 
 
+def s_spectrum(rho_t, norm, tol=SPECTRUM_RTOL) -> tuple:
+    """The S-spectrum of T as SpectralPoints: eig(rho T) folded to y >= 0.
+
+    The regular representation repeats every eigenvalue, so points within
+    tol * norm of each other merge into the first in (y, x) order; a point
+    that close to the real axis merges with its mirror image and is real.
+    """
+    lam = np.linalg.eigvals(rho_t)
+    radius = tol * norm
+    ys = np.where(np.abs(lam.imag) <= radius, 0.0, np.abs(lam.imag))
+    points = []
+    for y, x in sorted(zip(ys.tolist(), lam.real.tolist())):
+        if all(math.hypot(x - p.x, y - p.y) > radius for p in points):
+            points.append(SpectralPoint(x, y))
+    return tuple(points)
+
+
 def check_bisectorial(
     T: CliffordOperator,
     omega: float,
     sampling: RaySampling | None = None,
-    scan_grid: GridSpec | None = None,
 ) -> BisectorReport:
     """Certify or refute bisectoriality of angle omega for the user's candidate.
 
-    Checks injectivity of rho(T), containment of all scan detections in the
+    Checks injectivity of rho(T), containment of the S-spectrum in the
     closed double sector, and estimates C_phi on the boundary rays of each
     requested larger sector.  The result is a numerical certificate; failures
     are carried in the report rather than raised.
@@ -298,16 +320,15 @@ def check_bisectorial(
     svals = np.linalg.svd(rho_t, compute_uv=False)
     sigma_max, sigma_min = float(svals[0]), float(svals[-1])
     injective = sigma_min > INVERTIBILITY_RTOL * sigma_max
-
-    grid = scan_grid or default_scan_grid(T)
-    scan = scan_spectrum_slice(T, grid)
-    sector = DoubleSector(omega)
-    contained = all(
-        sector.contains_closed(Paravector(d.x, d.y * unit_imag(T.n, sampling.axis).svec), tol=1e-9)
-        for d in scan.detections
-    )
+    spectrum = s_spectrum(rho_t, sigma_max)
+    # the closed double sector, with 1e-9 rad of angular slack
+    angles = [math.atan2(p.y, p.x) for p in spectrum]
+    contained = all(a <= omega + 1e-9 or a >= math.pi - omega - 1e-9 for a in angles)
 
     scale = max(1.0, sigma_max)
+    r_max = scale * sampling.radius_span[1]
+    if not math.isfinite(r_max * r_max):
+        raise NumericalFailureError("|s|^2 overflows on the sampled rays", node={"r": r_max})
     radii = scale * np.logspace(
         math.log10(sampling.radius_span[0]),
         math.log10(sampling.radius_span[1]),
@@ -324,8 +345,6 @@ def check_bisectorial(
         omega=float(omega),
         injective=bool(injective),
         c_phi_table=tuple(table),
-        spectrum_in_sector=bool(contained),
-        detections=scan.detections,
-        sigma_min_T=sigma_min,
-        sigma_max_T=sigma_max,
+        spectrum_in_sector=contained,
+        detections=spectrum,
     )

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -97,14 +97,7 @@ class SuiteConfig:
                              nodes=self.contour_nodes)
 
     def echo(self):
-        return {
-            "omega": self.omega, "theta": self.theta, "phi": self.phi,
-            "contour_nodes": self.contour_nodes, "u_min": self.u_min,
-            "u_max": self.u_max, "quad_nodes": self.quad_nodes,
-            "n_sandwich": self.n_sandwich, "n_uniform_pairs": self.n_uniform_pairs,
-            "n_integral_taus": self.n_integral_taus, "kernel_grid": self.kernel_grid,
-            "seed": self.seed, "jobs": self.jobs,
-        }
+        return asdict(self)
 
 
 def _record(name, lhs, rhs, tol=0.0, **extra):
@@ -168,8 +161,7 @@ def run_theorem_suite(T: CliffordOperator, g_specs=None, f_specs=None,
 
     # stage: bisectoriality certificate ------------------------------------
     phi_resolved = cfg.phi if cfg.phi is not None else 0.5 * (config.omega + theta)
-    spread = tuple(config.omega + k * (math.pi / 2 - config.omega) / 6.0
-                   for k in range(1, 6))
+    spread = RaySampling().resolved_phis(config.omega)
     phis = tuple(sorted(set(spread) | {theta, phi_resolved}))
     bisector = check_bisectorial(T, config.omega, RaySampling(phis=phis))
     stages.append({"name": "bisectorial", "status": "done"})

@@ -113,7 +113,8 @@ def test_parse_failure_exit_code(tmp_path):
     '{"n": 1, "m": 1, "matrix": [[[NaN, 0.0]]]}',
     '{"n": 1, "m": 1, "matrix": [[[Infinity, 0.0]]]}',
     '{"n": 1, "m": 0, "matrix": []}',
-], ids=["nan", "infinity", "m0"])
+    '{"n": 1, "m": 1, "matrix": [[[1e308, 0.0]]]}',
+], ids=["nan", "infinity", "m0", "huge"])
 def test_bisect_rejects_malformed_operator(tmp_path, capsys, text):
     op = tmp_path / "op.json"
     op.write_text(text)
@@ -121,6 +122,15 @@ def test_bisect_rejects_malformed_operator(tmp_path, capsys, text):
     assert main(["bisect", "--operator", str(op), "--omega", "0.3",
                  "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("coeff", [1e308, 1e6])
+def test_spectrum_rejects_huge_operator(tmp_path, capsys, coeff):
+    # the default grid would need more nodes than it allows (inf at 1e308)
+    op = tmp_path / "op.json"
+    op.write_text(json.dumps({"n": 1, "m": 1, "matrix": [[[coeff, 0.0]]]}))
+    assert main(["spectrum", "--operator", str(op), "--out", str(tmp_path / "s.csv")]) == 2
+    assert "--grid" in capsys.readouterr().err
 
 
 def test_calc_subcommand(tmp_path):

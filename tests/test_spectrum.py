@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cliffspec as cs
 
@@ -157,6 +158,65 @@ def test_check_bisectorial_flags_injectivity():
     report = cs.check_bisectorial(T, 0.3)
     assert not report.injective
     assert report.spectrum_in_sector  # {0, 1} lies in the closed sector
+
+
+def test_check_bisectorial_refuses_rotation_outside_sector():
+    # eigenvalues 0.3 +- 1.1i sit at slice angle 74.7 degrees, far outside 15
+    T = cs.CliffordOperator.from_real_matrix([[0.3, -1.1], [1.1, 0.3]], n=1)
+    report = cs.check_bisectorial(T, math.pi / 12)
+    assert not report.certified
+    assert not report.spectrum_in_sector
+    assert [(d.x, d.y, d.kind) for d in report.detections] == [
+        (pytest.approx(0.3, abs=1e-12), pytest.approx(1.1, abs=1e-12), "sphere")]
+
+
+@st.composite
+def planted_operators(draw):
+    """(T, omega, contained): T = V diag(blocks) V^-1 over R_n with real
+    eigenvalues and rotation-scaling blocks a +- ib, V well conditioned, and
+    every slice angle at least 0.02 rad away from omega."""
+    omega = draw(st.floats(0.15, 1.2))
+    n_real = draw(st.integers(0, 2))
+    n_pairs = draw(st.integers(0 if n_real else 1, 2))
+    blocks, contained = [], True
+    for _ in range(n_real):
+        blocks.append([[draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.1, 3.0))]])
+    for _ in range(n_pairs):
+        alpha = draw(st.floats(0.0, math.pi / 2 - 0.04))
+        if alpha > omega - 0.02:
+            alpha += 0.04
+        contained &= alpha < omega
+        radius = draw(st.floats(0.1, 3.0))
+        a = draw(st.sampled_from([-1.0, 1.0])) * radius * math.cos(alpha)
+        b = radius * math.sin(alpha)
+        blocks.append([[a, -b], [b, a]])
+    m = sum(len(b) for b in blocks)
+    planted = np.zeros((m, m))
+    k = 0
+    for b in blocks:
+        planted[k:k + len(b), k:k + len(b)] = b
+        k += len(b)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    q1, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    q2, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    v = q1 @ np.diag(np.exp(rng.uniform(-0.5, 0.5, m))) @ q2   # cond(V) <= e
+    T = cs.CliffordOperator.from_real_matrix(v @ planted @ np.linalg.inv(v),
+                                             n=draw(st.integers(1, 2)))
+    return T, omega, contained
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(planted_operators())
+def test_certified_iff_planted_spectrum_in_sector(case):
+    T, omega, contained = case
+    report = cs.check_bisectorial(T, omega)
+    assert report.certified == contained
+    if report.certified:
+        e = cs.regularizer(0.5 * (omega + math.pi / 2))
+        result = cs.omega_calculus(e, T, report)
+        gap = np.linalg.norm(cs.rho_matrix(result.op)
+                             - cs.rho_matrix(cs.rational_calculus(e, T)), 2)
+        assert gap <= result.combined_error + 1e-10
 
 
 def test_c_phi_independent_of_slice_axis(diag1m2):
