@@ -32,9 +32,9 @@ from .module import (
 
 SPECTRUM_RTOL = INVERTIBILITY_RTOL
 _CHUNK = 128
-# a node costs one SVD of a D x D matrix and one heatmap line; a million is
-# minutes of SVDs at D = 32 and a 60 MB CSV, so larger default grids are refused
-_MAX_SCAN_NODES = 1_000_000
+# a scan holds about 170 bytes a node for its heatmap whatever D (measured at
+# D = 2, 8, 32), so 2^24 nodes take 2.9 GB; larger default grids are refused
+_MAX_SCAN_NODES = 2 ** 24
 
 
 def q_operator(s: Paravector, T: CliffordOperator) -> CliffordOperator:
@@ -284,15 +284,15 @@ def _ray_resolvent_bound(rho_t, phi, radii, rho_j):
     return float(np.max(r * norms))
 
 
-def s_spectrum(rho_t, norm, tol=SPECTRUM_RTOL) -> tuple:
+def s_spectrum(rho_t, norm) -> tuple:
     """The S-spectrum of T as SpectralPoints: eig(rho T) folded to y >= 0.
 
     The regular representation repeats every eigenvalue, so points within
-    tol * norm of each other merge into the first in (y, x) order; a point
-    that close to the real axis merges with its mirror image and is real.
+    SPECTRUM_RTOL * norm merge into the first in (y, x) order; a point that
+    close to the real axis merges with its mirror image and is real.
     """
     lam = np.linalg.eigvals(rho_t)
-    radius = tol * norm
+    radius = SPECTRUM_RTOL * norm
     ys = np.where(np.abs(lam.imag) <= radius, 0.0, np.abs(lam.imag))
     points = []
     for y, x in sorted(zip(ys.tolist(), lam.real.tolist())):
@@ -311,7 +311,8 @@ def check_bisectorial(
     Checks injectivity of rho(T), containment of the S-spectrum in the
     closed double sector, and estimates C_phi on the boundary rays of each
     requested larger sector.  The result is a numerical certificate; failures
-    are carried in the report rather than raised.
+    are carried in the report, but an overflowing |s|^2 raises
+    NumericalFailureError.
     """
     if not 0.0 < omega < math.pi / 2:
         raise ArgumentError(f"omega={omega} outside (0, pi/2)")
