@@ -129,7 +129,7 @@ class ContourEngine:
     """Precomputed resolvent data along the contour for one operator.
 
     evaluate_family(f, ts) integrates f(t s) against the stored resolvents
-    for a whole vector of scalings; evaluate(f, t) is its one-scaling case.
+    for a whole vector of scalings; evaluate(f) is its case t = 1.
     """
 
     def __init__(self, T: CliffordOperator, report: BisectorReport,
@@ -186,6 +186,9 @@ class ContourEngine:
                 node={"u": float(self.u[bad]), "branch": float(branch[bad]),
                       "sign": float(sign[bad])},
             )
+        if math.isinf(self.c_phi):
+            # phi lies below every sampled angle: take C_phi from these rays
+            self.c_phi = float(np.max(r * np.linalg.svd(resolv, compute_uv=False)[:, 0]))
         self.dim = d
         self.A = resolv
         self.j_full = j_full
@@ -202,9 +205,9 @@ class ContourEngine:
         tail = math.atan(a ** alpha) + math.pi / 2 - math.atan(b ** alpha)
         return 2.0 * self.c_phi * c_alpha * tail / (math.pi * alpha)
 
-    def evaluate(self, f: IntrinsicFunction, t=1.0):
-        """Real-representation matrix of f(tT) with error estimates."""
-        mats, truncs, discs = self.evaluate_family(f, [t])
+    def evaluate(self, f: IntrinsicFunction):
+        """Real-representation matrix of f(T) with error estimates."""
+        mats, truncs, discs = self.evaluate_family(f, [1.0])
         return mats[0], float(truncs[0]), float(discs[0])
 
     def evaluate_family(self, f: IntrinsicFunction, ts):
@@ -295,7 +298,7 @@ def rational_calculus(f: IntrinsicFunction, T: CliffordOperator) -> CliffordOper
 
     p = horner(num)
     q = horner(den)
-    solver = OperatorSolver.from_real(q, T.n, T.m)
+    solver = OperatorSolver(q, T.n, T.m)
     solver.require_invertible(what="denominator")
     return operator_from_real(solver.solve_real(p), T.n, T.m)
 
@@ -319,7 +322,7 @@ def hinf_calculus(f: IntrinsicFunction, T: CliffordOperator,
     eng = engine or ContourEngine(T, report, f.theta, cfg)
     ef_mat, trunc, disc = eng.evaluate(ef)
     e_mat = rho_matrix(rational_calculus(e, T))
-    solver = OperatorSolver.from_real(e_mat, T.n, T.m)
+    solver = OperatorSolver(e_mat, T.n, T.m)
     solver.require_invertible(what="regularizer operator e(T)")
     x = solver.solve_real(ef_mat)
     scale = 1.0 / solver.sigma_min

@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 
 from .calculus import ContourConfig, hinf_calculus, omega_calculus
-from .errors import CliffSpecError
+from .errors import ArgumentError, CliffSpecError
 from .functions import certify_bounded, resolve_function
-from .quadratic import frame_bounds, default_quad_grid
+from .quadratic import adjoint_frame_bounds, default_quad_grid, frame_bounds
 from .serialization import (
     bisector_report_dict,
     dumps_report,
@@ -44,22 +43,14 @@ EXIT_ERROR = 2
 def _parse_grid(text) -> GridSpec:
     parts = text.split(",")
     if len(parts) != 6:
-        raise CliffSpecError(
-            "grid must be 'x_min,x_max,y_min,y_max,nx,ny'"
-        )
-    x0, x1, y0, y1 = (float(p) for p in parts[:4])
-    nx, ny = int(parts[4]), int(parts[5])
+        raise ArgumentError("grid must be 'x_min,x_max,y_min,y_max,nx,ny'")
+    try:
+        x0, x1, y0, y1 = (float(p) for p in parts[:4])
+        nx, ny = int(parts[4]), int(parts[5])
+    except ValueError:
+        raise ArgumentError(
+            f"grid {text!r}: four reals and two integers expected") from None
     return GridSpec(x0, x1, y0, y1, nx, ny)
-
-
-def _default_jobs():
-    env = os.environ.get("CLIFFSPEC_JOBS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
 
 
 def build_parser():
@@ -106,7 +97,7 @@ def build_parser():
     p.add_argument("--phi", type=float, default=None)
     p.add_argument("--nodes", type=int, default=2000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=_default_jobs())
+    p.add_argument("--jobs", type=int, default=1)
     return parser
 
 
@@ -150,7 +141,6 @@ def cmd_frame(args):
     cfg = ContourConfig(nodes=args.nodes)
     qcfg = default_quad_grid(T)
     fb = frame_bounds(g, T, qcfg, cfg, report)
-    from .quadratic import adjoint_frame_bounds
     fb_star = adjoint_frame_bounds(g, T, qcfg, cfg, report)
     grid_echo = {"t_min": qcfg.t_min, "t_max": qcfg.t_max, "nodes": qcfg.nodes}
     payload = {

@@ -291,11 +291,11 @@ def unit_imag(n, axis=0):
     return Paravector(0.0, v)
 
 
-def polar_decompose(s: Paravector, default_axis: Paravector | None = None):
+def polar_decompose(s: Paravector):
     """Write s = r exp(J phi) with r = |s|, phi in [0, pi] and J a unit imaginary.
 
-    On the real axis the imaginary direction degenerates; the caller-supplied
-    default (library default e_1) is returned there.
+    On the real axis the imaginary direction degenerates; J = e_1 is returned
+    there.
     """
     if s.is_zero():
         raise DegenerateInputError("cannot polar-decompose the zero paravector")
@@ -303,8 +303,7 @@ def polar_decompose(s: Paravector, default_axis: Paravector | None = None):
     y = s.imag_norm()
     phi = math.atan2(y, s.s0)
     if y == 0.0:
-        axis = default_axis if default_axis is not None else unit_imag(s.n)
-        return r, axis, phi
+        return r, unit_imag(s.n), phi
     return r, Paravector(0.0, s.svec / y), phi
 
 

@@ -19,10 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clifford import Paravector, polar_decompose
-from .errors import ArgumentError, CertificationError, DomainError, PreconditionError
+from .errors import (ArgumentError, CertificationError, CliffSpecError, DomainError,
+                     PreconditionError, SchemaError)
 from .quadrature import gl_panel_grid, pairwise_sum, trapezoid_grid
 
 DEFAULT_THETA = math.pi / 4
+_CERTIFY_SAMPLES = 1000  # radii per ray of the certification sample set
 
 
 @dataclass(frozen=True)
@@ -234,18 +236,17 @@ def _sample_points(theta, samples_per_ray, radius_span=(1e-4, 1e4)):
     return np.concatenate(pts)
 
 
-def certify_decay(f: IntrinsicFunction, alpha, samples_per_ray=1000,
-                  stability_factor=5.0) -> DecayCertificate:
+def certify_decay(f: IntrinsicFunction, alpha) -> DecayCertificate:
     """Fit the smallest C_alpha over the sample set for the given alpha.
 
     The fit must be stable: widening the radius window from [1e-2, 1e2] to
-    [1e-4, 1e4] may not inflate the constant by more than ``stability_factor``,
+    [1e-4, 1e4] may not inflate the constant by more than a factor 5,
     otherwise there is no decay of that order and CertificationError is raised.
     """
     if alpha <= 0.0:
         raise ArgumentError("decay exponent alpha must be positive")
-    z_wide = _sample_points(f.theta, samples_per_ray)
-    z_narrow = _sample_points(f.theta, samples_per_ray, radius_span=(1e-2, 1e2))
+    z_wide = _sample_points(f.theta, _CERTIFY_SAMPLES)
+    z_narrow = _sample_points(f.theta, _CERTIFY_SAMPLES, radius_span=(1e-2, 1e2))
 
     def fit(z):
         vals = np.abs(f.eval_complex(z))
@@ -255,7 +256,7 @@ def certify_decay(f: IntrinsicFunction, alpha, samples_per_ray=1000,
 
     c_wide = fit(z_wide)
     c_narrow = fit(z_narrow)
-    if not np.isfinite(c_wide) or c_wide > stability_factor * c_narrow:
+    if not np.isfinite(c_wide) or c_wide > 5.0 * c_narrow:
         raise CertificationError(
             f"no stable decay of order alpha={alpha}: constant grows from "
             f"{c_narrow:.3e} to {c_wide:.3e} as the radius window widens"
@@ -263,9 +264,9 @@ def certify_decay(f: IntrinsicFunction, alpha, samples_per_ray=1000,
     return DecayCertificate(float(alpha), c_wide, samples=z_wide.size)
 
 
-def certify_bounded(f: IntrinsicFunction, samples_per_ray=1000) -> BoundedCertificate:
+def certify_bounded(f: IntrinsicFunction) -> BoundedCertificate:
     """Sampled sup norm over the sector sampling set."""
-    z = _sample_points(f.theta, samples_per_ray)
+    z = _sample_points(f.theta, _CERTIFY_SAMPLES)
     vals = np.abs(f.eval_complex(z))
     if not np.all(np.isfinite(vals)):
         raise CertificationError("function is non-finite on the sample set")
@@ -295,17 +296,16 @@ def _require_decay(f):
     return f.decay
 
 
-def f0_infty(f: IntrinsicFunction, direction: Paravector | None = None,
-             tail_tol=1e-9) -> float:
+def f0_infty(f: IntrinsicFunction, direction: Paravector | None = None) -> float:
     """The constant given by integrating f(t)/t over the real line.
 
     Truncation is chosen from the decay certificate so the arctan tail bound
-    stays below ``tail_tol``; by slice independence the same value may be
-    computed along any unit direction in the sector (``direction``).
+    stays below 1e-9; by slice independence the same value may be computed
+    along any unit direction in the sector (``direction``).
     """
     cert = _require_decay(f)
     alpha, c = cert.alpha, max(cert.c_alpha, 1.0)
-    U = math.log(4.0 * c / (alpha * tail_tol)) / alpha
+    U = math.log(4.0 * c / (alpha * 1e-9)) / alpha
     # step at most 0.05 and at least 64 nodes
     u, w = trapezoid_grid(-U, U, max(64, int(math.ceil(2.0 * U / 0.05)) + 1))
     t = np.exp(u)
@@ -372,13 +372,26 @@ def resolve_function(spec, theta=DEFAULT_THETA) -> IntrinsicFunction:
 
     Builtins: regularizer, e_alpha, rational, scaled, f_ab, product.  A
     rational entry may request certification via params "alpha" (decay fit)
-    and "bounded" (sup fit).
+    and "bounded" (sup fit).  A missing or malformed parameter raises
+    SchemaError.
     """
     if not isinstance(spec, dict) or "name" not in spec:
         raise ArgumentError("function spec must be a dict with a 'name' key")
     name = spec["name"]
     params = spec.get("params", {})
-    theta = float(params.get("theta", theta))
+    if not isinstance(params, dict):
+        raise SchemaError(f"function {name!r}: 'params' must be an object")
+    try:
+        return _resolve_builtin(name, params, float(params.get("theta", theta)))
+    except CliffSpecError:
+        raise
+    except KeyError as exc:
+        raise SchemaError(f"function {name!r} needs parameter {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"function {name!r} has a malformed parameter: {exc}") from None
+
+
+def _resolve_builtin(name, params, theta):
     if name == "regularizer":
         return regularizer(theta)
     if name == "e_alpha":

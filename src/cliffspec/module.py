@@ -46,17 +46,8 @@ class ModuleVector:
         return cls(n, m, np.zeros((m, 1 << n)))
 
     @classmethod
-    def from_entries(cls, entries):
-        entries = list(entries)
-        n = entries[0].n
-        return cls(n, len(entries), np.stack([e.coeffs for e in entries]))
-
-    @classmethod
     def from_flat(cls, n, m, flat):
         return cls(n, m, np.asarray(flat, dtype=float).reshape(m, 1 << n))
-
-    def entry(self, i):
-        return CliffordNum(self.n, self.coeffs[i].copy())
 
     def flatten(self):
         return self.coeffs.ravel()
@@ -126,19 +117,6 @@ class CliffordOperator:
         return cls(n, m, c)
 
     @classmethod
-    def from_entries(cls, rows):
-        rows = [list(r) for r in rows]
-        m = len(rows)
-        n = rows[0][0].n
-        c = np.zeros((m, m, 1 << n))
-        for i, row in enumerate(rows):
-            if len(row) != m:
-                raise DimensionMismatchError("operator matrix must be square")
-            for j, entry in enumerate(row):
-                c[i, j] = entry.coeffs
-        return cls(n, m, c)
-
-    @classmethod
     def scalar_mul(cls, s, m):
         """Left multiplication by the Clifford number s as an operator (diag(s))."""
         s = s.to_clifford() if isinstance(s, Paravector) else s
@@ -146,9 +124,6 @@ class CliffordOperator:
         for i in range(m):
             c[i, i] = s.coeffs
         return cls(s.n, m, c)
-
-    def entry(self, i, j):
-        return CliffordNum(self.n, self.coeffs[i, j].copy())
 
     def apply(self, v: ModuleVector) -> ModuleVector:
         """Direct entrywise application, independent of the real representation."""
@@ -280,31 +255,19 @@ def operator_norm(T: CliffordOperator) -> float:
 
 
 class OperatorSolver:
-    """Invertibility-checked solves with rho(T); shareable for reads after construction."""
+    """Invertibility-checked solves with a real (m 2^n)-square matrix, such as
+    rho(T), used exactly as given; shareable for reads after construction."""
 
-    def __init__(self, T: CliffordOperator):
-        self._set_matrix(rho_matrix(T), T.n, T.m)
-
-    @classmethod
-    def from_real(cls, matrix, n, m):
-        """Solver for a real (m 2^n)-square matrix, used exactly as given."""
-        solver = cls.__new__(cls)
-        solver._set_matrix(np.asarray(matrix, dtype=float), n, m)
-        return solver
-
-    def _set_matrix(self, rho, n, m):
+    def __init__(self, rho, n, m):
         self.n = n
         self.m = m
-        self.rho = rho
-        svals = np.linalg.svd(rho, compute_uv=False)
+        self.rho = np.asarray(rho, dtype=float)
+        svals = np.linalg.svd(self.rho, compute_uv=False)
         self.sigma_max = float(svals[0])
         self.sigma_min = float(svals[-1])
 
-    def invertible(self, rtol=INVERTIBILITY_RTOL):
-        return self.sigma_min > rtol * self.sigma_max
-
-    def require_invertible(self, rtol=INVERTIBILITY_RTOL, what="operator"):
-        if not self.invertible(rtol):
+    def require_invertible(self, what="operator"):
+        if not self.sigma_min > INVERTIBILITY_RTOL * self.sigma_max:
             raise NotInvertibleError(
                 f"{what} singular to tolerance: sigma_min={self.sigma_min:.3e}, "
                 f"sigma_max={self.sigma_max:.3e}",
@@ -326,4 +289,4 @@ class OperatorSolver:
 
 def solve_operator(T: CliffordOperator, w: ModuleVector) -> ModuleVector:
     """Solve T v = w; raises NotInvertibleError when sigma_min is below tolerance."""
-    return OperatorSolver(T).solve(w)
+    return OperatorSolver(rho_matrix(T), T.n, T.m).solve(w)

@@ -5,6 +5,11 @@ log grid over both signs of t.  Assembling the weighted Gram matrix
 Theta = sum_k w_k rho(g(t_k T))^T rho(g(t_k T)) turns the two-sided frame
 inequality into an eigenvalue problem: the extreme eigenvalues of Theta are
 the squares of the best constants for the discretized integral.
+
+Every function here takes the certificate of T as its input: a
+BisectorReport, or a family (an engine, for the dyadic sign identity) built
+on a certified one.  Without either it raises PreconditionError, as the
+calculus layer does.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import ContourConfig, ContourEngine
+from .calculus import ContourConfig, ContourEngine, _check_report
 from .errors import ArgumentError
 from .functions import IntrinsicFunction
 from .module import CliffordOperator, ModuleVector, operator_norm
@@ -61,51 +66,40 @@ class FrameBounds:
     discretization_error: float
 
 
-def _family(g, T, report, qcfg, cfg, engine=None):
-    eng = engine or ContourEngine(T, report, g.theta, cfg)
+def _family(g, T, qcfg, cfg, report, family):
+    """(t, w, mats, truncs, discs): the given family, or one evaluated on
+    the contour engine of the report."""
+    if family is not None:
+        return family
+    _check_report(report)
     t, w = (qcfg or default_quad_grid(T)).grid()
-    mats, truncs, discs = eng.evaluate_family(g, t)
-    return t, w, mats, truncs, discs
+    return (t, w) + ContourEngine(T, report, g.theta, cfg).evaluate_family(g, t)
 
 
 def quadratic_norm(g: IntrinsicFunction, T: CliffordOperator, v: ModuleVector,
                    qcfg: QuadGridConfig | None = None,
                    cfg: ContourConfig | None = None,
                    report: BisectorReport | None = None,
-                   engine=None, family=None) -> float:
+                   family=None) -> float:
     """Discretized (integral of ||g(tT)v||^2 dt/|t|)^(1/2).
 
     Pass a precomputed ``family`` (as returned by grid + evaluate_family)
     when evaluating many vectors against one operator.
     """
-    if family is not None:
-        t, w, mats, _, _ = family
-    else:
-        if engine is None:
-            report = report or check_bisectorial(T, _default_omega(g))
-        t, w, mats, _, _ = _family(g, T, report, qcfg, cfg, engine)
+    t, w, mats, _, _ = _family(g, T, qcfg, cfg, report, family)
     x = v.flatten()
     applied = np.einsum("kij,j->ki", mats, x)
     norms2 = np.einsum("ki,ki->k", applied, applied)
     return float(math.sqrt(max(pairwise_sum(w * norms2), 0.0)))
 
 
-def _default_omega(g):
-    return min(0.5 * g.theta, math.pi / 12)
-
-
 def frame_operator(g: IntrinsicFunction, T: CliffordOperator,
                    qcfg: QuadGridConfig | None = None,
                    cfg: ContourConfig | None = None,
                    report: BisectorReport | None = None,
-                   engine=None, family=None):
+                   family=None):
     """Weighted Gram matrix Theta of the family t -> rho(g(tT)); symmetric PSD."""
-    if family is not None:
-        t, w, mats, truncs, discs = family
-    else:
-        if engine is None:
-            report = report or check_bisectorial(T, _default_omega(g))
-        t, w, mats, truncs, discs = _family(g, T, report, qcfg, cfg, engine)
+    t, w, mats, truncs, discs = _family(g, T, qcfg, cfg, report, family)
     grams = np.einsum("kca,kcb->kab", mats, mats)
     theta = pairwise_sum(w[:, None, None] * grams)
     theta = 0.5 * (theta + theta.T)
@@ -120,9 +114,9 @@ def frame_bounds(g: IntrinsicFunction, T: CliffordOperator,
                  qcfg: QuadGridConfig | None = None,
                  cfg: ContourConfig | None = None,
                  report: BisectorReport | None = None,
-                 engine=None, family=None) -> FrameBounds:
+                 family=None) -> FrameBounds:
     """Best discretized frame constants (c, d) as extreme eigenvalues of Theta."""
-    theta, trunc, disc = frame_operator(g, T, qcfg, cfg, report, engine, family)
+    theta, trunc, disc = frame_operator(g, T, qcfg, cfg, report, family)
     eig = np.linalg.eigvalsh(theta)
     return FrameBounds(
         c_lower=float(math.sqrt(max(eig[0], 0.0))),
@@ -138,10 +132,11 @@ def adjoint_frame_bounds(g: IntrinsicFunction, T: CliffordOperator,
                          qcfg: QuadGridConfig | None = None,
                          cfg: ContourConfig | None = None,
                          report: BisectorReport | None = None) -> FrameBounds:
-    """Frame bounds of the adjoint operator (certified afresh at the same angle)."""
+    """Frame bounds of the adjoint operator (certified afresh at the angle of
+    the report of T)."""
+    _check_report(report)
     t_star = T.adjoint()
-    omega = report.omega if report is not None else _default_omega(g)
-    return frame_bounds(g, t_star, qcfg, cfg, check_bisectorial(t_star, omega))
+    return frame_bounds(g, t_star, qcfg, cfg, check_bisectorial(t_star, report.omega))
 
 
 def sign_matrix(half_window):
@@ -188,11 +183,11 @@ def dyadic_sign_identity(g: IntrinsicFunction, T: CliffordOperator,
         raise ArgumentError("window must contain at least one dyadic index")
     signs = sign_matrix(half_window)
     if engine is None:
-        report = report or check_bisectorial(T, _default_omega(g))
-    eng = engine or ContourEngine(T, report, g.theta, cfg)
+        _check_report(report)
+        engine = ContourEngine(T, report, g.theta, cfg)
     ks = np.arange(-half_window, half_window)
     ts = t * np.exp2(ks.astype(float))
-    mats, _, _ = eng.evaluate_family(g, ts)
+    mats, _, _ = engine.evaluate_family(g, ts)
     x = v.flatten()
     ys = np.einsum("kij,j->ki", mats, x)
     gram = ys @ ys.T

@@ -10,14 +10,13 @@ import math
 import numpy as np
 
 
-def pairwise_sum(values, axis=0):
-    """Sum an array along ``axis`` with a fixed-order pairwise tree.
+def pairwise_sum(values):
+    """Sum an array along its first axis with a fixed-order pairwise tree.
 
     The reduction order depends only on the input length, so results are
     reproducible regardless of threading or chunking in the caller.
     """
     arr = np.asarray(values)
-    arr = np.moveaxis(arr, axis, 0)
     n = arr.shape[0]
     if n == 0:
         return np.zeros(arr.shape[1:], dtype=arr.dtype)
@@ -54,8 +53,9 @@ def gauss_panels(lo, hi, panels, points):
     return np.concatenate(us), np.concatenate(ws)
 
 
-def gl_panel_grid(u_lo, u_hi, points=12, panel_width=0.5):
-    """Gauss-Legendre panels on [u_lo, u_hi]; spectral accuracy on finite
-    intervals where the trapezoid rule would pay O(h^2) endpoint terms."""
-    n_panels = max(2, int(math.ceil((u_hi - u_lo) / panel_width)))
+def gl_panel_grid(u_lo, u_hi, points=12):
+    """Gauss-Legendre panels of width at most 0.5 on [u_lo, u_hi]; spectral
+    accuracy on finite intervals where the trapezoid rule would pay O(h^2)
+    endpoint terms."""
+    n_panels = max(2, int(math.ceil((u_hi - u_lo) / 0.5)))
     return gauss_panels(u_lo, u_hi, n_panels, points)

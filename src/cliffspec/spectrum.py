@@ -30,7 +30,6 @@ from .module import (
     rho_matrix,
 )
 
-SPECTRUM_RTOL = INVERTIBILITY_RTOL
 _CHUNK = 128
 # a scan holds about 170 bytes a node for its heatmap whatever D (measured at
 # D = 2, 8, 32), so 2^24 nodes take 2.9 GB; larger default grids are refused
@@ -97,8 +96,8 @@ def left_resolvent_stack(rho_t, s0, y, abs2, rho_j):
 
 def left_s_resolvent(s: Paravector, T: CliffordOperator) -> CliffordOperator:
     """Left S-resolvent Q_s[T]^{-1} sbar - T Q_s[T]^{-1} (sbar acting by left multiplication)."""
-    OperatorSolver(q_operator(s, T)).require_invertible(
-        SPECTRUM_RTOL, what=f"Q_s[T] at s={s!r}")
+    OperatorSolver(rho_matrix(q_operator(s, T)), T.n, T.m).require_invertible(
+        what=f"Q_s[T] at s={s!r}")
     y = s.imag_norm()
     unit = Paravector(0.0, s.svec / y if y else s.svec)
     rho_j = np.kron(np.eye(T.m), unit.left_matrix())
@@ -128,6 +127,8 @@ class GridSpec:
     ny: int
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.x_min, self.x_max, self.y_min, self.y_max))):
+            raise ArgumentError("grid bounds must be finite")
         if self.nx < 1 or self.ny < 1:
             raise ArgumentError("grid needs at least one node per axis")
         if self.y_min < 0.0:
@@ -185,7 +186,8 @@ def _batched_sigma(rho_t, xs, ys):
     return smin.reshape(X.shape), smax.reshape(X.shape)
 
 
-def scan_spectrum_slice(T: CliffordOperator, grid: GridSpec, tol=SPECTRUM_RTOL) -> SpectrumScan:
+def scan_spectrum_slice(T: CliffordOperator, grid: GridSpec,
+                        tol=INVERTIBILITY_RTOL) -> SpectrumScan:
     """sigma_min heatmap of Q_s over the grid with local-minimum detections.
 
     A node is flagged when it is a local minimum of sigma_min (8-neighborhood,
@@ -210,14 +212,14 @@ def scan_spectrum_slice(T: CliffordOperator, grid: GridSpec, tol=SPECTRUM_RTOL) 
     return SpectrumScan(grid, smin, tuple(detections))
 
 
-def default_scan_grid(T: CliffordOperator, per_unit=8) -> GridSpec:
+def default_scan_grid(T: CliffordOperator) -> GridSpec:
     """Half-plane grid covering 1.25 * max(1, ||T||) with binary-exact steps.
 
-    The step is a power of two over ``per_unit`` so that integer and
-    half-integer spectra land exactly on nodes.
+    The step is 1/8 so that integer and half-integer spectra land exactly on
+    nodes.
     """
     norm = operator_norm(T)
-    h = 1.0 / per_unit
+    h = 0.125
     k = float(np.ceil(1.25 * max(1.0, norm) / h))   # inf when ||T|| overflows
     if not (2 * k + 1) * (k + 1) <= _MAX_SCAN_NODES:
         raise ArgumentError(
@@ -233,8 +235,6 @@ class RaySampling:
     """Sampling plan for resolvent-bound estimation on sector boundary rays."""
 
     phis: tuple = ()
-    radii_per_ray: int = 200
-    radius_span: tuple = (1e-4, 1e4)   # relative to max(1, ||T||)
     axis: int = 0
 
     def resolved_phis(self, omega):
@@ -258,13 +258,12 @@ class BisectorReport:
         return bool(self.spectrum_in_sector and finite)
 
     def c_at(self, phi) -> float:
-        """Conservative C constant usable at angle phi (table is decreasing in phi)."""
-        best = None
+        """C at the largest sampled angle <= phi, which bounds C_phi since the
+        table decreases in phi; inf below every sampled angle."""
+        best = math.inf
         for p, c in self.c_phi_table:
             if p <= phi + 1e-12:
                 best = c
-        if best is None:
-            best = self.c_phi_table[0][1] if self.c_phi_table else math.inf
         return best
 
 
@@ -288,11 +287,11 @@ def s_spectrum(rho_t, norm) -> tuple:
     """The S-spectrum of T as SpectralPoints: eig(rho T) folded to y >= 0.
 
     The regular representation repeats every eigenvalue, so points within
-    SPECTRUM_RTOL * norm merge into the first in (y, x) order; a point that
-    close to the real axis merges with its mirror image and is real.
+    INVERTIBILITY_RTOL * norm merge into the first in (y, x) order; a point
+    that close to the real axis merges with its mirror image and is real.
     """
     lam = np.linalg.eigvals(rho_t)
-    radius = SPECTRUM_RTOL * norm
+    radius = INVERTIBILITY_RTOL * norm
     ys = np.where(np.abs(lam.imag) <= radius, 0.0, np.abs(lam.imag))
     points = []
     for y, x in sorted(zip(ys.tolist(), lam.real.tolist())):
@@ -326,15 +325,12 @@ def check_bisectorial(
     angles = [math.atan2(p.y, p.x) for p in spectrum]
     contained = all(a <= omega + 1e-9 or a >= math.pi - omega - 1e-9 for a in angles)
 
+    # 200 log-spaced radii per ray from 1e-4 to 1e4 times max(1, ||T||)
     scale = max(1.0, sigma_max)
-    r_max = scale * sampling.radius_span[1]
+    r_max = scale * 1e4
     if not math.isfinite(r_max * r_max):
         raise NumericalFailureError("|s|^2 overflows on the sampled rays", node={"r": r_max})
-    radii = scale * np.logspace(
-        math.log10(sampling.radius_span[0]),
-        math.log10(sampling.radius_span[1]),
-        sampling.radii_per_ray,
-    )
+    radii = scale * np.logspace(-4.0, 4.0, 200)
     rho_j = np.kron(np.eye(T.m), unit_imag(T.n, sampling.axis).left_matrix())
     table = []
     for phi in sampling.resolved_phis(omega):

@@ -343,3 +343,15 @@ def test_oracle_equivalence_for_registry_rationals(reports):
             res = cs.omega_calculus(f, T, rep)
             gap = op_gap(res.op, cs.rational_calculus(f, T))
             assert gap <= max(1e-6, combined(res))
+
+
+def test_contour_below_sampled_angles_takes_c_phi_from_its_rays():
+    # phi = 0.3 lies below every angle the report sampled, so the engine
+    # bounds C_phi on its own nodes; a direct sample at 0.3 gives 4.79
+    T = cs.CliffordOperator.from_real_matrix([[1.0, 3.0], [0.0, -2.0]], n=1)
+    rep = cs.check_bisectorial(T, OMEGA)
+    sampled = cs.check_bisectorial(T, OMEGA, cs.RaySampling(phis=(0.3,))).c_phi_table[0][1]
+    eng = cs.ContourEngine(T, rep, THETA, cs.ContourConfig(phi=0.3))
+    assert eng.c_phi == pytest.approx(sampled, rel=1e-3)
+    res = cs.omega_calculus(cs.regularizer(THETA), T, rep, cs.ContourConfig(phi=0.3))
+    assert op_gap(res.op, cs.rational_calculus(cs.regularizer(THETA), T)) <= combined(res)

@@ -218,3 +218,37 @@ def test_parse_vector_positional_error(tmp_path):
     with pytest.raises(cs.SchemaError) as err:
         cs.parse_vector_file(path)
     assert "entries[1]" in str(err.value)
+
+
+@pytest.mark.parametrize("spec", [
+    {"name": "e_alpha"},
+    {"name": "rational", "params": {"num": [1]}},
+    {"name": "rational", "params": {"num": ["one"], "den": [1.0]}},
+    {"name": "regularizer", "params": {"theta": "wide"}},
+], ids=["e_alpha-no-alpha", "rational-no-den", "num-not-numeric", "theta-not-numeric"])
+def test_calc_rejects_malformed_function_spec(tmp_path, capsys, spec):
+    op = tmp_path / "op.json"
+    write_operator(op, [[1.0]])
+    fn = tmp_path / "f.json"
+    fn.write_text(json.dumps(spec))
+    assert main(["calc", "--operator", str(op), "--function", str(fn),
+                 "--out", str(tmp_path / "r.json")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("grid", ["a,1,0,1,3,3", "-1,1,0,1,nan,3", "nan,1,0,1,3,3"],
+                         ids=["x-not-numeric", "nx-nan", "x-nan"])
+def test_spectrum_rejects_malformed_grid(tmp_path, capsys, grid):
+    op = tmp_path / "op.json"
+    write_operator(op, [[1.0]])
+    assert main(["spectrum", "--operator", str(op), f"--grid={grid}",
+                 "--out", str(tmp_path / "s.csv")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_verify_jobs_default_ignores_environment(monkeypatch):
+    from cliffspec.cli import build_parser
+
+    monkeypatch.setenv("CLIFFSPEC_JOBS", "3")
+    args = build_parser().parse_args(["verify", "--operator", "op.json", "--out", "r.json"])
+    assert args.jobs == 1

@@ -206,3 +206,17 @@ def test_adjoint_frame_bounds_of_non_normal_operator():
     fb_star = cs.adjoint_frame_bounds(e, T, report=rep)
     assert (fb.c_lower, fb.d_upper) == pytest.approx((0.3971, 4.4689), abs=1e-4)
     assert (fb_star.c_lower, fb_star.d_upper) == pytest.approx((0.3099, 4.3384), abs=1e-4)
+
+
+@pytest.mark.parametrize("call", [
+    lambda g, T, v: cs.quadratic_norm(g, T, v),
+    lambda g, T, v: cs.frame_operator(g, T),
+    lambda g, T, v: cs.frame_bounds(g, T),
+    lambda g, T, v: cs.adjoint_frame_bounds(g, T),
+    lambda g, T, v: cs.dyadic_sign_identity(g, T, v, 0.7, 1),
+], ids=["quadratic_norm", "frame_operator", "frame_bounds", "adjoint_frame_bounds",
+        "dyadic_sign_identity"])
+def test_frame_layer_requires_a_certificate(diag12, call):
+    # without a report (or a family or engine) nothing certifies T
+    with pytest.raises(cs.PreconditionError):
+        call(cs.regularizer(THETA), diag12, cs.ModuleVector.zero(1, 2))

@@ -268,3 +268,24 @@ def test_s_resolvent_identity_on_non_normal_operators(rng):
             s = cs.Paravector(eng.z[k].real, eng.z[k].imag * eng.axis.svec)
             expected = cs.rho_matrix(cs.left_s_resolvent(s, T))
             assert np.abs(eng.A[k] - expected).max() <= 1e-10 * max(1.0, np.abs(expected).max())
+
+
+def test_c_at_below_every_sampled_angle_is_infinite():
+    # the first sampled angle at omega = pi/12 is 0.480; its C belongs to a
+    # smaller sector and undershoots a direct sample at 0.3 (3.06 < 4.79)
+    T = cs.CliffordOperator.from_real_matrix([[1.0, 3.0], [0.0, -2.0]], n=1)
+    rep = cs.check_bisectorial(T, OMEGA)
+    sampled = cs.check_bisectorial(T, OMEGA, cs.RaySampling(phis=(0.3,))).c_phi_table[0][1]
+    assert rep.c_phi_table[0][0] > 0.3
+    assert rep.c_at(0.3) >= sampled
+    assert rep.c_at(rep.c_phi_table[0][0]) == rep.c_phi_table[0][1]
+
+
+@pytest.mark.parametrize("bounds", [
+    (math.nan, 1.0, 0.0, 1.0),
+    (-1.0, math.inf, 0.0, 1.0),
+    (-1.0, 1.0, 0.0, math.nan),
+], ids=["nan-x", "inf-x", "nan-y"])
+def test_grid_spec_rejects_non_finite_bounds(bounds):
+    with pytest.raises(cs.ArgumentError):
+        cs.GridSpec(*bounds, 3, 3)
