@@ -38,7 +38,14 @@ from .module import (
     rho_matrix,
 )
 from .quadrature import gauss_panels, gl_panel_grid, pairwise_sum, trapezoid_grid
-from .spectrum import _CHUNK, BisectorReport, check_bisectorial, left_resolvent_stack
+from .spectrum import (
+    _CHUNK,
+    BisectorReport,
+    check_bisectorial,
+    conjugate_resolvent_bound,
+    left_resolvents,
+    q_inverse_stack,
+)
 
 
 @dataclass(frozen=True)
@@ -130,6 +137,12 @@ class ContourEngine:
 
     evaluate_family(f, ts) integrates f(t s) against the stored resolvents
     for a whole vector of scalings; evaluate(f) is its case t = 1.
+
+    The nodes z on the two rays at angle -phi are the conjugates of those at
+    +phi.  Q_s depends on s only through (Re s, |s|) and every profile has
+    F(conj z) = conj F(z), so each conjugate pair of left resolvents sums to
+    alpha P - rho(T) beta P with real alpha, beta and P = rho(Q_s)^-1, and
+    only P at the nodes of angle +phi is stored.
     """
 
     def __init__(self, T: CliffordOperator, report: BisectorReport,
@@ -151,52 +164,60 @@ class ContourEngine:
         u, w_ray, w_half_ray = _ray_nodes(cfg)
         n = u.size
         # nodes are stored [even | odd] by their index along the ray, each part
-        # ray by ray, so the half-resolution sums contract slices of A
-        order = np.argsort(np.tile(np.arange(n) % 2, 4), kind="stable")
-        self._n_even = 4 * ((n + 1) // 2)
-        branch = np.repeat([1.0, 1.0, -1.0, -1.0], n)[order]
-        sign = np.repeat([1.0, -1.0, 1.0, -1.0], n)[order]
-        u_all = np.tile(u, 4)[order]
+        # ray by ray, so the half-resolution sums contract slices of P
+        order = np.argsort(np.tile(np.arange(n) % 2, 2), kind="stable")
+        self._n_even = 2 * ((n + 1) // 2)
+        sign = np.repeat([1.0, -1.0], n)[order]
+        u_all = np.tile(u, 2)[order]
         r = np.exp(u_all)
         self.u = u_all
-        self.z = sign * r * np.exp(1j * branch * self.phi)
-        # dr = e^u du on each half-line; 1/(2 pi) prefactor folded in
-        self.wts = np.tile(w_ray, 4)[order] * r / (2.0 * math.pi)
-        self.wts_half = np.tile(w_half_ray, 4)[order] * r / (2.0 * math.pi)
-        # right multiplication of an operator by a slice scalar c = c0 + c1 J
-        # is composition with left multiplication, Re(c) I + Im(c) rho(J)
-        self.phase = branch * sign * np.exp(1j * branch * self.phi) * 1j
+        self.z = sign * r * np.exp(1j * self.phi)
+        # -z_k is bitwise the node z_swap(k) of the other sign ray, so a
+        # negative t reads the profile values of |t| through this permutation
+        position = np.empty(2 * n, dtype=np.intp)
+        position[order] = np.arange(2 * n)
+        self._swap = position[(order + n) % (2 * n)]
+        # slice scalar of each node: its weight in u, dr = e^u du, the 1/(2 pi)
+        # prefactor and the direction factor sign e^{i phi} i of the ray
+        phase = sign * np.exp(1j * self.phi) * 1j / (2.0 * math.pi)
+        self._coef = np.tile(w_ray, 2)[order] * r * phase
+        self._coef_half = np.tile(w_half_ray, 2)[order] * r * phase
 
-        rho_t = rho_matrix(T)
-        d = rho_t.shape[0]
-        j_full = np.kron(np.eye(T.m), self.axis.left_matrix())
+        self.rho_t = rho_matrix(T)
+        d = self.rho_t.shape[0]
+        self._rho_j = np.kron(np.eye(T.m), self.axis.left_matrix())
         try:
-            resolv = left_resolvent_stack(rho_t, np.real(self.z), np.imag(self.z),
-                                          r * r, j_full)
+            self.P = q_inverse_stack(self.rho_t, np.real(self.z), r * r)
         except np.linalg.LinAlgError as exc:
             raise NumericalFailureError(
                 "pseudo-resolvent singular on the contour (operator spectrum "
                 "touches the integration rays)",
                 node={"phi": self.phi},
             ) from exc
-        if not np.all(np.isfinite(resolv)):
-            bad = int(np.argwhere(~np.isfinite(resolv))[0][0])
+        if not np.all(np.isfinite(self.P)):
+            bad = int(np.argwhere(~np.isfinite(self.P))[0][0])
             raise NumericalFailureError(
                 "non-finite resolvent value on the contour",
-                node={"u": float(self.u[bad]), "branch": float(branch[bad]),
-                      "sign": float(sign[bad])},
+                node={"u": float(self.u[bad]), "sign": float(sign[bad])},
             )
         if math.isinf(self.c_phi):
             # phi lies below every sampled angle: take C_phi from these rays
-            self.c_phi = float(np.max(r * np.linalg.svd(resolv, compute_uv=False)[:, 0]))
+            # and their conjugates
+            self.c_phi = conjugate_resolvent_bound(self.rho_t, self.P, np.real(self.z),
+                                                   np.imag(self.z), r, self._rho_j)
         self.dim = d
-        self.A = resolv
-        self.j_full = j_full
-        self._a_flat = self.A.reshape(self.A.shape[0], d * d)
+        self._p_flat = self.P.reshape(self.P.shape[0], d * d)
         # on trapezoid grids the doubled even-node weights equal the halved
         # rule exactly, so half = 2 * (even part) and full = even + odd
         self._half_nests = bool(np.array_equal(
-            np.where(np.arange(4 * n) < self._n_even, 2.0 * self.wts, 0.0), self.wts_half))
+            np.where(np.arange(2 * n) < self._n_even, 2.0 * self._coef, 0.0),
+            self._coef_half))
+
+    @property
+    def A(self):
+        """Left S-resolvents at the stored nodes, assembled from P on each call."""
+        return left_resolvents(self.rho_t, self.P, np.real(self.z), np.imag(self.z),
+                               self._rho_j)
 
     def truncation_bound(self, decay, t=1.0):
         alpha, c_alpha = decay.alpha, decay.c_alpha
@@ -213,9 +234,10 @@ class ContourEngine:
     def evaluate_family(self, f: IntrinsicFunction, ts):
         """Stack of f(t T) matrices for a whole vector of nonzero scalings.
 
-        On nested (trapezoid) grids the half-resolution estimate is the sum
-        over even nodes with doubled weights, so the Richardson comparison
-        costs nothing extra.
+        The profile is evaluated once per distinct |t|.  On nested
+        (trapezoid) grids the half-resolution estimate is the sum over even
+        nodes with doubled weights, so the Richardson comparison costs
+        nothing extra.
         """
         if f.decay is None:
             raise PreconditionError("contour calculus requires a decay certificate")
@@ -224,39 +246,44 @@ class ContourEngine:
         mats = np.empty((ts.size, d, d))
         discs = np.empty(ts.size)
         ne = self._n_even
+        s0, y = np.real(self.z), np.imag(self.z)
 
-        def contract(coef, a_flat):
-            # the slice unit is node independent, so the imaginary part sums
-            # first and multiplies by rho(J) once; contiguous copies of the
-            # real/imag parts keep matmul on the fast BLAS path (strided
-            # views fall off it badly)
+        def contract(coef, sl):
+            # node z and its conjugate, with slice scalars c and conj c, sum
+            # to alpha P - rho(T) beta P; alpha and beta are fresh contiguous
+            # arrays, which keeps matmul on the fast BLAS path
+            alpha = 2.0 * (coef.real * s0[sl] + coef.imag * y[sl])
+            beta = 2.0 * coef.real
             nb = coef.shape[0]
-            re_part = np.ascontiguousarray(coef.real) @ a_flat
-            im_part = np.ascontiguousarray(coef.imag) @ a_flat
-            return re_part.reshape(nb, d, d) + im_part.reshape(nb, d, d) @ self.j_full
+            sum_a = (alpha @ self._p_flat[sl]).reshape(nb, d, d)
+            sum_b = (beta @ self._p_flat[sl]).reshape(nb, d, d)
+            return sum_a - self.rho_t @ sum_b
 
-        for lo in range(0, ts.size, _CHUNK):
-            chunk = ts[lo:lo + _CHUNK]
-            vals = f.eval_complex(chunk[:, None] * self.z[None, :])
+        mags, which = np.unique(np.abs(ts), return_inverse=True)
+        for lo in range(0, mags.size, _CHUNK):
+            hi = lo + _CHUNK
+            vals = f.eval_complex(mags[lo:hi, None] * self.z[None, :])
+            rows = np.flatnonzero((which >= lo) & (which < hi))
+            vals = vals[which[rows] - lo]
+            neg = ts[rows] < 0.0
+            vals[neg] = vals[neg][:, self._swap]
             if not np.all(np.isfinite(vals)):
                 i, k = np.argwhere(~np.isfinite(vals))[0]
                 raise NumericalFailureError(
                     "non-finite function value on the contour",
-                    node={"u": float(self.u[k]), "t": float(chunk[i])},
+                    node={"u": float(self.u[k]), "t": float(ts[rows[i]])},
                 )
-            vals = vals * self.phase[None, :]
-            coef = vals * self.wts[None, :]
-            nb = chunk.size
+            coef = vals * self._coef[None, :]
             if self._half_nests:
-                even = contract(coef[:, :ne], self._a_flat[:ne])
-                odd = contract(coef[:, ne:], self._a_flat[ne:])
-                mats[lo:lo + nb] = even + odd
+                even = contract(coef[:, :ne], slice(0, ne))
+                odd = contract(coef[:, ne:], slice(ne, None))
+                mats[rows] = even + odd
                 diff = odd - even
             else:
-                block = contract(coef, self._a_flat)
-                mats[lo:lo + nb] = block
-                diff = block - contract(vals * self.wts_half[None, :], self._a_flat)
-            discs[lo:lo + nb] = np.linalg.svd(diff, compute_uv=False)[:, 0]
+                block = contract(coef, slice(None))
+                mats[rows] = block
+                diff = block - contract(vals * self._coef_half[None, :], slice(None))
+            discs[rows] = np.linalg.svd(diff, compute_uv=False)[:, 0]
         truncs = np.array([self.truncation_bound(f.decay, t) for t in ts])
         return mats, truncs, discs
 
@@ -354,11 +381,11 @@ def f_ab_operator(f: IntrinsicFunction, a, b, T: CliffordOperator,
     def quadrature(points):
         u, w = gl_panel_grid(math.log(a), math.log(b), points=points)
         t = np.exp(u)
-        pos, trunc_p, disc_p = eng.evaluate_family(f, t)
-        neg, trunc_n, disc_n = eng.evaluate_family(f, -t)
-        total = pairwise_sum(w[:, None, None] * (pos - neg))
-        trunc = float(np.dot(w, trunc_p + trunc_n))
-        disc = float(np.dot(w, disc_p + disc_n))
+        mats, truncs, discs = eng.evaluate_family(f, np.concatenate([t, -t]))
+        k = t.size
+        total = pairwise_sum(w[:, None, None] * (mats[:k] - mats[k:]))
+        trunc = float(np.dot(w, truncs[:k] + truncs[k:]))
+        disc = float(np.dot(w, discs[:k] + discs[k:]))
         return total, trunc, disc
 
     full, trunc, disc = quadrature(12)

@@ -7,9 +7,9 @@ eigenvalues.  Scans report sigma_min heatmaps of Q_s over a grid in the
 pseudospectra style; they serve ``cliffspec spectrum`` only.
 
 Every batched use of Q_s (the scan, the ray bounds, the contour engine)
-goes through ``q_blocks`` and ``left_resolvent_stack``, which work through
-the nodes in fixed blocks of ``_CHUNK`` so that no full stack of Q_s or of
-its inverse is ever held.
+goes through ``q_blocks``, which works through the nodes in fixed blocks of
+``_CHUNK`` so that no full stack of Q_s is ever held; ``q_inverse_stack``
+inverts them, once per conjugate pair s, sbar since Q_sbar = Q_s.
 """
 
 from __future__ import annotations
@@ -76,22 +76,51 @@ def q_blocks(rho_t, s0, abs2):
         )
 
 
-def left_resolvent_stack(rho_t, s0, y, abs2, rho_j):
-    """Left S-resolvents s0 Q^-1 - y Q^-1 rho(J) - rho(T) Q^-1 at s = s0 + J y.
+def q_inverse_stack(rho_t, s0, abs2):
+    """rho(Q_s)^-1 at each node as one (nodes, D, D) array.
 
-    One (nodes, D, D) array; raises np.linalg.LinAlgError when Q_s is
-    exactly singular at a node.
+    Q_s depends on s only through (s0, |s|), so one inverse serves s and
+    its conjugate; raises np.linalg.LinAlgError when Q_s is exactly singular
+    at a node.
     """
     d = rho_t.shape[0]
     out = np.empty((s0.size, d, d))
     for sl, q in q_blocks(rho_t, s0, abs2):
-        qinv = np.linalg.inv(q)
-        out[sl] = (
-            s0[sl, None, None] * qinv
-            - y[sl, None, None] * (qinv @ rho_j)
-            - np.einsum("ab,kbc->kac", rho_t, qinv)
-        )
+        out[sl] = np.linalg.inv(q)
     return out
+
+
+def _left_from_q_inverse(rho_t, p, s0, y, rho_j):
+    """Left S-resolvents s0 P - y P rho(J) - rho(T) P at s = s0 + J y, P = rho(Q_s)^-1."""
+    return s0[:, None, None] * p - y[:, None, None] * (p @ rho_j) - rho_t @ p
+
+
+def left_resolvents(rho_t, qinv, s0, y, rho_j):
+    """Left S-resolvents at s = s0 + J y from qinv = rho(Q_s)^-1, block by block."""
+    out = np.empty_like(qinv)
+    for lo in range(0, s0.size, _CHUNK):
+        sl = slice(lo, lo + _CHUNK)
+        out[sl] = _left_from_q_inverse(rho_t, qinv[sl], s0[sl], y[sl], rho_j)
+    return out
+
+
+def conjugate_resolvent_bound(rho_t, qinv, s0, y, radius, rho_j):
+    """max of |s| ||S_L^{-1}(s, T)|| over the nodes s = s0 + J y and their
+    conjugates s0 - J y, both built from the shared qinv = rho(Q_s)^-1.
+
+    ||S_L^{-1}|| is sqrt(lambda_max(A^T A)), not a full SVD; a non-finite
+    resolvent gives inf.
+    """
+    best = 0.0
+    for lo in range(0, s0.size, _CHUNK):
+        sl = slice(lo, lo + _CHUNK)
+        for branch in (1.0, -1.0):
+            left = _left_from_q_inverse(rho_t, qinv[sl], s0[sl], branch * y[sl], rho_j)
+            if not np.all(np.isfinite(left)):
+                return math.inf
+            lam = np.linalg.eigvalsh(np.swapaxes(left, 1, 2) @ left)[:, -1]
+            best = max(best, float(np.max(radius[sl] * np.sqrt(np.maximum(lam, 0.0)))))
+    return best
 
 
 def left_s_resolvent(s: Paravector, T: CliffordOperator) -> CliffordOperator:
@@ -101,8 +130,10 @@ def left_s_resolvent(s: Paravector, T: CliffordOperator) -> CliffordOperator:
     y = s.imag_norm()
     unit = Paravector(0.0, s.svec / y if y else s.svec)
     rho_j = np.kron(np.eye(T.m), unit.left_matrix())
-    left = left_resolvent_stack(rho_matrix(T), np.array([s.s0]), np.array([y]),
-                                np.array([s.abs2()]), rho_j)
+    rho_t = rho_matrix(T)
+    s0 = np.array([s.s0])
+    left = left_resolvents(rho_t, q_inverse_stack(rho_t, s0, np.array([s.abs2()])),
+                           s0, np.array([y]), rho_j)
     return operator_from_real(left[0], T.n, T.m)
 
 
@@ -268,19 +299,18 @@ class BisectorReport:
 
 
 def _ray_resolvent_bound(rho_t, phi, radii, rho_j):
-    """max over the four boundary rays of |s| * ||S_L^{-1}(s, T)||, batched."""
-    rays = [(branch, sign) for branch in (1.0, -1.0) for sign in (1.0, -1.0)]
-    s0 = np.concatenate([sign * radii * math.cos(phi) for _, sign in rays])
-    y = np.concatenate([branch * sign * radii * math.sin(phi) for branch, sign in rays])
-    r = np.tile(radii, len(rays))
+    """max over the four boundary rays of |s| * ||S_L^{-1}(s, T)||, batched.
+
+    The rays at angle -phi are the conjugates of those at +phi and share
+    their Q_s, so only the two rays at +phi are inverted.
+    """
+    s0 = np.concatenate([radii * math.cos(phi), -radii * math.cos(phi)])
+    y = np.concatenate([radii * math.sin(phi), -radii * math.sin(phi)])
     try:
-        left = left_resolvent_stack(rho_t, s0, y, r * r, rho_j)
+        qinv = q_inverse_stack(rho_t, s0, np.tile(radii * radii, 2))
     except np.linalg.LinAlgError:
         return math.inf
-    norms = np.linalg.svd(left, compute_uv=False)[:, 0]
-    if not np.all(np.isfinite(norms)):
-        return math.inf
-    return float(np.max(r * norms))
+    return conjugate_resolvent_bound(rho_t, qinv, s0, y, np.tile(radii, 2), rho_j)
 
 
 def s_spectrum(rho_t, norm) -> tuple:

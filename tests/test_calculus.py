@@ -355,3 +355,74 @@ def test_contour_below_sampled_angles_takes_c_phi_from_its_rays():
     assert eng.c_phi == pytest.approx(sampled, rel=1e-3)
     res = cs.omega_calculus(cs.regularizer(THETA), T, rep, cs.ContourConfig(phi=0.3))
     assert op_gap(res.op, cs.rational_calculus(cs.regularizer(THETA), T)) <= combined(res)
+
+
+def _non_normal_operator(rng, n):
+    """Upper-triangular 2 x 2 over R_n with diagonal 1 + 0.2 e1 and -2 + 0.3 e2:
+    non-normal, with spectrum inside the double sector of angle OMEGA."""
+    coeffs = np.zeros((2, 2, 1 << n))
+    coeffs[0, 0, 0], coeffs[0, 0, 1] = 1.0, 0.2
+    coeffs[1, 1, 0], coeffs[1, 1, 2] = -2.0, 0.3
+    coeffs[0, 1] = rng.standard_normal(1 << n)
+    return cs.CliffordOperator(n, 2, coeffs)
+
+
+def _four_ray_family(f, T, eng, ts, nodes):
+    """f(tT) as the trapezoid sum over all four rays, with left_s_resolvent
+    at every node z and at its conjugate, and the slice scalar of each
+    term applied as Re(c) A + Im(c) A rho(J)."""
+    u = np.linspace(eng.cfg.u_min, eng.cfg.u_max, nodes)
+    w = np.full(nodes, u[1] - u[0])
+    w[0] = w[-1] = 0.5 * (u[1] - u[0])
+    r = np.exp(u)
+    rho_j = cs.rho_matrix(cs.CliffordOperator.scalar_mul(eng.axis, T.m))
+    terms = []
+    for branch in (1.0, -1.0):
+        for sign in (1.0, -1.0):
+            rot = np.exp(1j * branch * eng.phi)
+            for zk, wk, rk in zip(sign * r * rot, w, r):
+                s = cs.Paravector(zk.real, zk.imag * eng.axis.svec)
+                a = cs.rho_matrix(cs.left_s_resolvent(s, T))
+                terms.append((zk, branch * sign * rot * 1j * wk * rk / (2 * math.pi), a))
+    out = []
+    for t in ts:
+        total = np.zeros_like(terms[0][2])
+        for zk, weight, a in terms:
+            c = complex(f.eval_complex(t * zk)) * weight
+            total += c.real * a + c.imag * (a @ rho_j)
+        out.append(total)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("spec", [
+    {"name": "regularizer"},
+    {"name": "rational", "params": {"num": [1.0, 1.0, 1.0, 0.0],
+                                    "den": [1.0, 0.0, 2.0, 0.0, 1.0], "alpha": 1.0}},
+    {"name": "e_alpha", "params": {"alpha": 0.5}},
+], ids=["regularizer", "mixed-parity-rational", "e_alpha-0.5"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_folded_family_matches_four_ray_sum(rng, n, spec):
+    T = _non_normal_operator(rng, n)
+    f = cs.resolve_function(spec, theta=THETA)
+    eng = cs.ContourEngine(T, cs.check_bisectorial(T, OMEGA), THETA,
+                           cs.ContourConfig(nodes=64))
+    ts = np.array([0.5, -0.5, 2.0, -3.0])
+    mats, _, _ = eng.evaluate_family(f, ts)
+    expected = _four_ray_family(f, T, eng, ts, nodes=65)
+    assert np.abs(mats - expected).max() <= 1e-12 * max(1.0, np.abs(expected).max())
+
+
+def test_non_finite_profile_at_negative_t_names_it():
+    T = cs.CliffordOperator.from_real_matrix([[1.0, 0.0], [0.0, -2.0]], n=1)
+    eng = cs.ContourEngine(T, cs.check_bisectorial(T, OMEGA), THETA,
+                           cs.ContourConfig(nodes=64))
+
+    def profile(z):
+        z = np.asarray(z, dtype=complex)
+        return np.where(np.abs(z) > 5.0, np.nan, z / (1.0 + z * z))
+
+    f = cs.IntrinsicFunction(profile, THETA, decay=cs.regularizer(THETA).decay)
+    with pytest.raises(cs.NumericalFailureError) as err:
+        eng.evaluate_family(f, [-2.0])
+    assert err.value.node["t"] == -2.0
+    assert 2.0 * math.exp(err.value.node["u"]) > 5.0

@@ -252,3 +252,12 @@ def test_verify_jobs_default_ignores_environment(monkeypatch):
     monkeypatch.setenv("CLIFFSPEC_JOBS", "3")
     args = build_parser().parse_args(["verify", "--operator", "op.json", "--out", "r.json"])
     assert args.jobs == 1
+
+
+def test_verify_rejects_theta_below_omega(tmp_path, capsys):
+    op = tmp_path / "op.json"
+    write_operator(op, [[1.0]])
+    assert main(["verify", "--operator", str(op), "--omega", "0.3", "--theta", "0.2",
+                 "--out", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert "theta=0.2" in err and "omega=0.3" in err

@@ -274,3 +274,22 @@ def test_algebra_dimension_cap():
         cs.CliffordNum.scalar(7, 1.0)
     with pytest.raises(cs.ArgumentError):
         cs.CliffordNum.basis(2, 4)
+
+
+@pytest.mark.parametrize("spec", [
+    {"name": "regularizer"},
+    {"name": "e_alpha", "params": {"alpha": 0.5}},
+    {"name": "rational", "params": {"num": [1.0, 1.0, 1.0, 0.0],
+                                    "den": [1.0, 0.0, 2.0, 0.0, 1.0]}},
+    {"name": "scaled", "params": {"t": -2.5, "inner": {"name": "regularizer"}}},
+    {"name": "f_ab", "params": {"a": 0.1, "b": 10.0, "inner": {"name": "regularizer"}}},
+    {"name": "product", "params": {"factors": [{"name": "regularizer"},
+                                               {"name": "e_alpha",
+                                                "params": {"alpha": 0.5}}]}},
+], ids=["regularizer", "e_alpha", "rational", "scaled", "f_ab", "product"])
+def test_registry_profiles_are_conjugate_symmetric(spec):
+    # the contour engine pairs every node with its conjugate on this symmetry
+    f = cs.resolve_function(spec)
+    z = _sample_points(f.theta, 300)
+    np.testing.assert_allclose(f.eval_complex(np.conj(z)), np.conj(f.eval_complex(z)),
+                               rtol=1e-14, atol=0.0)

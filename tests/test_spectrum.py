@@ -289,3 +289,24 @@ def test_c_at_below_every_sampled_angle_is_infinite():
 def test_grid_spec_rejects_non_finite_bounds(bounds):
     with pytest.raises(cs.ArgumentError):
         cs.GridSpec(*bounds, 3, 3)
+
+
+def test_ray_bound_matches_four_ray_svd(rng):
+    # one inverse per conjugate pair of rays and sqrt(lambda_max(A^T A)) give
+    # the max of |s| sigma_max(S_L^-1(s, T)) over all four rays; for this T
+    # the max lies on the rays at angle -phi (3.43 there, 2.58 at +phi)
+    coeffs = np.zeros((2, 2, 4))
+    coeffs[0, 0, 0], coeffs[0, 0, 1] = 1.0, -0.2
+    coeffs[1, 1, 0], coeffs[1, 1, 2] = -2.0, 0.3
+    coeffs[0, 1] = 2.0 * rng.standard_normal(4)
+    T = cs.CliffordOperator(2, 2, coeffs)
+    phi = 0.5
+    rep = cs.check_bisectorial(T, OMEGA, cs.RaySampling(phis=(phi,)))
+    radii = max(1.0, np.linalg.norm(cs.rho_matrix(T), 2)) * np.logspace(-4.0, 4.0, 200)
+    axis = cs.unit_imag(2, 0).svec
+    best = 0.0
+    for z in np.concatenate([sign * radii * np.exp(1j * branch * phi)
+                             for branch in (1.0, -1.0) for sign in (1.0, -1.0)]):
+        left = cs.rho_matrix(cs.left_s_resolvent(cs.Paravector(z.real, z.imag * axis), T))
+        best = max(best, abs(z) * np.linalg.svd(left, compute_uv=False)[0])
+    assert rep.c_phi_table[0][1] == pytest.approx(best, rel=1e-12)

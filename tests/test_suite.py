@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -74,3 +76,26 @@ def test_suite_on_clifford_multiplication_operator():
     report = cs.run_theorem_suite(T, config=cs.SuiteConfig(omega=0.9, theta=1.2))
     assert report["passed"], [r["name"] for r in report["records"] if not r["pass"]]
     assert report["bisector"]["detections"] == [{"x": 1.0, "y": 1.0, "kind": "sphere"}]
+
+
+def test_fab_ladder_targets_pi_sign_on_non_normal_operator():
+    # spectrum {1, -2} in both halves of the sector: f_ab(T) tends to pi sgn(T),
+    # and for this triangular T, h(T) = [[h(1), 0.7 (h(1) - h(-2)) / 3], [0, h(-2)]]
+    T = cs.CliffordOperator.from_real_matrix([[1.0, 0.7], [0.0, -2.0]], n=1)
+    report = cs.run_theorem_suite(T, config=cs.SuiteConfig(
+        contour_nodes=1000, quad_nodes=100, n_sandwich=20))
+    ladder = next(r for r in report["records"] if r["name"] == "truncation_ladder_monotone")
+    assert ladder["pass"]
+
+    def closed_form(h):
+        return np.array([[h(1.0), 0.7 * (h(1.0) - h(-2.0)) / 3.0], [0.0, h(-2.0)]])
+
+    sign = closed_form(np.sign)
+    for k, (dev, sign_dev) in enumerate(zip(ladder["deviations"],
+                                            ladder["sign_deviations"]), start=1):
+        a, b = 10.0 ** -k, 10.0 ** k
+        fab = closed_form(lambda x: 2.0 * (math.atan(b * x) - math.atan(a * x)))
+        assert sign_dev == pytest.approx(np.linalg.norm(fab - math.pi * sign, 2), abs=1e-6)
+        assert dev == pytest.approx(np.linalg.norm(fab - math.pi * np.eye(2), 2), abs=1e-6)
+    assert all(b < 0.2 * a for a, b in zip(ladder["sign_deviations"],
+                                           ladder["sign_deviations"][1:]))
