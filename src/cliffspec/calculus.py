@@ -34,8 +34,12 @@ from .functions import (
 from .module import (
     CliffordOperator,
     OperatorSolver,
+    block_form,
+    coeffs_from_blocks,
     operator_from_real,
     rho_matrix,
+    rho_stack,
+    spectral_norm,
 )
 from .quadrature import gauss_panels, gl_panel_grid, pairwise_sum, trapezoid_grid
 from .spectrum import (
@@ -45,7 +49,12 @@ from .spectrum import (
     conjugate_resolvent_bound,
     left_resolvents,
     q_inverse_stack,
+    unit_blocks,
 )
+
+# the stored resolvent stack and one block of profile values are refused
+# beyond this size, before anything is allocated
+_MAX_ENGINE_BYTES = 2 ** 31
 
 
 @dataclass(frozen=True)
@@ -111,9 +120,15 @@ def combined_tolerance(*results, floor=1e-9):
     return tol
 
 
+def _stored_nodes(cfg):
+    """Number of nodes the engine stores: those of the two rays at angle +phi."""
+    n = cfg.nodes | 1
+    return 2 * (n if cfg.rule == "trapezoid" else 12 * max(2, n // 8))
+
+
 def _ray_nodes(cfg):
     """Per-ray quadrature nodes and (full, half) weights in u = log r."""
-    n = cfg.nodes if cfg.nodes % 2 == 1 else cfg.nodes + 1
+    n = cfg.nodes | 1
     if cfg.rule == "trapezoid":
         u, w = trapezoid_grid(cfg.u_min, cfg.u_max, n)
         h = u[1] - u[0]
@@ -141,8 +156,9 @@ class ContourEngine:
     The nodes z on the two rays at angle -phi are the conjugates of those at
     +phi.  Q_s depends on s only through (Re s, |s|) and every profile has
     F(conj z) = conj F(z), so each conjugate pair of left resolvents sums to
-    alpha P - rho(T) beta P with real alpha, beta and P = rho(Q_s)^-1, and
-    only P at the nodes of angle +phi is stored.
+    alpha P - T beta P with real alpha, beta and P = Q_s^-1, and only P at
+    the nodes of angle +phi is stored, on the spinor blocks of rho
+    (``module.block_form``); each family value is mapped back to rho.
     """
 
     def __init__(self, T: CliffordOperator, report: BisectorReport,
@@ -161,6 +177,15 @@ class ContourEngine:
         self.axis = cfg.unit(T.n)
         self.c_phi = report.c_at(self.phi)
 
+        self._bt = block_form(T.coeffs, T.n)
+        stored = _stored_nodes(cfg)
+        need = 16 * stored * max(self._bt.size, _CHUNK)
+        self.dim = T.m << T.n
+        if need > _MAX_ENGINE_BYTES:
+            raise ArgumentError(
+                f"contour engine with {stored} stored nodes at D = {self.dim} needs "
+                f"{need / 2 ** 30:.3g} GiB, above {_MAX_ENGINE_BYTES / 2 ** 30:g} GiB; "
+                "use fewer nodes")
         u, w_ray, w_half_ray = _ray_nodes(cfg)
         n = u.size
         # nodes are stored [even | odd] by their index along the ray, each part
@@ -183,11 +208,9 @@ class ContourEngine:
         self._coef = np.tile(w_ray, 2)[order] * r * phase
         self._coef_half = np.tile(w_half_ray, 2)[order] * r * phase
 
-        self.rho_t = rho_matrix(T)
-        d = self.rho_t.shape[0]
-        self._rho_j = np.kron(np.eye(T.m), self.axis.left_matrix())
+        self._bj = unit_blocks(self.axis, T.m)
         try:
-            self.P = q_inverse_stack(self.rho_t, np.real(self.z), r * r)
+            self.P = q_inverse_stack(self._bt, np.real(self.z), r * r)
         except np.linalg.LinAlgError as exc:
             raise NumericalFailureError(
                 "pseudo-resolvent singular on the contour (operator spectrum "
@@ -203,10 +226,10 @@ class ContourEngine:
         if math.isinf(self.c_phi):
             # phi lies below every sampled angle: take C_phi from these rays
             # and their conjugates
-            self.c_phi = conjugate_resolvent_bound(self.rho_t, self.P, np.real(self.z),
-                                                   np.imag(self.z), r, self._rho_j)
-        self.dim = d
-        self._p_flat = self.P.reshape(self.P.shape[0], d * d)
+            self.c_phi = conjugate_resolvent_bound(self._bt, self.P, np.real(self.z),
+                                                   np.imag(self.z), r, self._bj)
+        # the real view keeps the alpha, beta contractions on real GEMMs
+        self._p_flat = self.P.view(np.float64).reshape(self.P.shape[0], -1)
         # on trapezoid grids the doubled even-node weights equal the halved
         # rule exactly, so half = 2 * (even part) and full = even + odd
         self._half_nests = bool(np.array_equal(
@@ -215,9 +238,11 @@ class ContourEngine:
 
     @property
     def A(self):
-        """Left S-resolvents at the stored nodes, assembled from P on each call."""
-        return left_resolvents(self.rho_t, self.P, np.real(self.z), np.imag(self.z),
-                               self._rho_j)
+        """Left S-resolvents at the stored nodes as (nodes, D, D), assembled from
+        P on each call."""
+        left = left_resolvents(self._bt, self.P, np.real(self.z), np.imag(self.z),
+                               self._bj)
+        return rho_stack(coeffs_from_blocks(left, self.T.n), self.T.n)
 
     def truncation_bound(self, decay, t=1.0):
         alpha, c_alpha = decay.alpha, decay.c_alpha
@@ -242,22 +267,22 @@ class ContourEngine:
         if f.decay is None:
             raise PreconditionError("contour calculus requires a decay certificate")
         ts = np.asarray(ts, dtype=float)
-        d = self.dim
-        mats = np.empty((ts.size, d, d))
+        mats = np.empty((ts.size, self.dim, self.dim))
         discs = np.empty(ts.size)
         ne = self._n_even
         s0, y = np.real(self.z), np.imag(self.z)
+        shape = self._bt.shape
 
         def contract(coef, sl):
             # node z and its conjugate, with slice scalars c and conj c, sum
-            # to alpha P - rho(T) beta P; alpha and beta are fresh contiguous
+            # to alpha P - T beta P; alpha and beta are fresh contiguous
             # arrays, which keeps matmul on the fast BLAS path
             alpha = 2.0 * (coef.real * s0[sl] + coef.imag * y[sl])
             beta = 2.0 * coef.real
             nb = coef.shape[0]
-            sum_a = (alpha @ self._p_flat[sl]).reshape(nb, d, d)
-            sum_b = (beta @ self._p_flat[sl]).reshape(nb, d, d)
-            return sum_a - self.rho_t @ sum_b
+            sum_a = (alpha @ self._p_flat[sl]).view(complex).reshape(nb, *shape)
+            sum_b = (beta @ self._p_flat[sl]).view(complex).reshape(nb, *shape)
+            return sum_a - self._bt @ sum_b
 
         mags, which = np.unique(np.abs(ts), return_inverse=True)
         for lo in range(0, mags.size, _CHUNK):
@@ -277,13 +302,13 @@ class ContourEngine:
             if self._half_nests:
                 even = contract(coef[:, :ne], slice(0, ne))
                 odd = contract(coef[:, ne:], slice(ne, None))
-                mats[rows] = even + odd
+                block = even + odd
                 diff = odd - even
             else:
                 block = contract(coef, slice(None))
-                mats[rows] = block
                 diff = block - contract(vals * self._coef_half[None, :], slice(None))
-            discs[rows] = np.linalg.svd(diff, compute_uv=False)[:, 0]
+            mats[rows] = rho_stack(coeffs_from_blocks(block, self.T.n), self.T.n)
+            discs[rows] = spectral_norm(diff).max(axis=1)
         truncs = np.array([self.truncation_bound(f.decay, t) for t in ts])
         return mats, truncs, discs
 
@@ -390,7 +415,7 @@ def f_ab_operator(f: IntrinsicFunction, a, b, T: CliffordOperator,
 
     full, trunc, disc = quadrature(12)
     coarse, _, _ = quadrature(6)
-    t_disc = float(np.linalg.svd(full - coarse, compute_uv=False)[0])
+    t_disc = float(spectral_norm(full - coarse))
     return CalculusResult(operator_from_real(full, T.n, T.m), trunc, disc + t_disc)
 
 
@@ -402,5 +427,4 @@ def adjoint_calculus_check(f: IntrinsicFunction, T: CliffordOperator,
     t_star = T.adjoint()
     report_star = check_bisectorial(t_star, report.omega)
     res_star = hinf_calculus(f, t_star, report_star, cfg)
-    gap = rho_matrix(res_star.op) - rho_matrix(res_t.op).T
-    return float(np.linalg.svd(gap, compute_uv=False)[0])
+    return float(spectral_norm(rho_matrix(res_star.op) - rho_matrix(res_t.op).T))

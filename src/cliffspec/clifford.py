@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -77,6 +77,38 @@ def basis_left_matrices(n):
         stack[a, masks[a, :], cols] = signs[a, :]
     stack.setflags(write=False)
     return stack
+
+
+@lru_cache(maxsize=MAX_DIMENSION + 1)
+def spinor_blades(n):
+    """Stack G with G[j, A] = gamma_j(e_A), the kept irreducible complex
+    representations of R_n, each k x k with k = 2^(n // 2).
+
+    gamma(e_i) = i Gamma_i, where Gamma_1..Gamma_n are the Jordan-Wigner
+    generators on n // 2 qubits, and for odd n the last is the chirality
+    Z (x) ... (x) Z.  Every entry is 0, +-1 or +-i.  Complex conjugation
+    maps the pseudoscalar's value i to -i when n = 1 (mod 4), so one
+    representation stands for its conjugate class; when n = 3 (mod 4) the
+    two classes are both real and the second flips the chirality.
+    """
+    q = n // 2
+    x, y, z = np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1, -1])
+    gens = [reduce(np.kron, [z] * a + [p] + [np.eye(2)] * (q - a - 1), np.eye(1))
+            for a in range(q) for p in (x, y)]
+    if n % 2:
+        gens.append(reduce(np.kron, [z] * q, np.eye(1)))
+    reps = [gens] if n % 4 != 3 else [gens, gens[:-1] + [-gens[-1]]]
+    k = 1 << q
+    out = np.empty((len(reps), 1 << n, k, k), dtype=complex)
+    for j, rep in enumerate(reps):
+        for mask in range(1 << n):
+            mat = np.eye(k, dtype=complex)
+            for i in range(n):
+                if mask >> i & 1:
+                    mat = mat @ (1j * rep[i])
+            out[j, mask] = mat
+    out.setflags(write=False)
+    return out
 
 
 def blade_contract(spec, a, b, n):

@@ -5,7 +5,9 @@ are m x m Clifford matrices whose entries multiply from the left, which is
 the general form of a bounded right-linear map on V.  Flattening a vector
 lists the module index first and the basis mask second, and the faithful
 real representation rho acts on that flattening.  rho is the numerical
-workhorse for inversion, singular values and symmetric eigenproblems.
+workhorse for inversion, singular values and symmetric eigenproblems;
+batched work uses its spinor blocks (``block_form``), which carry the same
+norms, singular values and eigenvalues at a fraction of the size.
 """
 
 from __future__ import annotations
@@ -14,12 +16,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from functools import lru_cache
+
 from .clifford import (
+    MAX_DIMENSION,
     CliffordNum,
     Paravector,
     basis_left_matrices,
     blade_contract,
     conjugation_signs,
+    spinor_blades,
 )
 from .errors import DimensionMismatchError, NotInvertibleError
 
@@ -172,14 +178,6 @@ class CliffordOperator:
 
 
 @dataclass(frozen=True)
-class RealRepresentation:
-    """Faithful real matrix rho(T) acting on flattened module vectors."""
-
-    dim: int
-    matrix: np.ndarray
-
-
-@dataclass(frozen=True)
 class AdjointPair:
     """An operator together with its adjoint (pairing <T* w, v> = <w, T v>)."""
 
@@ -187,15 +185,60 @@ class AdjointPair:
     Tstar: CliffordOperator
 
 
-def real_representation(T: CliffordOperator) -> RealRepresentation:
-    basis = basis_left_matrices(T.n)
-    dim2 = 1 << T.n
-    rho = np.einsum("ija,acb->icjb", T.coeffs, basis).reshape(T.m * dim2, T.m * dim2)
-    return RealRepresentation(T.m * dim2, rho)
+def rho_stack(coeffs, n):
+    """rho of each Clifford matrix in a stack of coefficient arrays (..., m, m, 2^n)."""
+    dim2 = 1 << n
+    *lead, m, _, _ = coeffs.shape
+    out = (coeffs @ basis_left_matrices(n).reshape(dim2, dim2 * dim2)).reshape(
+        *lead, m, m, dim2, dim2)
+    return np.swapaxes(out, -3, -2).reshape(*lead, m * dim2, m * dim2)
+
+
+def block_form(coeffs, n):
+    """The kept blocks sum_A X_A (x) gamma_j(e_A) of rho(X), shape (r, km, km).
+
+    rho(X) is unitarily similar to copies of these blocks and of their
+    complex conjugates (see ``spinor_blades``), so its norm, sigma_min and
+    eigenvalues are those of the blocks.
+    """
+    gam = spinor_blades(n)
+    r, _, k, _ = gam.shape
+    m = coeffs.shape[0]
+    return np.einsum("ija,rakl->rikjl", coeffs, gam).reshape(r, m * k, m * k)
+
+
+@lru_cache(maxsize=MAX_DIMENSION + 1)
+def _block_readout(n):
+    # X_A = (1 / (r k)) sum_j Re tr(gamma_j(e_A)^H B_j), as one real matrix
+    # acting on the real view (re, im) of the spinor indices (j, k, l)
+    gam = spinor_blades(n)
+    r, dim2, k, _ = gam.shape
+    w = np.stack([gam.real, gam.imag], axis=-1).transpose(0, 2, 3, 4, 1)
+    out = w.reshape(r * k * k * 2, dim2) / (r * k)
+    out.setflags(write=False)
+    return out
+
+
+def coeffs_from_blocks(blocks, n):
+    """Inverse of ``block_form`` on a stack (..., r, km, km) of blocks."""
+    *lead, r, d, _ = blocks.shape
+    k = 1 << (n // 2)
+    m = d // k
+    b = blocks.reshape(*lead, r, m, k, m, k)
+    b = np.ascontiguousarray(np.moveaxis(b, (-4, -2), (-5, -4)))   # (..., i, j, r, k, l)
+    return b.view(np.float64).reshape(*lead, m, m, 2 * r * k * k) @ _block_readout(n)
+
+
+def spectral_norm(stack):
+    """Largest singular value of each matrix in a stack, sqrt(lambda_max(A^H A))."""
+    a = np.asarray(stack)
+    lam = np.linalg.eigvalsh(np.swapaxes(a, -1, -2).conj() @ a)[..., -1]
+    return np.sqrt(np.maximum(lam, 0.0))
 
 
 def rho_matrix(T: CliffordOperator) -> np.ndarray:
-    return real_representation(T).matrix
+    """Faithful real matrix rho(T) acting on flattened module vectors."""
+    return rho_stack(T.coeffs, T.n)
 
 
 def operator_from_real(matrix, n, m) -> CliffordOperator:

@@ -22,7 +22,7 @@ import numpy as np
 from .calculus import ContourConfig, ContourEngine, _check_report
 from .errors import ArgumentError
 from .functions import IntrinsicFunction
-from .module import CliffordOperator, ModuleVector, operator_norm
+from .module import CliffordOperator, ModuleVector, operator_norm, spectral_norm
 from .quadrature import pairwise_sum, trapezoid_grid
 from .spectrum import BisectorReport, check_bisectorial
 
@@ -104,7 +104,7 @@ def frame_operator(g: IntrinsicFunction, T: CliffordOperator,
     theta = pairwise_sum(w[:, None, None] * grams)
     theta = 0.5 * (theta + theta.T)
     # error estimates enter the quadratic form linearly through the factors
-    scale = np.linalg.svd(mats, compute_uv=False)[:, 0]
+    scale = spectral_norm(mats)
     trunc = float(np.dot(w, 2.0 * scale * truncs + truncs ** 2))
     disc = float(np.dot(w, 2.0 * scale * discs + discs ** 2))
     return theta, trunc, disc

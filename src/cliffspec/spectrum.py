@@ -6,10 +6,14 @@ half-plane y = |Im s| >= 0.  ``check_bisectorial`` certifies from those
 eigenvalues.  Scans report sigma_min heatmaps of Q_s over a grid in the
 pseudospectra style; they serve ``cliffspec spectrum`` only.
 
-Every batched use of Q_s (the scan, the ray bounds, the contour engine)
-goes through ``q_blocks``, which works through the nodes in fixed blocks of
-``_CHUNK`` so that no full stack of Q_s is ever held; ``q_inverse_stack``
-inverts them, once per conjugate pair s, sbar since Q_sbar = Q_s.
+All of this runs on the kept spinor blocks ``bt`` of rho(T)
+(``module.block_form``), not on the D x D matrix: norms are the largest
+over the blocks, sigma_min the smallest, and eigenvalues are the blocks'
+and their conjugates.  Every batched use of Q_s (the scan, the ray bounds,
+the contour engine) goes through ``q_blocks``, which works through the
+nodes in fixed blocks of ``_CHUNK`` so that no full stack of Q_s is ever
+held; ``q_inverse_stack`` inverts them, once per conjugate pair s, sbar
+since Q_sbar = Q_s.
 """
 
 from __future__ import annotations
@@ -25,9 +29,11 @@ from .module import (
     INVERTIBILITY_RTOL,
     CliffordOperator,
     OperatorSolver,
-    operator_from_real,
+    block_form,
+    coeffs_from_blocks,
     operator_norm,
     rho_matrix,
+    spectral_norm,
 )
 
 _CHUNK = 128
@@ -58,68 +64,68 @@ def pseudo_resolvent_point(s: Paravector, T: CliffordOperator) -> PseudoResolven
     return PseudoResolventPoint(s, Q, float(svals[-1]))
 
 
-def q_blocks(rho_t, s0, abs2):
-    """rho(Q_s) = rho_t^2 - 2 s0 rho_t + |s|^2 I at each node, block by block.
+def unit_blocks(unit: Paravector, m):
+    """Block form of rho(J) for the slice unit J acting on every module slot."""
+    return block_form(CliffordOperator.scalar_mul(unit, m).coeffs, unit.n)
 
-    Yields (slice of the nodes, stack of Q_s over that slice) for
+
+def q_blocks(bt, s0, abs2):
+    """Q_s = T^2 - 2 s0 T + |s|^2 on the blocks bt of rho(T), at each node.
+
+    Yields (slice of the nodes, stack of shape (nodes, r, km, km)) for
     consecutive blocks of ``_CHUNK`` nodes.
     """
-    d = rho_t.shape[0]
-    rho_t2 = rho_t @ rho_t
-    eye = np.eye(d)
+    bt2 = bt @ bt
+    eye = np.eye(bt.shape[-1])
     for lo in range(0, s0.size, _CHUNK):
         sl = slice(lo, lo + _CHUNK)
-        yield sl, (
-            rho_t2[None]
-            - 2.0 * s0[sl, None, None] * rho_t[None]
-            + abs2[sl, None, None] * eye[None]
-        )
+        yield sl, (bt2 - 2.0 * s0[sl, None, None, None] * bt
+                   + abs2[sl, None, None, None] * eye)
 
 
-def q_inverse_stack(rho_t, s0, abs2):
-    """rho(Q_s)^-1 at each node as one (nodes, D, D) array.
+def q_inverse_stack(bt, s0, abs2):
+    """Q_s^-1 on the blocks at each node as one (nodes, r, km, km) array.
 
     Q_s depends on s only through (s0, |s|), so one inverse serves s and
     its conjugate; raises np.linalg.LinAlgError when Q_s is exactly singular
     at a node.
     """
-    d = rho_t.shape[0]
-    out = np.empty((s0.size, d, d))
-    for sl, q in q_blocks(rho_t, s0, abs2):
+    out = np.empty((s0.size,) + bt.shape, dtype=complex)
+    for sl, q in q_blocks(bt, s0, abs2):
         out[sl] = np.linalg.inv(q)
     return out
 
 
-def _left_from_q_inverse(rho_t, p, s0, y, rho_j):
-    """Left S-resolvents s0 P - y P rho(J) - rho(T) P at s = s0 + J y, P = rho(Q_s)^-1."""
-    return s0[:, None, None] * p - y[:, None, None] * (p @ rho_j) - rho_t @ p
+def _left_from_q_inverse(bt, p, s0, y, bj):
+    """Left S-resolvents s0 P - y P J - T P at s = s0 + J y, P = Q_s^-1, on blocks."""
+    return (s0[:, None, None, None] * p - y[:, None, None, None] * (p @ bj)
+            - bt @ p)
 
 
-def left_resolvents(rho_t, qinv, s0, y, rho_j):
-    """Left S-resolvents at s = s0 + J y from qinv = rho(Q_s)^-1, block by block."""
+def left_resolvents(bt, qinv, s0, y, bj):
+    """Left S-resolvents at s = s0 + J y from qinv = Q_s^-1, block by block."""
     out = np.empty_like(qinv)
     for lo in range(0, s0.size, _CHUNK):
         sl = slice(lo, lo + _CHUNK)
-        out[sl] = _left_from_q_inverse(rho_t, qinv[sl], s0[sl], y[sl], rho_j)
+        out[sl] = _left_from_q_inverse(bt, qinv[sl], s0[sl], y[sl], bj)
     return out
 
 
-def conjugate_resolvent_bound(rho_t, qinv, s0, y, radius, rho_j):
+def conjugate_resolvent_bound(bt, qinv, s0, y, radius, bj):
     """max of |s| ||S_L^{-1}(s, T)|| over the nodes s = s0 + J y and their
-    conjugates s0 - J y, both built from the shared qinv = rho(Q_s)^-1.
+    conjugates s0 - J y, both built from the shared qinv = Q_s^-1.
 
-    ||S_L^{-1}|| is sqrt(lambda_max(A^T A)), not a full SVD; a non-finite
-    resolvent gives inf.
+    A non-finite resolvent gives inf.
     """
     best = 0.0
     for lo in range(0, s0.size, _CHUNK):
         sl = slice(lo, lo + _CHUNK)
         for branch in (1.0, -1.0):
-            left = _left_from_q_inverse(rho_t, qinv[sl], s0[sl], branch * y[sl], rho_j)
+            left = _left_from_q_inverse(bt, qinv[sl], s0[sl], branch * y[sl], bj)
             if not np.all(np.isfinite(left)):
                 return math.inf
-            lam = np.linalg.eigvalsh(np.swapaxes(left, 1, 2) @ left)[:, -1]
-            best = max(best, float(np.max(radius[sl] * np.sqrt(np.maximum(lam, 0.0)))))
+            norm = spectral_norm(left).max(axis=1)
+            best = max(best, float(np.max(radius[sl] * norm)))
     return best
 
 
@@ -129,12 +135,11 @@ def left_s_resolvent(s: Paravector, T: CliffordOperator) -> CliffordOperator:
         what=f"Q_s[T] at s={s!r}")
     y = s.imag_norm()
     unit = Paravector(0.0, s.svec / y if y else s.svec)
-    rho_j = np.kron(np.eye(T.m), unit.left_matrix())
-    rho_t = rho_matrix(T)
+    bt = block_form(T.coeffs, T.n)
     s0 = np.array([s.s0])
-    left = left_resolvents(rho_t, q_inverse_stack(rho_t, s0, np.array([s.abs2()])),
-                           s0, np.array([y]), rho_j)
-    return operator_from_real(left[0], T.n, T.m)
+    left = left_resolvents(bt, q_inverse_stack(bt, s0, np.array([s.abs2()])),
+                           s0, np.array([y]), unit_blocks(unit, T.m))
+    return CliffordOperator(T.n, T.m, coeffs_from_blocks(left[0], T.n))
 
 
 def right_s_resolvent(s: Paravector, T: CliffordOperator) -> CliffordOperator:
@@ -203,17 +208,17 @@ class SpectrumScan:
     detections: tuple
 
 
-def _batched_sigma(rho_t, xs, ys):
+def _batched_sigma(bt, xs, ys):
     """sigma_min and sigma_max of rho(Q_s) on the grid, batched over nodes."""
     X, Y = np.meshgrid(xs, ys)
     x = X.ravel()
     y = Y.ravel()
     smin = np.empty(x.size)
     smax = np.empty(x.size)
-    for sl, q in q_blocks(rho_t, x, x * x + y * y):
+    for sl, q in q_blocks(bt, x, x * x + y * y):
         svals = np.linalg.svd(q, compute_uv=False)
-        smin[sl] = svals[:, -1]
-        smax[sl] = svals[:, 0]
+        smin[sl] = svals[..., -1].min(axis=1)
+        smax[sl] = svals[..., 0].max(axis=1)
     return smin.reshape(X.shape), smax.reshape(X.shape)
 
 
@@ -224,8 +229,7 @@ def scan_spectrum_slice(T: CliffordOperator, grid: GridSpec,
     A node is flagged when it is a local minimum of sigma_min (8-neighborhood,
     non-strict) and sigma_min <= tol * sigma_max at that node.
     """
-    rho_t = rho_matrix(T)
-    smin, smax = _batched_sigma(rho_t, grid.xs(), grid.ys())
+    smin, smax = _batched_sigma(block_form(T.coeffs, T.n), grid.xs(), grid.ys())
     ny, nx = smin.shape
     padded = np.full((ny + 2, nx + 2), np.inf)
     padded[1:-1, 1:-1] = smin
@@ -298,7 +302,7 @@ class BisectorReport:
         return best
 
 
-def _ray_resolvent_bound(rho_t, phi, radii, rho_j):
+def _ray_resolvent_bound(bt, phi, radii, bj):
     """max over the four boundary rays of |s| * ||S_L^{-1}(s, T)||, batched.
 
     The rays at angle -phi are the conjugates of those at +phi and share
@@ -307,20 +311,22 @@ def _ray_resolvent_bound(rho_t, phi, radii, rho_j):
     s0 = np.concatenate([radii * math.cos(phi), -radii * math.cos(phi)])
     y = np.concatenate([radii * math.sin(phi), -radii * math.sin(phi)])
     try:
-        qinv = q_inverse_stack(rho_t, s0, np.tile(radii * radii, 2))
+        qinv = q_inverse_stack(bt, s0, np.tile(radii * radii, 2))
     except np.linalg.LinAlgError:
         return math.inf
-    return conjugate_resolvent_bound(rho_t, qinv, s0, y, np.tile(radii, 2), rho_j)
+    return conjugate_resolvent_bound(bt, qinv, s0, y, np.tile(radii, 2), bj)
 
 
-def s_spectrum(rho_t, norm) -> tuple:
+def s_spectrum(bt, norm) -> tuple:
     """The S-spectrum of T as SpectralPoints: eig(rho T) folded to y >= 0.
 
-    The regular representation repeats every eigenvalue, so points within
+    eig(rho T) is the blocks' eigenvalues and their conjugates, and the fold
+    maps a conjugate onto its partner, so the blocks' eigenvalues suffice.
+    Blocks may repeat an eigenvalue, so points within
     INVERTIBILITY_RTOL * norm merge into the first in (y, x) order; a point
     that close to the real axis merges with its mirror image and is real.
     """
-    lam = np.linalg.eigvals(rho_t)
+    lam = np.linalg.eigvals(bt).ravel()
     radius = INVERTIBILITY_RTOL * norm
     ys = np.where(np.abs(lam.imag) <= radius, 0.0, np.abs(lam.imag))
     points = []
@@ -346,11 +352,11 @@ def check_bisectorial(
     if not 0.0 < omega < math.pi / 2:
         raise ArgumentError(f"omega={omega} outside (0, pi/2)")
     sampling = sampling or RaySampling()
-    rho_t = rho_matrix(T)
-    svals = np.linalg.svd(rho_t, compute_uv=False)
-    sigma_max, sigma_min = float(svals[0]), float(svals[-1])
+    bt = block_form(T.coeffs, T.n)
+    svals = np.linalg.svd(bt, compute_uv=False)
+    sigma_max, sigma_min = float(svals[:, 0].max()), float(svals[:, -1].min())
     injective = sigma_min > INVERTIBILITY_RTOL * sigma_max
-    spectrum = s_spectrum(rho_t, sigma_max)
+    spectrum = s_spectrum(bt, sigma_max)
     # the closed double sector, with 1e-9 rad of angular slack
     angles = [math.atan2(p.y, p.x) for p in spectrum]
     contained = all(a <= omega + 1e-9 or a >= math.pi - omega - 1e-9 for a in angles)
@@ -361,12 +367,12 @@ def check_bisectorial(
     if not math.isfinite(r_max * r_max):
         raise NumericalFailureError("|s|^2 overflows on the sampled rays", node={"r": r_max})
     radii = scale * np.logspace(-4.0, 4.0, 200)
-    rho_j = np.kron(np.eye(T.m), unit_imag(T.n, sampling.axis).left_matrix())
+    bj = unit_blocks(unit_imag(T.n, sampling.axis), T.m)
     table = []
     for phi in sampling.resolved_phis(omega):
         if not omega < phi < math.pi / 2:
             raise ArgumentError(f"sampled phi={phi} outside (omega, pi/2)")
-        c = _ray_resolvent_bound(rho_t, phi, radii, rho_j)
+        c = _ray_resolvent_bound(bt, phi, radii, bj)
         table.append((float(phi), float(c)))
     return BisectorReport(
         omega=float(omega),

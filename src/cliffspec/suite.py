@@ -27,7 +27,7 @@ from .functions import (
     regularizer,
     resolve_function,
 )
-from .module import CliffordOperator, ModuleVector, rho_matrix
+from .module import CliffordOperator, ModuleVector, rho_matrix, spectral_norm
 from .quadratic import (
     default_quad_grid,
     frame_bounds,
@@ -141,11 +141,16 @@ def run_theorem_suite(T: CliffordOperator, g_specs=None, f_specs=None,
     if not config.omega < config.theta < math.pi / 2:
         raise ArgumentError(f"theta={config.theta} must lie in (omega, pi/2) "
                             f"with omega={config.omega}")
+    if config.seed < 0:
+        raise ArgumentError(f"seed={config.seed} must be a non-negative integer")
+    if config.jobs < 1:
+        raise ArgumentError(f"jobs={config.jobs} must be at least 1")
+    theta = config.theta
+    cfg = config.contour()
+    phi_resolved = cfg.resolve_phi(config.omega, theta)
     g_specs = g_specs if g_specs is not None else default_g_specs()
     f_specs = f_specs if f_specs is not None else default_f_specs()
     rng = np.random.default_rng(config.seed)
-    theta = config.theta
-    cfg = config.contour()
     records = []
     stages = []
 
@@ -164,7 +169,6 @@ def run_theorem_suite(T: CliffordOperator, g_specs=None, f_specs=None,
     fs = [(spec_name(s), _with_bounded(resolve_function(s, theta))) for s in f_specs]
 
     # stage: bisectoriality certificate ------------------------------------
-    phi_resolved = cfg.phi if cfg.phi is not None else 0.5 * (config.omega + theta)
     spread = RaySampling().resolved_phis(config.omega)
     phis = tuple(sorted(set(spread) | {theta, phi_resolved}))
     bisector = check_bisectorial(T, config.omega, RaySampling(phis=phis))
@@ -221,7 +225,7 @@ def run_theorem_suite(T: CliffordOperator, g_specs=None, f_specs=None,
     hinf = {}
     for name, f in fs:
         res = hinf_calculus(f, T, bisector, cfg, engine=engine)
-        norm = float(np.linalg.svd(rho_matrix(res.op), compute_uv=False)[0])
+        norm = float(spectral_norm(rho_matrix(res.op)))
         hinf[name] = (f, res, norm)
     report["hinf_norms"] = {
         name: {"norm": norm,
@@ -259,8 +263,7 @@ def run_theorem_suite(T: CliffordOperator, g_specs=None, f_specs=None,
     # stage: adjoint identity -----------------------------------------------
     for fname, (f, res, norm) in hinf.items():
         res_star = hinf_calculus(f, t_star, bisector_star, cfg, engine=engine_star)
-        gap = rho_matrix(res_star.op) - rho_matrix(res.op).T
-        gap_norm = float(np.linalg.svd(gap, compute_uv=False)[0])
+        gap_norm = float(spectral_norm(rho_matrix(res_star.op) - rho_matrix(res.op).T))
         tol = (res.truncation_error + res.discretization_error
                + res_star.truncation_error + res_star.discretization_error + 1e-8)
         records.append(_record(f"adjoint[f={fname}]", gap_norm, 0.0, tol=tol))
@@ -306,7 +309,7 @@ def _composition_bound_records(gname, g, engine, c_theta, family, config, rng):
     mats_t, _, _ = engine.evaluate_family(g, ts[:, 0])
     mats_tau, _, _ = engine.evaluate_family(g, ts[:, 1])
     prods = np.einsum("kab,kbc->kac", mats_t, mats_tau)
-    lhs_i = float(np.max(np.linalg.svd(prods, compute_uv=False)[:, 0]))
+    lhs_i = float(np.max(spectral_norm(prods)))
     rhs_i = c_theta * c_alpha / alpha * sup_g
     records.append(_record(f"composition_uniform_bound[f=g={gname}]", lhs_i, rhs_i))
 
@@ -319,7 +322,7 @@ def _composition_bound_records(gname, g, engine, c_theta, family, config, rng):
     for tau in taus:
         m_tau, _, _ = engine.evaluate_family(g, [tau])
         prods = fam @ m_tau[0]
-        norms = np.linalg.svd(prods, compute_uv=False)[:, 0]
+        norms = spectral_norm(prods)
         lhs_ii = max(lhs_ii, float(pairwise_sum(w_grid * norms)))
     records.append(_record(f"composition_integral_bound[f=g={gname}]", lhs_ii, rhs_ii))
 
@@ -336,8 +339,7 @@ def _composition_bound_records(gname, g, engine, c_theta, family, config, rng):
     # the products k <= l fill both triangles, one row at a time
     norms = np.empty((2 * n3, 2 * n3))
     for k in range(2 * n3):
-        norms[k, k:] = norms[k:, k] = np.linalg.svd(
-            np.matmul(fam3[k], fam3[k:]), compute_uv=False)[:, 0]
+        norms[k, k:] = norms[k:, k] = spectral_norm(np.matmul(fam3[k], fam3[k:]))
     lo, hi = sorted(10.0 ** rng.uniform(-2, 2, size=2))
     hi = max(hi, 10.0 * lo)  # keep the indicator window from missing every node
     psi = np.where((np.abs(t3) >= lo * center) & (np.abs(t3) <= hi * center), 1.0, 0.0)
@@ -440,9 +442,8 @@ def _fab_ladder_records(T, bisector, cfg, theta, engine=None):
         a, b = 10.0 ** -k, 10.0 ** k
         res = f_ab_operator(e, a, b, T, bisector, cfg, engine=engine)
         fab = rho_matrix(res.op)
-        devs.append(float(np.linalg.svd(fab - target * np.eye(rho_t.shape[0]),
-                                        compute_uv=False)[0]))
-        sign_devs.append(float(np.linalg.svd(fab - sign_target, compute_uv=False)[0]))
+        devs.append(float(spectral_norm(fab - target * np.eye(rho_t.shape[0]))))
+        sign_devs.append(float(spectral_norm(fab - sign_target)))
         tol += res.combined_error
     ratios = [sign_devs[i + 1] / sign_devs[i] for i in range(len(sign_devs) - 1)
               if sign_devs[i] > 0]

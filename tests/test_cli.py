@@ -1,4 +1,6 @@
 import json
+import math
+import time
 
 import numpy as np
 import pytest
@@ -261,3 +263,54 @@ def test_verify_rejects_theta_below_omega(tmp_path, capsys):
                  "--out", str(tmp_path / "r.json")]) == 2
     err = capsys.readouterr().err
     assert "theta=0.2" in err and "omega=0.3" in err
+
+
+@pytest.mark.parametrize("args, needle", [
+    (["--seed", "-1"], "seed=-1"),
+    (["--jobs", "0"], "jobs=0"),
+    (["--jobs", "-1"], "jobs=-1"),
+    (["--phi", "0.2"], "contour angle phi=0.2 outside (omega, theta)"),
+], ids=["seed-negative", "jobs-zero", "jobs-negative", "phi-below-omega"])
+def test_verify_rejects_bad_arguments_before_any_work(tmp_path, capsys, args, needle):
+    op = tmp_path / "op.json"
+    write_operator(op, [[1.0, 0.0], [0.0, -2.0]])
+    out = tmp_path / "r.json"
+    assert main(["verify", "--operator", str(op), "--out", str(out)] + args) == 2
+    assert needle in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_calc_refuses_an_engine_beyond_the_memory_cap(tmp_path, capsys):
+    op = tmp_path / "op.json"
+    write_operator(op, [[1.0, 0.0], [0.0, -2.0]])
+    fn = tmp_path / "f.json"
+    fn.write_text(json.dumps({"name": "regularizer"}))
+    start = time.perf_counter()
+    assert main(["calc", "--operator", str(op), "--function", str(fn),
+                 "--nodes", "1000000000", "--out", str(tmp_path / "r.json")]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "2000000002 stored nodes" in err and "D = 4" in err and "GiB" in err
+
+
+def test_calc_at_d256_runs_in_blocks(tmp_path):
+    # n = 6, m = 4: rho(Q_s)^-1 at D = 256 would need 2.1 GB over the
+    # contour, the 32 x 32 spinor block 66 MB
+    n, m = 6, 4
+    a = np.random.default_rng(3).standard_normal((m, m, 1 << n))
+    h = cs.CliffordOperator(n, m, a) + cs.CliffordOperator(n, m, a).adjoint()
+    rho_h = cs.rho_matrix(h)
+    T = h * (1.0 / np.linalg.norm(rho_h, 2)) + cs.CliffordOperator.identity(n, m) * 2.0
+    op = tmp_path / "op.json"
+    op.write_text(json.dumps(cs.operator_to_dict(T)))
+    fn = tmp_path / "f.json"
+    fn.write_text(json.dumps({"name": "regularizer"}))
+    out = tmp_path / "r.json"
+    assert main(["calc", "--operator", str(op), "--function", str(fn),
+                 "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    lam, v = np.linalg.eigh(cs.rho_matrix(T))
+    f = cs.regularizer(math.pi / 4)
+    want = (v * f.eval_complex(lam).real) @ v.T
+    gap = np.linalg.norm(cs.rho_matrix(cs.operator_from_dict(payload)) - want, 2)
+    assert gap <= payload["trunc_err"] + payload["disc_err"] + 1e-9
