@@ -8,8 +8,8 @@ reused for every function and every scaling parameter, which makes whole
 families f(tT) cheap: only the scalar factors change between nodes.
 
 Error accounting: the truncation estimate comes from the decay certificate
-and the sampled resolvent bound; the discretization estimate is a Richardson
-comparison against the half-resolution node set.
+and the sampled resolvent bound; the discretization estimate is the gap
+between the two parts of the node set (see ``_ray_nodes``).
 """
 
 from __future__ import annotations
@@ -84,6 +84,10 @@ class ContourConfig:
             raise ArgumentError(f"unknown quadrature rule {self.rule!r}")
 
     def resolve_phi(self, omega, theta):
+        """phi, after checking omega < theta < pi/2 and omega < phi < theta."""
+        if not omega < theta < math.pi / 2:
+            raise ArgumentError(f"theta={theta} must lie in (omega, pi/2) "
+                                f"with omega={omega}")
         phi = self.phi if self.phi is not None else 0.5 * (omega + theta)
         if not omega < phi < theta:
             raise ArgumentError(
@@ -101,22 +105,26 @@ class ContourConfig:
         return unit_imag(n, self.axis)
 
 
-@dataclass(frozen=True)
-class CalculusResult:
-    op: CliffordOperator
-    truncation_error: float
-    discretization_error: float
+class _ErrorBudget:
+    """The error a result claims: its truncation plus discretization estimate."""
 
     @property
     def combined_error(self):
         return self.truncation_error + self.discretization_error
 
 
+@dataclass(frozen=True)
+class CalculusResult(_ErrorBudget):
+    op: CliffordOperator
+    truncation_error: float
+    discretization_error: float
+
+
 def combined_tolerance(*results, floor=1e-9):
     """Sum of the error estimates of several results plus a roundoff floor."""
     tol = floor
     for r in results:
-        tol += r.truncation_error + r.discretization_error
+        tol += r.combined_error
     return tol
 
 
@@ -127,24 +135,22 @@ def _stored_nodes(cfg):
 
 
 def _ray_nodes(cfg):
-    """Per-ray quadrature nodes and (full, half) weights in u = log r."""
+    """Per-ray nodes u = log r, weights w and part (0 or 1) of each node.
+
+    The discretization estimate is the gap between the sums over the two
+    parts.  Trapezoid: the even and odd nodes, whose sums S_0, S_1 give the
+    full rule S_0 + S_1 and the half-resolution rule 2 S_0.  Gauss: the
+    8-point and the 4-point rule on the same panels, and the full rule is S_0.
+    """
     n = cfg.nodes | 1
     if cfg.rule == "trapezoid":
         u, w = trapezoid_grid(cfg.u_min, cfg.u_max, n)
-        h = u[1] - u[0]
-        w_half = np.zeros(n)
-        w_half[::2] = 2.0 * h
-        w_half[0] = w_half[-1] = h
-        return u, w, w_half
-    # gauss: fixed-order panels; the comparison estimate is a lower-order
-    # rule on the same panels, so both share one node set (fine nodes carry
-    # zero weight in the coarse rule and vice versa)
-    p = 8
-    panels = max(2, n // p)
-    u_f, w_f = gauss_panels(cfg.u_min, cfg.u_max, panels, p)
-    u_c, w_c = gauss_panels(cfg.u_min, cfg.u_max, panels, p // 2)
-    return (np.concatenate([u_f, u_c]), np.concatenate([w_f, np.zeros_like(w_c)]),
-            np.concatenate([np.zeros_like(w_f), w_c]))
+        return u, w, np.arange(n) % 2
+    panels = max(2, n // 8)
+    u_f, w_f = gauss_panels(cfg.u_min, cfg.u_max, panels, 8)
+    u_c, w_c = gauss_panels(cfg.u_min, cfg.u_max, panels, 4)
+    return (np.concatenate([u_f, u_c]), np.concatenate([w_f, w_c]),
+            np.repeat([0, 1], [u_f.size, u_c.size]))
 
 
 class ContourEngine:
@@ -171,9 +177,7 @@ class ContourEngine:
             )
         self.T = T
         self.cfg = cfg
-        self.report = report
-        self.theta = float(theta)
-        self.phi = cfg.resolve_phi(report.omega, self.theta)
+        self.phi = cfg.resolve_phi(report.omega, float(theta))
         self.axis = cfg.unit(T.n)
         self.c_phi = report.c_at(self.phi)
 
@@ -186,12 +190,14 @@ class ContourEngine:
                 f"contour engine with {stored} stored nodes at D = {self.dim} needs "
                 f"{need / 2 ** 30:.3g} GiB, above {_MAX_ENGINE_BYTES / 2 ** 30:g} GiB; "
                 "use fewer nodes")
-        u, w_ray, w_half_ray = _ray_nodes(cfg)
+        u, w_ray, part = _ray_nodes(cfg)
         n = u.size
-        # nodes are stored [even | odd] by their index along the ray, each part
-        # ray by ray, so the half-resolution sums contract slices of P
-        order = np.argsort(np.tile(np.arange(n) % 2, 2), kind="stable")
-        self._n_even = 2 * ((n + 1) // 2)
+        # nodes are stored [part 0 | part 1], each part ray by ray, so the two
+        # partial sums contract slices of P; only the trapezoid rule's full
+        # sum takes in part 1
+        order = np.argsort(np.tile(part, 2), kind="stable")
+        self._split = 2 * int(np.count_nonzero(part == 0))
+        self._full_joins = cfg.rule == "trapezoid"
         sign = np.repeat([1.0, -1.0], n)[order]
         u_all = np.tile(u, 2)[order]
         r = np.exp(u_all)
@@ -206,7 +212,6 @@ class ContourEngine:
         # prefactor and the direction factor sign e^{i phi} i of the ray
         phase = sign * np.exp(1j * self.phi) * 1j / (2.0 * math.pi)
         self._coef = np.tile(w_ray, 2)[order] * r * phase
-        self._coef_half = np.tile(w_half_ray, 2)[order] * r * phase
 
         self._bj = unit_blocks(self.axis, T.m)
         try:
@@ -230,11 +235,6 @@ class ContourEngine:
                                                    np.imag(self.z), r, self._bj)
         # the real view keeps the alpha, beta contractions on real GEMMs
         self._p_flat = self.P.view(np.float64).reshape(self.P.shape[0], -1)
-        # on trapezoid grids the doubled even-node weights equal the halved
-        # rule exactly, so half = 2 * (even part) and full = even + odd
-        self._half_nests = bool(np.array_equal(
-            np.where(np.arange(2 * n) < self._n_even, 2.0 * self._coef, 0.0),
-            self._coef_half))
 
     @property
     def A(self):
@@ -259,17 +259,16 @@ class ContourEngine:
     def evaluate_family(self, f: IntrinsicFunction, ts):
         """Stack of f(t T) matrices for a whole vector of nonzero scalings.
 
-        The profile is evaluated once per distinct |t|.  On nested
-        (trapezoid) grids the half-resolution estimate is the sum over even
-        nodes with doubled weights, so the Richardson comparison costs
-        nothing extra.
+        The profile is evaluated once per distinct |t|.  Each node is
+        contracted once: the sums over the two parts of the node set give
+        the value and the discretization estimate ||S_1 - S_0||.
         """
         if f.decay is None:
             raise PreconditionError("contour calculus requires a decay certificate")
         ts = np.asarray(ts, dtype=float)
         mats = np.empty((ts.size, self.dim, self.dim))
         discs = np.empty(ts.size)
-        ne = self._n_even
+        ns = self._split
         s0, y = np.real(self.z), np.imag(self.z)
         shape = self._bt.shape
 
@@ -299,16 +298,11 @@ class ContourEngine:
                     node={"u": float(self.u[k]), "t": float(ts[rows[i]])},
                 )
             coef = vals * self._coef[None, :]
-            if self._half_nests:
-                even = contract(coef[:, :ne], slice(0, ne))
-                odd = contract(coef[:, ne:], slice(ne, None))
-                block = even + odd
-                diff = odd - even
-            else:
-                block = contract(coef, slice(None))
-                diff = block - contract(vals * self._coef_half[None, :], slice(None))
+            first = contract(coef[:, :ns], slice(0, ns))
+            second = contract(coef[:, ns:], slice(ns, None))
+            block = first + second if self._full_joins else first
             mats[rows] = rho_stack(coeffs_from_blocks(block, self.T.n), self.T.n)
-            discs[rows] = spectral_norm(diff).max(axis=1)
+            discs[rows] = spectral_norm(second - first).max(axis=1)
         truncs = np.array([self.truncation_bound(f.decay, t) for t in ts])
         return mats, truncs, discs
 

@@ -20,7 +20,7 @@ import sys
 
 from .calculus import ContourConfig, hinf_calculus, omega_calculus
 from .errors import ArgumentError, CliffSpecError
-from .functions import certify_bounded, resolve_function
+from .functions import ensure_bounded, resolve_function
 from .quadratic import adjoint_frame_bounds, default_quad_grid, frame_bounds
 from .serialization import (
     bisector_report_dict,
@@ -117,16 +117,15 @@ def cmd_bisect(args):
 
 
 def cmd_calc(args):
+    cfg = ContourConfig(phi=args.phi, nodes=args.nodes)
+    cfg.resolve_phi(args.omega, args.theta)
     T = parse_operator_file(args.operator)
     f = resolve_function(load_function_spec(args.function), theta=args.theta)
     report = check_bisectorial(T, args.omega)
-    cfg = ContourConfig(phi=args.phi, nodes=args.nodes)
     if f.decay is not None:
         result = omega_calculus(f, T, report, cfg)
     else:
-        if f.bounded is None:
-            f = f.with_bounded(certify_bounded(f))
-        result = hinf_calculus(f, T, report, cfg)
+        result = hinf_calculus(ensure_bounded(f), T, report, cfg)
     payload = operator_to_dict(result.op)
     payload["trunc_err"] = result.truncation_error
     payload["disc_err"] = result.discretization_error
@@ -135,10 +134,11 @@ def cmd_calc(args):
 
 
 def cmd_frame(args):
+    cfg = ContourConfig(nodes=args.nodes)
+    cfg.resolve_phi(args.omega, args.theta)
     T = parse_operator_file(args.operator)
     g = resolve_function(load_function_spec(args.g), theta=args.theta)
     report = check_bisectorial(T, args.omega)
-    cfg = ContourConfig(nodes=args.nodes)
     qcfg = default_quad_grid(T)
     fb = frame_bounds(g, T, qcfg, cfg, report)
     fb_star = adjoint_frame_bounds(g, T, qcfg, cfg, report)

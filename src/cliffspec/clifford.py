@@ -270,10 +270,6 @@ class Paravector:
     def n(self):
         return self.svec.shape[0]
 
-    @classmethod
-    def real(cls, x, n):
-        return cls(x, np.zeros(n))
-
     def imag_norm(self):
         return float(np.linalg.norm(self.svec))
 

@@ -273,6 +273,11 @@ def certify_bounded(f: IntrinsicFunction) -> BoundedCertificate:
     return BoundedCertificate(float(np.max(vals)), samples=z.size)
 
 
+def ensure_bounded(f: IntrinsicFunction) -> IntrinsicFunction:
+    """f itself when it carries a bounded certificate, else f with a sampled one."""
+    return f if f.bounded is not None else f.with_bounded(certify_bounded(f))
+
+
 def check_intrinsic(f: IntrinsicFunction, points, h=1e-6):
     """Max relative Cauchy-Riemann residual of the profile at complex points."""
     worst = 0.0

@@ -27,29 +27,65 @@ from .clifford import (
     conjugation_signs,
     spinor_blades,
 )
-from .errors import DimensionMismatchError, NotInvertibleError
+from .errors import DimensionMismatchError, NotInvertibleError, NumericalFailureError
 
 INVERTIBILITY_RTOL = 1e-10
 
 
-class ModuleVector:
-    """Vector in V: coeffs[i, A] is the coefficient of e_A in module slot i."""
+class _ModuleArray:
+    """Real coefficient array over R_n with the linear arithmetic that module
+    vectors and operators share; a subclass gives ``_shape(n, m)`` and the
+    words ``_array`` and ``_plural`` of its shape errors."""
 
     __slots__ = ("n", "m", "coeffs")
 
     def __init__(self, n, m, coeffs):
         coeffs = np.asarray(coeffs, dtype=float)
-        if coeffs.shape != (m, 1 << n):
+        shape = self._shape(n, m)
+        if coeffs.shape != shape:
             raise DimensionMismatchError(
-                f"expected coefficient array of shape ({m}, {1 << n}), got {coeffs.shape}"
-            )
+                f"expected {self._array} of shape {shape}, got {coeffs.shape}")
         self.n = n
         self.m = m
         self.coeffs = coeffs
 
     @classmethod
     def zero(cls, n, m):
-        return cls(n, m, np.zeros((m, 1 << n)))
+        return cls(n, m, np.zeros(cls._shape(n, m)))
+
+    def __add__(self, other):
+        self._check(other)
+        return type(self)(self.n, self.m, self.coeffs + other.coeffs)
+
+    def __sub__(self, other):
+        self._check(other)
+        return type(self)(self.n, self.m, self.coeffs - other.coeffs)
+
+    def __neg__(self):
+        return type(self)(self.n, self.m, -self.coeffs)
+
+    def __mul__(self, scalar):
+        return type(self)(self.n, self.m, self.coeffs * float(scalar))
+
+    __rmul__ = __mul__
+
+    def _check(self, other):
+        if self.n != other.n or self.m != other.m:
+            raise DimensionMismatchError(f"{self._plural} of different shape")
+
+    def __repr__(self):
+        return f"{type(self).__name__}(n={self.n}, m={self.m})"
+
+
+class ModuleVector(_ModuleArray):
+    """Vector in V: coeffs[i, A] is the coefficient of e_A in module slot i."""
+
+    __slots__ = ()
+    _array, _plural = "coefficient array", "module vectors"
+
+    @staticmethod
+    def _shape(n, m):
+        return (m, 1 << n)
 
     @classmethod
     def from_flat(cls, n, m, flat):
@@ -61,44 +97,16 @@ class ModuleVector:
     def norm(self):
         return float(np.linalg.norm(self.coeffs))
 
-    def __add__(self, other):
-        self._check(other)
-        return ModuleVector(self.n, self.m, self.coeffs + other.coeffs)
 
-    def __sub__(self, other):
-        self._check(other)
-        return ModuleVector(self.n, self.m, self.coeffs - other.coeffs)
-
-    def __neg__(self):
-        return ModuleVector(self.n, self.m, -self.coeffs)
-
-    def __mul__(self, scalar):
-        return ModuleVector(self.n, self.m, self.coeffs * float(scalar))
-
-    __rmul__ = __mul__
-
-    def _check(self, other):
-        if self.n != other.n or self.m != other.m:
-            raise DimensionMismatchError("module vectors of different shape")
-
-    def __repr__(self):
-        return f"ModuleVector(n={self.n}, m={self.m})"
-
-
-class CliffordOperator:
+class CliffordOperator(_ModuleArray):
     """Right-linear operator as an m x m Clifford matrix acting by (Tv)_i = sum_j t_ij v_j."""
 
-    __slots__ = ("n", "m", "coeffs")
+    __slots__ = ()
+    _array, _plural = "entry array", "operators"
 
-    def __init__(self, n, m, coeffs):
-        coeffs = np.asarray(coeffs, dtype=float)
-        if coeffs.shape != (m, m, 1 << n):
-            raise DimensionMismatchError(
-                f"expected entry array of shape ({m}, {m}, {1 << n}), got {coeffs.shape}"
-            )
-        self.n = n
-        self.m = m
-        self.coeffs = coeffs
+    @staticmethod
+    def _shape(n, m):
+        return (m, m, 1 << n)
 
     @classmethod
     def identity(cls, n, m):
@@ -106,10 +114,6 @@ class CliffordOperator:
         for i in range(m):
             c[i, i, 0] = 1.0
         return cls(n, m, c)
-
-    @classmethod
-    def zero(cls, n, m):
-        return cls(n, m, np.zeros((m, m, 1 << n)))
 
     @classmethod
     def from_real_matrix(cls, matrix, n):
@@ -148,33 +152,10 @@ class CliffordOperator:
         return CliffordOperator(self.n, self.m,
                                 blade_contract("ij,jk->ik", self.coeffs, other.coeffs, self.n))
 
-    def __add__(self, other):
-        self._check(other)
-        return CliffordOperator(self.n, self.m, self.coeffs + other.coeffs)
-
-    def __sub__(self, other):
-        self._check(other)
-        return CliffordOperator(self.n, self.m, self.coeffs - other.coeffs)
-
-    def __neg__(self):
-        return CliffordOperator(self.n, self.m, -self.coeffs)
-
-    def __mul__(self, scalar):
-        return CliffordOperator(self.n, self.m, self.coeffs * float(scalar))
-
-    __rmul__ = __mul__
-
     def adjoint(self):
         """Bar-transpose: entry (i, j) becomes the conjugate of entry (j, i)."""
         c = self.coeffs.transpose(1, 0, 2) * conjugation_signs(self.n)
         return CliffordOperator(self.n, self.m, c)
-
-    def _check(self, other):
-        if self.n != other.n or self.m != other.m:
-            raise DimensionMismatchError("operators of different shape")
-
-    def __repr__(self):
-        return f"CliffordOperator(n={self.n}, m={self.m})"
 
 
 @dataclass(frozen=True)
@@ -204,7 +185,11 @@ def block_form(coeffs, n):
     gam = spinor_blades(n)
     r, _, k, _ = gam.shape
     m = coeffs.shape[0]
-    return np.einsum("ija,rakl->rikjl", coeffs, gam).reshape(r, m * k, m * k)
+    out = np.einsum("ija,rakl->rikjl", coeffs, gam).reshape(r, m * k, m * k)
+    if not np.all(np.isfinite(out)):
+        raise NumericalFailureError("the spinor blocks of rho are not finite: "
+                                    "the sums of the coefficients overflow")
+    return out
 
 
 @lru_cache(maxsize=MAX_DIMENSION + 1)

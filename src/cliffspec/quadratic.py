@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import ContourConfig, ContourEngine, _check_report
+from .calculus import ContourConfig, ContourEngine, _check_report, _ErrorBudget
 from .errors import ArgumentError
 from .functions import IntrinsicFunction
 from .module import CliffordOperator, ModuleVector, operator_norm, spectral_norm
@@ -57,7 +57,7 @@ def default_quad_grid(T: CliffordOperator, nodes=400) -> QuadGridConfig:
 
 
 @dataclass(frozen=True)
-class FrameBounds:
+class FrameBounds(_ErrorBudget):
     c_lower: float
     d_upper: float
     theta: np.ndarray
@@ -76,6 +76,13 @@ def _family(g, T, qcfg, cfg, report, family):
     return (t, w) + ContourEngine(T, report, g.theta, cfg).evaluate_family(g, t)
 
 
+def weighted_norms2(w, mats, xs):
+    """sum_k w_k ||M_k x||^2 for each row x of ``xs``, over the family M_k."""
+    applied = np.einsum("kij,vj->kvi", mats, xs)
+    norms2 = np.einsum("kvi,kvi->kv", applied, applied)
+    return pairwise_sum(w[:, None] * norms2)
+
+
 def quadratic_norm(g: IntrinsicFunction, T: CliffordOperator, v: ModuleVector,
                    qcfg: QuadGridConfig | None = None,
                    cfg: ContourConfig | None = None,
@@ -87,10 +94,7 @@ def quadratic_norm(g: IntrinsicFunction, T: CliffordOperator, v: ModuleVector,
     when evaluating many vectors against one operator.
     """
     t, w, mats, _, _ = _family(g, T, qcfg, cfg, report, family)
-    x = v.flatten()
-    applied = np.einsum("kij,j->ki", mats, x)
-    norms2 = np.einsum("ki,ki->k", applied, applied)
-    return float(math.sqrt(max(pairwise_sum(w * norms2), 0.0)))
+    return float(math.sqrt(max(weighted_norms2(w, mats, v.flatten()[None, :])[0], 0.0)))
 
 
 def frame_operator(g: IntrinsicFunction, T: CliffordOperator,

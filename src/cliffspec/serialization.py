@@ -52,6 +52,8 @@ def _coeff_list(raw, n, where):
         vals = [float(x) for x in raw]
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"{where}: non-numeric coefficient") from exc
+    except OverflowError:       # an integer beyond the range of a double
+        raise SchemaError(f"{where}: non-finite coefficient") from None
     if not all(math.isfinite(x) for x in vals):
         raise SchemaError(f"{where}: non-finite coefficient")
     return vals
@@ -96,30 +98,24 @@ def vector_to_dict(v: ModuleVector) -> dict:
             "entries": [list(map(float, v.coeffs[i])) for i in range(v.m)]}
 
 
-def parse_operator_file(path) -> CliffordOperator:
+def _load_json(path):
     with open(path) as fh:
         try:
-            obj = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    return operator_from_dict(obj)
+
+
+def parse_operator_file(path) -> CliffordOperator:
+    return operator_from_dict(_load_json(path))
 
 
 def parse_vector_file(path) -> ModuleVector:
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    return vector_from_dict(obj)
+    return vector_from_dict(_load_json(path))
 
 
 def load_function_spec(path) -> dict:
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    obj = _load_json(path)
     if not isinstance(obj, dict) or "name" not in obj:
         raise SchemaError(f"{path}: function spec needs a 'name' field")
     return obj

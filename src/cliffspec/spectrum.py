@@ -38,7 +38,7 @@ from .module import (
 
 _CHUNK = 128
 # a scan holds about 170 bytes a node for its heatmap whatever D (measured at
-# D = 2, 8, 32), so 2^24 nodes take 2.9 GB; larger default grids are refused
+# D = 2, 8, 32), so 2^24 nodes take 2.9 GB; larger grids are refused
 _MAX_SCAN_NODES = 2 ** 24
 
 
@@ -171,6 +171,9 @@ class GridSpec:
             raise ArgumentError("grid must satisfy y >= 0")
         if self.x_max < self.x_min or self.y_max < self.y_min:
             raise ArgumentError("grid bounds out of order")
+        if self.nx * self.ny > _MAX_SCAN_NODES:
+            raise ArgumentError(f"grid of {self.nx} x {self.ny} nodes exceeds "
+                                f"{_MAX_SCAN_NODES} nodes; pass a coarser --grid")
 
     def xs(self):
         return np.linspace(self.x_min, self.x_max, self.nx)
@@ -346,8 +349,8 @@ def check_bisectorial(
     Checks injectivity of rho(T), containment of the S-spectrum in the
     closed double sector, and estimates C_phi on the boundary rays of each
     requested larger sector.  The result is a numerical certificate; failures
-    are carried in the report, but an overflowing |s|^2 raises
-    NumericalFailureError.
+    are carried in the report, but a Q_s that may overflow on the sampled
+    rays raises NumericalFailureError.
     """
     if not 0.0 < omega < math.pi / 2:
         raise ArgumentError(f"omega={omega} outside (0, pi/2)")
@@ -364,8 +367,11 @@ def check_bisectorial(
     # 200 log-spaced radii per ray from 1e-4 to 1e4 times max(1, ||T||)
     scale = max(1.0, sigma_max)
     r_max = scale * 1e4
-    if not math.isfinite(r_max * r_max):
-        raise NumericalFailureError("|s|^2 overflows on the sampled rays", node={"r": r_max})
+    # every entry of T^2, 2 s0 T and |s|^2, and of their partial sums, is at
+    # most (||T|| + |s|)^2; the factor 2 leaves room for rounding
+    bound = r_max + sigma_max
+    if not math.isfinite(2.0 * bound * bound):
+        raise NumericalFailureError("Q_s overflows on the sampled rays", node={"r": r_max})
     radii = scale * np.logspace(-4.0, 4.0, 200)
     bj = unit_blocks(unit_imag(T.n, sampling.axis), T.m)
     table = []

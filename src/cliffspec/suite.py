@@ -14,6 +14,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .calculus import (
+    _MAX_ENGINE_BYTES,
     ContourConfig,
     ContourEngine,
     f_ab_operator,
@@ -21,17 +22,14 @@ from .calculus import (
 )
 from .errors import ArgumentError, NumericalFailureError
 from .functions import (
-    certify_bounded,
+    ensure_bounded,
     f0_infty,
     product_function,
     regularizer,
     resolve_function,
 )
-from .module import CliffordOperator, ModuleVector, rho_matrix, spectral_norm
-from .quadratic import (
-    default_quad_grid,
-    frame_bounds,
-)
+from .module import CliffordOperator, rho_matrix, spectral_norm
+from .quadratic import default_quad_grid, frame_bounds, weighted_norms2
 from .quadrature import pairwise_sum, trapezoid_grid
 from .serialization import bisector_report_dict, frame_report_dict, operator_to_dict
 from .spectrum import RaySampling, check_bisectorial
@@ -97,9 +95,6 @@ class SuiteConfig:
         return ContourConfig(phi=self.phi, u_min=self.u_min, u_max=self.u_max,
                              nodes=self.contour_nodes)
 
-    def echo(self):
-        return asdict(self)
-
 
 def _record(name, lhs, rhs, tol=0.0, **extra):
     lhs = float(lhs)
@@ -116,14 +111,6 @@ def _record(name, lhs, rhs, tol=0.0, **extra):
     return rec
 
 
-def _random_vectors(rng, n, m, count):
-    vecs = []
-    for _ in range(count):
-        coeffs = rng.standard_normal((m, 1 << n))
-        vecs.append(ModuleVector(n, m, coeffs))
-    return vecs
-
-
 def _is_self_adjoint(T):
     rho = rho_matrix(T)
     return bool(np.allclose(rho, rho.T, atol=1e-12 * max(1.0, np.abs(rho).max())))
@@ -138,18 +125,16 @@ def run_theorem_suite(T: CliffordOperator, g_specs=None, f_specs=None,
     report is still produced.
     """
     config = config or SuiteConfig()
-    if not config.omega < config.theta < math.pi / 2:
-        raise ArgumentError(f"theta={config.theta} must lie in (omega, pi/2) "
-                            f"with omega={config.omega}")
+    theta = config.theta
+    cfg = config.contour()
+    phi_resolved = cfg.resolve_phi(config.omega, theta)
     if config.seed < 0:
         raise ArgumentError(f"seed={config.seed} must be a non-negative integer")
     if config.jobs < 1:
         raise ArgumentError(f"jobs={config.jobs} must be at least 1")
-    theta = config.theta
-    cfg = config.contour()
-    phi_resolved = cfg.resolve_phi(config.omega, theta)
     g_specs = g_specs if g_specs is not None else default_g_specs()
     f_specs = f_specs if f_specs is not None else default_f_specs()
+    _check_frame_memory(T, config, len(g_specs))
     rng = np.random.default_rng(config.seed)
     records = []
     stages = []
@@ -157,7 +142,7 @@ def run_theorem_suite(T: CliffordOperator, g_specs=None, f_specs=None,
     report = {
         "report_version": 1,
         "operator": operator_to_dict(T),
-        "config": config.echo(),
+        "config": asdict(config),
         "seed": config.seed,
         "g_registry": [spec_name(s) for s in g_specs],
         "f_registry": [spec_name(s) for s in f_specs],
@@ -165,8 +150,8 @@ def run_theorem_suite(T: CliffordOperator, g_specs=None, f_specs=None,
         "f_registry_specs": f_specs,
     }
 
-    gs = [(spec_name(s), _with_bounded(resolve_function(s, theta))) for s in g_specs]
-    fs = [(spec_name(s), _with_bounded(resolve_function(s, theta))) for s in f_specs]
+    gs = [(spec_name(s), ensure_bounded(resolve_function(s, theta))) for s in g_specs]
+    fs = [(spec_name(s), ensure_bounded(resolve_function(s, theta))) for s in f_specs]
 
     # stage: bisectoriality certificate ------------------------------------
     spread = RaySampling().resolved_phis(config.omega)
@@ -238,18 +223,20 @@ def run_theorem_suite(T: CliffordOperator, g_specs=None, f_specs=None,
     # stage: inequality records --------------------------------------------
     e = regularizer(theta)
     g_hinf = {gname: hinf_calculus(g, T, bisector, cfg, engine=engine) for gname, g in gs}
-    sandwich_vecs = _random_vectors(rng, T.n, T.m, config.n_sandwich)
+    sandwich_vecs = rng.standard_normal((config.n_sandwich, T.m << T.n))
     for gname, g in gs:
         fb, fb_star = frames[gname]
         fam = families[gname]
-        quad_tol = fb.truncation_error + fb.discretization_error + 1e-9
         records.extend(_frame_sandwich_records(gname, fb, sandwich_vecs, fam,
-                                               quad_tol))
+                                               fb.combined_error + 1e-9))
         records.extend(_composition_bound_records(gname, g, engine, c_theta,
                                                   fam, config, rng))
-        records.append(_square_positive_record(gname, g, e))
+        egg = f0_infty(product_function(e, g, g))
+        records.append(_record(f"regularized_square_positive[g={gname}]", 1e-12, egg))
         records.append(_dyadic_splitting_upper(gname, g, T, fb, hinf))
-        cg = _domination_constant(g, e, c_theta, theta)
+        # the constant of the sup-norm domination
+        cg = (c_theta ** 2 * g.decay.c_alpha ** 2 * math.pi) / (
+            2.0 * math.cos(theta) * g.decay.alpha ** 2 * egg)
         for fname, (f, res, norm) in hinf.items():
             records.append(_frame_ratio_bound(gname, fname, f, norm, res, fb, cg, theta))
         records.append(_adjoint_side_lower(gname, g, fb, fb_star))
@@ -275,18 +262,23 @@ def run_theorem_suite(T: CliffordOperator, g_specs=None, f_specs=None,
     return report
 
 
-def _with_bounded(f):
-    if f.bounded is None:
-        return f.with_bounded(certify_bounded(f))
-    return f
+def _check_frame_memory(T, config, n_g):
+    """Refuse a frame stage whose stacks of quadrature-grid matrices would
+    exceed the engine cap: the kept family of each g and, per running job,
+    the T* family, the Gram stack, its weighted copy and the A^T A stack of
+    the scale (about 5 stacks with one g, measured at D = 64 and 128)."""
+    dim = T.m << T.n
+    stack = 8 * dim * dim * 2 * (config.quad_nodes | 1)
+    need = stack * (n_g + 4 * min(config.jobs, n_g))
+    if need > _MAX_ENGINE_BYTES:
+        raise ArgumentError(
+            f"frame stage at D = {dim} with {n_g} g needs about {need / 2 ** 30:.3g} "
+            f"GiB, above {_MAX_ENGINE_BYTES / 2 ** 30:g} GiB")
 
 
-def _frame_sandwich_records(gname, fb, vecs, family, quad_tol):
+def _frame_sandwich_records(gname, fb, xs, family, quad_tol):
     _, w_grid, mats, _, _ = family
-    xs = np.stack([v.flatten() for v in vecs])          # (V, D)
-    applied = np.einsum("kij,vj->kvi", mats, xs)
-    norms2 = np.einsum("kvi,kvi->kv", applied, applied)
-    qn = np.sqrt(np.maximum(pairwise_sum(w_grid[:, None] * norms2), 0.0))
+    qn = np.sqrt(np.maximum(weighted_norms2(w_grid, mats, xs), 0.0))
     nv = np.linalg.norm(xs, axis=1)
     worst_low = float(np.max(fb.c_lower * nv - qn))
     worst_high = float(np.max(qn - fb.d_upper * nv))
@@ -350,34 +342,16 @@ def _composition_bound_records(gname, g, engine, c_theta, family, config, rng):
     return records
 
 
-def _square_positive_record(gname, g, e):
-    egg = product_function(e, g, g)
-    val = f0_infty(egg)
-    return _record(f"regularized_square_positive[g={gname}]", 1e-12, val)
-
-
-def _domination_constant(g, e, c_theta, theta):
-    beta, c_beta = g.decay.alpha, g.decay.c_alpha
-    egg = product_function(e, g, g)
-    denom = f0_infty(egg)
-    return (c_theta ** 2 * c_beta ** 2 * math.pi) / (
-        2.0 * math.cos(theta) * beta ** 2 * denom)
-
-
 def _sup_domination_records(gname, T, family, cg, rng, gs, g_hinf):
     """Square-integral domination of f(T) by the sup norm, per decay-class f;
     ``g_hinf`` maps each name in ``gs`` to its hinf_calculus result."""
     records = []
-    t_grid, w_grid, fam, _, _ = family
-    v = ModuleVector(T.n, T.m, rng.standard_normal((T.m, 1 << T.n)))
-    x = v.flatten()
-    base = np.einsum("kij,j->ki", fam, x)
-    base_sq = float(pairwise_sum(w_grid * np.einsum("ki,ki->k", base, base)))
-    for fname, f in gs:
-        y = rho_matrix(g_hinf[fname].op) @ x
-        applied = np.einsum("kij,j->ki", fam, y)
-        lhs = float(pairwise_sum(w_grid * np.einsum("ki,ki->k", applied, applied)))
-        rhs = cg ** 2 * f.bounded.sup_norm ** 2 * base_sq
+    _, w_grid, fam, _, _ = family
+    x = rng.standard_normal(T.m << T.n)
+    rows = [x] + [rho_matrix(g_hinf[fname].op) @ x for fname, _ in gs]
+    base_sq, *sq = weighted_norms2(w_grid, fam, np.stack(rows))
+    for (fname, f), lhs in zip(gs, sq):
+        rhs = cg ** 2 * f.bounded.sup_norm ** 2 * float(base_sq)
         records.append(_record(f"sup_norm_domination[g={gname},f={fname}]", lhs, rhs))
     return records
 
@@ -392,14 +366,14 @@ def _dyadic_splitting_upper(gname, g, T, fb, hinf):
         one_sided = True
     rhs = math.sqrt(8.0 * math.log(2.0)) * c * c_beta / (1.0 - 2.0 ** -beta)
     return _record(f"dyadic_splitting_upper[g={gname}]", fb.d_upper, rhs,
-                   tol=fb.truncation_error + fb.discretization_error,
+                   tol=fb.combined_error,
                    one_sided=one_sided, c_used=c)
 
 
 def _frame_ratio_bound(gname, fname, f, norm, res, fb, cg, theta):
     rhs = cg * fb.d_upper / (fb.c_lower * math.cos(theta)) * f.bounded.sup_norm
-    tol = res.truncation_error + res.discretization_error
-    return _record(f"frame_ratio_norm_bound[g={gname},f={fname}]", norm, rhs, tol=tol)
+    return _record(f"frame_ratio_norm_bound[g={gname},f={fname}]", norm, rhs,
+                   tol=res.combined_error)
 
 
 def _adjoint_side_lower(gname, g, fb, fb_star):

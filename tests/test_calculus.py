@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import cliffspec as cs
+from cliffspec.quadrature import gauss_panels
 
 from conftest import OMEGA, THETA
 
@@ -368,12 +369,17 @@ def _non_normal_operator(rng, n):
 
 
 def _four_ray_family(f, T, eng, ts, nodes):
-    """f(tT) as the trapezoid sum over all four rays, with left_s_resolvent
-    at every node z and at its conjugate, and the slice scalar of each
-    term applied as Re(c) A + Im(c) A rho(J)."""
+    """f(tT) as the trapezoid sum over all four rays (see ``_four_ray_sum``)."""
     u = np.linspace(eng.cfg.u_min, eng.cfg.u_max, nodes)
     w = np.full(nodes, u[1] - u[0])
     w[0] = w[-1] = 0.5 * (u[1] - u[0])
+    return _four_ray_sum(f, T, eng, ts, u, w)
+
+
+def _four_ray_sum(f, T, eng, ts, u, w):
+    """f(tT) as the sum with weights w over the nodes u = log r of all four
+    rays, with left_s_resolvent at every node z and at its conjugate, and
+    the slice scalar of each term applied as Re(c) A + Im(c) A rho(J)."""
     r = np.exp(u)
     rho_j = cs.rho_matrix(cs.CliffordOperator.scalar_mul(eng.axis, T.m))
     terms = []
@@ -426,3 +432,22 @@ def test_non_finite_profile_at_negative_t_names_it():
         eng.evaluate_family(f, [-2.0])
     assert err.value.node["t"] == -2.0
     assert 2.0 * math.exp(err.value.node["u"]) > 5.0
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_gauss_estimate_is_the_gap_between_fine_and_coarse_sums(rng, n):
+    # the Gauss rule's discretization estimate is ||fine sum - coarse sum||,
+    # the 8-point and the 4-point rule on the same panels of [u_min, u_max]
+    T = _non_normal_operator(rng, n)
+    cfg = cs.ContourConfig(nodes=64, rule="gauss", u_min=-12.0, u_max=12.0)
+    eng = cs.ContourEngine(T, cs.check_bisectorial(T, OMEGA), THETA, cfg)
+    f = cs.regularizer(THETA)
+    ts = np.array([0.5, -2.0])
+    mats, _, discs = eng.evaluate_family(f, ts)
+    fine = _four_ray_sum(f, T, eng, ts, *gauss_panels(cfg.u_min, cfg.u_max, 8, 8))
+    coarse = _four_ray_sum(f, T, eng, ts, *gauss_panels(cfg.u_min, cfg.u_max, 8, 4))
+    scale = max(1.0, np.abs(fine).max())
+    assert np.abs(mats - fine).max() <= 1e-12 * scale
+    gaps = [np.linalg.norm(a - b, 2) for a, b in zip(fine, coarse)]
+    assert np.all(np.abs(discs - gaps) <= 1e-12 * scale)
+    assert min(gaps) > 1e-9      # the two rules differ, so the estimate is live

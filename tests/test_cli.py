@@ -314,3 +314,67 @@ def test_calc_at_d256_runs_in_blocks(tmp_path):
     want = (v * f.eval_complex(lam).real) @ v.T
     gap = np.linalg.norm(cs.rho_matrix(cs.operator_from_dict(payload)) - want, 2)
     assert gap <= payload["trunc_err"] + payload["disc_err"] + 1e-9
+
+
+@pytest.mark.parametrize("command", ["bisect", "calc", "verify"])
+@pytest.mark.parametrize("n, m", [(3, 1), (4, 1), (3, 2)])
+def test_finite_operator_with_overflowing_blocks_exits_2(tmp_path, capsys, command, n, m):
+    # every coefficient is finite, but a spinor block entry sums 2^n of them
+    op = tmp_path / "op.json"
+    op.write_text(json.dumps({"n": n, "m": m, "matrix": [[[1e308] * (1 << n)] * m] * m}))
+    fn = tmp_path / "f.json"
+    fn.write_text(json.dumps({"name": "regularizer"}))
+    extra = {"bisect": ["--omega", "0.3"], "calc": ["--function", str(fn)], "verify": []}
+    assert main([command, "--operator", str(op), "--out", str(tmp_path / "r.json")]
+                + extra[command]) == 2
+    assert "spinor blocks of rho are not finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid", ["0,1,0,1,1000000000000,1", "0,1,0,1,4097,4097"],
+                         ids=["1e12x1", "4097x4097"])
+def test_spectrum_explicit_grid_obeys_the_scan_cap(tmp_path, capsys, grid):
+    op = tmp_path / "op.json"
+    write_operator(op, [[1.0]])
+    assert main(["spectrum", "--operator", str(op), f"--grid={grid}",
+                 "--out", str(tmp_path / "s.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "exceeds 16777216 nodes" in err and "--grid" in err
+
+
+@pytest.mark.parametrize("command, flag", [("calc", "--function"), ("frame", "--g")])
+def test_theta_below_omega_is_refused_before_any_work(tmp_path, capsys, monkeypatch,
+                                                      command, flag):
+    def certify(*args, **kwargs):
+        raise AssertionError("certified before checking theta")
+
+    monkeypatch.setattr("cliffspec.cli.check_bisectorial", certify)
+    op = tmp_path / "op.json"
+    write_operator(op, [[1.0]])
+    fn = tmp_path / "f.json"
+    fn.write_text(json.dumps({"name": "regularizer"}))
+    assert main([command, "--operator", str(op), flag, str(fn), "--omega", "1.0",
+                 "--theta", "0.9", "--out", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert "theta=0.9 must lie in (omega, pi/2) with omega=1.0" in err
+    assert "phi" not in err
+
+
+def test_verify_refuses_a_frame_stage_beyond_the_memory_cap(tmp_path, capsys):
+    # n = 6, m = 8: the engine fits, but one 802-value family at D = 512 is
+    # 1.7 GB and the frame stage holds several
+    op = tmp_path / "op.json"
+    op.write_text(json.dumps(cs.operator_to_dict(cs.CliffordOperator.identity(6, 8))))
+    start = time.perf_counter()
+    assert main(["verify", "--operator", str(op), "--out", str(tmp_path / "r.json")]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "frame stage at D = 512" in err and "GiB" in err
+
+
+def test_bisect_refuses_an_operator_whose_q_overflows(tmp_path, capsys):
+    # |s|^2 = (1e4 ||T||)^2 is finite, but T^2 - 2 s0 T + |s|^2 is not
+    op = tmp_path / "op.json"
+    op.write_text(json.dumps({"n": 1, "m": 1, "matrix": [[[1.3407e150, 0.0]]]}))
+    assert main(["bisect", "--operator", str(op), "--omega", "0.3",
+                 "--out", str(tmp_path / "r.json")]) == 2
+    assert "Q_s overflows" in capsys.readouterr().err

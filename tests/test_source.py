@@ -1,0 +1,60 @@
+"""Source guard: no module imports a name it does not use, and every
+module-level function and class has a caller or a reader somewhere."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "cliffspec"
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def _tree(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _used_names(nodes):
+    """Names read as variables, attributes or imported names in ``nodes``."""
+    out = set()
+    for node in nodes:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                out.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                out.add(sub.attr)
+            elif isinstance(sub, ast.alias):
+                out.add(sub.name.split(".")[-1])
+    return out
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"],
+                         ids=lambda p: p.stem)
+def test_module_uses_every_name_it_imports(path):
+    tree = _tree(path)
+    imported = set()
+    rest = []
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if getattr(node, "module", None) != "__future__":
+                imported |= {(a.asname or a.name).split(".")[0] for a in node.names}
+        else:
+            rest.append(node)
+    assert imported <= _used_names(rest), sorted(imported - _used_names(rest))
+
+
+def test_every_module_level_definition_is_referenced():
+    files = [p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py")]
+    # names used by each top-level statement of each file
+    used = {p: [(node, _used_names([node])) for node in _tree(p).body] for p in files}
+    unreferenced = []
+    for path in MODULES:
+        for node, _ in used[path]:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            # references anywhere but inside the definition itself
+            if not any(node.name in names for stmts in used.values()
+                       for other, names in stmts if other is not node):
+                unreferenced.append(f"{path.stem}.{node.name}")
+    assert unreferenced == []
