@@ -9,7 +9,7 @@ families f(tT) cheap: only the scalar factors change between nodes.
 
 Error accounting: the truncation estimate comes from the decay certificate
 and the sampled resolvent bound; the discretization estimate is the gap
-between the two parts of the node set (see ``_ray_nodes``).
+between the sums over the even and the odd nodes (see ``evaluate_family``).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import Paravector, unit_imag
+from .clifford import unit_imag
 from .errors import (
     ArgumentError,
     NumericalFailureError,
@@ -41,7 +41,7 @@ from .module import (
     rho_stack,
     spectral_norm,
 )
-from .quadrature import gauss_panels, gl_panel_grid, pairwise_sum, trapezoid_grid
+from .quadrature import gl_panel_grid, pairwise_sum, trapezoid_grid
 from .spectrum import (
     _CHUNK,
     BisectorReport,
@@ -61,27 +61,21 @@ _MAX_ENGINE_BYTES = 2 ** 31
 class ContourConfig:
     """Contour and quadrature choices for the slice integral.
 
-    phi = None resolves to the midpoint of (omega, theta) at call time.  The
-    slice unit J is the coordinate axis ``axis`` unless an explicit unit
-    ``axis_vector`` is supplied.  Node counts are per ray and are rounded up
-    to an odd number so the halved grid nests for Richardson estimates.
+    phi = None resolves to the midpoint of (omega, theta) at call time.  Node
+    counts are per ray and are rounded up to an odd number so the halved
+    grid nests for Richardson estimates.
     """
 
     phi: float | None = None
-    axis: int = 0
-    axis_vector: tuple | None = None
     u_min: float = -30.0
     u_max: float = 30.0
     nodes: int = 2000
-    rule: str = "trapezoid"
 
     def __post_init__(self):
         if self.u_min >= self.u_max:
             raise ArgumentError("need u_min < u_max")
         if self.nodes < 16:
             raise ArgumentError("need at least 16 nodes per ray")
-        if self.rule not in ("trapezoid", "gauss"):
-            raise ArgumentError(f"unknown quadrature rule {self.rule!r}")
 
     def resolve_phi(self, omega, theta):
         """phi, after checking omega < theta < pi/2 and omega < phi < theta."""
@@ -95,14 +89,6 @@ class ContourConfig:
                 f"({omega:.6g}, {theta:.6g})"
             )
         return float(phi)
-
-    def unit(self, n) -> Paravector:
-        if self.axis_vector is not None:
-            v = np.asarray(self.axis_vector, dtype=float)
-            if v.shape != (n,) or not math.isclose(np.linalg.norm(v), 1.0, rel_tol=1e-12):
-                raise ArgumentError("axis_vector must be a unit vector of length n")
-            return Paravector(0.0, v)
-        return unit_imag(n, self.axis)
 
 
 class _ErrorBudget:
@@ -130,27 +116,7 @@ def combined_tolerance(*results, floor=1e-9):
 
 def _stored_nodes(cfg):
     """Number of nodes the engine stores: those of the two rays at angle +phi."""
-    n = cfg.nodes | 1
-    return 2 * (n if cfg.rule == "trapezoid" else 12 * max(2, n // 8))
-
-
-def _ray_nodes(cfg):
-    """Per-ray nodes u = log r, weights w and part (0 or 1) of each node.
-
-    The discretization estimate is the gap between the sums over the two
-    parts.  Trapezoid: the even and odd nodes, whose sums S_0, S_1 give the
-    full rule S_0 + S_1 and the half-resolution rule 2 S_0.  Gauss: the
-    8-point and the 4-point rule on the same panels, and the full rule is S_0.
-    """
-    n = cfg.nodes | 1
-    if cfg.rule == "trapezoid":
-        u, w = trapezoid_grid(cfg.u_min, cfg.u_max, n)
-        return u, w, np.arange(n) % 2
-    panels = max(2, n // 8)
-    u_f, w_f = gauss_panels(cfg.u_min, cfg.u_max, panels, 8)
-    u_c, w_c = gauss_panels(cfg.u_min, cfg.u_max, panels, 4)
-    return (np.concatenate([u_f, u_c]), np.concatenate([w_f, w_c]),
-            np.repeat([0, 1], [u_f.size, u_c.size]))
+    return 2 * (cfg.nodes | 1)
 
 
 class ContourEngine:
@@ -162,9 +128,10 @@ class ContourEngine:
     The nodes z on the two rays at angle -phi are the conjugates of those at
     +phi.  Q_s depends on s only through (Re s, |s|) and every profile has
     F(conj z) = conj F(z), so each conjugate pair of left resolvents sums to
-    alpha P - T beta P with real alpha, beta and P = Q_s^-1, and only P at
-    the nodes of angle +phi is stored, on the spinor blocks of rho
-    (``module.block_form``); each family value is mapped back to rho.
+    alpha P - T beta P with real alpha, beta and P = Q_s^-1, which holds no
+    slice unit J.  Only P at the nodes of angle +phi is stored, on the
+    spinor blocks of rho (``module.block_form``); each family value is
+    mapped back to rho.
     """
 
     def __init__(self, T: CliffordOperator, report: BisectorReport,
@@ -178,7 +145,6 @@ class ContourEngine:
         self.T = T
         self.cfg = cfg
         self.phi = cfg.resolve_phi(report.omega, float(theta))
-        self.axis = cfg.unit(T.n)
         self.c_phi = report.c_at(self.phi)
 
         self._bt = block_form(T.coeffs, T.n)
@@ -190,14 +156,12 @@ class ContourEngine:
                 f"contour engine with {stored} stored nodes at D = {self.dim} needs "
                 f"{need / 2 ** 30:.3g} GiB, above {_MAX_ENGINE_BYTES / 2 ** 30:g} GiB; "
                 "use fewer nodes")
-        u, w_ray, part = _ray_nodes(cfg)
-        n = u.size
-        # nodes are stored [part 0 | part 1], each part ray by ray, so the two
-        # partial sums contract slices of P; only the trapezoid rule's full
-        # sum takes in part 1
-        order = np.argsort(np.tile(part, 2), kind="stable")
-        self._split = 2 * int(np.count_nonzero(part == 0))
-        self._full_joins = cfg.rule == "trapezoid"
+        n = cfg.nodes | 1
+        u, w_ray = trapezoid_grid(cfg.u_min, cfg.u_max, n)
+        # nodes are stored [even | odd], each parity ray by ray, so the two
+        # partial sums contract slices of P; n is odd, so n + 1 are even
+        order = np.argsort(np.tile(np.arange(n) % 2, 2), kind="stable")
+        self._split = n + 1
         sign = np.repeat([1.0, -1.0], n)[order]
         u_all = np.tile(u, 2)[order]
         r = np.exp(u_all)
@@ -213,7 +177,8 @@ class ContourEngine:
         phase = sign * np.exp(1j * self.phi) * 1j / (2.0 * math.pi)
         self._coef = np.tile(w_ray, 2)[order] * r * phase
 
-        self._bj = unit_blocks(self.axis, T.m)
+        # rho(J) on the slice e_1, for the C_phi fallback and the assembled A
+        self._bj = unit_blocks(unit_imag(T.n), T.m)
         try:
             self.P = q_inverse_stack(self._bt, np.real(self.z), r * r)
         except np.linalg.LinAlgError as exc:
@@ -238,8 +203,8 @@ class ContourEngine:
 
     @property
     def A(self):
-        """Left S-resolvents at the stored nodes as (nodes, D, D), assembled from
-        P on each call."""
+        """Left S-resolvents at the stored nodes on the slice e_1, as
+        (nodes, D, D), assembled from P on each call."""
         left = left_resolvents(self._bt, self.P, np.real(self.z), np.imag(self.z),
                                self._bj)
         return rho_stack(coeffs_from_blocks(left, self.T.n), self.T.n)
@@ -260,8 +225,9 @@ class ContourEngine:
         """Stack of f(t T) matrices for a whole vector of nonzero scalings.
 
         The profile is evaluated once per distinct |t|.  Each node is
-        contracted once: the sums over the two parts of the node set give
-        the value and the discretization estimate ||S_1 - S_0||.
+        contracted once: the sums S_0, S_1 over the even and the odd nodes
+        give the value S_0 + S_1 and, by comparison with the half-resolution
+        rule 2 S_0, the discretization estimate ||S_1 - S_0||.
         """
         if f.decay is None:
             raise PreconditionError("contour calculus requires a decay certificate")
@@ -300,7 +266,7 @@ class ContourEngine:
             coef = vals * self._coef[None, :]
             first = contract(coef[:, :ns], slice(0, ns))
             second = contract(coef[:, ns:], slice(ns, None))
-            block = first + second if self._full_joins else first
+            block = first + second
             mats[rows] = rho_stack(coeffs_from_blocks(block, self.T.n), self.T.n)
             discs[rows] = spectral_norm(second - first).max(axis=1)
         truncs = np.array([self.truncation_bound(f.decay, t) for t in ts])

@@ -21,7 +21,12 @@ import sys
 from .calculus import ContourConfig, hinf_calculus, omega_calculus
 from .errors import ArgumentError, CliffSpecError
 from .functions import ensure_bounded, resolve_function
-from .quadratic import adjoint_frame_bounds, default_quad_grid, frame_bounds
+from .quadratic import (
+    adjoint_frame_bounds,
+    check_frame_memory,
+    default_quad_grid,
+    frame_bounds,
+)
 from .serialization import (
     bisector_report_dict,
     dumps_report,
@@ -137,9 +142,10 @@ def cmd_frame(args):
     cfg = ContourConfig(nodes=args.nodes)
     cfg.resolve_phi(args.omega, args.theta)
     T = parse_operator_file(args.operator)
+    qcfg = default_quad_grid(T)
+    check_frame_memory(T, qcfg.nodes)
     g = resolve_function(load_function_spec(args.g), theta=args.theta)
     report = check_bisectorial(T, args.omega)
-    qcfg = default_quad_grid(T)
     fb = frame_bounds(g, T, qcfg, cfg, report)
     fb_star = adjoint_frame_bounds(g, T, qcfg, cfg, report)
     grid_echo = {"t_min": qcfg.t_min, "t_max": qcfg.t_max, "nodes": qcfg.nodes}

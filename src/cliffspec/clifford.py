@@ -249,8 +249,6 @@ def conjugate(a: CliffordNum) -> CliffordNum:
 
 
 def abs_value(a) -> float:
-    if isinstance(a, Paravector):
-        return a.abs()
     return a.abs()
 
 

@@ -19,7 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import ContourConfig, ContourEngine, _check_report, _ErrorBudget
+from .calculus import (
+    _MAX_ENGINE_BYTES,
+    ContourConfig,
+    ContourEngine,
+    _check_report,
+    _ErrorBudget,
+)
 from .errors import ArgumentError
 from .functions import IntrinsicFunction
 from .module import CliffordOperator, ModuleVector, operator_norm, spectral_norm
@@ -54,6 +60,21 @@ class QuadGridConfig:
 def default_quad_grid(T: CliffordOperator, nodes=400) -> QuadGridConfig:
     scale = max(operator_norm(T), 1e-30)
     return QuadGridConfig(1e-5 / scale, 1e5 / scale, nodes)
+
+
+def check_frame_memory(T: CliffordOperator, nodes, n_g=1, jobs=1):
+    """Refuse a frame stage whose stacks of quadrature-grid matrices would
+    exceed the engine cap: the kept family of each of n_g functions g and,
+    per running job, the T* family, the Gram stack, its weighted copy and the
+    A^T A stack of the scale (about 5 stacks with one g, measured at D = 64
+    and 128).  ``nodes`` is the per-sign node count of the grid."""
+    dim = T.m << T.n
+    stack = 8 * dim * dim * 2 * (nodes | 1)
+    need = stack * (n_g + 4 * min(jobs, n_g))
+    if need > _MAX_ENGINE_BYTES:
+        raise ArgumentError(
+            f"frame stage at D = {dim} with {n_g} g needs about {need / 2 ** 30:.3g} "
+            f"GiB, above {_MAX_ENGINE_BYTES / 2 ** 30:g} GiB")
 
 
 @dataclass(frozen=True)

@@ -40,10 +40,13 @@ def trapezoid_grid(lo, hi, n):
     return u, w
 
 
-def gauss_panels(lo, hi, panels, points):
-    """Gauss-Legendre rule of ``points`` nodes on each of ``panels`` equal
-    panels of [lo, hi], nodes listed panel by panel."""
-    edges = np.linspace(lo, hi, panels + 1)
+def gl_panel_grid(u_lo, u_hi, points=12):
+    """Gauss-Legendre rule of ``points`` nodes on each of at least two equal
+    panels of width at most 0.5 on [u_lo, u_hi], nodes listed panel by panel;
+    spectral accuracy on finite intervals where the trapezoid rule would pay
+    O(h^2) endpoint terms."""
+    n_panels = max(2, int(math.ceil((u_hi - u_lo) / 0.5)))
+    edges = np.linspace(u_lo, u_hi, n_panels + 1)
     x, w = np.polynomial.legendre.leggauss(points)
     us, ws = [], []
     for a, b in zip(edges[:-1], edges[1:]):
@@ -51,11 +54,3 @@ def gauss_panels(lo, hi, panels, points):
         us.append(mid + rad * x)
         ws.append(rad * w)
     return np.concatenate(us), np.concatenate(ws)
-
-
-def gl_panel_grid(u_lo, u_hi, points=12):
-    """Gauss-Legendre panels of width at most 0.5 on [u_lo, u_hi]; spectral
-    accuracy on finite intervals where the trapezoid rule would pay O(h^2)
-    endpoint terms."""
-    n_panels = max(2, int(math.ceil((u_hi - u_lo) / 0.5)))
-    return gauss_panels(u_lo, u_hi, n_panels, points)

@@ -273,7 +273,6 @@ class RaySampling:
     """Sampling plan for resolvent-bound estimation on sector boundary rays."""
 
     phis: tuple = ()
-    axis: int = 0
 
     def resolved_phis(self, omega):
         if self.phis:
@@ -283,6 +282,15 @@ class RaySampling:
 
 @dataclass(frozen=True)
 class BisectorReport:
+    """Bisectoriality certificate of angle omega.
+
+    Each C_phi in ``c_phi_table`` is the constant on the slice e_1: the
+    largest sampled |s| ||S_L^-1(s, T)|| on the four boundary rays of angle
+    phi with s = x + e_1 y.  The contour engine's truncation bounds need
+    no more, since its conjugate-pair sum, and so its truncated tail, does
+    not depend on the slice.  It is not the sup over the whole sphere S.
+    """
+
     omega: float
     injective: bool
     c_phi_table: tuple          # pairs (phi, estimated C_phi)
@@ -347,10 +355,10 @@ def check_bisectorial(
     """Certify or refute bisectoriality of angle omega for the user's candidate.
 
     Checks injectivity of rho(T), containment of the S-spectrum in the
-    closed double sector, and estimates C_phi on the boundary rays of each
-    requested larger sector.  The result is a numerical certificate; failures
-    are carried in the report, but a Q_s that may overflow on the sampled
-    rays raises NumericalFailureError.
+    closed double sector, and estimates C_phi on the boundary rays in the
+    slice e_1 of each requested larger sector.  The result is a numerical
+    certificate; failures are carried in the report, but a Q_s that may
+    overflow on the sampled rays raises NumericalFailureError.
     """
     if not 0.0 < omega < math.pi / 2:
         raise ArgumentError(f"omega={omega} outside (0, pi/2)")
@@ -373,7 +381,7 @@ def check_bisectorial(
     if not math.isfinite(2.0 * bound * bound):
         raise NumericalFailureError("Q_s overflows on the sampled rays", node={"r": r_max})
     radii = scale * np.logspace(-4.0, 4.0, 200)
-    bj = unit_blocks(unit_imag(T.n, sampling.axis), T.m)
+    bj = unit_blocks(unit_imag(T.n), T.m)
     table = []
     for phi in sampling.resolved_phis(omega):
         if not omega < phi < math.pi / 2:

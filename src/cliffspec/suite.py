@@ -14,7 +14,6 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .calculus import (
-    _MAX_ENGINE_BYTES,
     ContourConfig,
     ContourEngine,
     f_ab_operator,
@@ -29,7 +28,7 @@ from .functions import (
     resolve_function,
 )
 from .module import CliffordOperator, rho_matrix, spectral_norm
-from .quadratic import default_quad_grid, frame_bounds, weighted_norms2
+from .quadratic import check_frame_memory, default_quad_grid, frame_bounds, weighted_norms2
 from .quadrature import pairwise_sum, trapezoid_grid
 from .serialization import bisector_report_dict, frame_report_dict, operator_to_dict
 from .spectrum import RaySampling, check_bisectorial
@@ -134,7 +133,7 @@ def run_theorem_suite(T: CliffordOperator, g_specs=None, f_specs=None,
         raise ArgumentError(f"jobs={config.jobs} must be at least 1")
     g_specs = g_specs if g_specs is not None else default_g_specs()
     f_specs = f_specs if f_specs is not None else default_f_specs()
-    _check_frame_memory(T, config, len(g_specs))
+    check_frame_memory(T, config.quad_nodes, len(g_specs), config.jobs)
     rng = np.random.default_rng(config.seed)
     records = []
     stages = []
@@ -260,20 +259,6 @@ def run_theorem_suite(T: CliffordOperator, g_specs=None, f_specs=None,
     report["stages"] = stages
     report["passed"] = all(r["pass"] for r in records)
     return report
-
-
-def _check_frame_memory(T, config, n_g):
-    """Refuse a frame stage whose stacks of quadrature-grid matrices would
-    exceed the engine cap: the kept family of each g and, per running job,
-    the T* family, the Gram stack, its weighted copy and the A^T A stack of
-    the scale (about 5 stacks with one g, measured at D = 64 and 128)."""
-    dim = T.m << T.n
-    stack = 8 * dim * dim * 2 * (config.quad_nodes | 1)
-    need = stack * (n_g + 4 * min(config.jobs, n_g))
-    if need > _MAX_ENGINE_BYTES:
-        raise ArgumentError(
-            f"frame stage at D = {dim} with {n_g} g needs about {need / 2 ** 30:.3g} "
-            f"GiB, above {_MAX_ENGINE_BYTES / 2 ** 30:g} GiB")
 
 
 def _frame_sandwich_records(gname, fb, xs, family, quad_tol):

@@ -15,10 +15,13 @@ from cliffspec.quadrature import pairwise_sum
 from conftest import (
     OMEGA,
     THETA,
+    four_ray_sum,
+    non_normal_operator,
     random_clifford,
     random_operator,
     random_paravector,
     random_vector,
+    unit_e12,
 )
 
 RNG = np.random.default_rng(2024)
@@ -151,15 +154,16 @@ def test_criterion_05_quadrature_vs_rational(ctx):
             cs.rho_matrix(res_f.op) - cs.rho_matrix(cs.rational_calculus(f_sq, c["T"]))).max()))
     ok = worst <= 1e-6
 
-    T2 = cs.CliffordOperator.from_real_matrix([[1.0, 0.0], [0.0, 2.0]], n=2)
+    # J-independence: the engine takes no slice, so its f(T) for a
+    # Clifford-valued non-normal T must equal the explicit four-ray sum in
+    # the slice J = (e_1 + e_2)/sqrt 2
+    T2 = non_normal_operator(np.random.default_rng(5), 2)
     rep2 = cs.check_bisectorial(T2, OMEGA)
-    e2 = cs.regularizer(THETA)
-    rj1 = cs.omega_calculus(e2, T2, rep2, cs.ContourConfig(axis=0))
-    rj2 = cs.omega_calculus(e2, T2, rep2, cs.ContourConfig(
-        axis_vector=(1 / math.sqrt(2), 1 / math.sqrt(2))))
-    gap_j = float(np.linalg.svd(cs.rho_matrix(rj1.op) - cs.rho_matrix(rj2.op),
-                                compute_uv=False)[0])
-    ok_j = gap_j <= cs.combined_tolerance(rj1, rj2)
+    eng2 = cs.ContourEngine(T2, rep2, THETA, cs.ContourConfig(nodes=64))
+    rj = cs.omega_calculus(e, T2, rep2, engine=eng2)
+    explicit = four_ray_sum(e, T2, eng2, [1.0], unit_e12(2), nodes=65)[0]
+    gap_j = float(np.abs(cs.rho_matrix(rj.op) - explicit).max())
+    ok_j = gap_j <= 1e-12 * max(1.0, float(np.abs(explicit).max()))
 
     c = ctx["diag1m2"]
     rp1 = cs.omega_calculus(e, c["T"], c["rep"], cs.ContourConfig(phi=0.45))

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 import cliffspec as cs
-from cliffspec.quadrature import gauss_panels
 
-from conftest import OMEGA, THETA
+from conftest import OMEGA, THETA, four_ray_sum, non_normal_operator, unit_e12
 
 
 def combined(*results, floor=1e-9):
@@ -40,14 +39,17 @@ def test_jordan_block_oracle(reports):
     assert np.allclose(cs.rho_matrix(res.op), expected, atol=1e-6)
 
 
-def test_j_independence():
-    T = cs.CliffordOperator.from_real_matrix([[1.0, 0.0], [0.0, 2.0]], n=2)
+def test_j_independence(rng):
+    # the engine takes no slice: its f(T) for a Clifford-valued non-normal T
+    # is the explicit four-ray sum in the slice J = (e_1 + e_2)/sqrt 2
+    T = non_normal_operator(rng, 3)
     rep = cs.check_bisectorial(T, OMEGA)
     e = cs.regularizer(THETA)
-    r1 = cs.omega_calculus(e, T, rep, cs.ContourConfig(axis=0))
-    r2 = cs.omega_calculus(e, T, rep, cs.ContourConfig(
-        axis_vector=(1 / math.sqrt(2), 1 / math.sqrt(2))))
-    assert op_gap(r1.op, r2.op) <= combined(r1, r2)
+    eng = cs.ContourEngine(T, rep, THETA, cs.ContourConfig(nodes=64))
+    res = cs.omega_calculus(e, T, rep, engine=eng)
+    expected = four_ray_sum(e, T, eng, [1.0], unit_e12(3), nodes=65)[0]
+    gap = np.abs(cs.rho_matrix(res.op) - expected).max()
+    assert gap <= 1e-12 * max(1.0, np.abs(expected).max())
 
 
 def test_phi_independence(reports):
@@ -56,14 +58,6 @@ def test_phi_independence(reports):
     r1 = cs.omega_calculus(e, T, rep, cs.ContourConfig(phi=0.45))
     r2 = cs.omega_calculus(e, T, rep, cs.ContourConfig(phi=0.70))
     assert op_gap(r1.op, r2.op) <= combined(r1, r2)
-
-
-def test_gauss_rule_agrees(reports):
-    T, rep = reports["diag12"]
-    e = cs.regularizer(THETA)
-    r1 = cs.omega_calculus(e, T, rep)
-    r2 = cs.omega_calculus(e, T, rep, cs.ContourConfig(rule="gauss"))
-    assert op_gap(r1.op, r2.op) <= combined(r1, r2, floor=1e-8)
 
 
 def test_multiplication_operator_oracle():
@@ -320,11 +314,7 @@ def test_contour_config_validation():
     with pytest.raises(cs.ArgumentError):
         cs.ContourConfig(u_min=3.0, u_max=-3.0)
     with pytest.raises(cs.ArgumentError):
-        cs.ContourConfig(rule="simpson")
-    with pytest.raises(cs.ArgumentError):
         cs.ContourConfig(phi=2.0).resolve_phi(OMEGA, THETA)
-    with pytest.raises(cs.ArgumentError):
-        cs.ContourConfig(axis_vector=(1.0, 1.0)).unit(2)
 
 
 def test_oracle_equivalence_for_registry_rationals(reports):
@@ -358,63 +348,25 @@ def test_contour_below_sampled_angles_takes_c_phi_from_its_rays():
     assert op_gap(res.op, cs.rational_calculus(cs.regularizer(THETA), T)) <= combined(res)
 
 
-def _non_normal_operator(rng, n):
-    """Upper-triangular 2 x 2 over R_n with diagonal 1 + 0.2 e1 and -2 + 0.3 e2:
-    non-normal, with spectrum inside the double sector of angle OMEGA."""
-    coeffs = np.zeros((2, 2, 1 << n))
-    coeffs[0, 0, 0], coeffs[0, 0, 1] = 1.0, 0.2
-    coeffs[1, 1, 0], coeffs[1, 1, 2] = -2.0, 0.3
-    coeffs[0, 1] = rng.standard_normal(1 << n)
-    return cs.CliffordOperator(n, 2, coeffs)
-
-
-def _four_ray_family(f, T, eng, ts, nodes):
-    """f(tT) as the trapezoid sum over all four rays (see ``_four_ray_sum``)."""
-    u = np.linspace(eng.cfg.u_min, eng.cfg.u_max, nodes)
-    w = np.full(nodes, u[1] - u[0])
-    w[0] = w[-1] = 0.5 * (u[1] - u[0])
-    return _four_ray_sum(f, T, eng, ts, u, w)
-
-
-def _four_ray_sum(f, T, eng, ts, u, w):
-    """f(tT) as the sum with weights w over the nodes u = log r of all four
-    rays, with left_s_resolvent at every node z and at its conjugate, and
-    the slice scalar of each term applied as Re(c) A + Im(c) A rho(J)."""
-    r = np.exp(u)
-    rho_j = cs.rho_matrix(cs.CliffordOperator.scalar_mul(eng.axis, T.m))
-    terms = []
-    for branch in (1.0, -1.0):
-        for sign in (1.0, -1.0):
-            rot = np.exp(1j * branch * eng.phi)
-            for zk, wk, rk in zip(sign * r * rot, w, r):
-                s = cs.Paravector(zk.real, zk.imag * eng.axis.svec)
-                a = cs.rho_matrix(cs.left_s_resolvent(s, T))
-                terms.append((zk, branch * sign * rot * 1j * wk * rk / (2 * math.pi), a))
-    out = []
-    for t in ts:
-        total = np.zeros_like(terms[0][2])
-        for zk, weight, a in terms:
-            c = complex(f.eval_complex(t * zk)) * weight
-            total += c.real * a + c.imag * (a @ rho_j)
-        out.append(total)
-    return np.array(out)
-
-
 @pytest.mark.parametrize("spec", [
     {"name": "regularizer"},
     {"name": "rational", "params": {"num": [1.0, 1.0, 1.0, 0.0],
                                     "den": [1.0, 0.0, 2.0, 0.0, 1.0], "alpha": 1.0}},
     {"name": "e_alpha", "params": {"alpha": 0.5}},
 ], ids=["regularizer", "mixed-parity-rational", "e_alpha-0.5"])
-@pytest.mark.parametrize("n", [2, 3])
-def test_folded_family_matches_four_ray_sum(rng, n, spec):
-    T = _non_normal_operator(rng, n)
+@pytest.mark.parametrize("n, unit", [
+    (2, cs.unit_imag(2)), (3, cs.unit_imag(3)), (2, unit_e12(2)), (3, unit_e12(3)),
+], ids=["2", "3", "2-slice-e1+e2", "3-slice-e1+e2"])
+def test_folded_family_matches_four_ray_sum(rng, n, unit, spec):
+    # the explicit sum is taken in the slice e_1 or (e_1 + e_2)/sqrt 2; the
+    # engine's folded sum holds no slice and matches both
+    T = non_normal_operator(rng, n)
     f = cs.resolve_function(spec, theta=THETA)
     eng = cs.ContourEngine(T, cs.check_bisectorial(T, OMEGA), THETA,
                            cs.ContourConfig(nodes=64))
     ts = np.array([0.5, -0.5, 2.0, -3.0])
     mats, _, _ = eng.evaluate_family(f, ts)
-    expected = _four_ray_family(f, T, eng, ts, nodes=65)
+    expected = four_ray_sum(f, T, eng, ts, unit, nodes=65)
     assert np.abs(mats - expected).max() <= 1e-12 * max(1.0, np.abs(expected).max())
 
 
@@ -432,22 +384,3 @@ def test_non_finite_profile_at_negative_t_names_it():
         eng.evaluate_family(f, [-2.0])
     assert err.value.node["t"] == -2.0
     assert 2.0 * math.exp(err.value.node["u"]) > 5.0
-
-
-@pytest.mark.parametrize("n", [2, 3])
-def test_gauss_estimate_is_the_gap_between_fine_and_coarse_sums(rng, n):
-    # the Gauss rule's discretization estimate is ||fine sum - coarse sum||,
-    # the 8-point and the 4-point rule on the same panels of [u_min, u_max]
-    T = _non_normal_operator(rng, n)
-    cfg = cs.ContourConfig(nodes=64, rule="gauss", u_min=-12.0, u_max=12.0)
-    eng = cs.ContourEngine(T, cs.check_bisectorial(T, OMEGA), THETA, cfg)
-    f = cs.regularizer(THETA)
-    ts = np.array([0.5, -2.0])
-    mats, _, discs = eng.evaluate_family(f, ts)
-    fine = _four_ray_sum(f, T, eng, ts, *gauss_panels(cfg.u_min, cfg.u_max, 8, 8))
-    coarse = _four_ray_sum(f, T, eng, ts, *gauss_panels(cfg.u_min, cfg.u_max, 8, 4))
-    scale = max(1.0, np.abs(fine).max())
-    assert np.abs(mats - fine).max() <= 1e-12 * scale
-    gaps = [np.linalg.norm(a - b, 2) for a, b in zip(fine, coarse)]
-    assert np.all(np.abs(discs - gaps) <= 1e-12 * scale)
-    assert min(gaps) > 1e-9      # the two rules differ, so the estimate is live

@@ -359,16 +359,33 @@ def test_theta_below_omega_is_refused_before_any_work(tmp_path, capsys, monkeypa
     assert "phi" not in err
 
 
-def test_verify_refuses_a_frame_stage_beyond_the_memory_cap(tmp_path, capsys):
+def _assert_frame_stage_refused(tmp_path, capsys, monkeypatch, command, args):
     # n = 6, m = 8: the engine fits, but one 802-value family at D = 512 is
-    # 1.7 GB and the frame stage holds several
+    # 1.7 GB and the frame stage holds several; certifying raises, so a
+    # missing refusal fails at once instead of allocating
+    def certify(*_):
+        raise AssertionError("certification started before the memory refusal")
+
+    monkeypatch.setattr("cliffspec.cli.check_bisectorial", certify)
+    monkeypatch.setattr("cliffspec.suite.check_bisectorial", certify)
     op = tmp_path / "op.json"
     op.write_text(json.dumps(cs.operator_to_dict(cs.CliffordOperator.identity(6, 8))))
     start = time.perf_counter()
-    assert main(["verify", "--operator", str(op), "--out", str(tmp_path / "r.json")]) == 2
+    assert main([command, "--operator", str(op), "--out", str(tmp_path / "r.json")]
+                + args) == 2
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
     assert "frame stage at D = 512" in err and "GiB" in err
+
+
+def test_verify_refuses_a_frame_stage_beyond_the_memory_cap(tmp_path, capsys, monkeypatch):
+    _assert_frame_stage_refused(tmp_path, capsys, monkeypatch, "verify", [])
+
+
+def test_frame_refuses_a_frame_stage_beyond_the_memory_cap(tmp_path, capsys, monkeypatch):
+    g = tmp_path / "g.json"
+    g.write_text(json.dumps({"name": "regularizer"}))
+    _assert_frame_stage_refused(tmp_path, capsys, monkeypatch, "frame", ["--g", str(g)])
 
 
 def test_bisect_refuses_an_operator_whose_q_overflows(tmp_path, capsys):
