@@ -27,6 +27,7 @@ from .errors import (
 )
 from .functions import (
     IntrinsicFunction,
+    arctan_tails,
     product_function,
     regularizer,
     scale_function,
@@ -213,8 +214,7 @@ class ContourEngine:
         alpha, c_alpha = decay.alpha, decay.c_alpha
         a = abs(t) * math.exp(self.cfg.u_min)
         b = abs(t) * math.exp(self.cfg.u_max)
-        tail = math.atan(a ** alpha) + math.pi / 2 - math.atan(b ** alpha)
-        return 2.0 * self.c_phi * c_alpha * tail / (math.pi * alpha)
+        return 2.0 * self.c_phi * c_alpha * arctan_tails(a, b, alpha) / (math.pi * alpha)
 
     def evaluate(self, f: IntrinsicFunction):
         """Real-representation matrix of f(T) with error estimates."""

@@ -324,12 +324,17 @@ def f0_infty(f: IntrinsicFunction, direction: Paravector | None = None) -> float
     return float(np.real(total))
 
 
+def arctan_tails(a, b, alpha):
+    """atan(a^alpha) + pi/2 - atan(b^alpha), computed as
+    atan(a^alpha) + atan(b^-alpha), which keeps its relative accuracy where
+    both terms fall below the rounding of pi/2."""
+    return math.atan(a ** alpha) + math.atan2(1.0, b ** alpha)
+
+
 def f_ab_tail_bound(cert: DecayCertificate, a, b, scale=1.0):
     """Arctan bound for |f_ab - f_0inf| at |s| = scale."""
     alpha, c = cert.alpha, cert.c_alpha
-    return (2.0 * c / alpha) * (
-        math.atan((a * scale) ** alpha) + math.pi / 2 - math.atan((b * scale) ** alpha)
-    )
+    return (2.0 * c / alpha) * arctan_tails(a * scale, b * scale, alpha)
 
 
 def f_ab_function(f: IntrinsicFunction, a, b) -> IntrinsicFunction:

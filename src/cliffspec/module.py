@@ -175,43 +175,63 @@ def rho_stack(coeffs, n):
     return np.swapaxes(out, -3, -2).reshape(*lead, m * dim2, m * dim2)
 
 
+@lru_cache(maxsize=MAX_DIMENSION + 1)
+def _blade_matrix(n):
+    # gamma_j(e_A) as one real matrix from the coefficient index A to the
+    # real view (re, im) of the spinor indices (j, k, l)
+    gam = spinor_blades(n)
+    w = np.stack([gam.real, gam.imag], axis=-1).transpose(1, 0, 2, 3, 4)
+    out = w.reshape(gam.shape[1], -1)
+    out.setflags(write=False)
+    return out
+
+
 def block_form(coeffs, n):
-    """The kept blocks sum_A X_A (x) gamma_j(e_A) of rho(X), shape (r, km, km).
+    """The kept blocks sum_A X_A (x) gamma_j(e_A) of rho(X), shape (..., r, km, km),
+    for a coefficient array or a stack of them (..., m, m, 2^n).
 
     rho(X) is unitarily similar to copies of these blocks and of their
     complex conjugates (see ``spinor_blades``), so its norm, sigma_min and
     eigenvalues are those of the blocks.
     """
-    gam = spinor_blades(n)
-    r, _, k, _ = gam.shape
-    m = coeffs.shape[0]
-    out = np.einsum("ija,rakl->rikjl", coeffs, gam).reshape(r, m * k, m * k)
+    r, _, k, _ = spinor_blades(n).shape
+    *lead, m, _, _ = coeffs.shape
+    with np.errstate(over="ignore", invalid="ignore"):   # refused below
+        out = np.ascontiguousarray(coeffs @ _blade_matrix(n)).view(complex)
+    out = np.moveaxis(out.reshape(*lead, m, m, r, k, k), (-3, -2), (-5, -3))
+    out = out.reshape(*lead, r, m * k, m * k)
     if not np.all(np.isfinite(out)):
         raise NumericalFailureError("the spinor blocks of rho are not finite: "
                                     "the sums of the coefficients overflow")
     return out
 
 
-@lru_cache(maxsize=MAX_DIMENSION + 1)
-def _block_readout(n):
-    # X_A = (1 / (r k)) sum_j Re tr(gamma_j(e_A)^H B_j), as one real matrix
-    # acting on the real view (re, im) of the spinor indices (j, k, l)
-    gam = spinor_blades(n)
-    r, dim2, k, _ = gam.shape
-    w = np.stack([gam.real, gam.imag], axis=-1).transpose(0, 2, 3, 4, 1)
-    out = w.reshape(r * k * k * 2, dim2) / (r * k)
-    out.setflags(write=False)
-    return out
-
-
 def coeffs_from_blocks(blocks, n):
-    """Inverse of ``block_form`` on a stack (..., r, km, km) of blocks."""
+    """Inverse of ``block_form`` on a stack (..., r, km, km) of blocks:
+    X_A = (1 / (r k)) sum_j Re tr(gamma_j(e_A)^H B_j), one real GEMM on the
+    real view of the spinor indices."""
     *lead, r, d, _ = blocks.shape
     k = 1 << (n // 2)
     m = d // k
     b = blocks.reshape(*lead, r, m, k, m, k)
     b = np.ascontiguousarray(np.moveaxis(b, (-4, -2), (-5, -4)))   # (..., i, j, r, k, l)
-    return b.view(np.float64).reshape(*lead, m, m, 2 * r * k * k) @ _block_readout(n)
+    return (b.view(np.float64).reshape(*lead, m, m, 2 * r * k * k)
+            @ _blade_matrix(n).T) / (r * k)
+
+
+def _rho_coeffs(stack, n):
+    # entry (i, j) of each Clifford matrix, read off the mask-0 column of
+    # block (i, j) of its rho
+    dim2 = 1 << n
+    *lead, d, _ = stack.shape
+    m = d // dim2
+    return np.swapaxes(stack.reshape(*lead, m, dim2, m, dim2)[..., 0], -1, -2)
+
+
+def blocks_from_rho(stack, n):
+    """The spinor blocks (``block_form``) of each matrix in a stack of rho
+    matrices (..., D, D); each must lie in the image of rho."""
+    return block_form(_rho_coeffs(np.asarray(stack, dtype=float), n), n)
 
 
 def spectral_norm(stack):
@@ -238,8 +258,7 @@ def operator_from_real(matrix, n, m) -> CliffordOperator:
         raise DimensionMismatchError(
             f"expected ({m * dim2}, {m * dim2}) real matrix, got {matrix.shape}"
         )
-    blocks = matrix.reshape(m, dim2, m, dim2)
-    return CliffordOperator(n, m, blocks[:, :, :, 0].transpose(0, 2, 1).copy())
+    return CliffordOperator(n, m, _rho_coeffs(matrix, n).copy())
 
 
 def inner_product(v: ModuleVector, w: ModuleVector) -> CliffordNum:

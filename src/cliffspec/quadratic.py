@@ -4,7 +4,9 @@ The square-integral of t -> ||g(tT)v|| against dt/|t| is discretized on a
 log grid over both signs of t.  Assembling the weighted Gram matrix
 Theta = sum_k w_k rho(g(t_k T))^T rho(g(t_k T)) turns the two-sided frame
 inequality into an eigenvalue problem: the extreme eigenvalues of Theta are
-the squares of the best constants for the discretized integral.
+the squares of the best constants for the discretized integral.  Theta is
+assembled and solved on the spinor blocks of the family (``module.block_form``)
+and mapped back to D x D only to be reported.
 
 Every function here takes the certificate of T as its input: a
 BisectorReport, or a family (an engine, for the dyadic sign identity) built
@@ -26,11 +28,20 @@ from .calculus import (
     _check_report,
     _ErrorBudget,
 )
+from .clifford import spinor_blades
 from .errors import ArgumentError
 from .functions import IntrinsicFunction
-from .module import CliffordOperator, ModuleVector, operator_norm, spectral_norm
+from .module import (
+    CliffordOperator,
+    ModuleVector,
+    blocks_from_rho,
+    coeffs_from_blocks,
+    operator_norm,
+    rho_stack,
+    spectral_norm,
+)
 from .quadrature import pairwise_sum, trapezoid_grid
-from .spectrum import BisectorReport, check_bisectorial
+from .spectrum import _CHUNK, BisectorReport, check_bisectorial
 
 MAX_SIGN_WINDOW = 20  # exact enumeration cap on 2n
 
@@ -63,14 +74,22 @@ def default_quad_grid(T: CliffordOperator, nodes=400) -> QuadGridConfig:
 
 
 def check_frame_memory(T: CliffordOperator, nodes, n_g=1, jobs=1):
-    """Refuse a frame stage whose stacks of quadrature-grid matrices would
-    exceed the engine cap: the kept family of each of n_g functions g and,
-    per running job, the T* family, the Gram stack, its weighted copy and the
-    A^T A stack of the scale (about 5 stacks with one g, measured at D = 64
-    and 128).  ``nodes`` is the per-sign node count of the grid."""
+    """Refuse a frame stage whose stacks of quadrature-grid values would
+    exceed the engine cap.  ``nodes`` is the per-sign node count of the grid.
+
+    Each of the n_g functions g keeps its family as D x D matrices (8 D^2
+    bytes a value) and as spinor blocks (16 r (km)^2 bytes a value).  Each
+    running job holds at its peak the larger of four block stacks (the
+    blocks of the family of T or T*, the Gram stack, its weighted copy and
+    the A^H A stack of the scale) and the two D x D arrays into which
+    ``evaluate_family`` maps one chunk of values back.
+    """
+    values = 2 * (nodes | 1)
     dim = T.m << T.n
-    stack = 8 * dim * dim * 2 * (nodes | 1)
-    need = stack * (n_g + 4 * min(jobs, n_g))
+    r, _, k, _ = spinor_blades(T.n).shape
+    dense, block = 8 * dim * dim, 16 * r * (k * T.m) ** 2
+    job = max(4 * block * values, 2 * _CHUNK * dense)
+    need = n_g * (dense + block) * values + min(jobs, n_g) * job
     if need > _MAX_ENGINE_BYTES:
         raise ArgumentError(
             f"frame stage at D = {dim} with {n_g} g needs about {need / 2 ** 30:.3g} "
@@ -123,16 +142,10 @@ def frame_operator(g: IntrinsicFunction, T: CliffordOperator,
                    cfg: ContourConfig | None = None,
                    report: BisectorReport | None = None,
                    family=None):
-    """Weighted Gram matrix Theta of the family t -> rho(g(tT)); symmetric PSD."""
-    t, w, mats, truncs, discs = _family(g, T, qcfg, cfg, report, family)
-    grams = np.einsum("kca,kcb->kab", mats, mats)
-    theta = pairwise_sum(w[:, None, None] * grams)
-    theta = 0.5 * (theta + theta.T)
-    # error estimates enter the quadratic form linearly through the factors
-    scale = spectral_norm(mats)
-    trunc = float(np.dot(w, 2.0 * scale * truncs + truncs ** 2))
-    disc = float(np.dot(w, 2.0 * scale * discs + discs ** 2))
-    return theta, trunc, disc
+    """Weighted Gram matrix Theta of the family t -> rho(g(tT)); symmetric PSD.
+    Returns (Theta, truncation estimate, discretization estimate)."""
+    fb = frame_bounds(g, T, qcfg, cfg, report, family)
+    return fb.theta, fb.truncation_error, fb.discretization_error
 
 
 def frame_bounds(g: IntrinsicFunction, T: CliffordOperator,
@@ -140,13 +153,31 @@ def frame_bounds(g: IntrinsicFunction, T: CliffordOperator,
                  cfg: ContourConfig | None = None,
                  report: BisectorReport | None = None,
                  family=None) -> FrameBounds:
-    """Best discretized frame constants (c, d) as extreme eigenvalues of Theta."""
-    theta, trunc, disc = frame_operator(g, T, qcfg, cfg, report, family)
-    eig = np.linalg.eigvalsh(theta)
+    """Best discretized frame constants (c, d) as extreme eigenvalues of Theta.
+
+    Theta = sum_k w_k B_k^H B_k is assembled and solved on the spinor blocks
+    B_k of the family; rho of Theta holds D / (r km) = 2^(n - n // 2) / r
+    copies of each block or its conjugate, so each block eigenvalue repeats
+    that often in ``eigenvalues``, and ``theta`` is mapped back to D x D.
+    For intrinsic g, rho(g(tT*)) = rho(g(tT))^T: the transposed family of T,
+    passed with T*, gives the frame bounds of T* with the claimed errors of
+    T, since ||M^T|| = ||M||.
+    """
+    t, w, mats, truncs, discs = _family(g, T, qcfg, cfg, report, family)
+    blocks = blocks_from_rho(mats, T.n)
+    # error estimates enter the quadratic form linearly through the factors
+    scale = spectral_norm(blocks).max(axis=-1)
+    trunc = float(np.dot(w, 2.0 * scale * truncs + truncs ** 2))
+    disc = float(np.dot(w, 2.0 * scale * discs + discs ** 2))
+    grams = np.swapaxes(blocks, -1, -2).conj() @ blocks
+    theta = pairwise_sum(w[:, None, None, None] * grams)
+    theta = 0.5 * (theta + np.swapaxes(theta, -1, -2).conj())
+    lam = np.linalg.eigvalsh(theta)
+    eig = np.sort(np.repeat(lam.ravel(), (1 << (T.n - T.n // 2)) // lam.shape[0]))
     return FrameBounds(
         c_lower=float(math.sqrt(max(eig[0], 0.0))),
         d_upper=float(math.sqrt(max(eig[-1], 0.0))),
-        theta=theta,
+        theta=rho_stack(coeffs_from_blocks(theta, T.n), T.n),
         eigenvalues=eig,
         truncation_error=trunc,
         discretization_error=disc,

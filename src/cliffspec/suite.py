@@ -27,7 +27,7 @@ from .functions import (
     regularizer,
     resolve_function,
 )
-from .module import CliffordOperator, rho_matrix, spectral_norm
+from .module import CliffordOperator, blocks_from_rho, rho_matrix, spectral_norm
 from .quadratic import check_frame_memory, default_quad_grid, frame_bounds, weighted_norms2
 from .quadrature import pairwise_sum, trapezoid_grid
 from .serialization import bisector_report_dict, frame_report_dict, operator_to_dict
@@ -177,28 +177,29 @@ def run_theorem_suite(T: CliffordOperator, g_specs=None, f_specs=None,
     c_theta = bisector.c_at(theta)
     engine = ContourEngine(T, bisector, theta, cfg)
     t_star = T.adjoint()
-    bisector_star = check_bisectorial(t_star, config.omega, RaySampling(phis=phis))
-    engine_star = ContourEngine(t_star, bisector_star, theta, cfg)
     qcfg = default_quad_grid(T, config.quad_nodes)
 
     # stage: frame bounds for each g on T and T* ---------------------------
     t_grid, w_grid = qcfg.grid()
 
     def frames_for(args):
+        # for intrinsic g the family of T* is the transposed family of T
         _, g = args
         fam = (t_grid, w_grid) + engine.evaluate_family(g, t_grid)
+        _, _, mats, truncs, discs = fam
         fb = frame_bounds(g, T, qcfg, cfg, family=fam)
-        fam_star = (t_grid, w_grid) + engine_star.evaluate_family(g, t_grid)
-        fb_star = frame_bounds(g, t_star, qcfg, cfg, family=fam_star)
-        return fb, fb_star, fam
+        fb_star = frame_bounds(g, t_star, qcfg, cfg, family=(
+            t_grid, w_grid, np.swapaxes(mats, -1, -2), truncs, discs))
+        return fb, fb_star, fam, blocks_from_rho(mats, T.n)
 
     if config.jobs > 1:
         with ThreadPoolExecutor(max_workers=config.jobs) as pool:
             frame_results = list(pool.map(frames_for, gs))
     else:
         frame_results = [frames_for(item) for item in gs]
-    frames = {name: (fb, fbs) for (name, _), (fb, fbs, _) in zip(gs, frame_results)}
-    families = {name: fam for (name, _), (_, _, fam) in zip(gs, frame_results)}
+    frames = {name: (fb, fbs) for (name, _), (fb, fbs, _, _) in zip(gs, frame_results)}
+    families = {name: (fam, blocks)
+                for (name, _), (_, _, fam, blocks) in zip(gs, frame_results)}
     report["frames"] = {
         name: {"T": frame_report_dict(fb), "Tstar": frame_report_dict(fbs)}
         for name, (fb, fbs) in frames.items()
@@ -225,11 +226,11 @@ def run_theorem_suite(T: CliffordOperator, g_specs=None, f_specs=None,
     sandwich_vecs = rng.standard_normal((config.n_sandwich, T.m << T.n))
     for gname, g in gs:
         fb, fb_star = frames[gname]
-        fam = families[gname]
+        fam, blocks = families[gname]
         records.extend(_frame_sandwich_records(gname, fb, sandwich_vecs, fam,
                                                fb.combined_error + 1e-9))
         records.extend(_composition_bound_records(gname, g, engine, c_theta,
-                                                  fam, config, rng))
+                                                  fam, blocks, config, rng))
         egg = f0_infty(product_function(e, g, g))
         records.append(_record(f"regularized_square_positive[g={gname}]", 1e-12, egg))
         records.append(_dyadic_splitting_upper(gname, g, T, fb, hinf))
@@ -246,7 +247,9 @@ def run_theorem_suite(T: CliffordOperator, g_specs=None, f_specs=None,
     records.extend(_fab_ladder_records(T, bisector, cfg, theta, engine))
     stages.append({"name": "convergence", "status": "done"})
 
-    # stage: adjoint identity -----------------------------------------------
+    # stage: adjoint identity, on its own certificate and engine for T* -----
+    bisector_star = check_bisectorial(t_star, config.omega, RaySampling(phis=phis))
+    engine_star = ContourEngine(t_star, bisector_star, theta, cfg)
     for fname, (f, res, norm) in hinf.items():
         res_star = hinf_calculus(f, t_star, bisector_star, cfg, engine=engine_star)
         gap_norm = float(spectral_norm(rho_matrix(res_star.op) - rho_matrix(res.op).T))
@@ -273,34 +276,40 @@ def _frame_sandwich_records(gname, fb, xs, family, quad_tol):
     ]
 
 
-def _composition_bound_records(gname, g, engine, c_theta, family, config, rng):
-    """Composition bounds: uniform, integrated, and the square-kernel form."""
+def _composition_bound_records(gname, g, engine, c_theta, family, blocks, config, rng):
+    """Composition bounds: uniform, integrated, and the square-kernel form.
+
+    Products and norms run on the spinor blocks: the norm of rho(g(tT) g(tau T))
+    is the largest norm of the products of its blocks; ``blocks`` holds those
+    of the family."""
     alpha, c_alpha = g.decay.alpha, g.decay.c_alpha
     sup_g = g.bounded.sup_norm
+    n = engine.T.n
     records = []
+
+    def family_blocks(ts):
+        return blocks_from_rho(engine.evaluate_family(g, ts)[0], n)
+
+    def norms(prods):
+        return spectral_norm(prods).max(axis=-1)
 
     # i) uniform bound at random parameter pairs
     pairs = 10.0 ** rng.uniform(-3, 3, size=(config.n_uniform_pairs, 2))
     signs = rng.choice([-1.0, 1.0], size=(config.n_uniform_pairs, 2))
     ts = pairs * signs
-    mats_t, _, _ = engine.evaluate_family(g, ts[:, 0])
-    mats_tau, _, _ = engine.evaluate_family(g, ts[:, 1])
-    prods = np.einsum("kab,kbc->kac", mats_t, mats_tau)
-    lhs_i = float(np.max(spectral_norm(prods)))
+    lhs_i = float(np.max(norms(family_blocks(ts[:, 0]) @ family_blocks(ts[:, 1]))))
     rhs_i = c_theta * c_alpha / alpha * sup_g
     records.append(_record(f"composition_uniform_bound[f=g={gname}]", lhs_i, rhs_i))
 
     # ii) dt/|t| integral of the composition norm at random tau
-    t_grid, w_grid, fam, _, _ = family
+    t_grid, w_grid = family[:2]
     taus = 10.0 ** rng.uniform(-2, 2, size=config.n_integral_taus) * rng.choice(
         [-1.0, 1.0], size=config.n_integral_taus)
     rhs_ii = c_theta * c_alpha * c_alpha * math.pi / (2.0 * alpha * alpha)
     lhs_ii = 0.0
     for tau in taus:
-        m_tau, _, _ = engine.evaluate_family(g, [tau])
-        prods = fam @ m_tau[0]
-        norms = spectral_norm(prods)
-        lhs_ii = max(lhs_ii, float(pairwise_sum(w_grid * norms)))
+        prods = blocks @ family_blocks([tau])[0]
+        lhs_ii = max(lhs_ii, float(pairwise_sum(w_grid * norms(prods))))
     records.append(_record(f"composition_integral_bound[f=g={gname}]", lhs_ii, rhs_ii))
 
     # iii) square-kernel inequality with an indicator-weighted sample family
@@ -311,16 +320,16 @@ def _composition_bound_records(gname, g, engine, c_theta, family, config, rng):
     t3 = np.exp(u)
     t3 = np.concatenate([t3, -t3])
     w3 = np.concatenate([w3, w3])
-    fam3, _, _ = engine.evaluate_family(g, t3)
+    fam3 = family_blocks(t3)
     # g(tT) and g(tau T) commute, so the kernel is symmetric: the norms of
     # the products k <= l fill both triangles, one row at a time
-    norms = np.empty((2 * n3, 2 * n3))
+    kernel = np.empty((2 * n3, 2 * n3))
     for k in range(2 * n3):
-        norms[k, k:] = norms[k:, k] = spectral_norm(np.matmul(fam3[k], fam3[k:]))
+        kernel[k, k:] = kernel[k:, k] = norms(fam3[k] @ fam3[k:])
     lo, hi = sorted(10.0 ** rng.uniform(-2, 2, size=2))
     hi = max(hi, 10.0 * lo)  # keep the indicator window from missing every node
     psi = np.where((np.abs(t3) >= lo * center) & (np.abs(t3) <= hi * center), 1.0, 0.0)
-    inner = norms.T @ (w3 * psi)          # integral over t for each tau
+    inner = kernel.T @ (w3 * psi)          # integral over t for each tau
     lhs_iii = float(pairwise_sum(w3 * inner ** 2))
     rhs_iii = rhs_ii ** 2 * float(pairwise_sum(w3 * psi ** 2))
     records.append(_record(f"composition_square_kernel[f=g={gname}]", lhs_iii, rhs_iii))

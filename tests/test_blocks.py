@@ -1,5 +1,8 @@
 """The spinor-block map: blades, the coefficient round trip, and agreement of
-norms, sigma_min, eigenvalues, products and inverses with rho."""
+norms, sigma_min, eigenvalues, products and inverses with rho; the
+composition norms and frame Grams on the blocks against their D x D forms."""
+
+import math
 
 import numpy as np
 import pytest
@@ -8,7 +11,9 @@ from hypothesis import given, settings, strategies as st
 import cliffspec as cs
 from cliffspec.calculus import _stored_nodes
 from cliffspec.clifford import multiplication_table, spinor_blades
-from cliffspec.module import block_form, coeffs_from_blocks, spectral_norm
+from cliffspec.module import block_form, blocks_from_rho, coeffs_from_blocks, spectral_norm
+from cliffspec.quadrature import pairwise_sum, trapezoid_grid
+from cliffspec.suite import _composition_bound_records
 
 from conftest import OMEGA, THETA
 
@@ -85,3 +90,103 @@ def test_engine_stores_the_blocks_only(n):
     assert _stored_nodes(cfg) == 2 * 65 == eng.z.size
     assert eng.P.nbytes == eng.z.size * r * (k * m) ** 2 * 16
     assert eng.A.shape == (eng.z.size, m << n, m << n)
+
+
+@pytest.fixture(scope="module", params=range(1, 5), ids=lambda n: f"n{n}")
+def family_ctx(request):
+    """A random non-normal T over R_n (2 x 2, upper triangular, diagonal
+    1 + 0.2 e_1 and -2 + 0.3 e_n), its engine, and the regularizer family."""
+    n = request.param
+    coeffs = np.zeros((2, 2, 1 << n))
+    coeffs[0, 0, 0], coeffs[0, 0, 1] = 1.0, 0.2
+    coeffs[1, 1, 0], coeffs[1, 1, 1 << (n - 1)] = -2.0, 0.3
+    coeffs[0, 1] = np.random.default_rng(n).standard_normal(1 << n)
+    T = cs.CliffordOperator(n, 2, coeffs)
+    cfg = cs.ContourConfig(nodes=400)
+    eng = cs.ContourEngine(T, cs.check_bisectorial(T, OMEGA), THETA, cfg)
+    g = cs.regularizer(THETA)
+    t, w = cs.default_quad_grid(T, 64).grid()
+    return T, cfg, eng, g, (t, w) + eng.evaluate_family(g, t)
+
+
+def test_composition_norms_on_blocks_match_dense(family_ctx):
+    # the three product patterns of the composition records: pairs, the
+    # family against one value, and one row of the square kernel
+    T, _, eng, g, (t, _, mats, _, _) = family_ctx
+    blocks = blocks_from_rho(mats, T.n)
+    one = eng.evaluate_family(g, [-0.7])[0]
+    cases = [(mats[:-1] @ mats[1:], blocks[:-1] @ blocks[1:]),
+             (mats @ one[0], blocks @ blocks_from_rho(one, T.n)[0]),
+             (mats[5] @ mats[5:], blocks[5] @ blocks[5:])]
+    for dense, block in cases:
+        want = np.linalg.svd(dense, compute_uv=False)[:, 0]
+        assert np.all(np.abs(spectral_norm(block).max(axis=-1) - want) <= 1e-12 * want)
+
+
+def test_composition_records_match_their_dense_form(family_ctx):
+    T, _, eng, g, family = family_ctx
+    g = g.with_bounded(cs.certify_bounded(g))
+    config = cs.SuiteConfig(n_uniform_pairs=3, n_integral_taus=2, kernel_grid=8)
+    blocks = blocks_from_rho(family[2], T.n)
+    records = _composition_bound_records("g", g, eng, 1.0, family, blocks, config,
+                                         np.random.default_rng(5))
+    # the same draws, products and norms on the D x D values
+    rng = np.random.default_rng(5)
+    t_grid, w_grid, mats = family[:3]
+
+    def dense(ts):
+        return eng.evaluate_family(g, ts)[0]
+
+    def norms(prods):
+        return np.linalg.svd(prods, compute_uv=False)[..., 0]
+
+    ts = 10.0 ** rng.uniform(-3, 3, size=(3, 2)) * rng.choice([-1.0, 1.0], size=(3, 2))
+    lhs_i = norms(dense(ts[:, 0]) @ dense(ts[:, 1])).max()
+    taus = 10.0 ** rng.uniform(-2, 2, size=2) * rng.choice([-1.0, 1.0], size=2)
+    lhs_ii = max(pairwise_sum(w_grid * norms(mats @ dense([tau])[0])) for tau in taus)
+    center = math.sqrt(np.abs(t_grid).min() * np.abs(t_grid).max())
+    u, w3 = trapezoid_grid(math.log(center) - 3 * math.log(10.0),
+                           math.log(center) + 3 * math.log(10.0), 8)
+    t3, w3 = np.concatenate([np.exp(u), -np.exp(u)]), np.concatenate([w3, w3])
+    fam3 = dense(t3)
+    kernel = norms(fam3[:, None] @ fam3[None, :])
+    lo, hi = sorted(10.0 ** rng.uniform(-2, 2, size=2))
+    hi = max(hi, 10.0 * lo)
+    psi = ((np.abs(t3) >= lo * center) & (np.abs(t3) <= hi * center)).astype(float)
+    lhs_iii = pairwise_sum(w3 * (kernel.T @ (w3 * psi)) ** 2)
+    for record, want in zip(records, (lhs_i, lhs_ii, lhs_iii)):
+        assert record["lhs"] == pytest.approx(want, rel=1e-12)
+
+
+def test_frame_bounds_on_blocks_match_the_dense_gram(family_ctx):
+    T, _, _, g, family = family_ctx
+    _, w, mats, _, _ = family
+    fb = cs.frame_bounds(g, T, family=family)
+    dense = pairwise_sum(w[:, None, None] * np.einsum("kca,kcb->kab", mats, mats))
+    scale = np.linalg.norm(dense, 2)
+    assert np.abs(fb.theta - dense).max() <= 1e-13 * scale
+    # every block eigenvalue, once for each copy of its block in rho
+    assert fb.eigenvalues.shape == (T.m << T.n,)
+    assert np.abs(fb.eigenvalues - np.linalg.eigvalsh(fb.theta)).max() <= 1e-13 * scale
+
+
+def test_transposed_family_gives_the_frames_of_the_adjoint(family_ctx):
+    T, cfg, _, g, family = family_ctx
+    t, w, mats, truncs, discs = family
+    t_star = T.adjoint()
+    fb = cs.frame_bounds(g, T, family=family)
+    fb_star = cs.frame_bounds(g, t_star, family=(t, w, np.swapaxes(mats, -1, -2),
+                                                 truncs, discs))
+    assert (fb_star.truncation_error, fb_star.discretization_error) == pytest.approx(
+        (fb.truncation_error, fb.discretization_error), rel=1e-14)
+    dense = pairwise_sum(w[:, None, None] * np.einsum("kac,kbc->kab", mats, mats))
+    assert np.abs(fb_star.theta - dense).max() <= 1e-13 * np.linalg.norm(dense, 2)
+    # against the frames of T* on its own certificate and engine
+    eng_star = cs.ContourEngine(t_star, cs.check_bisectorial(t_star, OMEGA), THETA, cfg)
+    fb_ind = cs.frame_bounds(g, t_star, family=(t, w) + eng_star.evaluate_family(g, t))
+    tol = fb_star.combined_error + fb_ind.combined_error
+    gaps = (np.linalg.norm(fb_star.theta - fb_ind.theta, 2),
+            np.abs(fb_star.eigenvalues - fb_ind.eigenvalues).max())
+    assert max(gaps) <= tol
+    # the claims are loose on this coarse contour; the gaps are at roundoff
+    assert max(gaps) <= 1e-12 * np.linalg.norm(dense, 2)

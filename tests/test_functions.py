@@ -1,10 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 import cliffspec as cs
-from cliffspec.functions import DEFAULT_THETA, _sample_points
+from cliffspec.functions import DEFAULT_THETA, _sample_points, arctan_tails
 
 
 def test_regularizer_value_at_one():
@@ -293,3 +294,25 @@ def test_registry_profiles_are_conjugate_symmetric(spec):
     z = _sample_points(f.theta, 300)
     np.testing.assert_allclose(f.eval_complex(np.conj(z)), np.conj(f.eval_complex(z)),
                                rtol=1e-14, atol=0.0)
+
+
+def test_arctan_tails_keep_tails_below_the_rounding_of_pi_over_2():
+    # alpha = 2, t = 2.5e-4 on the default window [e^-30, e^30]: both tails
+    # are below the rounding of pi/2, so atan(a^2) + pi/2 - atan(b^2) is 0
+    alpha, t = 2.0, 2.5e-4
+    a, b = t * math.exp(-30.0), t * math.exp(30.0)
+    assert math.atan(a ** alpha) + math.pi / 2 - math.atan(b ** alpha) == 0.0
+    tails = arctan_tails(a, b, alpha)
+    assert tails == pytest.approx(a ** alpha + b ** -alpha, rel=1e-15)
+    assert tails > 1e-19
+    cert = cs.DecayCertificate(alpha, 1.0)
+    assert cs.f_ab_tail_bound(cert, a, b) == 2.0 / alpha * tails
+    T = cs.CliffordOperator.from_real_matrix([[1.0]], n=1)
+    eng = cs.ContourEngine(T, cs.check_bisectorial(T, 0.2), 0.6, cs.ContourConfig(nodes=16))
+    assert eng.truncation_bound(cert, t) == pytest.approx(
+        2.0 * eng.c_phi * tails / (math.pi * alpha), rel=1e-15)
+    # where the complement form is accurate, the two forms agree
+    for a, b, alpha in itertools.product((0.5, 1.0, 2.0), (0.5, 1.0, 2.0), (0.5, 1.0, 2.0)):
+        if b >= a:
+            old = math.atan(a ** alpha) + math.pi / 2 - math.atan(b ** alpha)
+            assert abs(arctan_tails(a, b, alpha) - old) <= 1e-15 * old
