@@ -9,7 +9,13 @@ families f(tT) cheap: only the scalar factors change between nodes.
 
 Error accounting: the truncation estimate comes from the decay certificate
 and the sampled resolvent bound; the discretization estimate is the gap
-between the sums over the even and the odd nodes (see ``evaluate_family``).
+between the sums over the even and the odd nodes plus a roundoff bound of
+those sums (see ``ContourEngine._contract``).
+
+Families on a log grid whose step is a whole number of contour steps (see
+``quadratic.lattice_contour``) read their profile values off one sequence
+per ray, since t_j z_k then depends on j and k only through a lattice
+index; the f_ab ladder integrates on the same lattice (``f_ab_nodes``).
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ from .module import (
     rho_stack,
     spectral_norm,
 )
-from .quadrature import gl_panel_grid, pairwise_sum, trapezoid_grid
+from .quadrature import gl_cell_rule, gl_panel_grid, trapezoid_grid
 from .spectrum import (
     _CHUNK,
     BisectorReport,
@@ -159,10 +165,18 @@ class ContourEngine:
                 "use fewer nodes")
         n = cfg.nodes | 1
         u, w_ray = trapezoid_grid(cfg.u_min, cfg.u_max, n)
+        # the step in u, from the config as linspace takes it: u[1] - u[0]
+        # drifts by 1e-13 relative, which lattice positions far along would
+        # multiply by their index
+        self.step = (cfg.u_max - cfg.u_min) / (n - 1)
         # nodes are stored [even | odd], each parity ray by ray, so the two
         # partial sums contract slices of P; n is odd, so n + 1 are even
         order = np.argsort(np.tile(np.arange(n) % 2, 2), kind="stable")
-        self._split = n + 1
+        ns = n + 1
+        self._halves = (slice(0, ns), slice(ns, None))
+        # ray (0 for sign +1, 1 for sign -1) and index in u of each stored node
+        self._ray, self._k = np.divmod(order, n)
+        self.u_ray = u
         sign = np.repeat([1.0, -1.0], n)[order]
         u_all = np.tile(u, 2)[order]
         r = np.exp(u_all)
@@ -176,7 +190,12 @@ class ContourEngine:
         # slice scalar of each node: its weight in u, dr = e^u du, the 1/(2 pi)
         # prefactor and the direction factor sign e^{i phi} i of the ray
         phase = sign * np.exp(1j * self.phi) * 1j / (2.0 * math.pi)
-        self._coef = np.tile(w_ray, 2)[order] * r * phase
+        weight = np.tile(w_ray, 2)[order] * r
+        self._coef = weight * phase
+        # c conj(z) = i w r^2 / (2 pi), so alpha = fa Im F and
+        # beta = fb Im(e^{i phi} F) node by node (see ``_node_terms``)
+        self._fa = -weight * r / math.pi
+        self._fb = -weight * sign / math.pi
 
         # rho(J) on the slice e_1, for the C_phi fallback and the assembled A
         self._bj = unit_blocks(unit_imag(T.n), T.m)
@@ -201,6 +220,12 @@ class ContourEngine:
                                                    np.imag(self.z), r, self._bj)
         # the real view keeps the alpha, beta contractions on real GEMMs
         self._p_flat = self.P.view(np.float64).reshape(self.P.shape[0], -1)
+        # roundoff of the node sums (Higham, Accuracy and Stability, 3.1):
+        # gamma_N sum_k (|alpha_k| + ||T|| |beta_k|) ||P_k||_F over N terms
+        terms = 2 * n * np.finfo(float).eps
+        self._gamma = terms / (1.0 - terms)
+        self._p_fro = np.sqrt(np.einsum("ij,ij->i", self._p_flat, self._p_flat))
+        self._t_norm = float(spectral_norm(self._bt).max())
 
     @property
     def A(self):
@@ -221,35 +246,40 @@ class ContourEngine:
         mats, truncs, discs = self.evaluate_family(f, [1.0])
         return mats[0], float(truncs[0]), float(discs[0])
 
-    def evaluate_family(self, f: IntrinsicFunction, ts):
-        """Stack of f(t T) matrices for a whole vector of nonzero scalings.
+    def evaluate_family(self, f: IntrinsicFunction, ts, stride=None):
+        """Stack of f(t T) matrices for a whole vector of nonzero finite
+        scalings, with their truncation and discretization estimates.
 
-        The profile is evaluated once per distinct |t|.  Each node is
-        contracted once: the sums S_0, S_1 over the even and the odd nodes
-        give the value S_0 + S_1 and, by comparison with the half-resolution
-        rule 2 S_0, the discretization estimate ||S_1 - S_0||.
+        The profile is evaluated once per distinct |t|.  With ``stride`` p,
+        the distinct |t| must be consecutive points exp(x_0 + j p h) of the
+        log lattice of the contour, h its step (the quadrature grids of
+        ``quadratic.lattice_contour`` are): then |t_j| z_k lies at lattice
+        point j p + k, and the profile is evaluated once per lattice point
+        on each ray sign instead of once per scaling and node.
         """
         if f.decay is None:
             raise PreconditionError("contour calculus requires a decay certificate")
-        ts = np.asarray(ts, dtype=float)
+        ts = np.asarray(ts, dtype=float).ravel()
+        bad = ~np.isfinite(ts) | (ts == 0.0)
+        if np.any(bad):
+            raise ArgumentError(f"scaling t={ts[bad][0]} must be nonzero and finite")
         mats = np.empty((ts.size, self.dim, self.dim))
         discs = np.empty(ts.size)
-        ns = self._split
-        s0, y = np.real(self.z), np.imag(self.z)
-        shape = self._bt.shape
-
-        def contract(coef, sl):
-            # node z and its conjugate, with slice scalars c and conj c, sum
-            # to alpha P - T beta P; alpha and beta are fresh contiguous
-            # arrays, which keeps matmul on the fast BLAS path
-            alpha = 2.0 * (coef.real * s0[sl] + coef.imag * y[sl])
-            beta = 2.0 * coef.real
-            nb = coef.shape[0]
-            sum_a = (alpha @ self._p_flat[sl]).view(complex).reshape(nb, *shape)
-            sum_b = (beta @ self._p_flat[sl]).view(complex).reshape(nb, *shape)
-            return sum_a - self._bt @ sum_b
-
         mags, which = np.unique(np.abs(ts), return_inverse=True)
+        if stride is None:
+            parts = self._node_parts(f, ts, mags, which)
+        else:
+            parts = self._lattice_parts(f, ts, mags, which, stride)
+        for rows, picks, terms in parts:
+            values, estimates = self._contract(terms)
+            mats[rows], discs[rows] = values[picks], estimates[picks]
+        truncs = np.array([self.truncation_bound(f.decay, t) for t in ts])
+        return mats, truncs, discs
+
+    def _node_parts(self, f, ts, mags, which):
+        """(rows, picks, terms) per block of distinct |t|: the profile at
+        |t| z_k, read through ``_swap`` for negative t; terms row i belongs
+        to ``rows[i]``."""
         for lo in range(0, mags.size, _CHUNK):
             hi = lo + _CHUNK
             vals = f.eval_complex(mags[lo:hi, None] * self.z[None, :])
@@ -263,14 +293,85 @@ class ContourEngine:
                     "non-finite function value on the contour",
                     node={"u": float(self.u[k]), "t": float(ts[rows[i]])},
                 )
-            coef = vals * self._coef[None, :]
-            first = contract(coef[:, :ns], slice(0, ns))
-            second = contract(coef[:, ns:], slice(ns, None))
-            block = first + second
-            mats[rows] = rho_stack(coeffs_from_blocks(block, self.T.n), self.T.n)
-            discs[rows] = spectral_norm(second - first).max(axis=1)
-        truncs = np.array([self.truncation_bound(f.decay, t) for t in ts])
-        return mats, truncs, discs
+            yield rows, slice(None), self._node_terms(vals)
+
+    def _lattice_parts(self, f, ts, mags, which, stride):
+        """(rows, picks, terms) per block of distinct |t|, from the two
+        sequences F(+-exp(x_0 + u_min + i h) e^{i phi}) of the lattice of
+        the sorted magnitudes ``mags``: row j of a ray's strided window
+        holds the values at |t_j| z_k, and a negative t reads the window of
+        the other ray.  The terms hold each |t| of the block with both
+        signs; ``picks`` names the row of each of ``rows``."""
+        x0 = math.log(mags[0])
+        drift = np.abs(np.log(mags) - (x0 + np.arange(mags.size) * (stride * self.step)))
+        if not (stride >= 1 and drift.max() <= 64 * np.finfo(float).eps * (
+                abs(x0) + abs(math.log(mags[-1])) + mags.size)):
+            raise ArgumentError(f"scalings are not on the contour lattice with stride "
+                                f"{stride} (log drift {drift.max():.3g})")
+        n = self.u_ray.size
+        points = self.cfg.u_min + x0 + self.step * np.arange((mags.size - 1) * stride + n)
+        ray = np.exp(points) * np.exp(1j * self.phi)
+        seq = f.eval_complex(np.stack([ray, -ray]))
+        if not np.all(np.isfinite(seq)):
+            _, i = np.argwhere(~np.isfinite(seq))[0]
+            j = min(max(0, -(-(i - n + 1) // stride)), mags.size - 1)
+            raise NumericalFailureError(
+                "non-finite function value on the contour",
+                node={"u": float(self.u_ray[i - j * stride]), "t": float(ts[which == j][0])},
+            )
+        windows = [np.lib.stride_tricks.sliding_window_view(part, n, axis=1)[:, ::stride]
+                   for part in (seq.imag, (np.exp(1j * self.phi) * seq).imag)]
+        for lo in range(0, mags.size, _CHUNK):
+            hi = min(lo + _CHUNK, mags.size)
+            rows = np.flatnonzero((which >= lo) & (which < hi))
+            picks = np.where(ts[rows] < 0.0, hi - lo, 0) + which[rows] - lo
+            terms = []
+            for parity, sl in enumerate(self._halves):
+                # a half holds the nodes of its parity on the + ray, then on
+                # the - ray; -|t| reads each ray's values off the other ray
+                pair = []
+                for win, factor in zip(windows, (self._fa[sl], self._fb[sl])):
+                    c = factor.size // 2
+                    out = np.empty((2, hi - lo, 2 * c))
+                    for flip in (0, 1):
+                        for side in (0, 1):
+                            np.multiply(win[flip ^ side, lo:hi, parity::2],
+                                        factor[side * c:(side + 1) * c],
+                                        out=out[flip, :, side * c:(side + 1) * c])
+                    pair.append(out.reshape(-1, 2 * c))
+                terms.append(pair)
+            yield rows, picks, terms
+
+    def _node_terms(self, vals):
+        """alpha, beta of the node profiles ``vals`` (values, stored nodes)
+        on each half: node z and its conjugate, with slice scalars c and
+        conj c, sum to alpha P - T beta P."""
+        s0, y = np.real(self.z), np.imag(self.z)
+        coef = vals * self._coef[None, :]
+        return [(2.0 * (coef[:, sl].real * s0[sl] + coef[:, sl].imag * y[sl]),
+                 2.0 * coef[:, sl].real) for sl in self._halves]
+
+    def _contract(self, terms):
+        """(rho matrices, discretization estimates) from the alpha, beta of
+        each half.  Each node is contracted once: the sums S_0, S_1 over the
+        even and the odd nodes give the value S_0 + S_1 and, by comparison
+        with the half-resolution rule 2 S_0, the estimate ||S_1 - S_0||, to
+        which the roundoff bound of the node sums is added."""
+        shape = self._bt.shape
+        sums, size = [], 0.0
+        for (alpha, beta), sl in zip(terms, self._halves):
+            # alpha and beta are fresh contiguous arrays, which keeps matmul
+            # on the fast BLAS path
+            nb = alpha.shape[0]
+            sum_a = (alpha @ self._p_flat[sl]).view(complex).reshape(nb, *shape)
+            sum_b = (beta @ self._p_flat[sl]).view(complex).reshape(nb, *shape)
+            sums.append(sum_a - self._bt @ sum_b)
+            size = size + np.abs(alpha) @ self._p_fro[sl] + self._t_norm * (
+                np.abs(beta) @ self._p_fro[sl])
+        first, second = sums
+        mats = rho_stack(coeffs_from_blocks(first + second, self.T.n), self.T.n)
+        discs = spectral_norm(second - first).max(axis=1) + self._gamma * size
+        return mats, discs
 
 
 def _check_report(report):
@@ -352,31 +453,61 @@ def scaled_calculus(f: IntrinsicFunction, t, T: CliffordOperator,
     return omega_calculus(scale_function(f, t), T, report, cfg, engine)
 
 
+def f_ab_nodes(engine: ContourEngine, f: IntrinsicFunction, a, b, points=12):
+    """The scalar f_ab at the stored nodes of ``engine``, in their order.
+
+    On the ray at angle +phi, f_ab(e^u e^{i phi}) is the integral of
+    G(x) = F(e^x e^{i phi}) - F(-e^x e^{i phi}) over [u + log a, u + log b];
+    on the other ray f_ab(-z) = -f_ab(z).  With log(b / a) = M h + delta,
+    0 <= delta < h, h the step of the contour, and the cells
+    [x_j, x_j + h], x_j = u_min + log a + j h, the window of node k is cells
+    k .. k + M - 1 and the part [x_{k+M}, x_{k+M} + delta] of the next:
+    prefix sums of ``points``-point Gauss-Legendre cell integrals, plus the
+    integral of the interpolant through the same samples over that part.
+    """
+    n = engine.u_ray.size
+    h = engine.step
+    log_a = math.log(a)
+    cells, delta = divmod(math.log(b) - log_a, h)
+    cells = int(cells)
+    s, w, w_part = gl_cell_rule(points, delta / h)
+    r = np.exp(engine.cfg.u_min + log_a + h * (np.arange(n + cells)[:, None] + s))
+    r = r * np.exp(1j * engine.phi)
+    vals = f.eval_complex(np.stack([r, -r]))
+    samples = h * (vals[0] - vals[1])
+    prefix = np.concatenate([[0.0], np.cumsum((samples * w).sum(axis=1))])
+    ray = prefix[cells:cells + n] - prefix[:n] + (samples[cells:] * w_part).sum(axis=1)
+    return np.where(engine._ray == 0, ray[engine._k], -ray[engine._k])
+
+
 def f_ab_operator(f: IntrinsicFunction, a, b, T: CliffordOperator,
                   report: BisectorReport, cfg: ContourConfig | None = None,
                   engine: ContourEngine | None = None) -> CalculusResult:
-    """Truncated parameter integral of f(tT) dt/t over a <= |t| <= b."""
+    """Truncated parameter integral of f(tT) dt/t over a <= |t| <= b.
+
+    By Fubini it is the contour calculus of the scalar f_ab: one contraction
+    of its node values (``f_ab_nodes``), with the contour's discretization
+    estimate.  A second contraction with 6 instead of 12 points per cell
+    estimates the error of the t quadrature.  The truncation
+    estimate integrates that of f(tT) over a <= |t| <= b, on the
+    Gauss-Legendre panels of ``gl_panel_grid``.
+    """
     if not 0.0 < a <= b:
         raise ArgumentError(f"need 0 < a <= b, got a={a}, b={b}")
     _check_report(report)
+    if f.decay is None:
+        raise PreconditionError("contour calculus requires a decay certificate")
     if a == b:
         return CalculusResult(CliffordOperator.zero(T.n, T.m), 0.0, 0.0)
     eng = engine or ContourEngine(T, report, f.theta, cfg)
-
-    def quadrature(points):
-        u, w = gl_panel_grid(math.log(a), math.log(b), points=points)
-        t = np.exp(u)
-        mats, truncs, discs = eng.evaluate_family(f, np.concatenate([t, -t]))
-        k = t.size
-        total = pairwise_sum(w[:, None, None] * (mats[:k] - mats[k:]))
-        trunc = float(np.dot(w, truncs[:k] + truncs[k:]))
-        disc = float(np.dot(w, discs[:k] + discs[k:]))
-        return total, trunc, disc
-
-    full, trunc, disc = quadrature(12)
-    coarse, _, _ = quadrature(6)
-    t_disc = float(spectral_norm(full - coarse))
-    return CalculusResult(operator_from_real(full, T.n, T.m), trunc, disc + t_disc)
+    full, disc = eng._contract(eng._node_terms(f_ab_nodes(eng, f, a, b, 12)[None, :]))
+    coarse, _ = eng._contract(eng._node_terms(f_ab_nodes(eng, f, a, b, 6)[None, :]))
+    t_disc = float(spectral_norm(full[0] - coarse[0]))
+    u, w = gl_panel_grid(math.log(a), math.log(b), points=12)
+    truncs = np.array([eng.truncation_bound(f.decay, t) for t in np.exp(u)])
+    trunc = float(np.dot(w, truncs + truncs))
+    return CalculusResult(operator_from_real(full[0], T.n, T.m), trunc,
+                          float(disc[0]) + t_disc)
 
 
 def adjoint_calculus_check(f: IntrinsicFunction, T: CliffordOperator,

@@ -26,9 +26,11 @@ from .quadratic import (
     check_frame_memory,
     default_quad_grid,
     frame_bounds,
+    lattice_contour,
 )
 from .serialization import (
     bisector_report_dict,
+    contour_dict,
     dumps_report,
     frame_report_dict,
     load_function_spec,
@@ -143,7 +145,7 @@ def cmd_frame(args):
     cfg.resolve_phi(args.omega, args.theta)
     T = parse_operator_file(args.operator)
     qcfg = default_quad_grid(T)
-    check_frame_memory(T, qcfg.nodes)
+    check_frame_memory(T, qcfg.nodes, contour_nodes=args.nodes)
     g = resolve_function(load_function_spec(args.g), theta=args.theta)
     report = check_bisectorial(T, args.omega)
     fb = frame_bounds(g, T, qcfg, cfg, report)
@@ -153,6 +155,7 @@ def cmd_frame(args):
         "T": frame_report_dict(fb),
         "Tstar": frame_report_dict(fb_star),
         "grid": grid_echo,
+        "contour": contour_dict(*lattice_contour(qcfg, cfg)),
     }
     write_json(payload, args.out)
     return EXIT_PASS

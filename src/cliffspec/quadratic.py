@@ -1,12 +1,14 @@
 """Quadratic-norm integrals, frame bounds and the dyadic sign identity.
 
 The square-integral of t -> ||g(tT)v|| against dt/|t| is discretized on a
-log grid over both signs of t.  Assembling the weighted Gram matrix
-Theta = sum_k w_k rho(g(t_k T))^T rho(g(t_k T)) turns the two-sided frame
-inequality into an eigenvalue problem: the extreme eigenvalues of Theta are
-the squares of the best constants for the discretized integral.  Theta is
-assembled and solved on the spinor blocks of the family (``module.block_form``)
-and mapped back to D x D only to be reported.
+log grid over both signs of t, and the family is evaluated on a contour
+whose step divides the grid's (``lattice_contour``).  Assembling the
+weighted Gram matrix Theta = sum_k w_k rho(g(t_k T))^T rho(g(t_k T)) turns
+the two-sided frame inequality into an eigenvalue problem: the extreme
+eigenvalues of Theta are the squares of the best constants for the
+discretized integral.  Theta is assembled and solved on the spinor blocks
+of the family (``module.block_form``) and mapped back to D x D only to be
+reported.
 
 Every function here takes the certificate of T as its input: a
 BisectorReport, or a family (an engine, for the dyadic sign identity) built
@@ -27,6 +29,7 @@ from .calculus import (
     ContourEngine,
     _check_report,
     _ErrorBudget,
+    _stored_nodes,
 )
 from .clifford import spinor_blades
 from .errors import ArgumentError
@@ -73,22 +76,51 @@ def default_quad_grid(T: CliffordOperator, nodes=400) -> QuadGridConfig:
     return QuadGridConfig(1e-5 / scale, 1e5 / scale, nodes)
 
 
-def check_frame_memory(T: CliffordOperator, nodes, n_g=1, jobs=1):
+def lattice_contour(qcfg: QuadGridConfig, cfg: ContourConfig | None = None):
+    """(contour, stride): ``cfg`` with its step refined so that the step
+    h_t of the quadrature grid is ``stride`` contour steps.
+
+    The step becomes h_u = h_t / p, p the smallest integer with h_u at most
+    the step (u_max - u_min) / (nodes - 1) that ``cfg`` asks for; the node
+    count is the smallest odd one whose nodes from u_min cover u_max.  Then
+    t_j z_k is the lattice point j p + k of the contour, and
+    ``ContourEngine.evaluate_family`` with ``stride`` p evaluates the
+    profile once per lattice point.  Both steps come from the configs, as
+    (hi - lo) / (count - 1).
+    """
+    cfg = cfg or ContourConfig()
+    h_t = (math.log(qcfg.t_max) - math.log(qcfg.t_min)) / ((qcfg.nodes | 1) - 1)
+    stride = max(1, math.ceil(h_t / ((cfg.u_max - cfg.u_min) / (cfg.nodes - 1))))
+    h_u = h_t / stride
+    steps = math.ceil((cfg.u_max - cfg.u_min) / h_u)
+    steps += steps % 2
+    return ContourConfig(phi=cfg.phi, u_min=cfg.u_min, u_max=cfg.u_min + steps * h_u,
+                         nodes=steps + 1), stride
+
+
+def check_frame_memory(T: CliffordOperator, nodes, n_g=1, jobs=1, contour_nodes=2000):
     """Refuse a frame stage whose stacks of quadrature-grid values would
-    exceed the engine cap.  ``nodes`` is the per-sign node count of the grid.
+    exceed the engine cap.  ``nodes`` is the per-sign node count of the
+    grid, ``contour_nodes`` the contour's requested node count.
 
     Each of the n_g functions g keeps its family as D x D matrices (8 D^2
     bytes a value) and as spinor blocks (16 r (km)^2 bytes a value).  Each
     running job holds at its peak the larger of four block stacks (the
     blocks of the family of T or T*, the Gram stack, its weighted copy and
     the A^H A stack of the scale) and the two D x D arrays into which
-    ``evaluate_family`` maps one chunk of values back.
+    ``evaluate_family`` maps one chunk of values back, plus the alpha, beta
+    matrices of that chunk and their absolute values (8 bytes a row and
+    stored node of the lattice contour, whatever D).
     """
     values = 2 * (nodes | 1)
+    # the lattice contour depends on the log step of the grid only, which
+    # default_quad_grid fixes whatever ||T||
+    cfg, _ = lattice_contour(QuadGridConfig(1e-5, 1e5, nodes), ContourConfig(nodes=contour_nodes))
+    coefficients = 4 * 8 * (2 * _CHUNK) * _stored_nodes(cfg)
     dim = T.m << T.n
     r, _, k, _ = spinor_blades(T.n).shape
     dense, block = 8 * dim * dim, 16 * r * (k * T.m) ** 2
-    job = max(4 * block * values, 2 * _CHUNK * dense)
+    job = max(4 * block * values, 2 * _CHUNK * dense) + coefficients
     need = n_g * (dense + block) * values + min(jobs, n_g) * job
     if need > _MAX_ENGINE_BYTES:
         raise ArgumentError(
@@ -112,8 +144,11 @@ def _family(g, T, qcfg, cfg, report, family):
     if family is not None:
         return family
     _check_report(report)
-    t, w = (qcfg or default_quad_grid(T)).grid()
-    return (t, w) + ContourEngine(T, report, g.theta, cfg).evaluate_family(g, t)
+    qcfg = qcfg or default_quad_grid(T)
+    cfg, stride = lattice_contour(qcfg, cfg)
+    t, w = qcfg.grid()
+    engine = ContourEngine(T, report, g.theta, cfg)
+    return (t, w) + engine.evaluate_family(g, t, stride=stride)
 
 
 def weighted_norms2(w, mats, xs):

@@ -1,8 +1,9 @@
 """Quadrature grids and deterministic summation.
 
 Every log-grid quadrature in the package comes from here: the composite
-trapezoid rule on a uniform grid, and Gauss-Legendre panels for finite
-intervals.  Node sums use a fixed-order pairwise reduction.
+trapezoid rule on a uniform grid, Gauss-Legendre panels for finite
+intervals, and the Gauss-Legendre cell rule of the f_ab lattice.  Node sums
+use a fixed-order pairwise reduction.
 """
 
 import math
@@ -54,3 +55,19 @@ def gl_panel_grid(u_lo, u_hi, points=12):
         us.append(mid + rad * x)
         ws.append(rad * w)
     return np.concatenate(us), np.concatenate(ws)
+
+
+def gl_cell_rule(points, fraction):
+    """Gauss-Legendre nodes s and weights w of ``points`` points on [0, 1],
+    and the weights that integrate the interpolant through those nodes over
+    [0, fraction]: one set of samples per cell gives the integral over the
+    cell and over its leading part."""
+    x, wx = np.polynomial.legendre.leggauss(points)
+    at_x = np.polynomial.legendre.legvander(x, points - 1)
+    end = 2.0 * fraction - 1.0
+    at_end = np.polynomial.legendre.legvander(end, points)[0]
+    # the interpolant's Legendre coefficients are w_i (m + 1/2) P_m(x_i), and
+    # (m + 1/2) times the integral of P_m from -1 is (P_{m+1} - P_{m-1}) / 2
+    # at the end point, (end + 1) / 2 for m = 0
+    integrals = np.concatenate([[0.5 * (end + 1.0)], 0.5 * (at_end[2:] - at_end[:-2])])
+    return 0.5 * (x + 1.0), 0.5 * wx, 0.5 * wx * (at_x @ integrals)

@@ -151,6 +151,12 @@ def frame_report_dict(bounds) -> dict:
     }
 
 
+def contour_dict(cfg, stride) -> dict:
+    """The contour a frame family ran on: nodes per ray, the upper end in
+    u = log r and the quadrature step in contour steps."""
+    return {"nodes": cfg.nodes, "u_max": cfg.u_max, "stride": stride}
+
+
 def bisector_report_dict(report) -> dict:
     """Certificate fields of a BisectorReport; infinite C_phi become null."""
     return {

@@ -28,9 +28,20 @@ from .functions import (
     resolve_function,
 )
 from .module import CliffordOperator, blocks_from_rho, rho_matrix, spectral_norm
-from .quadratic import check_frame_memory, default_quad_grid, frame_bounds, weighted_norms2
-from .quadrature import pairwise_sum, trapezoid_grid
-from .serialization import bisector_report_dict, frame_report_dict, operator_to_dict
+from .quadratic import (
+    check_frame_memory,
+    default_quad_grid,
+    frame_bounds,
+    lattice_contour,
+    weighted_norms2,
+)
+from .quadrature import pairwise_sum
+from .serialization import (
+    bisector_report_dict,
+    contour_dict,
+    frame_report_dict,
+    operator_to_dict,
+)
 from .spectrum import RaySampling, check_bisectorial
 
 
@@ -79,20 +90,17 @@ class SuiteConfig:
     omega: float = math.pi / 12
     theta: float = math.pi / 4
     phi: float | None = None
-    contour_nodes: int = 2000
-    u_min: float = -30.0
-    u_max: float = 30.0
+    contour_nodes: int = 2000  # a bound on the contour step (``lattice_contour``)
     quad_nodes: int = 400
     n_sandwich: int = 100
-    n_uniform_pairs: int = 25
-    n_integral_taus: int = 5
-    kernel_grid: int = 120
     seed: int = 0
     jobs: int = 1
 
-    def contour(self):
-        return ContourConfig(phi=self.phi, u_min=self.u_min, u_max=self.u_max,
-                             nodes=self.contour_nodes)
+
+# random parameter pairs of the uniform composition bound and random tau of
+# the integrated one
+UNIFORM_PAIRS = 25
+INTEGRAL_TAUS = 5
 
 
 def _record(name, lhs, rhs, tol=0.0, **extra):
@@ -125,21 +133,21 @@ def run_theorem_suite(T: CliffordOperator, g_specs=None, f_specs=None,
     """
     config = config or SuiteConfig()
     theta = config.theta
-    cfg = config.contour()
-    phi_resolved = cfg.resolve_phi(config.omega, theta)
+    requested = ContourConfig(phi=config.phi, nodes=config.contour_nodes)
+    phi_resolved = requested.resolve_phi(config.omega, theta)
     if config.seed < 0:
         raise ArgumentError(f"seed={config.seed} must be a non-negative integer")
     if config.jobs < 1:
         raise ArgumentError(f"jobs={config.jobs} must be at least 1")
     g_specs = g_specs if g_specs is not None else default_g_specs()
     f_specs = f_specs if f_specs is not None else default_f_specs()
-    check_frame_memory(T, config.quad_nodes, len(g_specs), config.jobs)
+    check_frame_memory(T, config.quad_nodes, len(g_specs), config.jobs, config.contour_nodes)
     rng = np.random.default_rng(config.seed)
     records = []
     stages = []
 
     report = {
-        "report_version": 1,
+        "report_version": 2,
         "operator": operator_to_dict(T),
         "config": asdict(config),
         "seed": config.seed,
@@ -175,9 +183,11 @@ def run_theorem_suite(T: CliffordOperator, g_specs=None, f_specs=None,
         return report
 
     c_theta = bisector.c_at(theta)
+    qcfg = default_quad_grid(T, config.quad_nodes)
+    cfg, stride = lattice_contour(qcfg, requested)
+    report["contour"] = contour_dict(cfg, stride)
     engine = ContourEngine(T, bisector, theta, cfg)
     t_star = T.adjoint()
-    qcfg = default_quad_grid(T, config.quad_nodes)
 
     # stage: frame bounds for each g on T and T* ---------------------------
     t_grid, w_grid = qcfg.grid()
@@ -185,7 +195,7 @@ def run_theorem_suite(T: CliffordOperator, g_specs=None, f_specs=None,
     def frames_for(args):
         # for intrinsic g the family of T* is the transposed family of T
         _, g = args
-        fam = (t_grid, w_grid) + engine.evaluate_family(g, t_grid)
+        fam = (t_grid, w_grid) + engine.evaluate_family(g, t_grid, stride=stride)
         _, _, mats, truncs, discs = fam
         fb = frame_bounds(g, T, qcfg, cfg, family=fam)
         fb_star = frame_bounds(g, t_star, qcfg, cfg, family=(
@@ -230,7 +240,7 @@ def run_theorem_suite(T: CliffordOperator, g_specs=None, f_specs=None,
         records.extend(_frame_sandwich_records(gname, fb, sandwich_vecs, fam,
                                                fb.combined_error + 1e-9))
         records.extend(_composition_bound_records(gname, g, engine, c_theta,
-                                                  fam, blocks, config, rng))
+                                                  fam, blocks, rng))
         egg = f0_infty(product_function(e, g, g))
         records.append(_record(f"regularized_square_positive[g={gname}]", 1e-12, egg))
         records.append(_dyadic_splitting_upper(gname, g, T, fb, hinf))
@@ -243,9 +253,14 @@ def run_theorem_suite(T: CliffordOperator, g_specs=None, f_specs=None,
         records.extend(_sup_domination_records(gname, T, fam, cg, rng, gs, g_hinf))
     stages.append({"name": "inequalities", "status": "done"})
 
+    # release the families before the engine of T*; the engine of T serves
+    # the ladder only
+    frame_results = families = fam = blocks = None
+
     # stage: parameter-truncation convergence ladder ------------------------
     records.extend(_fab_ladder_records(T, bisector, cfg, theta, engine))
     stages.append({"name": "convergence", "status": "done"})
+    engine = None
 
     # stage: adjoint identity, on its own certificate and engine for T* -----
     bisector_star = check_bisectorial(t_star, config.omega, RaySampling(phis=phis))
@@ -276,12 +291,13 @@ def _frame_sandwich_records(gname, fb, xs, family, quad_tol):
     ]
 
 
-def _composition_bound_records(gname, g, engine, c_theta, family, blocks, config, rng):
+def _composition_bound_records(gname, g, engine, c_theta, family, blocks, rng):
     """Composition bounds: uniform, integrated, and the square-kernel form.
 
     Products and norms run on the spinor blocks: the norm of rho(g(tT) g(tau T))
     is the largest norm of the products of its blocks; ``blocks`` holds those
-    of the family."""
+    of the family.  The square kernel reads its values off the family: every
+    second node of each sign within three decades of the centre of the grid."""
     alpha, c_alpha = g.decay.alpha, g.decay.c_alpha
     sup_g = g.bounded.sup_norm
     n = engine.T.n
@@ -294,8 +310,8 @@ def _composition_bound_records(gname, g, engine, c_theta, family, blocks, config
         return spectral_norm(prods).max(axis=-1)
 
     # i) uniform bound at random parameter pairs
-    pairs = 10.0 ** rng.uniform(-3, 3, size=(config.n_uniform_pairs, 2))
-    signs = rng.choice([-1.0, 1.0], size=(config.n_uniform_pairs, 2))
+    pairs = 10.0 ** rng.uniform(-3, 3, size=(UNIFORM_PAIRS, 2))
+    signs = rng.choice([-1.0, 1.0], size=(UNIFORM_PAIRS, 2))
     ts = pairs * signs
     lhs_i = float(np.max(norms(family_blocks(ts[:, 0]) @ family_blocks(ts[:, 1]))))
     rhs_i = c_theta * c_alpha / alpha * sup_g
@@ -303,8 +319,8 @@ def _composition_bound_records(gname, g, engine, c_theta, family, blocks, config
 
     # ii) dt/|t| integral of the composition norm at random tau
     t_grid, w_grid = family[:2]
-    taus = 10.0 ** rng.uniform(-2, 2, size=config.n_integral_taus) * rng.choice(
-        [-1.0, 1.0], size=config.n_integral_taus)
+    taus = 10.0 ** rng.uniform(-2, 2, size=INTEGRAL_TAUS) * rng.choice(
+        [-1.0, 1.0], size=INTEGRAL_TAUS)
     rhs_ii = c_theta * c_alpha * c_alpha * math.pi / (2.0 * alpha * alpha)
     lhs_ii = 0.0
     for tau in taus:
@@ -312,23 +328,29 @@ def _composition_bound_records(gname, g, engine, c_theta, family, blocks, config
         lhs_ii = max(lhs_ii, float(pairwise_sum(w_grid * norms(prods))))
     records.append(_record(f"composition_integral_bound[f=g={gname}]", lhs_ii, rhs_ii))
 
-    # iii) square-kernel inequality with an indicator-weighted sample family
-    n3 = config.kernel_grid
-    center = math.sqrt(np.abs(t_grid).min() * np.abs(t_grid).max())
-    u, w3 = trapezoid_grid(math.log(center) - 3 * math.log(10.0),
-                           math.log(center) + 3 * math.log(10.0), n3)
-    t3 = np.exp(u)
-    t3 = np.concatenate([t3, -t3])
-    w3 = np.concatenate([w3, w3])
-    fam3 = family_blocks(t3)
+    # iii) square-kernel inequality with an indicator-weighted sample family,
+    # on the trapezoid rule of step 2 h_t (the grid is (+t, -t), h_t its
+    # interior weight); nodes are chosen by index
+    per_sign = t_grid.size // 2
+    center = per_sign // 2
+    step = w_grid[center]
+    # the slack keeps a whole ratio (120 at 400 nodes) from flooring one
+    # lower through the rounding of the step
+    half = math.floor(3.0 * math.log(10.0) / step * (1.0 + 1e-12))
+    idx = np.arange(center - half, center + half + 1, 2)
+    idx = np.concatenate([idx, idx + per_sign])
+    t3, fam3 = t_grid[idx], blocks[idx]
+    w3 = np.full(idx.size, 2.0 * step)
+    w3[[0, idx.size // 2 - 1, idx.size // 2, -1]] = step
     # g(tT) and g(tau T) commute, so the kernel is symmetric: the norms of
     # the products k <= l fill both triangles, one row at a time
-    kernel = np.empty((2 * n3, 2 * n3))
-    for k in range(2 * n3):
+    kernel = np.empty((idx.size, idx.size))
+    for k in range(idx.size):
         kernel[k, k:] = kernel[k:, k] = norms(fam3[k] @ fam3[k:])
     lo, hi = sorted(10.0 ** rng.uniform(-2, 2, size=2))
     hi = max(hi, 10.0 * lo)  # keep the indicator window from missing every node
-    psi = np.where((np.abs(t3) >= lo * center) & (np.abs(t3) <= hi * center), 1.0, 0.0)
+    mid = abs(t_grid[center])
+    psi = np.where((np.abs(t3) >= lo * mid) & (np.abs(t3) <= hi * mid), 1.0, 0.0)
     inner = kernel.T @ (w3 * psi)          # integral over t for each tau
     lhs_iii = float(pairwise_sum(w3 * inner ** 2))
     rhs_iii = rhs_ii ** 2 * float(pairwise_sum(w3 * psi ** 2))

@@ -12,8 +12,8 @@ import cliffspec as cs
 from cliffspec.calculus import _stored_nodes
 from cliffspec.clifford import multiplication_table, spinor_blades
 from cliffspec.module import block_form, blocks_from_rho, coeffs_from_blocks, spectral_norm
-from cliffspec.quadrature import pairwise_sum, trapezoid_grid
-from cliffspec.suite import _composition_bound_records
+from cliffspec.quadrature import pairwise_sum
+from cliffspec.suite import INTEGRAL_TAUS, UNIFORM_PAIRS, _composition_bound_records
 
 from conftest import OMEGA, THETA
 
@@ -126,9 +126,8 @@ def test_composition_norms_on_blocks_match_dense(family_ctx):
 def test_composition_records_match_their_dense_form(family_ctx):
     T, _, eng, g, family = family_ctx
     g = g.with_bounded(cs.certify_bounded(g))
-    config = cs.SuiteConfig(n_uniform_pairs=3, n_integral_taus=2, kernel_grid=8)
     blocks = blocks_from_rho(family[2], T.n)
-    records = _composition_bound_records("g", g, eng, 1.0, family, blocks, config,
+    records = _composition_bound_records("g", g, eng, 1.0, family, blocks,
                                          np.random.default_rng(5))
     # the same draws, products and norms on the D x D values
     rng = np.random.default_rng(5)
@@ -140,19 +139,26 @@ def test_composition_records_match_their_dense_form(family_ctx):
     def norms(prods):
         return np.linalg.svd(prods, compute_uv=False)[..., 0]
 
-    ts = 10.0 ** rng.uniform(-3, 3, size=(3, 2)) * rng.choice([-1.0, 1.0], size=(3, 2))
+    ts = 10.0 ** rng.uniform(-3, 3, size=(UNIFORM_PAIRS, 2)) * rng.choice(
+        [-1.0, 1.0], size=(UNIFORM_PAIRS, 2))
     lhs_i = norms(dense(ts[:, 0]) @ dense(ts[:, 1])).max()
-    taus = 10.0 ** rng.uniform(-2, 2, size=2) * rng.choice([-1.0, 1.0], size=2)
+    taus = 10.0 ** rng.uniform(-2, 2, size=INTEGRAL_TAUS) * rng.choice(
+        [-1.0, 1.0], size=INTEGRAL_TAUS)
     lhs_ii = max(pairwise_sum(w_grid * norms(mats @ dense([tau])[0])) for tau in taus)
-    center = math.sqrt(np.abs(t_grid).min() * np.abs(t_grid).max())
-    u, w3 = trapezoid_grid(math.log(center) - 3 * math.log(10.0),
-                           math.log(center) + 3 * math.log(10.0), 8)
-    t3, w3 = np.concatenate([np.exp(u), -np.exp(u)]), np.concatenate([w3, w3])
-    fam3 = dense(t3)
+    # the kernel takes every second grid node within three decades of the
+    # centre: the grid spans ten decades in N - 1 steps, so 3 (N - 1) // 10
+    per_sign = t_grid.size // 2
+    center, half = per_sign // 2, 3 * (per_sign - 1) // 10
+    idx = np.arange(center - half, center + half + 1, 2)
+    idx = np.concatenate([idx, idx + per_sign])
+    t3, fam3 = t_grid[idx], mats[idx]
+    h = math.log(t_grid[per_sign - 1] / t_grid[0]) / (per_sign - 1)
+    w3 = np.tile(np.r_[h, np.full(idx.size // 2 - 2, 2 * h), h], 2)
     kernel = norms(fam3[:, None] @ fam3[None, :])
     lo, hi = sorted(10.0 ** rng.uniform(-2, 2, size=2))
     hi = max(hi, 10.0 * lo)
-    psi = ((np.abs(t3) >= lo * center) & (np.abs(t3) <= hi * center)).astype(float)
+    mid = t_grid[center]
+    psi = ((np.abs(t3) >= lo * mid) & (np.abs(t3) <= hi * mid)).astype(float)
     lhs_iii = pairwise_sum(w3 * (kernel.T @ (w3 * psi)) ** 2)
     for record, want in zip(records, (lhs_i, lhs_ii, lhs_iii)):
         assert record["lhs"] == pytest.approx(want, rel=1e-12)

@@ -174,10 +174,30 @@ def test_verify_deterministic_and_exit_codes(tmp_path):
                  "--nodes", "500", "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
     report = json.loads(out1.read_text())
-    assert report["report_version"] == 1
+    assert report["report_version"] == 2
     assert report["seed"] == 7
     assert report["passed"] is True
     assert all(r["pass"] for r in report["records"])
+
+
+@pytest.mark.parametrize("nodes, contour", [
+    (None, {"nodes": 2087, "stride": 2}),
+    ("500", {"nodes": 1045, "stride": 1}),
+], ids=["default", "nodes-500"])
+def test_verify_and_frame_echo_the_lattice_contour(tmp_path, nodes, contour):
+    # --nodes bounds the contour step; the contour follows the 400-node grid
+    op = tmp_path / "op.json"
+    write_operator(op, [[1.0]])
+    g = tmp_path / "g.json"
+    g.write_text(json.dumps({"name": "regularizer"}))
+    extra = ["--nodes", nodes] if nodes else []
+    runs = {"verify": ["--g", str(g)], "frame": ["--g", str(g)]}
+    for command, args in runs.items():
+        out = tmp_path / f"{command}.json"
+        assert main([command, "--operator", str(op), "--out", str(out)] + args + extra) == 0
+        echo = json.loads(out.read_text())["contour"]
+        assert {k: echo[k] for k in contour} == contour
+        assert 30.0 <= echo["u_max"] < 30.0 + 60.0 / (echo["nodes"] - 1) * 2
 
 
 def test_verify_short_circuits_on_sphere_spectrum(tmp_path):
