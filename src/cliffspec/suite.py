@@ -263,7 +263,10 @@ def run_theorem_suite(T: CliffordOperator, g_specs=None, f_specs=None,
     engine = None
 
     # stage: adjoint identity, on its own certificate and engine for T* -----
-    bisector_star = check_bisectorial(t_star, config.omega, RaySampling(phis=phis))
+    # rho(Q_s(T*)) is rho(Q_s(T))^T, so T*'s certificate stands or falls with
+    # T's, certified above at every angle; the engine reads C at phi only
+    bisector_star = check_bisectorial(t_star, config.omega,
+                                      RaySampling(phis=(phi_resolved,)))
     engine_star = ContourEngine(t_star, bisector_star, theta, cfg)
     for fname, (f, res, norm) in hinf.items():
         res_star = hinf_calculus(f, t_star, bisector_star, cfg, engine=engine_star)
@@ -342,15 +345,18 @@ def _composition_bound_records(gname, g, engine, c_theta, family, blocks, rng):
     t3, fam3 = t_grid[idx], blocks[idx]
     w3 = np.full(idx.size, 2.0 * step)
     w3[[0, idx.size // 2 - 1, idx.size // 2, -1]] = step
-    # g(tT) and g(tau T) commute, so the kernel is symmetric: the norms of
-    # the products k <= l fill both triangles, one row at a time
-    kernel = np.empty((idx.size, idx.size))
-    for k in range(idx.size):
-        kernel[k, k:] = kernel[k:, k] = norms(fam3[k] @ fam3[k:])
     lo, hi = sorted(10.0 ** rng.uniform(-2, 2, size=2))
     hi = max(hi, 10.0 * lo)  # keep the indicator window from missing every node
     mid = abs(t_grid[center])
     psi = np.where((np.abs(t3) >= lo * mid) & (np.abs(t3) <= hi * mid), 1.0, 0.0)
+    # g(tT) and g(tau T) commute, so the kernel is symmetric, and ``inner``
+    # reads only the rows in supp(psi): each pair k <= l with k or l there
+    # is multiplied once, row by row, and every other entry stays 0
+    kernel = np.zeros((idx.size, idx.size))
+    for k in range(idx.size):
+        ls = np.arange(k, idx.size) if psi[k] else k + np.flatnonzero(psi[k:])
+        if ls.size:
+            kernel[k, ls] = kernel[ls, k] = norms(fam3[k] @ fam3[ls])
     inner = kernel.T @ (w3 * psi)          # integral over t for each tau
     lhs_iii = float(pairwise_sum(w3 * inner ** 2))
     rhs_iii = rhs_ii ** 2 * float(pairwise_sum(w3 * psi ** 2))
@@ -387,7 +393,12 @@ def _dyadic_splitting_upper(gname, g, T, fb, hinf):
 
 
 def _frame_ratio_bound(gname, fname, f, norm, res, fb, cg, theta):
-    rhs = cg * fb.d_upper / (fb.c_lower * math.cos(theta)) * f.bounded.sup_norm
+    lower = fb.c_lower * math.cos(theta)
+    if lower == 0.0:
+        raise NumericalFailureError(
+            f"frame lower bound of g={gname} is c_lower={fb.c_lower!r}; "
+            "the frame ratio bound divides by it")
+    rhs = cg * fb.d_upper / lower * f.bounded.sup_norm
     return _record(f"frame_ratio_norm_bound[g={gname},f={fname}]", norm, rhs,
                    tol=res.combined_error)
 

@@ -415,3 +415,16 @@ def test_bisect_refuses_an_operator_whose_q_overflows(tmp_path, capsys):
     assert main(["bisect", "--operator", str(op), "--omega", "0.3",
                  "--out", str(tmp_path / "r.json")]) == 2
     assert "Q_s overflows" in capsys.readouterr().err
+
+
+def test_verify_with_a_zero_frame_lower_bound_exits_2(tmp_path, capsys):
+    # at omega = 1e-300 the frame of the regularizer has c_lower = 0, which
+    # the frame ratio bound would divide by
+    op = tmp_path / "op.json"
+    write_operator(op, [[1.0, 0.0], [0.0, -2.0]])
+    g = tmp_path / "g.json"
+    g.write_text(json.dumps({"name": "regularizer"}))
+    assert main(["verify", "--operator", str(op), "--g", str(g), "--omega", "1e-300",
+                 "--theta", "1e-200", "--out", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "g=regularizer" in err and "c_lower=0.0" in err

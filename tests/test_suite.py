@@ -4,6 +4,13 @@ import numpy as np
 import pytest
 
 import cliffspec as cs
+from cliffspec import suite
+from cliffspec.functions import ensure_bounded
+from cliffspec.module import blocks_from_rho, spectral_norm
+from cliffspec.quadrature import pairwise_sum
+from cliffspec.suite import INTEGRAL_TAUS, UNIFORM_PAIRS, _composition_bound_records
+
+from conftest import OMEGA, THETA, non_normal_operator
 
 
 @pytest.mark.parametrize("matrix,expect_strict_gap", [
@@ -99,3 +106,101 @@ def test_fab_ladder_targets_pi_sign_on_non_normal_operator():
         assert dev == pytest.approx(np.linalg.norm(fab - math.pi * np.eye(2), 2), abs=1e-6)
     assert all(b < 0.2 * a for a, b in zip(ladder["sign_deviations"],
                                            ladder["sign_deviations"][1:]))
+
+
+def _square_kernel_setup(T, quad_nodes=100):
+    """The frame family of the regularizer and what the composition records
+    take besides it, built as ``run_theorem_suite`` builds them."""
+    g = ensure_bounded(cs.resolve_function({"name": "regularizer"}, THETA))
+    phi = 0.5 * (OMEGA + THETA)
+    bisector = cs.check_bisectorial(T, OMEGA, cs.RaySampling(phis=(phi, THETA)))
+    qcfg = cs.default_quad_grid(T, quad_nodes)
+    cfg, stride = cs.lattice_contour(qcfg, cs.ContourConfig(nodes=500))
+    engine = cs.ContourEngine(T, bisector, THETA, cfg)
+    t_grid, w_grid = qcfg.grid()
+    fam = (t_grid, w_grid) + engine.evaluate_family(g, t_grid, stride=stride)
+    return g, engine, bisector.c_at(THETA), fam, blocks_from_rho(fam[2], T.n)
+
+
+def _full_square_kernel(g, c_theta, family, blocks, rng):
+    """The square-kernel record with every kernel entry computed, row by row;
+    ``rng`` is drawn as the uniform and integral records draw it first."""
+    rng.uniform(-3, 3, size=(UNIFORM_PAIRS, 2))
+    rng.choice([-1.0, 1.0], size=(UNIFORM_PAIRS, 2))
+    rng.uniform(-2, 2, size=INTEGRAL_TAUS)
+    rng.choice([-1.0, 1.0], size=INTEGRAL_TAUS)
+    alpha, c_alpha = g.decay.alpha, g.decay.c_alpha
+    t_grid, w_grid = family[:2]
+    per_sign = t_grid.size // 2
+    center = per_sign // 2
+    step = w_grid[center]
+    half = math.floor(3.0 * math.log(10.0) / step * (1.0 + 1e-12))
+    idx = np.arange(center - half, center + half + 1, 2)
+    idx = np.concatenate([idx, idx + per_sign])
+    t3, fam3 = t_grid[idx], blocks[idx]
+    w3 = np.full(idx.size, 2.0 * step)
+    w3[[0, idx.size // 2 - 1, idx.size // 2, -1]] = step
+    kernel = np.empty((idx.size, idx.size))
+    for k in range(idx.size):
+        kernel[k, k:] = kernel[k:, k] = spectral_norm(fam3[k] @ fam3[k:]).max(axis=-1)
+    lo, hi = sorted(10.0 ** rng.uniform(-2, 2, size=2))
+    hi = max(hi, 10.0 * lo)
+    mid = abs(t_grid[center])
+    psi = np.where((np.abs(t3) >= lo * mid) & (np.abs(t3) <= hi * mid), 1.0, 0.0)
+    inner = kernel.T @ (w3 * psi)
+    rhs_ii = c_theta * c_alpha * c_alpha * math.pi / (2.0 * alpha * alpha)
+    lhs = float(pairwise_sum(w3 * inner ** 2))
+    rhs = rhs_ii ** 2 * float(pairwise_sum(w3 * psi ** 2))
+    return lhs, rhs, psi, blocks.shape[1]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_square_kernel_on_the_indicator_support_matches_the_full_kernel(n, monkeypatch):
+    # seed 206 draws the widest indicator window of seeds 0 .. 299
+    # (10^3.78 in |t|), seeds 5 and 8 the narrowest (one decade)
+    T = non_normal_operator(np.random.default_rng(10 + n), n)
+    g, engine, c_theta, fam, blocks = _square_kernel_setup(T)
+    calls = []
+
+    def counting_norm(stack):
+        calls.append(math.prod(np.shape(stack)[:-2]))
+        return spectral_norm(stack)
+
+    monkeypatch.setattr(suite, "spectral_norm", counting_norm)
+    for seed in (0, 1, 5, 8, 206):
+        calls.clear()
+        records = _composition_bound_records("g", g, engine, c_theta, fam, blocks,
+                                              np.random.default_rng(seed))
+        kernel = next(r for r in records if r["name"] == "composition_square_kernel[f=g=g]")
+        lhs, rhs, psi, copies = _full_square_kernel(g, c_theta, fam, blocks,
+                                                    np.random.default_rng(seed))
+        assert (kernel["lhs"], kernel["rhs"]) == (lhs, rhs)
+        # the pairs k <= l with k or l in supp(psi), each multiplied once
+        size, total = int(psi.sum()), psi.size
+        pairs = size * (size + 1) // 2 + size * (total - size)
+        assert sum(calls[1 + INTEGRAL_TAUS:]) == pairs * copies
+        assert 0 < size < total
+
+
+def test_adjoint_certificate_at_the_contour_angle_matches_all_angles():
+    # rho(Q_s(T*)) = rho(Q_s(T))^T: the one-angle certificate of T* gives the
+    # gates and C_phi of the seven-angle one, and so the same calculus
+    phi = 0.5 * (OMEGA + THETA)
+    phis = tuple(sorted(set(cs.RaySampling().resolved_phis(OMEGA)) | {THETA, phi}))
+    cfg = cs.ContourConfig(nodes=500)
+    fs = [ensure_bounded(cs.resolve_function(spec, THETA)) for spec in cs.default_f_specs()]
+    jordan = cs.CliffordOperator.from_real_matrix([[1.0, 1.0], [0.0, 1.0]], n=1)
+    for T in (non_normal_operator(np.random.default_rng(1), 3), jordan):
+        t_star = T.adjoint()
+        full = cs.check_bisectorial(t_star, OMEGA, cs.RaySampling(phis=phis))
+        one = cs.check_bisectorial(t_star, OMEGA, cs.RaySampling(phis=(phi,)))
+        assert len(full.c_phi_table) == 7 and len(one.c_phi_table) == 1
+        assert (one.certified, one.injective) == (full.certified, full.injective) == (True, True)
+        assert one.c_at(phi) == full.c_at(phi)
+        engines = [cs.ContourEngine(t_star, rep, THETA, cfg) for rep in (full, one)]
+        for f in fs:
+            a, b = (cs.hinf_calculus(f, t_star, rep, cfg, engine=eng)
+                    for rep, eng in zip((full, one), engines))
+            assert np.array_equal(a.op.coeffs, b.op.coeffs)
+            assert (a.truncation_error, a.discretization_error) == (
+                b.truncation_error, b.discretization_error)
