@@ -52,10 +52,11 @@ from .quadrature import gl_cell_rule, gl_panel_grid, trapezoid_grid
 from .spectrum import (
     _CHUNK,
     BisectorReport,
+    block_sigmas,
     check_bisectorial,
-    conjugate_resolvent_bound,
     left_resolvents,
     q_inverse_stack,
+    resolvent_bound,
     unit_blocks,
 )
 
@@ -216,8 +217,8 @@ class ContourEngine:
         if math.isinf(self.c_phi):
             # phi lies below every sampled angle: take C_phi from these rays
             # and their conjugates
-            self.c_phi = conjugate_resolvent_bound(self._bt, self.P, np.real(self.z),
-                                                   np.imag(self.z), r, self._bj)
+            self.c_phi = resolvent_bound(self._bt, np.real(self.z), np.imag(self.z), r,
+                                         self._bj, block_sigmas(self._bt), qinv=self.P)
         # the real view keeps the alpha, beta contractions on real GEMMs
         self._p_flat = self.P.view(np.float64).reshape(self.P.shape[0], -1)
         # roundoff of the node sums (Higham, Accuracy and Stability, 3.1):

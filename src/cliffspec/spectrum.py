@@ -37,6 +37,11 @@ from .module import (
 )
 
 _CHUNK = 128
+# resolvent_bound evaluates nodes in groups of _TAIL_GROUP (_CHUNK took 45%
+# more inverses on operators at D = 2 to 64); _TAIL_SLACK lies above the
+# rounding of the computed sigmas (a few eps ||T||) and of the samples
+_TAIL_GROUP = 32
+_TAIL_SLACK = 1e-9
 # a scan holds about 170 bytes a node for its heatmap whatever D (measured at
 # D = 2, 8, 32), so 2^24 nodes take 2.9 GB; larger grids are refused
 _MAX_SCAN_NODES = 2 ** 24
@@ -111,21 +116,61 @@ def left_resolvents(bt, qinv, s0, y, bj):
     return out
 
 
-def conjugate_resolvent_bound(bt, qinv, s0, y, radius, bj):
-    """max of |s| ||S_L^{-1}(s, T)|| over the nodes s = s0 + J y and their
-    conjugates s0 - J y, both built from the shared qinv = Q_s^-1.
+def block_sigmas(bt):
+    """(sigma_min, sigma_max) of rho(T) from its blocks: sigma_min = 1 / ||T^-1||
+    (0 when T is not injective) and sigma_max = ||T||."""
+    svals = np.linalg.svd(bt, compute_uv=False)
+    return float(svals[:, -1].min()), float(svals[:, 0].max())
 
-    A non-finite resolvent gives inf.
+
+def series_bounds(radius, sigma_min, sigma_max):
+    """Upper bounds on |s| ||S_L^-1(s, T)|| at |s| = radius from the two
+    S-resolvent series, inf on the band [sigma_min, sigma_max] between them.
+
+    Beyond ||T||, S_L^-1 = sum T^n s^(-1-n) gives 1 / (1 - ||T|| / |s|); below
+    1 / ||T^-1||, S_L^-1 = -sum T^(-n-1) s^n gives rho / (1 - rho) with
+    rho = |s| ||T^-1||.  Both are |s| over the distance from |s| to the band.
     """
+    dist = np.maximum(radius - sigma_max, sigma_min - radius)
+    out = np.full(radius.shape, math.inf)
+    tail = dist > 0.0
+    out[tail] = radius[tail] / dist[tail]
+    return out
+
+
+def resolvent_bound(bt, s0, y, radius, bj, sigmas, qinv=None):
+    """max of |s| ||S_L^{-1}(s, T)|| over the nodes s = s0 + J y and their
+    conjugates s0 - J y, which share Q_s^-1 (taken from qinv if given, else
+    inverted here for the nodes evaluated).
+
+    Nodes go in decreasing order of their ``series_bounds`` (the band
+    first), ``_TAIL_GROUP`` at a time, and a node is evaluated only while its
+    bound times 1 + _TAIL_SLACK reaches the running max.  A skipped node's
+    sample lies below its bound, so it could not raise the max: the result
+    is the max of the same per-node floats as over every node.  A
+    non-finite resolvent or a singular Q_s gives inf.
+    """
+    bounds = series_bounds(radius, *sigmas)
+    order = np.argsort(-bounds, kind="stable")
     best = 0.0
-    for lo in range(0, s0.size, _CHUNK):
-        sl = slice(lo, lo + _CHUNK)
+    for lo in range(0, order.size, _TAIL_GROUP):
+        idx = order[lo:lo + _TAIL_GROUP]
+        idx = idx[bounds[idx] * (1.0 + _TAIL_SLACK) >= best]
+        if idx.size == 0:
+            break
+        if qinv is None:
+            try:
+                p = q_inverse_stack(bt, s0[idx], radius[idx] * radius[idx])
+            except np.linalg.LinAlgError:
+                return math.inf
+        else:
+            p = qinv[idx]
         for branch in (1.0, -1.0):
-            left = _left_from_q_inverse(bt, qinv[sl], s0[sl], branch * y[sl], bj)
+            left = _left_from_q_inverse(bt, p, s0[idx], branch * y[idx], bj)
             if not np.all(np.isfinite(left)):
                 return math.inf
             norm = spectral_norm(left).max(axis=1)
-            best = max(best, float(np.max(radius[sl] * norm)))
+            best = max(best, float(np.max(radius[idx] * norm)))
     return best
 
 
@@ -286,9 +331,11 @@ class BisectorReport:
 
     Each C_phi in ``c_phi_table`` is the constant on the slice e_1: the
     largest sampled |s| ||S_L^-1(s, T)|| on the four boundary rays of angle
-    phi with s = x + e_1 y.  The contour engine's truncation bounds need
-    no more, since its conjugate-pair sum, and so its truncated tail, does
-    not depend on the slice.  It is not the sup over the whole sphere S.
+    phi with s = x + e_1 y, the same float whether or not the samples that
+    ``resolvent_bound`` rules out are computed.  The contour engine's
+    truncation bounds need no more, since its conjugate-pair sum, and so
+    its truncated tail, does not depend on the slice.  It is not the sup
+    over the whole sphere S.
     """
 
     omega: float
@@ -311,21 +358,6 @@ class BisectorReport:
             if p <= phi + 1e-12:
                 best = c
         return best
-
-
-def _ray_resolvent_bound(bt, phi, radii, bj):
-    """max over the four boundary rays of |s| * ||S_L^{-1}(s, T)||, batched.
-
-    The rays at angle -phi are the conjugates of those at +phi and share
-    their Q_s, so only the two rays at +phi are inverted.
-    """
-    s0 = np.concatenate([radii * math.cos(phi), -radii * math.cos(phi)])
-    y = np.concatenate([radii * math.sin(phi), -radii * math.sin(phi)])
-    try:
-        qinv = q_inverse_stack(bt, s0, np.tile(radii * radii, 2))
-    except np.linalg.LinAlgError:
-        return math.inf
-    return conjugate_resolvent_bound(bt, qinv, s0, y, np.tile(radii, 2), bj)
 
 
 def s_spectrum(bt, norm) -> tuple:
@@ -356,16 +388,18 @@ def check_bisectorial(
 
     Checks injectivity of rho(T), containment of the S-spectrum in the
     closed double sector, and estimates C_phi on the boundary rays in the
-    slice e_1 of each requested larger sector.  The result is a numerical
-    certificate; failures are carried in the report, but a Q_s that may
-    overflow on the sampled rays raises NumericalFailureError.
+    slice e_1 of each requested larger sector, as the largest sample at 200
+    radii on 4 rays; a radius outside [sigma_min, ||T||] is evaluated only
+    if its series bound could reach that largest sample
+    (``resolvent_bound``).  The result is a numerical certificate; failures
+    are carried in the report, but a Q_s that may overflow on the sampled
+    rays raises NumericalFailureError.
     """
     if not 0.0 < omega < math.pi / 2:
         raise ArgumentError(f"omega={omega} outside (0, pi/2)")
     sampling = sampling or RaySampling()
     bt = block_form(T.coeffs, T.n)
-    svals = np.linalg.svd(bt, compute_uv=False)
-    sigma_max, sigma_min = float(svals[:, 0].max()), float(svals[:, -1].min())
+    sigma_min, sigma_max = block_sigmas(bt)
     injective = sigma_min > INVERTIBILITY_RTOL * sigma_max
     spectrum = s_spectrum(bt, sigma_max)
     # the closed double sector, with 1e-9 rad of angular slack
@@ -386,7 +420,11 @@ def check_bisectorial(
     for phi in sampling.resolved_phis(omega):
         if not omega < phi < math.pi / 2:
             raise ArgumentError(f"sampled phi={phi} outside (omega, pi/2)")
-        c = _ray_resolvent_bound(bt, phi, radii, bj)
+        # the rays at angle -phi are the conjugates of those at +phi and
+        # share their Q_s, so only the two rays at +phi are inverted
+        s0, y = radii * math.cos(phi), radii * math.sin(phi)
+        c = resolvent_bound(bt, np.concatenate([s0, -s0]), np.concatenate([y, -y]),
+                            np.tile(radii, 2), bj, (sigma_min, sigma_max))
         table.append((float(phi), float(c)))
     return BisectorReport(
         omega=float(omega),

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import cliffspec as cs
+from cliffspec.module import block_form, spectral_norm
+from cliffspec.spectrum import left_resolvents, q_inverse_stack, unit_blocks
 
 
 def brute_blade_product(gens_a, gens_b):
@@ -105,6 +107,29 @@ def non_normal_operator(rng, n):
     coeffs[1, 1, 0], coeffs[1, 1, 2] = -2.0, 0.3
     coeffs[0, 1] = rng.standard_normal(1 << n)
     return cs.CliffordOperator(n, 2, coeffs)
+
+
+def ray_samples(T, phi):
+    """Every sample of check_bisectorial at angle phi, written out: the radii
+    |s| of the 200 log-spaced radii on the rays at +phi (both signs) and
+    |s| ||S_L^-1(s, T)|| there and at the conjugates, shape (2, 400), from
+    one inverse of Q_s per node and ``spectral_norm`` on the blocks."""
+    bt = block_form(T.coeffs, T.n)
+    scale = max(1.0, float(np.linalg.svd(bt, compute_uv=False)[:, 0].max()))
+    radii = scale * np.logspace(-4.0, 4.0, 200)
+    s0 = np.concatenate([radii * math.cos(phi), -radii * math.cos(phi)])
+    y = np.concatenate([radii * math.sin(phi), -radii * math.sin(phi)])
+    radius = np.tile(radii, 2)
+    qinv = q_inverse_stack(bt, s0, radius * radius)
+    bj = unit_blocks(cs.unit_imag(T.n), T.m)
+    samples = [radius * spectral_norm(left_resolvents(bt, qinv, s0, branch * y, bj)).max(axis=1)
+               for branch in (1.0, -1.0)]
+    return radius, np.array(samples)
+
+
+def full_c_phi_table(T, phis):
+    """(phi, C) with C the maximum of all 800 samples of each angle."""
+    return tuple((float(phi), float(ray_samples(T, phi)[1].max())) for phi in phis)
 
 
 def four_ray_sum(f, T, eng, ts, unit, nodes):

@@ -8,7 +8,7 @@ import pytest
 import cliffspec as cs
 from cliffspec.cli import main
 
-from conftest import random_operator
+from conftest import full_c_phi_table, random_operator
 
 
 def write_operator(path, matrix, n=1):
@@ -101,6 +101,21 @@ def test_bisect_exit_codes(tmp_path):
         json.dump({"n": 1, "m": 1, "matrix": [[[0.0, 1.0]]]}, fh)
     assert main(["bisect", "--operator", str(sphere), "--omega", "0.3",
                  "--out", str(out)]) == 1
+
+
+def test_bisect_of_a_non_injective_operator_keeps_exit_and_table(tmp_path):
+    # sigma_min = 0: no series tail below the band, and no warning (pytest
+    # would turn it into an error); certified, with every C the maximum of
+    # all 800 samples of its angle
+    op = tmp_path / "op.json"
+    T = write_operator(op, [[1.0, 0.0], [0.0, 0.0]])
+    out = tmp_path / "report.json"
+    assert main(["bisect", "--operator", str(op), "--omega", "0.3",
+                 "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert not report["injective"] and report["certified"]
+    expected = full_c_phi_table(T, cs.RaySampling().resolved_phis(0.3))
+    assert [tuple(row) for row in report["c_phi_table"]] == list(expected)
 
 
 def test_parse_failure_exit_code(tmp_path):

@@ -6,7 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 import cliffspec as cs
 
-from conftest import OMEGA, THETA, random_operator, random_paravector
+from cliffspec.module import block_form, spectral_norm
+from cliffspec.spectrum import block_sigmas, left_resolvents, series_bounds
+from conftest import (OMEGA, THETA, full_c_phi_table, non_normal_operator, random_operator,
+                      random_paravector, ray_samples)
 
 
 def scalar_resolvent(s, lam):
@@ -301,3 +304,102 @@ def test_ray_bound_matches_four_ray_svd(rng):
         left = cs.rho_matrix(cs.left_s_resolvent(cs.Paravector(z.real, z.imag * axis), T))
         best = max(best, abs(z) * np.linalg.svd(left, compute_uv=False)[0])
     assert rep.c_phi_table[0][1] == pytest.approx(best, rel=1e-12)
+
+
+def _real(rows, n=1):
+    return cs.CliffordOperator.from_real_matrix(rows, n=n)
+
+
+def _d32_operator():
+    """The verify-d32 operator: A + A* over R_3 with m = 4, A from default_rng(0)."""
+    a = cs.CliffordOperator(3, 4, np.random.default_rng(0).standard_normal((4, 4, 8)))
+    return a + cs.adjoint_operator(a)
+
+
+RAY_OPERATORS = {
+    "diag(1,-2)": lambda: _real([[1.0, 0.0], [0.0, -2.0]]),
+    "jordan": lambda: _real([[1.0, 1.0], [0.0, 1.0]]),
+    "1+e1": lambda: cs.CliffordOperator(1, 1, np.array([[[1.0, 1.0]]])),
+    "non-normal-n2": lambda: non_normal_operator(np.random.default_rng(1), 2),
+    "non-normal-n3": lambda: non_normal_operator(np.random.default_rng(1), 3),
+    "non-normal-n4": lambda: non_normal_operator(np.random.default_rng(1), 4),
+    "verify-d32": _d32_operator,
+    # sigma_min = 0: no tail below the band
+    "diag(1,0)": lambda: _real([[1.0, 0.0], [0.0, 0.0]]),
+    # sigma_min = sigma_max: no band, every sample has a finite bound
+    "rotation": lambda: _real([[0.3, -1.1], [1.1, 0.3]]),
+    # ||T|| < 1: the radii start from the scale 1
+    "small-norm": lambda: _real([[0.3, 0.2], [0.0, -0.2]]),
+}
+
+
+@pytest.mark.parametrize("name", list(RAY_OPERATORS))
+def test_c_phi_table_is_the_full_sample_max_bit_for_bit(name):
+    T = RAY_OPERATORS[name]()
+    for omega in (OMEGA, 0.9):
+        rep = cs.check_bisectorial(T, omega)
+        assert rep.c_phi_table == full_c_phi_table(T, cs.RaySampling().resolved_phis(omega))
+
+
+def test_ray_bound_skips_the_tail_inverses(monkeypatch):
+    # on the verify-d32 operator most radii lie in a tail whose series bound
+    # is below the band's samples: far fewer than the 5 x 400 Q_s are inverted
+    T = _d32_operator()
+    inverted = []
+    inv = np.linalg.inv
+
+    def counting(a):
+        inverted.append(np.shape(a)[0])
+        return inv(a)
+    monkeypatch.setattr(np.linalg, "inv", counting)
+    cs.check_bisectorial(T, OMEGA)
+    assert sum(inverted) < 0.5 * 5 * 400
+
+
+def test_series_bounds_at_the_band_edges_raise_no_warning():
+    # pytest turns warnings into errors: sigma_min = 0 and radii equal to a
+    # sigma must not divide by zero
+    r = np.array([0.0, 0.5, 1.0, 2.0, 4.0])
+    assert series_bounds(r, 0.0, 1.0).tolist() == [math.inf, math.inf, math.inf, 2.0, 4.0 / 3.0]
+    assert series_bounds(r, 1.0, 1.0).tolist() == [0.0, 1.0, math.inf, 2.0, 4.0 / 3.0]
+    assert series_bounds(r, 0.0, 0.0).tolist() == [math.inf, 1.0, 1.0, 1.0, 1.0]
+
+
+@st.composite
+def non_normal_cases(draw):
+    """(T, phi): a random operator over R_n, n = 1..4, with an upper-triangular
+    part that makes it non-normal, scaled by 10^[-2, 2]."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    coeffs = rng.standard_normal((m, m, 1 << n))
+    coeffs[np.triu_indices(m, 1)] *= draw(st.floats(0.0, 20.0))
+    coeffs *= 10.0 ** draw(st.floats(-2.0, 2.0))
+    return cs.CliffordOperator(n, m, coeffs), draw(st.floats(0.05, math.pi / 2 - 0.05))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(non_normal_cases())
+def test_every_sample_lies_below_its_series_bound(case):
+    T, phi = case
+    radius, samples = ray_samples(T, phi)
+    bounds = series_bounds(radius, *block_sigmas(block_form(T.coeffs, T.n)))
+    tail = np.isfinite(bounds)
+    # resolvent_bound skips a node only if its samples cannot reach the max
+    assert np.all(samples[:, tail] <= bounds[tail])
+    assert np.all(np.isfinite(samples))
+
+
+def test_engine_fallback_takes_the_full_max_over_its_nodes():
+    # phi = 0.3 lies below every sampled angle at OMEGA (the first is 0.480),
+    # so the engine takes C_phi from its own nodes through resolvent_bound
+    T = non_normal_operator(np.random.default_rng(1), 2)
+    rep = cs.check_bisectorial(T, OMEGA)
+    assert math.isinf(rep.c_at(0.3))
+    eng = cs.ContourEngine(T, rep, THETA, cs.ContourConfig(phi=0.3, nodes=64))
+    r = np.exp(eng.u)
+    s0, y = np.real(eng.z), np.imag(eng.z)
+    full = max(float(np.max(r * spectral_norm(left).max(axis=1)))
+               for left in (left_resolvents(eng._bt, eng.P, s0, branch * y, eng._bj)
+                            for branch in (1.0, -1.0)))
+    assert eng.c_phi == full
