@@ -42,10 +42,12 @@ from .module import (
     CliffordOperator,
     OperatorSolver,
     block_form,
+    block_norms,
     coeffs_from_blocks,
     operator_from_real,
     rho_matrix,
     rho_stack,
+    self_adjoint_basis,
     spectral_norm,
 )
 from .quadrature import gl_cell_rule, gl_panel_grid, trapezoid_grid
@@ -140,6 +142,15 @@ class ContourEngine:
     slice unit J.  Only P at the nodes of angle +phi is stored, on the
     spinor blocks of rho (``module.block_form``); each family value is
     mapped back to rho.
+
+    When T is self-adjoint (``module.self_adjoint_basis``), ``basis`` holds
+    one eigenbasis U per block and P = U diag(1 / (lam^2 - 2 s0 lam + |s|^2))
+    U^H takes no inverse; P keeps its dense shape.  A gap between the
+    blocks and their Hermitian part, whose P this is, adds its perturbation
+    of Q_s^-1 to the discretization estimate (``_p_gap``), and the norm of
+    the even/odd gap is the bound max|d| + e in U (``module.block_norms``),
+    at least the norm.  Otherwise ``basis`` is None and all of this is the
+    dense inverse and norm.
     """
 
     def __init__(self, T: CliffordOperator, report: BisectorReport,
@@ -200,8 +211,9 @@ class ContourEngine:
 
         # rho(J) on the slice e_1, for the C_phi fallback and the assembled A
         self._bj = unit_blocks(unit_imag(T.n), T.m)
+        self.basis = self_adjoint_basis(self._bt)
         try:
-            self.P = q_inverse_stack(self._bt, np.real(self.z), r * r)
+            self.P = q_inverse_stack(self._bt, np.real(self.z), r * r, self.basis)
         except np.linalg.LinAlgError as exc:
             raise NumericalFailureError(
                 "pseudo-resolvent singular on the contour (operator spectrum "
@@ -227,6 +239,16 @@ class ContourEngine:
         self._gamma = terms / (1.0 - terms)
         self._p_fro = np.sqrt(np.einsum("ij,ij->i", self._p_flat, self._p_flat))
         self._t_norm = float(spectral_norm(self._bt).max())
+        # P is Q_s^-1 of the Hermitian part H of the blocks on the eigen
+        # path: ||Q_s(T) - Q_s(H)|| <= gap (2 ||H|| + gap + 2 |s0|) =: q, so
+        # ||Q_s(T)^-1 - P|| <= x / (1 - x) ||P||, x = ||P|| q, node by node,
+        # and the value moves by at most the largest such ratio times the
+        # sum the roundoff term bounds; 0 when bt is Hermitian or T is not
+        # self-adjoint
+        gap = 0.0 if self.basis is None else self.basis.gap
+        x = self._p_fro * (gap * (2.0 * self._t_norm + gap + 2.0 * np.abs(np.real(self.z))))
+        with np.errstate(divide="ignore"):
+            self._p_gap = float(np.max(x / np.maximum(1.0 - x, 0.0)))
 
     @property
     def A(self):
@@ -356,8 +378,9 @@ class ContourEngine:
         """(rho matrices, discretization estimates) from the alpha, beta of
         each half.  Each node is contracted once: the sums S_0, S_1 over the
         even and the odd nodes give the value S_0 + S_1 and, by comparison
-        with the half-resolution rule 2 S_0, the estimate ||S_1 - S_0||, to
-        which the roundoff bound of the node sums is added."""
+        with the half-resolution rule 2 S_0, the estimate ||S_1 - S_0||
+        (``module.block_norms``), to which the roundoff bound of the node
+        sums and the gap term ``_p_gap`` are added."""
         shape = self._bt.shape
         sums, size = [], 0.0
         for (alpha, beta), sl in zip(terms, self._halves):
@@ -371,7 +394,7 @@ class ContourEngine:
                 np.abs(beta) @ self._p_fro[sl])
         first, second = sums
         mats = rho_stack(coeffs_from_blocks(first + second, self.T.n), self.T.n)
-        discs = spectral_norm(second - first).max(axis=1) + self._gamma * size
+        discs = block_norms(second - first, self.basis) + (self._gamma + self._p_gap) * size
         return mats, discs
 
 

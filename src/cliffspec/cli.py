@@ -39,7 +39,13 @@ from .serialization import (
     scan_to_csv,
     write_json,
 )
-from .spectrum import GridSpec, check_bisectorial, default_scan_grid, scan_spectrum_slice
+from .spectrum import (
+    GridSpec,
+    RaySampling,
+    check_bisectorial,
+    default_scan_grid,
+    scan_spectrum_slice,
+)
 from .suite import SuiteConfig, run_theorem_suite
 
 EXIT_PASS = 0
@@ -125,10 +131,17 @@ def cmd_bisect(args):
 
 def cmd_calc(args):
     cfg = ContourConfig(phi=args.phi, nodes=args.nodes)
-    cfg.resolve_phi(args.omega, args.theta)
+    phi = cfg.resolve_phi(args.omega, args.theta)
     T = parse_operator_file(args.operator)
     f = resolve_function(load_function_spec(args.function), theta=args.theta)
-    report = check_bisectorial(T, args.omega)
+    # the engine reads C at the largest default angle at or below phi
+    # (``BisectorReport.c_at``), so only that angle is sampled; below every
+    # default angle the smallest is, c_at stays inf and the engine takes C
+    # from its own rays
+    phis = RaySampling().resolved_phis(args.omega)
+    below = [p for p in phis if p <= phi + 1e-12]
+    sampling = RaySampling(phis=(below[-1] if below else phis[0],))
+    report = check_bisectorial(T, args.omega, sampling)
     if f.decay is not None:
         result = omega_calculus(f, T, report, cfg)
     else:

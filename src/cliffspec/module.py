@@ -206,6 +206,108 @@ def block_form(coeffs, n):
     return out
 
 
+class Diagonal:
+    """A stack of block forms (..., r, km, km) in an eigenbasis: the
+    diagonal ``d`` (..., r, km) of each block and a bound ``e`` (..., r) on
+    the norm of the rest of it (``EigenBasis.diagonal``)."""
+
+    __slots__ = ("d", "e")
+
+    def __init__(self, d, e):
+        self.d = d
+        self.e = e
+
+    def __getitem__(self, index):
+        return Diagonal(self.d[index], self.e[index])
+
+    def norms(self):
+        """Upper bound max|d| + e on the norm of each matrix, the largest over its blocks."""
+        return (np.abs(self.d).max(axis=-1) + self.e).max(axis=-1)
+
+    def product_norms(self, other):
+        """Upper bound on the norm of each product A B, A in self and B in
+        ``other`` (broadcast), the largest over the blocks: with A = diag(a) + E,
+        B = diag(b) + F, ||A B|| <= max|a b| + e (||b||inf + f) + ||a||inf f."""
+        a_inf = np.abs(self.d).max(axis=-1)
+        b_inf = np.abs(other.d).max(axis=-1)
+        bound = (np.abs(self.d * other.d).max(axis=-1) + self.e * (b_inf + other.e)
+                 + a_inf * other.e)
+        return bound.max(axis=-1)
+
+
+class EigenBasis:
+    """H = U diag(lam) U^H for the Hermitian part H of each spinor block of a
+    self-adjoint T (``self_adjoint_basis``): ``u`` (r, km, km), real ``lam``
+    (r, km), ``gap`` = ||bt - H||_F, the largest over the blocks, and per
+    block the ``departure`` delta >= ||U^H U - I|| and the ``slack``, 2 delta
+    plus the rounding of U^H B U.
+
+    Every g(tT) is a function of T, so its blocks are diagonal in U up to
+    the gap between T and H and to roundoff; ``diagonal`` keeps the
+    diagonals and bounds what is left.
+    """
+
+    __slots__ = ("u", "lam", "gap", "departure", "slack")
+
+    def __init__(self, u, lam, gap, departure, slack):
+        self.u = u
+        self.lam = lam
+        self.gap = gap
+        self.departure = departure
+        self.slack = slack
+
+    def diagonal(self, blocks) -> Diagonal:
+        """The diagonals d of X = U^H B U for a stack of block forms B, and
+        the bound e = (||X - diag(d)||_F + slack ||X||_F) / (1 - delta)^2 on
+        the norm of the rest.  With the polar factors U = W S, ||S - I|| <=
+        delta, the block W^H B W = S^-1 X S^-1, unitarily similar to B, is
+        diag(d) plus a matrix of at most that norm."""
+        km = self.lam.shape[-1]
+        x = np.swapaxes(self.u, -1, -2).conj() @ blocks @ self.u
+        flat = x.reshape(*x.shape[:-2], km * km)
+        d = flat[..., ::km + 1].copy()
+        flat[..., ::km + 1] = 0.0
+        rest = np.linalg.norm(flat, axis=-1)
+        size = np.hypot(np.linalg.norm(d, axis=-1), rest)
+        return Diagonal(d, (rest + self.slack * size) / (1.0 - self.departure) ** 2)
+
+
+def self_adjoint_basis(bt):
+    """The ``EigenBasis`` of the spinor blocks ``bt`` of T when T is
+    self-adjoint, else None.
+
+    T is self-adjoint when its blocks are Hermitian to within 1e-12 times
+    their largest entry (at least 1) by ``np.allclose``; the map to blocks
+    takes T* to bt^H.  The eigenvectors are those of the Hermitian part
+    (bt + bt^H) / 2, which is bt bit for bit when bt is exactly Hermitian.
+    """
+    bh = np.swapaxes(bt, -1, -2).conj()
+    if not np.allclose(bt, bh, atol=1e-12 * max(1.0, float(np.abs(bt).max()))):
+        return None
+    herm = 0.5 * (bt + bh)
+    lam, u = np.linalg.eigh(herm)
+    km = bt.shape[-1]
+    eps = np.finfo(float).eps
+    # ||U^H U - I|| and its own rounding; the two products of U^H B U err
+    # by at most 2 gamma_km ||U||_F^2 ||B||_F = 2 km gamma_km ||B||_F
+    # (Higham, Accuracy and Stability, 3.5), with ||B||_F ~ ||U^H B U||_F
+    gram = np.swapaxes(u, -1, -2).conj() @ u - np.eye(km)
+    departure = np.linalg.norm(gram, axis=(-2, -1)) + 2.0 * km * eps
+    slack = 2.0 * departure + 2.0 * km * (km + 1) * eps
+    gap = float(np.linalg.norm(bt - herm, axis=(-2, -1)).max())
+    return EigenBasis(u, lam, gap, departure, slack)
+
+
+def block_norms(blocks, basis=None):
+    """The norm of each matrix in a stack of block forms (..., r, km, km),
+    the largest over its blocks: by ``spectral_norm``, or, in the
+    eigenbasis of a self-adjoint T, by the bound max|d| + e of
+    ``EigenBasis.diagonal`` with no eigensolve."""
+    if basis is None:
+        return spectral_norm(blocks).max(axis=-1)
+    return basis.diagonal(blocks).norms()
+
+
 def coeffs_from_blocks(blocks, n):
     """Inverse of ``block_form`` on a stack (..., r, km, km) of blocks:
     X_A = (1 / (r k)) sum_j Re tr(gamma_j(e_A)^H B_j), one real GEMM on the

@@ -37,11 +37,13 @@ from .functions import IntrinsicFunction
 from .module import (
     CliffordOperator,
     ModuleVector,
+    block_form,
+    block_norms,
     blocks_from_rho,
     coeffs_from_blocks,
     operator_norm,
     rho_stack,
-    spectral_norm,
+    self_adjoint_basis,
 )
 from .quadrature import pairwise_sum, trapezoid_grid
 from .spectrum import _CHUNK, BisectorReport, check_bisectorial
@@ -197,11 +199,16 @@ def frame_bounds(g: IntrinsicFunction, T: CliffordOperator,
     For intrinsic g, rho(g(tT*)) = rho(g(tT))^T: the transposed family of T,
     passed with T*, gives the frame bounds of T* with the claimed errors of
     T, since ||M^T|| = ||M||.
+
+    The error estimates scale with ||B_k|| (``module.block_norms``): for
+    self-adjoint T, B_k is diagonal in the eigenbasis of T's blocks up to
+    roundoff, and the bound max|d| + e taken there, at least ||B_k||,
+    replaces the eigensolve.
     """
     t, w, mats, truncs, discs = _family(g, T, qcfg, cfg, report, family)
     blocks = blocks_from_rho(mats, T.n)
     # error estimates enter the quadratic form linearly through the factors
-    scale = spectral_norm(blocks).max(axis=-1)
+    scale = block_norms(blocks, self_adjoint_basis(block_form(T.coeffs, T.n)))
     trunc = float(np.dot(w, 2.0 * scale * truncs + truncs ** 2))
     disc = float(np.dot(w, 2.0 * scale * discs + discs ** 2))
     grams = np.swapaxes(blocks, -1, -2).conj() @ blocks

@@ -118,11 +118,6 @@ def _record(name, lhs, rhs, tol=0.0, **extra):
     return rec
 
 
-def _is_self_adjoint(T):
-    rho = rho_matrix(T)
-    return bool(np.allclose(rho, rho.T, atol=1e-12 * max(1.0, np.abs(rho).max())))
-
-
 def run_theorem_suite(T: CliffordOperator, g_specs=None, f_specs=None,
                       config: SuiteConfig | None = None) -> dict:
     """Execute the full inequality suite on one operator; returns the report.
@@ -147,7 +142,7 @@ def run_theorem_suite(T: CliffordOperator, g_specs=None, f_specs=None,
     stages = []
 
     report = {
-        "report_version": 2,
+        "report_version": 3,
         "operator": operator_to_dict(T),
         "config": asdict(config),
         "seed": config.seed,
@@ -187,6 +182,7 @@ def run_theorem_suite(T: CliffordOperator, g_specs=None, f_specs=None,
     cfg, stride = lattice_contour(qcfg, requested)
     report["contour"] = contour_dict(cfg, stride)
     engine = ContourEngine(T, bisector, theta, cfg)
+    basis = engine.basis
     t_star = T.adjoint()
 
     # stage: frame bounds for each g on T and T* ---------------------------
@@ -200,7 +196,8 @@ def run_theorem_suite(T: CliffordOperator, g_specs=None, f_specs=None,
         fb = frame_bounds(g, T, qcfg, cfg, family=fam)
         fb_star = frame_bounds(g, t_star, qcfg, cfg, family=(
             t_grid, w_grid, np.swapaxes(mats, -1, -2), truncs, discs))
-        return fb, fb_star, fam, blocks_from_rho(mats, T.n)
+        blocks = blocks_from_rho(mats, T.n)
+        return fb, fb_star, fam, blocks if basis is None else basis.diagonal(blocks)
 
     if config.jobs > 1:
         with ThreadPoolExecutor(max_workers=config.jobs) as pool:
@@ -213,6 +210,11 @@ def run_theorem_suite(T: CliffordOperator, g_specs=None, f_specs=None,
     report["frames"] = {
         name: {"T": frame_report_dict(fb), "Tstar": frame_report_dict(fbs)}
         for name, (fb, fbs) in frames.items()
+    }
+    report["contour"]["basis"] = {
+        "path": "dense" if basis is None else "eigen",
+        "residual": None if basis is None else max(
+            float(blocks.e.max()) for _, blocks in families.values()),
     }
     stages.append({"name": "frames", "status": "done"})
 
@@ -243,7 +245,7 @@ def run_theorem_suite(T: CliffordOperator, g_specs=None, f_specs=None,
                                                   fam, blocks, rng))
         egg = f0_infty(product_function(e, g, g))
         records.append(_record(f"regularized_square_positive[g={gname}]", 1e-12, egg))
-        records.append(_dyadic_splitting_upper(gname, g, T, fb, hinf))
+        records.append(_dyadic_splitting_upper(gname, g, basis is not None, fb, hinf))
         # the constant of the sup-norm domination
         cg = (c_theta ** 2 * g.decay.c_alpha ** 2 * math.pi) / (
             2.0 * math.cos(theta) * g.decay.alpha ** 2 * egg)
@@ -299,24 +301,39 @@ def _composition_bound_records(gname, g, engine, c_theta, family, blocks, rng):
 
     Products and norms run on the spinor blocks: the norm of rho(g(tT) g(tau T))
     is the largest norm of the products of its blocks; ``blocks`` holds those
-    of the family.  The square kernel reads its values off the family: every
-    second node of each sign within three decades of the centre of the grid."""
+    of the family, as their ``Diagonal`` when the engine has an eigenbasis.
+    The square kernel reads its values off the family: every second node of
+    each sign within three decades of the centre of the grid.
+
+    For self-adjoint T (``engine.basis``) each block B_k is diagonal in the
+    eigenbasis of T's blocks up to roundoff, D_k = U^H B_k U = diag(d_k) plus
+    a rest of norm at most e_k, and the norm of a product is replaced by the
+    bound max|d_k d_l| + e_k (||d_l||inf + e_l) + ||d_k||inf e_l
+    (``Diagonal.product_norms``), with no product and no eigensolve.  Each
+    lhs is a max, a positively weighted sum, or a sum of squares of
+    positively weighted sums of those norms, so it can only rise, and a pass
+    is still a pass of the exact records.
+    """
     alpha, c_alpha = g.decay.alpha, g.decay.c_alpha
     sup_g = g.bounded.sup_norm
     n = engine.T.n
+    basis = engine.basis
     records = []
 
     def family_blocks(ts):
-        return blocks_from_rho(engine.evaluate_family(g, ts)[0], n)
+        values = blocks_from_rho(engine.evaluate_family(g, ts)[0], n)
+        return values if basis is None else basis.diagonal(values)
 
-    def norms(prods):
-        return spectral_norm(prods).max(axis=-1)
+    def norms(a, b):
+        if basis is None:
+            return spectral_norm(a @ b).max(axis=-1)
+        return a.product_norms(b)
 
     # i) uniform bound at random parameter pairs
     pairs = 10.0 ** rng.uniform(-3, 3, size=(UNIFORM_PAIRS, 2))
     signs = rng.choice([-1.0, 1.0], size=(UNIFORM_PAIRS, 2))
     ts = pairs * signs
-    lhs_i = float(np.max(norms(family_blocks(ts[:, 0]) @ family_blocks(ts[:, 1]))))
+    lhs_i = float(np.max(norms(family_blocks(ts[:, 0]), family_blocks(ts[:, 1]))))
     rhs_i = c_theta * c_alpha / alpha * sup_g
     records.append(_record(f"composition_uniform_bound[f=g={gname}]", lhs_i, rhs_i))
 
@@ -327,8 +344,8 @@ def _composition_bound_records(gname, g, engine, c_theta, family, blocks, rng):
     rhs_ii = c_theta * c_alpha * c_alpha * math.pi / (2.0 * alpha * alpha)
     lhs_ii = 0.0
     for tau in taus:
-        prods = blocks @ family_blocks([tau])[0]
-        lhs_ii = max(lhs_ii, float(pairwise_sum(w_grid * norms(prods))))
+        lhs_ii = max(lhs_ii, float(pairwise_sum(
+            w_grid * norms(blocks, family_blocks([tau])[0]))))
     records.append(_record(f"composition_integral_bound[f=g={gname}]", lhs_ii, rhs_ii))
 
     # iii) square-kernel inequality with an indicator-weighted sample family,
@@ -356,7 +373,7 @@ def _composition_bound_records(gname, g, engine, c_theta, family, blocks, rng):
     for k in range(idx.size):
         ls = np.arange(k, idx.size) if psi[k] else k + np.flatnonzero(psi[k:])
         if ls.size:
-            kernel[k, ls] = kernel[ls, k] = norms(fam3[k] @ fam3[ls])
+            kernel[k, ls] = kernel[ls, k] = norms(fam3[k], fam3[ls])
     inner = kernel.T @ (w3 * psi)          # integral over t for each tau
     lhs_iii = float(pairwise_sum(w3 * inner ** 2))
     rhs_iii = rhs_ii ** 2 * float(pairwise_sum(w3 * psi ** 2))
@@ -378,9 +395,11 @@ def _sup_domination_records(gname, T, family, cg, rng, gs, g_hinf):
     return records
 
 
-def _dyadic_splitting_upper(gname, g, T, fb, hinf):
+def _dyadic_splitting_upper(gname, g, self_adjoint, fb, hinf):
+    """The dyadic upper bound of the frame constant: c = 1 for self-adjoint
+    T (``module.self_adjoint_basis``), else the largest hinf norm ratio."""
     beta, c_beta = g.decay.alpha, g.decay.c_alpha
-    if _is_self_adjoint(T):
+    if self_adjoint:
         c = 1.0
         one_sided = False
     else:

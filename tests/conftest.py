@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import cliffspec as cs
-from cliffspec.module import block_form, spectral_norm
+from cliffspec.functions import ensure_bounded
+from cliffspec.module import block_form, blocks_from_rho, spectral_norm
 from cliffspec.spectrum import left_resolvents, q_inverse_stack, unit_blocks
 
 
@@ -107,6 +108,30 @@ def non_normal_operator(rng, n):
     coeffs[1, 1, 0], coeffs[1, 1, 2] = -2.0, 0.3
     coeffs[0, 1] = rng.standard_normal(1 << n)
     return cs.CliffordOperator(n, 2, coeffs)
+
+
+def self_adjoint_operator(rng, n, m):
+    """A + A* over R_n with standard normal m x m Clifford entries in A:
+    self-adjoint, so its spectrum is real and inside every double sector."""
+    A = random_operator(rng, n, m)
+    return cs.CliffordOperator(n, m, A.coeffs + A.adjoint().coeffs)
+
+
+def regularizer_family(T, omega=None, theta=None, quad_nodes=100):
+    """The frame family of the regularizer and what the composition records
+    take besides it, built as ``run_theorem_suite`` builds them:
+    (g, engine, C at theta, family, blocks of the family)."""
+    omega = OMEGA if omega is None else omega
+    theta = THETA if theta is None else theta
+    g = ensure_bounded(cs.resolve_function({"name": "regularizer"}, theta))
+    phi = 0.5 * (omega + theta)
+    bisector = cs.check_bisectorial(T, omega, cs.RaySampling(phis=(phi, theta)))
+    qcfg = cs.default_quad_grid(T, quad_nodes)
+    cfg, stride = cs.lattice_contour(qcfg, cs.ContourConfig(nodes=500))
+    engine = cs.ContourEngine(T, bisector, theta, cfg)
+    t_grid, w_grid = qcfg.grid()
+    fam = (t_grid, w_grid) + engine.evaluate_family(g, t_grid, stride=stride)
+    return g, engine, bisector.c_at(theta), fam, blocks_from_rho(fam[2], T.n)
 
 
 def ray_samples(T, phi):

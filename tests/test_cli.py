@@ -165,6 +165,35 @@ def test_calc_subcommand(tmp_path):
     assert payload["disc_err"] >= 0.0
 
 
+@pytest.mark.parametrize("phi, index", [(None, 0), ("0.75", 1), ("0.3", 0)],
+                         ids=["default-phi", "second-angle", "below-every-angle"])
+@pytest.mark.parametrize("spec", [{"name": "regularizer"}, {"name": "rational", "params": {
+    "num": [1.0, 0.0, 0.0], "den": [1.0, 0.0, 1.0], "bounded": True}}], ids=["decay", "hinf"])
+def test_calc_certifies_only_the_angle_it_reads(tmp_path, monkeypatch, phi, index, spec):
+    # the largest default angle at or below phi, else the smallest (where
+    # the engine takes C from its own rays): the same bytes as from the
+    # certificate at all five default angles
+    op, fn = tmp_path / "op.json", tmp_path / "f.json"
+    write_operator(op, [[1.0, 1.0], [0.0, -2.0]])
+    fn.write_text(json.dumps(spec))
+    args = ["calc", "--operator", str(op), "--function", str(fn)]
+    args += ["--phi", phi] if phi else []
+    sampled = []
+    check_bisectorial = cs.check_bisectorial
+
+    def certify(T, omega, sampling):
+        sampled.append(sampling.resolved_phis(omega))
+        return check_bisectorial(T, omega, sampling)
+
+    monkeypatch.setattr("cliffspec.cli.check_bisectorial", certify)
+    assert main(args + ["--out", str(tmp_path / "one.json")]) == 0
+    monkeypatch.setattr("cliffspec.cli.RaySampling", lambda phis=(): cs.RaySampling())
+    assert main(args + ["--out", str(tmp_path / "five.json")]) == 0
+    defaults = cs.RaySampling().resolved_phis(math.pi / 12)
+    assert sampled == [(defaults[index],), defaults]
+    assert (tmp_path / "one.json").read_bytes() == (tmp_path / "five.json").read_bytes()
+
+
 def test_frame_subcommand(tmp_path):
     op = tmp_path / "op.json"
     write_operator(op, [[1.0, 0.0], [0.0, -2.0]])
@@ -189,7 +218,9 @@ def test_verify_deterministic_and_exit_codes(tmp_path):
                  "--nodes", "500", "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
     report = json.loads(out1.read_text())
-    assert report["report_version"] == 2
+    assert report["report_version"] == 3
+    assert report["contour"]["basis"]["path"] == "eigen"
+    assert 0.0 <= report["contour"]["basis"]["residual"] < 1e-12
     assert report["seed"] == 7
     assert report["passed"] is True
     assert all(r["pass"] for r in report["records"])

@@ -1,0 +1,113 @@
+"""Self-adjoint operators through one eigenbasis per spinor block: the
+self-adjointness predicate, Q_s^-1 without inverses, the composition bounds
+against the dense norms, and a gap below the predicate's tolerance."""
+
+import copy
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import cliffspec as cs
+from cliffspec import calculus
+from cliffspec.module import block_form, self_adjoint_basis, spectral_norm
+from cliffspec.spectrum import q_inverse_stack
+from cliffspec.suite import _composition_bound_records
+
+from conftest import (
+    OMEGA,
+    THETA,
+    non_normal_operator,
+    regularizer_family,
+    self_adjoint_operator,
+)
+
+# an eigen-path lhs exceeds the dense one by the residual terms
+# e_k (||d_l||inf + e_l) + ||d_k||inf e_l of its entries: by at most 1.2e-12
+# relative over 40 random operators at n = 1..4, m = 1..3
+SLACK = 1e-10
+
+
+def _rho_is_symmetric(T):
+    # the test verify applied to rho(T) before the spinor-block predicate
+    rho = cs.rho_matrix(T)
+    return bool(np.allclose(rho, rho.T, atol=1e-12 * max(1.0, np.abs(rho).max())))
+
+
+def _operators():
+    rng = np.random.default_rng(2)
+    sym = self_adjoint_operator(rng, 3, 4)
+    noise = rng.standard_normal(sym.coeffs.shape)
+    return {
+        "diag(1,-2)": (cs.CliffordOperator.from_real_matrix([[1.0, 0.0], [0.0, -2.0]], n=1),
+                       True),
+        "jordan": (cs.CliffordOperator.from_real_matrix([[1.0, 1.0], [0.0, 1.0]], n=1), False),
+        "rotation": (cs.CliffordOperator.from_real_matrix([[0.3, -1.1], [1.1, 0.3]], n=1),
+                     False),
+        "1+e1": (cs.CliffordOperator(1, 1, np.array([[[1.0, 1.0]]])), False),
+        "a+b e1": (cs.CliffordOperator(1, 1, np.array([[[1.3, 0.1]]])), False),
+        "non-normal": (non_normal_operator(rng, 3), False),
+        "A+A*": (sym, True),
+        "A+A* at D=64": (self_adjoint_operator(rng, 3, 8) * 0.05, True),
+        "A+A* + 1e-14": (cs.CliffordOperator(3, 4, sym.coeffs + 1e-14 * noise), True),
+        "A+A* + 1e-3": (cs.CliffordOperator(3, 4, sym.coeffs + 1e-3 * noise), False),
+    }
+
+
+@pytest.mark.parametrize("name", list(_operators()))
+def test_self_adjoint_predicate_agrees_with_the_symmetry_of_rho(name):
+    T, want = _operators()[name]
+    basis = self_adjoint_basis(block_form(T.coeffs, T.n))
+    assert (basis is not None) == _rho_is_symmetric(T) == want
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 3), st.floats(-2.0, 2.0),
+       st.integers(0, 2 ** 32 - 1))
+def test_eigen_path_bounds_the_dense_records_and_inverts_q(n, m, log_scale, seed):
+    T = self_adjoint_operator(np.random.default_rng(seed), n, m) * 10.0 ** log_scale
+    g, engine, c_theta, fam, blocks = regularizer_family(T)
+    basis = engine.basis
+    assert basis is not None and basis.gap == 0.0 and engine._p_gap == 0.0
+    dense = copy.copy(engine)
+    dense.basis = None
+    eigen_records = _composition_bound_records("g", g, engine, c_theta, fam,
+                                               basis.diagonal(blocks),
+                                               np.random.default_rng(seed))
+    dense_records = _composition_bound_records("g", g, dense, c_theta, fam, blocks,
+                                               np.random.default_rng(seed))
+    for got, want in zip(eigen_records, dense_records, strict=True):
+        assert got["name"] == want["name"]
+        assert want["lhs"] <= got["lhs"] <= want["lhs"] * (1.0 + SLACK)
+    # P against the batched inverse, within the inverse's own rounding
+    # km eps cond(Q_s) ||Q_s^-1|| at each node
+    r = np.exp(engine.u)
+    ref = q_inverse_stack(engine._bt, np.real(engine.z), r * r)
+    lam = basis.lam[None]
+    q = np.abs(lam * lam - 2.0 * np.real(engine.z)[:, None, None] * lam
+               + (r * r)[:, None, None])
+    scale = q.max(axis=(1, 2)) / q.min(axis=(1, 2)) ** 2
+    err = np.abs(engine.P - ref).max(axis=(1, 2, 3))
+    assert np.all(err <= 16 * lam.shape[-1] * np.finfo(float).eps * scale)
+
+
+def test_a_gap_below_the_predicate_tolerance_enters_the_claimed_error(monkeypatch):
+    # a relative asymmetry of 1e-10 in the coefficients passes the predicate;
+    # P is then that of the Hermitian part, and only the gap term covers
+    # the move of the value against the dense inverse of T's own blocks
+    rng = np.random.default_rng(7)
+    sym = self_adjoint_operator(rng, 2, 2)
+    T = cs.CliffordOperator(2, 2, sym.coeffs * (1.0 + 1e-10 * rng.standard_normal(
+        sym.coeffs.shape)))
+    report = cs.check_bisectorial(T, OMEGA)
+    engine = cs.ContourEngine(T, report, THETA)
+    assert engine.basis is not None and 0.0 < engine.basis.gap < 1e-9
+    without_gap = copy.copy(engine)
+    without_gap._p_gap = 0.0
+    monkeypatch.setattr(calculus, "self_adjoint_basis", lambda bt: None)
+    dense = cs.ContourEngine(T, report, THETA)
+    f = cs.regularizer(THETA)
+    value, _, disc = engine.evaluate(f)
+    want, _, _ = dense.evaluate(f)
+    move = spectral_norm(value - want)
+    assert without_gap.evaluate(f)[2] < move <= disc

@@ -8,9 +8,16 @@ from cliffspec import suite
 from cliffspec.functions import ensure_bounded
 from cliffspec.module import blocks_from_rho, spectral_norm
 from cliffspec.quadrature import pairwise_sum
+from cliffspec.spectrum import q_inverse_stack
 from cliffspec.suite import INTEGRAL_TAUS, UNIFORM_PAIRS, _composition_bound_records
 
-from conftest import OMEGA, THETA, non_normal_operator
+from conftest import (
+    OMEGA,
+    THETA,
+    non_normal_operator,
+    regularizer_family,
+    self_adjoint_operator,
+)
 
 
 @pytest.mark.parametrize("matrix,expect_strict_gap", [
@@ -108,20 +115,6 @@ def test_fab_ladder_targets_pi_sign_on_non_normal_operator():
                                            ladder["sign_deviations"][1:]))
 
 
-def _square_kernel_setup(T, quad_nodes=100):
-    """The frame family of the regularizer and what the composition records
-    take besides it, built as ``run_theorem_suite`` builds them."""
-    g = ensure_bounded(cs.resolve_function({"name": "regularizer"}, THETA))
-    phi = 0.5 * (OMEGA + THETA)
-    bisector = cs.check_bisectorial(T, OMEGA, cs.RaySampling(phis=(phi, THETA)))
-    qcfg = cs.default_quad_grid(T, quad_nodes)
-    cfg, stride = cs.lattice_contour(qcfg, cs.ContourConfig(nodes=500))
-    engine = cs.ContourEngine(T, bisector, THETA, cfg)
-    t_grid, w_grid = qcfg.grid()
-    fam = (t_grid, w_grid) + engine.evaluate_family(g, t_grid, stride=stride)
-    return g, engine, bisector.c_at(THETA), fam, blocks_from_rho(fam[2], T.n)
-
-
 def _full_square_kernel(g, c_theta, family, blocks, rng):
     """The square-kernel record with every kernel entry computed, row by row;
     ``rng`` is drawn as the uniform and integral records draw it first."""
@@ -159,7 +152,7 @@ def test_square_kernel_on_the_indicator_support_matches_the_full_kernel(n, monke
     # seed 206 draws the widest indicator window of seeds 0 .. 299
     # (10^3.78 in |t|), seeds 5 and 8 the narrowest (one decade)
     T = non_normal_operator(np.random.default_rng(10 + n), n)
-    g, engine, c_theta, fam, blocks = _square_kernel_setup(T)
+    g, engine, c_theta, fam, blocks = regularizer_family(T)
     calls = []
 
     def counting_norm(stack):
@@ -180,6 +173,70 @@ def test_square_kernel_on_the_indicator_support_matches_the_full_kernel(n, monke
         pairs = size * (size + 1) // 2 + size * (total - size)
         assert sum(calls[1 + INTEGRAL_TAUS:]) == pairs * copies
         assert 0 < size < total
+
+
+def test_composition_records_on_a_self_adjoint_operator_take_no_product_norms(monkeypatch):
+    # in the eigenbasis every norm is a bound from the diagonals: no stack
+    # of products reaches spectral_norm, in the records or anywhere in verify
+    T = self_adjoint_operator(np.random.default_rng(3), 3, 2)
+    g, engine, c_theta, fam, blocks = regularizer_family(T)
+    calls = []
+
+    def counting_norm(stack):
+        calls.append(np.shape(stack))
+        return spectral_norm(stack)
+
+    monkeypatch.setattr(suite, "spectral_norm", counting_norm)
+    records = _composition_bound_records("g", g, engine, c_theta, fam,
+                                         engine.basis.diagonal(blocks),
+                                         np.random.default_rng(0))
+    assert [r["pass"] for r in records] == [True] * 3
+    assert calls == []
+    report = cs.run_theorem_suite(T, config=cs.SuiteConfig(
+        contour_nodes=500, quad_nodes=100, n_sandwich=20))
+    assert report["passed"] and report["contour"]["basis"]["path"] == "eigen"
+    dim = T.m << T.n
+    assert calls and all(shape == (dim, dim) for shape in calls)
+
+
+def _dense_uniform_and_integral(g, engine, w_grid, blocks, rng):
+    """lhs of the uniform and integral records from the products of the
+    blocks and ``spectral_norm``, on the draws of the records."""
+    def values(ts):
+        return blocks_from_rho(engine.evaluate_family(g, ts)[0], engine.T.n)
+
+    ts = 10.0 ** rng.uniform(-3, 3, size=(UNIFORM_PAIRS, 2)) * rng.choice(
+        [-1.0, 1.0], size=(UNIFORM_PAIRS, 2))
+    lhs_i = float(np.max(spectral_norm(values(ts[:, 0]) @ values(ts[:, 1])).max(axis=-1)))
+    taus = 10.0 ** rng.uniform(-2, 2, size=INTEGRAL_TAUS) * rng.choice(
+        [-1.0, 1.0], size=INTEGRAL_TAUS)
+    lhs_ii = max(float(pairwise_sum(w_grid * spectral_norm(
+        blocks @ values([tau])[0]).max(axis=-1))) for tau in taus)
+    return lhs_i, lhs_ii
+
+
+@pytest.mark.parametrize("case", ["jordan", "non-normal", "1+e1"])
+def test_operators_that_are_not_self_adjoint_keep_the_dense_path(case):
+    # no eigenbasis: P is the batched inverse, and the records and frame
+    # errors are the dense products and norms, bit for bit
+    omega, theta = (0.9, 1.2) if case == "1+e1" else (OMEGA, THETA)
+    T = {"jordan": cs.CliffordOperator.from_real_matrix([[1.0, 1.0], [0.0, 1.0]], n=1),
+         "non-normal": non_normal_operator(np.random.default_rng(4), 2),
+         "1+e1": cs.CliffordOperator(1, 1, np.array([[[1.0, 1.0]]]))}[case]
+    g, engine, c_theta, fam, blocks = regularizer_family(T, omega, theta)
+    assert engine.basis is None and engine._p_gap == 0.0
+    r = np.exp(engine.u)
+    assert np.array_equal(engine.P, q_inverse_stack(engine._bt, np.real(engine.z), r * r))
+    records = _composition_bound_records("g", g, engine, c_theta, fam, blocks,
+                                         np.random.default_rng(1))
+    t_grid, w_grid, _, truncs, discs = fam
+    want = _dense_uniform_and_integral(g, engine, w_grid, blocks, np.random.default_rng(1))
+    want += _full_square_kernel(g, c_theta, fam, blocks, np.random.default_rng(1))[:1]
+    assert tuple(r["lhs"] for r in records) == want
+    fb = cs.frame_bounds(g, T, family=fam)
+    scale = spectral_norm(blocks).max(axis=-1)
+    assert fb.truncation_error == float(np.dot(w_grid, 2.0 * scale * truncs + truncs ** 2))
+    assert fb.discretization_error == float(np.dot(w_grid, 2.0 * scale * discs + discs ** 2))
 
 
 def test_adjoint_certificate_at_the_contour_angle_matches_all_angles():
