@@ -132,16 +132,15 @@ def _stored_nodes(cfg):
 class ContourEngine:
     """Precomputed resolvent data along the contour for one operator.
 
-    evaluate_family(f, ts) integrates f(t s) against the stored resolvents
-    for a whole vector of scalings; evaluate(f) is its case t = 1.
+    evaluate_blocks(f, ts) integrates f(t s) against the stored resolvents
+    for a whole vector of scalings; evaluate_family and evaluate map to rho.
 
     The nodes z on the two rays at angle -phi are the conjugates of those at
     +phi.  Q_s depends on s only through (Re s, |s|) and every profile has
     F(conj z) = conj F(z), so each conjugate pair of left resolvents sums to
     alpha P - T beta P with real alpha, beta and P = Q_s^-1, which holds no
     slice unit J.  Only P at the nodes of angle +phi is stored, on the
-    spinor blocks of rho (``module.block_form``); each family value is
-    mapped back to rho.
+    spinor blocks of rho (``module.block_form``), where the values stay.
 
     When T is self-adjoint (``module.self_adjoint_basis``), ``basis`` holds
     one eigenbasis U per block and P = U diag(1 / (lam^2 - 2 s0 lam + |s|^2))
@@ -169,10 +168,9 @@ class ContourEngine:
         self._bt = block_form(T.coeffs, T.n)
         stored = _stored_nodes(cfg)
         need = 16 * stored * max(self._bt.size, _CHUNK)
-        self.dim = T.m << T.n
         if need > _MAX_ENGINE_BYTES:
             raise ArgumentError(
-                f"contour engine with {stored} stored nodes at D = {self.dim} needs "
+                f"contour engine with {stored} stored nodes at D = {T.m << T.n} needs "
                 f"{need / 2 ** 30:.3g} GiB, above {_MAX_ENGINE_BYTES / 2 ** 30:g} GiB; "
                 "use fewer nodes")
         n = cfg.nodes | 1
@@ -270,7 +268,12 @@ class ContourEngine:
         return mats[0], float(truncs[0]), float(discs[0])
 
     def evaluate_family(self, f: IntrinsicFunction, ts, stride=None):
-        """Stack of f(t T) matrices for a whole vector of nonzero finite
+        """``evaluate_blocks`` with the values mapped to rho."""
+        blocks, truncs, discs = self.evaluate_blocks(f, ts, stride)
+        return rho_stack(coeffs_from_blocks(blocks, self.T.n), self.T.n), truncs, discs
+
+    def evaluate_blocks(self, f: IntrinsicFunction, ts, stride=None):
+        """Spinor blocks of f(t T) for a whole vector of nonzero finite
         scalings, with their truncation and discretization estimates.
 
         The profile is evaluated once per distinct |t|.  With ``stride`` p,
@@ -286,7 +289,7 @@ class ContourEngine:
         bad = ~np.isfinite(ts) | (ts == 0.0)
         if np.any(bad):
             raise ArgumentError(f"scaling t={ts[bad][0]} must be nonzero and finite")
-        mats = np.empty((ts.size, self.dim, self.dim))
+        blocks = np.empty((ts.size, *self._bt.shape), dtype=complex)
         discs = np.empty(ts.size)
         mags, which = np.unique(np.abs(ts), return_inverse=True)
         if stride is None:
@@ -295,9 +298,9 @@ class ContourEngine:
             parts = self._lattice_parts(f, ts, mags, which, stride)
         for rows, picks, terms in parts:
             values, estimates = self._contract(terms)
-            mats[rows], discs[rows] = values[picks], estimates[picks]
+            blocks[rows], discs[rows] = values[picks], estimates[picks]
         truncs = np.array([self.truncation_bound(f.decay, t) for t in ts])
-        return mats, truncs, discs
+        return blocks, truncs, discs
 
     def _node_parts(self, f, ts, mags, which):
         """(rows, picks, terms) per block of distinct |t|: the profile at
@@ -375,8 +378,8 @@ class ContourEngine:
                  2.0 * coef[:, sl].real) for sl in self._halves]
 
     def _contract(self, terms):
-        """(rho matrices, discretization estimates) from the alpha, beta of
-        each half.  Each node is contracted once: the sums S_0, S_1 over the
+        """(blocks, discretization estimates) from the alpha, beta of each
+        half.  Each node is contracted once: the sums S_0, S_1 over the
         even and the odd nodes give the value S_0 + S_1 and, by comparison
         with the half-resolution rule 2 S_0, the estimate ||S_1 - S_0||
         (``module.block_norms``), to which the roundoff bound of the node
@@ -393,9 +396,8 @@ class ContourEngine:
             size = size + np.abs(alpha) @ self._p_fro[sl] + self._t_norm * (
                 np.abs(beta) @ self._p_fro[sl])
         first, second = sums
-        mats = rho_stack(coeffs_from_blocks(first + second, self.T.n), self.T.n)
         discs = block_norms(second - first, self.basis) + (self._gamma + self._p_gap) * size
-        return mats, discs
+        return first + second, discs
 
 
 def _check_report(report):
@@ -516,8 +518,8 @@ def f_ab_operator(f: IntrinsicFunction, a, b, T: CliffordOperator,
     estimate integrates that of f(tT) over a <= |t| <= b, on the
     Gauss-Legendre panels of ``gl_panel_grid``.
     """
-    if not 0.0 < a <= b:
-        raise ArgumentError(f"need 0 < a <= b, got a={a}, b={b}")
+    if not 0.0 < a <= b < math.inf:
+        raise ArgumentError(f"need 0 < a <= b < inf, got a={a}, b={b}")
     _check_report(report)
     if f.decay is None:
         raise PreconditionError("contour calculus requires a decay certificate")
@@ -526,12 +528,12 @@ def f_ab_operator(f: IntrinsicFunction, a, b, T: CliffordOperator,
     eng = engine or ContourEngine(T, report, f.theta, cfg)
     full, disc = eng._contract(eng._node_terms(f_ab_nodes(eng, f, a, b, 12)[None, :]))
     coarse, _ = eng._contract(eng._node_terms(f_ab_nodes(eng, f, a, b, 6)[None, :]))
-    t_disc = float(spectral_norm(full[0] - coarse[0]))
+    t_disc = float(block_norms(full[0] - coarse[0]))
     u, w = gl_panel_grid(math.log(a), math.log(b), points=12)
     truncs = np.array([eng.truncation_bound(f.decay, t) for t in np.exp(u)])
     trunc = float(np.dot(w, truncs + truncs))
-    return CalculusResult(operator_from_real(full[0], T.n, T.m), trunc,
-                          float(disc[0]) + t_disc)
+    return CalculusResult(CliffordOperator(T.n, T.m, coeffs_from_blocks(full[0], T.n)),
+                          trunc, float(disc[0]) + t_disc)
 
 
 def adjoint_calculus_check(f: IntrinsicFunction, T: CliffordOperator,

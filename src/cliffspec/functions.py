@@ -343,8 +343,8 @@ def f_ab_function(f: IntrinsicFunction, a, b) -> IntrinsicFunction:
     Carries a decay certificate derived from the certificate of f and a
     bounded certificate C_alpha * pi / alpha.
     """
-    if not 0.0 < a <= b:
-        raise ArgumentError(f"need 0 < a <= b, got a={a}, b={b}")
+    if not 0.0 < a <= b < math.inf:
+        raise ArgumentError(f"need 0 < a <= b < inf, got a={a}, b={b}")
     cert = _require_decay(f)
     inner = f.profile
     if a == b:

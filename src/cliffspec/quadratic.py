@@ -6,9 +6,9 @@ whose step divides the grid's (``lattice_contour``).  Assembling the
 weighted Gram matrix Theta = sum_k w_k rho(g(t_k T))^T rho(g(t_k T)) turns
 the two-sided frame inequality into an eigenvalue problem: the extreme
 eigenvalues of Theta are the squares of the best constants for the
-discretized integral.  Theta is assembled and solved on the spinor blocks
-of the family (``module.block_form``) and mapped back to D x D only to be
-reported.
+discretized integral, whose value at v is v^T Theta v.  Theta is
+assembled and solved on the spinor blocks of the family
+(``ContourEngine.evaluate_blocks``) and mapped to D x D once.
 
 Every function here takes the certificate of T as its input: a
 BisectorReport, or a family (an engine, for the dyadic sign identity) built
@@ -105,28 +105,22 @@ def check_frame_memory(T: CliffordOperator, nodes, n_g=1, jobs=1, contour_nodes=
     exceed the engine cap.  ``nodes`` is the per-sign node count of the
     grid, ``contour_nodes`` the contour's requested node count.
 
-    Each of the n_g functions g keeps its family as D x D matrices (8 D^2
-    bytes a value) and as spinor blocks (16 r (km)^2 bytes a value).  Each
-    running job holds at its peak the larger of four block stacks (the
-    blocks of the family of T or T*, the Gram stack, its weighted copy and
-    the A^H A stack of the scale) and the two D x D arrays into which
-    ``evaluate_family`` maps one chunk of values back, plus the alpha, beta
-    matrices of that chunk and their absolute values (8 bytes a row and
-    stored node of the lattice contour, whatever D).
+    Each of the n_g functions g keeps its family as spinor blocks B (16 r
+    (km)^2 bytes a value).  Each running job holds at its peak four block
+    stacks (B, B^H, the copy of B the Gram of B^H reads, the Gram stack)
+    and the alpha, beta matrices of one chunk of values and their absolute
+    values (8 bytes a row and stored contour node).
     """
-    values = 2 * (nodes | 1)
     # the lattice contour depends on the log step of the grid only, which
     # default_quad_grid fixes whatever ||T||
     cfg, _ = lattice_contour(QuadGridConfig(1e-5, 1e5, nodes), ContourConfig(nodes=contour_nodes))
     coefficients = 4 * 8 * (2 * _CHUNK) * _stored_nodes(cfg)
-    dim = T.m << T.n
     r, _, k, _ = spinor_blades(T.n).shape
-    dense, block = 8 * dim * dim, 16 * r * (k * T.m) ** 2
-    job = max(4 * block * values, 2 * _CHUNK * dense) + coefficients
-    need = n_g * (dense + block) * values + min(jobs, n_g) * job
+    stack = 16 * r * (k * T.m) ** 2 * 2 * (nodes | 1)
+    need = n_g * stack + min(jobs, n_g) * (4 * stack + coefficients)
     if need > _MAX_ENGINE_BYTES:
         raise ArgumentError(
-            f"frame stage at D = {dim} with {n_g} g needs about {need / 2 ** 30:.3g} "
+            f"frame stage at D = {T.m << T.n} with {n_g} g needs about {need / 2 ** 30:.3g} "
             f"GiB, above {_MAX_ENGINE_BYTES / 2 ** 30:g} GiB")
 
 
@@ -140,24 +134,12 @@ class FrameBounds(_ErrorBudget):
     discretization_error: float
 
 
-def _family(g, T, qcfg, cfg, report, family):
-    """(t, w, mats, truncs, discs): the given family, or one evaluated on
-    the contour engine of the report."""
-    if family is not None:
-        return family
+def _grid_engine(g, T, qcfg, cfg, report):
+    """(t, w, engine, stride): the grid and the engine of the report on its lattice."""
     _check_report(report)
     qcfg = qcfg or default_quad_grid(T)
     cfg, stride = lattice_contour(qcfg, cfg)
-    t, w = qcfg.grid()
-    engine = ContourEngine(T, report, g.theta, cfg)
-    return (t, w) + engine.evaluate_family(g, t, stride=stride)
-
-
-def weighted_norms2(w, mats, xs):
-    """sum_k w_k ||M_k x||^2 for each row x of ``xs``, over the family M_k."""
-    applied = np.einsum("kij,vj->kvi", mats, xs)
-    norms2 = np.einsum("kvi,kvi->kv", applied, applied)
-    return pairwise_sum(w[:, None] * norms2)
+    return (*qcfg.grid(), ContourEngine(T, report, g.theta, cfg), stride)
 
 
 def quadratic_norm(g: IntrinsicFunction, T: CliffordOperator, v: ModuleVector,
@@ -170,8 +152,13 @@ def quadratic_norm(g: IntrinsicFunction, T: CliffordOperator, v: ModuleVector,
     Pass a precomputed ``family`` (as returned by grid + evaluate_family)
     when evaluating many vectors against one operator.
     """
-    t, w, mats, _, _ = _family(g, T, qcfg, cfg, report, family)
-    return float(math.sqrt(max(weighted_norms2(w, mats, v.flatten()[None, :])[0], 0.0)))
+    if family is None:
+        t, w, engine, stride = _grid_engine(g, T, qcfg, cfg, report)
+        family = (t, w) + engine.evaluate_family(g, t, stride=stride)
+    _, w, mats, _, _ = family
+    applied = np.einsum("kij,vj->kvi", mats, v.flatten()[None, :])
+    norms2 = pairwise_sum(w[:, None] * np.einsum("kvi,kvi->kv", applied, applied))
+    return float(math.sqrt(max(norms2[0], 0.0)))
 
 
 def frame_operator(g: IntrinsicFunction, T: CliffordOperator,
@@ -193,33 +180,46 @@ def frame_bounds(g: IntrinsicFunction, T: CliffordOperator,
     """Best discretized frame constants (c, d) as extreme eigenvalues of Theta.
 
     Theta = sum_k w_k B_k^H B_k is assembled and solved on the spinor blocks
-    B_k of the family; rho of Theta holds D / (r km) = 2^(n - n // 2) / r
-    copies of each block or its conjugate, so each block eigenvalue repeats
-    that often in ``eigenvalues``, and ``theta`` is mapped back to D x D.
-    For intrinsic g, rho(g(tT*)) = rho(g(tT))^T: the transposed family of T,
-    passed with T*, gives the frame bounds of T* with the claimed errors of
-    T, since ||M^T|| = ||M||.
+    B_k of the family: the engine's, or those of a given D x D ``family``.
+    rho of Theta holds D / (r km) = 2^(n - n // 2) / r copies of each block
+    or its conjugate, so each block eigenvalue repeats that often in
+    ``eigenvalues``, and ``theta`` is mapped back to D x D.  For intrinsic
+    g, rho(g(tT*)) = rho(g(tT))^T, with blocks B_k^H: the transposed family
+    of T, passed with T*, gives the frame bounds of T* with the claimed
+    errors of T, since ||M^T|| = ||M||.
 
     The error estimates scale with ||B_k|| (``module.block_norms``): for
     self-adjoint T, B_k is diagonal in the eigenbasis of T's blocks up to
     roundoff, and the bound max|d| + e taken there, at least ||B_k||,
     replaces the eigensolve.
     """
-    t, w, mats, truncs, discs = _family(g, T, qcfg, cfg, report, family)
-    blocks = blocks_from_rho(mats, T.n)
+    if family is None:
+        t, w, engine, stride = _grid_engine(g, T, qcfg, cfg, report)
+        blocks, truncs, discs = engine.evaluate_blocks(g, t, stride=stride)
+        basis = engine.basis
+    else:
+        _, w, mats, truncs, discs = family
+        blocks = blocks_from_rho(mats, T.n)
+        basis = self_adjoint_basis(block_form(T.coeffs, T.n))
+    return _block_frame_bounds(w, blocks, truncs, discs, block_norms(blocks, basis), T.n)
+
+
+def _block_frame_bounds(w, blocks, truncs, discs, scale, n) -> FrameBounds:
+    """``frame_bounds`` of the family with spinor blocks B_k over R_n, given
+    a bound ``scale`` on each ||B_k||, which serves the B_k^H of T* too."""
     # error estimates enter the quadratic form linearly through the factors
-    scale = block_norms(blocks, self_adjoint_basis(block_form(T.coeffs, T.n)))
     trunc = float(np.dot(w, 2.0 * scale * truncs + truncs ** 2))
     disc = float(np.dot(w, 2.0 * scale * discs + discs ** 2))
     grams = np.swapaxes(blocks, -1, -2).conj() @ blocks
-    theta = pairwise_sum(w[:, None, None, None] * grams)
+    grams *= w[:, None, None, None]
+    theta = pairwise_sum(grams)
     theta = 0.5 * (theta + np.swapaxes(theta, -1, -2).conj())
     lam = np.linalg.eigvalsh(theta)
-    eig = np.sort(np.repeat(lam.ravel(), (1 << (T.n - T.n // 2)) // lam.shape[0]))
+    eig = np.sort(np.repeat(lam.ravel(), (1 << (n - n // 2)) // lam.shape[0]))
     return FrameBounds(
         c_lower=float(math.sqrt(max(eig[0], 0.0))),
         d_upper=float(math.sqrt(max(eig[-1], 0.0))),
-        theta=rho_stack(coeffs_from_blocks(theta, T.n), T.n),
+        theta=rho_stack(coeffs_from_blocks(theta, n), n),
         eigenvalues=eig,
         truncation_error=trunc,
         discretization_error=disc,

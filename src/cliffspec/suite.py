@@ -27,13 +27,12 @@ from .functions import (
     regularizer,
     resolve_function,
 )
-from .module import CliffordOperator, blocks_from_rho, rho_matrix, spectral_norm
+from .module import CliffordOperator, block_norms, rho_matrix, spectral_norm
 from .quadratic import (
+    _block_frame_bounds,
     check_frame_memory,
     default_quad_grid,
-    frame_bounds,
     lattice_contour,
-    weighted_norms2,
 )
 from .quadrature import pairwise_sum
 from .serialization import (
@@ -189,32 +188,30 @@ def run_theorem_suite(T: CliffordOperator, g_specs=None, f_specs=None,
     t_grid, w_grid = qcfg.grid()
 
     def frames_for(args):
-        # for intrinsic g the family of T* is the transposed family of T
+        # for intrinsic g T*'s family has the blocks B^H of T's, with their norms
         _, g = args
-        fam = (t_grid, w_grid) + engine.evaluate_family(g, t_grid, stride=stride)
-        _, _, mats, truncs, discs = fam
-        fb = frame_bounds(g, T, qcfg, cfg, family=fam)
-        fb_star = frame_bounds(g, t_star, qcfg, cfg, family=(
-            t_grid, w_grid, np.swapaxes(mats, -1, -2), truncs, discs))
-        blocks = blocks_from_rho(mats, T.n)
-        return fb, fb_star, fam, blocks if basis is None else basis.diagonal(blocks)
+        blocks, truncs, discs = engine.evaluate_blocks(g, t_grid, stride=stride)
+        frame = blocks if basis is None else basis.diagonal(blocks)
+        scale = block_norms(blocks) if basis is None else frame.norms()
+        fb = _block_frame_bounds(w_grid, blocks, truncs, discs, scale, T.n)
+        fb_star = _block_frame_bounds(w_grid, np.swapaxes(blocks, -1, -2).conj(),
+                                      truncs, discs, scale, T.n)
+        return fb, fb_star, frame
 
     if config.jobs > 1:
         with ThreadPoolExecutor(max_workers=config.jobs) as pool:
             frame_results = list(pool.map(frames_for, gs))
     else:
         frame_results = [frames_for(item) for item in gs]
-    frames = {name: (fb, fbs) for (name, _), (fb, fbs, _, _) in zip(gs, frame_results)}
-    families = {name: (fam, blocks)
-                for (name, _), (_, _, fam, blocks) in zip(gs, frame_results)}
+    frames = {name: result for (name, _), result in zip(gs, frame_results)}
     report["frames"] = {
         name: {"T": frame_report_dict(fb), "Tstar": frame_report_dict(fbs)}
-        for name, (fb, fbs) in frames.items()
+        for name, (fb, fbs, _) in frames.items()
     }
     report["contour"]["basis"] = {
         "path": "dense" if basis is None else "eigen",
         "residual": None if basis is None else max(
-            float(blocks.e.max()) for _, blocks in families.values()),
+            float(frame.e.max()) for _, _, frame in frames.values()),
     }
     stages.append({"name": "frames", "status": "done"})
 
@@ -237,12 +234,11 @@ def run_theorem_suite(T: CliffordOperator, g_specs=None, f_specs=None,
     g_hinf = {gname: hinf_calculus(g, T, bisector, cfg, engine=engine) for gname, g in gs}
     sandwich_vecs = rng.standard_normal((config.n_sandwich, T.m << T.n))
     for gname, g in gs:
-        fb, fb_star = frames[gname]
-        fam, blocks = families[gname]
-        records.extend(_frame_sandwich_records(gname, fb, sandwich_vecs, fam,
+        fb, fb_star, frame = frames[gname]
+        records.extend(_frame_sandwich_records(gname, fb, sandwich_vecs,
                                                fb.combined_error + 1e-9))
-        records.extend(_composition_bound_records(gname, g, engine, c_theta,
-                                                  fam, blocks, rng))
+        records.extend(_composition_bound_records(gname, g, engine, c_theta, t_grid,
+                                                  w_grid, frame, rng))
         egg = f0_infty(product_function(e, g, g))
         records.append(_record(f"regularized_square_positive[g={gname}]", 1e-12, egg))
         records.append(_dyadic_splitting_upper(gname, g, basis is not None, fb, hinf))
@@ -252,12 +248,12 @@ def run_theorem_suite(T: CliffordOperator, g_specs=None, f_specs=None,
         for fname, (f, res, norm) in hinf.items():
             records.append(_frame_ratio_bound(gname, fname, f, norm, res, fb, cg, theta))
         records.append(_adjoint_side_lower(gname, g, fb, fb_star))
-        records.extend(_sup_domination_records(gname, T, fam, cg, rng, gs, g_hinf))
+        records.extend(_sup_domination_records(gname, T, fb, cg, rng, gs, g_hinf))
     stages.append({"name": "inequalities", "status": "done"})
 
     # release the families before the engine of T*; the engine of T serves
     # the ladder only
-    frame_results = families = fam = blocks = None
+    frame_results = frames = frame = None
 
     # stage: parameter-truncation convergence ladder ------------------------
     records.extend(_fab_ladder_records(T, bisector, cfg, theta, engine))
@@ -284,9 +280,13 @@ def run_theorem_suite(T: CliffordOperator, g_specs=None, f_specs=None,
     return report
 
 
-def _frame_sandwich_records(gname, fb, xs, family, quad_tol):
-    _, w_grid, mats, _, _ = family
-    qn = np.sqrt(np.maximum(weighted_norms2(w_grid, mats, xs), 0.0))
+def _frame_norms2(fb, xs):
+    """x^T Theta x = the discretized integral of ||g(tT) x||^2 dt/|t|, per row x."""
+    return np.einsum("vi,vi->v", xs @ fb.theta, xs)
+
+
+def _frame_sandwich_records(gname, fb, xs, quad_tol):
+    qn = np.sqrt(np.maximum(_frame_norms2(fb, xs), 0.0))
     nv = np.linalg.norm(xs, axis=1)
     worst_low = float(np.max(fb.c_lower * nv - qn))
     worst_high = float(np.max(qn - fb.d_upper * nv))
@@ -296,14 +296,15 @@ def _frame_sandwich_records(gname, fb, xs, family, quad_tol):
     ]
 
 
-def _composition_bound_records(gname, g, engine, c_theta, family, blocks, rng):
+def _composition_bound_records(gname, g, engine, c_theta, t_grid, w_grid, blocks, rng):
     """Composition bounds: uniform, integrated, and the square-kernel form.
 
     Products and norms run on the spinor blocks: the norm of rho(g(tT) g(tau T))
     is the largest norm of the products of its blocks; ``blocks`` holds those
-    of the family, as their ``Diagonal`` when the engine has an eigenbasis.
-    The square kernel reads its values off the family: every second node of
-    each sign within three decades of the centre of the grid.
+    of the family on the grid (t, w), as their ``Diagonal`` when the engine
+    has an eigenbasis.  The square kernel reads its values off the family:
+    every second node of each sign within three decades of the centre of the
+    grid.
 
     For self-adjoint T (``engine.basis``) each block B_k is diagonal in the
     eigenbasis of T's blocks up to roundoff, D_k = U^H B_k U = diag(d_k) plus
@@ -316,36 +317,33 @@ def _composition_bound_records(gname, g, engine, c_theta, family, blocks, rng):
     """
     alpha, c_alpha = g.decay.alpha, g.decay.c_alpha
     sup_g = g.bounded.sup_norm
-    n = engine.T.n
     basis = engine.basis
     records = []
-
-    def family_blocks(ts):
-        values = blocks_from_rho(engine.evaluate_family(g, ts)[0], n)
-        return values if basis is None else basis.diagonal(values)
 
     def norms(a, b):
         if basis is None:
             return spectral_norm(a @ b).max(axis=-1)
         return a.product_norms(b)
 
-    # i) uniform bound at random parameter pairs
+    # the random parameter pairs of i) and the random tau of ii)
     pairs = 10.0 ** rng.uniform(-3, 3, size=(UNIFORM_PAIRS, 2))
     signs = rng.choice([-1.0, 1.0], size=(UNIFORM_PAIRS, 2))
-    ts = pairs * signs
-    lhs_i = float(np.max(norms(family_blocks(ts[:, 0]), family_blocks(ts[:, 1]))))
+    taus = 10.0 ** rng.uniform(-2, 2, size=INTEGRAL_TAUS) * rng.choice(
+        [-1.0, 1.0], size=INTEGRAL_TAUS)
+    values = engine.evaluate_blocks(g, np.concatenate([(pairs * signs).T.ravel(), taus]))[0]
+    values = values if basis is None else basis.diagonal(values)
+
+    # i) uniform bound at random parameter pairs
+    lhs_i = float(np.max(norms(values[:UNIFORM_PAIRS],
+                               values[UNIFORM_PAIRS:2 * UNIFORM_PAIRS])))
     rhs_i = c_theta * c_alpha / alpha * sup_g
     records.append(_record(f"composition_uniform_bound[f=g={gname}]", lhs_i, rhs_i))
 
     # ii) dt/|t| integral of the composition norm at random tau
-    t_grid, w_grid = family[:2]
-    taus = 10.0 ** rng.uniform(-2, 2, size=INTEGRAL_TAUS) * rng.choice(
-        [-1.0, 1.0], size=INTEGRAL_TAUS)
     rhs_ii = c_theta * c_alpha * c_alpha * math.pi / (2.0 * alpha * alpha)
     lhs_ii = 0.0
-    for tau in taus:
-        lhs_ii = max(lhs_ii, float(pairwise_sum(
-            w_grid * norms(blocks, family_blocks([tau])[0]))))
+    for k in range(2 * UNIFORM_PAIRS, 2 * UNIFORM_PAIRS + INTEGRAL_TAUS):
+        lhs_ii = max(lhs_ii, float(pairwise_sum(w_grid * norms(blocks, values[k]))))
     records.append(_record(f"composition_integral_bound[f=g={gname}]", lhs_ii, rhs_ii))
 
     # iii) square-kernel inequality with an indicator-weighted sample family,
@@ -381,14 +379,13 @@ def _composition_bound_records(gname, g, engine, c_theta, family, blocks, rng):
     return records
 
 
-def _sup_domination_records(gname, T, family, cg, rng, gs, g_hinf):
+def _sup_domination_records(gname, T, fb, cg, rng, gs, g_hinf):
     """Square-integral domination of f(T) by the sup norm, per decay-class f;
     ``g_hinf`` maps each name in ``gs`` to its hinf_calculus result."""
     records = []
-    _, w_grid, fam, _, _ = family
     x = rng.standard_normal(T.m << T.n)
     rows = [x] + [rho_matrix(g_hinf[fname].op) @ x for fname, _ in gs]
-    base_sq, *sq = weighted_norms2(w_grid, fam, np.stack(rows))
+    base_sq, *sq = _frame_norms2(fb, np.stack(rows))
     for (fname, f), lhs in zip(gs, sq):
         rhs = cg ** 2 * f.bounded.sup_norm ** 2 * float(base_sq)
         records.append(_record(f"sup_norm_domination[g={gname},f={fname}]", lhs, rhs))

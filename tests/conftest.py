@@ -5,7 +5,7 @@ import pytest
 
 import cliffspec as cs
 from cliffspec.functions import ensure_bounded
-from cliffspec.module import block_form, blocks_from_rho, spectral_norm
+from cliffspec.module import block_form, spectral_norm
 from cliffspec.spectrum import left_resolvents, q_inverse_stack, unit_blocks
 
 
@@ -120,7 +120,9 @@ def self_adjoint_operator(rng, n, m):
 def regularizer_family(T, omega=None, theta=None, quad_nodes=100):
     """The frame family of the regularizer and what the composition records
     take besides it, built as ``run_theorem_suite`` builds them:
-    (g, engine, C at theta, family, blocks of the family)."""
+    (g, engine, C at theta, family, blocks of the family), the family as
+    (t, w, blocks, truncation and discretization estimates) from
+    ``ContourEngine.evaluate_blocks``."""
     omega = OMEGA if omega is None else omega
     theta = THETA if theta is None else theta
     g = ensure_bounded(cs.resolve_function({"name": "regularizer"}, theta))
@@ -130,8 +132,8 @@ def regularizer_family(T, omega=None, theta=None, quad_nodes=100):
     cfg, stride = cs.lattice_contour(qcfg, cs.ContourConfig(nodes=500))
     engine = cs.ContourEngine(T, bisector, theta, cfg)
     t_grid, w_grid = qcfg.grid()
-    fam = (t_grid, w_grid) + engine.evaluate_family(g, t_grid, stride=stride)
-    return g, engine, bisector.c_at(theta), fam, blocks_from_rho(fam[2], T.n)
+    fam = (t_grid, w_grid) + engine.evaluate_blocks(g, t_grid, stride=stride)
+    return g, engine, bisector.c_at(theta), fam, fam[2]
 
 
 def ray_samples(T, phi):

@@ -13,6 +13,7 @@ from cliffspec.calculus import _stored_nodes
 from cliffspec.clifford import multiplication_table, spinor_blades
 from cliffspec.module import block_form, blocks_from_rho, coeffs_from_blocks, spectral_norm
 from cliffspec.quadrature import pairwise_sum
+from cliffspec.quadratic import _block_frame_bounds
 from cliffspec.suite import INTEGRAL_TAUS, UNIFORM_PAIRS, _composition_bound_records
 
 from conftest import OMEGA, THETA
@@ -127,7 +128,7 @@ def test_composition_records_match_their_dense_form(family_ctx):
     T, _, eng, g, family = family_ctx
     g = g.with_bounded(cs.certify_bounded(g))
     blocks = blocks_from_rho(family[2], T.n)
-    records = _composition_bound_records("g", g, eng, 1.0, family, blocks,
+    records = _composition_bound_records("g", g, eng, 1.0, *family[:2], blocks,
                                          np.random.default_rng(5))
     # the same draws, products and norms on the D x D values
     rng = np.random.default_rng(5)
@@ -177,7 +178,7 @@ def test_frame_bounds_on_blocks_match_the_dense_gram(family_ctx):
 
 
 def test_transposed_family_gives_the_frames_of_the_adjoint(family_ctx):
-    T, cfg, _, g, family = family_ctx
+    T, cfg, eng, g, family = family_ctx
     t, w, mats, truncs, discs = family
     t_star = T.adjoint()
     fb = cs.frame_bounds(g, T, family=family)
@@ -187,6 +188,18 @@ def test_transposed_family_gives_the_frames_of_the_adjoint(family_ctx):
         (fb.truncation_error, fb.discretization_error), rel=1e-14)
     dense = pairwise_sum(w[:, None, None] * np.einsum("kac,kbc->kab", mats, mats))
     assert np.abs(fb_star.theta - dense).max() <= 1e-13 * np.linalg.norm(dense, 2)
+    # as verify assembles them: from the conjugate-transposed blocks B^H of
+    # the engine, with the scale of T
+    blocks, _, _ = eng.evaluate_blocks(g, t)
+    from_bh = _block_frame_bounds(w, np.swapaxes(blocks, -1, -2).conj(), truncs, discs,
+                                  spectral_norm(blocks).max(axis=-1), T.n)
+    assert np.abs(from_bh.theta - fb_star.theta).max() <= 1e-14 * np.linalg.norm(dense, 2)
+    assert np.abs(from_bh.eigenvalues - fb_star.eigenvalues).max() <= (
+        1e-14 * np.linalg.norm(dense, 2))
+    assert (from_bh.c_lower, from_bh.d_upper) == pytest.approx(
+        (fb_star.c_lower, fb_star.d_upper), rel=1e-13)
+    assert (from_bh.truncation_error, from_bh.discretization_error) == pytest.approx(
+        (fb_star.truncation_error, fb_star.discretization_error), rel=1e-14)
     # against the frames of T* on its own certificate and engine
     eng_star = cs.ContourEngine(t_star, cs.check_bisectorial(t_star, OMEGA), THETA, cfg)
     fb_ind = cs.frame_bounds(g, t_star, family=(t, w) + eng_star.evaluate_family(g, t))

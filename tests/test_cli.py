@@ -7,6 +7,7 @@ import pytest
 
 import cliffspec as cs
 from cliffspec.cli import main
+from cliffspec.quadratic import check_frame_memory
 
 from conftest import full_c_phi_table, random_operator
 
@@ -425,33 +426,58 @@ def test_theta_below_omega_is_refused_before_any_work(tmp_path, capsys, monkeypa
     assert "phi" not in err
 
 
-def _assert_frame_stage_refused(tmp_path, capsys, monkeypatch, command, args):
-    # n = 6, m = 8: the engine fits, but one 802-value family at D = 512 is
-    # 1.7 GB and the frame stage holds several; certifying raises, so a
+def _refused(n, m, n_g):
+    try:
+        check_frame_memory(cs.CliffordOperator.identity(n, m), 400, n_g)
+    except cs.ArgumentError:
+        return True
+    return False
+
+
+def _assert_frame_stage_refused(tmp_path, capsys, monkeypatch, command, args, n_g, m):
+    # at n = 3 the estimate refuses m and not m - 1: the engine of m still
+    # fits or is refused only after certifying, which raises here, so a
     # missing refusal fails at once instead of allocating
+    assert _refused(3, m, n_g) and not _refused(3, m - 1, n_g)
+
     def certify(*_):
         raise AssertionError("certification started before the memory refusal")
 
     monkeypatch.setattr("cliffspec.cli.check_bisectorial", certify)
     monkeypatch.setattr("cliffspec.suite.check_bisectorial", certify)
     op = tmp_path / "op.json"
-    op.write_text(json.dumps(cs.operator_to_dict(cs.CliffordOperator.identity(6, 8))))
+    op.write_text(json.dumps(cs.operator_to_dict(cs.CliffordOperator.identity(3, m))))
     start = time.perf_counter()
     assert main([command, "--operator", str(op), "--out", str(tmp_path / "r.json")]
                 + args) == 2
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
-    assert "frame stage at D = 512" in err and "GiB" in err
+    assert f"frame stage at D = {m << 3} with {n_g} g" in err and "GiB" in err
 
 
 def test_verify_refuses_a_frame_stage_beyond_the_memory_cap(tmp_path, capsys, monkeypatch):
-    _assert_frame_stage_refused(tmp_path, capsys, monkeypatch, "verify", [])
+    _assert_frame_stage_refused(tmp_path, capsys, monkeypatch, "verify", [], 3, 55)
 
 
 def test_frame_refuses_a_frame_stage_beyond_the_memory_cap(tmp_path, capsys, monkeypatch):
     g = tmp_path / "g.json"
     g.write_text(json.dumps({"name": "regularizer"}))
-    _assert_frame_stage_refused(tmp_path, capsys, monkeypatch, "frame", ["--g", str(g)])
+    _assert_frame_stage_refused(tmp_path, capsys, monkeypatch, "frame", ["--g", str(g)], 1, 65)
+
+
+@pytest.mark.parametrize("command, flag", [("calc", "--function"), ("frame", "--g"),
+                                           ("verify", "--g")])
+def test_f_ab_with_an_infinite_bound_exits_2(tmp_path, capsys, command, flag):
+    # JSON 1e400 parses to inf, which the f_ab quadrature grid cannot take
+    op = tmp_path / "op.json"
+    write_operator(op, [[1.0, 0.0], [0.0, -2.0]])
+    fn = tmp_path / "f.json"
+    fn.write_text('{"name": "f_ab", "params": {"a": 1e-3, "b": 1e400, '
+                  '"inner": {"name": "regularizer"}}}')
+    assert main([command, "--operator", str(op), flag, str(fn),
+                 "--out", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: need 0 < a <= b < inf") and "Traceback" not in err
 
 
 def test_bisect_refuses_an_operator_whose_q_overflows(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 import cliffspec as cs
 from cliffspec import suite
 from cliffspec.functions import ensure_bounded
-from cliffspec.module import blocks_from_rho, spectral_norm
+from cliffspec.module import blocks_from_rho, coeffs_from_blocks, rho_stack, spectral_norm
 from cliffspec.quadrature import pairwise_sum
 from cliffspec.spectrum import q_inverse_stack
 from cliffspec.suite import INTEGRAL_TAUS, UNIFORM_PAIRS, _composition_bound_records
@@ -162,7 +163,7 @@ def test_square_kernel_on_the_indicator_support_matches_the_full_kernel(n, monke
     monkeypatch.setattr(suite, "spectral_norm", counting_norm)
     for seed in (0, 1, 5, 8, 206):
         calls.clear()
-        records = _composition_bound_records("g", g, engine, c_theta, fam, blocks,
+        records = _composition_bound_records("g", g, engine, c_theta, *fam[:2], blocks,
                                               np.random.default_rng(seed))
         kernel = next(r for r in records if r["name"] == "composition_square_kernel[f=g=g]")
         lhs, rhs, psi, copies = _full_square_kernel(g, c_theta, fam, blocks,
@@ -187,7 +188,7 @@ def test_composition_records_on_a_self_adjoint_operator_take_no_product_norms(mo
         return spectral_norm(stack)
 
     monkeypatch.setattr(suite, "spectral_norm", counting_norm)
-    records = _composition_bound_records("g", g, engine, c_theta, fam,
+    records = _composition_bound_records("g", g, engine, c_theta, *fam[:2],
                                          engine.basis.diagonal(blocks),
                                          np.random.default_rng(0))
     assert [r["pass"] for r in records] == [True] * 3
@@ -201,17 +202,16 @@ def test_composition_records_on_a_self_adjoint_operator_take_no_product_norms(mo
 
 def _dense_uniform_and_integral(g, engine, w_grid, blocks, rng):
     """lhs of the uniform and integral records from the products of the
-    blocks and ``spectral_norm``, on the draws of the records."""
-    def values(ts):
-        return blocks_from_rho(engine.evaluate_family(g, ts)[0], engine.T.n)
-
+    blocks and ``spectral_norm``, on the draws and values of the records."""
     ts = 10.0 ** rng.uniform(-3, 3, size=(UNIFORM_PAIRS, 2)) * rng.choice(
         [-1.0, 1.0], size=(UNIFORM_PAIRS, 2))
-    lhs_i = float(np.max(spectral_norm(values(ts[:, 0]) @ values(ts[:, 1])).max(axis=-1)))
     taus = 10.0 ** rng.uniform(-2, 2, size=INTEGRAL_TAUS) * rng.choice(
         [-1.0, 1.0], size=INTEGRAL_TAUS)
-    lhs_ii = max(float(pairwise_sum(w_grid * spectral_norm(
-        blocks @ values([tau])[0]).max(axis=-1))) for tau in taus)
+    values = engine.evaluate_blocks(g, np.concatenate([ts[:, 0], ts[:, 1], taus]))[0]
+    first, second, at_tau = np.split(values, [UNIFORM_PAIRS, 2 * UNIFORM_PAIRS])
+    lhs_i = float(np.max(spectral_norm(first @ second).max(axis=-1)))
+    lhs_ii = max(float(pairwise_sum(w_grid * spectral_norm(blocks @ value).max(axis=-1)))
+                 for value in at_tau)
     return lhs_i, lhs_ii
 
 
@@ -227,14 +227,15 @@ def test_operators_that_are_not_self_adjoint_keep_the_dense_path(case):
     assert engine.basis is None and engine._p_gap == 0.0
     r = np.exp(engine.u)
     assert np.array_equal(engine.P, q_inverse_stack(engine._bt, np.real(engine.z), r * r))
-    records = _composition_bound_records("g", g, engine, c_theta, fam, blocks,
+    records = _composition_bound_records("g", g, engine, c_theta, *fam[:2], blocks,
                                          np.random.default_rng(1))
     t_grid, w_grid, _, truncs, discs = fam
     want = _dense_uniform_and_integral(g, engine, w_grid, blocks, np.random.default_rng(1))
     want += _full_square_kernel(g, c_theta, fam, blocks, np.random.default_rng(1))[:1]
     assert tuple(r["lhs"] for r in records) == want
-    fb = cs.frame_bounds(g, T, family=fam)
-    scale = spectral_norm(blocks).max(axis=-1)
+    mats = rho_stack(coeffs_from_blocks(blocks, T.n), T.n)
+    fb = cs.frame_bounds(g, T, family=(t_grid, w_grid, mats, truncs, discs))
+    scale = spectral_norm(blocks_from_rho(mats, T.n)).max(axis=-1)
     assert fb.truncation_error == float(np.dot(w_grid, 2.0 * scale * truncs + truncs ** 2))
     assert fb.discretization_error == float(np.dot(w_grid, 2.0 * scale * discs + discs ** 2))
 
@@ -261,3 +262,142 @@ def test_adjoint_certificate_at_the_contour_angle_matches_all_angles():
             assert np.array_equal(a.op.coeffs, b.op.coeffs)
             assert (a.truncation_error, a.discretization_error) == (
                 b.truncation_error, b.discretization_error)
+
+
+def _verify_d32_operator():
+    """The operator of the verify-d32 benchmark: A + A* over R_3, m = 4, from
+    the generator of seed 0."""
+    return self_adjoint_operator(np.random.default_rng(0), 3, 4)
+
+
+def _triangular_operator(n, m):
+    """Scalar diagonal +-(1 + i / m) plus small strictly upper Clifford
+    entries: bisectorial, not self-adjoint, so its families stay dense."""
+    rng = np.random.default_rng(2)
+    coeffs = np.zeros((m, m, 1 << n))
+    coeffs[np.arange(m), np.arange(m), 0] = (1.0 + np.arange(m) / m) * (-1.0) ** np.arange(m)
+    coeffs += np.triu(np.ones((m, m)), 1)[:, :, None] * 0.3 / m * rng.standard_normal(
+        coeffs.shape)
+    return cs.CliffordOperator(n, m, coeffs)
+
+
+@pytest.mark.parametrize("case", ["diag", "jordan", "verify-d32"])
+def test_verify_keeps_the_families_on_the_blocks(case, monkeypatch):
+    # no family value is mapped to rho, and none back: each matrix a verify
+    # builds in rho is one value (T, f(T), a frame Gram), and the records
+    # that apply the family to vectors read the frame Gram
+    T = {"diag": cs.CliffordOperator.from_real_matrix([[1.0, 0.0], [0.0, -2.0]], n=1),
+         "jordan": cs.CliffordOperator.from_real_matrix([[1.0, 1.0], [0.0, 1.0]], n=1),
+         "verify-d32": _verify_d32_operator()}[case]
+    to_rho, from_rho = [], []
+
+    def counting_rho_stack(coeffs, n):
+        to_rho.append(math.prod(np.shape(coeffs)[:-3]))
+        return rho_stack(coeffs, n)
+
+    def counting_blocks_from_rho(stack, n):
+        from_rho.append(np.shape(stack))
+        return blocks_from_rho(stack, n)
+
+    for module in (cs.module, cs.calculus, cs.quadratic, suite):
+        for name, fn in (("rho_stack", counting_rho_stack),
+                         ("blocks_from_rho", counting_blocks_from_rho)):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, fn)
+    assert cs.run_theorem_suite(T)["passed"]
+    assert to_rho and set(to_rho) == {1}
+    assert from_rho == []
+
+
+def _weighted_norms2(w, mats, xs):
+    """sum_k w_k ||M_k x||^2 for each row x of ``xs``, over the D x D family M_k."""
+    applied = np.einsum("kij,vj->kvi", mats, xs)
+    return pairwise_sum(w[:, None] * np.einsum("kvi,kvi->kv", applied, applied))
+
+
+@pytest.mark.parametrize("case", ["diag", "jordan", "1+e1", "verify-d32"])
+def test_quadratic_forms_of_the_frame_gram_match_the_family(case):
+    # x^T Theta x against sum_k w_k ||rho(g(t_k T)) x||^2 over the D x D
+    # family, for the sandwich vectors and the sup-norm domination rows
+    omega, theta = (0.9, 1.2) if case == "1+e1" else (OMEGA, THETA)
+    T = {"diag": cs.CliffordOperator.from_real_matrix([[1.0, 0.0], [0.0, -2.0]], n=1),
+         "jordan": cs.CliffordOperator.from_real_matrix([[1.0, 1.0], [0.0, 1.0]], n=1),
+         "1+e1": cs.CliffordOperator(1, 1, np.array([[[1.0, 1.0]]])),
+         "verify-d32": _verify_d32_operator()}[case]
+    g, engine, _, (t_grid, w_grid, blocks, truncs, discs), _ = regularizer_family(
+        T, omega, theta)
+    mats = rho_stack(coeffs_from_blocks(blocks, T.n), T.n)
+    fb = cs.frame_bounds(g, T, family=(t_grid, w_grid, mats, truncs, discs))
+    rng = np.random.default_rng(1)
+    x = rng.standard_normal((100, T.m << T.n))
+    hinf = cs.hinf_calculus(g, T, cs.check_bisectorial(T, omega), engine.cfg, engine=engine)
+    xs = np.concatenate([x, x @ cs.rho_matrix(hinf.op).T])
+    got = suite._frame_norms2(fb, xs)
+    want = _weighted_norms2(w_grid, mats, xs)
+    assert np.all(np.abs(got - want) <= 1e-13 * want)
+
+
+def test_verify_takes_each_frame_family_to_the_eigenbasis_once(monkeypatch):
+    # the Diagonal of each frame family gives the composition records and
+    # the frame scale of T and of T*; no other stack of grid values is
+    # mapped to the eigenbasis
+    T = cs.CliffordOperator.from_real_matrix([[1.0, 0.0], [0.0, -2.0]], n=1)
+    grid_size = 2 * (cs.SuiteConfig().quad_nodes | 1)
+    families, seen = [], []
+    evaluate, diagonal = cs.ContourEngine.evaluate_blocks, cs.module.EigenBasis.diagonal
+
+    def evaluate_blocks(self, f, ts, stride=None):
+        out = evaluate(self, f, ts, stride)
+        if np.size(ts) == grid_size:
+            families.append(out[0])
+        return out
+
+    def counting_diagonal(self, blocks):
+        seen.append(blocks)
+        return diagonal(self, blocks)
+
+    monkeypatch.setattr(cs.ContourEngine, "evaluate_blocks", evaluate_blocks)
+    monkeypatch.setattr(cs.module.EigenBasis, "diagonal", counting_diagonal)
+    report = cs.run_theorem_suite(T)
+    assert report["passed"] and report["contour"]["basis"]["path"] == "eigen"
+    assert len(families) == len(cs.default_g_specs())
+    assert [sum(b is fam for b in seen) for fam in families] == [1] * len(families)
+    assert sum(b.shape[0] == grid_size for b in seen) == len(families)
+
+
+@pytest.mark.parametrize("case", ["self-adjoint", "triangular"])
+def test_frame_memory_estimate_bounds_the_frame_stage(case, monkeypatch):
+    # the traced peak between the first frame family and the first hinf
+    # solve, above what was allocated before it (the engine and certificate)
+    T = {"self-adjoint": self_adjoint_operator(np.random.default_rng(0), 3, 8),
+         "triangular": _triangular_operator(3, 8)}[case]
+    config = cs.SuiteConfig()
+    state = {}
+    evaluate = cs.ContourEngine.evaluate_blocks
+
+    class FramesDone(Exception):
+        pass
+
+    def evaluate_blocks(self, f, ts, stride=None):
+        if "base" not in state:
+            state["base"] = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+        return evaluate(self, f, ts, stride)
+
+    def stop(*args, **kwargs):
+        state["peak"] = tracemalloc.get_traced_memory()[1]
+        raise FramesDone
+
+    monkeypatch.setattr(cs.ContourEngine, "evaluate_blocks", evaluate_blocks)
+    monkeypatch.setattr(suite, "hinf_calculus", stop)
+    tracemalloc.start()
+    try:
+        with pytest.raises(FramesDone):
+            cs.run_theorem_suite(T, config=config)
+    finally:
+        tracemalloc.stop()
+    # the estimate is at least the peak iff a cap just below the peak refuses
+    monkeypatch.setattr(cs.quadratic, "_MAX_ENGINE_BYTES", state["peak"] - state["base"] - 1)
+    with pytest.raises(cs.ArgumentError, match="frame stage at D = 64"):
+        cs.quadratic.check_frame_memory(T, config.quad_nodes, len(cs.default_g_specs()),
+                                        config.jobs, config.contour_nodes)
