@@ -18,16 +18,10 @@ import argparse
 import math
 import sys
 
-from .calculus import ContourConfig, hinf_calculus, omega_calculus
+from .calculus import ContourConfig, ContourEngine, hinf_calculus, omega_calculus
 from .errors import ArgumentError, CliffSpecError
 from .functions import ensure_bounded, resolve_function
-from .quadratic import (
-    adjoint_frame_bounds,
-    check_frame_memory,
-    default_quad_grid,
-    frame_bounds,
-    lattice_contour,
-)
+from .quadratic import check_frame_memory, default_quad_grid, family_frames, lattice_contour
 from .serialization import (
     bisector_report_dict,
     contour_dict,
@@ -129,19 +123,22 @@ def cmd_bisect(args):
     return EXIT_PASS if report.certified else EXIT_FAIL
 
 
+def _engine_sampling(omega, phi) -> RaySampling:
+    """The one angle an engine at contour angle phi reads C at: the largest
+    default angle at or below phi (``BisectorReport.c_at``); below every
+    default angle the smallest, where c_at stays inf and the engine takes C
+    from its own rays."""
+    phis = RaySampling().resolved_phis(omega)
+    below = [p for p in phis if p <= phi + 1e-12]
+    return RaySampling(phis=(below[-1] if below else phis[0],))
+
+
 def cmd_calc(args):
     cfg = ContourConfig(phi=args.phi, nodes=args.nodes)
     phi = cfg.resolve_phi(args.omega, args.theta)
     T = parse_operator_file(args.operator)
     f = resolve_function(load_function_spec(args.function), theta=args.theta)
-    # the engine reads C at the largest default angle at or below phi
-    # (``BisectorReport.c_at``), so only that angle is sampled; below every
-    # default angle the smallest is, c_at stays inf and the engine takes C
-    # from its own rays
-    phis = RaySampling().resolved_phis(args.omega)
-    below = [p for p in phis if p <= phi + 1e-12]
-    sampling = RaySampling(phis=(below[-1] if below else phis[0],))
-    report = check_bisectorial(T, args.omega, sampling)
+    report = check_bisectorial(T, args.omega, _engine_sampling(args.omega, phi))
     if f.decay is not None:
         result = omega_calculus(f, T, report, cfg)
     else:
@@ -154,21 +151,23 @@ def cmd_calc(args):
 
 
 def cmd_frame(args):
-    cfg = ContourConfig(nodes=args.nodes)
-    cfg.resolve_phi(args.omega, args.theta)
+    requested = ContourConfig(nodes=args.nodes)
+    phi = requested.resolve_phi(args.omega, args.theta)
     T = parse_operator_file(args.operator)
     qcfg = default_quad_grid(T)
     check_frame_memory(T, qcfg.nodes, contour_nodes=args.nodes)
     g = resolve_function(load_function_spec(args.g), theta=args.theta)
-    report = check_bisectorial(T, args.omega)
-    fb = frame_bounds(g, T, qcfg, cfg, report)
-    fb_star = adjoint_frame_bounds(g, T, qcfg, cfg, report)
+    report = check_bisectorial(T, args.omega, _engine_sampling(args.omega, phi))
+    cfg, stride = lattice_contour(qcfg, requested)
+    # T*'s frame from the blocks B^H of T's family, as verify takes it
+    fb, fb_star, _ = family_frames(g, ContourEngine(T, report, g.theta, cfg),
+                                   *qcfg.grid(), stride, adjoint=True)
     grid_echo = {"t_min": qcfg.t_min, "t_max": qcfg.t_max, "nodes": qcfg.nodes}
     payload = {
         "T": frame_report_dict(fb),
         "Tstar": frame_report_dict(fb_star),
         "grid": grid_echo,
-        "contour": contour_dict(*lattice_contour(qcfg, cfg)),
+        "contour": contour_dict(cfg, stride),
     }
     write_json(payload, args.out)
     return EXIT_PASS

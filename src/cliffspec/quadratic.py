@@ -46,7 +46,7 @@ from .module import (
     self_adjoint_basis,
 )
 from .quadrature import pairwise_sum, trapezoid_grid
-from .spectrum import _CHUNK, BisectorReport, check_bisectorial
+from .spectrum import _CHUNK, BisectorReport
 
 MAX_SIGN_WINDOW = 20  # exact enumeration cap on 2n
 
@@ -180,13 +180,11 @@ def frame_bounds(g: IntrinsicFunction, T: CliffordOperator,
     """Best discretized frame constants (c, d) as extreme eigenvalues of Theta.
 
     Theta = sum_k w_k B_k^H B_k is assembled and solved on the spinor blocks
-    B_k of the family: the engine's, or those of a given D x D ``family``.
-    rho of Theta holds D / (r km) = 2^(n - n // 2) / r copies of each block
-    or its conjugate, so each block eigenvalue repeats that often in
-    ``eigenvalues``, and ``theta`` is mapped back to D x D.  For intrinsic
-    g, rho(g(tT*)) = rho(g(tT))^T, with blocks B_k^H: the transposed family
-    of T, passed with T*, gives the frame bounds of T* with the claimed
-    errors of T, since ||M^T|| = ||M||.
+    B_k of the family: the engine's (``family_frames``), or those of a given
+    D x D ``family``; the transposed family of T, passed with T*, gives the
+    frame of T*.  rho of Theta holds D / (r km) = 2^(n - n // 2) / r copies
+    of each block or its conjugate, so each block eigenvalue repeats that
+    often in ``eigenvalues``, and ``theta`` is mapped back to D x D.
 
     The error estimates scale with ||B_k|| (``module.block_norms``): for
     self-adjoint T, B_k is diagonal in the eigenbasis of T's blocks up to
@@ -195,13 +193,33 @@ def frame_bounds(g: IntrinsicFunction, T: CliffordOperator,
     """
     if family is None:
         t, w, engine, stride = _grid_engine(g, T, qcfg, cfg, report)
-        blocks, truncs, discs = engine.evaluate_blocks(g, t, stride=stride)
-        basis = engine.basis
-    else:
-        _, w, mats, truncs, discs = family
-        blocks = blocks_from_rho(mats, T.n)
-        basis = self_adjoint_basis(block_form(T.coeffs, T.n))
+        return family_frames(g, engine, t, w, stride)[0]
+    _, w, mats, truncs, discs = family
+    blocks = blocks_from_rho(mats, T.n)
+    basis = self_adjoint_basis(block_form(T.coeffs, T.n))
     return _block_frame_bounds(w, blocks, truncs, discs, block_norms(blocks, basis), T.n)
+
+
+def family_frames(g: IntrinsicFunction, engine: ContourEngine, t, w, stride,
+                  adjoint=False):
+    """(fb, fb_star, frame): the frame bounds of T, and of T* when
+    ``adjoint`` (else None), from the one family t -> g(tT) of the engine on
+    the grid (t, w) of its lattice (``lattice_contour``).
+
+    ``frame`` holds the spinor blocks B_k of the family, as their
+    ``Diagonal`` when the engine has an eigenbasis, whose norms bound ||B_k||
+    without an eigensolve.  For intrinsic g, rho(g(tT*)) = rho(g(tT))^T,
+    with blocks B_k^H: T*'s frame is that of the B_k^H, with the norms and
+    the claimed errors of T, since ||B^H|| = ||B||.
+    """
+    blocks, truncs, discs = engine.evaluate_blocks(g, t, stride=stride)
+    basis = engine.basis
+    frame = blocks if basis is None else basis.diagonal(blocks)
+    scale = block_norms(blocks) if basis is None else frame.norms()
+    n = engine.T.n
+    fb_star = (_block_frame_bounds(w, np.swapaxes(blocks, -1, -2).conj(), truncs, discs,
+                                   scale, n) if adjoint else None)
+    return _block_frame_bounds(w, blocks, truncs, discs, scale, n), fb_star, frame
 
 
 def _block_frame_bounds(w, blocks, truncs, discs, scale, n) -> FrameBounds:
@@ -224,17 +242,6 @@ def _block_frame_bounds(w, blocks, truncs, discs, scale, n) -> FrameBounds:
         truncation_error=trunc,
         discretization_error=disc,
     )
-
-
-def adjoint_frame_bounds(g: IntrinsicFunction, T: CliffordOperator,
-                         qcfg: QuadGridConfig | None = None,
-                         cfg: ContourConfig | None = None,
-                         report: BisectorReport | None = None) -> FrameBounds:
-    """Frame bounds of the adjoint operator (certified afresh at the angle of
-    the report of T)."""
-    _check_report(report)
-    t_star = T.adjoint()
-    return frame_bounds(g, t_star, qcfg, cfg, check_bisectorial(t_star, report.omega))
 
 
 def sign_matrix(half_window):

@@ -27,13 +27,8 @@ from .functions import (
     regularizer,
     resolve_function,
 )
-from .module import CliffordOperator, block_norms, rho_matrix, spectral_norm
-from .quadratic import (
-    _block_frame_bounds,
-    check_frame_memory,
-    default_quad_grid,
-    lattice_contour,
-)
+from .module import CliffordOperator, Diagonal, rho_matrix, spectral_norm
+from .quadratic import check_frame_memory, default_quad_grid, family_frames, lattice_contour
 from .quadrature import pairwise_sum
 from .serialization import (
     bisector_report_dict,
@@ -141,7 +136,7 @@ def run_theorem_suite(T: CliffordOperator, g_specs=None, f_specs=None,
     stages = []
 
     report = {
-        "report_version": 3,
+        "report_version": 4,
         "operator": operator_to_dict(T),
         "config": asdict(config),
         "seed": config.seed,
@@ -187,16 +182,8 @@ def run_theorem_suite(T: CliffordOperator, g_specs=None, f_specs=None,
     # stage: frame bounds for each g on T and T* ---------------------------
     t_grid, w_grid = qcfg.grid()
 
-    def frames_for(args):
-        # for intrinsic g T*'s family has the blocks B^H of T's, with their norms
-        _, g = args
-        blocks, truncs, discs = engine.evaluate_blocks(g, t_grid, stride=stride)
-        frame = blocks if basis is None else basis.diagonal(blocks)
-        scale = block_norms(blocks) if basis is None else frame.norms()
-        fb = _block_frame_bounds(w_grid, blocks, truncs, discs, scale, T.n)
-        fb_star = _block_frame_bounds(w_grid, np.swapaxes(blocks, -1, -2).conj(),
-                                      truncs, discs, scale, T.n)
-        return fb, fb_star, frame
+    def frames_for(item):
+        return family_frames(item[1], engine, t_grid, w_grid, stride, adjoint=True)
 
     if config.jobs > 1:
         with ThreadPoolExecutor(max_workers=config.jobs) as pool:
@@ -237,8 +224,8 @@ def run_theorem_suite(T: CliffordOperator, g_specs=None, f_specs=None,
         fb, fb_star, frame = frames[gname]
         records.extend(_frame_sandwich_records(gname, fb, sandwich_vecs,
                                                fb.combined_error + 1e-9))
-        records.extend(_composition_bound_records(gname, g, engine, c_theta, t_grid,
-                                                  w_grid, frame, rng))
+        records.extend(_composition_bound_records(gname, g, c_theta, t_grid, w_grid,
+                                                  frame, rng))
         egg = f0_infty(product_function(e, g, g))
         records.append(_record(f"regularized_square_positive[g={gname}]", 1e-12, egg))
         records.append(_dyadic_splitting_upper(gname, g, basis is not None, fb, hinf))
@@ -296,20 +283,21 @@ def _frame_sandwich_records(gname, fb, xs, quad_tol):
     ]
 
 
-def _composition_bound_records(gname, g, engine, c_theta, t_grid, w_grid, blocks, rng):
+def _composition_bound_records(gname, g, c_theta, t_grid, w_grid, blocks, rng):
     """Composition bounds: uniform, integrated, and the square-kernel form.
 
     Products and norms run on the spinor blocks: the norm of rho(g(tT) g(tau T))
     is the largest norm of the products of its blocks; ``blocks`` holds those
     of the family on the grid (t, w), as their ``Diagonal`` when the engine
-    has an eigenbasis.  The square kernel reads its values off the family:
-    every second node of each sign within three decades of the centre of the
-    grid.
+    has an eigenbasis.  Every record reads its values off the family: each
+    random parameter 10^u of i) and ii), in units of the centre 1 / ||T|| of
+    the grid, is the node nearest to it within three decades of the centre,
+    and the square kernel takes every second node of each sign there.
 
-    For self-adjoint T (``engine.basis``) each block B_k is diagonal in the
-    eigenbasis of T's blocks up to roundoff, D_k = U^H B_k U = diag(d_k) plus
-    a rest of norm at most e_k, and the norm of a product is replaced by the
-    bound max|d_k d_l| + e_k (||d_l||inf + e_l) + ||d_k||inf e_l
+    In an eigenbasis (``Diagonal``) each block B_k is diagonal up to
+    roundoff, D_k = U^H B_k U = diag(d_k) plus a rest of norm at most e_k,
+    and the norm of a product is replaced by the bound
+    max|d_k d_l| + e_k (||d_l||inf + e_l) + ||d_k||inf e_l
     (``Diagonal.product_norms``), with no product and no eigensolve.  Each
     lhs is a max, a positively weighted sum, or a sum of squares of
     positively weighted sums of those norms, so it can only rise, and a pass
@@ -317,44 +305,47 @@ def _composition_bound_records(gname, g, engine, c_theta, t_grid, w_grid, blocks
     """
     alpha, c_alpha = g.decay.alpha, g.decay.c_alpha
     sup_g = g.bounded.sup_norm
-    basis = engine.basis
     records = []
 
     def norms(a, b):
-        if basis is None:
-            return spectral_norm(a @ b).max(axis=-1)
-        return a.product_norms(b)
+        if isinstance(a, Diagonal):
+            return a.product_norms(b)
+        return spectral_norm(a @ b).max(axis=-1)
 
-    # the random parameter pairs of i) and the random tau of ii)
-    pairs = 10.0 ** rng.uniform(-3, 3, size=(UNIFORM_PAIRS, 2))
-    signs = rng.choice([-1.0, 1.0], size=(UNIFORM_PAIRS, 2))
-    taus = 10.0 ** rng.uniform(-2, 2, size=INTEGRAL_TAUS) * rng.choice(
-        [-1.0, 1.0], size=INTEGRAL_TAUS)
-    values = engine.evaluate_blocks(g, np.concatenate([(pairs * signs).T.ravel(), taus]))[0]
-    values = values if basis is None else basis.diagonal(values)
-
-    # i) uniform bound at random parameter pairs
-    lhs_i = float(np.max(norms(values[:UNIFORM_PAIRS],
-                               values[UNIFORM_PAIRS:2 * UNIFORM_PAIRS])))
-    rhs_i = c_theta * c_alpha / alpha * sup_g
-    records.append(_record(f"composition_uniform_bound[f=g={gname}]", lhs_i, rhs_i))
-
-    # ii) dt/|t| integral of the composition norm at random tau
-    rhs_ii = c_theta * c_alpha * c_alpha * math.pi / (2.0 * alpha * alpha)
-    lhs_ii = 0.0
-    for k in range(2 * UNIFORM_PAIRS, 2 * UNIFORM_PAIRS + INTEGRAL_TAUS):
-        lhs_ii = max(lhs_ii, float(pairwise_sum(w_grid * norms(blocks, values[k]))))
-    records.append(_record(f"composition_integral_bound[f=g={gname}]", lhs_ii, rhs_ii))
-
-    # iii) square-kernel inequality with an indicator-weighted sample family,
-    # on the trapezoid rule of step 2 h_t (the grid is (+t, -t), h_t its
-    # interior weight); nodes are chosen by index
+    # the grid is (+t, -t), h_t its interior weight; the nodes within three
+    # decades of the centre lie within ``half`` steps of it
     per_sign = t_grid.size // 2
     center = per_sign // 2
     step = w_grid[center]
     # the slack keeps a whole ratio (120 at 400 nodes) from flooring one
     # lower through the rounding of the step
     half = math.floor(3.0 * math.log(10.0) / step * (1.0 + 1e-12))
+
+    def nodes(u, signs):
+        """The grid index of each sign * 10^u / ||T||, to the nearest node."""
+        j = center + np.clip(np.rint(u * math.log(10.0) / step), -half, half).astype(int)
+        return np.where(signs < 0, j + per_sign, j)
+
+    # the random parameter pairs of i) and the random tau of ii)
+    u_pairs = rng.uniform(-3, 3, size=(UNIFORM_PAIRS, 2))
+    pairs = nodes(u_pairs, rng.choice([-1.0, 1.0], size=(UNIFORM_PAIRS, 2)))
+    u_taus = rng.uniform(-2, 2, size=INTEGRAL_TAUS)
+    taus = nodes(u_taus, rng.choice([-1.0, 1.0], size=INTEGRAL_TAUS))
+
+    # i) uniform bound at random parameter pairs
+    lhs_i = float(np.max(norms(blocks[pairs[:, 0]], blocks[pairs[:, 1]])))
+    rhs_i = c_theta * c_alpha / alpha * sup_g
+    records.append(_record(f"composition_uniform_bound[f=g={gname}]", lhs_i, rhs_i))
+
+    # ii) dt/|t| integral of the composition norm at random tau
+    rhs_ii = c_theta * c_alpha * c_alpha * math.pi / (2.0 * alpha * alpha)
+    lhs_ii = 0.0
+    for k in taus:
+        lhs_ii = max(lhs_ii, float(pairwise_sum(w_grid * norms(blocks, blocks[k]))))
+    records.append(_record(f"composition_integral_bound[f=g={gname}]", lhs_ii, rhs_ii))
+
+    # iii) square-kernel inequality with an indicator-weighted sample family,
+    # on the trapezoid rule of step 2 h_t
     idx = np.arange(center - half, center + half + 1, 2)
     idx = np.concatenate([idx, idx + per_sign])
     t3, fam3 = t_grid[idx], blocks[idx]
@@ -426,8 +417,10 @@ def _adjoint_side_lower(gname, g, fb, fb_star):
     tol = 1e-3 * max(abs(lhs), abs(fb.c_lower)) + (
         fb.truncation_error + fb.discretization_error
         + fb_star.truncation_error + fb_star.discretization_error)
+    # g^2 with a zero parameter integral (an even g^2) makes the lhs 0
+    extra = {"vacuous": True} if g2_val == 0.0 else {}
     return _record(f"adjoint_side_lower_bound[g={gname}]", lhs, fb.c_lower, tol=tol,
-                   g2_integral=g2_val)
+                   g2_integral=g2_val, **extra)
 
 
 def _matrix_sign(rho_t):

@@ -136,6 +136,36 @@ def regularizer_family(T, omega=None, theta=None, quad_nodes=100):
     return g, engine, bisector.c_at(theta), fam, fam[2]
 
 
+def composition_nodes(rng, t_grid):
+    """The grid indices of the random parameters of the uniform and integral
+    composition records, drawn from ``rng`` as the records draw them:
+    (pairs of shape (UNIFORM_PAIRS, 2), taus of shape (INTEGRAL_TAUS,)).
+
+    Each draw sign * 10^u, u uniform in (-3, 3) for the pairs and (-2, 2) for
+    tau, is taken in units of the centre |t| of the grid (+t, -t) and goes to
+    the node of that sign nearest to it in log |t| among the nodes within
+    three decades of the centre.  ``rng`` is left where the square kernel
+    draws its window.
+    """
+    from cliffspec.suite import INTEGRAL_TAUS, UNIFORM_PAIRS
+
+    per_sign = t_grid.size // 2
+    logs = np.log(t_grid[:per_sign])
+    centre = logs[per_sign // 2]
+    window = np.flatnonzero(np.abs(logs - centre) <= 3.0 * math.log(10.0) * (1.0 + 1e-9))
+
+    def nodes(u, signs):
+        target = centre + u.ravel() * math.log(10.0)
+        j = window[np.argmin(np.abs(logs[window][None, :] - target[:, None]), axis=1)]
+        return np.where(signs.ravel() < 0, j + per_sign, j).reshape(u.shape)
+
+    u = rng.uniform(-3, 3, size=(UNIFORM_PAIRS, 2))
+    pairs = nodes(u, rng.choice([-1.0, 1.0], size=(UNIFORM_PAIRS, 2)))
+    u = rng.uniform(-2, 2, size=INTEGRAL_TAUS)
+    taus = nodes(u, rng.choice([-1.0, 1.0], size=INTEGRAL_TAUS))
+    return pairs, taus
+
+
 def ray_samples(T, phi):
     """Every sample of check_bisectorial at angle phi, written out: the radii
     |s| of the 200 log-spaced radii on the rays at +phi (both signs) and

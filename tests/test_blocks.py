@@ -13,10 +13,9 @@ from cliffspec.calculus import _stored_nodes
 from cliffspec.clifford import multiplication_table, spinor_blades
 from cliffspec.module import block_form, blocks_from_rho, coeffs_from_blocks, spectral_norm
 from cliffspec.quadrature import pairwise_sum
-from cliffspec.quadratic import _block_frame_bounds
-from cliffspec.suite import INTEGRAL_TAUS, UNIFORM_PAIRS, _composition_bound_records
+from cliffspec.suite import _composition_bound_records
 
-from conftest import OMEGA, THETA
+from conftest import OMEGA, THETA, composition_nodes
 
 # kept blocks per n: (count r, spinor size k); n = 3 keeps both real classes
 BLOCKS = {1: (1, 1), 2: (1, 2), 3: (2, 2), 4: (1, 4), 5: (1, 4), 6: (1, 8)}
@@ -128,24 +127,18 @@ def test_composition_records_match_their_dense_form(family_ctx):
     T, _, eng, g, family = family_ctx
     g = g.with_bounded(cs.certify_bounded(g))
     blocks = blocks_from_rho(family[2], T.n)
-    records = _composition_bound_records("g", g, eng, 1.0, *family[:2], blocks,
+    records = _composition_bound_records("g", g, 1.0, *family[:2], blocks,
                                          np.random.default_rng(5))
     # the same draws, products and norms on the D x D values
     rng = np.random.default_rng(5)
     t_grid, w_grid, mats = family[:3]
 
-    def dense(ts):
-        return eng.evaluate_family(g, ts)[0]
-
     def norms(prods):
         return np.linalg.svd(prods, compute_uv=False)[..., 0]
 
-    ts = 10.0 ** rng.uniform(-3, 3, size=(UNIFORM_PAIRS, 2)) * rng.choice(
-        [-1.0, 1.0], size=(UNIFORM_PAIRS, 2))
-    lhs_i = norms(dense(ts[:, 0]) @ dense(ts[:, 1])).max()
-    taus = 10.0 ** rng.uniform(-2, 2, size=INTEGRAL_TAUS) * rng.choice(
-        [-1.0, 1.0], size=INTEGRAL_TAUS)
-    lhs_ii = max(pairwise_sum(w_grid * norms(mats @ dense([tau])[0])) for tau in taus)
+    pairs, taus = composition_nodes(rng, t_grid)
+    lhs_i = norms(mats[pairs[:, 0]] @ mats[pairs[:, 1]]).max()
+    lhs_ii = max(pairwise_sum(w_grid * norms(mats @ mats[k])) for k in taus)
     # the kernel takes every second grid node within three decades of the
     # centre: the grid spans ten decades in N - 1 steps, so 3 (N - 1) // 10
     per_sign = t_grid.size // 2
@@ -188,11 +181,9 @@ def test_transposed_family_gives_the_frames_of_the_adjoint(family_ctx):
         (fb.truncation_error, fb.discretization_error), rel=1e-14)
     dense = pairwise_sum(w[:, None, None] * np.einsum("kac,kbc->kab", mats, mats))
     assert np.abs(fb_star.theta - dense).max() <= 1e-13 * np.linalg.norm(dense, 2)
-    # as verify assembles them: from the conjugate-transposed blocks B^H of
-    # the engine, with the scale of T
-    blocks, _, _ = eng.evaluate_blocks(g, t)
-    from_bh = _block_frame_bounds(w, np.swapaxes(blocks, -1, -2).conj(), truncs, discs,
-                                  spectral_norm(blocks).max(axis=-1), T.n)
+    # as verify and frame assemble them: from the conjugate-transposed
+    # blocks B^H of the engine, with the scale of T
+    from_bh = cs.family_frames(g, eng, t, w, None, adjoint=True)[1]
     assert np.abs(from_bh.theta - fb_star.theta).max() <= 1e-14 * np.linalg.norm(dense, 2)
     assert np.abs(from_bh.eigenvalues - fb_star.eigenvalues).max() <= (
         1e-14 * np.linalg.norm(dense, 2))

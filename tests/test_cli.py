@@ -171,27 +171,51 @@ def test_calc_subcommand(tmp_path):
 @pytest.mark.parametrize("spec", [{"name": "regularizer"}, {"name": "rational", "params": {
     "num": [1.0, 0.0, 0.0], "den": [1.0, 0.0, 1.0], "bounded": True}}], ids=["decay", "hinf"])
 def test_calc_certifies_only_the_angle_it_reads(tmp_path, monkeypatch, phi, index, spec):
-    # the largest default angle at or below phi, else the smallest (where
-    # the engine takes C from its own rays): the same bytes as from the
-    # certificate at all five default angles
     op, fn = tmp_path / "op.json", tmp_path / "f.json"
     write_operator(op, [[1.0, 1.0], [0.0, -2.0]])
     fn.write_text(json.dumps(spec))
     args = ["calc", "--operator", str(op), "--function", str(fn)]
-    args += ["--phi", phi] if phi else []
-    sampled = []
-    check_bisectorial = cs.check_bisectorial
+    _assert_one_angle_and_engine(tmp_path, monkeypatch,
+                                 args + (["--phi", phi] if phi else []), index)
 
-    def certify(T, omega, sampling):
+
+@pytest.mark.parametrize("theta, index", [(None, 0), ("1.2382", 1), ("0.338", 0)],
+                         ids=["default-phi", "second-angle", "below-every-angle"])
+def test_frame_certifies_only_the_angle_it_reads(tmp_path, monkeypatch, theta, index):
+    # frame's contour angle is phi = (omega + theta) / 2: 0.524, 0.750, 0.300
+    op, fn = tmp_path / "op.json", tmp_path / "g.json"
+    write_operator(op, [[1.0, 1.0], [0.0, -2.0]])
+    fn.write_text(json.dumps({"name": "regularizer"}))
+    args = ["frame", "--operator", str(op), "--g", str(fn)]
+    _assert_one_angle_and_engine(tmp_path, monkeypatch,
+                                 args + (["--theta", theta] if theta else []), index)
+
+
+def _assert_one_angle_and_engine(tmp_path, monkeypatch, args, index):
+    # one certificate at the largest default angle at or below phi, else the
+    # smallest (where the engine takes C from its own rays), and one engine:
+    # the same bytes as from the certificate at all five default angles
+    sampled, engines = [], []
+    check_bisectorial, build = cs.check_bisectorial, cs.ContourEngine.__init__
+
+    def certify(T, omega, sampling=cs.RaySampling()):
         sampled.append(sampling.resolved_phis(omega))
         return check_bisectorial(T, omega, sampling)
 
-    monkeypatch.setattr("cliffspec.cli.check_bisectorial", certify)
+    def counting_build(self, *rest):
+        engines.append(self)
+        build(self, *rest)
+
+    for module in (cs.cli, cs.quadratic, cs.suite):
+        if hasattr(module, "check_bisectorial"):
+            monkeypatch.setattr(module, "check_bisectorial", certify)
+    monkeypatch.setattr(cs.ContourEngine, "__init__", counting_build)
     assert main(args + ["--out", str(tmp_path / "one.json")]) == 0
+    assert len(engines) == 1
     monkeypatch.setattr("cliffspec.cli.RaySampling", lambda phis=(): cs.RaySampling())
     assert main(args + ["--out", str(tmp_path / "five.json")]) == 0
     defaults = cs.RaySampling().resolved_phis(math.pi / 12)
-    assert sampled == [(defaults[index],), defaults]
+    assert sampled == [(defaults[index],), defaults] and len(engines) == 2
     assert (tmp_path / "one.json").read_bytes() == (tmp_path / "five.json").read_bytes()
 
 
@@ -207,6 +231,20 @@ def test_frame_subcommand(tmp_path):
     assert payload["T"]["cLower"] == pytest.approx(1.0, abs=1e-5)
     assert payload["Tstar"]["dUpper"] == pytest.approx(1.0, abs=1e-5)
     assert "grid" in payload
+    # on the Jordan block T* != T: T*'s frame from the blocks B^H of T's
+    # family against T*'s own certificate, engine and family, within the
+    # claimed errors of both (errors of the quadratic form, so of c^2, d^2)
+    T = write_operator(op, [[1.0, 1.0], [0.0, 1.0]])
+    assert main(["frame", "--operator", str(op), "--g", str(g),
+                 "--out", str(out)]) == 0
+    star = json.loads(out.read_text())["Tstar"]
+    t_star = T.adjoint()
+    direct = cs.frame_bounds(cs.regularizer(math.pi / 4), t_star,
+                             report=cs.check_bisectorial(t_star, math.pi / 12))
+    tol = sum(star["errorEstimates"].values()) + direct.combined_error
+    assert abs(star["cLower"] ** 2 - direct.c_lower ** 2) <= tol
+    assert abs(star["dUpper"] ** 2 - direct.d_upper ** 2) <= tol
+    assert np.abs(np.array(star["thetaEigenvalues"]) - direct.eigenvalues).max() <= tol
 
 
 def test_verify_deterministic_and_exit_codes(tmp_path):
@@ -219,7 +257,7 @@ def test_verify_deterministic_and_exit_codes(tmp_path):
                  "--nodes", "500", "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
     report = json.loads(out1.read_text())
-    assert report["report_version"] == 3
+    assert report["report_version"] == 4
     assert report["contour"]["basis"]["path"] == "eigen"
     assert 0.0 <= report["contour"]["basis"]["residual"] < 1e-12
     assert report["seed"] == 7

@@ -69,12 +69,10 @@ def test_eigen_path_bounds_the_dense_records_and_inverts_q(n, m, log_scale, seed
     g, engine, c_theta, fam, blocks = regularizer_family(T)
     basis = engine.basis
     assert basis is not None and basis.gap == 0.0 and engine._p_gap == 0.0
-    dense = copy.copy(engine)
-    dense.basis = None
-    eigen_records = _composition_bound_records("g", g, engine, c_theta, *fam[:2],
+    eigen_records = _composition_bound_records("g", g, c_theta, *fam[:2],
                                                basis.diagonal(blocks),
                                                np.random.default_rng(seed))
-    dense_records = _composition_bound_records("g", g, dense, c_theta, *fam[:2], blocks,
+    dense_records = _composition_bound_records("g", g, c_theta, *fam[:2], blocks,
                                                np.random.default_rng(seed))
     for got, want in zip(eigen_records, dense_records, strict=True):
         assert got["name"] == want["name"]

@@ -107,14 +107,40 @@ def test_frame_sandwich(rng, jordan):
         assert fb.c_lower * v.norm() - tol <= qn <= fb.d_upper * v.norm() + tol
 
 
+def _frame_pair(g, T, report):
+    """The frame bounds of T and T* from the one family of T on the default
+    grid and the engine of its lattice, as ``frame`` takes them."""
+    qcfg = cs.default_quad_grid(T)
+    cfg, stride = cs.lattice_contour(qcfg)
+    engine = cs.ContourEngine(T, report, g.theta, cfg)
+    return cs.family_frames(g, engine, *qcfg.grid(), stride, adjoint=True)[:2]
+
+
 def test_adjoint_frame_bounds(jordan):
+    # T*'s frame from the blocks B^H of T's family against T*'s own
+    # certificate, engine and family
     rep = cs.check_bisectorial(jordan, OMEGA)
     e = cs.regularizer(THETA)
-    fb_star = cs.adjoint_frame_bounds(e, jordan, report=rep)
+    _, fb_star = _frame_pair(e, jordan, rep)
     direct = cs.frame_bounds(e, cs.adjoint_operator(jordan),
                              report=cs.check_bisectorial(cs.adjoint_operator(jordan), OMEGA))
     assert fb_star.c_lower == pytest.approx(direct.c_lower, rel=1e-10)
     assert fb_star.d_upper == pytest.approx(direct.d_upper, rel=1e-10)
+
+
+def test_frame_bounds_assembles_the_gram_of_t_only(diag1m2, monkeypatch):
+    # frame_bounds reads T's half of the frame pair: no Gram of T*
+    grams = []
+    assemble = cs.quadratic._block_frame_bounds
+
+    def counting(w, blocks, *rest):
+        grams.append(blocks.shape)
+        return assemble(w, blocks, *rest)
+
+    monkeypatch.setattr(cs.quadratic, "_block_frame_bounds", counting)
+    cs.frame_bounds(cs.regularizer(THETA), diag1m2,
+                    report=cs.check_bisectorial(diag1m2, OMEGA))
+    assert len(grams) == 1
 
 
 def test_dyadic_sign_identity_small_windows(rng, diag1m2):
@@ -202,8 +228,9 @@ def test_adjoint_frame_bounds_of_non_normal_operator():
         [[1.0, 3.0, 0.5], [0.0, 2.0, -4.0], [0.0, 0.0, -1.5]], n=1)
     rep = cs.check_bisectorial(T, OMEGA)
     e = cs.regularizer(THETA)
-    fb = cs.frame_bounds(e, T, report=rep)
-    fb_star = cs.adjoint_frame_bounds(e, T, report=rep)
+    fb, fb_star = _frame_pair(e, T, rep)
+    alone = cs.frame_bounds(e, T, report=rep)
+    assert (fb.c_lower, fb.d_upper) == (alone.c_lower, alone.d_upper)
     assert (fb.c_lower, fb.d_upper) == pytest.approx((0.3971, 4.4689), abs=1e-4)
     assert (fb_star.c_lower, fb_star.d_upper) == pytest.approx((0.3099, 4.3384), abs=1e-4)
 
@@ -212,10 +239,8 @@ def test_adjoint_frame_bounds_of_non_normal_operator():
     lambda g, T, v: cs.quadratic_norm(g, T, v),
     lambda g, T, v: cs.frame_operator(g, T),
     lambda g, T, v: cs.frame_bounds(g, T),
-    lambda g, T, v: cs.adjoint_frame_bounds(g, T),
     lambda g, T, v: cs.dyadic_sign_identity(g, T, v, 0.7, 1),
-], ids=["quadratic_norm", "frame_operator", "frame_bounds", "adjoint_frame_bounds",
-        "dyadic_sign_identity"])
+], ids=["quadratic_norm", "frame_operator", "frame_bounds", "dyadic_sign_identity"])
 def test_frame_layer_requires_a_certificate(diag12, call):
     # without a report (or a family or engine) nothing certifies T
     with pytest.raises(cs.PreconditionError):

@@ -10,11 +10,12 @@ from cliffspec.functions import ensure_bounded
 from cliffspec.module import blocks_from_rho, coeffs_from_blocks, rho_stack, spectral_norm
 from cliffspec.quadrature import pairwise_sum
 from cliffspec.spectrum import q_inverse_stack
-from cliffspec.suite import INTEGRAL_TAUS, UNIFORM_PAIRS, _composition_bound_records
+from cliffspec.suite import INTEGRAL_TAUS, _composition_bound_records
 
 from conftest import (
     OMEGA,
     THETA,
+    composition_nodes,
     non_normal_operator,
     regularizer_family,
     self_adjoint_operator,
@@ -119,12 +120,9 @@ def test_fab_ladder_targets_pi_sign_on_non_normal_operator():
 def _full_square_kernel(g, c_theta, family, blocks, rng):
     """The square-kernel record with every kernel entry computed, row by row;
     ``rng`` is drawn as the uniform and integral records draw it first."""
-    rng.uniform(-3, 3, size=(UNIFORM_PAIRS, 2))
-    rng.choice([-1.0, 1.0], size=(UNIFORM_PAIRS, 2))
-    rng.uniform(-2, 2, size=INTEGRAL_TAUS)
-    rng.choice([-1.0, 1.0], size=INTEGRAL_TAUS)
-    alpha, c_alpha = g.decay.alpha, g.decay.c_alpha
     t_grid, w_grid = family[:2]
+    composition_nodes(rng, t_grid)
+    alpha, c_alpha = g.decay.alpha, g.decay.c_alpha
     per_sign = t_grid.size // 2
     center = per_sign // 2
     step = w_grid[center]
@@ -163,7 +161,7 @@ def test_square_kernel_on_the_indicator_support_matches_the_full_kernel(n, monke
     monkeypatch.setattr(suite, "spectral_norm", counting_norm)
     for seed in (0, 1, 5, 8, 206):
         calls.clear()
-        records = _composition_bound_records("g", g, engine, c_theta, *fam[:2], blocks,
+        records = _composition_bound_records("g", g, c_theta, *fam[:2], blocks,
                                               np.random.default_rng(seed))
         kernel = next(r for r in records if r["name"] == "composition_square_kernel[f=g=g]")
         lhs, rhs, psi, copies = _full_square_kernel(g, c_theta, fam, blocks,
@@ -188,7 +186,7 @@ def test_composition_records_on_a_self_adjoint_operator_take_no_product_norms(mo
         return spectral_norm(stack)
 
     monkeypatch.setattr(suite, "spectral_norm", counting_norm)
-    records = _composition_bound_records("g", g, engine, c_theta, *fam[:2],
+    records = _composition_bound_records("g", g, c_theta, *fam[:2],
                                          engine.basis.diagonal(blocks),
                                          np.random.default_rng(0))
     assert [r["pass"] for r in records] == [True] * 3
@@ -200,18 +198,13 @@ def test_composition_records_on_a_self_adjoint_operator_take_no_product_norms(mo
     assert calls and all(shape == (dim, dim) for shape in calls)
 
 
-def _dense_uniform_and_integral(g, engine, w_grid, blocks, rng):
+def _dense_uniform_and_integral(t_grid, w_grid, blocks, rng):
     """lhs of the uniform and integral records from the products of the
-    blocks and ``spectral_norm``, on the draws and values of the records."""
-    ts = 10.0 ** rng.uniform(-3, 3, size=(UNIFORM_PAIRS, 2)) * rng.choice(
-        [-1.0, 1.0], size=(UNIFORM_PAIRS, 2))
-    taus = 10.0 ** rng.uniform(-2, 2, size=INTEGRAL_TAUS) * rng.choice(
-        [-1.0, 1.0], size=INTEGRAL_TAUS)
-    values = engine.evaluate_blocks(g, np.concatenate([ts[:, 0], ts[:, 1], taus]))[0]
-    first, second, at_tau = np.split(values, [UNIFORM_PAIRS, 2 * UNIFORM_PAIRS])
-    lhs_i = float(np.max(spectral_norm(first @ second).max(axis=-1)))
-    lhs_ii = max(float(pairwise_sum(w_grid * spectral_norm(blocks @ value).max(axis=-1)))
-                 for value in at_tau)
+    blocks and ``spectral_norm``, at the nodes the records draw."""
+    pairs, taus = composition_nodes(rng, t_grid)
+    lhs_i = float(np.max(spectral_norm(blocks[pairs[:, 0]] @ blocks[pairs[:, 1]]).max(axis=-1)))
+    lhs_ii = max(float(pairwise_sum(w_grid * spectral_norm(blocks @ blocks[k]).max(axis=-1)))
+                 for k in taus)
     return lhs_i, lhs_ii
 
 
@@ -227,10 +220,10 @@ def test_operators_that_are_not_self_adjoint_keep_the_dense_path(case):
     assert engine.basis is None and engine._p_gap == 0.0
     r = np.exp(engine.u)
     assert np.array_equal(engine.P, q_inverse_stack(engine._bt, np.real(engine.z), r * r))
-    records = _composition_bound_records("g", g, engine, c_theta, *fam[:2], blocks,
+    records = _composition_bound_records("g", g, c_theta, *fam[:2], blocks,
                                          np.random.default_rng(1))
     t_grid, w_grid, _, truncs, discs = fam
-    want = _dense_uniform_and_integral(g, engine, w_grid, blocks, np.random.default_rng(1))
+    want = _dense_uniform_and_integral(t_grid, w_grid, blocks, np.random.default_rng(1))
     want += _full_square_kernel(g, c_theta, fam, blocks, np.random.default_rng(1))[:1]
     assert tuple(r["lhs"] for r in records) == want
     mats = rho_stack(coeffs_from_blocks(blocks, T.n), T.n)
@@ -307,6 +300,42 @@ def test_verify_keeps_the_families_on_the_blocks(case, monkeypatch):
     assert cs.run_theorem_suite(T)["passed"]
     assert to_rho and set(to_rho) == {1}
     assert from_rho == []
+
+
+@pytest.mark.parametrize("case", ["diag", "jordan", "verify-d32"])
+def test_verify_evaluates_one_lattice_family_per_g(case, monkeypatch):
+    # the frames of T and T* and all three composition records read the one
+    # family of each g on the lattice of the grid: no other stack of values
+    # is evaluated, and none off the lattice
+    T = {"diag": cs.CliffordOperator.from_real_matrix([[1.0, 0.0], [0.0, -2.0]], n=1),
+         "jordan": cs.CliffordOperator.from_real_matrix([[1.0, 1.0], [0.0, 1.0]], n=1),
+         "verify-d32": _verify_d32_operator()}[case]
+    calls = []
+    evaluate = cs.ContourEngine.evaluate_blocks
+
+    def evaluate_blocks(self, f, ts, stride=None):
+        calls.append((np.size(ts), stride))
+        return evaluate(self, f, ts, stride)
+
+    monkeypatch.setattr(cs.ContourEngine, "evaluate_blocks", evaluate_blocks)
+    assert cs.run_theorem_suite(T)["passed"]
+    families = [stride for size, stride in calls if size > 1]
+    assert len(families) == len(cs.default_g_specs())
+    assert None not in families
+
+
+def test_adjoint_side_records_of_an_even_square_are_vacuous():
+    # g^2 is even for the regularizer and its square, so the parameter
+    # integral of g^2, and with it the lhs, is 0: marked, and still a pass;
+    # the mixed-parity rational's integral is not 0
+    T = cs.CliffordOperator.from_real_matrix([[1.0, 0.0], [0.0, -2.0]], n=1)
+    report = cs.run_theorem_suite(T)
+    names = report["g_registry"]
+    records = {r["name"]: r for r in report["records"]}
+    side = [records[f"adjoint_side_lower_bound[g={name}]"] for name in names]
+    assert [r.get("vacuous", False) for r in side] == [True, True, False]
+    assert [r["lhs"] for r in side[:2]] == [0.0, 0.0] and side[2]["g2_integral"] != 0.0
+    assert all(r["pass"] for r in side) and report["passed"]
 
 
 def _weighted_norms2(w, mats, xs):
