@@ -143,13 +143,14 @@ class ContourEngine:
     spinor blocks of rho (``module.block_form``), where the values stay.
 
     When T is self-adjoint (``module.self_adjoint_basis``), ``basis`` holds
-    one eigenbasis U per block and P = U diag(1 / (lam^2 - 2 s0 lam + |s|^2))
-    U^H takes no inverse; P keeps its dense shape.  A gap between the
-    blocks and their Hermitian part, whose P this is, adds its perturbation
-    of Q_s^-1 to the discretization estimate (``_p_gap``), and the norm of
-    the even/odd gap is the bound max|d| + e in U (``module.block_norms``),
-    at least the norm.  Otherwise ``basis`` is None and all of this is the
-    dense inverse and norm.
+    one eigenbasis U per block, P = U diag(1 / (lam^2 - 2 s0 lam + |s|^2))
+    U^H is stored as its diagonals (nodes, r, km), and each value comes out
+    as its ``module.Diagonal``, with norm bounds max|d| + e; ``dense_blocks``
+    assembles blocks for the callers that ask.  A gap G between the blocks
+    and their Hermitian part, whose P this is, adds its perturbation of
+    Q_s^-1 to the discretization estimate (``_p_gap``), and the values keep
+    the exact term -G U diag(sum beta P) U^H.  Otherwise ``basis`` is None
+    and P is the dense inverse (nodes, r, km, km).
     """
 
     def __init__(self, T: CliffordOperator, report: BisectorReport,
@@ -210,14 +211,20 @@ class ContourEngine:
         # rho(J) on the slice e_1, for the C_phi fallback and the assembled A
         self._bj = unit_blocks(unit_imag(T.n), T.m)
         self.basis = self_adjoint_basis(self._bt)
-        try:
-            self.P = q_inverse_stack(self._bt, np.real(self.z), r * r, self.basis)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalFailureError(
-                "pseudo-resolvent singular on the contour (operator spectrum "
-                "touches the integration rays)",
-                node={"phi": self.phi},
-            ) from exc
+        s0, abs2 = np.real(self.z), r * r
+        if self.basis is None:
+            try:
+                self.P = q_inverse_stack(self._bt, s0, abs2)
+            except np.linalg.LinAlgError as exc:
+                raise NumericalFailureError(
+                    "pseudo-resolvent singular on the contour (operator spectrum "
+                    "touches the integration rays)",
+                    node={"phi": self.phi},
+                ) from exc
+        else:
+            lam = self.basis.lam
+            with np.errstate(divide="ignore"):
+                self.P = 1.0 / (lam * lam - 2.0 * s0[:, None, None] * lam + abs2[:, None, None])
         if not np.all(np.isfinite(self.P)):
             bad = int(np.argwhere(~np.isfinite(self.P))[0][0])
             raise NumericalFailureError(
@@ -226,9 +233,10 @@ class ContourEngine:
             )
         if math.isinf(self.c_phi):
             # phi lies below every sampled angle: take C_phi from these rays
-            # and their conjugates
-            self.c_phi = resolvent_bound(self._bt, np.real(self.z), np.imag(self.z), r,
-                                         self._bj, block_sigmas(self._bt), qinv=self.P)
+            # and their conjugates (on the eigen path, inverting there)
+            self.c_phi = resolvent_bound(self._bt, s0, np.imag(self.z), r, self._bj,
+                                         block_sigmas(self._bt),
+                                         qinv=self.P if self.basis is None else None)
         # the real view keeps the alpha, beta contractions on real GEMMs
         self._p_flat = self.P.view(np.float64).reshape(self.P.shape[0], -1)
         # roundoff of the node sums (Higham, Accuracy and Stability, 3.1):
@@ -236,6 +244,9 @@ class ContourEngine:
         terms = 2 * n * np.finfo(float).eps
         self._gamma = terms / (1.0 - terms)
         self._p_fro = np.sqrt(np.einsum("ij,ij->i", self._p_flat, self._p_flat))
+        if self.basis is not None:
+            # ||U diag(p) U^H||_F <= ||U||^2 ||p||_2, ||U|| <= 1 + delta
+            self._p_fro *= (1.0 + self.basis.departure.max()) ** 2
         self._t_norm = float(spectral_norm(self._bt).max())
         # P is Q_s^-1 of the Hermitian part H of the blocks on the eigen
         # path: ||Q_s(T) - Q_s(H)|| <= gap (2 ||H|| + gap + 2 |s0|) =: q, so
@@ -252,8 +263,8 @@ class ContourEngine:
     def A(self):
         """Left S-resolvents at the stored nodes on the slice e_1, as
         (nodes, D, D), assembled from P on each call."""
-        left = left_resolvents(self._bt, self.P, np.real(self.z), np.imag(self.z),
-                               self._bj)
+        p = self.P if self.basis is None else self.basis.blocks(self.P)
+        left = left_resolvents(self._bt, p, np.real(self.z), np.imag(self.z), self._bj)
         return rho_stack(coeffs_from_blocks(left, self.T.n), self.T.n)
 
     def truncation_bound(self, decay, t=1.0):
@@ -269,12 +280,18 @@ class ContourEngine:
 
     def evaluate_family(self, f: IntrinsicFunction, ts, stride=None):
         """``evaluate_blocks`` with the values mapped to rho."""
-        blocks, truncs, discs = self.evaluate_blocks(f, ts, stride)
-        return rho_stack(coeffs_from_blocks(blocks, self.T.n), self.T.n), truncs, discs
+        values, truncs, discs = self.evaluate_blocks(f, ts, stride)
+        mats = rho_stack(coeffs_from_blocks(self.dense_blocks(values), self.T.n), self.T.n)
+        return mats, truncs, discs
+
+    def dense_blocks(self, values):
+        """The spinor blocks (values, r, km, km) of values from ``evaluate_blocks``."""
+        return values if self.basis is None else self.basis.blocks(values.d, values.b)
 
     def evaluate_blocks(self, f: IntrinsicFunction, ts, stride=None):
-        """Spinor blocks of f(t T) for a whole vector of nonzero finite
-        scalings, with their truncation and discretization estimates.
+        """f(t T) for a whole vector of nonzero finite scalings, with their
+        truncation and discretization estimates: as spinor blocks
+        (values, r, km, km), or on the eigen path as their ``Diagonal``.
 
         The profile is evaluated once per distinct |t|.  With ``stride`` p,
         the distinct |t| must be consecutive points exp(x_0 + j p h) of the
@@ -289,7 +306,8 @@ class ContourEngine:
         bad = ~np.isfinite(ts) | (ts == 0.0)
         if np.any(bad):
             raise ArgumentError(f"scaling t={ts[bad][0]} must be nonzero and finite")
-        blocks = np.empty((ts.size, *self._bt.shape), dtype=complex)
+        shape = self.P.shape[1:] if self.basis is None else (2, *self.P.shape[1:])
+        values = np.empty((ts.size, *shape), dtype=self.P.dtype)
         discs = np.empty(ts.size)
         mags, which = np.unique(np.abs(ts), return_inverse=True)
         if stride is None:
@@ -297,10 +315,10 @@ class ContourEngine:
         else:
             parts = self._lattice_parts(f, ts, mags, which, stride)
         for rows, picks, terms in parts:
-            values, estimates = self._contract(terms)
-            blocks[rows], discs[rows] = values[picks], estimates[picks]
+            sums, estimates = self._contract(terms)
+            values[rows], discs[rows] = sums[picks], estimates[picks]
         truncs = np.array([self.truncation_bound(f.decay, t) for t in ts])
-        return blocks, truncs, discs
+        return self._values(values), truncs, discs
 
     def _node_parts(self, f, ts, mags, which):
         """(rows, picks, terms) per block of distinct |t|: the profile at
@@ -378,26 +396,41 @@ class ContourEngine:
                  2.0 * coef[:, sl].real) for sl in self._halves]
 
     def _contract(self, terms):
-        """(blocks, discretization estimates) from the alpha, beta of each
-        half.  Each node is contracted once: the sums S_0, S_1 over the
-        even and the odd nodes give the value S_0 + S_1 and, by comparison
-        with the half-resolution rule 2 S_0, the estimate ||S_1 - S_0||
-        (``module.block_norms``), to which the roundoff bound of the node
-        sums and the gap term ``_p_gap`` are added."""
-        shape = self._bt.shape
-        sums, size = [], 0.0
+        """(sums, discretization estimates) from the alpha, beta of each
+        half, the sums as ``_combine`` gives them.  Each node is contracted
+        once: the sums S_0, S_1 over the even and the odd nodes give the
+        value S_0 + S_1 and, by comparison with the half-resolution rule
+        2 S_0, the estimate ||S_1 - S_0|| (``module.block_norms``), to
+        which the roundoff bound of the node sums and the gap term
+        ``_p_gap`` are added."""
+        halves, size = [], 0.0
         for (alpha, beta), sl in zip(terms, self._halves):
             # alpha and beta are fresh contiguous arrays, which keeps matmul
             # on the fast BLAS path
-            nb = alpha.shape[0]
-            sum_a = (alpha @ self._p_flat[sl]).view(complex).reshape(nb, *shape)
-            sum_b = (beta @ self._p_flat[sl]).view(complex).reshape(nb, *shape)
-            sums.append(sum_a - self._bt @ sum_b)
+            halves.append(self._combine(alpha @ self._p_flat[sl], beta @ self._p_flat[sl]))
             size = size + np.abs(alpha) @ self._p_fro[sl] + self._t_norm * (
                 np.abs(beta) @ self._p_fro[sl])
-        first, second = sums
-        discs = block_norms(second - first, self.basis) + (self._gamma + self._p_gap) * size
+        first, second = halves
+        discs = block_norms(self._values(second - first)) + (
+            self._gamma + self._p_gap) * size
         return first + second, discs
+
+    def _combine(self, sum_a, sum_b):
+        """alpha P - T beta P from the contractions sum_a, sum_b of alpha and
+        beta with P: the blocks, or on the eigen path the stack [d, b]
+        (values, 2, r, km), d = sum_a - lam sum_b and b = sum_b."""
+        nb = sum_a.shape[0]
+        if self.basis is None:
+            shape = (nb, *self._bt.shape)
+            return (sum_a.view(complex).reshape(shape)
+                    - self._bt @ sum_b.view(complex).reshape(shape))
+        lam = self.basis.lam
+        sum_a, sum_b = (x.reshape(nb, *lam.shape) for x in (sum_a, sum_b))
+        return np.stack([sum_a - lam * sum_b, sum_b], axis=1)
+
+    def _values(self, sums):
+        """The values of sums from ``_combine``: the blocks, or their ``Diagonal``."""
+        return sums if self.basis is None else self.basis.values(sums[:, 0], sums[:, 1])
 
 
 def _check_report(report):
@@ -528,11 +561,12 @@ def f_ab_operator(f: IntrinsicFunction, a, b, T: CliffordOperator,
     eng = engine or ContourEngine(T, report, f.theta, cfg)
     full, disc = eng._contract(eng._node_terms(f_ab_nodes(eng, f, a, b, 12)[None, :]))
     coarse, _ = eng._contract(eng._node_terms(f_ab_nodes(eng, f, a, b, 6)[None, :]))
-    t_disc = float(block_norms(full[0] - coarse[0]))
+    t_disc = float(block_norms(eng._values(full - coarse))[0])
+    value = eng.dense_blocks(eng._values(full))[0]
     u, w = gl_panel_grid(math.log(a), math.log(b), points=12)
     truncs = np.array([eng.truncation_bound(f.decay, t) for t in np.exp(u)])
     trunc = float(np.dot(w, truncs + truncs))
-    return CalculusResult(CliffordOperator(T.n, T.m, coeffs_from_blocks(full[0], T.n)),
+    return CalculusResult(CliffordOperator(T.n, T.m, coeffs_from_blocks(value, T.n)),
                           trunc, float(disc[0]) + t_disc)
 
 

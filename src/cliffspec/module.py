@@ -207,18 +207,20 @@ def block_form(coeffs, n):
 
 
 class Diagonal:
-    """A stack of block forms (..., r, km, km) in an eigenbasis: the
-    diagonal ``d`` (..., r, km) of each block and a bound ``e`` (..., r) on
-    the norm of the rest of it (``EigenBasis.diagonal``)."""
+    """A stack of block forms B = U diag(d) U^H - G U diag(b) U^H in the
+    ``EigenBasis`` U of a self-adjoint T, G = bt - H: the diagonals ``d``,
+    ``b`` (..., r, km) and a bound ``e`` (..., r) on the norm of the rest of
+    W^H B W beyond diag(d), W the unitary polar factor of U."""
 
-    __slots__ = ("d", "e")
+    __slots__ = ("d", "b", "e")
 
-    def __init__(self, d, e):
+    def __init__(self, d, b, e):
         self.d = d
+        self.b = b
         self.e = e
 
     def __getitem__(self, index):
-        return Diagonal(self.d[index], self.e[index])
+        return Diagonal(self.d[index], self.b[index], self.e[index])
 
     def norms(self):
         """Upper bound max|d| + e on the norm of each matrix, the largest over its blocks."""
@@ -238,38 +240,42 @@ class Diagonal:
 class EigenBasis:
     """H = U diag(lam) U^H for the Hermitian part H of each spinor block of a
     self-adjoint T (``self_adjoint_basis``): ``u`` (r, km, km), real ``lam``
-    (r, km), ``gap`` = ||bt - H||_F, the largest over the blocks, and per
-    block the ``departure`` delta >= ||U^H U - I|| and the ``slack``, 2 delta
-    plus the rounding of U^H B U.
+    (r, km), the rest ``skew`` = G = bt - H of the blocks and ``gap`` =
+    ||G||_F, the largest over the blocks, and per block the ``departure``
+    delta >= ||U^H U - I||.
 
-    Every g(tT) is a function of T, so its blocks are diagonal in U up to
-    the gap between T and H and to roundoff; ``diagonal`` keeps the
-    diagonals and bounds what is left.
+    Every g(tT) is a function of T, so the contour engine keeps its values
+    as diagonals in U (``values``) and assembles blocks on request (``blocks``).
     """
 
-    __slots__ = ("u", "lam", "gap", "departure", "slack")
+    __slots__ = ("u", "lam", "skew", "gap", "departure")
 
-    def __init__(self, u, lam, gap, departure, slack):
+    def __init__(self, u, lam, skew, gap, departure):
         self.u = u
         self.lam = lam
+        self.skew = skew
         self.gap = gap
         self.departure = departure
-        self.slack = slack
 
-    def diagonal(self, blocks) -> Diagonal:
-        """The diagonals d of X = U^H B U for a stack of block forms B, and
-        the bound e = (||X - diag(d)||_F + slack ||X||_F) / (1 - delta)^2 on
-        the norm of the rest.  With the polar factors U = W S, ||S - I|| <=
-        delta, the block W^H B W = S^-1 X S^-1, unitarily similar to B, is
-        diag(d) plus a matrix of at most that norm."""
-        km = self.lam.shape[-1]
-        x = np.swapaxes(self.u, -1, -2).conj() @ blocks @ self.u
-        flat = x.reshape(*x.shape[:-2], km * km)
-        d = flat[..., ::km + 1].copy()
-        flat[..., ::km + 1] = 0.0
-        rest = np.linalg.norm(flat, axis=-1)
-        size = np.hypot(np.linalg.norm(d, axis=-1), rest)
-        return Diagonal(d, (rest + self.slack * size) / (1.0 - self.departure) ** 2)
+    def values(self, d, b) -> Diagonal:
+        """The ``Diagonal`` of diagonals d, b (..., r, km), with
+        e = delta (2 + delta) max|d| + gap (1 + delta)^2 max|b|: with U = W S,
+        ||S - I|| <= delta, W^H U diag(d) U^H W = S diag(d) S is diag(d) plus
+        at most delta (2 + delta) max|d|, and the G term is at most
+        gap ||S||^2 max|b|.  No product is formed."""
+        delta = self.departure
+        e = (delta * (2.0 + delta) * np.abs(d).max(axis=-1)
+             + self.gap * (1.0 + delta) ** 2 * np.abs(b).max(axis=-1))
+        return Diagonal(d, b, e)
+
+    def blocks(self, d, b=None):
+        """The blocks U diag(d) U^H of a stack of diagonals (..., r, km),
+        minus the G term G U diag(b) U^H when ``b`` is given."""
+        uh = np.swapaxes(self.u, -1, -2).conj()
+        out = (self.u * d[..., None, :]) @ uh
+        if b is not None and self.gap:
+            out -= self.skew @ ((self.u * b[..., None, :]) @ uh)
+        return out
 
 
 def self_adjoint_basis(bt):
@@ -287,25 +293,21 @@ def self_adjoint_basis(bt):
     herm = 0.5 * (bt + bh)
     lam, u = np.linalg.eigh(herm)
     km = bt.shape[-1]
-    eps = np.finfo(float).eps
-    # ||U^H U - I|| and its own rounding; the two products of U^H B U err
-    # by at most 2 gamma_km ||U||_F^2 ||B||_F = 2 km gamma_km ||B||_F
-    # (Higham, Accuracy and Stability, 3.5), with ||B||_F ~ ||U^H B U||_F
+    # ||U^H U - I|| and its own rounding
     gram = np.swapaxes(u, -1, -2).conj() @ u - np.eye(km)
-    departure = np.linalg.norm(gram, axis=(-2, -1)) + 2.0 * km * eps
-    slack = 2.0 * departure + 2.0 * km * (km + 1) * eps
-    gap = float(np.linalg.norm(bt - herm, axis=(-2, -1)).max())
-    return EigenBasis(u, lam, gap, departure, slack)
+    departure = np.linalg.norm(gram, axis=(-2, -1)) + 2.0 * km * np.finfo(float).eps
+    skew = bt - herm
+    gap = float(np.linalg.norm(skew, axis=(-2, -1)).max())
+    return EigenBasis(u, lam, skew, gap, departure)
 
 
-def block_norms(blocks, basis=None):
+def block_norms(blocks):
     """The norm of each matrix in a stack of block forms (..., r, km, km),
-    the largest over its blocks: by ``spectral_norm``, or, in the
-    eigenbasis of a self-adjoint T, by the bound max|d| + e of
-    ``EigenBasis.diagonal`` with no eigensolve."""
-    if basis is None:
-        return spectral_norm(blocks).max(axis=-1)
-    return basis.diagonal(blocks).norms()
+    the largest over its blocks: by ``spectral_norm``, or for a ``Diagonal``
+    the bound max|d| + e, with no eigensolve."""
+    if isinstance(blocks, Diagonal):
+        return blocks.norms()
+    return spectral_norm(blocks).max(axis=-1)
 
 
 def coeffs_from_blocks(blocks, n):

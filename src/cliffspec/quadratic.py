@@ -37,13 +37,11 @@ from .functions import IntrinsicFunction
 from .module import (
     CliffordOperator,
     ModuleVector,
-    block_form,
     block_norms,
     blocks_from_rho,
     coeffs_from_blocks,
     operator_norm,
     rho_stack,
-    self_adjoint_basis,
 )
 from .quadrature import pairwise_sum, trapezoid_grid
 from .spectrum import _CHUNK, BisectorReport
@@ -186,18 +184,14 @@ def frame_bounds(g: IntrinsicFunction, T: CliffordOperator,
     of each block or its conjugate, so each block eigenvalue repeats that
     often in ``eigenvalues``, and ``theta`` is mapped back to D x D.
 
-    The error estimates scale with ||B_k|| (``module.block_norms``): for
-    self-adjoint T, B_k is diagonal in the eigenbasis of T's blocks up to
-    roundoff, and the bound max|d| + e taken there, at least ||B_k||,
-    replaces the eigensolve.
+    The error estimates scale with ||B_k|| (``module.block_norms``).
     """
     if family is None:
         t, w, engine, stride = _grid_engine(g, T, qcfg, cfg, report)
         return family_frames(g, engine, t, w, stride)[0]
     _, w, mats, truncs, discs = family
     blocks = blocks_from_rho(mats, T.n)
-    basis = self_adjoint_basis(block_form(T.coeffs, T.n))
-    return _block_frame_bounds(w, blocks, truncs, discs, block_norms(blocks, basis), T.n)
+    return _block_frame_bounds(w, _gram(w, blocks), truncs, discs, block_norms(blocks), T.n)
 
 
 def family_frames(g: IntrinsicFunction, engine: ContourEngine, t, w, stride,
@@ -206,31 +200,46 @@ def family_frames(g: IntrinsicFunction, engine: ContourEngine, t, w, stride,
     ``adjoint`` (else None), from the one family t -> g(tT) of the engine on
     the grid (t, w) of its lattice (``lattice_contour``).
 
-    ``frame`` holds the spinor blocks B_k of the family, as their
-    ``Diagonal`` when the engine has an eigenbasis, whose norms bound ||B_k||
-    without an eigensolve.  For intrinsic g, rho(g(tT*)) = rho(g(tT))^T,
-    with blocks B_k^H: T*'s frame is that of the B_k^H, with the norms and
-    the claimed errors of T, since ||B^H|| = ||B||.
+    ``frame`` holds the family as ``ContourEngine.evaluate_blocks``
+    returns it: the spinor blocks B_k, or their ``Diagonal``.  For
+    intrinsic g, rho(g(tT*)) = rho(g(tT))^T, with blocks B_k^H: T*'s frame
+    is that of the B_k^H, with the norms and the claimed errors of T.
+
+    On the eigen path W^H B_k W = diag(d_k) + R_k, ||R_k|| <= e_k, so both
+    Grams are W diag(sum_k w_k |d_k|^2) W^H up to
+    sum_k w_k (2 ||d_k||inf e_k + e_k^2), and U diag(x) U^H is
+    W diag(x) W^H up to delta (2 + delta) max|x|; both terms join the
+    discretization estimate.
     """
-    blocks, truncs, discs = engine.evaluate_blocks(g, t, stride=stride)
-    basis = engine.basis
-    frame = blocks if basis is None else basis.diagonal(blocks)
-    scale = block_norms(blocks) if basis is None else frame.norms()
-    n = engine.T.n
-    fb_star = (_block_frame_bounds(w, np.swapaxes(blocks, -1, -2).conj(), truncs, discs,
-                                   scale, n) if adjoint else None)
-    return _block_frame_bounds(w, blocks, truncs, discs, scale, n), fb_star, frame
+    values, truncs, discs = engine.evaluate_blocks(g, t, stride=stride)
+    basis, n, scale = engine.basis, engine.T.n, block_norms(values)
+    if basis is None:
+        fb_star = (_block_frame_bounds(w, _gram(w, np.swapaxes(values, -1, -2).conj()),
+                                       truncs, discs, scale, n) if adjoint else None)
+        return _block_frame_bounds(w, _gram(w, values), truncs, discs, scale, n), fb_star, values
+    mag = np.abs(values.d)
+    diag = pairwise_sum(w[:, None, None] * mag * mag)
+    rest = pairwise_sum(w[:, None] * values.e * (2.0 * mag.max(axis=-1) + values.e))
+    rest += basis.departure * (2.0 + basis.departure) * diag.max(axis=-1)
+    fb = _block_frame_bounds(w, basis.blocks(diag), truncs, discs, scale, n, float(rest.max()))
+    return fb, fb if adjoint else None, values
 
 
-def _block_frame_bounds(w, blocks, truncs, discs, scale, n) -> FrameBounds:
-    """``frame_bounds`` of the family with spinor blocks B_k over R_n, given
-    a bound ``scale`` on each ||B_k||, which serves the B_k^H of T* too."""
-    # error estimates enter the quadratic form linearly through the factors
-    trunc = float(np.dot(w, 2.0 * scale * truncs + truncs ** 2))
-    disc = float(np.dot(w, 2.0 * scale * discs + discs ** 2))
+def _gram(w, blocks):
+    """sum_k w_k B_k^H B_k for the spinor blocks B_k of a family."""
     grams = np.swapaxes(blocks, -1, -2).conj() @ blocks
     grams *= w[:, None, None, None]
-    theta = pairwise_sum(grams)
+    return pairwise_sum(grams)
+
+
+def _block_frame_bounds(w, theta, truncs, discs, scale, n, rest=0.0) -> FrameBounds:
+    """``frame_bounds`` from the Gram ``theta`` of a family on the spinor
+    blocks over R_n, given a bound ``scale`` on the norm of each value, which
+    serves the B_k^H of T* too, and a bound ``rest`` on the error of theta
+    itself."""
+    # error estimates enter the quadratic form linearly through the factors
+    trunc = float(np.dot(w, 2.0 * scale * truncs + truncs ** 2))
+    disc = float(np.dot(w, 2.0 * scale * discs + discs ** 2)) + rest
     theta = 0.5 * (theta + np.swapaxes(theta, -1, -2).conj())
     lam = np.linalg.eigvalsh(theta)
     eig = np.sort(np.repeat(lam.ravel(), (1 << (n - n // 2)) // lam.shape[0]))

@@ -88,28 +88,16 @@ def q_blocks(bt, s0, abs2):
                    + abs2[sl, None, None, None] * eye)
 
 
-def q_inverse_stack(bt, s0, abs2, basis=None):
+def q_inverse_stack(bt, s0, abs2):
     """Q_s^-1 on the blocks at each node as one (nodes, r, km, km) array.
 
     Q_s depends on s only through (s0, |s|), so one inverse serves s and
     its conjugate; raises np.linalg.LinAlgError when Q_s is exactly singular
-    at a node.  With the eigenbasis of a self-adjoint T
-    (``module.self_adjoint_basis``) no inverse is taken: Q_s^-1 is
-    U diag(1 / (lam^2 - 2 s0 lam + |s|^2)) U^H, that of the Hermitian part
-    of bt, and a node where that denominator vanishes is inf.
+    at a node.
     """
     out = np.empty((s0.size,) + bt.shape, dtype=complex)
-    if basis is None:
-        for sl, q in q_blocks(bt, s0, abs2):
-            out[sl] = np.linalg.inv(q)
-        return out
-    u, lam = basis.u, basis.lam
-    uh = np.swapaxes(u, -1, -2).conj()
-    for lo in range(0, s0.size, _CHUNK):
-        sl = slice(lo, lo + _CHUNK)
-        q = lam * lam - 2.0 * s0[sl, None, None] * lam + abs2[sl, None, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            np.matmul(u * (1.0 / q)[:, :, None, :], uh, out=out[sl])
+    for sl, q in q_blocks(bt, s0, abs2):
+        out[sl] = np.linalg.inv(q)
     return out
 
 

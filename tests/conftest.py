@@ -120,9 +120,10 @@ def self_adjoint_operator(rng, n, m):
 def regularizer_family(T, omega=None, theta=None, quad_nodes=100):
     """The frame family of the regularizer and what the composition records
     take besides it, built as ``run_theorem_suite`` builds them:
-    (g, engine, C at theta, family, blocks of the family), the family as
-    (t, w, blocks, truncation and discretization estimates) from
-    ``ContourEngine.evaluate_blocks``."""
+    (g, engine, C at theta, family, values of the family), the family as
+    (t, w, blocks, truncation and discretization estimates) and its values
+    as ``ContourEngine.evaluate_blocks`` returns them: the blocks, or for
+    self-adjoint T their ``Diagonal``."""
     omega = OMEGA if omega is None else omega
     theta = THETA if theta is None else theta
     g = ensure_bounded(cs.resolve_function({"name": "regularizer"}, theta))
@@ -132,8 +133,9 @@ def regularizer_family(T, omega=None, theta=None, quad_nodes=100):
     cfg, stride = cs.lattice_contour(qcfg, cs.ContourConfig(nodes=500))
     engine = cs.ContourEngine(T, bisector, theta, cfg)
     t_grid, w_grid = qcfg.grid()
-    fam = (t_grid, w_grid) + engine.evaluate_blocks(g, t_grid, stride=stride)
-    return g, engine, bisector.c_at(theta), fam, fam[2]
+    values, truncs, discs = engine.evaluate_blocks(g, t_grid, stride=stride)
+    fam = (t_grid, w_grid, engine.dense_blocks(values), truncs, discs)
+    return g, engine, bisector.c_at(theta), fam, values
 
 
 def composition_nodes(rng, t_grid):

@@ -82,14 +82,19 @@ def test_products_and_inverses_through_blocks(T, seed):
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_engine_stores_the_blocks_only(n):
+    # diag(1, -2) is self-adjoint: P is kept as its real diagonals in the
+    # eigenbasis, km float64 per block; the Jordan block keeps the complex
+    # (km x km) blocks
     m = 2
-    T = cs.CliffordOperator.from_real_matrix([[1.0, 0.0], [0.0, -2.0]], n=n)
     cfg = cs.ContourConfig(nodes=64)
-    eng = cs.ContourEngine(T, cs.check_bisectorial(T, OMEGA), THETA, cfg)
     r, k = BLOCKS[n]
-    assert _stored_nodes(cfg) == 2 * 65 == eng.z.size
-    assert eng.P.nbytes == eng.z.size * r * (k * m) ** 2 * 16
-    assert eng.A.shape == (eng.z.size, m << n, m << n)
+    for matrix, per_block in (([[1.0, 0.0], [0.0, -2.0]], k * m * 8),
+                              ([[1.0, 1.0], [0.0, 1.0]], (k * m) ** 2 * 16)):
+        T = cs.CliffordOperator.from_real_matrix(matrix, n=n)
+        eng = cs.ContourEngine(T, cs.check_bisectorial(T, OMEGA), THETA, cfg)
+        assert _stored_nodes(cfg) == 2 * 65 == eng.z.size
+        assert eng.P.nbytes == eng.z.size * r * per_block
+        assert eng.A.shape == (eng.z.size, m << n, m << n)
 
 
 @pytest.fixture(scope="module", params=range(1, 5), ids=lambda n: f"n{n}")

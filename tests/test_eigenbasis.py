@@ -1,8 +1,10 @@
 """Self-adjoint operators through one eigenbasis per spinor block: the
-self-adjointness predicate, Q_s^-1 without inverses, the composition bounds
-against the dense norms, and a gap below the predicate's tolerance."""
+self-adjointness predicate, Q_s^-1 stored as diagonals without inverses,
+the composition bounds against the dense norms, the diagonal path against
+the dense one, and a gap below the predicate's tolerance."""
 
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 import cliffspec as cs
 from cliffspec import calculus
-from cliffspec.module import block_form, self_adjoint_basis, spectral_norm
+from cliffspec.module import block_form, operator_from_real, self_adjoint_basis, spectral_norm
+from cliffspec.quadratic import family_frames, lattice_contour
 from cliffspec.spectrum import q_inverse_stack
 from cliffspec.suite import _composition_bound_records
 
@@ -66,26 +69,26 @@ def test_self_adjoint_predicate_agrees_with_the_symmetry_of_rho(name):
        st.integers(0, 2 ** 32 - 1))
 def test_eigen_path_bounds_the_dense_records_and_inverts_q(n, m, log_scale, seed):
     T = self_adjoint_operator(np.random.default_rng(seed), n, m) * 10.0 ** log_scale
-    g, engine, c_theta, fam, blocks = regularizer_family(T)
+    g, engine, c_theta, fam, values = regularizer_family(T)
     basis = engine.basis
     assert basis is not None and basis.gap == 0.0 and engine._p_gap == 0.0
-    eigen_records = _composition_bound_records("g", g, c_theta, *fam[:2],
-                                               basis.diagonal(blocks),
+    eigen_records = _composition_bound_records("g", g, c_theta, *fam[:2], values,
                                                np.random.default_rng(seed))
-    dense_records = _composition_bound_records("g", g, c_theta, *fam[:2], blocks,
+    dense_records = _composition_bound_records("g", g, c_theta, *fam[:2], fam[2],
                                                np.random.default_rng(seed))
     for got, want in zip(eigen_records, dense_records, strict=True):
         assert got["name"] == want["name"]
         assert want["lhs"] <= got["lhs"] <= want["lhs"] * (1.0 + SLACK)
-    # P against the batched inverse, within the inverse's own rounding
-    # km eps cond(Q_s) ||Q_s^-1|| at each node
+    # U diag(P) U^H against the batched inverse, within the inverse's own
+    # rounding km eps cond(Q_s) ||Q_s^-1|| at each node
     r = np.exp(engine.u)
     ref = q_inverse_stack(engine._bt, np.real(engine.z), r * r)
     lam = basis.lam[None]
     q = np.abs(lam * lam - 2.0 * np.real(engine.z)[:, None, None] * lam
                + (r * r)[:, None, None])
     scale = q.max(axis=(1, 2)) / q.min(axis=(1, 2)) ** 2
-    err = np.abs(engine.P - ref).max(axis=(1, 2, 3))
+    assert engine.P.shape == ref.shape[:-1]
+    err = np.abs(basis.blocks(engine.P) - ref).max(axis=(1, 2, 3))
     assert np.all(err <= 16 * lam.shape[-1] * np.finfo(float).eps * scale)
 
 
@@ -109,3 +112,85 @@ def test_a_gap_below_the_predicate_tolerance_enters_the_claimed_error(monkeypatc
     want, _, _ = dense.evaluate(f)
     move = spectral_norm(value - want)
     assert without_gap.evaluate(f)[2] < move <= disc
+
+
+def test_a_self_adjoint_engine_stores_diagonals_without_inverses(monkeypatch):
+    # at n = 3, m = 8 (D = 64) P is (nodes, r, km): no inverse is taken, and
+    # the build never holds a (nodes, r, km, km) stack, whose 33 MB the
+    # peak would otherwise reach
+    T = self_adjoint_operator(np.random.default_rng(5), 3, 8) * 0.05
+    report = cs.check_bisectorial(T, OMEGA)
+    inverses = []
+    inv = np.linalg.inv
+
+    def counting_inv(a):
+        inverses.append(np.shape(a))
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counting_inv)
+    tracemalloc.start()
+    try:
+        engine = cs.ContourEngine(T, report, THETA)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    r, km = 2, 16
+    assert engine.basis is not None and inverses == []
+    assert engine.P.shape == (engine.z.size, r, km)
+    assert peak < engine.z.size * r * km * km * 16 / 4
+
+
+def _unitary_conjugate(rng, n, m):
+    """V diag(lam) V* over R_n: V the Cayley transform (I - K)(I + K)^-1 of
+    a random skew-adjoint K, unitary, and real lam of modulus in [0.5, 2]
+    with random signs."""
+    a = cs.CliffordOperator(n, m, rng.standard_normal((m, m, 1 << n)))
+    rho_k = cs.rho_matrix(a - a.adjoint())
+    eye = np.eye(rho_k.shape[0])
+    v = operator_from_real(np.linalg.solve(eye + rho_k, eye - rho_k), n, m)
+    lam = rng.choice([-1.0, 1.0], size=m) * rng.uniform(0.5, 2.0, size=m)
+    return v @ cs.CliffordOperator.from_real_matrix(np.diag(lam), n) @ v.adjoint()
+
+
+def _gap_within(got, want, claim_a, claim_b, gap):
+    """Both claims cover the gap between the paths, and so does their sum."""
+    assert gap <= claim_a and gap <= claim_b
+    assert np.all(np.abs(got - want) <= claim_a + claim_b)
+
+
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 2), st.integers(0, 2 ** 32 - 1))
+def test_diagonal_path_agrees_with_the_dense_path(n, m, seed):
+    T = _unitary_conjugate(np.random.default_rng(seed), n, m)
+    report = cs.check_bisectorial(T, OMEGA)
+    qcfg = cs.default_quad_grid(T, 64)
+    cfg, stride = lattice_contour(qcfg)
+    t, w = qcfg.grid()
+    eigen = cs.ContourEngine(T, report, THETA, cfg)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(calculus, "self_adjoint_basis", lambda bt: None)
+        dense = cs.ContourEngine(T, report, THETA, cfg)
+    assert eigen.basis is not None and dense.basis is None
+    assert eigen.P.shape == eigen.z.shape + eigen.basis.lam.shape
+    g = cs.regularizer(THETA)
+    # values of the family at scalings off the lattice, both signs
+    ts = np.array([-3.0, -0.2, 0.05, 1.0, 7.0])
+    (got, trunc, disc), (want, trunc_d, disc_d) = (
+        eng.evaluate_family(g, ts) for eng in (eigen, dense))
+    assert np.array_equal(trunc, trunc_d)
+    gaps = spectral_norm(got - want)
+    assert np.all(gaps <= disc) and np.all(gaps <= disc_d)
+    # the frames of T and T* on the grid
+    frames = [family_frames(g, eng, t, w, stride, adjoint=True)[:2] for eng in (eigen, dense)]
+    for fb, fb_d in zip(*frames):
+        gap = np.linalg.norm(fb.theta - fb_d.theta, 2)
+        assert gap <= fb.discretization_error and gap <= fb_d.discretization_error
+        _gap_within(fb.eigenvalues, fb_d.eigenvalues, fb.combined_error,
+                    fb_d.combined_error, gap)
+    # the f_ab ladder's rung at k = 1
+    e = cs.regularizer(THETA)
+    res, res_d = (cs.f_ab_operator(e, 0.1, 10.0, T, report, cfg, engine=eng)
+                  for eng in (eigen, dense))
+    gap = np.linalg.norm(cs.rho_matrix(res.op) - cs.rho_matrix(res_d.op), 2)
+    assert res.truncation_error == res_d.truncation_error
+    _gap_within(gap, 0.0, res.discretization_error, res_d.discretization_error, gap)

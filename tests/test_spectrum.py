@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 import cliffspec as cs
 
 from cliffspec.module import block_form, spectral_norm
-from cliffspec.spectrum import block_sigmas, left_resolvents, series_bounds
+from cliffspec.spectrum import block_sigmas, left_resolvents, q_inverse_stack, series_bounds
 from conftest import (OMEGA, THETA, full_c_phi_table, non_normal_operator, random_operator,
-                      random_paravector, ray_samples)
+                      random_paravector, ray_samples, self_adjoint_operator)
 
 
 def scalar_resolvent(s, lam):
@@ -238,7 +238,8 @@ def test_empty_grid_rejected():
 
 def test_s_resolvent_identity_on_non_normal_operators(rng):
     """Q_s[T] S_L^{-1}(s, T) = sbar - T over R_2 and R_3, and the contour
-    engine stores the same left S-resolvent at its nodes."""
+    engine stores the same left S-resolvent at its nodes, also when it keeps
+    P as diagonals in the eigenbasis of a self-adjoint T."""
     for n in (2, 3):
         for _ in range(5):
             T = random_operator(rng, n, 2)
@@ -255,13 +256,16 @@ def test_s_resolvent_identity_on_non_normal_operators(rng):
         off = rng.standard_normal(1 << n)
         coeffs = np.zeros((2, 2, 1 << n))
         coeffs[0, 0, 0], coeffs[1, 1, 0], coeffs[0, 1] = 1.0, -2.0, off
-        T = cs.CliffordOperator(n, 2, coeffs)
-        eng = cs.ContourEngine(T, cs.check_bisectorial(T, OMEGA), THETA,
-                               cs.ContourConfig(nodes=64))
-        for k in np.flatnonzero(np.abs(eng.u) < 1.0)[::9]:
-            s = cs.Paravector(eng.z[k].real, eng.z[k].imag * cs.unit_imag(n).svec)
-            expected = cs.rho_matrix(cs.left_s_resolvent(s, T))
-            assert np.abs(eng.A[k] - expected).max() <= 1e-10 * max(1.0, np.abs(expected).max())
+        for eigen, T in enumerate((cs.CliffordOperator(n, 2, coeffs),
+                                   self_adjoint_operator(np.random.default_rng(n), n, 2))):
+            eng = cs.ContourEngine(T, cs.check_bisectorial(T, OMEGA), THETA,
+                                   cs.ContourConfig(nodes=64))
+            assert eng.P.ndim == (3 if eigen else 4)
+            for k in np.flatnonzero(np.abs(eng.u) < 1.0)[::9]:
+                s = cs.Paravector(eng.z[k].real, eng.z[k].imag * cs.unit_imag(n).svec)
+                expected = cs.rho_matrix(cs.left_s_resolvent(s, T))
+                assert np.abs(eng.A[k] - expected).max() <= 1e-10 * max(
+                    1.0, np.abs(expected).max())
 
 
 def test_c_at_below_every_sampled_angle_is_infinite():
@@ -392,14 +396,19 @@ def test_every_sample_lies_below_its_series_bound(case):
 
 def test_engine_fallback_takes_the_full_max_over_its_nodes():
     # phi = 0.3 lies below every sampled angle at OMEGA (the first is 0.480),
-    # so the engine takes C_phi from its own nodes through resolvent_bound
-    T = non_normal_operator(np.random.default_rng(1), 2)
-    rep = cs.check_bisectorial(T, OMEGA)
-    assert math.isinf(rep.c_at(0.3))
-    eng = cs.ContourEngine(T, rep, THETA, cs.ContourConfig(phi=0.3, nodes=64))
-    r = np.exp(eng.u)
-    s0, y = np.real(eng.z), np.imag(eng.z)
-    full = max(float(np.max(r * spectral_norm(left).max(axis=1)))
-               for left in (left_resolvents(eng._bt, eng.P, s0, branch * y, eng._bj)
-                            for branch in (1.0, -1.0)))
-    assert eng.c_phi == full
+    # so the engine takes C_phi from its own nodes through resolvent_bound:
+    # the max over every node of the batched inverses of T's blocks, which
+    # the dense engine stores and the eigen path inverts there
+    for eigen, T in enumerate((non_normal_operator(np.random.default_rng(1), 2),
+                               self_adjoint_operator(np.random.default_rng(1), 2, 2))):
+        rep = cs.check_bisectorial(T, OMEGA)
+        assert math.isinf(rep.c_at(0.3))
+        eng = cs.ContourEngine(T, rep, THETA, cs.ContourConfig(phi=0.3, nodes=64))
+        assert (eng.basis is not None) == bool(eigen)
+        r = np.exp(eng.u)
+        s0, y = np.real(eng.z), np.imag(eng.z)
+        qinv = q_inverse_stack(eng._bt, s0, r * r)
+        full = max(float(np.max(r * spectral_norm(left).max(axis=1)))
+                   for left in (left_resolvents(eng._bt, qinv, s0, branch * y, eng._bj)
+                                for branch in (1.0, -1.0)))
+        assert eng.c_phi == full

@@ -178,7 +178,7 @@ def test_composition_records_on_a_self_adjoint_operator_take_no_product_norms(mo
     # in the eigenbasis every norm is a bound from the diagonals: no stack
     # of products reaches spectral_norm, in the records or anywhere in verify
     T = self_adjoint_operator(np.random.default_rng(3), 3, 2)
-    g, engine, c_theta, fam, blocks = regularizer_family(T)
+    g, engine, c_theta, fam, values = regularizer_family(T)
     calls = []
 
     def counting_norm(stack):
@@ -186,8 +186,7 @@ def test_composition_records_on_a_self_adjoint_operator_take_no_product_norms(mo
         return spectral_norm(stack)
 
     monkeypatch.setattr(suite, "spectral_norm", counting_norm)
-    records = _composition_bound_records("g", g, c_theta, *fam[:2],
-                                         engine.basis.diagonal(blocks),
+    records = _composition_bound_records("g", g, c_theta, *fam[:2], values,
                                          np.random.default_rng(0))
     assert [r["pass"] for r in records] == [True] * 3
     assert calls == []
@@ -367,13 +366,13 @@ def test_quadratic_forms_of_the_frame_gram_match_the_family(case):
 
 
 def test_verify_takes_each_frame_family_to_the_eigenbasis_once(monkeypatch):
-    # the Diagonal of each frame family gives the composition records and
-    # the frame scale of T and of T*; no other stack of grid values is
-    # mapped to the eigenbasis
+    # the engine returns each frame family as its Diagonal, which gives the
+    # composition records and the frames of T and of T*: no stack of grid
+    # values is assembled as blocks, and each g assembles one frame Gram
     T = cs.CliffordOperator.from_real_matrix([[1.0, 0.0], [0.0, -2.0]], n=1)
     grid_size = 2 * (cs.SuiteConfig().quad_nodes | 1)
-    families, seen = [], []
-    evaluate, diagonal = cs.ContourEngine.evaluate_blocks, cs.module.EigenBasis.diagonal
+    families, assembled = [], []
+    evaluate, blocks = cs.ContourEngine.evaluate_blocks, cs.module.EigenBasis.blocks
 
     def evaluate_blocks(self, f, ts, stride=None):
         out = evaluate(self, f, ts, stride)
@@ -381,17 +380,19 @@ def test_verify_takes_each_frame_family_to_the_eigenbasis_once(monkeypatch):
             families.append(out[0])
         return out
 
-    def counting_diagonal(self, blocks):
-        seen.append(blocks)
-        return diagonal(self, blocks)
+    def counting_blocks(self, d, b=None):
+        assembled.append(np.shape(d))
+        return blocks(self, d, b)
 
     monkeypatch.setattr(cs.ContourEngine, "evaluate_blocks", evaluate_blocks)
-    monkeypatch.setattr(cs.module.EigenBasis, "diagonal", counting_diagonal)
+    monkeypatch.setattr(cs.module.EigenBasis, "blocks", counting_blocks)
     report = cs.run_theorem_suite(T)
     assert report["passed"] and report["contour"]["basis"]["path"] == "eigen"
     assert len(families) == len(cs.default_g_specs())
-    assert [sum(b is fam for b in seen) for fam in families] == [1] * len(families)
-    assert sum(b.shape[0] == grid_size for b in seen) == len(families)
+    assert all(isinstance(fam, cs.module.Diagonal) for fam in families)
+    assert report["contour"]["basis"]["residual"] == max(float(f.e.max()) for f in families)
+    assert all(shape[0] != grid_size for shape in assembled)
+    assert sum(len(shape) == 2 for shape in assembled) == len(families)
 
 
 @pytest.mark.parametrize("case", ["self-adjoint", "triangular"])
