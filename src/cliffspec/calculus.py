@@ -146,11 +146,8 @@ class ContourEngine:
     one eigenbasis U per block, P = U diag(1 / (lam^2 - 2 s0 lam + |s|^2))
     U^H is stored as its diagonals (nodes, r, km), and each value comes out
     as its ``module.Diagonal``, with norm bounds max|d| + e; ``dense_blocks``
-    assembles blocks for the callers that ask.  A gap G between the blocks
-    and their Hermitian part, whose P this is, adds its perturbation of
-    Q_s^-1 to the discretization estimate (``_p_gap``), and the values keep
-    the exact term -G U diag(sum beta P) U^H.  Otherwise ``basis`` is None
-    and P is the dense inverse (nodes, r, km, km).
+    assembles blocks for the callers that ask.  Otherwise ``basis`` is
+    None and P is the dense inverse (nodes, r, km, km).
     """
 
     def __init__(self, T: CliffordOperator, report: BisectorReport,
@@ -248,16 +245,6 @@ class ContourEngine:
             # ||U diag(p) U^H||_F <= ||U||^2 ||p||_2, ||U|| <= 1 + delta
             self._p_fro *= (1.0 + self.basis.departure.max()) ** 2
         self._t_norm = float(spectral_norm(self._bt).max())
-        # P is Q_s^-1 of the Hermitian part H of the blocks on the eigen
-        # path: ||Q_s(T) - Q_s(H)|| <= gap (2 ||H|| + gap + 2 |s0|) =: q, so
-        # ||Q_s(T)^-1 - P|| <= x / (1 - x) ||P||, x = ||P|| q, node by node,
-        # and the value moves by at most the largest such ratio times the
-        # sum the roundoff term bounds; 0 when bt is Hermitian or T is not
-        # self-adjoint
-        gap = 0.0 if self.basis is None else self.basis.gap
-        x = self._p_fro * (gap * (2.0 * self._t_norm + gap + 2.0 * np.abs(np.real(self.z))))
-        with np.errstate(divide="ignore"):
-            self._p_gap = float(np.max(x / np.maximum(1.0 - x, 0.0)))
 
     @property
     def A(self):
@@ -286,7 +273,7 @@ class ContourEngine:
 
     def dense_blocks(self, values):
         """The spinor blocks (values, r, km, km) of values from ``evaluate_blocks``."""
-        return values if self.basis is None else self.basis.blocks(values.d, values.b)
+        return values if self.basis is None else self.basis.blocks(values.d)
 
     def evaluate_blocks(self, f: IntrinsicFunction, ts, stride=None):
         """f(t T) for a whole vector of nonzero finite scalings, with their
@@ -306,8 +293,7 @@ class ContourEngine:
         bad = ~np.isfinite(ts) | (ts == 0.0)
         if np.any(bad):
             raise ArgumentError(f"scaling t={ts[bad][0]} must be nonzero and finite")
-        shape = self.P.shape[1:] if self.basis is None else (2, *self.P.shape[1:])
-        values = np.empty((ts.size, *shape), dtype=self.P.dtype)
+        values = np.empty((ts.size, *self.P.shape[1:]), dtype=self.P.dtype)
         discs = np.empty(ts.size)
         mags, which = np.unique(np.abs(ts), return_inverse=True)
         if stride is None:
@@ -401,8 +387,7 @@ class ContourEngine:
         once: the sums S_0, S_1 over the even and the odd nodes give the
         value S_0 + S_1 and, by comparison with the half-resolution rule
         2 S_0, the estimate ||S_1 - S_0|| (``module.block_norms``), to
-        which the roundoff bound of the node sums and the gap term
-        ``_p_gap`` are added."""
+        which the roundoff bound of the node sums is added."""
         halves, size = [], 0.0
         for (alpha, beta), sl in zip(terms, self._halves):
             # alpha and beta are fresh contiguous arrays, which keeps matmul
@@ -411,26 +396,24 @@ class ContourEngine:
             size = size + np.abs(alpha) @ self._p_fro[sl] + self._t_norm * (
                 np.abs(beta) @ self._p_fro[sl])
         first, second = halves
-        discs = block_norms(self._values(second - first)) + (
-            self._gamma + self._p_gap) * size
+        discs = block_norms(self._values(second - first)) + self._gamma * size
         return first + second, discs
 
     def _combine(self, sum_a, sum_b):
         """alpha P - T beta P from the contractions sum_a, sum_b of alpha and
-        beta with P: the blocks, or on the eigen path the stack [d, b]
-        (values, 2, r, km), d = sum_a - lam sum_b and b = sum_b."""
+        beta with P: the blocks, or on the eigen path their diagonals
+        d = sum_a - lam sum_b (values, r, km)."""
         nb = sum_a.shape[0]
         if self.basis is None:
             shape = (nb, *self._bt.shape)
             return (sum_a.view(complex).reshape(shape)
                     - self._bt @ sum_b.view(complex).reshape(shape))
         lam = self.basis.lam
-        sum_a, sum_b = (x.reshape(nb, *lam.shape) for x in (sum_a, sum_b))
-        return np.stack([sum_a - lam * sum_b, sum_b], axis=1)
+        return sum_a.reshape(nb, *lam.shape) - lam * sum_b.reshape(nb, *lam.shape)
 
     def _values(self, sums):
         """The values of sums from ``_combine``: the blocks, or their ``Diagonal``."""
-        return sums if self.basis is None else self.basis.values(sums[:, 0], sums[:, 1])
+        return sums if self.basis is None else self.basis.values(sums)
 
 
 def _check_report(report):

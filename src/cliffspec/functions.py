@@ -25,6 +25,7 @@ from .quadrature import gl_panel_grid, pairwise_sum, trapezoid_grid
 
 DEFAULT_THETA = math.pi / 4
 _CERTIFY_SAMPLES = 1000  # radii per ray of the certification sample set
+_PROFILE_ENTRIES = 1 << 16  # (t, z) products per chunk of an f_ab profile
 
 
 @dataclass(frozen=True)
@@ -356,12 +357,23 @@ def f_ab_function(f: IntrinsicFunction, a, b) -> IntrinsicFunction:
     u, w = gl_panel_grid(math.log(a), math.log(b))
     t = np.exp(u)
 
+    # each column of the (t, z) products sums over t on its own, so columns
+    # go in chunks of cols to 2 cols - 1 (the remainder joins the last): the
+    # peak does not grow with log(b / a).  A split happens only above
+    # _PROFILE_ENTRIES products, and each of its chunks holds at least half
+    # as many (512 KiB), above the 256 KiB from which numpy computes on
+    # temporaries in place, with loops that round differently; so the
+    # values are those of one piece, bit for bit
+    cols = max(1, _PROFILE_ENTRIES // t.size)
+
     def profile(z):
         z = np.asarray(z, dtype=complex)
         flat = z.ravel()
-        tz = t[:, None] * flat[None, :]
-        vals = inner(tz) - inner(-tz)
-        out = pairwise_sum(w[:, None] * vals)
+        out = np.empty(flat.shape, dtype=complex)
+        edges = [0, *range(cols, flat.size - cols + 1, cols), flat.size]
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            tz = t[:, None] * flat[None, lo:hi]
+            out[lo:hi] = pairwise_sum(w[:, None] * (inner(tz) - inner(-tz)))
         return out.reshape(z.shape)
 
     alpha = cert.alpha

@@ -207,20 +207,19 @@ def block_form(coeffs, n):
 
 
 class Diagonal:
-    """A stack of block forms B = U diag(d) U^H - G U diag(b) U^H in the
-    ``EigenBasis`` U of a self-adjoint T, G = bt - H: the diagonals ``d``,
-    ``b`` (..., r, km) and a bound ``e`` (..., r) on the norm of the rest of
-    W^H B W beyond diag(d), W the unitary polar factor of U."""
+    """A stack of block forms B = U diag(d) U^H in the ``EigenBasis`` U of
+    a self-adjoint T: the diagonals ``d`` (..., r, km) and a bound ``e``
+    (..., r) on the norm of the rest of W^H B W beyond diag(d), W the
+    unitary polar factor of U."""
 
-    __slots__ = ("d", "b", "e")
+    __slots__ = ("d", "e")
 
-    def __init__(self, d, b, e):
+    def __init__(self, d, e):
         self.d = d
-        self.b = b
         self.e = e
 
     def __getitem__(self, index):
-        return Diagonal(self.d[index], self.b[index], self.e[index])
+        return Diagonal(self.d[index], self.e[index])
 
     def norms(self):
         """Upper bound max|d| + e on the norm of each matrix, the largest over its blocks."""
@@ -238,67 +237,50 @@ class Diagonal:
 
 
 class EigenBasis:
-    """H = U diag(lam) U^H for the Hermitian part H of each spinor block of a
+    """bt = U diag(lam) U^H for the exactly Hermitian spinor blocks bt of a
     self-adjoint T (``self_adjoint_basis``): ``u`` (r, km, km), real ``lam``
-    (r, km), the rest ``skew`` = G = bt - H of the blocks and ``gap`` =
-    ||G||_F, the largest over the blocks, and per block the ``departure``
-    delta >= ||U^H U - I||.
+    (r, km) and per block the ``departure`` delta >= ||U^H U - I||.
 
     Every g(tT) is a function of T, so the contour engine keeps its values
     as diagonals in U (``values``) and assembles blocks on request (``blocks``).
     """
 
-    __slots__ = ("u", "lam", "skew", "gap", "departure")
+    __slots__ = ("u", "lam", "departure")
 
-    def __init__(self, u, lam, skew, gap, departure):
+    def __init__(self, u, lam, departure):
         self.u = u
         self.lam = lam
-        self.skew = skew
-        self.gap = gap
         self.departure = departure
 
-    def values(self, d, b) -> Diagonal:
-        """The ``Diagonal`` of diagonals d, b (..., r, km), with
-        e = delta (2 + delta) max|d| + gap (1 + delta)^2 max|b|: with U = W S,
-        ||S - I|| <= delta, W^H U diag(d) U^H W = S diag(d) S is diag(d) plus
-        at most delta (2 + delta) max|d|, and the G term is at most
-        gap ||S||^2 max|b|.  No product is formed."""
+    def values(self, d) -> Diagonal:
+        """The ``Diagonal`` of diagonals d (..., r, km), with
+        e = delta (2 + delta) max|d|: with U = W S, ||S - I|| <= delta,
+        W^H U diag(d) U^H W = S diag(d) S is diag(d) plus at most
+        delta (2 + delta) max|d|.  No product is formed."""
         delta = self.departure
-        e = (delta * (2.0 + delta) * np.abs(d).max(axis=-1)
-             + self.gap * (1.0 + delta) ** 2 * np.abs(b).max(axis=-1))
-        return Diagonal(d, b, e)
+        return Diagonal(d, delta * (2.0 + delta) * np.abs(d).max(axis=-1))
 
-    def blocks(self, d, b=None):
-        """The blocks U diag(d) U^H of a stack of diagonals (..., r, km),
-        minus the G term G U diag(b) U^H when ``b`` is given."""
-        uh = np.swapaxes(self.u, -1, -2).conj()
-        out = (self.u * d[..., None, :]) @ uh
-        if b is not None and self.gap:
-            out -= self.skew @ ((self.u * b[..., None, :]) @ uh)
-        return out
+    def blocks(self, d):
+        """The blocks U diag(d) U^H of a stack of diagonals (..., r, km)."""
+        return (self.u * d[..., None, :]) @ np.swapaxes(self.u, -1, -2).conj()
 
 
 def self_adjoint_basis(bt):
     """The ``EigenBasis`` of the spinor blocks ``bt`` of T when T is
     self-adjoint, else None.
 
-    T is self-adjoint when its blocks are Hermitian to within 1e-12 times
-    their largest entry (at least 1) by ``np.allclose``; the map to blocks
-    takes T* to bt^H.  The eigenvectors are those of the Hermitian part
-    (bt + bt^H) / 2, which is bt bit for bit when bt is exactly Hermitian.
+    T is self-adjoint when its blocks are exactly Hermitian: the map to
+    blocks takes T* to bt^H, so a T equal to T* coefficient for coefficient
+    passes, and a T self-adjoint only to rounding takes the dense path.
     """
-    bh = np.swapaxes(bt, -1, -2).conj()
-    if not np.allclose(bt, bh, atol=1e-12 * max(1.0, float(np.abs(bt).max()))):
+    if not np.array_equal(bt, np.swapaxes(bt, -1, -2).conj()):
         return None
-    herm = 0.5 * (bt + bh)
-    lam, u = np.linalg.eigh(herm)
+    lam, u = np.linalg.eigh(bt)
     km = bt.shape[-1]
     # ||U^H U - I|| and its own rounding
     gram = np.swapaxes(u, -1, -2).conj() @ u - np.eye(km)
     departure = np.linalg.norm(gram, axis=(-2, -1)) + 2.0 * km * np.finfo(float).eps
-    skew = bt - herm
-    gap = float(np.linalg.norm(skew, axis=(-2, -1)).max())
-    return EigenBasis(u, lam, skew, gap, departure)
+    return EigenBasis(u, lam, departure)
 
 
 def block_norms(blocks):

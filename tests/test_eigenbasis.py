@@ -1,9 +1,9 @@
 """Self-adjoint operators through one eigenbasis per spinor block: the
-self-adjointness predicate, Q_s^-1 stored as diagonals without inverses,
-the composition bounds against the dense norms, the diagonal path against
-the dense one, and a gap below the predicate's tolerance."""
+exact self-adjointness predicate, Q_s^-1 stored as diagonals without
+inverses, the composition bounds against the dense norms, the diagonal path
+against the dense one, and operators self-adjoint only to rounding on the
+dense path against their exactly self-adjoint twins."""
 
-import copy
 import tracemalloc
 
 import numpy as np
@@ -32,9 +32,9 @@ SLACK = 1e-10
 
 
 def _rho_is_symmetric(T):
-    # the test verify applied to rho(T) before the spinor-block predicate
+    # rho of an exactly self-adjoint T is exactly symmetric
     rho = cs.rho_matrix(T)
-    return bool(np.allclose(rho, rho.T, atol=1e-12 * max(1.0, np.abs(rho).max())))
+    return bool(np.array_equal(rho, rho.T))
 
 
 def _operators():
@@ -52,7 +52,7 @@ def _operators():
         "non-normal": (non_normal_operator(rng, 3), False),
         "A+A*": (sym, True),
         "A+A* at D=64": (self_adjoint_operator(rng, 3, 8) * 0.05, True),
-        "A+A* + 1e-14": (cs.CliffordOperator(3, 4, sym.coeffs + 1e-14 * noise), True),
+        "A+A* + 1e-14": (cs.CliffordOperator(3, 4, sym.coeffs + 1e-14 * noise), False),
         "A+A* + 1e-3": (cs.CliffordOperator(3, 4, sym.coeffs + 1e-3 * noise), False),
     }
 
@@ -71,7 +71,7 @@ def test_eigen_path_bounds_the_dense_records_and_inverts_q(n, m, log_scale, seed
     T = self_adjoint_operator(np.random.default_rng(seed), n, m) * 10.0 ** log_scale
     g, engine, c_theta, fam, values = regularizer_family(T)
     basis = engine.basis
-    assert basis is not None and basis.gap == 0.0 and engine._p_gap == 0.0
+    assert basis is not None
     eigen_records = _composition_bound_records("g", g, c_theta, *fam[:2], values,
                                                np.random.default_rng(seed))
     dense_records = _composition_bound_records("g", g, c_theta, *fam[:2], fam[2],
@@ -90,28 +90,6 @@ def test_eigen_path_bounds_the_dense_records_and_inverts_q(n, m, log_scale, seed
     assert engine.P.shape == ref.shape[:-1]
     err = np.abs(basis.blocks(engine.P) - ref).max(axis=(1, 2, 3))
     assert np.all(err <= 16 * lam.shape[-1] * np.finfo(float).eps * scale)
-
-
-def test_a_gap_below_the_predicate_tolerance_enters_the_claimed_error(monkeypatch):
-    # a relative asymmetry of 1e-10 in the coefficients passes the predicate;
-    # P is then that of the Hermitian part, and only the gap term covers
-    # the move of the value against the dense inverse of T's own blocks
-    rng = np.random.default_rng(7)
-    sym = self_adjoint_operator(rng, 2, 2)
-    T = cs.CliffordOperator(2, 2, sym.coeffs * (1.0 + 1e-10 * rng.standard_normal(
-        sym.coeffs.shape)))
-    report = cs.check_bisectorial(T, OMEGA)
-    engine = cs.ContourEngine(T, report, THETA)
-    assert engine.basis is not None and 0.0 < engine.basis.gap < 1e-9
-    without_gap = copy.copy(engine)
-    without_gap._p_gap = 0.0
-    monkeypatch.setattr(calculus, "self_adjoint_basis", lambda bt: None)
-    dense = cs.ContourEngine(T, report, THETA)
-    f = cs.regularizer(THETA)
-    value, _, disc = engine.evaluate(f)
-    want, _, _ = dense.evaluate(f)
-    move = spectral_norm(value - want)
-    assert without_gap.evaluate(f)[2] < move <= disc
 
 
 def test_a_self_adjoint_engine_stores_diagonals_without_inverses(monkeypatch):
@@ -140,10 +118,16 @@ def test_a_self_adjoint_engine_stores_diagonals_without_inverses(monkeypatch):
     assert peak < engine.z.size * r * km * km * 16 / 4
 
 
-def _unitary_conjugate(rng, n, m):
-    """V diag(lam) V* over R_n: V the Cayley transform (I - K)(I + K)^-1 of
-    a random skew-adjoint K, unitary, and real lam of modulus in [0.5, 2]
-    with random signs."""
+def _twin(X):
+    """(X + X*) / 2, coefficient for coefficient: exactly self-adjoint."""
+    return cs.CliffordOperator(X.n, X.m, 0.5 * (X.coeffs + X.adjoint().coeffs))
+
+
+def _conjugate(rng, n, m):
+    """V diag(lam) V* over R_n as the products give it, self-adjoint only to
+    rounding: V the Cayley transform (I - K)(I + K)^-1 of a random
+    skew-adjoint K, unitary, and real lam of modulus in [0.5, 2] with
+    random signs."""
     a = cs.CliffordOperator(n, m, rng.standard_normal((m, m, 1 << n)))
     rho_k = cs.rho_matrix(a - a.adjoint())
     eye = np.eye(rho_k.shape[0])
@@ -152,10 +136,71 @@ def _unitary_conjugate(rng, n, m):
     return v @ cs.CliffordOperator.from_real_matrix(np.diag(lam), n) @ v.adjoint()
 
 
-def _gap_within(got, want, claim_a, claim_b, gap):
-    """Both claims cover the gap between the paths, and so does their sum."""
-    assert gap <= claim_a and gap <= claim_b
-    assert np.all(np.abs(got - want) <= claim_a + claim_b)
+def _unitary_conjugate(rng, n, m):
+    """The twin of ``_conjugate``, which takes the eigen path."""
+    return _twin(_conjugate(rng, n, m))
+
+
+def _move(t, eps, lam):
+    """Bound on ||g(tX) - g(tS)|| for the regularizer g(s) = s / (1 + s^2),
+    S = rho of an exactly self-adjoint operator with eigenvalues of modulus
+    at least lam and ||rho X - S|| <= eps: g(tS) = (1 / 2t) sum_+- (S +- i/t)^-1,
+    ||(S +- i/t)^-1|| <= r = |t| / sqrt(1 + lam^2 t^2), so the resolvent
+    identity gives eps r^2 / (|t| (1 - eps r)); 0 when eps is 0."""
+    t = np.abs(t)
+    r = t / np.sqrt(1.0 + (lam * t) ** 2)
+    return eps * r * r / (t * (1.0 - eps * r))
+
+
+def _gap_within(got, want, claim_a, claim_b, gap, move=0.0):
+    """Both claims, with the move of the operators, cover the gap between
+    the paths, and so does their sum."""
+    assert gap <= claim_a + move and gap <= claim_b + move
+    assert np.all(np.abs(got - want) <= claim_a + claim_b + move)
+
+
+def _assert_paths_agree(eigen, dense, reports, qcfg, cfg, stride):
+    """The eigen engine of S and the dense engine of X agree on the values
+    of the regularizer family, on the frames of T and T* and on the f_ab
+    rung at k = 1, within both claims and the move that ||rho X - rho S||
+    allows (0 for one operator)."""
+    rho_s = cs.rho_matrix(eigen.T)
+    eps = float(np.linalg.norm(cs.rho_matrix(dense.T) - rho_s, 2))
+    lam = float(np.abs(np.linalg.eigvalsh(rho_s)).min())
+    assert eigen.basis is not None and dense.basis is None
+    assert eigen.P.shape == eigen.z.shape + eigen.basis.lam.shape
+    g = cs.regularizer(THETA)
+    # values of the family at scalings off the lattice, both signs
+    ts = np.array([-3.0, -0.2, 0.05, 1.0, 7.0])
+    (got, trunc, disc), (want, trunc_d, disc_d) = (
+        eng.evaluate_family(g, ts) for eng in (eigen, dense))
+    if eps == 0.0:
+        assert np.array_equal(trunc, trunc_d)
+    gaps = spectral_norm(got - want)
+    move = _move(ts, eps, lam)
+    assert np.all(gaps <= disc + move) and np.all(gaps <= disc_d + move)
+    # the frames of T and T* on the grid: with ||g(tS)|| <= 1/2, each Gram
+    # term moves by at most delta (1 + delta), delta its value's move
+    t, w = qcfg.grid()
+    delta = _move(t, eps, lam)
+    move = float(np.dot(w, delta * (1.0 + delta)))
+    frames = [family_frames(g, eng, t, w, stride, adjoint=True)[:2] for eng in (eigen, dense)]
+    for fb, fb_d in zip(*frames):
+        gap = np.linalg.norm(fb.theta - fb_d.theta, 2)
+        assert gap <= fb.discretization_error + move
+        assert gap <= fb_d.discretization_error + move
+        _gap_within(fb.eigenvalues, fb_d.eigenvalues, fb.combined_error,
+                    fb_d.combined_error, gap, move)
+    # the f_ab ladder's rung at k = 1: the move of f(tT) dt/t over
+    # a <= |t| <= b is at most 2 eps (b - a) / (1 - eps b)
+    e, a, b = cs.regularizer(THETA), 0.1, 10.0
+    res, res_d = (cs.f_ab_operator(e, a, b, eng.T, report, cfg, engine=eng)
+                  for eng, report in zip((eigen, dense), reports))
+    gap = np.linalg.norm(cs.rho_matrix(res.op) - cs.rho_matrix(res_d.op), 2)
+    if eps == 0.0:
+        assert res.truncation_error == res_d.truncation_error
+    _gap_within(gap, 0.0, res.discretization_error, res_d.discretization_error, gap,
+                2.0 * eps * (b - a) / (1.0 - eps * b))
 
 
 @settings(max_examples=12, derandomize=True, deadline=None)
@@ -165,32 +210,47 @@ def test_diagonal_path_agrees_with_the_dense_path(n, m, seed):
     report = cs.check_bisectorial(T, OMEGA)
     qcfg = cs.default_quad_grid(T, 64)
     cfg, stride = lattice_contour(qcfg)
-    t, w = qcfg.grid()
     eigen = cs.ContourEngine(T, report, THETA, cfg)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(calculus, "self_adjoint_basis", lambda bt: None)
         dense = cs.ContourEngine(T, report, THETA, cfg)
-    assert eigen.basis is not None and dense.basis is None
-    assert eigen.P.shape == eigen.z.shape + eigen.basis.lam.shape
-    g = cs.regularizer(THETA)
-    # values of the family at scalings off the lattice, both signs
-    ts = np.array([-3.0, -0.2, 0.05, 1.0, 7.0])
-    (got, trunc, disc), (want, trunc_d, disc_d) = (
-        eng.evaluate_family(g, ts) for eng in (eigen, dense))
-    assert np.array_equal(trunc, trunc_d)
-    gaps = spectral_norm(got - want)
-    assert np.all(gaps <= disc) and np.all(gaps <= disc_d)
-    # the frames of T and T* on the grid
-    frames = [family_frames(g, eng, t, w, stride, adjoint=True)[:2] for eng in (eigen, dense)]
-    for fb, fb_d in zip(*frames):
-        gap = np.linalg.norm(fb.theta - fb_d.theta, 2)
-        assert gap <= fb.discretization_error and gap <= fb_d.discretization_error
-        _gap_within(fb.eigenvalues, fb_d.eigenvalues, fb.combined_error,
-                    fb_d.combined_error, gap)
-    # the f_ab ladder's rung at k = 1
-    e = cs.regularizer(THETA)
-    res, res_d = (cs.f_ab_operator(e, 0.1, 10.0, T, report, cfg, engine=eng)
-                  for eng in (eigen, dense))
-    gap = np.linalg.norm(cs.rho_matrix(res.op) - cs.rho_matrix(res_d.op), 2)
-    assert res.truncation_error == res_d.truncation_error
-    _gap_within(gap, 0.0, res.discretization_error, res_d.discretization_error, gap)
+    _assert_paths_agree(eigen, dense, (report, report), qcfg, cfg, stride)
+
+
+def _rounding_self_adjoint():
+    rng = np.random.default_rng(7)
+    sym = self_adjoint_operator(rng, 2, 2)
+    noisy = cs.CliffordOperator(2, 2, sym.coeffs * (1.0 + 1e-10 * rng.standard_normal(
+        sym.coeffs.shape)))
+    return {"A+A* + 1e-10": noisy,
+            "V diag V* at n=2, m=2": _conjugate(np.random.default_rng(3), 2, 2),
+            "V diag V* at n=3, m=1": _conjugate(np.random.default_rng(11), 3, 1)}
+
+
+@pytest.mark.parametrize("name", list(_rounding_self_adjoint()))
+def test_an_operator_self_adjoint_only_to_rounding_takes_the_dense_path(name):
+    # X is not T* coefficient for coefficient, so its engine is dense; its
+    # twin (X + X*) / 2 takes the eigen path, and the two agree
+    X = _rounding_self_adjoint()[name]
+    S = _twin(X)
+    assert not np.array_equal(X.coeffs, X.adjoint().coeffs)
+    qcfg = cs.default_quad_grid(S, 64)
+    cfg, stride = lattice_contour(qcfg)
+    reports = [cs.check_bisectorial(T, OMEGA) for T in (S, X)]
+    eigen, dense = (cs.ContourEngine(T, report, THETA, cfg)
+                    for T, report in zip((S, X), reports))
+    _assert_paths_agree(eigen, dense, reports, qcfg, cfg, stride)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_self_adjoint_inputs_give_exactly_hermitian_blocks(n):
+    # the traffic the exact predicate relies on: A + A*, its real scalings
+    # and real diagonal operators are T* coefficient for coefficient
+    rng = np.random.default_rng(n)
+    for m in (1, 2, 3):
+        sym = self_adjoint_operator(rng, n, m)
+        diag = cs.CliffordOperator.from_real_matrix(np.diag(rng.standard_normal(m)), n)
+        for T in (sym, sym * 0.05, sym * rng.uniform(-3.0, 3.0), diag):
+            bt = block_form(T.coeffs, T.n)
+            assert np.array_equal(bt, np.swapaxes(bt, -1, -2).conj())
+            assert self_adjoint_basis(bt) is not None

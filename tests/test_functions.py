@@ -1,11 +1,13 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import cliffspec as cs
 from cliffspec.functions import DEFAULT_THETA, _sample_points, arctan_tails
+from cliffspec.quadrature import gl_panel_grid
 
 
 def test_regularizer_value_at_one():
@@ -165,6 +167,27 @@ def test_f_ab_sup_bound():
     vals = np.abs(fab.eval_complex(z))
     assert np.max(vals) <= e.decay.c_alpha * math.pi / e.decay.alpha * (1 + 1e-9)
     assert fab.bounded.sup_norm == pytest.approx(e.decay.c_alpha * math.pi)
+
+
+def test_f_ab_profile_memory_does_not_grow_with_log_b_over_a():
+    # 3,316 t-nodes at a = 1e-30, b = 1e30: one (t-nodes x points) complex
+    # array on 4,004 points would take 212 MB; the profile goes in column
+    # chunks, and its values are 2 (atan(b z) - atan(a z))
+    a, b = 1e-30, 1e30
+    fab = cs.f_ab_function(cs.regularizer(), a, b)
+    rng = np.random.default_rng(0)
+    z = (rng.choice([-1.0, 1.0], 4004) * np.exp(rng.uniform(-3.0, 3.0, 4004))
+         * np.exp(1j * rng.uniform(-0.7, 0.7, 4004)))
+    t_nodes = gl_panel_grid(math.log(a), math.log(b))[0].size
+    tracemalloc.start()
+    try:
+        vals = fab.eval_complex(z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < t_nodes * z.size * 16 / 8
+    np.testing.assert_allclose(vals, 2.0 * (np.arctan(b * z) - np.arctan(a * z)),
+                               rtol=0.0, atol=1e-13)
 
 
 def test_certify_decay_regularizer():

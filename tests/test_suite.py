@@ -216,7 +216,7 @@ def test_operators_that_are_not_self_adjoint_keep_the_dense_path(case):
          "non-normal": non_normal_operator(np.random.default_rng(4), 2),
          "1+e1": cs.CliffordOperator(1, 1, np.array([[[1.0, 1.0]]]))}[case]
     g, engine, c_theta, fam, blocks = regularizer_family(T, omega, theta)
-    assert engine.basis is None and engine._p_gap == 0.0
+    assert engine.basis is None
     r = np.exp(engine.u)
     assert np.array_equal(engine.P, q_inverse_stack(engine._bt, np.real(engine.z), r * r))
     records = _composition_bound_records("g", g, c_theta, *fam[:2], blocks,
@@ -365,6 +365,20 @@ def test_quadratic_forms_of_the_frame_gram_match_the_family(case):
     assert np.all(np.abs(got - want) <= 1e-13 * want)
 
 
+def test_dyadic_record_of_an_operator_self_adjoint_only_to_rounding_is_one_sided():
+    # A + A* with 1e-14 noise is not T*: verify takes the dense path, and the
+    # dyadic record takes the largest hinf norm ratio, one sided, not c = 1
+    rng = np.random.default_rng(2)
+    sym = self_adjoint_operator(rng, 1, 2)
+    T = cs.CliffordOperator(1, 2, sym.coeffs + 1e-14 * rng.standard_normal(sym.coeffs.shape))
+    report = cs.run_theorem_suite(T)
+    assert report["passed"] and report["contour"]["basis"]["path"] == "dense"
+    records = [r for r in report["records"]
+               if r["name"].startswith("dyadic_splitting_upper")]
+    assert len(records) == len(cs.default_g_specs())
+    assert all(r["one_sided"] and r["c_used"] < 1.0 for r in records)
+
+
 def test_verify_takes_each_frame_family_to_the_eigenbasis_once(monkeypatch):
     # the engine returns each frame family as its Diagonal, which gives the
     # composition records and the frames of T and of T*: no stack of grid
@@ -380,9 +394,9 @@ def test_verify_takes_each_frame_family_to_the_eigenbasis_once(monkeypatch):
             families.append(out[0])
         return out
 
-    def counting_blocks(self, d, b=None):
+    def counting_blocks(self, d):
         assembled.append(np.shape(d))
-        return blocks(self, d, b)
+        return blocks(self, d)
 
     monkeypatch.setattr(cs.ContourEngine, "evaluate_blocks", evaluate_blocks)
     monkeypatch.setattr(cs.module.EigenBasis, "blocks", counting_blocks)
