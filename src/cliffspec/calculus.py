@@ -12,10 +12,11 @@ and the sampled resolvent bound; the discretization estimate is the gap
 between the sums over the even and the odd nodes plus a roundoff bound of
 those sums (see ``ContourEngine._contract``).
 
-Families on a log grid whose step is a whole number of contour steps (see
-``quadratic.lattice_contour``) read their profile values off one sequence
-per ray, since t_j z_k then depends on j and k only through a lattice
-index; the f_ab ladder integrates on the same lattice (``f_ab_nodes``).
+Families whose distinct |t| are consecutive points of the contour's log
+lattice (the grids of ``quadratic.lattice_contour`` are) read their profile
+values off one sequence per ray, since t_j z_k then depends on j and k only
+through a lattice index; the f_ab ladder integrates on the same lattice
+(``f_ab_nodes``).  All reach the node weights through ``ContourEngine._terms``.
 """
 
 from __future__ import annotations
@@ -180,28 +181,16 @@ class ContourEngine:
         # nodes are stored [even | odd], each parity ray by ray, so the two
         # partial sums contract slices of P; n is odd, so n + 1 are even
         order = np.argsort(np.tile(np.arange(n) % 2, 2), kind="stable")
-        ns = n + 1
-        self._halves = (slice(0, ns), slice(ns, None))
-        # ray (0 for sign +1, 1 for sign -1) and index in u of each stored node
-        self._ray, self._k = np.divmod(order, n)
+        self._halves = (slice(0, n + 1), slice(n + 1, None))
         self.u_ray = u
         sign = np.repeat([1.0, -1.0], n)[order]
-        u_all = np.tile(u, 2)[order]
-        r = np.exp(u_all)
-        self.u = u_all
+        self.u = np.tile(u, 2)[order]
+        r = np.exp(self.u)
         self.z = sign * r * np.exp(1j * self.phi)
-        # -z_k is bitwise the node z_swap(k) of the other sign ray, so a
-        # negative t reads the profile values of |t| through this permutation
-        position = np.empty(2 * n, dtype=np.intp)
-        position[order] = np.arange(2 * n)
-        self._swap = position[(order + n) % (2 * n)]
-        # slice scalar of each node: its weight in u, dr = e^u du, the 1/(2 pi)
-        # prefactor and the direction factor sign e^{i phi} i of the ray
-        phase = sign * np.exp(1j * self.phi) * 1j / (2.0 * math.pi)
+        # weight in u, dr = e^u du, 1/(2 pi) and the direction sign e^{i phi} i
+        # of node z: z and conj z sum to alpha P - T beta P, alpha = fa Im F
+        # and beta = fb Im(e^{i phi} F) (``_terms``)
         weight = np.tile(w_ray, 2)[order] * r
-        self._coef = weight * phase
-        # c conj(z) = i w r^2 / (2 pi), so alpha = fa Im F and
-        # beta = fb Im(e^{i phi} F) node by node (see ``_node_terms``)
         self._fa = -weight * r / math.pi
         self._fb = -weight * sign / math.pi
 
@@ -265,9 +254,9 @@ class ContourEngine:
         mats, truncs, discs = self.evaluate_family(f, [1.0])
         return mats[0], float(truncs[0]), float(discs[0])
 
-    def evaluate_family(self, f: IntrinsicFunction, ts, stride=None):
+    def evaluate_family(self, f: IntrinsicFunction, ts):
         """``evaluate_blocks`` with the values mapped to rho."""
-        values, truncs, discs = self.evaluate_blocks(f, ts, stride)
+        values, truncs, discs = self.evaluate_blocks(f, ts)
         mats = rho_stack(coeffs_from_blocks(self.dense_blocks(values), self.T.n), self.T.n)
         return mats, truncs, discs
 
@@ -275,17 +264,14 @@ class ContourEngine:
         """The spinor blocks (values, r, km, km) of values from ``evaluate_blocks``."""
         return values if self.basis is None else self.basis.blocks(values.d)
 
-    def evaluate_blocks(self, f: IntrinsicFunction, ts, stride=None):
+    def evaluate_blocks(self, f: IntrinsicFunction, ts):
         """f(t T) for a whole vector of nonzero finite scalings, with their
         truncation and discretization estimates: as spinor blocks
         (values, r, km, km), or on the eigen path as their ``Diagonal``.
 
-        The profile is evaluated once per distinct |t|.  With ``stride`` p,
-        the distinct |t| must be consecutive points exp(x_0 + j p h) of the
-        log lattice of the contour, h its step (the quadrature grids of
-        ``quadratic.lattice_contour`` are): then |t_j| z_k lies at lattice
-        point j p + k, and the profile is evaluated once per lattice point
-        on each ray sign instead of once per scaling and node.
+        The profile is evaluated once per distinct |t| and node of the two
+        rays, or, when the distinct |t| lie on the contour's log lattice,
+        once per lattice point on each ray (``_windows``).
         """
         if f.decay is None:
             raise PreconditionError("contour calculus requires a decay certificate")
@@ -296,90 +282,87 @@ class ContourEngine:
         values = np.empty((ts.size, *self.P.shape[1:]), dtype=self.P.dtype)
         discs = np.empty(ts.size)
         mags, which = np.unique(np.abs(ts), return_inverse=True)
-        if stride is None:
-            parts = self._node_parts(f, ts, mags, which)
-        else:
-            parts = self._lattice_parts(f, ts, mags, which, stride)
-        for rows, picks, terms in parts:
-            sums, estimates = self._contract(terms)
+        for lo, hi, windows in self._windows(f, ts, mags, which):
+            rows = np.flatnonzero((which >= lo) & (which < hi))
+            neg = ts[rows] < 0.0
+            signs = np.unique(neg).tolist()
+            sums, estimates = self._contract(self._terms(*windows, signs))
+            picks = np.searchsorted(signs, neg) * (hi - lo) + which[rows] - lo
             values[rows], discs[rows] = sums[picks], estimates[picks]
         truncs = np.array([self.truncation_bound(f.decay, t) for t in ts])
         return self._values(values), truncs, discs
 
-    def _node_parts(self, f, ts, mags, which):
-        """(rows, picks, terms) per block of distinct |t|: the profile at
-        |t| z_k, read through ``_swap`` for negative t; terms row i belongs
-        to ``rows[i]``."""
-        for lo in range(0, mags.size, _CHUNK):
-            hi = lo + _CHUNK
-            vals = f.eval_complex(mags[lo:hi, None] * self.z[None, :])
-            rows = np.flatnonzero((which >= lo) & (which < hi))
-            vals = vals[which[rows] - lo]
-            neg = ts[rows] < 0.0
-            vals[neg] = vals[neg][:, self._swap]
+    def _stride(self, mags):
+        """p if the sorted distinct |t| ``mags`` are consecutive lattice
+        points exp(x_0 + j p h), 1 <= p <= n, else None."""
+        if mags.size < 2:
+            return None
+        x = np.log(mags)
+        p = int(np.rint((x[-1] - x[0]) / ((mags.size - 1) * self.step)))
+        drift = np.abs(x - (x[0] + np.arange(mags.size) * (p * self.step)))
+        tol = 64 * np.finfo(float).eps * (abs(x[0]) + abs(x[-1]) + mags.size)
+        return p if 1 <= p <= self.u_ray.size and drift.max() <= tol else None
+
+    def _windows(self, f, ts, mags, which):
+        """(lo, hi, (Im F, Im(e^{i phi} F))) per block of the distinct |t|,
+        each (2 rays, hi - lo, n) at |t_j| e^{u_min + k h} (+-e^{i phi}): on
+        the lattice (``_stride``) strided views of one sequence per ray."""
+        n, p = self.u_ray.size, self._stride(mags)
+
+        def parts(x, node):
+            # F at exp(x); a non-finite value at x[j, i] names the |t| and
+            # the node u of node(j, i)
+            z = np.exp(x) * np.exp(1j * self.phi)
+            vals = f.eval_complex(np.stack([z, -z]))
             if not np.all(np.isfinite(vals)):
-                i, k = np.argwhere(~np.isfinite(vals))[0]
+                j, k = node(*np.argwhere(~np.isfinite(vals))[0][1:])
                 raise NumericalFailureError(
                     "non-finite function value on the contour",
-                    node={"u": float(self.u[k]), "t": float(ts[rows[i]])},
-                )
-            yield rows, slice(None), self._node_terms(vals)
+                    node={"u": float(self.u_ray[k]), "t": float(ts[which == j][0])})
+            return self._parts(vals)
 
-    def _lattice_parts(self, f, ts, mags, which, stride):
-        """(rows, picks, terms) per block of distinct |t|, from the two
-        sequences F(+-exp(x_0 + u_min + i h) e^{i phi}) of the lattice of
-        the sorted magnitudes ``mags``: row j of a ray's strided window
-        holds the values at |t_j| z_k, and a negative t reads the window of
-        the other ray.  The terms hold each |t| of the block with both
-        signs; ``picks`` names the row of each of ``rows``."""
-        x0 = math.log(mags[0])
-        drift = np.abs(np.log(mags) - (x0 + np.arange(mags.size) * (stride * self.step)))
-        if not (stride >= 1 and drift.max() <= 64 * np.finfo(float).eps * (
-                abs(x0) + abs(math.log(mags[-1])) + mags.size)):
-            raise ArgumentError(f"scalings are not on the contour lattice with stride "
-                                f"{stride} (log drift {drift.max():.3g})")
-        n = self.u_ray.size
-        points = self.cfg.u_min + x0 + self.step * np.arange((mags.size - 1) * stride + n)
-        ray = np.exp(points) * np.exp(1j * self.phi)
-        seq = f.eval_complex(np.stack([ray, -ray]))
-        if not np.all(np.isfinite(seq)):
-            _, i = np.argwhere(~np.isfinite(seq))[0]
-            j = min(max(0, -(-(i - n + 1) // stride)), mags.size - 1)
-            raise NumericalFailureError(
-                "non-finite function value on the contour",
-                node={"u": float(self.u_ray[i - j * stride]), "t": float(ts[which == j][0])},
-            )
-        windows = [np.lib.stride_tricks.sliding_window_view(part, n, axis=1)[:, ::stride]
-                   for part in (seq.imag, (np.exp(1j * self.phi) * seq).imag)]
+        if p is not None:
+            def node(_, i):
+                # lattice point i belongs to the first |t_j| whose window holds it
+                j = min(max(0, -(-(i - n + 1) // p)), mags.size - 1)
+                return j, i - j * p
+
+            x = self.cfg.u_min + math.log(mags[0]) + self.step * np.arange((mags.size - 1) * p + n)
+            seq = parts(x[None], node)
+            windows = [np.lib.stride_tricks.sliding_window_view(part, n, axis=-1)[:, 0, ::p]
+                       for part in seq]
         for lo in range(0, mags.size, _CHUNK):
             hi = min(lo + _CHUNK, mags.size)
-            rows = np.flatnonzero((which >= lo) & (which < hi))
-            picks = np.where(ts[rows] < 0.0, hi - lo, 0) + which[rows] - lo
-            terms = []
-            for parity, sl in enumerate(self._halves):
-                # a half holds the nodes of its parity on the + ray, then on
-                # the - ray; -|t| reads each ray's values off the other ray
-                pair = []
-                for win, factor in zip(windows, (self._fa[sl], self._fb[sl])):
-                    c = factor.size // 2
-                    out = np.empty((2, hi - lo, 2 * c))
-                    for flip in (0, 1):
-                        for side in (0, 1):
-                            np.multiply(win[flip ^ side, lo:hi, parity::2],
-                                        factor[side * c:(side + 1) * c],
-                                        out=out[flip, :, side * c:(side + 1) * c])
-                    pair.append(out.reshape(-1, 2 * c))
-                terms.append(pair)
-            yield rows, picks, terms
+            if p is not None:
+                yield lo, hi, [win[:, lo:hi] for win in windows]
+            else:
+                x = self.cfg.u_min + np.log(mags[lo:hi])[:, None] + self.step * np.arange(n)
+                yield lo, hi, parts(x, lambda j, k: (lo + j, k))
 
-    def _node_terms(self, vals):
-        """alpha, beta of the node profiles ``vals`` (values, stored nodes)
-        on each half: node z and its conjugate, with slice scalars c and
-        conj c, sum to alpha P - T beta P."""
-        s0, y = np.real(self.z), np.imag(self.z)
-        coef = vals * self._coef[None, :]
-        return [(2.0 * (coef[:, sl].real * s0[sl] + coef[:, sl].imag * y[sl]),
-                 2.0 * coef[:, sl].real) for sl in self._halves]
+    def _parts(self, vals):
+        """Im F and Im(e^{i phi} F) of the profile values ``vals``."""
+        return vals.imag, (np.exp(1j * self.phi) * vals).imag
+
+    def _terms(self, im, im_phi, signs):
+        """alpha, beta on each half from the windows ``im`` = Im F and
+        ``im_phi`` = Im(e^{i phi} F), (2 rays, values, n) in u order, with rows
+        for each sign in ``signs`` (True for t < 0) in turn.  A half holds the
+        nodes of its parity on the + ray, then on the - ray; a negative t
+        reads the other ray, as -|t| z_k = |t| (-z_k)."""
+        terms = []
+        for parity, sl in enumerate(self._halves):
+            pair = []
+            for win, factor in ((im, self._fa[sl]), (im_phi, self._fb[sl])):
+                c = factor.size // 2
+                out = np.empty((len(signs), win.shape[1], 2 * c))
+                for row, flip in enumerate(signs):
+                    for side in (0, 1):
+                        np.multiply(win[flip ^ side, :, parity::2],
+                                    factor[side * c:(side + 1) * c],
+                                    out=out[row, :, side * c:(side + 1) * c])
+                pair.append(out.reshape(-1, 2 * c))
+            terms.append(pair)
+        return terms
 
     def _contract(self, terms):
         """(sums, discretization estimates) from the alpha, beta of each
@@ -496,7 +479,8 @@ def scaled_calculus(f: IntrinsicFunction, t, T: CliffordOperator,
 
 
 def f_ab_nodes(engine: ContourEngine, f: IntrinsicFunction, a, b, points=12):
-    """The scalar f_ab at the stored nodes of ``engine``, in their order.
+    """The scalar f_ab at the nodes e^{u_k} e^{i phi} of the + ray of
+    ``engine``, u_k = u_min + k h in u order.
 
     On the ray at angle +phi, f_ab(e^u e^{i phi}) is the integral of
     G(x) = F(e^x e^{i phi}) - F(-e^x e^{i phi}) over [u + log a, u + log b];
@@ -518,8 +502,7 @@ def f_ab_nodes(engine: ContourEngine, f: IntrinsicFunction, a, b, points=12):
     vals = f.eval_complex(np.stack([r, -r]))
     samples = h * (vals[0] - vals[1])
     prefix = np.concatenate([[0.0], np.cumsum((samples * w).sum(axis=1))])
-    ray = prefix[cells:cells + n] - prefix[:n] + (samples[cells:] * w_part).sum(axis=1)
-    return np.where(engine._ray == 0, ray[engine._k], -ray[engine._k])
+    return prefix[cells:cells + n] - prefix[:n] + (samples[cells:] * w_part).sum(axis=1)
 
 
 def f_ab_operator(f: IntrinsicFunction, a, b, T: CliffordOperator,
@@ -542,8 +525,13 @@ def f_ab_operator(f: IntrinsicFunction, a, b, T: CliffordOperator,
     if a == b:
         return CalculusResult(CliffordOperator.zero(T.n, T.m), 0.0, 0.0)
     eng = engine or ContourEngine(T, report, f.theta, cfg)
-    full, disc = eng._contract(eng._node_terms(f_ab_nodes(eng, f, a, b, 12)[None, :]))
-    coarse, _ = eng._contract(eng._node_terms(f_ab_nodes(eng, f, a, b, 6)[None, :]))
+
+    def contract(points):
+        # one value at t = 1: the + ray, and the - ray, where f_ab is odd
+        ray = f_ab_nodes(eng, f, a, b, points)
+        return eng._contract(eng._terms(*eng._parts(np.stack([ray, -ray])[:, None]), [False]))
+
+    (full, disc), (coarse, _) = contract(12), contract(6)
     t_disc = float(block_norms(eng._values(full - coarse))[0])
     value = eng.dense_blocks(eng._values(full))[0]
     u, w = gl_panel_grid(math.log(a), math.log(b), points=12)

@@ -161,7 +161,7 @@ def cmd_frame(args):
     cfg, stride = lattice_contour(qcfg, requested)
     # T*'s frame from the blocks B^H of T's family, as verify takes it
     fb, fb_star, _ = family_frames(g, ContourEngine(T, report, g.theta, cfg),
-                                   *qcfg.grid(), stride, adjoint=True)
+                                   *qcfg.grid(), adjoint=True)
     grid_echo = {"t_min": qcfg.t_min, "t_max": qcfg.t_max, "nodes": qcfg.nodes}
     payload = {
         "T": frame_report_dict(fb),

@@ -131,9 +131,21 @@ def rational_function(num, den, theta=DEFAULT_THETA) -> IntrinsicFunction:
     if not any(den):
         raise ArgumentError("denominator is identically zero")
 
+    # where polyval overflows (|z| > ~1e154 for a quadratic), p / q is taken as
+    # w^(deg q - deg p) p~(w) / q~(w), w = 1 / z, p~ and q~ reversed and trimmed
+    rev_num, rev_den = (np.trim_zeros(np.array(c), "f")[::-1] for c in (num, den))
+
     def profile(z):
         z = np.asarray(z, dtype=complex)
-        return np.polyval(num, z) / np.polyval(den, z)
+        with np.errstate(all="ignore"):
+            out = np.asarray(np.polyval(num, z) / np.polyval(den, z))
+            far = ~np.isfinite(out)
+            if np.any(far):
+                far &= np.abs(z) > 1.0
+                w = 1.0 / z[far]
+                out[far] = (w ** (rev_den.size - rev_num.size) * np.polyval(rev_num, w)
+                            / np.polyval(rev_den, w))
+        return out
 
     return IntrinsicFunction(profile, theta, kind="rational",
                              params={"num": num, "den": den})

@@ -83,10 +83,10 @@ def lattice_contour(qcfg: QuadGridConfig, cfg: ContourConfig | None = None):
     The step becomes h_u = h_t / p, p the smallest integer with h_u at most
     the step (u_max - u_min) / (nodes - 1) that ``cfg`` asks for; the node
     count is the smallest odd one whose nodes from u_min cover u_max.  Then
-    t_j z_k is the lattice point j p + k of the contour, and
-    ``ContourEngine.evaluate_family`` with ``stride`` p evaluates the
-    profile once per lattice point.  Both steps come from the configs, as
-    (hi - lo) / (count - 1).
+    t_j z_k is the lattice point j p + k of the contour: the engine finds
+    that lattice in the scalings (``ContourEngine.evaluate_blocks``), and p
+    is returned for the report's ``contour.stride``.  Both steps come from
+    the configs, as (hi - lo) / (count - 1).
     """
     cfg = cfg or ContourConfig()
     h_t = (math.log(qcfg.t_max) - math.log(qcfg.t_min)) / ((qcfg.nodes | 1) - 1)
@@ -133,11 +133,11 @@ class FrameBounds(_ErrorBudget):
 
 
 def _grid_engine(g, T, qcfg, cfg, report):
-    """(t, w, engine, stride): the grid and the engine of the report on its lattice."""
+    """(t, w, engine): the grid and the engine of the report on its lattice."""
     _check_report(report)
     qcfg = qcfg or default_quad_grid(T)
-    cfg, stride = lattice_contour(qcfg, cfg)
-    return (*qcfg.grid(), ContourEngine(T, report, g.theta, cfg), stride)
+    cfg, _ = lattice_contour(qcfg, cfg)
+    return (*qcfg.grid(), ContourEngine(T, report, g.theta, cfg))
 
 
 def quadratic_norm(g: IntrinsicFunction, T: CliffordOperator, v: ModuleVector,
@@ -151,8 +151,8 @@ def quadratic_norm(g: IntrinsicFunction, T: CliffordOperator, v: ModuleVector,
     when evaluating many vectors against one operator.
     """
     if family is None:
-        t, w, engine, stride = _grid_engine(g, T, qcfg, cfg, report)
-        family = (t, w) + engine.evaluate_family(g, t, stride=stride)
+        t, w, engine = _grid_engine(g, T, qcfg, cfg, report)
+        family = (t, w) + engine.evaluate_family(g, t)
     _, w, mats, _, _ = family
     applied = np.einsum("kij,vj->kvi", mats, v.flatten()[None, :])
     norms2 = pairwise_sum(w[:, None] * np.einsum("kvi,kvi->kv", applied, applied))
@@ -187,15 +187,14 @@ def frame_bounds(g: IntrinsicFunction, T: CliffordOperator,
     The error estimates scale with ||B_k|| (``module.block_norms``).
     """
     if family is None:
-        t, w, engine, stride = _grid_engine(g, T, qcfg, cfg, report)
-        return family_frames(g, engine, t, w, stride)[0]
+        t, w, engine = _grid_engine(g, T, qcfg, cfg, report)
+        return family_frames(g, engine, t, w)[0]
     _, w, mats, truncs, discs = family
     blocks = blocks_from_rho(mats, T.n)
     return _block_frame_bounds(w, _gram(w, blocks), truncs, discs, block_norms(blocks), T.n)
 
 
-def family_frames(g: IntrinsicFunction, engine: ContourEngine, t, w, stride,
-                  adjoint=False):
+def family_frames(g: IntrinsicFunction, engine: ContourEngine, t, w, adjoint=False):
     """(fb, fb_star, frame): the frame bounds of T, and of T* when
     ``adjoint`` (else None), from the one family t -> g(tT) of the engine on
     the grid (t, w) of its lattice (``lattice_contour``).
@@ -211,7 +210,7 @@ def family_frames(g: IntrinsicFunction, engine: ContourEngine, t, w, stride,
     W diag(x) W^H up to delta (2 + delta) max|x|; both terms join the
     discretization estimate.
     """
-    values, truncs, discs = engine.evaluate_blocks(g, t, stride=stride)
+    values, truncs, discs = engine.evaluate_blocks(g, t)
     basis, n, scale = engine.basis, engine.T.n, block_norms(values)
     if basis is None:
         fb_star = (_block_frame_bounds(w, _gram(w, np.swapaxes(values, -1, -2).conj()),

@@ -183,7 +183,7 @@ def run_theorem_suite(T: CliffordOperator, g_specs=None, f_specs=None,
     t_grid, w_grid = qcfg.grid()
 
     def frames_for(item):
-        return family_frames(item[1], engine, t_grid, w_grid, stride, adjoint=True)
+        return family_frames(item[1], engine, t_grid, w_grid, adjoint=True)
 
     if config.jobs > 1:
         with ThreadPoolExecutor(max_workers=config.jobs) as pool:

@@ -130,10 +130,10 @@ def regularizer_family(T, omega=None, theta=None, quad_nodes=100):
     phi = 0.5 * (omega + theta)
     bisector = cs.check_bisectorial(T, omega, cs.RaySampling(phis=(phi, theta)))
     qcfg = cs.default_quad_grid(T, quad_nodes)
-    cfg, stride = cs.lattice_contour(qcfg, cs.ContourConfig(nodes=500))
+    cfg, _ = cs.lattice_contour(qcfg, cs.ContourConfig(nodes=500))
     engine = cs.ContourEngine(T, bisector, theta, cfg)
     t_grid, w_grid = qcfg.grid()
-    values, truncs, discs = engine.evaluate_blocks(g, t_grid, stride=stride)
+    values, truncs, discs = engine.evaluate_blocks(g, t_grid)
     fam = (t_grid, w_grid, engine.dense_blocks(values), truncs, discs)
     return g, engine, bisector.c_at(theta), fam, values
 

@@ -188,7 +188,7 @@ def test_transposed_family_gives_the_frames_of_the_adjoint(family_ctx):
     assert np.abs(fb_star.theta - dense).max() <= 1e-13 * np.linalg.norm(dense, 2)
     # as verify and frame assemble them: from the conjugate-transposed
     # blocks B^H of the engine, with the scale of T
-    from_bh = cs.family_frames(g, eng, t, w, None, adjoint=True)[1]
+    from_bh = cs.family_frames(g, eng, t, w, adjoint=True)[1]
     assert np.abs(from_bh.theta - fb_star.theta).max() <= 1e-14 * np.linalg.norm(dense, 2)
     assert np.abs(from_bh.eigenvalues - fb_star.eigenvalues).max() <= (
         1e-14 * np.linalg.norm(dense, 2))

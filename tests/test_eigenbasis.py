@@ -159,7 +159,7 @@ def _gap_within(got, want, claim_a, claim_b, gap, move=0.0):
     assert np.all(np.abs(got - want) <= claim_a + claim_b + move)
 
 
-def _assert_paths_agree(eigen, dense, reports, qcfg, cfg, stride):
+def _assert_paths_agree(eigen, dense, reports, qcfg, cfg):
     """The eigen engine of S and the dense engine of X agree on the values
     of the regularizer family, on the frames of T and T* and on the f_ab
     rung at k = 1, within both claims and the move that ||rho X - rho S||
@@ -184,7 +184,7 @@ def _assert_paths_agree(eigen, dense, reports, qcfg, cfg, stride):
     t, w = qcfg.grid()
     delta = _move(t, eps, lam)
     move = float(np.dot(w, delta * (1.0 + delta)))
-    frames = [family_frames(g, eng, t, w, stride, adjoint=True)[:2] for eng in (eigen, dense)]
+    frames = [family_frames(g, eng, t, w, adjoint=True)[:2] for eng in (eigen, dense)]
     for fb, fb_d in zip(*frames):
         gap = np.linalg.norm(fb.theta - fb_d.theta, 2)
         assert gap <= fb.discretization_error + move
@@ -209,12 +209,12 @@ def test_diagonal_path_agrees_with_the_dense_path(n, m, seed):
     T = _unitary_conjugate(np.random.default_rng(seed), n, m)
     report = cs.check_bisectorial(T, OMEGA)
     qcfg = cs.default_quad_grid(T, 64)
-    cfg, stride = lattice_contour(qcfg)
+    cfg, _ = lattice_contour(qcfg)
     eigen = cs.ContourEngine(T, report, THETA, cfg)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(calculus, "self_adjoint_basis", lambda bt: None)
         dense = cs.ContourEngine(T, report, THETA, cfg)
-    _assert_paths_agree(eigen, dense, (report, report), qcfg, cfg, stride)
+    _assert_paths_agree(eigen, dense, (report, report), qcfg, cfg)
 
 
 def _rounding_self_adjoint():
@@ -235,11 +235,11 @@ def test_an_operator_self_adjoint_only_to_rounding_takes_the_dense_path(name):
     S = _twin(X)
     assert not np.array_equal(X.coeffs, X.adjoint().coeffs)
     qcfg = cs.default_quad_grid(S, 64)
-    cfg, stride = lattice_contour(qcfg)
+    cfg, _ = lattice_contour(qcfg)
     reports = [cs.check_bisectorial(T, OMEGA) for T in (S, X)]
     eigen, dense = (cs.ContourEngine(T, report, THETA, cfg)
                     for T, report in zip((S, X), reports))
-    _assert_paths_agree(eigen, dense, reports, qcfg, cfg, stride)
+    _assert_paths_agree(eigen, dense, reports, qcfg, cfg)
 
 
 @pytest.mark.parametrize("n", range(1, 7))

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -188,6 +189,28 @@ def test_f_ab_profile_memory_does_not_grow_with_log_b_over_a():
     assert peak < t_nodes * z.size * 16 / 8
     np.testing.assert_allclose(vals, 2.0 * (np.arctan(b * z) - np.arctan(a * z)),
                                rtol=0.0, atol=1e-13)
+
+
+def test_rational_profile_is_finite_where_polyval_overflows():
+    # np.polyval squares z, which overflows above |z| ~ 1.3e154; those
+    # points are evaluated in 1/z, without numpy warnings
+    z = 1e200 * np.exp(1j * np.array([0.3, -0.3, math.pi - 0.3]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals = cs.regularizer().eval_complex(z)
+    assert np.all(np.isfinite(vals))
+    np.testing.assert_allclose(vals, 1.0 / z, rtol=1e-15, atol=0.0)
+
+
+def test_f_ab_of_the_regularizer_at_1e200_matches_the_arctan_closed_form():
+    a, b = 1e-200, 1e200
+    z = np.exp(np.array([-30.0, -2.0, 0.0, 3.0, 30.0])) * np.exp(1j * 0.5)
+    z = np.concatenate([z, -z])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals = cs.f_ab_function(cs.regularizer(), a, b).eval_complex(z)
+    np.testing.assert_allclose(vals, 2.0 * (np.arctan(b * z) - np.arctan(a * z)),
+                               rtol=0.0, atol=1e-14)
 
 
 def test_certify_decay_regularizer():

@@ -4,6 +4,7 @@ the claimed errors of family values against closed forms and the rational
 oracle."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -54,6 +55,18 @@ def test_lattice_contour_at_the_defaults():
     assert cfg.u_max >= 30.0
 
 
+def per_value(eng, f, ts):
+    """The family of ``eng`` at ``ts``, one scaling per evaluation."""
+    out = [eng.evaluate_family(f, [t]) for t in ts]
+    return tuple(np.concatenate([o[i] for o in out]) for i in range(3))
+
+
+def lattice_points(eng, mags, stride):
+    """Profile points of a family on ``stride`` times the contour step: one
+    sequence per ray, covering the windows of every distinct |t|."""
+    return 2 * ((len(mags) - 1) * stride + eng.u_ray.size)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("spec", [
     {"name": "regularizer"},
@@ -61,33 +74,55 @@ def test_lattice_contour_at_the_defaults():
                                     "den": [1.0, 0.0, 2.0, 0.0, 1.0], "alpha": 1.0}},
 ], ids=["regularizer", "mixed-parity-rational"])
 def test_lattice_family_equals_the_generic_family(n, spec):
+    # the family read off one sequence per ray against each value evaluated
+    # on its own, at every 9th value
     T = non_normal(n)
     eng, qcfg, stride = lattice_engine(T)
-    f = cs.resolve_function(spec, theta=THETA)
+    f, seen = counting(cs.resolve_function(spec, theta=THETA))
     t, _ = qcfg.grid()
-    # both signs, in an order that interleaves them
-    ts = np.random.default_rng(n).permutation(t)
-    mats, truncs, discs = eng.evaluate_family(f, ts, stride=stride)
-    want, want_truncs, want_discs = eng.evaluate_family(f, ts)
+    # both signs, in an order that interleaves them, and one sign alone
+    for ts in (np.random.default_rng(n).permutation(t), -t[:t.size // 2]):
+        seen[0] = 0
+        mats, truncs, discs = eng.evaluate_family(f, ts)
+        assert seen[0] == lattice_points(eng, t[:t.size // 2], stride)
+        want, want_truncs, want_discs = per_value(eng, f, ts[::9])
+        scale = np.abs(want).max()
+        assert np.abs(mats[::9] - want).max() <= 1e-13 * scale
+        assert np.abs(discs[::9] - want_discs).max() <= 1e-13 * scale
+        assert np.array_equal(truncs[::9], want_truncs)
+
+
+def test_off_lattice_scalings_are_evaluated_per_value():
+    # jittered off the lattice, each distinct |t| takes its own 2n profile
+    # points, and the values are those of each scaling on its own
+    T = non_normal(1)
+    eng, qcfg, _ = lattice_engine(T)
+    t, _ = qcfg.grid()
+    mags = t[:t.size // 2][::10] * np.exp(1e-3 * np.random.default_rng(0).random(41))
+    ts = np.concatenate([mags, -mags[::2]])
+    g, seen = counting(cs.regularizer(THETA))
+    mats, truncs, discs = eng.evaluate_family(g, ts)
+    assert seen[0] == mags.size * 2 * eng.u_ray.size
+    want, want_truncs, want_discs = per_value(eng, g, ts)
     scale = np.abs(want).max()
     assert np.abs(mats - want).max() <= 1e-13 * scale
     assert np.abs(discs - want_discs).max() <= 1e-13 * scale
     assert np.array_equal(truncs, want_truncs)
-    # one sign alone
-    neg = -t[:t.size // 2]
-    got = eng.evaluate_family(f, neg, stride=stride)[0]
-    assert np.abs(got - eng.evaluate_family(f, neg)[0]).max() <= 1e-13 * scale
 
 
-def test_lattice_family_refuses_scalings_off_the_lattice():
+def test_a_strided_subgrid_is_found_on_the_lattice():
+    # every 3rd |t| of the grid lies on the lattice with 3 times its stride
     T = non_normal(1)
     eng, qcfg, stride = lattice_engine(T)
     t, _ = qcfg.grid()
-    g = cs.regularizer(THETA)
-    with pytest.raises(cs.ArgumentError, match="not on the contour lattice"):
-        eng.evaluate_family(g, t, stride=stride + 1)
-    with pytest.raises(cs.ArgumentError, match="not on the contour lattice"):
-        eng.evaluate_family(g, t[::3], stride=stride)
+    mags = t[:t.size // 2][::3]
+    assert eng._stride(mags) == 3 * stride
+    g, seen = counting(cs.regularizer(THETA))
+    ts = np.concatenate([mags, -mags])
+    mats = eng.evaluate_family(g, ts)[0]
+    assert seen[0] == lattice_points(eng, mags, 3 * stride)
+    want = per_value(eng, g, ts[::11])[0]
+    assert np.abs(mats[::11] - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_a_frame_family_and_a_ladder_rule_count_their_profile_points():
@@ -95,16 +130,33 @@ def test_a_frame_family_and_a_ladder_rule_count_their_profile_points():
     eng, qcfg, stride = lattice_engine(T)
     t, _ = qcfg.grid()
     g, seen = counting(cs.regularizer(THETA))
-    eng.evaluate_family(g, t, stride=stride)
-    assert t.size == 802 and seen[0] < 10_000
+    eng.evaluate_family(g, t)
+    assert t.size == 802 and seen[0] == lattice_points(eng, t[:401], stride) == 5774
     seen[0] = 0
     f_ab_nodes(eng, g, 1e-4, 1e4)
     assert seen[0] < 200_000
 
 
+def test_a_frame_family_keeps_one_block_of_node_terms_alive():
+    # the alpha, beta of one block of values are freed before the next
+    # block's are built; with two blocks' alive at once the peak is 33 MB
+    T = cs.CliffordOperator.from_real_matrix([[1.0, 0.0], [0.0, -2.0]], n=1)
+    eng, qcfg, _ = lattice_engine(T)
+    g = cs.regularizer(THETA)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        cs.family_frames(g, eng, *qcfg.grid(), adjoint=True)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 25 * 2 ** 20
+
+
 @pytest.mark.parametrize("contour", ["default", "lattice"])
 def test_f_ab_nodes_match_the_arctan_closed_form(contour):
-    # the regularizer's f_ab is 2 (atan(b z) - atan(a z)) at every node
+    # the regularizer's f_ab is 2 (atan(b z) - atan(a z)) at every node z
+    # of the + ray
     T = cs.CliffordOperator.from_real_matrix([[1.0, 0.0], [0.0, -2.0]], n=1)
     if contour == "lattice":
         eng = lattice_engine(T)[0]
@@ -115,7 +167,8 @@ def test_f_ab_nodes_match_the_arctan_closed_form(contour):
         a, b = 10.0 ** -k, 10.0 ** k
         for points in (12, 6):
             got = f_ab_nodes(eng, e, a, b, points)
-            want = 2.0 * (np.arctan(b * eng.z) - np.arctan(a * eng.z))
+            z = np.exp(eng.u_ray) * np.exp(1j * eng.phi)
+            want = 2.0 * (np.arctan(b * z) - np.arctan(a * z))
             assert np.abs(got - want).max() <= 1e-13
 
 
@@ -141,8 +194,8 @@ def test_frame_values_of_the_square_lie_within_their_claims(contour):
     qcfg = cs.default_quad_grid(T)
     t, _ = qcfg.grid()
     if contour == "lattice":
-        eng, _, stride = lattice_engine(T, qcfg)
-        mats, truncs, discs = eng.evaluate_family(g, t, stride=stride)
+        eng = lattice_engine(T, qcfg)[0]
+        mats, truncs, discs = eng.evaluate_family(g, t)
     else:
         eng = cs.ContourEngine(T, cs.check_bisectorial(T, OMEGA), THETA)
         mats, truncs, discs = eng.evaluate_family(g, t)
@@ -153,10 +206,10 @@ def test_frame_values_of_the_square_lie_within_their_claims(contour):
 def test_family_values_lie_within_their_claims_of_the_rational_oracle():
     # g(tT) for the regularizer is the rational t s / (1 + t^2 s^2)
     T = non_normal(2)
-    eng, qcfg, stride = lattice_engine(T)
+    eng, qcfg, _ = lattice_engine(T)
     t, _ = qcfg.grid()
     e = cs.regularizer(THETA)
-    mats, truncs, discs = eng.evaluate_family(e, t, stride=stride)
+    mats, truncs, discs = eng.evaluate_family(e, t)
     for i in range(0, t.size, 20):
         oracle = cs.rational_calculus(cs.rational_function([t[i], 0.0], [t[i] ** 2, 0.0, 1.0]),
                                       T)
@@ -176,17 +229,29 @@ def test_families_refuse_a_zero_or_non_finite_scaling(bad):
                                 engine=eng)
 
 
-def test_non_finite_lattice_profile_names_a_node_and_scaling():
-    T = cs.CliffordOperator.from_real_matrix([[1.0, 0.0], [0.0, -2.0]], n=1)
-    eng, qcfg, stride = lattice_engine(T)
-    t, _ = qcfg.grid()
-
+def nan_beyond_5():
+    """The regularizer's profile, NaN at |z| > 5."""
     def profile(z):
         z = np.asarray(z, dtype=complex)
         return np.where(np.abs(z) > 5.0, np.nan, z / (1.0 + z * z))
 
-    f = cs.IntrinsicFunction(profile, THETA, decay=cs.regularizer(THETA).decay)
+    return cs.IntrinsicFunction(profile, THETA, decay=cs.regularizer(THETA).decay)
+
+
+def assert_names_a_node_and_scaling(ts):
+    T = cs.CliffordOperator.from_real_matrix([[1.0, 0.0], [0.0, -2.0]], n=1)
+    eng = lattice_engine(T)[0]
     with pytest.raises(cs.NumericalFailureError) as err:
-        eng.evaluate_family(f, -t, stride=stride)
-    assert err.value.node["t"] in -t
+        eng.evaluate_family(nan_beyond_5(), ts)
+    assert err.value.node["t"] in ts
     assert abs(err.value.node["t"]) * math.exp(err.value.node["u"]) > 5.0
+
+
+def test_non_finite_lattice_profile_names_a_node_and_scaling():
+    T = cs.CliffordOperator.from_real_matrix([[1.0, 0.0], [0.0, -2.0]], n=1)
+    t, _ = cs.default_quad_grid(T).grid()
+    assert_names_a_node_and_scaling(-t)
+
+
+def test_non_finite_off_lattice_profile_names_a_node_and_scaling():
+    assert_names_a_node_and_scaling(np.array([-3e-4, 0.7, -2.1, 7.0]))

@@ -111,9 +111,9 @@ def _frame_pair(g, T, report):
     """The frame bounds of T and T* from the one family of T on the default
     grid and the engine of its lattice, as ``frame`` takes them."""
     qcfg = cs.default_quad_grid(T)
-    cfg, stride = cs.lattice_contour(qcfg)
+    cfg, _ = cs.lattice_contour(qcfg)
     engine = cs.ContourEngine(T, report, g.theta, cfg)
-    return cs.family_frames(g, engine, *qcfg.grid(), stride, adjoint=True)[:2]
+    return cs.family_frames(g, engine, *qcfg.grid(), adjoint=True)[:2]
 
 
 def test_adjoint_frame_bounds(jordan):

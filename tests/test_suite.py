@@ -305,22 +305,29 @@ def test_verify_keeps_the_families_on_the_blocks(case, monkeypatch):
 def test_verify_evaluates_one_lattice_family_per_g(case, monkeypatch):
     # the frames of T and T* and all three composition records read the one
     # family of each g on the lattice of the grid: no other stack of values
-    # is evaluated, and none off the lattice
+    # is evaluated, and each takes one sequence of 2 (400 p + n) = 5,774
+    # profile points, p = 2 and n = 2,087 at the defaults
     T = {"diag": cs.CliffordOperator.from_real_matrix([[1.0, 0.0], [0.0, -2.0]], n=1),
          "jordan": cs.CliffordOperator.from_real_matrix([[1.0, 1.0], [0.0, 1.0]], n=1),
          "verify-d32": _verify_d32_operator()}[case]
-    calls = []
-    evaluate = cs.ContourEngine.evaluate_blocks
+    calls, points = [], [0]
+    evaluate, eval_complex = cs.ContourEngine.evaluate_blocks, cs.IntrinsicFunction.eval_complex
 
-    def evaluate_blocks(self, f, ts, stride=None):
-        calls.append((np.size(ts), stride))
-        return evaluate(self, f, ts, stride)
+    def counting(self, z):
+        points[0] += np.size(z)
+        return eval_complex(self, z)
 
+    def evaluate_blocks(self, f, ts):
+        before = points[0]
+        out = evaluate(self, f, ts)
+        calls.append((np.size(ts), points[0] - before))
+        return out
+
+    monkeypatch.setattr(cs.IntrinsicFunction, "eval_complex", counting)
     monkeypatch.setattr(cs.ContourEngine, "evaluate_blocks", evaluate_blocks)
     assert cs.run_theorem_suite(T)["passed"]
-    families = [stride for size, stride in calls if size > 1]
-    assert len(families) == len(cs.default_g_specs())
-    assert None not in families
+    families = [count for size, count in calls if size > 1]
+    assert families == [5774] * len(cs.default_g_specs())
 
 
 def test_adjoint_side_records_of_an_even_square_are_vacuous():
@@ -388,8 +395,8 @@ def test_verify_takes_each_frame_family_to_the_eigenbasis_once(monkeypatch):
     families, assembled = [], []
     evaluate, blocks = cs.ContourEngine.evaluate_blocks, cs.module.EigenBasis.blocks
 
-    def evaluate_blocks(self, f, ts, stride=None):
-        out = evaluate(self, f, ts, stride)
+    def evaluate_blocks(self, f, ts):
+        out = evaluate(self, f, ts)
         if np.size(ts) == grid_size:
             families.append(out[0])
         return out
@@ -422,11 +429,11 @@ def test_frame_memory_estimate_bounds_the_frame_stage(case, monkeypatch):
     class FramesDone(Exception):
         pass
 
-    def evaluate_blocks(self, f, ts, stride=None):
+    def evaluate_blocks(self, f, ts):
         if "base" not in state:
             state["base"] = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-        return evaluate(self, f, ts, stride)
+        return evaluate(self, f, ts)
 
     def stop(*args, **kwargs):
         state["peak"] = tracemalloc.get_traced_memory()[1]
