@@ -60,6 +60,7 @@ from .spectrum import (
     left_resolvents,
     q_inverse_stack,
     resolvent_bound,
+    self_adjoint_c_phi,
     unit_blocks,
 )
 
@@ -103,7 +104,16 @@ class ContourConfig:
 
 
 class _ErrorBudget:
-    """The error a result claims: its truncation plus discretization estimate."""
+    """The error a result claims: its truncation plus discretization
+    estimate, refused with NumericalFailureError when either is not finite,
+    since an infinite tolerance would pass any check."""
+
+    def __post_init__(self):
+        if not (math.isfinite(self.truncation_error)
+                and math.isfinite(self.discretization_error)):
+            raise NumericalFailureError(
+                f"the claimed error is not finite (truncation {self.truncation_error!r}, "
+                f"discretization {self.discretization_error!r})")
 
     @property
     def combined_error(self):
@@ -194,7 +204,7 @@ class ContourEngine:
         self._fa = -weight * r / math.pi
         self._fb = -weight * sign / math.pi
 
-        # rho(J) on the slice e_1, for the C_phi fallback and the assembled A
+        # rho(J) on the slice e_1, for the dense C_phi fallback and the assembled A
         self._bj = unit_blocks(unit_imag(T.n), T.m)
         self.basis = self_adjoint_basis(self._bt)
         s0, abs2 = np.real(self.z), r * r
@@ -218,11 +228,14 @@ class ContourEngine:
                 node={"u": float(self.u[bad]), "sign": float(sign[bad])},
             )
         if math.isinf(self.c_phi):
-            # phi lies below every sampled angle: take C_phi from these rays
-            # and their conjugates (on the eigen path, inverting there)
-            self.c_phi = resolvent_bound(self._bt, s0, np.imag(self.z), r, self._bj,
-                                         block_sigmas(self._bt),
-                                         qinv=self.P if self.basis is None else None)
+            # phi lies below every sampled angle: the closed form on the
+            # eigen path, else the largest sample on these rays and their
+            # conjugates
+            if self.basis is None:
+                self.c_phi = resolvent_bound(self._bt, s0, np.imag(self.z), r, self._bj,
+                                             block_sigmas(self._bt), qinv=self.P)
+            else:
+                self.c_phi = self_adjoint_c_phi(self.phi)
         # the real view keeps the alpha, beta contractions on real GEMMs
         self._p_flat = self.P.view(np.float64).reshape(self.P.shape[0], -1)
         # roundoff of the node sums (Higham, Accuracy and Stability, 3.1):
@@ -536,7 +549,8 @@ def f_ab_operator(f: IntrinsicFunction, a, b, T: CliffordOperator,
     value = eng.dense_blocks(eng._values(full))[0]
     u, w = gl_panel_grid(math.log(a), math.log(b), points=12)
     truncs = np.array([eng.truncation_bound(f.decay, t) for t in np.exp(u)])
-    trunc = float(np.dot(w, truncs + truncs))
+    with np.errstate(over="ignore"):    # an overflow is refused as a claim
+        trunc = float(np.dot(w, truncs + truncs))
     return CalculusResult(CliffordOperator(T.n, T.m, coeffs_from_blocks(value, T.n)),
                           trunc, float(disc[0]) + t_disc)
 

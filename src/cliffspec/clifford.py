@@ -269,13 +269,14 @@ class Paravector:
         return self.svec.shape[0]
 
     def imag_norm(self):
-        return float(np.linalg.norm(self.svec))
+        # hypot scales before it squares, so it overflows only with the result
+        return math.hypot(*self.svec.tolist())
 
     def abs2(self):
         return self.s0 * self.s0 + float(np.dot(self.svec, self.svec))
 
     def abs(self):
-        return math.sqrt(self.abs2())
+        return math.hypot(self.s0, *self.svec.tolist())
 
     def conjugate(self):
         return Paravector(self.s0, -self.svec)

@@ -265,15 +265,21 @@ class EigenBasis:
         return (self.u * d[..., None, :]) @ np.swapaxes(self.u, -1, -2).conj()
 
 
+def is_self_adjoint(bt):
+    """Whether the spinor blocks ``bt`` of T are exactly Hermitian.
+
+    The map to blocks takes T* to bt^H, so a T equal to T* coefficient for
+    coefficient passes, and a T self-adjoint only to rounding does not.
+    """
+    return bool(np.array_equal(bt, np.swapaxes(bt, -1, -2).conj()))
+
+
 def self_adjoint_basis(bt):
     """The ``EigenBasis`` of the spinor blocks ``bt`` of T when T is
-    self-adjoint, else None.
-
-    T is self-adjoint when its blocks are exactly Hermitian: the map to
-    blocks takes T* to bt^H, so a T equal to T* coefficient for coefficient
-    passes, and a T self-adjoint only to rounding takes the dense path.
+    self-adjoint (``is_self_adjoint``), else None: a T self-adjoint only
+    to rounding takes the dense path.
     """
-    if not np.array_equal(bt, np.swapaxes(bt, -1, -2).conj()):
+    if not is_self_adjoint(bt):
         return None
     lam, u = np.linalg.eigh(bt)
     km = bt.shape[-1]

@@ -236,9 +236,11 @@ def _block_frame_bounds(w, theta, truncs, discs, scale, n, rest=0.0) -> FrameBou
     blocks over R_n, given a bound ``scale`` on the norm of each value, which
     serves the B_k^H of T* too, and a bound ``rest`` on the error of theta
     itself."""
-    # error estimates enter the quadratic form linearly through the factors
-    trunc = float(np.dot(w, 2.0 * scale * truncs + truncs ** 2))
-    disc = float(np.dot(w, 2.0 * scale * discs + discs ** 2)) + rest
+    # error estimates enter the quadratic form linearly through the factors;
+    # an overflow is refused as a claim (``FrameBounds``)
+    with np.errstate(over="ignore", invalid="ignore"):
+        trunc = float(np.dot(w, 2.0 * scale * truncs + truncs ** 2))
+        disc = float(np.dot(w, 2.0 * scale * discs + discs ** 2)) + rest
     theta = 0.5 * (theta + np.swapaxes(theta, -1, -2).conj())
     lam = np.linalg.eigvalsh(theta)
     eig = np.sort(np.repeat(lam.ravel(), (1 << (n - n // 2)) // lam.shape[0]))

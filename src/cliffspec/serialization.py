@@ -158,7 +158,8 @@ def contour_dict(cfg, stride) -> dict:
 
 
 def bisector_report_dict(report) -> dict:
-    """Certificate fields of a BisectorReport; infinite C_phi become null."""
+    """Certificate fields of a BisectorReport; infinite C_phi become null, and
+    ``c_phi_source`` says whether C is the self-adjoint closed form or sampled."""
     return {
         "omega": report.omega,
         "injective": report.injective,
@@ -166,6 +167,7 @@ def bisector_report_dict(report) -> dict:
         "certified": report.certified,
         "c_phi_table": [[p, c if math.isfinite(c) else None]
                         for p, c in report.c_phi_table],
+        "c_phi_source": report.c_phi_source,
         "detections": [{"x": d.x, "y": d.y, "kind": d.kind}
                        for d in report.detections],
     }

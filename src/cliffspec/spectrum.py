@@ -31,6 +31,7 @@ from .module import (
     OperatorSolver,
     block_form,
     coeffs_from_blocks,
+    is_self_adjoint,
     operator_norm,
     rho_matrix,
     spectral_norm,
@@ -325,24 +326,40 @@ class RaySampling:
         return tuple(omega + k * (math.pi / 2 - omega) / 6.0 for k in range(1, 6))
 
 
+def self_adjoint_c_phi(phi) -> float:
+    """sqrt 2 / sin phi, a bound on |s| ||S_L^-1(s, T)|| off the double
+    sector of angle phi for every self-adjoint T and every slice unit J.
+
+    With A = s0 - T and y = |Im s| = |s| sin phi, S_L^-1 = A P - y P J,
+    P = (A^2 + y^2)^-1, is the row [A P, -y P] applied to (v, J v), whose
+    norm is sqrt 2 ||v||; the row has norm ||P (A^2 + y^2) P||^(1/2) =
+    ||P||^(1/2) <= 1 / y.
+    """
+    return math.sqrt(2.0) / math.sin(phi)
+
+
 @dataclass(frozen=True)
 class BisectorReport:
     """Bisectoriality certificate of angle omega.
 
-    Each C_phi in ``c_phi_table`` is the constant on the slice e_1: the
-    largest sampled |s| ||S_L^-1(s, T)|| on the four boundary rays of angle
-    phi with s = x + e_1 y, the same float whether or not the samples that
+    ``c_phi_source`` says where each C_phi in ``c_phi_table`` comes from.
+    For a self-adjoint T ("self_adjoint_bound") it is
+    ``self_adjoint_c_phi``, a bound over the whole sphere S.  Otherwise
+    ("sampled") it is the constant on the slice e_1: the largest sampled
+    |s| ||S_L^-1(s, T)|| on the four boundary rays of angle phi with
+    s = x + e_1 y, the same float whether or not the samples that
     ``resolvent_bound`` rules out are computed.  The contour engine's
     truncation bounds need no more, since its conjugate-pair sum, and so
-    its truncated tail, does not depend on the slice.  It is not the sup
-    over the whole sphere S.
+    its truncated tail, does not depend on the slice; but the sampled C is
+    not the sup over the whole sphere S.
     """
 
     omega: float
     injective: bool
-    c_phi_table: tuple          # pairs (phi, estimated C_phi)
+    c_phi_table: tuple          # pairs (phi, C_phi)
     spectrum_in_sector: bool
     detections: tuple = ()      # SpectralPoints of the S-spectrum
+    c_phi_source: str = "sampled"
 
     @property
     def certified(self) -> bool:
@@ -387,17 +404,22 @@ def check_bisectorial(
     """Certify or refute bisectoriality of angle omega for the user's candidate.
 
     Checks injectivity of rho(T), containment of the S-spectrum in the
-    closed double sector, and estimates C_phi on the boundary rays in the
-    slice e_1 of each requested larger sector, as the largest sample at 200
-    radii on 4 rays; a radius outside [sigma_min, ||T||] is evaluated only
-    if its series bound could reach that largest sample
+    closed double sector, and gives C_phi for each requested larger sector.
+    For a self-adjoint T (``module.is_self_adjoint``) C_phi is the closed
+    form ``self_adjoint_c_phi`` and no resolvent is formed.  Otherwise it is
+    estimated on the boundary rays in the slice e_1, as the largest sample
+    at 200 radii on 4 rays; a radius outside [sigma_min, ||T||] is
+    evaluated only if its series bound could reach that largest sample
     (``resolvent_bound``).  The result is a numerical certificate; failures
     are carried in the report, but a Q_s that may overflow on the sampled
-    rays raises NumericalFailureError.
+    rays raises NumericalFailureError, on both paths.
     """
     if not 0.0 < omega < math.pi / 2:
         raise ArgumentError(f"omega={omega} outside (0, pi/2)")
-    sampling = sampling or RaySampling()
+    phis = (sampling or RaySampling()).resolved_phis(omega)
+    for phi in phis:
+        if not omega < phi < math.pi / 2:
+            raise ArgumentError(f"sampled phi={phi} outside (omega, pi/2)")
     bt = block_form(T.coeffs, T.n)
     sigma_min, sigma_max = block_sigmas(bt)
     injective = sigma_min > INVERTIBILITY_RTOL * sigma_max
@@ -414,22 +436,26 @@ def check_bisectorial(
     bound = r_max + sigma_max
     if not math.isfinite(2.0 * bound * bound):
         raise NumericalFailureError("Q_s overflows on the sampled rays", node={"r": r_max})
-    radii = scale * np.logspace(-4.0, 4.0, 200)
-    bj = unit_blocks(unit_imag(T.n), T.m)
-    table = []
-    for phi in sampling.resolved_phis(omega):
-        if not omega < phi < math.pi / 2:
-            raise ArgumentError(f"sampled phi={phi} outside (omega, pi/2)")
-        # the rays at angle -phi are the conjugates of those at +phi and
-        # share their Q_s, so only the two rays at +phi are inverted
-        s0, y = radii * math.cos(phi), radii * math.sin(phi)
-        c = resolvent_bound(bt, np.concatenate([s0, -s0]), np.concatenate([y, -y]),
-                            np.tile(radii, 2), bj, (sigma_min, sigma_max))
-        table.append((float(phi), float(c)))
+    if is_self_adjoint(bt):
+        source = "self_adjoint_bound"
+        table = [(float(phi), self_adjoint_c_phi(phi)) for phi in phis]
+    else:
+        source = "sampled"
+        radii = scale * np.logspace(-4.0, 4.0, 200)
+        bj = unit_blocks(unit_imag(T.n), T.m)
+        table = []
+        for phi in phis:
+            # the rays at angle -phi are the conjugates of those at +phi and
+            # share their Q_s, so only the two rays at +phi are inverted
+            s0, y = radii * math.cos(phi), radii * math.sin(phi)
+            c = resolvent_bound(bt, np.concatenate([s0, -s0]), np.concatenate([y, -y]),
+                                np.tile(radii, 2), bj, (sigma_min, sigma_max))
+            table.append((float(phi), float(c)))
     return BisectorReport(
         omega=float(omega),
         injective=bool(injective),
         c_phi_table=tuple(table),
         spectrum_in_sector=contained,
         detections=spectrum,
+        c_phi_source=source,
     )

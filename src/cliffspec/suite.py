@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -97,15 +98,38 @@ UNIFORM_PAIRS = 25
 INTEGRAL_TAUS = 5
 
 
+def _square(x):
+    """x ** 2, and inf where that overflows (a claim ``_record`` refuses)."""
+    try:
+        return x ** 2
+    except OverflowError:
+        return math.inf
+
+
+@contextmanager
+def _stage(name, item):
+    """Name the stage and the g or f it ran on in a NumericalFailureError."""
+    try:
+        yield
+    except NumericalFailureError as exc:
+        raise NumericalFailureError(f"{name} stage, {item}: {exc}", node=exc.node) from exc
+
+
 def _record(name, lhs, rhs, tol=0.0, **extra):
+    """The record lhs <= rhs + tol; a bound rhs + tol that is not finite
+    would pass any lhs, so it raises NumericalFailureError."""
     lhs = float(lhs)
     rhs = float(rhs)
+    tol = float(tol)
+    if not (math.isfinite(rhs) and math.isfinite(tol)):
+        raise NumericalFailureError(
+            f"record {name} claims a bound that is not finite (rhs {rhs!r}, tol {tol!r})")
     rec = {
         "name": name,
         "lhs": lhs,
         "rhs": rhs,
-        "tol": float(tol),
-        "margin": rhs + float(tol) - lhs,
+        "tol": tol,
+        "margin": rhs + tol - lhs,
         "pass": bool(lhs <= rhs + tol),
     }
     rec.update(extra)
@@ -136,7 +160,7 @@ def run_theorem_suite(T: CliffordOperator, g_specs=None, f_specs=None,
     stages = []
 
     report = {
-        "report_version": 4,
+        "report_version": 5,
         "operator": operator_to_dict(T),
         "config": asdict(config),
         "seed": config.seed,
@@ -183,7 +207,8 @@ def run_theorem_suite(T: CliffordOperator, g_specs=None, f_specs=None,
     t_grid, w_grid = qcfg.grid()
 
     def frames_for(item):
-        return family_frames(item[1], engine, t_grid, w_grid, adjoint=True)
+        with _stage("frames", f"g={item[0]}"):
+            return family_frames(item[1], engine, t_grid, w_grid, adjoint=True)
 
     if config.jobs > 1:
         with ThreadPoolExecutor(max_workers=config.jobs) as pool:
@@ -205,7 +230,8 @@ def run_theorem_suite(T: CliffordOperator, g_specs=None, f_specs=None,
     # stage: two-step calculus norms per bounded f -------------------------
     hinf = {}
     for name, f in fs:
-        res = hinf_calculus(f, T, bisector, cfg, engine=engine)
+        with _stage("hinf_norms", f"f={name}"):
+            res = hinf_calculus(f, T, bisector, cfg, engine=engine)
         norm = float(spectral_norm(rho_matrix(res.op)))
         hinf[name] = (f, res, norm)
     report["hinf_norms"] = {
@@ -218,24 +244,28 @@ def run_theorem_suite(T: CliffordOperator, g_specs=None, f_specs=None,
 
     # stage: inequality records --------------------------------------------
     e = regularizer(theta)
-    g_hinf = {gname: hinf_calculus(g, T, bisector, cfg, engine=engine) for gname, g in gs}
+    g_hinf = {}
+    for gname, g in gs:
+        with _stage("inequalities", f"g={gname}"):
+            g_hinf[gname] = hinf_calculus(g, T, bisector, cfg, engine=engine)
     sandwich_vecs = rng.standard_normal((config.n_sandwich, T.m << T.n))
     for gname, g in gs:
         fb, fb_star, frame = frames[gname]
-        records.extend(_frame_sandwich_records(gname, fb, sandwich_vecs,
-                                               fb.combined_error + 1e-9))
-        records.extend(_composition_bound_records(gname, g, c_theta, t_grid, w_grid,
-                                                  frame, rng))
-        egg = f0_infty(product_function(e, g, g))
-        records.append(_record(f"regularized_square_positive[g={gname}]", 1e-12, egg))
-        records.append(_dyadic_splitting_upper(gname, g, basis is not None, fb, hinf))
-        # the constant of the sup-norm domination
-        cg = (c_theta ** 2 * g.decay.c_alpha ** 2 * math.pi) / (
-            2.0 * math.cos(theta) * g.decay.alpha ** 2 * egg)
-        for fname, (f, res, norm) in hinf.items():
-            records.append(_frame_ratio_bound(gname, fname, f, norm, res, fb, cg, theta))
-        records.append(_adjoint_side_lower(gname, g, fb, fb_star))
-        records.extend(_sup_domination_records(gname, T, fb, cg, rng, gs, g_hinf))
+        with _stage("inequalities", f"g={gname}"):
+            records.extend(_frame_sandwich_records(gname, fb, sandwich_vecs,
+                                                   fb.combined_error + 1e-9))
+            records.extend(_composition_bound_records(gname, g, c_theta, t_grid, w_grid,
+                                                      frame, rng))
+            egg = f0_infty(product_function(e, g, g))
+            records.append(_record(f"regularized_square_positive[g={gname}]", 1e-12, egg))
+            records.append(_dyadic_splitting_upper(gname, g, basis is not None, fb, hinf))
+            # the constant of the sup-norm domination
+            cg = (_square(c_theta) * g.decay.c_alpha ** 2 * math.pi) / (
+                2.0 * math.cos(theta) * g.decay.alpha ** 2 * egg)
+            for fname, (f, res, norm) in hinf.items():
+                records.append(_frame_ratio_bound(gname, fname, f, norm, res, fb, cg, theta))
+            records.append(_adjoint_side_lower(gname, g, fb, fb_star))
+            records.extend(_sup_domination_records(gname, T, fb, cg, rng, gs, g_hinf))
     stages.append({"name": "inequalities", "status": "done"})
 
     # release the families before the engine of T*; the engine of T serves
@@ -243,7 +273,8 @@ def run_theorem_suite(T: CliffordOperator, g_specs=None, f_specs=None,
     frame_results = frames = frame = None
 
     # stage: parameter-truncation convergence ladder ------------------------
-    records.extend(_fab_ladder_records(T, bisector, cfg, theta, engine))
+    with _stage("convergence", "f_ab of the regularizer"):
+        records.extend(_fab_ladder_records(T, bisector, cfg, theta, engine))
     stages.append({"name": "convergence", "status": "done"})
     engine = None
 
@@ -254,11 +285,12 @@ def run_theorem_suite(T: CliffordOperator, g_specs=None, f_specs=None,
                                       RaySampling(phis=(phi_resolved,)))
     engine_star = ContourEngine(t_star, bisector_star, theta, cfg)
     for fname, (f, res, norm) in hinf.items():
-        res_star = hinf_calculus(f, t_star, bisector_star, cfg, engine=engine_star)
-        gap_norm = float(spectral_norm(rho_matrix(res_star.op) - rho_matrix(res.op).T))
-        tol = (res.truncation_error + res.discretization_error
-               + res_star.truncation_error + res_star.discretization_error + 1e-8)
-        records.append(_record(f"adjoint[f={fname}]", gap_norm, 0.0, tol=tol))
+        with _stage("adjoint", f"f={fname}"):
+            res_star = hinf_calculus(f, t_star, bisector_star, cfg, engine=engine_star)
+            gap_norm = float(spectral_norm(rho_matrix(res_star.op) - rho_matrix(res.op).T))
+            tol = (res.truncation_error + res.discretization_error
+                   + res_star.truncation_error + res_star.discretization_error + 1e-8)
+            records.append(_record(f"adjoint[f={fname}]", gap_norm, 0.0, tol=tol))
     stages.append({"name": "adjoint", "status": "done"})
 
     report["records"] = records
@@ -365,7 +397,7 @@ def _composition_bound_records(gname, g, c_theta, t_grid, w_grid, blocks, rng):
             kernel[k, ls] = kernel[ls, k] = norms(fam3[k], fam3[ls])
     inner = kernel.T @ (w3 * psi)          # integral over t for each tau
     lhs_iii = float(pairwise_sum(w3 * inner ** 2))
-    rhs_iii = rhs_ii ** 2 * float(pairwise_sum(w3 * psi ** 2))
+    rhs_iii = _square(rhs_ii) * float(pairwise_sum(w3 * psi ** 2))
     records.append(_record(f"composition_square_kernel[f=g={gname}]", lhs_iii, rhs_iii))
     return records
 
@@ -378,7 +410,7 @@ def _sup_domination_records(gname, T, fb, cg, rng, gs, g_hinf):
     rows = [x] + [rho_matrix(g_hinf[fname].op) @ x for fname, _ in gs]
     base_sq, *sq = _frame_norms2(fb, np.stack(rows))
     for (fname, f), lhs in zip(gs, sq):
-        rhs = cg ** 2 * f.bounded.sup_norm ** 2 * float(base_sq)
+        rhs = _square(cg) * f.bounded.sup_norm ** 2 * float(base_sq)
         records.append(_record(f"sup_norm_domination[g={gname},f={fname}]", lhs, rhs))
     return records
 

@@ -105,18 +105,24 @@ def test_bisect_exit_codes(tmp_path):
 
 
 def test_bisect_of_a_non_injective_operator_keeps_exit_and_table(tmp_path):
-    # sigma_min = 0: no series tail below the band, and no warning (pytest
-    # would turn it into an error); certified, with every C the maximum of
-    # all 800 samples of its angle
+    # sigma_min = 0, and no warning (pytest would turn it into an error):
+    # certified, with every C the closed form sqrt 2 / sin phi for the
+    # self-adjoint diag(1, 0), and for [[1, 1], [0, 0]], which has no series
+    # tail below the band, the maximum of all 800 samples of its angle
+    phis = cs.RaySampling().resolved_phis(0.3)
     op = tmp_path / "op.json"
-    T = write_operator(op, [[1.0, 0.0], [0.0, 0.0]])
     out = tmp_path / "report.json"
-    assert main(["bisect", "--operator", str(op), "--omega", "0.3",
-                 "--out", str(out)]) == 0
-    report = json.loads(out.read_text())
-    assert not report["injective"] and report["certified"]
-    expected = full_c_phi_table(T, cs.RaySampling().resolved_phis(0.3))
-    assert [tuple(row) for row in report["c_phi_table"]] == list(expected)
+    for rows, source in (([[1.0, 0.0], [0.0, 0.0]], "self_adjoint_bound"),
+                         ([[1.0, 1.0], [0.0, 0.0]], "sampled")):
+        T = write_operator(op, rows)
+        assert main(["bisect", "--operator", str(op), "--omega", "0.3",
+                     "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert not report["injective"] and report["certified"]
+        assert report["c_phi_source"] == source
+        expected = (full_c_phi_table(T, phis) if source == "sampled"
+                    else [(phi, math.sqrt(2.0) / math.sin(phi)) for phi in phis])
+        assert [tuple(row) for row in report["c_phi_table"]] == list(expected)
 
 
 def test_parse_failure_exit_code(tmp_path):
@@ -257,7 +263,7 @@ def test_verify_deterministic_and_exit_codes(tmp_path):
                  "--nodes", "500", "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
     report = json.loads(out1.read_text())
-    assert report["report_version"] == 4
+    assert report["report_version"] == 5
     assert report["contour"]["basis"]["path"] == "eigen"
     assert 0.0 <= report["contour"]["basis"]["residual"] < 1e-12
     assert report["seed"] == 7
@@ -529,7 +535,9 @@ def test_bisect_refuses_an_operator_whose_q_overflows(tmp_path, capsys):
 
 def test_verify_with_a_zero_frame_lower_bound_exits_2(tmp_path, capsys):
     # at omega = 1e-300 the frame of the regularizer has c_lower = 0, which
-    # the frame ratio bound would divide by
+    # the frame ratio bound would divide by; C_phi = sqrt 2 / sin(5e-201) =
+    # 2.8e200 makes the frame's claimed truncation error overflow first, so
+    # the frames stage refuses it before the records are reached
     op = tmp_path / "op.json"
     write_operator(op, [[1.0, 0.0], [0.0, -2.0]])
     g = tmp_path / "g.json"
@@ -537,4 +545,19 @@ def test_verify_with_a_zero_frame_lower_bound_exits_2(tmp_path, capsys):
     assert main(["verify", "--operator", str(op), "--g", str(g), "--omega", "1e-300",
                  "--theta", "1e-200", "--out", str(tmp_path / "r.json")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "g=regularizer" in err and "c_lower=0.0" in err
+    assert err.startswith("error: ") and "g=regularizer" in err
+    assert "frames stage" in err and "not finite" in err
+
+
+def test_verify_refuses_a_record_whose_bound_is_not_finite(tmp_path, capsys):
+    # at theta = 1e-155 the frame claims stay finite, but C_theta = 1.4e155
+    # squared overflows in the square-kernel bound, which would pass any lhs
+    op = tmp_path / "op.json"
+    write_operator(op, [[1.0, 0.0], [0.0, -2.0]])
+    g = tmp_path / "g.json"
+    g.write_text(json.dumps({"name": "regularizer"}))
+    assert main(["verify", "--operator", str(op), "--g", str(g), "--omega", "1e-156",
+                 "--theta", "1e-155", "--out", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: inequalities stage, g=regularizer: ")
+    assert "composition_square_kernel" in err and "not finite" in err

@@ -132,3 +132,16 @@ def test_left_matrix_realizes_product(rng):
         b = random_clifford(rng, n)
         assert np.allclose((a * b).coeffs, a.left_matrix() @ b.coeffs, atol=1e-13)
         assert np.allclose((b * a).coeffs, a.right_matrix() @ b.coeffs, atol=1e-13)
+
+
+def test_paravector_norms_scale_before_they_square():
+    # |s| = 1e200 at slice angle 0.5: the squares overflow, the norms do not,
+    # and the regularizer takes s inside its sector (pytest turns an
+    # overflow warning into an error)
+    s = cs.Paravector(1e200 * math.cos(0.5), [1e200 * math.sin(0.5)])
+    assert s.abs() == pytest.approx(1e200, rel=1e-15)
+    assert s.imag_norm() == pytest.approx(1e200 * math.sin(0.5), rel=1e-15)
+    assert s.angle() == pytest.approx(0.5, rel=1e-15)
+    value = cs.regularizer()(s)
+    inverse = 1.0 / complex(s.s0, s.svec[0])
+    assert abs(complex(value.s0, value.svec[0]) - inverse) <= 1e-15 * abs(inverse)

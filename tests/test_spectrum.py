@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 import cliffspec as cs
 
 from cliffspec.module import block_form, spectral_norm
-from cliffspec.spectrum import block_sigmas, left_resolvents, q_inverse_stack, series_bounds
+from cliffspec.spectrum import (block_sigmas, left_resolvents, q_inverse_stack, series_bounds,
+                                unit_blocks)
 from conftest import (OMEGA, THETA, full_c_phi_table, non_normal_operator, random_operator,
                       random_paravector, ray_samples, self_adjoint_operator)
 
@@ -320,20 +321,27 @@ def _d32_operator():
     return a + cs.adjoint_operator(a)
 
 
+# the operators the rays are sampled on: none is self-adjoint
 RAY_OPERATORS = {
-    "diag(1,-2)": lambda: _real([[1.0, 0.0], [0.0, -2.0]]),
     "jordan": lambda: _real([[1.0, 1.0], [0.0, 1.0]]),
     "1+e1": lambda: cs.CliffordOperator(1, 1, np.array([[[1.0, 1.0]]])),
     "non-normal-n2": lambda: non_normal_operator(np.random.default_rng(1), 2),
     "non-normal-n3": lambda: non_normal_operator(np.random.default_rng(1), 3),
     "non-normal-n4": lambda: non_normal_operator(np.random.default_rng(1), 4),
-    "verify-d32": _d32_operator,
     # sigma_min = 0: no tail below the band
-    "diag(1,0)": lambda: _real([[1.0, 0.0], [0.0, 0.0]]),
+    "jordan(1,0)": lambda: _real([[1.0, 1.0], [0.0, 0.0]]),
     # sigma_min = sigma_max: no band, every sample has a finite bound
     "rotation": lambda: _real([[0.3, -1.1], [1.1, 0.3]]),
     # ||T|| < 1: the radii start from the scale 1
     "small-norm": lambda: _real([[0.3, 0.2], [0.0, -0.2]]),
+}
+
+# self-adjoint operators, whose C_phi is the closed form sqrt 2 / sin phi
+SELF_ADJOINT_OPERATORS = {
+    "diag(1,-2)": lambda: _real([[1.0, 0.0], [0.0, -2.0]]),
+    "verify-d32": _d32_operator,
+    # not injective
+    "diag(1,0)": lambda: _real([[1.0, 0.0], [0.0, 0.0]]),
 }
 
 
@@ -342,13 +350,47 @@ def test_c_phi_table_is_the_full_sample_max_bit_for_bit(name):
     T = RAY_OPERATORS[name]()
     for omega in (OMEGA, 0.9):
         rep = cs.check_bisectorial(T, omega)
+        assert rep.c_phi_source == "sampled"
         assert rep.c_phi_table == full_c_phi_table(T, cs.RaySampling().resolved_phis(omega))
 
 
+@pytest.mark.parametrize("name", list(SELF_ADJOINT_OPERATORS))
+def test_c_phi_table_of_a_self_adjoint_operator_is_the_closed_form(name):
+    T = SELF_ADJOINT_OPERATORS[name]()
+    for omega in (OMEGA, 0.9):
+        rep = cs.check_bisectorial(T, omega)
+        phis = cs.RaySampling().resolved_phis(omega)
+        assert rep.c_phi_source == "self_adjoint_bound"
+        assert rep.c_phi_table == tuple((phi, math.sqrt(2.0) / math.sin(phi)) for phi in phis)
+        # the closed form bounds every sample on the slice e_1
+        for phi, c in full_c_phi_table(T, phis):
+            assert c <= rep.c_at(phi)
+
+
+def test_self_adjoint_certificate_inverts_nothing(monkeypatch):
+    # on the eigen path no Q_s is formed, inverted or normed
+    def refuse(*args, **kwargs):
+        raise AssertionError("the closed form needs no resolvent")
+    for name in ("q_blocks", "resolvent_bound", "spectral_norm"):
+        monkeypatch.setattr(f"cliffspec.spectrum.{name}", refuse)
+    monkeypatch.setattr(np.linalg, "inv", refuse)
+    rep = cs.check_bisectorial(_d32_operator(), OMEGA)
+    assert rep.certified and rep.injective
+
+
+def test_self_adjoint_c_phi_holds_at_a_tiny_angle():
+    # diag(1, -2) over R_1 commutes with e_1, so C_phi = 1 / sin phi exactly,
+    # reached at |s| = 1 / cos phi; 200 samples a ray gave 437.9 at phi = 0.002
+    T = _real([[1.0, 0.0], [0.0, -2.0]])
+    rep = cs.check_bisectorial(T, 0.001, cs.RaySampling(phis=(0.002,)))
+    assert rep.c_at(0.002) >= 1.0 / math.sin(0.002)
+
+
 def test_ray_bound_skips_the_tail_inverses(monkeypatch):
-    # on the verify-d32 operator most radii lie in a tail whose series bound
-    # is below the band's samples: far fewer than the 5 x 400 Q_s are inverted
-    T = _d32_operator()
+    # on a non-normal operator at D = 16 most radii lie in a tail whose
+    # series bound is below the band's samples: far fewer than the 5 x 400
+    # Q_s are inverted
+    T = non_normal_operator(np.random.default_rng(1), 3)
     inverted = []
     inv = np.linalg.inv
 
@@ -394,21 +436,72 @@ def test_every_sample_lies_below_its_series_bound(case):
     assert np.all(np.isfinite(samples))
 
 
-def test_engine_fallback_takes_the_full_max_over_its_nodes():
+@st.composite
+def self_adjoint_cases(draw):
+    """(T, J, phi): A + A* over R_n, n = 1..4, with A standard normal and
+    scaled by 10^[-2, 2], a random unit J in the sphere and an angle."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    T = self_adjoint_operator(rng, n, m) * 10.0 ** draw(st.floats(-2.0, 2.0))
+    axis = rng.standard_normal(n)
+    unit = cs.Paravector(0.0, axis / np.linalg.norm(axis))
+    return T, unit, draw(st.floats(0.02, math.pi / 2 - 0.02))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(self_adjoint_cases())
+def test_self_adjoint_c_phi_bounds_every_slice(case):
+    # |s| ||S_L^-1(s, T)|| on the four rays of angle phi in the slice of J:
+    # at radii clustered about |lam| / cos phi, where the peak lies, and on a
+    # log sweep; every sample lies below sqrt 2 / sin phi
+    T, unit, phi = case
+    bt = block_form(T.coeffs, T.n)
+    lam = np.abs(np.linalg.eigvalsh(bt)).ravel()
+    lam = lam[lam > 0.0]
+    scale = max(1.0, float(lam.max(initial=0.0)))
+    radii = np.concatenate([(lam[:, None] / math.cos(phi)
+                             * np.exp(np.linspace(-0.3, 0.3, 61))).ravel(),
+                            scale * np.logspace(-4.0, 4.0, 200)])
+    s0 = np.concatenate([radii * math.cos(phi), -radii * math.cos(phi)])
+    y = np.concatenate([radii * math.sin(phi), -radii * math.sin(phi)])
+    radius = np.tile(radii, 2)
+    qinv = q_inverse_stack(bt, s0, radius * radius)
+    bj = unit_blocks(unit, T.m)
+    bound = cs.check_bisectorial(T, 0.5 * phi, cs.RaySampling(phis=(phi,))).c_at(phi)
+    assert bound == math.sqrt(2.0) / math.sin(phi)
+    for branch in (1.0, -1.0):
+        left = left_resolvents(bt, qinv, s0, branch * y, bj)
+        samples = radius * spectral_norm(left).max(axis=1)
+        assert np.all(samples <= bound * (1.0 + 1e-9))
+
+
+def test_engine_fallback_takes_the_full_max_over_its_nodes(monkeypatch):
     # phi = 0.3 lies below every sampled angle at OMEGA (the first is 0.480),
-    # so the engine takes C_phi from its own nodes through resolvent_bound:
-    # the max over every node of the batched inverses of T's blocks, which
-    # the dense engine stores and the eigen path inverts there
-    for eigen, T in enumerate((non_normal_operator(np.random.default_rng(1), 2),
-                               self_adjoint_operator(np.random.default_rng(1), 2, 2))):
-        rep = cs.check_bisectorial(T, OMEGA)
-        assert math.isinf(rep.c_at(0.3))
-        eng = cs.ContourEngine(T, rep, THETA, cs.ContourConfig(phi=0.3, nodes=64))
-        assert (eng.basis is not None) == bool(eigen)
-        r = np.exp(eng.u)
-        s0, y = np.real(eng.z), np.imag(eng.z)
-        qinv = q_inverse_stack(eng._bt, s0, r * r)
-        full = max(float(np.max(r * spectral_norm(left).max(axis=1)))
-                   for left in (left_resolvents(eng._bt, qinv, s0, branch * y, eng._bj)
-                                for branch in (1.0, -1.0)))
-        assert eng.c_phi == full
+    # so the dense engine takes C_phi from its own nodes through
+    # resolvent_bound: the max over every node of the batched inverses of
+    # T's blocks, which it stores; the eigen path takes the closed form and
+    # inverts nothing
+    T = non_normal_operator(np.random.default_rng(1), 2)
+    rep = cs.check_bisectorial(T, OMEGA)
+    assert math.isinf(rep.c_at(0.3))
+    eng = cs.ContourEngine(T, rep, THETA, cs.ContourConfig(phi=0.3, nodes=64))
+    assert eng.basis is None
+    r = np.exp(eng.u)
+    s0, y = np.real(eng.z), np.imag(eng.z)
+    qinv = q_inverse_stack(eng._bt, s0, r * r)
+    full = max(float(np.max(r * spectral_norm(left).max(axis=1)))
+               for left in (left_resolvents(eng._bt, qinv, s0, branch * y, eng._bj)
+                            for branch in (1.0, -1.0)))
+    assert eng.c_phi == full
+
+    S = self_adjoint_operator(np.random.default_rng(1), 2, 2)
+    rep = cs.check_bisectorial(S, OMEGA)
+    assert math.isinf(rep.c_at(0.3))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the eigen path inverts nothing")
+    monkeypatch.setattr(np.linalg, "inv", refuse)
+    eng = cs.ContourEngine(S, rep, THETA, cs.ContourConfig(phi=0.3, nodes=64))
+    assert eng.basis is not None
+    assert eng.c_phi == math.sqrt(2.0) / math.sin(0.3)

@@ -452,3 +452,20 @@ def test_frame_memory_estimate_bounds_the_frame_stage(case, monkeypatch):
     with pytest.raises(cs.ArgumentError, match="frame stage at D = 64"):
         cs.quadratic.check_frame_memory(T, config.quad_nodes, len(cs.default_g_specs()),
                                         config.jobs, config.contour_nodes)
+
+
+def test_frame_ratio_bound_refuses_a_zero_frame_lower_bound():
+    # the bound divides by c_lower cos(theta); c_lower = 0 is refused
+    fb = cs.FrameBounds(c_lower=0.0, d_upper=1.0, theta=np.eye(2), eigenvalues=np.zeros(2),
+                        truncation_error=0.0, discretization_error=0.0)
+    f = ensure_bounded(cs.regularizer(THETA))
+    with pytest.raises(cs.NumericalFailureError, match=r"g=regularizer is c_lower=0\.0"):
+        suite._frame_ratio_bound("regularizer", "regularizer", f, 1.0, None, fb, 1.0, THETA)
+
+
+def test_a_non_finite_claim_is_refused():
+    # an infinite tolerance or bound would pass any lhs
+    with pytest.raises(cs.NumericalFailureError, match="truncation inf"):
+        cs.CalculusResult(cs.CliffordOperator.zero(1, 1), math.inf, 0.0)
+    with pytest.raises(cs.NumericalFailureError, match="record r claims a bound that is not finite"):
+        suite._record("r", 0.0, 1.0, tol=math.inf)
