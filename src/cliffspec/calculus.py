@@ -8,9 +8,9 @@ reused for every function and every scaling parameter, which makes whole
 families f(tT) cheap: only the scalar factors change between nodes.
 
 Error accounting: the truncation estimate comes from the decay certificate
-and the sampled resolvent bound; the discretization estimate is the gap
-between the sums over the even and the odd nodes plus a roundoff bound of
-those sums (see ``ContourEngine._contract``).
+and the certificate's C_phi at the contour angle; the discretization
+estimate is the gap between the sums over the even and the odd nodes plus a
+roundoff bound of those sums (see ``ContourEngine._contract``).
 
 Families whose distinct |t| are consecutive points of the contour's log
 lattice (the grids of ``quadratic.lattice_contour`` are) read their profile
@@ -55,12 +55,10 @@ from .quadrature import gl_cell_rule, gl_panel_grid, trapezoid_grid
 from .spectrum import (
     _CHUNK,
     BisectorReport,
-    block_sigmas,
+    RaySampling,
     check_bisectorial,
     left_resolvents,
     q_inverse_stack,
-    resolvent_bound,
-    self_adjoint_c_phi,
     unit_blocks,
 )
 
@@ -159,6 +157,10 @@ class ContourEngine:
     as its ``module.Diagonal``, with norm bounds max|d| + e; ``dense_blocks``
     assembles blocks for the callers that ask.  Otherwise ``basis`` is
     None and P is the dense inverse (nodes, r, km, km).
+
+    The truncation bounds take C_phi from the certificate alone,
+    ``report.c_at(phi)``; a report that gives no C at phi, one sampled only
+    above phi, is refused, and the engine samples nothing itself.
     """
 
     def __init__(self, T: CliffordOperator, report: BisectorReport,
@@ -173,6 +175,10 @@ class ContourEngine:
         self.cfg = cfg
         self.phi = cfg.resolve_phi(report.omega, float(theta))
         self.c_phi = report.c_at(self.phi)
+        if math.isinf(self.c_phi):
+            raise PreconditionError(
+                f"the certificate gives no C_phi at the contour angle phi={self.phi:.6g}, "
+                "below every angle it sampled; certify at phi")
 
         self._bt = block_form(T.coeffs, T.n)
         stored = _stored_nodes(cfg)
@@ -204,7 +210,7 @@ class ContourEngine:
         self._fa = -weight * r / math.pi
         self._fb = -weight * sign / math.pi
 
-        # rho(J) on the slice e_1, for the dense C_phi fallback and the assembled A
+        # rho(J) on the slice e_1, for the assembled A
         self._bj = unit_blocks(unit_imag(T.n), T.m)
         self.basis = self_adjoint_basis(self._bt)
         s0, abs2 = np.real(self.z), r * r
@@ -227,15 +233,6 @@ class ContourEngine:
                 "non-finite resolvent value on the contour",
                 node={"u": float(self.u[bad]), "sign": float(sign[bad])},
             )
-        if math.isinf(self.c_phi):
-            # phi lies below every sampled angle: the closed form on the
-            # eigen path, else the largest sample on these rays and their
-            # conjugates
-            if self.basis is None:
-                self.c_phi = resolvent_bound(self._bt, s0, np.imag(self.z), r, self._bj,
-                                             block_sigmas(self._bt), qinv=self.P)
-            else:
-                self.c_phi = self_adjoint_c_phi(self.phi)
         # the real view keeps the alpha, beta contractions on real GEMMs
         self._p_flat = self.P.view(np.float64).reshape(self.P.shape[0], -1)
         # roundoff of the node sums (Higham, Accuracy and Stability, 3.1):
@@ -561,6 +558,8 @@ def adjoint_calculus_check(f: IntrinsicFunction, T: CliffordOperator,
     """Norm gap between f(T*) and f(T)*, both computed independently."""
     res_t = hinf_calculus(f, T, report, cfg)
     t_star = T.adjoint()
-    report_star = check_bisectorial(t_star, report.omega)
+    # T*'s certificate at the angles of T's, so that it runs wherever T's does
+    report_star = check_bisectorial(t_star, report.omega,
+                                    RaySampling(phis=tuple(p for p, _ in report.c_phi_table)))
     res_star = hinf_calculus(f, t_star, report_star, cfg)
     return float(spectral_norm(rho_matrix(res_star.op) - rho_matrix(res_t.op).T))

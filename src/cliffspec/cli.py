@@ -104,7 +104,6 @@ def build_parser():
     p.add_argument("--phi", type=float, default=None)
     p.add_argument("--nodes", type=int, default=2000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
     return parser
 
 
@@ -123,22 +122,12 @@ def cmd_bisect(args):
     return EXIT_PASS if report.certified else EXIT_FAIL
 
 
-def _engine_sampling(omega, phi) -> RaySampling:
-    """The one angle an engine at contour angle phi reads C at: the largest
-    default angle at or below phi (``BisectorReport.c_at``); below every
-    default angle the smallest, where c_at stays inf and the engine takes C
-    from its own rays."""
-    phis = RaySampling().resolved_phis(omega)
-    below = [p for p in phis if p <= phi + 1e-12]
-    return RaySampling(phis=(below[-1] if below else phis[0],))
-
-
 def cmd_calc(args):
     cfg = ContourConfig(phi=args.phi, nodes=args.nodes)
     phi = cfg.resolve_phi(args.omega, args.theta)
     T = parse_operator_file(args.operator)
     f = resolve_function(load_function_spec(args.function), theta=args.theta)
-    report = check_bisectorial(T, args.omega, _engine_sampling(args.omega, phi))
+    report = check_bisectorial(T, args.omega, RaySampling(phis=(phi,)))
     if f.decay is not None:
         result = omega_calculus(f, T, report, cfg)
     else:
@@ -157,7 +146,7 @@ def cmd_frame(args):
     qcfg = default_quad_grid(T)
     check_frame_memory(T, qcfg.nodes, contour_nodes=args.nodes)
     g = resolve_function(load_function_spec(args.g), theta=args.theta)
-    report = check_bisectorial(T, args.omega, _engine_sampling(args.omega, phi))
+    report = check_bisectorial(T, args.omega, RaySampling(phis=(phi,)))
     cfg, stride = lattice_contour(qcfg, requested)
     # T*'s frame from the blocks B^H of T's family, as verify takes it
     fb, fb_star, _ = family_frames(g, ContourEngine(T, report, g.theta, cfg),
@@ -183,7 +172,7 @@ def cmd_verify(args):
         f_specs = [load_function_spec(p) for p in args.function]
     config = SuiteConfig(
         omega=args.omega, theta=args.theta, phi=args.phi,
-        contour_nodes=args.nodes, seed=args.seed, jobs=args.jobs,
+        contour_nodes=args.nodes, seed=args.seed,
     )
     report = run_theorem_suite(T, g_specs, f_specs, config)
     with open(args.out, "w") as fh:

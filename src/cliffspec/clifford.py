@@ -171,7 +171,8 @@ class CliffordNum:
         return CliffordNum(self.n, self.coeffs * conjugation_signs(self.n))
 
     def abs(self):
-        return float(np.linalg.norm(self.coeffs))
+        # hypot scales before it squares, as Paravector.abs does
+        return math.hypot(*self.coeffs.tolist())
 
     def left_matrix(self):
         """Matrix L with (self * x).coeffs == L @ x.coeffs."""

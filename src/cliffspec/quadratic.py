@@ -98,16 +98,17 @@ def lattice_contour(qcfg: QuadGridConfig, cfg: ContourConfig | None = None):
                          nodes=steps + 1), stride
 
 
-def check_frame_memory(T: CliffordOperator, nodes, n_g=1, jobs=1, contour_nodes=2000):
+def check_frame_memory(T: CliffordOperator, nodes, n_g=1, contour_nodes=2000):
     """Refuse a frame stage whose stacks of quadrature-grid values would
     exceed the engine cap.  ``nodes`` is the per-sign node count of the
     grid, ``contour_nodes`` the contour's requested node count.
 
     Each of the n_g functions g keeps its family as spinor blocks B (16 r
-    (km)^2 bytes a value).  Each running job holds at its peak four block
-    stacks (B, B^H, the copy of B the Gram of B^H reads, the Gram stack)
-    and the alpha, beta matrices of one chunk of values and their absolute
-    values (8 bytes a row and stored contour node).
+    (km)^2 bytes a value).  The families are made one at a time, and the one
+    in the making holds at its peak four block stacks (B, B^H, the copy of B
+    the Gram of B^H reads, the Gram stack) and the alpha, beta matrices of
+    one chunk of values and their absolute values (8 bytes a row and stored
+    contour node); with no g there is no frame stage.
     """
     # the lattice contour depends on the log step of the grid only, which
     # default_quad_grid fixes whatever ||T||
@@ -115,7 +116,7 @@ def check_frame_memory(T: CliffordOperator, nodes, n_g=1, jobs=1, contour_nodes=
     coefficients = 4 * 8 * (2 * _CHUNK) * _stored_nodes(cfg)
     r, _, k, _ = spinor_blades(T.n).shape
     stack = 16 * r * (k * T.m) ** 2 * 2 * (nodes | 1)
-    need = n_g * stack + min(jobs, n_g) * (4 * stack + coefficients)
+    need = n_g * stack + min(1, n_g) * (4 * stack + coefficients)
     if need > _MAX_ENGINE_BYTES:
         raise ArgumentError(
             f"frame stage at D = {T.m << T.n} with {n_g} g needs about {need / 2 ** 30:.3g} "

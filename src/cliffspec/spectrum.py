@@ -139,10 +139,10 @@ def series_bounds(radius, sigma_min, sigma_max):
     return out
 
 
-def resolvent_bound(bt, s0, y, radius, bj, sigmas, qinv=None):
+def resolvent_bound(bt, s0, y, radius, bj, sigmas):
     """max of |s| ||S_L^{-1}(s, T)|| over the nodes s = s0 + J y and their
-    conjugates s0 - J y, which share Q_s^-1 (taken from qinv if given, else
-    inverted here for the nodes evaluated).
+    conjugates s0 - J y, which share Q_s^-1 (inverted here for the nodes
+    evaluated only).
 
     Nodes go in decreasing order of their ``series_bounds`` (the band
     first), ``_TAIL_GROUP`` at a time, and a node is evaluated only while its
@@ -159,13 +159,10 @@ def resolvent_bound(bt, s0, y, radius, bj, sigmas, qinv=None):
         idx = idx[bounds[idx] * (1.0 + _TAIL_SLACK) >= best]
         if idx.size == 0:
             break
-        if qinv is None:
-            try:
-                p = q_inverse_stack(bt, s0[idx], radius[idx] * radius[idx])
-            except np.linalg.LinAlgError:
-                return math.inf
-        else:
-            p = qinv[idx]
+        try:
+            p = q_inverse_stack(bt, s0[idx], radius[idx] * radius[idx])
+        except np.linalg.LinAlgError:
+            return math.inf
         for branch in (1.0, -1.0):
             left = _left_from_q_inverse(bt, p, s0[idx], branch * y[idx], bj)
             if not np.all(np.isfinite(left)):
@@ -344,7 +341,8 @@ class BisectorReport:
 
     ``c_phi_source`` says where each C_phi in ``c_phi_table`` comes from.
     For a self-adjoint T ("self_adjoint_bound") it is
-    ``self_adjoint_c_phi``, a bound over the whole sphere S.  Otherwise
+    ``self_adjoint_c_phi``, a bound over the whole sphere S, which ``c_at``
+    gives at every angle, in the table or not.  Otherwise
     ("sampled") it is the constant on the slice e_1: the largest sampled
     |s| ||S_L^-1(s, T)|| on the four boundary rays of angle phi with
     s = x + e_1 y, the same float whether or not the samples that
@@ -368,8 +366,12 @@ class BisectorReport:
         return bool(self.spectrum_in_sector and finite)
 
     def c_at(self, phi) -> float:
-        """C at the largest sampled angle <= phi, which bounds C_phi since the
-        table decreases in phi; inf below every sampled angle."""
+        """C_phi of a self-adjoint T, the closed form at every phi; otherwise C
+        at the largest sampled angle <= phi, which bounds C_phi since the
+        table decreases in phi, and inf below every sampled angle.  A caller
+        that reads C at phi certifies at phi: ``RaySampling(phis=(phi,))``."""
+        if self.c_phi_source == "self_adjoint_bound":
+            return self_adjoint_c_phi(phi)
         best = math.inf
         for p, c in self.c_phi_table:
             if p <= phi + 1e-12:

@@ -8,7 +8,6 @@ identical inputs and configs produce byte-identical reports.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 
@@ -89,7 +88,6 @@ class SuiteConfig:
     quad_nodes: int = 400
     n_sandwich: int = 100
     seed: int = 0
-    jobs: int = 1
 
 
 # random parameter pairs of the uniform composition bound and random tau of
@@ -150,17 +148,15 @@ def run_theorem_suite(T: CliffordOperator, g_specs=None, f_specs=None,
     phi_resolved = requested.resolve_phi(config.omega, theta)
     if config.seed < 0:
         raise ArgumentError(f"seed={config.seed} must be a non-negative integer")
-    if config.jobs < 1:
-        raise ArgumentError(f"jobs={config.jobs} must be at least 1")
     g_specs = g_specs if g_specs is not None else default_g_specs()
     f_specs = f_specs if f_specs is not None else default_f_specs()
-    check_frame_memory(T, config.quad_nodes, len(g_specs), config.jobs, config.contour_nodes)
+    check_frame_memory(T, config.quad_nodes, len(g_specs), config.contour_nodes)
     rng = np.random.default_rng(config.seed)
     records = []
     stages = []
 
     report = {
-        "report_version": 5,
+        "report_version": 6,
         "operator": operator_to_dict(T),
         "config": asdict(config),
         "seed": config.seed,
@@ -206,16 +202,10 @@ def run_theorem_suite(T: CliffordOperator, g_specs=None, f_specs=None,
     # stage: frame bounds for each g on T and T* ---------------------------
     t_grid, w_grid = qcfg.grid()
 
-    def frames_for(item):
-        with _stage("frames", f"g={item[0]}"):
-            return family_frames(item[1], engine, t_grid, w_grid, adjoint=True)
-
-    if config.jobs > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            frame_results = list(pool.map(frames_for, gs))
-    else:
-        frame_results = [frames_for(item) for item in gs]
-    frames = {name: result for (name, _), result in zip(gs, frame_results)}
+    frames = {}
+    for name, g in gs:
+        with _stage("frames", f"g={name}"):
+            frames[name] = family_frames(g, engine, t_grid, w_grid, adjoint=True)
     report["frames"] = {
         name: {"T": frame_report_dict(fb), "Tstar": frame_report_dict(fbs)}
         for name, (fb, fbs, _) in frames.items()
@@ -270,7 +260,7 @@ def run_theorem_suite(T: CliffordOperator, g_specs=None, f_specs=None,
 
     # release the families before the engine of T*; the engine of T serves
     # the ladder only
-    frame_results = frames = frame = None
+    frames = frame = None
 
     # stage: parameter-truncation convergence ladder ------------------------
     with _stage("convergence", "f_ab of the regularizer"):

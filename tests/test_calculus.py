@@ -336,16 +336,40 @@ def test_oracle_equivalence_for_registry_rationals(reports):
             assert gap <= max(1e-6, combined(res))
 
 
-def test_contour_below_sampled_angles_takes_c_phi_from_its_rays():
-    # phi = 0.3 lies below every angle the report sampled, so the engine
-    # bounds C_phi on its own nodes; a direct sample at 0.3 gives 4.79
-    T = cs.CliffordOperator.from_real_matrix([[1.0, 3.0], [0.0, -2.0]], n=1)
-    rep = cs.check_bisectorial(T, OMEGA)
-    sampled = cs.check_bisectorial(T, OMEGA, cs.RaySampling(phis=(0.3,))).c_phi_table[0][1]
-    eng = cs.ContourEngine(T, rep, THETA, cs.ContourConfig(phi=0.3))
-    assert eng.c_phi == pytest.approx(sampled, rel=1e-3)
-    res = cs.omega_calculus(cs.regularizer(THETA), T, rep, cs.ContourConfig(phi=0.3))
-    assert op_gap(res.op, cs.rational_calculus(cs.regularizer(THETA), T)) <= combined(res)
+@pytest.mark.parametrize("phi", [0.3, math.pi / 6, 0.75], ids=["0.3", "pi-6", "0.75"])
+@pytest.mark.parametrize("rows", [
+    [[1.0, 1.0], [0.0, -2.0]], [[1.0, 3.0], [0.0, -2.0]], [[1.0, 0.0], [0.0, -2.0]],
+], ids=["non-normal", "non-normal-3", "self-adjoint"])
+def test_claims_at_phi_cover_the_oracle(rows, phi):
+    # certified at the contour angle only, the claimed error still covers
+    # the gap to the direct evaluation, on the dense and the eigen path
+    # (at 0.3 the sample of [[1, 3], [0, -2]] is 4.79, against 3.06 at the
+    # first default angle, 0.480)
+    T = cs.CliffordOperator.from_real_matrix(rows, n=1)
+    rep = cs.check_bisectorial(T, OMEGA, cs.RaySampling(phis=(phi,)))
+    e = cs.regularizer(THETA)
+    res = cs.omega_calculus(e, T, rep, cs.ContourConfig(phi=phi))
+    assert op_gap(res.op, cs.rational_calculus(e, T)) <= res.combined_error
+
+
+def test_adjoint_check_certifies_the_adjoint_at_the_angles_of_the_report(monkeypatch):
+    # T's report holds 0.3 only, below every default angle; T* is
+    # certified at 0.3 too, so the check runs wherever T's report runs
+    T = cs.CliffordOperator.from_real_matrix([[1.0, 1.0], [0.0, 1.0]], n=1)
+    rep = cs.check_bisectorial(T, OMEGA, cs.RaySampling(phis=(0.3,)))
+    sampled = []
+    certify = cs.check_bisectorial
+
+    def recording(T, omega, sampling=cs.RaySampling()):
+        sampled.append(sampling.resolved_phis(omega))
+        return certify(T, omega, sampling)
+
+    monkeypatch.setattr(cs.calculus, "check_bisectorial", recording)
+    f = cs.resolve_function({"name": "rational", "params": {
+        "num": [1.0, 0.0, 0.0], "den": [1.0, 0.0, 1.0], "bounded": True}}, theta=THETA)
+    gap = cs.adjoint_calculus_check(f, T, rep, cs.ContourConfig(phi=0.3))
+    assert sampled == [(0.3,)]
+    assert gap <= 1e-6
 
 
 @pytest.mark.parametrize("spec", [

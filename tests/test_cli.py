@@ -172,57 +172,78 @@ def test_calc_subcommand(tmp_path):
     assert payload["disc_err"] >= 0.0
 
 
-@pytest.mark.parametrize("phi, index", [(None, 0), ("0.75", 1), ("0.3", 0)],
+@pytest.mark.parametrize("phi", [None, "0.75", "0.3"],
                          ids=["default-phi", "second-angle", "below-every-angle"])
 @pytest.mark.parametrize("spec", [{"name": "regularizer"}, {"name": "rational", "params": {
     "num": [1.0, 0.0, 0.0], "den": [1.0, 0.0, 1.0], "bounded": True}}], ids=["decay", "hinf"])
-def test_calc_certifies_only_the_angle_it_reads(tmp_path, monkeypatch, phi, index, spec):
+def test_calc_certifies_only_the_angle_it_reads(tmp_path, monkeypatch, phi, spec):
     op, fn = tmp_path / "op.json", tmp_path / "f.json"
     write_operator(op, [[1.0, 1.0], [0.0, -2.0]])
     fn.write_text(json.dumps(spec))
     args = ["calc", "--operator", str(op), "--function", str(fn)]
     _assert_one_angle_and_engine(tmp_path, monkeypatch,
-                                 args + (["--phi", phi] if phi else []), index)
+                                 args + (["--phi", phi] if phi else []),
+                                 float(phi) if phi else math.pi / 6)
 
 
-@pytest.mark.parametrize("theta, index", [(None, 0), ("1.2382", 1), ("0.338", 0)],
+@pytest.mark.parametrize("theta", [None, "1.2382", "0.338"],
                          ids=["default-phi", "second-angle", "below-every-angle"])
-def test_frame_certifies_only_the_angle_it_reads(tmp_path, monkeypatch, theta, index):
+def test_frame_certifies_only_the_angle_it_reads(tmp_path, monkeypatch, theta):
     # frame's contour angle is phi = (omega + theta) / 2: 0.524, 0.750, 0.300
     op, fn = tmp_path / "op.json", tmp_path / "g.json"
     write_operator(op, [[1.0, 1.0], [0.0, -2.0]])
     fn.write_text(json.dumps({"name": "regularizer"}))
     args = ["frame", "--operator", str(op), "--g", str(fn)]
     _assert_one_angle_and_engine(tmp_path, monkeypatch,
-                                 args + (["--theta", theta] if theta else []), index)
+                                 args + (["--theta", theta] if theta else []),
+                                 0.5 * (math.pi / 12 + float(theta or math.pi / 4)))
 
 
-def _assert_one_angle_and_engine(tmp_path, monkeypatch, args, index):
-    # one certificate at the largest default angle at or below phi, else the
-    # smallest (where the engine takes C from its own rays), and one engine:
-    # the same bytes as from the certificate at all five default angles
-    sampled, engines = [], []
+def _certificates_and_engines(monkeypatch):
+    """Lists that fill with the (angles, report) of every certificate and
+    the (engine, report) of every engine built while the patch holds."""
+    certificates, engines = [], []
     check_bisectorial, build = cs.check_bisectorial, cs.ContourEngine.__init__
 
     def certify(T, omega, sampling=cs.RaySampling()):
-        sampled.append(sampling.resolved_phis(omega))
-        return check_bisectorial(T, omega, sampling)
+        certificates.append((sampling.resolved_phis(omega), check_bisectorial(T, omega, sampling)))
+        return certificates[-1][1]
 
-    def counting_build(self, *rest):
-        engines.append(self)
-        build(self, *rest)
+    def recording_build(self, T, report, *rest):
+        build(self, T, report, *rest)
+        engines.append((self, report))
 
-    for module in (cs.cli, cs.quadratic, cs.suite):
+    for module in (cs.cli, cs.calculus, cs.quadratic, cs.suite):
         if hasattr(module, "check_bisectorial"):
             monkeypatch.setattr(module, "check_bisectorial", certify)
-    monkeypatch.setattr(cs.ContourEngine, "__init__", counting_build)
-    assert main(args + ["--out", str(tmp_path / "one.json")]) == 0
-    assert len(engines) == 1
-    monkeypatch.setattr("cliffspec.cli.RaySampling", lambda phis=(): cs.RaySampling())
-    assert main(args + ["--out", str(tmp_path / "five.json")]) == 0
-    defaults = cs.RaySampling().resolved_phis(math.pi / 12)
-    assert sampled == [(defaults[index],), defaults] and len(engines) == 2
-    assert (tmp_path / "one.json").read_bytes() == (tmp_path / "five.json").read_bytes()
+    monkeypatch.setattr(cs.ContourEngine, "__init__", recording_build)
+    return certificates, engines
+
+
+def _assert_one_angle_and_engine(tmp_path, monkeypatch, args, phi):
+    # one certificate, at exactly the contour angle, and one engine, whose C
+    # is that certificate's C at phi: the engine samples nothing itself
+    certificates, engines = _certificates_and_engines(monkeypatch)
+    assert main(args + ["--out", str(tmp_path / "out.json")]) == 0
+    [(phis, report)] = certificates
+    [(engine, engine_report)] = engines
+    assert engine.phi == pytest.approx(phi, rel=1e-12)
+    assert phis == (engine.phi,) and engine_report is report
+    assert engine.c_phi == report.c_at(engine.phi)
+
+
+def test_calc_of_a_self_adjoint_operator_reads_the_closed_form_at_phi(tmp_path, monkeypatch):
+    # diag(1, -2) at the default angles: C = sqrt 2 / sin(pi/6), not the
+    # closed form at the largest default angle below phi (sqrt 2 / sin 0.480)
+    op, fn = tmp_path / "op.json", tmp_path / "f.json"
+    write_operator(op, [[1.0, 0.0], [0.0, -2.0]])
+    fn.write_text(json.dumps({"name": "regularizer"}))
+    _, engines = _certificates_and_engines(monkeypatch)
+    assert main(["calc", "--operator", str(op), "--function", str(fn),
+                 "--out", str(tmp_path / "out.json")]) == 0
+    [(engine, _)] = engines
+    assert engine.basis is not None
+    assert engine.c_phi == pytest.approx(math.sqrt(2.0) / math.sin(math.pi / 6), rel=1e-12)
 
 
 def test_frame_subcommand(tmp_path):
@@ -263,7 +284,7 @@ def test_verify_deterministic_and_exit_codes(tmp_path):
                  "--nodes", "500", "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
     report = json.loads(out1.read_text())
-    assert report["report_version"] == 5
+    assert report["report_version"] == 6
     assert report["contour"]["basis"]["path"] == "eigen"
     assert 0.0 <= report["contour"]["basis"]["residual"] < 1e-12
     assert report["seed"] == 7
@@ -359,14 +380,6 @@ def test_spectrum_rejects_malformed_grid(tmp_path, capsys, grid):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-def test_verify_jobs_default_ignores_environment(monkeypatch):
-    from cliffspec.cli import build_parser
-
-    monkeypatch.setenv("CLIFFSPEC_JOBS", "3")
-    args = build_parser().parse_args(["verify", "--operator", "op.json", "--out", "r.json"])
-    assert args.jobs == 1
-
-
 def test_verify_rejects_theta_below_omega(tmp_path, capsys):
     op = tmp_path / "op.json"
     write_operator(op, [[1.0]])
@@ -378,10 +391,8 @@ def test_verify_rejects_theta_below_omega(tmp_path, capsys):
 
 @pytest.mark.parametrize("args, needle", [
     (["--seed", "-1"], "seed=-1"),
-    (["--jobs", "0"], "jobs=0"),
-    (["--jobs", "-1"], "jobs=-1"),
     (["--phi", "0.2"], "contour angle phi=0.2 outside (omega, theta)"),
-], ids=["seed-negative", "jobs-zero", "jobs-negative", "phi-below-omega"])
+], ids=["seed-negative", "phi-below-omega"])
 def test_verify_rejects_bad_arguments_before_any_work(tmp_path, capsys, args, needle):
     op = tmp_path / "op.json"
     write_operator(op, [[1.0, 0.0], [0.0, -2.0]])

@@ -145,3 +145,11 @@ def test_paravector_norms_scale_before_they_square():
     value = cs.regularizer()(s)
     inverse = 1.0 / complex(s.s0, s.svec[0])
     assert abs(complex(value.s0, value.svec[0]) - inverse) <= 1e-15 * abs(inverse)
+
+
+def test_clifford_norm_scales_before_it_squares():
+    # the squares of 1e200 overflow, the norm does not (pytest turns an
+    # overflow warning into an error)
+    a = cs.CliffordNum(1, [1e200, 1e200])
+    assert a.abs() == pytest.approx(1e200 * math.sqrt(2.0), rel=1e-15)
+    assert cs.abs_value(a) == a.abs()

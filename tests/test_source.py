@@ -1,10 +1,16 @@
-"""Source guard: no module imports a name it does not use, and every
-module-level function and class has a caller or a reader somewhere."""
+"""Source guard: no module imports a name it does not use, every
+module-level function and class has a caller or a reader somewhere, and the
+settings a user can pass are the ones listed here."""
 
+import argparse
 import ast
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+
+import cliffspec as cs
+from cliffspec.cli import build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "cliffspec"
@@ -58,3 +64,27 @@ def test_every_module_level_definition_is_referenced():
                        for other, names in stmts if other is not node):
                 unreferenced.append(f"{path.stem}.{node.name}")
     assert unreferenced == []
+
+
+def test_settings_inventory():
+    # every setting a user can pass; a new knob is a deliberate edit here
+    def names(cls):
+        return [f.name for f in fields(cls)]
+
+    assert names(cs.ContourConfig) == ["phi", "u_min", "u_max", "nodes"]
+    assert names(cs.RaySampling) == ["phis"]
+    assert names(cs.SuiteConfig) == ["omega", "theta", "phi", "contour_nodes", "quad_nodes",
+                                     "n_sandwich", "seed"]
+    [sub] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {name: sorted(o for a in p._actions for o in a.option_strings
+                            if o not in ("-h", "--help"))
+               for name, p in sub.choices.items()}
+    common = ["--operator", "--out"]
+    assert options == {
+        "spectrum": sorted(common + ["--grid"]),
+        "bisect": sorted(common + ["--omega"]),
+        "calc": sorted(common + ["--function", "--omega", "--theta", "--phi", "--nodes"]),
+        "frame": sorted(common + ["--g", "--omega", "--theta", "--nodes"]),
+        "verify": sorted(common + ["--g", "--function", "--omega", "--theta", "--phi",
+                                   "--nodes", "--seed"]),
+    }

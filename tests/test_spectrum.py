@@ -476,32 +476,30 @@ def test_self_adjoint_c_phi_bounds_every_slice(case):
         assert np.all(samples <= bound * (1.0 + 1e-9))
 
 
-def test_engine_fallback_takes_the_full_max_over_its_nodes(monkeypatch):
-    # phi = 0.3 lies below every sampled angle at OMEGA (the first is 0.480),
-    # so the dense engine takes C_phi from its own nodes through
-    # resolvent_bound: the max over every node of the batched inverses of
-    # T's blocks, which it stores; the eigen path takes the closed form and
-    # inverts nothing
+def test_engine_takes_c_phi_from_the_certificate_alone(monkeypatch):
+    # phi = 0.3 lies below every sampled angle at OMEGA (the first is 0.480):
+    # the dense engine is refused, naming phi, and takes the certificate's
+    # sample once certified at 0.3; the eigen path reads the closed form at
+    # 0.3 from the default certificate and inverts nothing
     T = non_normal_operator(np.random.default_rng(1), 2)
     rep = cs.check_bisectorial(T, OMEGA)
     assert math.isinf(rep.c_at(0.3))
-    eng = cs.ContourEngine(T, rep, THETA, cs.ContourConfig(phi=0.3, nodes=64))
+    cfg = cs.ContourConfig(phi=0.3, nodes=64)
+    with pytest.raises(cs.PreconditionError, match=r"phi=0\.3\b.*certify at phi"):
+        cs.ContourEngine(T, rep, THETA, cfg)
+    rep = cs.check_bisectorial(T, OMEGA, cs.RaySampling(phis=(0.3,)))
+    eng = cs.ContourEngine(T, rep, THETA, cfg)
     assert eng.basis is None
-    r = np.exp(eng.u)
-    s0, y = np.real(eng.z), np.imag(eng.z)
-    qinv = q_inverse_stack(eng._bt, s0, r * r)
-    full = max(float(np.max(r * spectral_norm(left).max(axis=1)))
-               for left in (left_resolvents(eng._bt, qinv, s0, branch * y, eng._bj)
-                            for branch in (1.0, -1.0)))
-    assert eng.c_phi == full
+    assert eng.c_phi == rep.c_phi_table[0][1]
 
     S = self_adjoint_operator(np.random.default_rng(1), 2, 2)
     rep = cs.check_bisectorial(S, OMEGA)
-    assert math.isinf(rep.c_at(0.3))
+    assert rep.c_phi_table[0][0] > 0.3
+    assert rep.c_at(0.3) == math.sqrt(2.0) / math.sin(0.3)
 
     def refuse(*args, **kwargs):
         raise AssertionError("the eigen path inverts nothing")
     monkeypatch.setattr(np.linalg, "inv", refuse)
-    eng = cs.ContourEngine(S, rep, THETA, cs.ContourConfig(phi=0.3, nodes=64))
+    eng = cs.ContourEngine(S, rep, THETA, cfg)
     assert eng.basis is not None
     assert eng.c_phi == math.sqrt(2.0) / math.sin(0.3)

@@ -67,16 +67,6 @@ def test_suite_deterministic():
     assert r1 == r2
 
 
-def test_suite_parallel_frames_match_serial():
-    T = cs.CliffordOperator.from_real_matrix([[2.0]], n=1)
-    serial = cs.run_theorem_suite(T, config=cs.SuiteConfig(
-        contour_nodes=500, quad_nodes=100, n_sandwich=20, jobs=1))
-    parallel = cs.run_theorem_suite(T, config=cs.SuiteConfig(
-        contour_nodes=500, quad_nodes=100, n_sandwich=20, jobs=3))
-    assert serial["frames"] == parallel["frames"]
-    assert serial["records"] == parallel["records"]
-
-
 def test_sign_vector_builder():
     vecs = cs.sign_vectors(2)
     assert len(vecs) == 16
@@ -451,7 +441,7 @@ def test_frame_memory_estimate_bounds_the_frame_stage(case, monkeypatch):
     monkeypatch.setattr(cs.quadratic, "_MAX_ENGINE_BYTES", state["peak"] - state["base"] - 1)
     with pytest.raises(cs.ArgumentError, match="frame stage at D = 64"):
         cs.quadratic.check_frame_memory(T, config.quad_nodes, len(cs.default_g_specs()),
-                                        config.jobs, config.contour_nodes)
+                                        config.contour_nodes)
 
 
 def test_frame_ratio_bound_refuses_a_zero_frame_lower_bound():
