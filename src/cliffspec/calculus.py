@@ -10,13 +10,15 @@ families f(tT) cheap: only the scalar factors change between nodes.
 Error accounting: the truncation estimate comes from the decay certificate
 and the certificate's C_phi at the contour angle; the discretization
 estimate is the gap between the sums over the even and the odd nodes plus a
-roundoff bound of those sums (see ``ContourEngine._contract``).
+roundoff bound of the value (see ``ContourEngine._contract``).
 
 Families whose distinct |t| are consecutive points of the contour's log
 lattice (the grids of ``quadratic.lattice_contour`` are) read their profile
 values off one sequence per ray, since t_j z_k then depends on j and k only
-through a lattice index; the f_ab ladder integrates on the same lattice
-(``f_ab_nodes``).  All reach the node weights through ``ContourEngine._terms``.
+through a lattice index, and all their values are one FFT correlation of
+those sequences with the kernels fa P, fb P (``lattice_correlation``); the
+f_ab ladder integrates on the same lattice (``f_ab_nodes``).  Values off the
+lattice contract the same kernels at lag 0.
 """
 
 from __future__ import annotations
@@ -65,6 +67,7 @@ from .spectrum import (
 # the stored resolvent stack and one block of profile values are refused
 # beyond this size, before anything is allocated
 _MAX_ENGINE_BYTES = 2 ** 31
+_COLUMNS = 32   # columns of the stored resolvents per block of node sums
 
 
 @dataclass(frozen=True)
@@ -133,6 +136,70 @@ def combined_tolerance(*results, floor=1e-9):
     return tol
 
 
+def _smooth_size(length):
+    """The least 2, 3, 5-smooth integer >= length, a fast FFT length."""
+    while math.gcd(length, 30 ** 64) != length:
+        length += 1
+    return length
+
+
+def lattice_correlation(seqs, kernels, stride):
+    """sum_r sum_k seqs[..., r, j stride + k] kernels[r, k] over the 2 rays
+    r, as (..., j, columns) at every j with a whole window, by real FFTs of
+    length ``_smooth_size(length)``, at which no such lag wraps around."""
+    size = _smooth_size(seqs.shape[-1])
+    spec = np.fft.rfft(seqs, size)[..., None, :, :]
+    # transformed along a contiguous axis, which pocketfft takes fastest
+    kspec = np.fft.rfft(np.ascontiguousarray(kernels.transpose(2, 0, 1)), size).conj()
+    prod = spec[..., 0, :] * kspec[:, 0]
+    prod += spec[..., 1, :] * kspec[:, 1]
+    lags = slice(0, seqs.shape[-1] - kernels.shape[1] + 1, stride)
+    return np.fft.irfft(prod, size)[..., lags].swapaxes(-1, -2)
+
+
+def lattice_roundoff(seqs, norms):
+    """A bound on the 2-norm of the error of ``lattice_correlation(seqs,
+    kernels, stride)``, over all its lags and columns at each index of the
+    leading axes of ``seqs``, the largest over them, given
+    norms[r, k] >= ||kernels[r, k]||_2.
+
+    An FFT of length L computed with twiddle factors within mu of the
+    exact roots of unity has a normwise relative error of at most
+    mu_L = log2(L) eta / (1 - log2(L) eta), eta = mu + gamma_4 (sqrt 2 + mu)
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2002, Theorem
+    24.2).  The correlation is irfft(rfft(s) conj(rfft(K))), where
+    ||rfft s||_2 <= sqrt L ||s||_2 and max|rfft K| <= ||K||_1, so the three
+    transforms and the products contribute, to first order and per column,
+    (2 mu_L + sqrt 2 gamma_2) ||s||_2 ||K||_1 + mu_L ||s||_1 ||K||_2; summed
+    over the rays, over the columns by Minkowski's inequality, and with the
+    sum over rays and the second-order terms taken up by
+    (3 mu_L + 2 gamma_2) ||s||_2 sum_k ||K_k|| + mu_L ||s||_1 (sum_k
+    ||K_k||^2)^(1/2) per ray.
+
+    gamma_k = k eps / (1 - k eps) with eps = 2^-52, twice the unit roundoff,
+    as in the rest of this module.  Assumed: numpy's FFT (pocketfft) has
+    twiddle factors within mu = eps of the exact ones (its transform of a
+    unit impulse, one twiddle product per pass, is within 3 eps at the
+    lengths used here), and the radix-2 theorem holds with log2(L) for its
+    mixed-radix passes (2, 3, 4, 5) and real transforms.  The tests check
+    the bound against long-double direct correlations.
+    """
+    eps = np.finfo(float).eps
+    gamma2, gamma4 = (k * eps / (1.0 - k * eps) for k in (2, 4))
+    eta = math.log2(_smooth_size(seqs.shape[-1])) * (eps + gamma4 * (math.sqrt(2.0) + eps))
+    mu = eta / (1.0 - eta)
+    bound = ((3.0 * mu + 2.0 * gamma2) * np.linalg.norm(seqs, axis=-1) @ norms.sum(axis=-1)
+             + mu * np.abs(seqs).sum(axis=-1) @ np.linalg.norm(norms, axis=-1))
+    return float(bound.max())
+
+
+def _direct_roundoff(seqs, norms):
+    """gamma_N sum_k |s_k| norms_k per window s (..., rays, values, n), the
+    direct sum's roundoff bound (Higham, Accuracy and Stability, 3.1)."""
+    terms = norms.size * np.finfo(float).eps
+    return terms / (1.0 - terms) * np.einsum("...rvk,rk->...v", np.abs(seqs), norms)
+
+
 def _stored_nodes(cfg):
     """Number of nodes the engine stores: those of the two rays at angle +phi."""
     return 2 * (cfg.nodes | 1)
@@ -194,19 +261,17 @@ class ContourEngine:
         # drifts by 1e-13 relative, which lattice positions far along would
         # multiply by their index
         self.step = (cfg.u_max - cfg.u_min) / (n - 1)
-        # nodes are stored [even | odd], each parity ray by ray, so the two
-        # partial sums contract slices of P; n is odd, so n + 1 are even
-        order = np.argsort(np.tile(np.arange(n) % 2, 2), kind="stable")
-        self._halves = (slice(0, n + 1), slice(n + 1, None))
+        # nodes are stored ray by ray, each in u order, so that a ray's nodes
+        # are the lags of a correlation with its profile sequence
         self.u_ray = u
-        sign = np.repeat([1.0, -1.0], n)[order]
-        self.u = np.tile(u, 2)[order]
+        sign = np.repeat([1.0, -1.0], n)
+        self.u = np.tile(u, 2)
         r = np.exp(self.u)
         self.z = sign * r * np.exp(1j * self.phi)
         # weight in u, dr = e^u du, 1/(2 pi) and the direction sign e^{i phi} i
         # of node z: z and conj z sum to alpha P - T beta P, alpha = fa Im F
-        # and beta = fb Im(e^{i phi} F) (``_terms``)
-        weight = np.tile(w_ray, 2)[order] * r
+        # and beta = fb Im(e^{i phi} F) (``_contract``)
+        weight = np.tile(w_ray, 2) * r
         self._fa = -weight * r / math.pi
         self._fb = -weight * sign / math.pi
 
@@ -233,17 +298,27 @@ class ContourEngine:
                 "non-finite resolvent value on the contour",
                 node={"u": float(self.u[bad]), "sign": float(sign[bad])},
             )
-        # the real view keeps the alpha, beta contractions on real GEMMs
+        # the real view keeps the kernels fa P, fb P real
         self._p_flat = self.P.view(np.float64).reshape(self.P.shape[0], -1)
-        # roundoff of the node sums (Higham, Accuracy and Stability, 3.1):
-        # gamma_N sum_k (|alpha_k| + ||T|| |beta_k|) ||P_k||_F over N terms
-        terms = 2 * n * np.finfo(float).eps
-        self._gamma = terms / (1.0 - terms)
-        self._p_fro = np.sqrt(np.einsum("ij,ij->i", self._p_flat, self._p_flat))
+        p_fro = np.sqrt(np.einsum("ij,ij->i", self._p_flat, self._p_flat))
         if self.basis is not None:
             # ||U diag(p) U^H||_F <= ||U||^2 ||p||_2, ||U|| <= 1 + delta
-            self._p_fro *= (1.0 + self.basis.departure.max()) ** 2
+            p_fro *= (1.0 + self.basis.departure.max()) ** 2
         self._t_norm = float(spectral_norm(self._bt).max())
+        # ||fa_k P_k||_F and ||T|| ||fb_k P_k||_F (part, ray, node) bound the roundoff
+        self._k_fro = (np.abs([self._fa, self._t_norm * self._fb]) * p_fro).reshape(2, 2, n)
+        # the kernels of a P of one block of columns are formed here, once
+        self._kernels = None
+        if self._p_flat.shape[1] <= _COLUMNS:
+            self._kernels = self._kernel_block(slice(None))
+
+    def _kernel_block(self, block):
+        """The kernels fa P, fb P on the columns ``block`` of P, (part, ray, node, column)."""
+        if self._kernels is not None:
+            return self._kernels
+        n = self.u_ray.size
+        return self._p_flat[:, block].reshape(1, 2, n, -1) * np.reshape(
+            [self._fa, self._fb], (2, 2, n, 1))
 
     @property
     def A(self):
@@ -281,7 +356,8 @@ class ContourEngine:
 
         The profile is evaluated once per distinct |t| and node of the two
         rays, or, when the distinct |t| lie on the contour's log lattice,
-        once per lattice point on each ray (``_windows``).
+        once per lattice point on each ray (``_windows``), and the family is
+        then one correlation of those sequences (``_contract``).
         """
         if f.decay is None:
             raise PreconditionError("contour calculus requires a decay certificate")
@@ -289,15 +365,17 @@ class ContourEngine:
         bad = ~np.isfinite(ts) | (ts == 0.0)
         if np.any(bad):
             raise ArgumentError(f"scaling t={ts[bad][0]} must be nonzero and finite")
-        values = np.empty((ts.size, *self.P.shape[1:]), dtype=self.P.dtype)
+        values = None
         discs = np.empty(ts.size)
         mags, which = np.unique(np.abs(ts), return_inverse=True)
-        for lo, hi, windows in self._windows(f, ts, mags, which):
+        for lo, hi, parts, p in self._windows(f, ts, mags, which):
             rows = np.flatnonzero((which >= lo) & (which < hi))
             neg = ts[rows] < 0.0
             signs = np.unique(neg).tolist()
-            sums, estimates = self._contract(self._terms(*windows, signs))
+            sums, estimates = self._contract(parts, signs, p)
             picks = np.searchsorted(signs, neg) * (hi - lo) + which[rows] - lo
+            if values is None:
+                values = np.empty((ts.size, *sums.shape[1:]), dtype=sums.dtype)
             values[rows], discs[rows] = sums[picks], estimates[picks]
         truncs = np.array([self.truncation_bound(f.decay, t) for t in ts])
         return self._values(values), truncs, discs
@@ -314,9 +392,9 @@ class ContourEngine:
         return p if 1 <= p <= self.u_ray.size and drift.max() <= tol else None
 
     def _windows(self, f, ts, mags, which):
-        """(lo, hi, (Im F, Im(e^{i phi} F))) per block of the distinct |t|,
-        each (2 rays, hi - lo, n) at |t_j| e^{u_min + k h} (+-e^{i phi}): on
-        the lattice (``_stride``) strided views of one sequence per ray."""
+        """(lo, hi, (Im F, Im(e^{i phi} F)), p) per block of the distinct |t|,
+        each part (2 rays, hi - lo, n) at |t_j| e^{u_min + k h} (+-e^{i phi});
+        on the lattice (``_stride``) one sequence (2 rays, (J - 1) p + n)."""
         n, p = self.u_ray.size, self._stride(mags)
 
         def parts(x, node):
@@ -338,71 +416,68 @@ class ContourEngine:
                 return j, i - j * p
 
             x = self.cfg.u_min + math.log(mags[0]) + self.step * np.arange((mags.size - 1) * p + n)
-            seq = parts(x[None], node)
-            windows = [np.lib.stride_tricks.sliding_window_view(part, n, axis=-1)[:, 0, ::p]
-                       for part in seq]
+            yield 0, mags.size, [part[:, 0] for part in parts(x[None], node)], p
+            return
         for lo in range(0, mags.size, _CHUNK):
             hi = min(lo + _CHUNK, mags.size)
-            if p is not None:
-                yield lo, hi, [win[:, lo:hi] for win in windows]
-            else:
-                x = self.cfg.u_min + np.log(mags[lo:hi])[:, None] + self.step * np.arange(n)
-                yield lo, hi, parts(x, lambda j, k: (lo + j, k))
+            x = self.cfg.u_min + np.log(mags[lo:hi])[:, None] + self.step * np.arange(n)
+            yield lo, hi, parts(x, lambda j, k: (lo + j, k)), None
 
     def _parts(self, vals):
         """Im F and Im(e^{i phi} F) of the profile values ``vals``."""
         return vals.imag, (np.exp(1j * self.phi) * vals).imag
 
-    def _terms(self, im, im_phi, signs):
-        """alpha, beta on each half from the windows ``im`` = Im F and
-        ``im_phi`` = Im(e^{i phi} F), (2 rays, values, n) in u order, with rows
-        for each sign in ``signs`` (True for t < 0) in turn.  A half holds the
-        nodes of its parity on the + ray, then on the - ray; a negative t
-        reads the other ray, as -|t| z_k = |t| (-z_k)."""
-        terms = []
-        for parity, sl in enumerate(self._halves):
-            pair = []
-            for win, factor in ((im, self._fa[sl]), (im_phi, self._fb[sl])):
-                c = factor.size // 2
-                out = np.empty((len(signs), win.shape[1], 2 * c))
-                for row, flip in enumerate(signs):
-                    for side in (0, 1):
-                        np.multiply(win[flip ^ side, :, parity::2],
-                                    factor[side * c:(side + 1) * c],
-                                    out=out[row, :, side * c:(side + 1) * c])
-                pair.append(out.reshape(-1, 2 * c))
-            terms.append(pair)
-        return terms
+    def _contract(self, parts, signs, p=None):
+        """(sums as ``_combine`` gives them, discretization estimates) of one
+        block of values, rows for each sign in ``signs`` (True for t < 0) in
+        turn, from ``parts`` Im F, Im(e^{i phi} F) in u order: (2 rays,
+        length) on the lattice of stride p, else (2 rays, values, n).
 
-    def _contract(self, terms):
-        """(sums, discretization estimates) from the alpha, beta of each
-        half, the sums as ``_combine`` gives them.  Each node is contracted
-        once: the sums S_0, S_1 over the even and the odd nodes give the
-        value S_0 + S_1 and, by comparison with the half-resolution rule
-        2 S_0, the estimate ||S_1 - S_0|| (``module.block_norms``), to
-        which the roundoff bound of the node sums is added."""
-        halves, size = [], 0.0
-        for (alpha, beta), sl in zip(terms, self._halves):
-            # alpha and beta are fresh contiguous arrays, which keeps matmul
-            # on the fast BLAS path
-            halves.append(self._combine(alpha @ self._p_flat[sl], beta @ self._p_flat[sl]))
-            size = size + np.abs(alpha) @ self._p_fro[sl] + self._t_norm * (
-                np.abs(beta) @ self._p_fro[sl])
-        first, second = halves
-        discs = block_norms(self._values(second - first)) + self._gamma * size
-        return first + second, discs
+        The node sum of alpha_k = fa_k Im F over a ray correlates its part
+        with the ray's kernel fa P (beta with fb P), by FFT at the lags j p
+        (``lattice_correlation``), else by GEMM at lag 0, over ``_COLUMNS``
+        columns of P at a time.  The alternating part gives +-(S_0 - S_1),
+        S_0, S_1 the sums over the even and the odd nodes, whose norm
+        estimates the error of S_0 + S_1 against the rule 2 S_0; to it is
+        added a roundoff bound (``lattice_roundoff``, ``_direct_roundoff``)."""
+        n, cols, length = self.u_ray.size, self._p_flat.shape[1], parts[0].shape[-1]
+        rows = len(signs) * (parts[0].shape[-2] if p is None else (length - n) // p + 1)
+        # per sign, the parts the + and the - ray nodes read: -|t| z = |t| (-z)
+        seqs = [np.stack([part[[flip, 1 - flip]] for flip in map(int, signs)]) for part in parts]
+
+        def node_sums(weights):
+            # the sums of alpha and beta from the parts times each weight, combined
+            sums = [np.empty((len(weights), rows, cols)) for _ in parts]
+            weighted = [np.stack([seq * weight for weight in weights]) for seq in seqs]
+            for lo in range(0, cols, _COLUMNS):
+                block = slice(lo, lo + _COLUMNS)
+                for total, seq, kernel in zip(sums, weighted, self._kernel_block(block)):
+                    out = (lattice_correlation(seq, kernel, p) if p else
+                           seq[..., 0, :, :] @ kernel[0] + seq[..., 1, :, :] @ kernel[1])
+                    total[..., block] = out.reshape(len(weights), rows, -1)
+                    del out    # before the next correlation's buffers
+            return [self._combine(*pair) for pair in zip(*sums)]
+
+        # one pass off the lattice; on it the alternating sums are freed
+        # before the plain ones are made
+        alternate = np.where(np.arange(length) % 2, -1.0, 1.0)
+        sums = node_sums((alternate,) if p else (alternate, 1.0))
+        estimates = block_norms(self._values(sums.pop(0)))
+        roundoff = _direct_roundoff if p is None else lattice_roundoff
+        estimates += np.ravel(sum(roundoff(seq, k_fro) for seq, k_fro in zip(seqs, self._k_fro)))
+        return (sums or node_sums((1.0,)))[0], estimates
 
     def _combine(self, sum_a, sum_b):
         """alpha P - T beta P from the contractions sum_a, sum_b of alpha and
-        beta with P: the blocks, or on the eigen path their diagonals
-        d = sum_a - lam sum_b (values, r, km)."""
-        nb = sum_a.shape[0]
+        beta with P, written over sum_a: the blocks, or on the eigen path
+        their diagonals d = sum_a - lam sum_b (values, r, km)."""
         if self.basis is None:
-            shape = (nb, *self._bt.shape)
-            return (sum_a.view(complex).reshape(shape)
-                    - self._bt @ sum_b.view(complex).reshape(shape))
-        lam = self.basis.lam
-        return sum_a.reshape(nb, *lam.shape) - lam * sum_b.reshape(nb, *lam.shape)
+            out = sum_a.view(complex).reshape(-1, *self._bt.shape)
+            out -= self._bt @ sum_b.view(complex).reshape(out.shape)
+        else:
+            out = sum_a.reshape(-1, *self.basis.lam.shape)
+            out -= self.basis.lam * sum_b.reshape(out.shape)
+        return out
 
     def _values(self, sums):
         """The values of sums from ``_combine``: the blocks, or their ``Diagonal``."""
@@ -539,7 +614,7 @@ def f_ab_operator(f: IntrinsicFunction, a, b, T: CliffordOperator,
     def contract(points):
         # one value at t = 1: the + ray, and the - ray, where f_ab is odd
         ray = f_ab_nodes(eng, f, a, b, points)
-        return eng._contract(eng._terms(*eng._parts(np.stack([ray, -ray])[:, None]), [False]))
+        return eng._contract(eng._parts(np.stack([ray, -ray])[:, None]), [False])
 
     (full, disc), (coarse, _) = contract(12), contract(6)
     t_disc = float(block_norms(eng._values(full - coarse))[0])

@@ -24,12 +24,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calculus import (
+    _COLUMNS,
     _MAX_ENGINE_BYTES,
     ContourConfig,
     ContourEngine,
     _check_report,
     _ErrorBudget,
-    _stored_nodes,
+    _smooth_size,
 )
 from .clifford import spinor_blades
 from .errors import ArgumentError
@@ -44,7 +45,7 @@ from .module import (
     rho_stack,
 )
 from .quadrature import pairwise_sum, trapezoid_grid
-from .spectrum import _CHUNK, BisectorReport
+from .spectrum import BisectorReport
 
 MAX_SIGN_WINDOW = 20  # exact enumeration cap on 2n
 
@@ -106,17 +107,19 @@ def check_frame_memory(T: CliffordOperator, nodes, n_g=1, contour_nodes=2000):
     Each of the n_g functions g keeps its family as spinor blocks B (16 r
     (km)^2 bytes a value).  The families are made one at a time, and the one
     in the making holds at its peak four block stacks (B, B^H, the copy of B
-    the Gram of B^H reads, the Gram stack) and the alpha, beta matrices of
-    one chunk of values and their absolute values (8 bytes a row and stored
-    contour node); with no g there is no frame stage.
+    the Gram of B^H reads, the Gram stack; its node sums take three) and the
+    FFT buffers of one block of ``_COLUMNS`` columns (``lattice_correlation``);
+    with no g there is no frame stage.
     """
     # the lattice contour depends on the log step of the grid only, which
     # default_quad_grid fixes whatever ||T||
-    cfg, _ = lattice_contour(QuadGridConfig(1e-5, 1e5, nodes), ContourConfig(nodes=contour_nodes))
-    coefficients = 4 * 8 * (2 * _CHUNK) * _stored_nodes(cfg)
+    cfg, p = lattice_contour(QuadGridConfig(1e-5, 1e5, nodes), ContourConfig(nodes=contour_nodes))
+    # the kernels of both parts and rays, the spectra of one part's, and the
+    # products of both signs (with one temporary) and their correlations
+    buffers = 8 * _COLUMNS * (4 * cfg.nodes + 7 * _smooth_size((nodes | 1) * p - p + cfg.nodes))
     r, _, k, _ = spinor_blades(T.n).shape
     stack = 16 * r * (k * T.m) ** 2 * 2 * (nodes | 1)
-    need = n_g * stack + min(1, n_g) * (4 * stack + coefficients)
+    need = n_g * stack + min(1, n_g) * (4 * stack + buffers)
     if need > _MAX_ENGINE_BYTES:
         raise ArgumentError(
             f"frame stage at D = {T.m << T.n} with {n_g} g needs about {need / 2 ** 30:.3g} "

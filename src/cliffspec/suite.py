@@ -329,10 +329,14 @@ def _composition_bound_records(gname, g, c_theta, t_grid, w_grid, blocks, rng):
     sup_g = g.bounded.sup_norm
     records = []
 
-    def norms(a, b):
-        if isinstance(a, Diagonal):
-            return a.product_norms(b)
-        return spectral_norm(a @ b).max(axis=-1)
+    def norms(ks, ls):
+        # ||B_k B_l||, stacked, at most as many products a call as the family has values
+        out = np.empty(len(ks))
+        for lo in range(0, len(ks), t_grid.size):
+            a, b = blocks[ks[lo:lo + t_grid.size]], blocks[ls[lo:lo + t_grid.size]]
+            out[lo:lo + t_grid.size] = (a.product_norms(b) if isinstance(a, Diagonal)
+                                        else spectral_norm(a @ b).max(axis=-1))
+        return out
 
     # the grid is (+t, -t), h_t its interior weight; the nodes within three
     # decades of the centre lie within ``half`` steps of it
@@ -355,22 +359,21 @@ def _composition_bound_records(gname, g, c_theta, t_grid, w_grid, blocks, rng):
     taus = nodes(u_taus, rng.choice([-1.0, 1.0], size=INTEGRAL_TAUS))
 
     # i) uniform bound at random parameter pairs
-    lhs_i = float(np.max(norms(blocks[pairs[:, 0]], blocks[pairs[:, 1]])))
+    lhs_i = float(np.max(norms(pairs[:, 0], pairs[:, 1])))
     rhs_i = c_theta * c_alpha / alpha * sup_g
     records.append(_record(f"composition_uniform_bound[f=g={gname}]", lhs_i, rhs_i))
 
     # ii) dt/|t| integral of the composition norm at random tau
     rhs_ii = c_theta * c_alpha * c_alpha * math.pi / (2.0 * alpha * alpha)
-    lhs_ii = 0.0
-    for k in taus:
-        lhs_ii = max(lhs_ii, float(pairwise_sum(w_grid * norms(blocks, blocks[k]))))
+    each = norms(np.tile(np.arange(t_grid.size), taus.size), np.repeat(taus, t_grid.size))
+    lhs_ii = max(0.0, float(pairwise_sum(w_grid[:, None] * each.reshape(taus.size, -1).T).max()))
     records.append(_record(f"composition_integral_bound[f=g={gname}]", lhs_ii, rhs_ii))
 
     # iii) square-kernel inequality with an indicator-weighted sample family,
     # on the trapezoid rule of step 2 h_t
     idx = np.arange(center - half, center + half + 1, 2)
     idx = np.concatenate([idx, idx + per_sign])
-    t3, fam3 = t_grid[idx], blocks[idx]
+    t3 = t_grid[idx]
     w3 = np.full(idx.size, 2.0 * step)
     w3[[0, idx.size // 2 - 1, idx.size // 2, -1]] = step
     lo, hi = sorted(10.0 ** rng.uniform(-2, 2, size=2))
@@ -379,12 +382,12 @@ def _composition_bound_records(gname, g, c_theta, t_grid, w_grid, blocks, rng):
     psi = np.where((np.abs(t3) >= lo * mid) & (np.abs(t3) <= hi * mid), 1.0, 0.0)
     # g(tT) and g(tau T) commute, so the kernel is symmetric, and ``inner``
     # reads only the rows in supp(psi): each pair k <= l with k or l there
-    # is multiplied once, row by row, and every other entry stays 0
+    # is multiplied once, and every other entry stays 0
     kernel = np.zeros((idx.size, idx.size))
-    for k in range(idx.size):
-        ls = np.arange(k, idx.size) if psi[k] else k + np.flatnonzero(psi[k:])
-        if ls.size:
-            kernel[k, ls] = kernel[ls, k] = norms(fam3[k], fam3[ls])
+    ks, ls = np.triu_indices(idx.size)
+    keep = (psi[ks] > 0.0) | (psi[ls] > 0.0)
+    ks, ls = ks[keep], ls[keep]
+    kernel[ks, ls] = kernel[ls, ks] = norms(idx[ks], idx[ls])
     inner = kernel.T @ (w3 * psi)          # integral over t for each tau
     lhs_iii = float(pairwise_sum(w3 * inner ** 2))
     rhs_iii = _square(rhs_ii) * float(pairwise_sum(w3 * psi ** 2))

@@ -8,9 +8,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cliffspec as cs
-from cliffspec.calculus import f_ab_nodes
+from cliffspec import calculus
+from cliffspec.calculus import f_ab_nodes, lattice_correlation, lattice_roundoff
 
 from conftest import OMEGA, THETA
 
@@ -73,9 +75,12 @@ def lattice_points(eng, mags, stride):
     {"name": "rational", "params": {"num": [1.0, 1.0, 1.0, 0.0],
                                     "den": [1.0, 0.0, 2.0, 0.0, 1.0], "alpha": 1.0}},
 ], ids=["regularizer", "mixed-parity-rational"])
-def test_lattice_family_equals_the_generic_family(n, spec):
+def test_lattice_family_equals_the_generic_family(n, spec, monkeypatch):
     # the family read off one sequence per ray against each value evaluated
-    # on its own, at every 9th value
+    # on its own, at every 9th value; the two routes bound their roundoff
+    # differently (FFT normwise, direct componentwise), so their even/odd
+    # estimates are compared without it, and each lattice claim must cover
+    # the gap to the generic value
     T = non_normal(n)
     eng, qcfg, stride = lattice_engine(T)
     f, seen = counting(cs.resolve_function(spec, theta=THETA))
@@ -85,11 +90,17 @@ def test_lattice_family_equals_the_generic_family(n, spec):
         seen[0] = 0
         mats, truncs, discs = eng.evaluate_family(f, ts)
         assert seen[0] == lattice_points(eng, t[:t.size // 2], stride)
-        want, want_truncs, want_discs = per_value(eng, f, ts[::9])
+        want, want_truncs, _ = per_value(eng, f, ts[::9])
         scale = np.abs(want).max()
         assert np.abs(mats[::9] - want).max() <= 1e-13 * scale
-        assert np.abs(discs[::9] - want_discs).max() <= 1e-13 * scale
+        assert np.all(np.linalg.norm(mats[::9] - want, 2, axis=(1, 2)) <= discs[::9])
         assert np.array_equal(truncs[::9], want_truncs)
+        with monkeypatch.context() as patch:
+            patch.setattr(calculus, "lattice_roundoff", lambda *_: 0.0)
+            patch.setattr(calculus, "_direct_roundoff", lambda *_: 0.0)
+            parity = eng.evaluate_family(f, ts)[2][::9]
+            want_parity = per_value(eng, f, ts[::9])[2]
+        assert np.abs(parity - want_parity).max() <= 1e-13 * scale
 
 
 def test_off_lattice_scalings_are_evaluated_per_value():
@@ -137,9 +148,10 @@ def test_a_frame_family_and_a_ladder_rule_count_their_profile_points():
     assert seen[0] < 200_000
 
 
-def test_a_frame_family_keeps_one_block_of_node_terms_alive():
-    # the alpha, beta of one block of values are freed before the next
-    # block's are built; with two blocks' alive at once the peak is 33 MB
+def test_a_frame_family_builds_no_node_terms():
+    # the family is one FFT correlation of the profile sequences with the
+    # kernels fa P, fb P: no (values x nodes) alpha or beta is built, one of
+    # which alone would take 802 x 4174 x 8 bytes = 27 MB
     T = cs.CliffordOperator.from_real_matrix([[1.0, 0.0], [0.0, -2.0]], n=1)
     eng, qcfg, _ = lattice_engine(T)
     g = cs.regularizer(THETA)
@@ -150,7 +162,46 @@ def test_a_frame_family_keeps_one_block_of_node_terms_alive():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak < 25 * 2 ** 20
+    assert peak < 5 * 2 ** 20
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_lattice_claims_cover_the_gap_to_the_per_value_evaluation(n):
+    # every value of a 130-value family over 16 decades, most of them far
+    # below the largest, against the direct node sums of each value alone:
+    # the FFT's error is normwise, so the small values test its bound
+    T = non_normal(n)
+    qcfg = cs.default_quad_grid(T)
+    qcfg = cs.QuadGridConfig(qcfg.t_min * 1e-3, qcfg.t_max * 1e3, nodes=64)
+    eng = lattice_engine(T, qcfg)[0]
+    t, _ = qcfg.grid()
+    g = cs.regularizer(THETA)
+    mats, _, discs = eng.evaluate_family(g, t)
+    want = per_value(eng, g, t)[0]
+    assert np.abs(want).max() > 1e6 * np.abs(want[[0, t.size // 2]]).max()
+    assert np.all(np.linalg.norm(mats - want, 2, axis=(1, 2)) <= discs)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.sampled_from([1, 2, 3]), st.integers(1, 40), st.integers(2, 300), st.integers(1, 5),
+       st.floats(0.0, 30.0), st.integers(0, 2 ** 32 - 1))
+def test_lattice_roundoff_covers_the_fft_correlation(stride, count, n, cols, decades, seed):
+    # the FFT correlation against a long-double direct one, on sequences and
+    # kernels whose entries spread over ``decades`` decades each way
+    rng = np.random.default_rng(seed)
+    length = (count - 1) * stride + n
+
+    def draw(*shape):
+        return rng.standard_normal(shape) * 10.0 ** rng.uniform(-decades, decades, shape)
+
+    seqs, kernels = draw(3, 2, length), draw(2, n, cols)
+    got = lattice_correlation(seqs, kernels, stride)
+    s, k = seqs.astype(np.longdouble), kernels.astype(np.longdouble)
+    windows = np.stack([s[..., j * stride:j * stride + n] for j in range(count)], axis=-3)
+    want = np.einsum("ajrk,rkc->ajc", windows, k)
+    gap = np.sqrt((((got - want) ** 2).sum(axis=(-2, -1))).astype(float))
+    assert got.shape == (3, count, cols)
+    assert np.all(gap <= lattice_roundoff(seqs, np.linalg.norm(kernels, axis=-1)))
 
 
 @pytest.mark.parametrize("contour", ["default", "lattice"])
