@@ -18,7 +18,7 @@ values off one sequence per ray, since t_j z_k then depends on j and k only
 through a lattice index, and all their values are one FFT correlation of
 those sequences with the kernels fa P, fb P (``lattice_correlation``); the
 f_ab ladder integrates on the same lattice (``f_ab_nodes``).  Values off the
-lattice contract the same kernels at lag 0.
+lattice are sums at lag 0, one product of the weighted profile values with P.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ from .spectrum import (
 # the stored resolvent stack and one block of profile values are refused
 # beyond this size, before anything is allocated
 _MAX_ENGINE_BYTES = 2 ** 31
-_COLUMNS = 32   # columns of the stored resolvents per block of node sums
+_COLUMNS = 32   # columns of the stored resolvents per block of lattice kernels
 
 
 @dataclass(frozen=True)
@@ -193,11 +193,15 @@ def lattice_roundoff(seqs, norms):
     return float(bound.max())
 
 
-def _direct_roundoff(seqs, norms):
-    """gamma_N sum_k |s_k| norms_k per window s (..., rays, values, n), the
-    direct sum's roundoff bound (Higham, Accuracy and Stability, 3.1)."""
+def _direct_roundoff(rows, norms):
+    """gamma_N |rows| @ norms, N = norms.size = 2n, bounds the Frobenius norm
+    of the roundoff of the lag-0 sums (rows * (s fa)) @ P of ``_contract``,
+    given norms_k >= ||fa_k P_k||_F (Higham, Accuracy and Stability, 3.1):
+    s fa is exact (s = +-1), and each term rounds N + 1 times, in its two
+    products and at most N - 1 sums, within gamma_{N+1}(u) <= gamma_{2N}(u)
+    = gamma_N(eps) at u = 2^-53, eps = 2^-52 as in the rest of this module."""
     terms = norms.size * np.finfo(float).eps
-    return terms / (1.0 - terms) * np.einsum("...rvk,rk->...v", np.abs(seqs), norms)
+    return terms / (1.0 - terms) * (np.abs(rows) @ norms)
 
 
 def _stored_nodes(cfg):
@@ -298,27 +302,15 @@ class ContourEngine:
                 "non-finite resolvent value on the contour",
                 node={"u": float(self.u[bad]), "sign": float(sign[bad])},
             )
-        # the real view keeps the kernels fa P, fb P real
+        # the real view keeps the node sums real: (nodes, columns)
         self._p_flat = self.P.view(np.float64).reshape(self.P.shape[0], -1)
         p_fro = np.sqrt(np.einsum("ij,ij->i", self._p_flat, self._p_flat))
         if self.basis is not None:
             # ||U diag(p) U^H||_F <= ||U||^2 ||p||_2, ||U|| <= 1 + delta
             p_fro *= (1.0 + self.basis.departure.max()) ** 2
-        self._t_norm = float(spectral_norm(self._bt).max())
         # ||fa_k P_k||_F and ||T|| ||fb_k P_k||_F (part, ray, node) bound the roundoff
-        self._k_fro = (np.abs([self._fa, self._t_norm * self._fb]) * p_fro).reshape(2, 2, n)
-        # the kernels of a P of one block of columns are formed here, once
-        self._kernels = None
-        if self._p_flat.shape[1] <= _COLUMNS:
-            self._kernels = self._kernel_block(slice(None))
-
-    def _kernel_block(self, block):
-        """The kernels fa P, fb P on the columns ``block`` of P, (part, ray, node, column)."""
-        if self._kernels is not None:
-            return self._kernels
-        n = self.u_ray.size
-        return self._p_flat[:, block].reshape(1, 2, n, -1) * np.reshape(
-            [self._fa, self._fb], (2, 2, n, 1))
+        t_norm = float(spectral_norm(self._bt).max())
+        self._k_fro = (np.abs([self._fa, t_norm * self._fb]) * p_fro).reshape(2, 2, n)
 
     @property
     def A(self):
@@ -329,9 +321,10 @@ class ContourEngine:
         return rho_stack(coeffs_from_blocks(left, self.T.n), self.T.n)
 
     def truncation_bound(self, decay, t=1.0):
+        """The truncation estimate of f(t T) at each t of a scalar or an array."""
         alpha, c_alpha = decay.alpha, decay.c_alpha
-        a = abs(t) * math.exp(self.cfg.u_min)
-        b = abs(t) * math.exp(self.cfg.u_max)
+        with np.errstate(over="ignore"):    # b = inf has the tail 0
+            a, b = (np.abs(t) * math.exp(u) for u in (self.cfg.u_min, self.cfg.u_max))
         return 2.0 * self.c_phi * c_alpha * arctan_tails(a, b, alpha) / (math.pi * alpha)
 
     def evaluate(self, f: IntrinsicFunction):
@@ -377,8 +370,7 @@ class ContourEngine:
             if values is None:
                 values = np.empty((ts.size, *sums.shape[1:]), dtype=sums.dtype)
             values[rows], discs[rows] = sums[picks], estimates[picks]
-        truncs = np.array([self.truncation_bound(f.decay, t) for t in ts])
-        return self._values(values), truncs, discs
+        return self._values(values), self.truncation_bound(f.decay, ts), discs
 
     def _stride(self, mags):
         """p if the sorted distinct |t| ``mags`` are consecutive lattice
@@ -433,39 +425,47 @@ class ContourEngine:
         turn, from ``parts`` Im F, Im(e^{i phi} F) in u order: (2 rays,
         length) on the lattice of stride p, else (2 rays, values, n).
 
-        The node sum of alpha_k = fa_k Im F over a ray correlates its part
-        with the ray's kernel fa P (beta with fb P), by FFT at the lags j p
-        (``lattice_correlation``), else by GEMM at lag 0, over ``_COLUMNS``
-        columns of P at a time.  The alternating part gives +-(S_0 - S_1),
-        S_0, S_1 the sums over the even and the odd nodes, whose norm
-        estimates the error of S_0 + S_1 against the rule 2 S_0; to it is
-        added a roundoff bound (``lattice_roundoff``, ``_direct_roundoff``)."""
-        n, cols, length = self.u_ray.size, self._p_flat.shape[1], parts[0].shape[-1]
-        rows = len(signs) * (parts[0].shape[-2] if p is None else (length - n) // p + 1)
+        The node sums of alpha_k = fa_k Im F (beta_k = fb_k Im(e^{i phi} F))
+        at lag 0 are one GEMM per part, its rows over (ray, node) weighted by
+        fa (fb) times P; on the lattice, an FFT correlation of each ray's
+        sequence with the kernel fa P (fb P) at the lags j p, the kernels
+        formed there per ``_COLUMNS`` columns of P.  The alternating signs
+        give +-(S_0 - S_1), S_0, S_1 the sums over the even and the odd
+        nodes, whose norm estimates the error of S_0 + S_1 against the rule
+        2 S_0, plus a roundoff bound (``_direct_roundoff``, ``lattice_roundoff``)."""
+        n, length = self.u_ray.size, parts[0].shape[-1]
         # per sign, the parts the + and the - ray nodes read: -|t| z = |t| (-z)
         seqs = [np.stack([part[[flip, 1 - flip]] for flip in map(int, signs)]) for part in parts]
+        alternate = np.where(np.arange(length) % 2, -1.0, 1.0)
+        if p is None:
+            flat = [seq.swapaxes(1, 2).reshape(-1, 2 * n) for seq in seqs]
+            # the alternating and the plain rows of both parts in one product each
+            signed = np.stack([np.tile(alternate, 2), np.ones(2 * n)])[:, None]
+            sums = self._combine(*((seq * (signed * weight)).reshape(-1, 2 * n) @ self._p_flat
+                                   for seq, weight in zip(flat, (self._fa, self._fb))))
+            alt, plain = np.split(sums, 2)
+            roundoff = sum(map(_direct_roundoff, flat, self._k_fro.reshape(2, -1)))
+            return plain, block_norms(self._values(alt)) + roundoff
 
-        def node_sums(weights):
-            # the sums of alpha and beta from the parts times each weight, combined
-            sums = [np.empty((len(weights), rows, cols)) for _ in parts]
-            weighted = [np.stack([seq * weight for weight in weights]) for seq in seqs]
+        rows, cols = len(signs) * ((length - n) // p + 1), self._p_flat.shape[1]
+
+        def node_sums(sign):
+            sums = [np.empty((rows, cols)) for _ in parts]
+            weighted = [seq * sign for seq in seqs]
             for lo in range(0, cols, _COLUMNS):
                 block = slice(lo, lo + _COLUMNS)
-                for total, seq, kernel in zip(sums, weighted, self._kernel_block(block)):
-                    out = (lattice_correlation(seq, kernel, p) if p else
-                           seq[..., 0, :, :] @ kernel[0] + seq[..., 1, :, :] @ kernel[1])
-                    total[..., block] = out.reshape(len(weights), rows, -1)
-                    del out    # before the next correlation's buffers
-            return [self._combine(*pair) for pair in zip(*sums)]
+                # the kernels fa P, fb P of this block, (part, ray, node, column)
+                kernels = self._p_flat[:, block].reshape(1, 2, n, -1) * np.reshape(
+                    [self._fa, self._fb], (2, 2, n, 1))
+                for total, seq, kernel in zip(sums, weighted, kernels):
+                    # freed before the next correlation's buffers
+                    total[:, block] = lattice_correlation(seq, kernel, p).reshape(rows, -1)
+            return self._combine(*sums)
 
-        # one pass off the lattice; on it the alternating sums are freed
-        # before the plain ones are made
-        alternate = np.where(np.arange(length) % 2, -1.0, 1.0)
-        sums = node_sums((alternate,) if p else (alternate, 1.0))
-        estimates = block_norms(self._values(sums.pop(0)))
-        roundoff = _direct_roundoff if p is None else lattice_roundoff
-        estimates += np.ravel(sum(roundoff(seq, k_fro) for seq, k_fro in zip(seqs, self._k_fro)))
-        return (sums or node_sums((1.0,)))[0], estimates
+        # the alternating sums are freed before the plain ones are made
+        estimates = block_norms(self._values(node_sums(alternate)))
+        estimates += sum(map(lattice_roundoff, seqs, self._k_fro))
+        return node_sums(1.0), estimates
 
     def _combine(self, sum_a, sum_b):
         """alpha P - T beta P from the contractions sum_a, sum_b of alpha and
@@ -595,10 +595,10 @@ def f_ab_operator(f: IntrinsicFunction, a, b, T: CliffordOperator,
                   engine: ContourEngine | None = None) -> CalculusResult:
     """Truncated parameter integral of f(tT) dt/t over a <= |t| <= b.
 
-    By Fubini it is the contour calculus of the scalar f_ab: one contraction
+    By Fubini it is the contour calculus of the scalar f_ab: the contraction
     of its node values (``f_ab_nodes``), with the contour's discretization
-    estimate.  A second contraction with 6 instead of 12 points per cell
-    estimates the error of the t quadrature.  The truncation
+    estimate, and of those with 6 instead of 12 points per cell as a second
+    value, whose gap estimates the error of the t quadrature.  The truncation
     estimate integrates that of f(tT) over a <= |t| <= b, on the
     Gauss-Legendre panels of ``gl_panel_grid``.
     """
@@ -611,20 +611,18 @@ def f_ab_operator(f: IntrinsicFunction, a, b, T: CliffordOperator,
         return CalculusResult(CliffordOperator.zero(T.n, T.m), 0.0, 0.0)
     eng = engine or ContourEngine(T, report, f.theta, cfg)
 
-    def contract(points):
-        # one value at t = 1: the + ray, and the - ray, where f_ab is odd
-        ray = f_ab_nodes(eng, f, a, b, points)
-        return eng._contract(eng._parts(np.stack([ray, -ray])[:, None]), [False])
-
-    (full, disc), (coarse, _) = contract(12), contract(6)
-    t_disc = float(block_norms(eng._values(full - coarse))[0])
-    value = eng.dense_blocks(eng._values(full))[0]
+    # the 12- and the 6-point rule as two values at t = 1: the + ray, and the
+    # - ray, where f_ab is odd
+    rays = np.stack([f_ab_nodes(eng, f, a, b, points) for points in (12, 6)])
+    sums, discs = eng._contract(eng._parts(np.stack([rays, -rays])), [False])
+    t_disc = float(block_norms(eng._values(sums[:1] - sums[1:]))[0])
+    value = eng.dense_blocks(eng._values(sums[:1]))[0]
     u, w = gl_panel_grid(math.log(a), math.log(b), points=12)
-    truncs = np.array([eng.truncation_bound(f.decay, t) for t in np.exp(u)])
+    truncs = eng.truncation_bound(f.decay, np.exp(u))
     with np.errstate(over="ignore"):    # an overflow is refused as a claim
         trunc = float(np.dot(w, truncs + truncs))
     return CalculusResult(CliffordOperator(T.n, T.m, coeffs_from_blocks(value, T.n)),
-                          trunc, float(disc[0]) + t_disc)
+                          trunc, float(discs[0]) + t_disc)
 
 
 def adjoint_calculus_check(f: IntrinsicFunction, T: CliffordOperator,

@@ -340,8 +340,9 @@ def f0_infty(f: IntrinsicFunction, direction: Paravector | None = None) -> float
 def arctan_tails(a, b, alpha):
     """atan(a^alpha) + pi/2 - atan(b^alpha), computed as
     atan(a^alpha) + atan(b^-alpha), which keeps its relative accuracy where
-    both terms fall below the rounding of pi/2."""
-    return math.atan(a ** alpha) + math.atan2(1.0, b ** alpha)
+    both terms fall below the rounding of pi/2, for arrays a, b too."""
+    with np.errstate(over="ignore"):    # an overflowed power is inf, whose atan is exact
+        return np.arctan(np.float_power(a, alpha)) + np.arctan2(1.0, np.float_power(b, alpha))
 
 
 def f_ab_tail_bound(cert: DecayCertificate, a, b, scale=1.0):

@@ -1,11 +1,21 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import cliffspec as cs
 
-from conftest import OMEGA, THETA, four_ray_sum, non_normal_operator, unit_e12
+from cliffspec import calculus
+
+from conftest import (
+    OMEGA,
+    THETA,
+    four_ray_sum,
+    non_normal_operator,
+    self_adjoint_operator,
+    unit_e12,
+)
 
 
 def combined(*results, floor=1e-9):
@@ -408,3 +418,71 @@ def test_non_finite_profile_at_negative_t_names_it():
         eng.evaluate_family(f, [-2.0])
     assert err.value.node["t"] == -2.0
     assert 2.0 * math.exp(err.value.node["u"]) > 5.0
+
+
+def _traced(call):
+    """(result, memory still held, peak) of ``call()`` under tracemalloc."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = call()
+        kept, peak = (m - base for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    return out, kept, peak
+
+
+def test_an_engine_of_at_most_32_columns_keeps_no_kernels():
+    # the eigen path of A + A* at n = 3, m = 8 (D = 64): P is (nodes, 2, 16),
+    # 32 columns, and the engine keeps it and vectors over the nodes, no
+    # kernels fa P, fb P (4 times P) beside it
+    T = self_adjoint_operator(np.random.default_rng(5), 3, 8)
+    report = cs.check_bisectorial(T, OMEGA)
+    engine, kept, _ = _traced(lambda: cs.ContourEngine(T, report, THETA))
+    assert engine.basis is not None and engine.P.shape[1:] == (2, 16)
+    assert kept <= engine.P.nbytes + 2 ** 20
+
+
+def test_a_single_value_on_a_dense_engine_forms_no_kernel_block():
+    # P of 4 x 4 blocks at n = 3 (D = 16) has 64 real columns; one value is
+    # one product of its profile rows with P, where a block of kernels of 32
+    # columns alone would take 2 MB
+    T = non_normal_operator(np.random.default_rng(0), 3)
+    engine = cs.ContourEngine(T, cs.check_bisectorial(T, OMEGA), THETA)
+    f = cs.regularizer(THETA)
+    engine.evaluate(f)
+    (mat, _, _), _, peak = _traced(lambda: engine.evaluate(f))
+    assert engine.basis is None and engine.P.shape[1:] == (2, 4, 4)
+    assert np.allclose(mat, cs.rho_matrix(cs.rational_calculus(f, T)), atol=1e-8)
+    assert peak < 2 ** 20
+
+
+def test_f_ab_operator_contracts_both_rules_at_once(monkeypatch, reports):
+    T, rep = reports["diag12"]
+    calls = []
+    contract = calculus.ContourEngine._contract
+
+    def counting(self, parts, *args):
+        calls.append(parts[0].shape)
+        return contract(self, parts, *args)
+
+    monkeypatch.setattr(calculus.ContourEngine, "_contract", counting)
+    cs.f_ab_operator(cs.regularizer(THETA), 0.1, 10.0, T, rep)
+    # the 12- and the 6-point values of both rays in one call
+    assert len(calls) == 1 and calls[0][:2] == (2, 2)
+
+
+def test_truncation_bounds_of_an_array_are_those_of_its_entries(reports):
+    T, rep = reports["diag12"]
+    engine = cs.ContourEngine(T, rep, THETA, cs.ContourConfig(nodes=16))
+    decay = cs.regularizer(THETA).decay
+    ts = [1e-300, -1e-3, 0.5, 2.0, -7e4, 1e300]
+    # the bound of each t in Python floats, where 1e300 e^30 is inf
+    alpha, cfg = decay.alpha, engine.cfg
+    want = [2.0 * engine.c_phi * decay.c_alpha / (math.pi * alpha) * (
+        math.atan((abs(t) * math.exp(cfg.u_min)) ** alpha)
+        + math.atan2(1.0, (abs(t) * math.exp(cfg.u_max)) ** alpha)) for t in ts]
+    np.testing.assert_allclose(engine.truncation_bound(decay, np.array(ts)), want,
+                               rtol=1e-15, atol=0.0)
+    # a power beyond the doubles gives the exact limit, not an overflow
+    assert cs.functions.arctan_tails(1.0, 1e300, 2.0) == math.atan(1.0)

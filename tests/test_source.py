@@ -4,6 +4,8 @@ settings a user can pass are the ones listed here."""
 
 import argparse
 import ast
+import importlib
+import importlib.util
 from dataclasses import fields
 from pathlib import Path
 
@@ -88,3 +90,22 @@ def test_settings_inventory():
         "verify": sorted(common + ["--g", "--function", "--omega", "--theta", "--phi",
                                    "--nodes", "--seed"]),
     }
+
+
+def test_perfbench_trace_targets_resolve():
+    # perfbench's tracer wraps these names as ``Tracer.install`` reads them,
+    # through the module's or the class's __dict__, and reads engine.A after
+    # each engine build; a renamed entry point would break ``--trace 1``
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = []
+    for module_name, path, _ in tracing.TARGETS:
+        owner = importlib.import_module(module_name)
+        *cls, attr = path.split(".")
+        if cls:
+            owner = vars(owner).get(cls[0])
+        if owner is None or attr not in vars(owner):
+            missing.append(f"{module_name}.{path}")
+    assert missing == []
+    assert isinstance(vars(cs.ContourEngine).get("A"), property)
