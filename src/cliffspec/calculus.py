@@ -564,65 +564,67 @@ def scaled_calculus(f: IntrinsicFunction, t, T: CliffordOperator,
 
 
 def f_ab_nodes(engine: ContourEngine, f: IntrinsicFunction, a, b, points=12):
-    """The scalar f_ab at the nodes e^{u_k} e^{i phi} of the + ray of
-    ``engine``, u_k = u_min + k h in u order.
-
-    On the ray at angle +phi, f_ab(e^u e^{i phi}) is the integral of
-    G(x) = F(e^x e^{i phi}) - F(-e^x e^{i phi}) over [u + log a, u + log b];
-    on the other ray f_ab(-z) = -f_ab(z).  With log(b / a) = M h + delta,
-    0 <= delta < h, h the step of the contour, and the cells
-    [x_j, x_j + h], x_j = u_min + log a + j h, the window of node k is cells
-    k .. k + M - 1 and the part [x_{k+M}, x_{k+M} + delta] of the next:
-    prefix sums of ``points``-point Gauss-Legendre cell integrals, plus the
-    integral of the interpolant through the same samples over that part.
-    """
-    n = engine.u_ray.size
-    h = engine.step
-    log_a = math.log(a)
-    cells, delta = divmod(math.log(b) - log_a, h)
-    cells = int(cells)
-    s, w, w_part = gl_cell_rule(points, delta / h)
-    r = np.exp(engine.cfg.u_min + log_a + h * (np.arange(n + cells)[:, None] + s))
+    """The scalar f_ab at the nodes e^{u_k} e^{i phi}, u_k = u_min + k h, of
+    the + ray of ``engine``, per window [a, b] of the broadcast arrays a, b:
+    (*their shape, nodes).  There f_ab(e^u e^{i phi}) = Phi(u + log b) -
+    Phi(u + log a), Phi a primitive of G(x) = F(e^x e^{i phi}) -
+    F(-e^x e^{i phi}), and f_ab(-z) = -f_ab(z).  G is sampled once, at
+    ``points`` Gauss-Legendre points in each cell [x_j, x_j + h],
+    x_j = u_min + min log a + j h, h the step of the contour; Phi at
+    x_j + c h, 0 <= c < 1, is a prefix sum of cell integrals plus the
+    integral of the interpolant through cell j's samples over [0, c]."""
+    log_a, log_b = np.broadcast_arrays(np.log(a), np.log(b))
+    n, h = engine.u_ray.size, engine.step
+    # each end of each window as a cell index and the fraction of that cell before it
+    cells, rest = np.divmod(np.stack([log_a.ravel(), log_b.ravel()]) - log_a.min(), h)
+    s, w, w_part = gl_cell_rule(points, rest / h)
+    r = np.exp(engine.cfg.u_min + log_a.min() + h * (np.arange(n + cells.max())[:, None] + s))
     r = r * np.exp(1j * engine.phi)
     vals = f.eval_complex(np.stack([r, -r]))
     samples = h * (vals[0] - vals[1])
     prefix = np.concatenate([[0.0], np.cumsum((samples * w).sum(axis=1))])
-    return prefix[cells:cells + n] - prefix[:n] + (samples[cells:] * w_part).sum(axis=1)
+    primitive = prefix[:-1] + np.einsum("jp,erp->erj", samples, w_part)
+    ends = np.take_along_axis(primitive, cells.astype(int)[..., None] + np.arange(n), axis=-1)
+    return (ends[1] - ends[0]).reshape(*log_a.shape, n)
+
+
+def f_ab_operators(f: IntrinsicFunction, windows, T: CliffordOperator,
+                   report: BisectorReport, cfg: ContourConfig | None = None,
+                   engine: ContourEngine | None = None) -> list[CalculusResult]:
+    """Truncated parameter integrals of f(tT) dt/t over a <= |t| <= b, one
+    per window (a, b) in ``windows``: by Fubini each is the contour calculus
+    of the scalar f_ab, the contraction of its node values (``f_ab_nodes``)
+    with the contour's discretization estimate, and of those with 6 instead
+    of 12 points per cell as a second value, whose gap estimates the error
+    of the t quadrature, all in one contraction.  The truncation estimate
+    integrates that of f(tT) over a <= |t| <= b, on ``gl_panel_grid``."""
+    a, b = np.array(windows, dtype=float).T
+    if not np.all((0.0 < a) & (a <= b) & (b < math.inf)):
+        raise ArgumentError(f"need 0 < a <= b < inf for each window (a, b), got {windows}")
+    _check_report(report)
+    if f.decay is None:
+        raise PreconditionError("contour calculus requires a decay certificate")
+    eng = engine or ContourEngine(T, report, f.theta, cfg)
+    # both rules of each window as values at t = 1, on the + and the - ray (f_ab is odd)
+    rays = np.concatenate([f_ab_nodes(eng, f, a, b, points) for points in (12, 6)])
+    sums, discs = eng._contract(eng._parts(np.stack([rays, -rays])), [False])
+    discs = discs[:a.size] + block_norms(eng._values(sums[:a.size] - sums[a.size:]))
+    coeffs = coeffs_from_blocks(eng.dense_blocks(eng._values(sums[:a.size])), T.n)
+    results = []
+    for c, disc, lo, hi in zip(coeffs, discs, np.log(a), np.log(b)):
+        u, w = gl_panel_grid(lo, hi, points=12)
+        truncs = eng.truncation_bound(f.decay, np.exp(u))
+        with np.errstate(over="ignore"):    # an overflow is refused as a claim
+            results.append(CalculusResult(CliffordOperator(T.n, T.m, c),
+                                          float(np.dot(w, truncs + truncs)), float(disc)))
+    return results
 
 
 def f_ab_operator(f: IntrinsicFunction, a, b, T: CliffordOperator,
                   report: BisectorReport, cfg: ContourConfig | None = None,
                   engine: ContourEngine | None = None) -> CalculusResult:
-    """Truncated parameter integral of f(tT) dt/t over a <= |t| <= b.
-
-    By Fubini it is the contour calculus of the scalar f_ab: the contraction
-    of its node values (``f_ab_nodes``), with the contour's discretization
-    estimate, and of those with 6 instead of 12 points per cell as a second
-    value, whose gap estimates the error of the t quadrature.  The truncation
-    estimate integrates that of f(tT) over a <= |t| <= b, on the
-    Gauss-Legendre panels of ``gl_panel_grid``.
-    """
-    if not 0.0 < a <= b < math.inf:
-        raise ArgumentError(f"need 0 < a <= b < inf, got a={a}, b={b}")
-    _check_report(report)
-    if f.decay is None:
-        raise PreconditionError("contour calculus requires a decay certificate")
-    if a == b:
-        return CalculusResult(CliffordOperator.zero(T.n, T.m), 0.0, 0.0)
-    eng = engine or ContourEngine(T, report, f.theta, cfg)
-
-    # the 12- and the 6-point rule as two values at t = 1: the + ray, and the
-    # - ray, where f_ab is odd
-    rays = np.stack([f_ab_nodes(eng, f, a, b, points) for points in (12, 6)])
-    sums, discs = eng._contract(eng._parts(np.stack([rays, -rays])), [False])
-    t_disc = float(block_norms(eng._values(sums[:1] - sums[1:]))[0])
-    value = eng.dense_blocks(eng._values(sums[:1]))[0]
-    u, w = gl_panel_grid(math.log(a), math.log(b), points=12)
-    truncs = eng.truncation_bound(f.decay, np.exp(u))
-    with np.errstate(over="ignore"):    # an overflow is refused as a claim
-        trunc = float(np.dot(w, truncs + truncs))
-    return CalculusResult(CliffordOperator(T.n, T.m, coeffs_from_blocks(value, T.n)),
-                          trunc, float(discs[0]) + t_disc)
+    """``f_ab_operators`` for the one window (a, b)."""
+    return f_ab_operators(f, [(a, b)], T, report, cfg, engine)[0]
 
 
 def adjoint_calculus_check(f: IntrinsicFunction, T: CliffordOperator,

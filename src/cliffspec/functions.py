@@ -26,6 +26,7 @@ from .quadrature import gl_panel_grid, pairwise_sum, trapezoid_grid
 DEFAULT_THETA = math.pi / 4
 _CERTIFY_SAMPLES = 1000  # radii per ray of the certification sample set
 _PROFILE_ENTRIES = 1 << 16  # (t, z) products per chunk of an f_ab profile
+_MAX_F0_NODES = 1 << 20     # nodes of the f0_infty grid, refused beyond this before allocation
 
 
 @dataclass(frozen=True)
@@ -323,9 +324,17 @@ def f0_infty(f: IntrinsicFunction, direction: Paravector | None = None) -> float
     """
     cert = _require_decay(f)
     alpha, c = cert.alpha, max(cert.c_alpha, 1.0)
-    U = math.log(4.0 * c / (alpha * 1e-9)) / alpha
+    try:
+        U = math.log(4.0 * c / (alpha * 1e-9)) / alpha
+    except ZeroDivisionError:   # alpha * 1e-9 underflows
+        U = math.inf
     # step at most 0.05 and at least 64 nodes
-    u, w = trapezoid_grid(-U, U, max(64, int(math.ceil(2.0 * U / 0.05)) + 1))
+    nodes = 2.0 * U / 0.05
+    if not nodes <= _MAX_F0_NODES:
+        raise ArgumentError(
+            f"the parameter integral of a function of decay alpha={alpha:g} needs "
+            f"{nodes:.3g} grid nodes, above {_MAX_F0_NODES}; use a larger alpha")
+    u, w = trapezoid_grid(-U, U, max(64, int(math.ceil(nodes)) + 1))
     t = np.exp(u)
     if direction is None:
         z = t.astype(complex)
@@ -390,7 +399,10 @@ def f_ab_function(f: IntrinsicFunction, a, b) -> IntrinsicFunction:
         return out.reshape(z.shape)
 
     alpha = cert.alpha
-    k = (b ** alpha - a ** alpha + a ** -alpha - b ** -alpha) / alpha
+    try:
+        k = (b ** alpha - a ** alpha + a ** -alpha - b ** -alpha) / alpha
+    except OverflowError:   # inf, as ``arctan_tails`` overflows: a claim the callers refuse
+        k = math.inf
     decay = DecayCertificate(alpha, 2.0 * cert.c_alpha * k)
     bounded = BoundedCertificate(cert.c_alpha * math.pi / alpha)
     return IntrinsicFunction(profile, f.theta, kind="f_ab",

@@ -48,26 +48,24 @@ def gl_panel_grid(u_lo, u_hi, points=12):
     O(h^2) endpoint terms."""
     n_panels = max(2, int(math.ceil((u_hi - u_lo) / 0.5)))
     edges = np.linspace(u_lo, u_hi, n_panels + 1)
-    x, w = np.polynomial.legendre.leggauss(points)
-    us, ws = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        mid, rad = 0.5 * (a + b), 0.5 * (b - a)
-        us.append(mid + rad * x)
-        ws.append(rad * w)
-    return np.concatenate(us), np.concatenate(ws)
+    s, w, _ = gl_cell_rule(points, 0.0)
+    width = np.diff(edges)[:, None]
+    return (edges[:-1, None] + width * s).ravel(), (width * w).ravel()
 
 
-def gl_cell_rule(points, fraction):
+def gl_cell_rule(points, fractions):
     """Gauss-Legendre nodes s and weights w of ``points`` points on [0, 1],
-    and the weights that integrate the interpolant through those nodes over
-    [0, fraction]: one set of samples per cell gives the integral over the
-    cell and over its leading part."""
+    and for each of the array ``fractions`` the weights (..., points) that
+    integrate the interpolant through those nodes over [0, fraction]: one
+    set of samples per cell gives the integral over the cell and over any
+    leading part of it."""
     x, wx = np.polynomial.legendre.leggauss(points)
     at_x = np.polynomial.legendre.legvander(x, points - 1)
-    end = 2.0 * fraction - 1.0
-    at_end = np.polynomial.legendre.legvander(end, points)[0]
+    end = 2.0 * np.asarray(fractions, dtype=float) - 1.0
+    at_end = np.polynomial.legendre.legvander(end, points).reshape(*end.shape, points + 1)
     # the interpolant's Legendre coefficients are w_i (m + 1/2) P_m(x_i), and
     # (m + 1/2) times the integral of P_m from -1 is (P_{m+1} - P_{m-1}) / 2
     # at the end point, (end + 1) / 2 for m = 0
-    integrals = np.concatenate([[0.5 * (end + 1.0)], 0.5 * (at_end[2:] - at_end[:-2])])
-    return 0.5 * (x + 1.0), 0.5 * wx, 0.5 * wx * (at_x @ integrals)
+    integrals = np.concatenate([0.5 * (end[..., None] + 1.0),
+                                0.5 * (at_end[..., 2:] - at_end[..., :-2])], axis=-1)
+    return 0.5 * (x + 1.0), 0.5 * wx, 0.5 * wx * (integrals @ at_x.T)

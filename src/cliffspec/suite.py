@@ -16,7 +16,7 @@ import numpy as np
 from .calculus import (
     ContourConfig,
     ContourEngine,
-    f_ab_operator,
+    f_ab_operators,
     hinf_calculus,
 )
 from .errors import ArgumentError, NumericalFailureError
@@ -102,6 +102,11 @@ def _square(x):
         return x ** 2
     except OverflowError:
         return math.inf
+
+
+def _quotient(num, den):
+    """num / den, and inf where den is 0 (a claim ``_record`` refuses)."""
+    return num / den if den else math.inf
 
 
 @contextmanager
@@ -250,8 +255,8 @@ def run_theorem_suite(T: CliffordOperator, g_specs=None, f_specs=None,
             records.append(_record(f"regularized_square_positive[g={gname}]", 1e-12, egg))
             records.append(_dyadic_splitting_upper(gname, g, basis is not None, fb, hinf))
             # the constant of the sup-norm domination
-            cg = (_square(c_theta) * g.decay.c_alpha ** 2 * math.pi) / (
-                2.0 * math.cos(theta) * g.decay.alpha ** 2 * egg)
+            cg = _quotient(_square(c_theta) * _square(g.decay.c_alpha) * math.pi,
+                           2.0 * math.cos(theta) * g.decay.alpha ** 2 * egg)
             for fname, (f, res, norm) in hinf.items():
                 records.append(_frame_ratio_bound(gname, fname, f, norm, res, fb, cg, theta))
             records.append(_adjoint_side_lower(gname, g, fb, fb_star))
@@ -364,7 +369,7 @@ def _composition_bound_records(gname, g, c_theta, t_grid, w_grid, blocks, rng):
     records.append(_record(f"composition_uniform_bound[f=g={gname}]", lhs_i, rhs_i))
 
     # ii) dt/|t| integral of the composition norm at random tau
-    rhs_ii = c_theta * c_alpha * c_alpha * math.pi / (2.0 * alpha * alpha)
+    rhs_ii = _quotient(c_theta * c_alpha * c_alpha * math.pi, 2.0 * alpha * alpha)
     each = norms(np.tile(np.arange(t_grid.size), taus.size), np.repeat(taus, t_grid.size))
     lhs_ii = max(0.0, float(pairwise_sum(w_grid[:, None] * each.reshape(taus.size, -1).T).max()))
     records.append(_record(f"composition_integral_bound[f=g={gname}]", lhs_ii, rhs_ii))
@@ -418,7 +423,7 @@ def _dyadic_splitting_upper(gname, g, self_adjoint, fb, hinf):
     else:
         c = max(norm / f.bounded.sup_norm for f, res, norm in hinf.values())
         one_sided = True
-    rhs = math.sqrt(8.0 * math.log(2.0)) * c * c_beta / (1.0 - 2.0 ** -beta)
+    rhs = _quotient(math.sqrt(8.0 * math.log(2.0)) * c * c_beta, 1.0 - 2.0 ** -beta)
     return _record(f"dyadic_splitting_upper[g={gname}]", fb.d_upper, rhs,
                    tol=fb.combined_error,
                    one_sided=one_sided, c_used=c)
@@ -473,9 +478,8 @@ def _fab_ladder_records(T, bisector, cfg, theta, engine=None):
     sign_target = math.pi * _matrix_sign(rho_t)
     devs, sign_devs = [], []
     tol = 0.1
-    for k in range(1, 5):
-        a, b = 10.0 ** -k, 10.0 ** k
-        res = f_ab_operator(e, a, b, T, bisector, cfg, engine=engine)
+    windows = [(10.0 ** -k, 10.0 ** k) for k in range(1, 5)]
+    for res in f_ab_operators(e, windows, T, bisector, cfg, engine=engine):
         fab = rho_matrix(res.op)
         devs.append(float(spectral_norm(fab - target * np.eye(rho_t.shape[0]))))
         sign_devs.append(float(spectral_norm(fab - sign_target)))

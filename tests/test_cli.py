@@ -359,7 +359,13 @@ def test_parse_vector_positional_error(tmp_path):
     {"name": "rational", "params": {"num": [1]}},
     {"name": "rational", "params": {"num": ["one"], "den": [1.0]}},
     {"name": "regularizer", "params": {"theta": "wide"}},
-], ids=["e_alpha-no-alpha", "rational-no-den", "num-not-numeric", "theta-not-numeric"])
+    # f_ab's decay constant holds a ** -alpha (b ** alpha), beyond the double
+    # range here: inf, whose truncation claim is refused
+    {"name": "f_ab", "params": {"a": 1e-320, "b": 1, "inner": {"name": "regularizer"}}},
+    {"name": "f_ab", "params": {"a": 1, "b": 1e200, "inner": {
+        "name": "product", "params": {"factors": [{"name": "regularizer"}] * 2}}}},
+], ids=["e_alpha-no-alpha", "rational-no-den", "num-not-numeric", "theta-not-numeric",
+        "f_ab-tiny-a", "f_ab-huge-b"])
 def test_calc_rejects_malformed_function_spec(tmp_path, capsys, spec):
     op = tmp_path / "op.json"
     write_operator(op, [[1.0]])
@@ -533,6 +539,34 @@ def test_f_ab_with_an_infinite_bound_exits_2(tmp_path, capsys, command, flag):
                  "--out", str(tmp_path / "r.json")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: need 0 < a <= b < inf") and "Traceback" not in err
+
+
+def test_verify_with_a_vanishing_parameter_integral_exits_2(tmp_path, capsys):
+    # f_ab at a = b is 0, so the integral of e g^2 that the constant of the
+    # sup-norm domination divides by is 0 too: that constant is inf, and the
+    # frame lower bound of 0 is refused
+    op = tmp_path / "op.json"
+    write_operator(op, [[1.0, 0.0], [0.0, -2.0]])
+    g = tmp_path / "g.json"
+    g.write_text(json.dumps({"name": "f_ab", "params": {"a": 1, "b": 1,
+                                                        "inner": {"name": "regularizer"}}}))
+    assert main(["verify", "--operator", str(op), "--g", str(g),
+                 "--out", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: inequalities stage, g=f_ab(1,1,regularizer)")
+
+
+def test_verify_refuses_a_parameter_integral_grid_beyond_the_node_cap(tmp_path, capsys):
+    # the integral of g^2 dt/t for g = e_alpha(1e-12), of decay 2e-12, would
+    # take 1e15 grid nodes; it is refused before any is allocated
+    op = tmp_path / "op.json"
+    write_operator(op, [[1.0, 0.0], [0.0, -2.0]])
+    g = tmp_path / "g.json"
+    g.write_text(json.dumps({"name": "e_alpha", "params": {"alpha": 1e-12}}))
+    assert main(["verify", "--operator", str(op), "--g", str(g),
+                 "--out", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "alpha=2e-12" in err and "grid nodes" in err
 
 
 def test_bisect_refuses_an_operator_whose_q_overflows(tmp_path, capsys):

@@ -130,6 +130,12 @@ def test_f0_infty_slice_independent():
     assert cs.f0_infty(e, direction=s) == pytest.approx(cs.f0_infty(e), abs=1e-6)
 
 
+def test_f0_infty_refuses_a_decay_too_slow_for_its_grid():
+    # at alpha = 1e-320 the grid's half-width divides by alpha * 1e-9 = 0
+    with pytest.raises(cs.ArgumentError, match="alpha=9.99989e-321 needs inf grid nodes"):
+        cs.f0_infty(cs.e_alpha_family(1e-320))
+
+
 def test_f0_infty_requires_decay():
     bare = cs.rational_function([1, 0], [1, 0, 1])
     with pytest.raises(cs.PreconditionError):

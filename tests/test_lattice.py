@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cliffspec as cs
-from cliffspec import calculus
+from cliffspec import calculus, suite
 from cliffspec.calculus import f_ab_nodes, lattice_correlation, lattice_roundoff
 
 from conftest import OMEGA, THETA
@@ -214,13 +214,58 @@ def test_f_ab_nodes_match_the_arctan_closed_form(contour):
     else:
         eng = cs.ContourEngine(T, cs.check_bisectorial(T, OMEGA), THETA)
     e = cs.regularizer(THETA)
-    for k in range(1, 5):
-        a, b = 10.0 ** -k, 10.0 ** k
+    z = np.exp(eng.u_ray) * np.exp(1j * eng.phi)
+    k = np.arange(1, 5)
+    # each rung alone, and the four as one array of windows
+    for a, b in [*zip(10.0 ** -k, 10.0 ** k), (10.0 ** -k, 10.0 ** k)]:
         for points in (12, 6):
             got = f_ab_nodes(eng, e, a, b, points)
-            z = np.exp(eng.u_ray) * np.exp(1j * eng.phi)
-            want = 2.0 * (np.arctan(b * z) - np.arctan(a * z))
+            want = 2.0 * (np.arctan(np.multiply.outer(b, z)) - np.arctan(np.multiply.outer(a, z)))
+            assert got.shape == want.shape
             assert np.abs(got - want).max() <= 1e-13
+
+
+@pytest.mark.parametrize("T", [
+    cs.CliffordOperator.from_real_matrix([[1.0, 0.0], [0.0, -2.0]], n=1), non_normal(2),
+], ids=["eigen", "dense"])
+def test_each_rung_lies_within_its_claim_of_the_one_window_operator(T):
+    # the rungs of one call, sampled on the cells of the widest window, move
+    # from the one-window operator of each by less than their claimed error
+    rep = cs.check_bisectorial(T, OMEGA)
+    eng = lattice_engine(T)[0]
+    e = cs.regularizer(THETA)
+    windows = [(10.0 ** -k, 10.0 ** k) for k in range(1, 5)]
+    rungs = calculus.f_ab_operators(e, windows, T, rep, engine=eng)
+    for (a, b), rung in zip(windows, rungs):
+        one = cs.f_ab_operator(e, a, b, T, rep, engine=eng)
+        gap = np.linalg.norm(cs.rho_matrix(rung.op) - cs.rho_matrix(one.op), 2)
+        assert gap <= rung.combined_error
+
+
+def test_the_ladder_samples_once_and_contracts_once(monkeypatch):
+    # the four rungs (10^-k, 10^k) of ``verify`` and both rules in one
+    # contraction, on samples of G over the cells of the widest rung only:
+    # 2 rays x 18 points x (2,087 + 640) cells = 98,172 profile points
+    T = cs.CliffordOperator.from_real_matrix([[1.0, 0.0], [0.0, -2.0]], n=1)
+    rep = cs.check_bisectorial(T, OMEGA)
+    cfg, _ = cs.lattice_contour(cs.default_quad_grid(T))
+    eng = cs.ContourEngine(T, rep, THETA, cfg)
+    g, seen = counting(cs.regularizer(THETA))
+    cs.f0_infty(g)
+    target_points, seen[0] = seen[0], 0
+    calls = []
+    contract = calculus.ContourEngine._contract
+
+    def counted(self, parts, *args):
+        calls.append(parts[0].shape)
+        return contract(self, parts, *args)
+
+    monkeypatch.setattr(calculus.ContourEngine, "_contract", counted)
+    monkeypatch.setattr(suite, "regularizer", lambda theta: g)
+    records = suite._fab_ladder_records(T, rep, cfg, THETA, eng)
+    assert records[-1]["name"] == "truncation_ladder_monotone" and records[-1]["pass"]
+    assert len(calls) == 1 and calls[0][:2] == (2, 8)
+    assert seen[0] - target_points <= 100_000
 
 
 def closed_form_square(T_diag, ts):

@@ -68,6 +68,38 @@ def test_every_module_level_definition_is_referenced():
     assert unreferenced == []
 
 
+def _is_main_guard(node):
+    return (isinstance(node, ast.If) and isinstance(node.test, ast.Compare)
+            and ast.unparse(node.test) == "__name__ == '__main__'")
+
+
+# what a constant expression is made of: literals, names and attributes
+# (math.pi) under arithmetic; no call, subscript or comprehension
+_CONSTANT_NODES = (ast.Constant, ast.Name, ast.Attribute, ast.Load, ast.BinOp, ast.UnaryOp,
+                   ast.operator, ast.unaryop)
+
+
+def test_modules_do_no_work_at_import():
+    # every import compiles each module from source when bytecode is not
+    # written, and that time lands in the set-up of every run: a module body
+    # holds imports, definitions, docstrings, the __main__ guard and names
+    # bound to constant expressions, and nothing computed
+    work = []
+    for path in MODULES:
+        for node in _tree(path).body:
+            if isinstance(node, (ast.Import, ast.ImportFrom, ast.FunctionDef,
+                                 ast.AsyncFunctionDef, ast.ClassDef)) or _is_main_guard(node):
+                continue
+            if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant) \
+                    and isinstance(node.value.value, str):
+                continue
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None and all(
+                    isinstance(sub, _CONSTANT_NODES) for sub in ast.walk(node.value)):
+                continue
+            work.append(f"{path.stem}:{node.lineno}: {ast.unparse(node)[:60]}")
+    assert work == []
+
+
 def test_settings_inventory():
     # every setting a user can pass; a new knob is a deliberate edit here
     def names(cls):

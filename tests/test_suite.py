@@ -459,3 +459,18 @@ def test_a_non_finite_claim_is_refused():
         cs.CalculusResult(cs.CliffordOperator.zero(1, 1), math.inf, 0.0)
     with pytest.raises(cs.NumericalFailureError, match="record r claims a bound that is not finite"):
         suite._record("r", 0.0, 1.0, tol=math.inf)
+
+
+def test_records_whose_constant_divides_by_zero_are_refused():
+    # 2 alpha^2 underflows to 0 at alpha = 1e-163, and 1 - 2^-beta rounds to
+    # 0 at beta = 1e-17: each bound is inf, which its record refuses
+    T = cs.CliffordOperator.from_real_matrix([[1.0, 0.0], [0.0, -2.0]], n=1)
+    g, _, c_theta, fam, blocks = regularizer_family(T)
+    tiny = g.with_decay(cs.DecayCertificate(1e-163, 1.0))
+    with pytest.raises(cs.NumericalFailureError, match="composition_integral_bound"):
+        _composition_bound_records("g", tiny, c_theta, *fam[:2], blocks,
+                                   np.random.default_rng(0))
+    frame = cs.FrameBounds(0.5, 1.0, np.eye(4), np.ones(4), 0.0, 0.0)
+    flat = g.with_decay(cs.DecayCertificate(1e-17, 1.0))
+    with pytest.raises(cs.NumericalFailureError, match="dyadic_splitting_upper"):
+        suite._dyadic_splitting_upper("g", flat, True, frame, {})
