@@ -201,7 +201,7 @@ def _direct_roundoff(rows, norms):
     products and at most N - 1 sums, within gamma_{N+1}(u) <= gamma_{2N}(u)
     = gamma_N(eps) at u = 2^-53, eps = 2^-52 as in the rest of this module."""
     terms = norms.size * np.finfo(float).eps
-    return terms / (1.0 - terms) * (np.abs(rows) @ norms)
+    return (terms / (1.0 - terms) * (np.abs(rows) @ norms)).ravel()
 
 
 def _stored_nodes(cfg):
@@ -323,6 +323,8 @@ class ContourEngine:
     def truncation_bound(self, decay, t=1.0):
         """The truncation estimate of f(t T) at each t of a scalar or an array."""
         alpha, c_alpha = decay.alpha, decay.c_alpha
+        if not math.isfinite(c_alpha):    # inf or nan at every t: refused before any profile
+            raise NumericalFailureError(f"the claimed error is not finite (C_alpha {c_alpha!r})")
         with np.errstate(over="ignore"):    # b = inf has the tail 0
             a, b = (np.abs(t) * math.exp(u) for u in (self.cfg.u_min, self.cfg.u_max))
         return 2.0 * self.c_phi * c_alpha * arctan_tails(a, b, alpha) / (math.pi * alpha)
@@ -358,6 +360,7 @@ class ContourEngine:
         bad = ~np.isfinite(ts) | (ts == 0.0)
         if np.any(bad):
             raise ArgumentError(f"scaling t={ts[bad][0]} must be nonzero and finite")
+        truncs = self.truncation_bound(f.decay, ts)
         values = None
         discs = np.empty(ts.size)
         mags, which = np.unique(np.abs(ts), return_inverse=True)
@@ -370,7 +373,7 @@ class ContourEngine:
             if values is None:
                 values = np.empty((ts.size, *sums.shape[1:]), dtype=sums.dtype)
             values[rows], discs[rows] = sums[picks], estimates[picks]
-        return self._values(values), self.truncation_bound(f.decay, ts), discs
+        return self._values(values), truncs, discs
 
     def _stride(self, mags):
         """p if the sorted distinct |t| ``mags`` are consecutive lattice
@@ -423,10 +426,12 @@ class ContourEngine:
         """(sums as ``_combine`` gives them, discretization estimates) of one
         block of values, rows for each sign in ``signs`` (True for t < 0) in
         turn, from ``parts`` Im F, Im(e^{i phi} F) in u order: (2 rays,
-        length) on the lattice of stride p, else (2 rays, values, n).
+        length) on the lattice of stride p, else (2 rays, values, n) or
+        (2 rays, batch, values, n), rows in (batch, sign, value) order.
 
         The node sums of alpha_k = fa_k Im F (beta_k = fb_k Im(e^{i phi} F))
-        at lag 0 are one GEMM per part, its rows over (ray, node) weighted by
+        at lag 0 are one GEMM per part and batch entry, stacked, so that each
+        entry rounds as it would alone, its rows over (ray, node) weighted by
         fa (fb) times P; on the lattice, an FFT correlation of each ray's
         sequence with the kernel fa P (fb P) at the lags j p, the kernels
         formed there per ``_COLUMNS`` columns of P.  The alternating signs
@@ -438,12 +443,16 @@ class ContourEngine:
         seqs = [np.stack([part[[flip, 1 - flip]] for flip in map(int, signs)]) for part in parts]
         alternate = np.where(np.arange(length) % 2, -1.0, 1.0)
         if p is None:
-            flat = [seq.swapaxes(1, 2).reshape(-1, 2 * n) for seq in seqs]
+            # (batch, sign and value, ray and node), ``rows`` per batch entry
+            rows = len(signs) * parts[0].shape[-2]
+            flat = [np.moveaxis(seq, (0, 1), (-4, -2)).reshape(-1, 1, rows, 2 * n) for seq in seqs]
             # the alternating and the plain rows of both parts in one product each
             signed = np.stack([np.tile(alternate, 2), np.ones(2 * n)])[:, None]
-            sums = self._combine(*((seq * (signed * weight)).reshape(-1, 2 * n) @ self._p_flat
-                                   for seq, weight in zip(flat, (self._fa, self._fb))))
-            alt, plain = np.split(sums, 2)
+            sums = self._combine(*(
+                (seq * (signed * weight)).reshape(len(seq), -1, 2 * n) @ self._p_flat
+                for seq, weight in zip(flat, (self._fa, self._fb))))
+            rest = sums.shape[1:]
+            alt, plain = sums.reshape(-1, 2, rows, *rest).swapaxes(0, 1).reshape(2, -1, *rest)
             roundoff = sum(map(_direct_roundoff, flat, self._k_fro.reshape(2, -1)))
             return plain, block_norms(self._values(alt)) + roundoff
 
@@ -526,31 +535,38 @@ def rational_calculus(f: IntrinsicFunction, T: CliffordOperator) -> CliffordOper
     return operator_from_real(solver.solve_real(p), T.n, T.m)
 
 
-def hinf_calculus(f: IntrinsicFunction, T: CliffordOperator,
-                  report: BisectorReport, cfg: ContourConfig | None = None,
-                  engine: ContourEngine | None = None) -> CalculusResult:
-    """Two-step calculus e(T)^{-1} (e f)(T) for bounded intrinsic f.
-
-    Requires an injectivity-certified bisectorial operator and a bounded
-    certificate on f; the regularized product picks up its decay certificate
-    from the regularizer.
-    """
+def hinf_operators(fs, T: CliffordOperator, report: BisectorReport,
+                   cfg: ContourConfig | None = None,
+                   engine: ContourEngine | None = None) -> list[CalculusResult]:
+    """Two-step calculus e(T)^{-1} (e f)(T) of each bounded f of ``fs`` for an
+    injective certified T, with one regularizer e (McIntosh 1986) at the first
+    f's angle: one e(T) and solver, one batch of ``_contract`` of the e f at
+    t = 1, one solve of the (e f)(T) side by side, and claims over sigma_min."""
     _check_report(report)
-    if f.bounded is None:
+    if any(f.bounded is None for f in fs):
         raise PreconditionError("hinf calculus requires a bounded certificate on f")
     if not report.injective:
         raise PreconditionError("hinf calculus requires an injective operator")
-    e = regularizer(f.theta)
-    ef = product_function(e, f)
-    eng = engine or ContourEngine(T, report, f.theta, cfg)
-    ef_mat, trunc, disc = eng.evaluate(ef)
-    e_mat = rho_matrix(rational_calculus(e, T))
-    solver = OperatorSolver(e_mat, T.n, T.m)
+    e = regularizer(fs[0].theta)
+    eng = engine or ContourEngine(T, report, fs[0].theta, cfg)
+    efs, one = [product_function(e, f) for f in fs], np.ones(1)
+    truncs = [eng.truncation_bound(ef.decay) for ef in efs]
+    profiles = [next(eng._windows(ef, one, one, np.zeros(1, int)))[2] for ef in efs]
+    sums, discs = eng._contract([np.stack(p, axis=1) for p in zip(*profiles)], [False])
+    coeffs = coeffs_from_blocks(eng.dense_blocks(eng._values(sums)), T.n)
+    solver = OperatorSolver(rho_matrix(rational_calculus(e, T)), T.n, T.m)
     solver.require_invertible(what="regularizer operator e(T)")
-    x = solver.solve_real(ef_mat)
+    xs = solver.solve_real(np.hstack([rho_stack(c, T.n) for c in coeffs]))
     scale = 1.0 / solver.sigma_min
-    return CalculusResult(operator_from_real(x, T.n, T.m),
-                          trunc * scale, disc * scale)
+    return [CalculusResult(operator_from_real(x, T.n, T.m), trunc * scale, disc * scale)
+            for x, trunc, disc in zip(np.split(xs, len(fs), axis=1), truncs, discs)]
+
+
+def hinf_calculus(f: IntrinsicFunction, T: CliffordOperator,
+                  report: BisectorReport, cfg: ContourConfig | None = None,
+                  engine: ContourEngine | None = None) -> CalculusResult:
+    """``hinf_operators`` for the one function f."""
+    return hinf_operators([f], T, report, cfg, engine)[0]
 
 
 def scaled_calculus(f: IntrinsicFunction, t, T: CliffordOperator,
@@ -605,19 +621,17 @@ def f_ab_operators(f: IntrinsicFunction, windows, T: CliffordOperator,
     if f.decay is None:
         raise PreconditionError("contour calculus requires a decay certificate")
     eng = engine or ContourEngine(T, report, f.theta, cfg)
+    with np.errstate(over="ignore"):    # an overflow is refused as a claim
+        grids = [gl_panel_grid(lo, hi, points=12) for lo, hi in zip(np.log(a), np.log(b))]
+        truncs = [float(np.dot(w, 2.0 * eng.truncation_bound(f.decay, np.exp(u))))
+                  for u, w in grids]
     # both rules of each window as values at t = 1, on the + and the - ray (f_ab is odd)
     rays = np.concatenate([f_ab_nodes(eng, f, a, b, points) for points in (12, 6)])
     sums, discs = eng._contract(eng._parts(np.stack([rays, -rays])), [False])
     discs = discs[:a.size] + block_norms(eng._values(sums[:a.size] - sums[a.size:]))
     coeffs = coeffs_from_blocks(eng.dense_blocks(eng._values(sums[:a.size])), T.n)
-    results = []
-    for c, disc, lo, hi in zip(coeffs, discs, np.log(a), np.log(b)):
-        u, w = gl_panel_grid(lo, hi, points=12)
-        truncs = eng.truncation_bound(f.decay, np.exp(u))
-        with np.errstate(over="ignore"):    # an overflow is refused as a claim
-            results.append(CalculusResult(CliffordOperator(T.n, T.m, c),
-                                          float(np.dot(w, truncs + truncs)), float(disc)))
-    return results
+    return [CalculusResult(CliffordOperator(T.n, T.m, c), trunc, float(disc))
+            for c, trunc, disc in zip(coeffs, truncs, discs)]
 
 
 def f_ab_operator(f: IntrinsicFunction, a, b, T: CliffordOperator,

@@ -6,6 +6,7 @@ intervals, and the Gauss-Legendre cell rule of the f_ab lattice.  Node sums
 use a fixed-order pairwise reduction.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -24,10 +25,7 @@ def pairwise_sum(values):
     while n > 1:
         half = n // 2
         folded = arr[0:2 * half:2] + arr[1:2 * half:2]
-        if n % 2:
-            arr = np.concatenate([folded, arr[n - 1:n]], axis=0)
-        else:
-            arr = folded
+        arr = np.concatenate([folded, arr[n - 1:n]], axis=0) if n % 2 else folded
         n = arr.shape[0]
     return arr[0]
 
@@ -53,13 +51,21 @@ def gl_panel_grid(u_lo, u_hi, points=12):
     return (edges[:-1, None] + width * s).ravel(), (width * w).ravel()
 
 
+@functools.cache
+def _leggauss(points):
+    """``leggauss(points)``: nodes and weights on [-1, 1], once per count, read-only."""
+    x, w = np.polynomial.legendre.leggauss(points)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def gl_cell_rule(points, fractions):
     """Gauss-Legendre nodes s and weights w of ``points`` points on [0, 1],
     and for each of the array ``fractions`` the weights (..., points) that
     integrate the interpolant through those nodes over [0, fraction]: one
     set of samples per cell gives the integral over the cell and over any
     leading part of it."""
-    x, wx = np.polynomial.legendre.leggauss(points)
+    x, wx = _leggauss(points)
     at_x = np.polynomial.legendre.legvander(x, points - 1)
     end = 2.0 * np.asarray(fractions, dtype=float) - 1.0
     at_end = np.polynomial.legendre.legvander(end, points).reshape(*end.shape, points + 1)

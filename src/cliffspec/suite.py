@@ -17,7 +17,7 @@ from .calculus import (
     ContourConfig,
     ContourEngine,
     f_ab_operators,
-    hinf_calculus,
+    hinf_operators,
 )
 from .errors import ArgumentError, NumericalFailureError
 from .functions import (
@@ -111,11 +111,23 @@ def _quotient(num, den):
 
 @contextmanager
 def _stage(name, item):
-    """Name the stage and the g or f it ran on in a NumericalFailureError."""
+    """Name the stage and the g or f it ran on in an ArgumentError or a NumericalFailureError."""
     try:
         yield
-    except NumericalFailureError as exc:
-        raise NumericalFailureError(f"{name} stage, {item}: {exc}", node=exc.node) from exc
+    except (ArgumentError, NumericalFailureError) as exc:
+        exc.args = (f"{name} stage, {item}: {exc}",)
+        raise
+
+
+def _hinf_stage(name, items, *args):
+    """``hinf_operators`` of the (label, f) ``items``; a failure is rerun f by f to name it."""
+    try:
+        return hinf_operators([f for _, f in items], *args)
+    except (ArgumentError, NumericalFailureError):
+        for label, f in items:
+            with _stage(name, label):
+                hinf_operators([f], *args)
+        raise
 
 
 def _record(name, lhs, rhs, tol=0.0, **extra):
@@ -157,8 +169,7 @@ def run_theorem_suite(T: CliffordOperator, g_specs=None, f_specs=None,
     f_specs = f_specs if f_specs is not None else default_f_specs()
     check_frame_memory(T, config.quad_nodes, len(g_specs), config.contour_nodes)
     rng = np.random.default_rng(config.seed)
-    records = []
-    stages = []
+    records, stages = [], []
 
     report = {
         "report_version": 6,
@@ -180,20 +191,15 @@ def run_theorem_suite(T: CliffordOperator, g_specs=None, f_specs=None,
     bisector = check_bisectorial(T, config.omega, RaySampling(phis=phis))
     stages.append({"name": "bisectorial", "status": "done"})
     report["bisector"] = bisector_report_dict(bisector)
-    records.append(_record("bisectorial_certificate",
-                           0.0 if bisector.certified else 1.0, 0.0))
-    records.append(_record("injectivity",
-                           0.0 if bisector.injective else 1.0, 0.0))
+    records.append(_record("bisectorial_certificate", 0.0 if bisector.certified else 1.0, 0.0))
+    records.append(_record("injectivity", 0.0 if bisector.injective else 1.0, 0.0))
 
     if not (bisector.certified and bisector.injective):
         reason = ("operator is not certified bisectorial at the requested angle"
                   if not bisector.certified else "operator is not injective")
-        for name in ("frames", "hinf_norms", "inequalities", "convergence",
-                     "adjoint"):
+        for name in ("frames", "hinf_norms", "inequalities", "convergence", "adjoint"):
             stages.append({"name": name, "status": "skipped", "reason": reason})
-        report["records"] = records
-        report["stages"] = stages
-        report["passed"] = False
+        report.update(records=records, stages=stages, passed=False)
         return report
 
     c_theta = bisector.c_at(theta)
@@ -222,13 +228,11 @@ def run_theorem_suite(T: CliffordOperator, g_specs=None, f_specs=None,
     }
     stages.append({"name": "frames", "status": "done"})
 
-    # stage: two-step calculus norms per bounded f -------------------------
-    hinf = {}
-    for name, f in fs:
-        with _stage("hinf_norms", f"f={name}"):
-            res = hinf_calculus(f, T, bisector, cfg, engine=engine)
-        norm = float(spectral_norm(rho_matrix(res.op)))
-        hinf[name] = (f, res, norm)
+    # stage: two-step calculus of each bounded f, with its norm, and of each g
+    results = _hinf_stage("hinf_norms", [(f"f={name}", f) for name, f in fs]
+                          + [(f"g={name}", g) for name, g in gs], T, bisector, cfg, engine)
+    hinf = {name: (f, res, float(spectral_norm(rho_matrix(res.op))))
+            for (name, f), res in zip(fs, results)}
     report["hinf_norms"] = {
         name: {"norm": norm,
                "truncation_error": res.truncation_error,
@@ -239,10 +243,6 @@ def run_theorem_suite(T: CliffordOperator, g_specs=None, f_specs=None,
 
     # stage: inequality records --------------------------------------------
     e = regularizer(theta)
-    g_hinf = {}
-    for gname, g in gs:
-        with _stage("inequalities", f"g={gname}"):
-            g_hinf[gname] = hinf_calculus(g, T, bisector, cfg, engine=engine)
     sandwich_vecs = rng.standard_normal((config.n_sandwich, T.m << T.n))
     for gname, g in gs:
         fb, fb_star, frame = frames[gname]
@@ -260,7 +260,7 @@ def run_theorem_suite(T: CliffordOperator, g_specs=None, f_specs=None,
             for fname, (f, res, norm) in hinf.items():
                 records.append(_frame_ratio_bound(gname, fname, f, norm, res, fb, cg, theta))
             records.append(_adjoint_side_lower(gname, g, fb, fb_star))
-            records.extend(_sup_domination_records(gname, T, fb, cg, rng, gs, g_hinf))
+            records.extend(_sup_domination_records(gname, T, fb, cg, rng, gs, results[len(fs):]))
     stages.append({"name": "inequalities", "status": "done"})
 
     # release the families before the engine of T*; the engine of T serves
@@ -273,24 +273,23 @@ def run_theorem_suite(T: CliffordOperator, g_specs=None, f_specs=None,
     stages.append({"name": "convergence", "status": "done"})
     engine = None
 
-    # stage: adjoint identity, on its own certificate and engine for T* -----
-    # rho(Q_s(T*)) is rho(Q_s(T))^T, so T*'s certificate stands or falls with
-    # T's, certified above at every angle; the engine reads C at phi only
-    bisector_star = check_bisectorial(t_star, config.omega,
-                                      RaySampling(phis=(phi_resolved,)))
-    engine_star = ContourEngine(t_star, bisector_star, theta, cfg)
-    for fname, (f, res, norm) in hinf.items():
+    # stage: adjoint identity; T* = T reads T's values, else T* is certified at
+    # phi alone: rho(Q_s(T*)) = rho(Q_s(T))^T stands or falls with T's above
+    if np.array_equal(t_star.coeffs, T.coeffs):
+        stars = [res for _, res, _ in hinf.values()]
+    else:
+        star = check_bisectorial(t_star, config.omega, RaySampling(phis=(phi_resolved,)))
+        stars = _hinf_stage("adjoint", [(f"f={name}", f) for name, (f, _, _) in hinf.items()],
+                            t_star, star, cfg, ContourEngine(t_star, star, theta, cfg))
+    for (fname, (f, res, norm)), res_star in zip(hinf.items(), stars):
         with _stage("adjoint", f"f={fname}"):
-            res_star = hinf_calculus(f, t_star, bisector_star, cfg, engine=engine_star)
             gap_norm = float(spectral_norm(rho_matrix(res_star.op) - rho_matrix(res.op).T))
             tol = (res.truncation_error + res.discretization_error
                    + res_star.truncation_error + res_star.discretization_error + 1e-8)
             records.append(_record(f"adjoint[f={fname}]", gap_norm, 0.0, tol=tol))
     stages.append({"name": "adjoint", "status": "done"})
 
-    report["records"] = records
-    report["stages"] = stages
-    report["passed"] = all(r["pass"] for r in records)
+    report.update(records=records, stages=stages, passed=all(r["pass"] for r in records))
     return report
 
 
@@ -402,10 +401,10 @@ def _composition_bound_records(gname, g, c_theta, t_grid, w_grid, blocks, rng):
 
 def _sup_domination_records(gname, T, fb, cg, rng, gs, g_hinf):
     """Square-integral domination of f(T) by the sup norm, per decay-class f;
-    ``g_hinf`` maps each name in ``gs`` to its hinf_calculus result."""
+    ``g_hinf`` holds the hinf_operators result of each f in ``gs``."""
     records = []
     x = rng.standard_normal(T.m << T.n)
-    rows = [x] + [rho_matrix(g_hinf[fname].op) @ x for fname, _ in gs]
+    rows = [x] + [rho_matrix(res.op) @ x for res in g_hinf]
     base_sq, *sq = _frame_norms2(fb, np.stack(rows))
     for (fname, f), lhs in zip(gs, sq):
         rhs = _square(cg) * f.bounded.sup_norm ** 2 * float(base_sq)

@@ -7,6 +7,7 @@ import pytest
 import cliffspec as cs
 
 from cliffspec import calculus
+from cliffspec.functions import ensure_bounded
 
 from conftest import (
     OMEGA,
@@ -486,3 +487,48 @@ def test_truncation_bounds_of_an_array_are_those_of_its_entries(reports):
                                rtol=1e-15, atol=0.0)
     # a power beyond the doubles gives the exact limit, not an overflow
     assert cs.functions.arctan_tails(1.0, 1e300, 2.0) == math.atan(1.0)
+
+
+@pytest.mark.parametrize("case", ["diag1m2", "jordan", "non-normal-R2"])
+def test_hinf_operators_agree_with_each_f_on_its_own(case, reports):
+    # the batch of every default f and g against hinf_calculus one at a
+    # time, on the eigen path (diag(1, -2)) and the dense path
+    if case == "non-normal-R2":
+        T = non_normal_operator(np.random.default_rng(0), 2)
+        rep = cs.check_bisectorial(T, OMEGA)
+    else:
+        T, rep = reports[case]
+    eng = cs.ContourEngine(T, rep, THETA)
+    assert (eng.basis is not None) == (case == "diag1m2")
+    fs = [ensure_bounded(cs.resolve_function(s, THETA))
+          for s in cs.default_f_specs() + cs.default_g_specs()]
+    batch = calculus.hinf_operators(fs, T, rep, engine=eng)
+    assert len(batch) == len(fs)
+    for f, res in zip(fs, batch):
+        alone = cs.hinf_calculus(f, T, rep, engine=eng)
+        assert op_gap(res.op, alone.op) <= res.combined_error
+        scale = np.abs(alone.op.coeffs).max()
+        assert np.abs(res.op.coeffs - alone.op.coeffs).max() <= 1e-13 * scale
+        assert res.truncation_error == alone.truncation_error
+        assert res.discretization_error == pytest.approx(alone.discretization_error, rel=1e-12)
+
+
+def test_an_infinite_decay_constant_is_refused_before_any_profile(reports, monkeypatch):
+    # C_alpha = inf makes the truncation claim inf or nan at every t: the
+    # family, the f_ab rungs and the hinf batch refuse it unprofiled
+    T, rep = reports["diag12"]
+    eng = cs.ContourEngine(T, rep, THETA, cs.ContourConfig(nodes=64))
+    e = cs.regularizer(THETA)
+    inf = e.with_decay(cs.DecayCertificate(1.0, math.inf))
+
+    def profiled(*_):
+        raise AssertionError("profiled a function whose claim is refused")
+
+    monkeypatch.setattr(calculus.ContourEngine, "_windows", profiled)
+    monkeypatch.setattr(calculus, "f_ab_nodes", profiled)
+    monkeypatch.setattr(calculus, "product_function", lambda *_: inf)
+    for call in (lambda: eng.evaluate_family(inf, [0.5, 2.0]),
+                 lambda: calculus.f_ab_operators(inf, [(0.1, 10.0)], T, rep, engine=eng),
+                 lambda: calculus.hinf_operators([ensure_bounded(e)], T, rep, engine=eng)):
+        with pytest.raises(cs.NumericalFailureError, match="claimed error is not finite"):
+            call()

@@ -366,13 +366,22 @@ def test_parse_vector_positional_error(tmp_path):
         "name": "product", "params": {"factors": [{"name": "regularizer"}] * 2}}}},
 ], ids=["e_alpha-no-alpha", "rational-no-den", "num-not-numeric", "theta-not-numeric",
         "f_ab-tiny-a", "f_ab-huge-b"])
-def test_calc_rejects_malformed_function_spec(tmp_path, capsys, spec):
+def test_calc_rejects_malformed_function_spec(tmp_path, capsys, monkeypatch, spec):
+    # each is refused before any profile is evaluated: an f_ab whose C_alpha
+    # is inf has an infinite truncation claim at every t, and profiling its
+    # 10^4 panel nodes at each contour node took seconds before the refusal
+    def profiled(*_):
+        raise AssertionError("profiled a function whose claim is refused")
+
+    monkeypatch.setattr(cs.ContourEngine, "_windows", profiled)
     op = tmp_path / "op.json"
     write_operator(op, [[1.0]])
     fn = tmp_path / "f.json"
     fn.write_text(json.dumps(spec))
+    start = time.perf_counter()
     assert main(["calc", "--operator", str(op), "--function", str(fn),
                  "--out", str(tmp_path / "r.json")]) == 2
+    assert time.perf_counter() - start < 1.0
     assert capsys.readouterr().err.startswith("error: ")
 
 
@@ -566,7 +575,8 @@ def test_verify_refuses_a_parameter_integral_grid_beyond_the_node_cap(tmp_path, 
     assert main(["verify", "--operator", str(op), "--g", str(g),
                  "--out", str(tmp_path / "r.json")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "alpha=2e-12" in err and "grid nodes" in err
+    assert err.startswith("error: inequalities stage, g=e_alpha(1e-12): ")
+    assert "alpha=2e-12" in err and "grid nodes" in err
 
 
 def test_bisect_refuses_an_operator_whose_q_overflows(tmp_path, capsys):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import cliffspec as cs
+from cliffspec import quadrature
 from cliffspec.functions import DEFAULT_THETA, _sample_points, arctan_tails
 from cliffspec.quadrature import gl_panel_grid
 
@@ -368,3 +369,29 @@ def test_arctan_tails_keep_tails_below_the_rounding_of_pi_over_2():
         if b >= a:
             old = math.atan(a ** alpha) + math.pi / 2 - math.atan(b ** alpha)
             assert abs(arctan_tails(a, b, alpha) - old) <= 1e-15 * old
+
+
+def test_gauss_legendre_nodes_are_computed_once_per_count(monkeypatch):
+    # the cell rule and the panels read one cached, read-only copy of
+    # leggauss, bit for bit what numpy gives
+    calls = []
+    leggauss = np.polynomial.legendre.leggauss
+
+    def counting(points):
+        calls.append(points)
+        return leggauss(points)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+    quadrature._leggauss.cache_clear()
+    try:
+        for _ in range(3):
+            s, w, _ = quadrature.gl_cell_rule(7, np.array([0.25, 0.5]))
+            gl_panel_grid(-2.0, 3.0, points=7)
+        assert calls == [7]
+        x, wx = quadrature._leggauss(7)
+        assert not (x.flags.writeable or wx.flags.writeable)
+        want_x, want_w = leggauss(7)
+        assert np.array_equal(x, want_x) and np.array_equal(wx, want_w)
+        assert np.array_equal(s, 0.5 * (want_x + 1.0)) and np.array_equal(w, 0.5 * want_w)
+    finally:
+        quadrature._leggauss.cache_clear()

@@ -430,7 +430,7 @@ def test_frame_memory_estimate_bounds_the_frame_stage(case, monkeypatch):
         raise FramesDone
 
     monkeypatch.setattr(cs.ContourEngine, "evaluate_blocks", evaluate_blocks)
-    monkeypatch.setattr(suite, "hinf_calculus", stop)
+    monkeypatch.setattr(suite, "hinf_operators", stop)
     tracemalloc.start()
     try:
         with pytest.raises(FramesDone):
@@ -474,3 +474,66 @@ def test_records_whose_constant_divides_by_zero_are_refused():
     flat = g.with_decay(cs.DecayCertificate(1e-17, 1.0))
     with pytest.raises(cs.NumericalFailureError, match="dyadic_splitting_upper"):
         suite._dyadic_splitting_upper("g", flat, True, frame, {})
+
+
+@pytest.mark.parametrize("case", ["diag", "1+e1"])
+def test_verify_forms_the_operator_level_work_once_per_operator(case, monkeypatch):
+    # one e(T) per operator, and for T* = T bit for bit (diag(1, -2)) no
+    # certificate, engine or hinf value of its own; T* != T (1 + e1) has all
+    # three, certified at the contour angle alone
+    T, config = {
+        "diag": (cs.CliffordOperator.from_real_matrix([[1.0, 0.0], [0.0, -2.0]], n=1),
+                 cs.SuiteConfig()),
+        "1+e1": (cs.CliffordOperator(1, 1, np.array([[[1.0, 1.0]]])),
+                 cs.SuiteConfig(omega=0.9, theta=1.2)),
+    }[case]
+    operators = 1 if np.array_equal(T.adjoint().coeffs, T.coeffs) else 2
+    assert operators == {"diag": 1, "1+e1": 2}[case]
+    certificates, engines, regularized = [], [], []
+    certify, build, rational = (cs.check_bisectorial, cs.ContourEngine.__init__,
+                                cs.calculus.rational_calculus)
+
+    def counting_certify(T, omega, sampling=cs.RaySampling()):
+        certificates.append(sampling.resolved_phis(omega))
+        return certify(T, omega, sampling)
+
+    def counting_build(self, *args):
+        build(self, *args)
+        engines.append(self)
+
+    def counting_rational(f, T):
+        regularized.append(T)
+        return rational(f, T)
+
+    monkeypatch.setattr(suite, "check_bisectorial", counting_certify)
+    monkeypatch.setattr(cs.ContourEngine, "__init__", counting_build)
+    monkeypatch.setattr(cs.calculus, "rational_calculus", counting_rational)
+    report = cs.run_theorem_suite(T, config=config)
+    assert [s["status"] for s in report["stages"]] == ["done"] * 6
+    assert len(certificates) == len(engines) == len(regularized) == operators
+    if operators == 2:
+        assert certificates[1] == (engines[1].phi,)
+        assert np.array_equal(regularized[1].coeffs, T.adjoint().coeffs)
+
+
+def test_a_non_finite_profile_in_a_batch_names_u_t_and_its_f():
+    # the batch refuses the value at its node u and t, and the suite names
+    # the stage and the f that fails on its own
+    T = cs.CliffordOperator.from_real_matrix([[1.0, 0.0], [0.0, -2.0]], n=1)
+    report = cs.check_bisectorial(T, OMEGA)
+    engine = cs.ContourEngine(T, report, THETA, cs.ContourConfig(nodes=64))
+
+    def profile(z):
+        z = np.asarray(z, dtype=complex)
+        return np.where(np.abs(z) > 5.0, np.nan, 1.0 / (1.0 + z * z))
+
+    good = ensure_bounded(cs.regularizer(THETA))
+    bad = cs.IntrinsicFunction(profile, THETA, bounded=cs.BoundedCertificate(1.0))
+    with pytest.raises(cs.NumericalFailureError, match="non-finite function value") as err:
+        cs.calculus.hinf_operators([good, bad], T, report, engine=engine)
+    assert err.value.node["t"] == 1.0 and math.exp(err.value.node["u"]) > 5.0
+    with pytest.raises(cs.NumericalFailureError,
+                       match=r"^hinf_norms stage, f=bad: non-finite function value") as err:
+        suite._hinf_stage("hinf_norms", [("f=good", good), ("f=bad", bad)],
+                          T, report, None, engine)
+    assert err.value.node["t"] == 1.0 and math.exp(err.value.node["u"]) > 5.0
