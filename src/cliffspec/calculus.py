@@ -392,31 +392,40 @@ class ContourEngine:
         on the lattice (``_stride``) one sequence (2 rays, (J - 1) p + n)."""
         n, p = self.u_ray.size, self._stride(mags)
 
-        def parts(x, node):
-            # F at exp(x); a non-finite value at x[j, i] names the |t| and
-            # the node u of node(j, i)
-            z = np.exp(x) * np.exp(1j * self.phi)
-            vals = f.eval_complex(np.stack([z, -z]))
-            if not np.all(np.isfinite(vals)):
-                j, k = node(*np.argwhere(~np.isfinite(vals))[0][1:])
-                raise NumericalFailureError(
-                    "non-finite function value on the contour",
-                    node={"u": float(self.u_ray[k]), "t": float(ts[which == j][0])})
-            return self._parts(vals)
+        def node(j, k):
+            # the |t| of the distinct |t_j| and the node u_k of a non-finite value
+            return {"u": float(self.u_ray[k]), "t": float(ts[which == j][0])}
 
         if p is not None:
-            def node(_, i):
+            def lattice_node(_, i):
                 # lattice point i belongs to the first |t_j| whose window holds it
                 j = min(max(0, -(-(i - n + 1) // p)), mags.size - 1)
-                return j, i - j * p
+                return node(j, i - j * p)
 
             x = self.cfg.u_min + math.log(mags[0]) + self.step * np.arange((mags.size - 1) * p + n)
-            yield 0, mags.size, [part[:, 0] for part in parts(x[None], node)], p
+            parts = self._parts(self._sample(f, np.exp(x[None]), lattice_node))
+            yield 0, mags.size, [part[:, 0] for part in parts], p
             return
         for lo in range(0, mags.size, _CHUNK):
             hi = min(lo + _CHUNK, mags.size)
             x = self.cfg.u_min + np.log(mags[lo:hi])[:, None] + self.step * np.arange(n)
-            yield lo, hi, parts(x, lambda j, k: (lo + j, k)), None
+            vals = self._sample(f, np.exp(x), lambda j, k: node(lo + j, k))
+            yield lo, hi, self._parts(vals), None
+
+    def _sample(self, f, r, node):
+        """F at +-r e^{i phi}, (2, *r.shape), the one place where a profile is
+        evaluated on the contour: a function whose sector does not hold the
+        contour raises ArgumentError unprofiled, and a non-finite value at
+        r[i] NumericalFailureError at node(*i)."""
+        if not self.phi < f.theta:
+            raise ArgumentError(f"the contour angle phi={self.phi:.6g} lies outside the "
+                                f"sector theta={f.theta:.6g} of the {f.kind} function")
+        z = r * np.exp(1j * self.phi)
+        vals = f.eval_complex(np.stack([z, -z]))
+        if not np.all(np.isfinite(vals)):
+            raise NumericalFailureError("non-finite function value on the contour",
+                                        node=node(*np.argwhere(~np.isfinite(vals))[0][1:]))
+        return vals
 
     def _parts(self, vals):
         """Im F and Im(e^{i phi} F) of the profile values ``vals``."""
@@ -594,9 +603,8 @@ def f_ab_nodes(engine: ContourEngine, f: IntrinsicFunction, a, b, points=12):
     # each end of each window as a cell index and the fraction of that cell before it
     cells, rest = np.divmod(np.stack([log_a.ravel(), log_b.ravel()]) - log_a.min(), h)
     s, w, w_part = gl_cell_rule(points, rest / h)
-    r = np.exp(engine.cfg.u_min + log_a.min() + h * (np.arange(n + cells.max())[:, None] + s))
-    r = r * np.exp(1j * engine.phi)
-    vals = f.eval_complex(np.stack([r, -r]))
+    x = engine.cfg.u_min + log_a.min() + h * (np.arange(n + cells.max())[:, None] + s)
+    vals = engine._sample(f, np.exp(x), lambda j, q: {"u": float(x[j, q])})
     samples = h * (vals[0] - vals[1])
     prefix = np.concatenate([[0.0], np.cumsum((samples * w).sum(axis=1))])
     primitive = prefix[:-1] + np.einsum("jp,erp->erj", samples, w_part)

@@ -121,8 +121,7 @@ def e_alpha_family(alpha, theta=DEFAULT_THETA) -> IntrinsicFunction:
 
     cert = DecayCertificate(alpha=float(alpha),
                             c_alpha=2.0 ** (1.0 - alpha) / math.cos(theta) ** alpha)
-    return IntrinsicFunction(profile, theta, kind="e_alpha",
-                             params={"alpha": float(alpha)}, decay=cert)
+    return IntrinsicFunction(profile, theta, kind="e_alpha", decay=cert)
 
 
 def rational_function(num, den, theta=DEFAULT_THETA) -> IntrinsicFunction:
@@ -170,12 +169,12 @@ def scale_function(f: IntrinsicFunction, t) -> IntrinsicFunction:
     decay = None
     if f.decay is not None:
         a = f.decay.alpha
-        decay = DecayCertificate(a, f.decay.c_alpha * max(abs(t) ** a, abs(t) ** -a),
-                                 f.decay.samples)
-    bounded = f.bounded
-    return IntrinsicFunction(profile, f.theta, kind="scaled",
-                             params={"t": t, "inner": f.params | {"kind": f.kind}},
-                             decay=decay, bounded=bounded)
+        try:
+            c = f.decay.c_alpha * max(abs(t) ** a, abs(t) ** -a)
+        except OverflowError:   # inf, a claim ``truncation_bound`` refuses
+            c = math.inf
+        decay = DecayCertificate(a, c, f.decay.samples)
+    return IntrinsicFunction(profile, f.theta, kind="scaled", decay=decay, bounded=f.bounded)
 
 
 def product_function(*factors) -> IntrinsicFunction:
@@ -215,9 +214,7 @@ def product_function(*factors) -> IntrinsicFunction:
             bounded_all = False
     decay = DecayCertificate(alpha, c) if (c is not None and have_decay) else None
     bounded = BoundedCertificate(sup) if bounded_all else None
-    return IntrinsicFunction(profile, theta, kind="product",
-                             params={"factors": [f.params | {"kind": f.kind} for f in factors]},
-                             decay=decay, bounded=bounded)
+    return IntrinsicFunction(profile, theta, kind="product", decay=decay, bounded=bounded)
 
 
 def sum_function(f: IntrinsicFunction, g: IntrinsicFunction) -> IntrinsicFunction:
@@ -227,9 +224,7 @@ def sum_function(f: IntrinsicFunction, g: IntrinsicFunction) -> IntrinsicFunctio
         z = np.asarray(z, dtype=complex)
         return pf(z) + pg(z)
 
-    return IntrinsicFunction(profile, min(f.theta, g.theta), kind="sum",
-                             params={"terms": [f.params | {"kind": f.kind},
-                                               g.params | {"kind": g.kind}]})
+    return IntrinsicFunction(profile, min(f.theta, g.theta), kind="sum")
 
 
 # ---------------------------------------------------------------------------
@@ -370,12 +365,6 @@ def f_ab_function(f: IntrinsicFunction, a, b) -> IntrinsicFunction:
         raise ArgumentError(f"need 0 < a <= b < inf, got a={a}, b={b}")
     cert = _require_decay(f)
     inner = f.profile
-    if a == b:
-        zero = IntrinsicFunction(lambda z: np.zeros_like(np.asarray(z, dtype=complex)),
-                                 f.theta, kind="f_ab",
-                                 params={"a": float(a), "b": float(b)})
-        return zero.with_decay(DecayCertificate(cert.alpha, 0.0)).with_bounded(
-            BoundedCertificate(0.0))
     u, w = gl_panel_grid(math.log(a), math.log(b))
     t = np.exp(u)
 
@@ -405,10 +394,7 @@ def f_ab_function(f: IntrinsicFunction, a, b) -> IntrinsicFunction:
         k = math.inf
     decay = DecayCertificate(alpha, 2.0 * cert.c_alpha * k)
     bounded = BoundedCertificate(cert.c_alpha * math.pi / alpha)
-    return IntrinsicFunction(profile, f.theta, kind="f_ab",
-                             params={"a": float(a), "b": float(b),
-                                     "inner": f.params | {"kind": f.kind}},
-                             decay=decay, bounded=bounded)
+    return IntrinsicFunction(profile, f.theta, kind="f_ab", decay=decay, bounded=bounded)
 
 
 # ---------------------------------------------------------------------------
@@ -419,8 +405,9 @@ def resolve_function(spec, theta=DEFAULT_THETA) -> IntrinsicFunction:
 
     Builtins: regularizer, e_alpha, rational, scaled, f_ab, product.  A
     rational entry may request certification via params "alpha" (decay fit)
-    and "bounded" (sup fit).  A missing or malformed parameter raises
-    SchemaError.
+    and "bounded" (sup fit).  Every entry, nested ones too, takes the
+    caller's half-angle ``theta``; an entry that sets its own, a missing or
+    a malformed parameter raises SchemaError.
     """
     if not isinstance(spec, dict) or "name" not in spec:
         raise ArgumentError("function spec must be a dict with a 'name' key")
@@ -428,8 +415,11 @@ def resolve_function(spec, theta=DEFAULT_THETA) -> IntrinsicFunction:
     params = spec.get("params", {})
     if not isinstance(params, dict):
         raise SchemaError(f"function {name!r}: 'params' must be an object")
+    if "theta" in params:
+        raise SchemaError(f"function {name!r} sets 'theta'; every function takes "
+                          "the run's angle, set it with --theta")
     try:
-        return _resolve_builtin(name, params, float(params.get("theta", theta)))
+        return _resolve_builtin(name, params, theta)
     except CliffSpecError:
         raise
     except KeyError as exc:

@@ -327,10 +327,19 @@ def blocks_from_rho(stack, n):
 
 
 def spectral_norm(stack):
-    """Largest singular value of each matrix in a stack, sqrt(lambda_max(A^H A))."""
+    """Largest singular value of each matrix in a stack, sqrt(lambda_max(A^H A)),
+    and where A^H A overflows 2^e ||2^-e A||, 2^e > max |a_ij|, scaled exactly."""
     a = np.asarray(stack)
-    lam = np.linalg.eigvalsh(np.swapaxes(a, -1, -2).conj() @ a)[..., -1]
-    return np.sqrt(np.maximum(lam, 0.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = np.swapaxes(a, -1, -2).conj() @ a
+    e = np.zeros(a.shape[:-2], dtype=int)
+    big = ~np.isfinite(gram).all(axis=(-1, -2))
+    if big.any():
+        e[big] = np.frexp(np.abs(a[big]).max(axis=(-1, -2)))[1]
+        b = a[big] * np.exp2(-e[big])[:, None, None]
+        gram[big] = np.swapaxes(b, -1, -2).conj() @ b
+    lam = np.linalg.eigvalsh(gram)[..., -1]
+    return np.ldexp(np.sqrt(np.maximum(lam, 0.0)), e)
 
 
 def rho_matrix(T: CliffordOperator) -> np.ndarray:

@@ -420,7 +420,7 @@ def _dyadic_splitting_upper(gname, g, self_adjoint, fb, hinf):
         c = 1.0
         one_sided = False
     else:
-        c = max(norm / f.bounded.sup_norm for f, res, norm in hinf.values())
+        c = max(_quotient(norm, f.bounded.sup_norm) for f, res, norm in hinf.values())
         one_sided = True
     rhs = _quotient(math.sqrt(8.0 * math.log(2.0)) * c * c_beta, 1.0 - 2.0 ** -beta)
     return _record(f"dyadic_splitting_upper[g={gname}]", fb.d_upper, rhs,

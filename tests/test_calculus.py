@@ -532,3 +532,43 @@ def test_an_infinite_decay_constant_is_refused_before_any_profile(reports, monke
                  lambda: calculus.hinf_operators([ensure_bounded(e)], T, rep, engine=eng)):
         with pytest.raises(cs.NumericalFailureError, match="claimed error is not finite"):
             call()
+
+
+def test_a_function_whose_sector_misses_the_contour_is_refused_unprofiled(reports):
+    # the engine's contour runs at phi = (OMEGA + THETA) / 2 = pi/6, outside
+    # the sector of half-angle 0.3: the family, the f_ab rungs and the hinf
+    # batch refuse it before its profile is called
+    T, rep = reports["jordan"]
+    eng = cs.ContourEngine(T, rep, THETA, cs.ContourConfig(nodes=64))
+    assert eng.phi == pytest.approx(math.pi / 6)
+    narrow = ensure_bounded(cs.regularizer(0.3))
+
+    def profiled(_):
+        raise AssertionError("profiled a function off its sector")
+
+    f = cs.IntrinsicFunction(profiled, 0.3, decay=narrow.decay, bounded=narrow.bounded)
+    for call in (lambda: eng.evaluate_family(f, [0.5, 2.0]),
+                 lambda: calculus.f_ab_operators(f, [(0.1, 10.0)], T, rep, engine=eng),
+                 lambda: calculus.hinf_operators([f], T, rep, engine=eng)):
+        with pytest.raises(cs.ArgumentError, match="phi=0.523599 lies outside the sector"):
+            call()
+
+
+def test_a_non_finite_f_ab_sample_names_its_node(reports):
+    # the ladder samples through the engine: a NaN at one sample of the
+    # profile is refused at that sample's u, not left to reach the sums
+    T, rep = reports["diag1m2"]
+    eng = cs.ContourEngine(T, rep, THETA, cs.ContourConfig(nodes=64))
+    e, poisoned = cs.regularizer(THETA), []
+
+    def profile(z):
+        out = e.eval_complex(z)
+        if z.ndim == 3 and not poisoned:
+            poisoned.append(z[0, 40, 3])
+            out[0, 40, 3] = np.nan
+        return out
+
+    f = cs.IntrinsicFunction(profile, THETA, decay=e.decay)
+    with pytest.raises(cs.NumericalFailureError) as err:
+        calculus.f_ab_operators(f, [(0.1, 10.0)], T, rep, engine=eng)
+    assert err.value.node["u"] == pytest.approx(math.log(abs(poisoned[0])), abs=1e-12)

@@ -359,13 +359,20 @@ def test_parse_vector_positional_error(tmp_path):
     {"name": "rational", "params": {"num": [1]}},
     {"name": "rational", "params": {"num": ["one"], "den": [1.0]}},
     {"name": "regularizer", "params": {"theta": "wide"}},
+    {"name": "regularizer", "params": {"theta": 0.3}},
+    # the decay constant of f(t s) holds |t|^alpha and |t|^-alpha, beyond
+    # the double range here: inf, whose truncation claim is refused
+    {"name": "scaled", "params": {"t": 1e200, "inner": {
+        "name": "product", "params": {"factors": [{"name": "regularizer"}] * 2}}}},
+    {"name": "scaled", "params": {"t": 1e-200, "inner": {
+        "name": "product", "params": {"factors": [{"name": "regularizer"}] * 2}}}},
     # f_ab's decay constant holds a ** -alpha (b ** alpha), beyond the double
     # range here: inf, whose truncation claim is refused
     {"name": "f_ab", "params": {"a": 1e-320, "b": 1, "inner": {"name": "regularizer"}}},
     {"name": "f_ab", "params": {"a": 1, "b": 1e200, "inner": {
         "name": "product", "params": {"factors": [{"name": "regularizer"}] * 2}}}},
 ], ids=["e_alpha-no-alpha", "rational-no-den", "num-not-numeric", "theta-not-numeric",
-        "f_ab-tiny-a", "f_ab-huge-b"])
+        "theta-numeric", "scaled-huge-t", "scaled-tiny-t", "f_ab-tiny-a", "f_ab-huge-b"])
 def test_calc_rejects_malformed_function_spec(tmp_path, capsys, monkeypatch, spec):
     # each is refused before any profile is evaluated: an f_ab whose C_alpha
     # is inf has an infinite truncation claim at every t, and profiling its
@@ -383,6 +390,27 @@ def test_calc_rejects_malformed_function_spec(tmp_path, capsys, monkeypatch, spe
                  "--out", str(tmp_path / "r.json")]) == 2
     assert time.perf_counter() - start < 1.0
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("calc", "--function"), ("frame", "--g"), ("verify", "--g"), ("verify", "--function"),
+])
+@pytest.mark.parametrize("spec", [
+    {"name": "regularizer", "params": {"theta": 0.3}},
+    {"name": "f_ab", "params": {"a": 0.5, "b": 2.0, "inner": {
+        "name": "regularizer", "params": {"theta": 0.3}}}},
+], ids=["own", "nested"])
+def test_a_function_spec_takes_the_angle_of_the_run(tmp_path, capsys, command, flag, spec):
+    # the contour angle comes from --theta and --phi alone: a spec that sets
+    # its own theta, at any depth, is refused before any certificate
+    op, fn = tmp_path / "op.json", tmp_path / "f.json"
+    write_operator(op, [[1.0, 1.0], [0.0, 1.0]])
+    fn.write_text(json.dumps(spec))
+    out = tmp_path / "r.json"
+    assert main([command, "--operator", str(op), flag, str(fn), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--theta" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("grid", ["a,1,0,1,3,3", "-1,1,0,1,nan,3", "nan,1,0,1,3,3"],
@@ -415,6 +443,16 @@ def test_verify_rejects_bad_arguments_before_any_work(tmp_path, capsys, args, ne
     assert main(["verify", "--operator", str(op), "--out", str(out)] + args) == 2
     assert needle in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_verify_refuses_an_operator_whose_values_overflow_their_gram(tmp_path, capsys):
+    # at diag(1e-300, -2e-300) the hinf values reach 1e282, whose A^H A
+    # overflows; their norms are taken, and the zero frame lower bound of
+    # the regularizer is refused
+    op = tmp_path / "op.json"
+    write_operator(op, [[1e-300, 0.0], [0.0, -2e-300]])
+    assert main(["verify", "--operator", str(op), "--out", str(tmp_path / "r.json")]) == 2
+    assert capsys.readouterr().err.startswith("error: inequalities stage, g=regularizer")
 
 
 def test_calc_refuses_an_engine_beyond_the_memory_cap(tmp_path, capsys):

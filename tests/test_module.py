@@ -196,3 +196,15 @@ def test_solve_singular_raises():
         cs.solve_operator(T, w)
     assert err.value.sigma_min is not None
     assert err.value.sigma_min <= 1e-10
+
+
+def test_spectral_norm_scales_only_the_matrices_whose_gram_overflows(rng):
+    # A^H A overflows at 1e200: the norm is 2^e ||2^-e A||, and every
+    # other matrix of the stack keeps its norm bit for bit
+    assert cs.module.spectral_norm(np.array([[1e200]])) == 1e200
+    a = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
+    alone = cs.module.spectral_norm(a)
+    a[1] *= 2.0 ** 700
+    norms = cs.module.spectral_norm(a)
+    assert norms[[0, 2]].tolist() == alone[[0, 2]].tolist()
+    assert norms[1] == pytest.approx(alone[1] * 2.0 ** 700, rel=1e-14)

@@ -79,6 +79,24 @@ _CONSTANT_NODES = (ast.Constant, ast.Name, ast.Attribute, ast.Load, ast.BinOp, a
                    ast.operator, ast.unaryop)
 
 
+def test_the_contour_samples_profiles_in_one_place():
+    # calculus evaluates a profile only in ContourEngine._sample, which
+    # checks the function's sector before and its values after
+    readers = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Attribute) and child.attr in ("eval_complex", "profile"):
+                readers.add(".".join(scope))
+            visit(child, scope)
+
+    visit(_tree(PACKAGE / "calculus.py"), ())
+    assert readers == {"ContourEngine._sample"}
+
+
 def test_modules_do_no_work_at_import():
     # every import compiles each module from source when bytecode is not
     # written, and that time lands in the set-up of every run: a module body

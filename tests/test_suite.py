@@ -462,8 +462,9 @@ def test_a_non_finite_claim_is_refused():
 
 
 def test_records_whose_constant_divides_by_zero_are_refused():
-    # 2 alpha^2 underflows to 0 at alpha = 1e-163, and 1 - 2^-beta rounds to
-    # 0 at beta = 1e-17: each bound is inf, which its record refuses
+    # 2 alpha^2 underflows to 0 at alpha = 1e-163, 1 - 2^-beta rounds to 0
+    # at beta = 1e-17, and an f of sup norm 0 divides the hinf norm ratio
+    # of a non-self-adjoint T by 0: each bound is inf, which its record refuses
     T = cs.CliffordOperator.from_real_matrix([[1.0, 0.0], [0.0, -2.0]], n=1)
     g, _, c_theta, fam, blocks = regularizer_family(T)
     tiny = g.with_decay(cs.DecayCertificate(1e-163, 1.0))
@@ -474,6 +475,9 @@ def test_records_whose_constant_divides_by_zero_are_refused():
     flat = g.with_decay(cs.DecayCertificate(1e-17, 1.0))
     with pytest.raises(cs.NumericalFailureError, match="dyadic_splitting_upper"):
         suite._dyadic_splitting_upper("g", flat, True, frame, {})
+    zero = cs.rational_function([0.0], [1.0]).with_bounded(cs.BoundedCertificate(0.0))
+    with pytest.raises(cs.NumericalFailureError, match="dyadic_splitting_upper"):
+        suite._dyadic_splitting_upper("g", g, False, frame, {"zero": (zero, None, 0.0)})
 
 
 @pytest.mark.parametrize("case", ["diag", "1+e1"])
