@@ -326,20 +326,98 @@ def blocks_from_rho(stack, n):
     return block_form(_rho_coeffs(np.asarray(stack, dtype=float), n), n)
 
 
+# a Gram whose lambda_max lies below this has lost bits to underflow, or
+# is about to: the norm is taken of 2^-e A instead
+_GRAM_TINY = 2.0 ** -1000
+
+
 def spectral_norm(stack):
-    """Largest singular value of each matrix in a stack, sqrt(lambda_max(A^H A)),
-    and where A^H A overflows 2^e ||2^-e A||, 2^e > max |a_ij|, scaled exactly."""
+    """Largest singular value of each matrix in a stack, sqrt(lambda_max(A^H A)).
+
+    A 1 x 1 matrix gives |a|.  A 2 x 2 one gives it in closed form from the
+    entries p, q and m12 of A^H A (see ``hermitian_eigenvalues``), a larger
+    one by ``eigvalsh`` of A^H A.  Where lambda_max overflows or falls below
+    2^-1000, the norm is 2^e ||2^-e A|| with 2^e > max |a_ij|, scaled exactly.
+    """
     a = np.asarray(stack)
+    if a.shape[-2:] == (1, 1):
+        return np.abs(a[..., 0, 0])
+    lead = a.shape[:-2]
+    a = a.reshape(-1, *a.shape[-2:])
+    lam = _gram_lambda_max(a)
+    e = np.zeros(lam.shape, dtype=int)
+    # a zero matrix has lambda_max 0 and no scale
+    scale = ~((lam >= _GRAM_TINY) & (lam < np.inf)) & a.any(axis=(-1, -2))
+    if scale.any():
+        e[scale] = np.frexp(np.abs(a[scale]).max(axis=(-1, -2)))[1]
+        lam[scale] = _gram_lambda_max(_ldexp(a[scale], -e[scale]))
+    return np.ldexp(np.sqrt(np.maximum(lam, 0.0)), e).reshape(lead)
+
+
+def _gram_lambda_max(a):
+    """lambda_max of each A^H A in a stack, inf where A^H A overflows."""
     with np.errstate(over="ignore", invalid="ignore"):
+        if a.shape[-1] == 2:
+            a00, a01, a10, a11 = a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
+            p = _abs2(a00) + _abs2(a10)
+            q = _abs2(a01) + _abs2(a11)
+            return np.maximum(p, q) + _split(p, q, np.abs(a00.conj() * a01 + a10.conj() * a11))
         gram = np.swapaxes(a, -1, -2).conj() @ a
-    e = np.zeros(a.shape[:-2], dtype=int)
     big = ~np.isfinite(gram).all(axis=(-1, -2))
-    if big.any():
-        e[big] = np.frexp(np.abs(a[big]).max(axis=(-1, -2)))[1]
-        b = a[big] * np.exp2(-e[big])[:, None, None]
-        gram[big] = np.swapaxes(b, -1, -2).conj() @ b
+    gram[big] = 0.0
     lam = np.linalg.eigvalsh(gram)[..., -1]
-    return np.ldexp(np.sqrt(np.maximum(lam, 0.0)), e)
+    lam[big] = np.inf
+    return lam
+
+
+def _abs2(x):
+    return x.real * x.real + x.imag * x.imag if np.iscomplexobj(x) else x * x
+
+
+def _split(p, q, m12):
+    """lambda_max - max(p, q) = max(p, q) - lambda_min >= 0 of the Hermitian
+    [[p, m12], [conj m12, q]], as |m12|^2 / (r + |p - q| / 2) with
+    r = hypot((p - q) / 2, |m12|): no cancellation, and 0 where m12 = 0."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        half = 0.5 * np.abs(p - q)
+        den = np.hypot(half, m12) + half
+        return np.where(m12 > 0.0, m12 * (m12 / den), 0.0)
+
+
+def _ldexp(a, e):
+    """a 2^e, exactly, for a stack of real or complex matrices and one e each."""
+    a = np.ascontiguousarray(a)
+    parts = a.view(np.float64) if np.iscomplexobj(a) else a
+    return np.ldexp(parts, e[:, None, None]).view(a.dtype)
+
+
+def hermitian_eigenvalues(h):
+    """Eigenvalues, ascending, of each matrix in a stack of Hermitian h
+    (..., k, k): in closed form for k <= 2, max(p, q) + s and
+    min(p, q) - s with s from ``_split``, exact on diagonal h; else by
+    ``eigvalsh``."""
+    h = np.asarray(h)
+    if h.shape[-1] == 1:
+        return h[..., 0].real
+    if h.shape[-1] != 2:
+        return np.linalg.eigvalsh(h)
+    p, q = h[..., 0, 0].real, h[..., 1, 1].real
+    s = _split(p, q, np.abs(h[..., 0, 1]))
+    return np.stack([np.minimum(p, q) - s, np.maximum(p, q) + s], axis=-1)
+
+
+def block_products(a, b):
+    """A B for each pair of two stacks of blocks (broadcast): entry by entry
+    for 1 x 1 and 2 x 2 blocks, with no matmul loop, else ``a @ b``."""
+    if a.shape[-2:] == b.shape[-2:] == (1, 1):
+        return a * b
+    if not a.shape[-2:] == b.shape[-2:] == (2, 2):
+        return a @ b
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.result_type(a, b))
+    for i in (0, 1):
+        for j in (0, 1):
+            out[..., i, j] = a[..., i, 0] * b[..., 0, j] + a[..., i, 1] * b[..., 1, j]
+    return out
 
 
 def rho_matrix(T: CliffordOperator) -> np.ndarray:

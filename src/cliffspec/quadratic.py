@@ -41,6 +41,7 @@ from .module import (
     block_norms,
     blocks_from_rho,
     coeffs_from_blocks,
+    hermitian_eigenvalues,
     operator_norm,
     rho_stack,
 )
@@ -246,7 +247,7 @@ def _block_frame_bounds(w, theta, truncs, discs, scale, n, rest=0.0) -> FrameBou
         trunc = float(np.dot(w, 2.0 * scale * truncs + truncs ** 2))
         disc = float(np.dot(w, 2.0 * scale * discs + discs ** 2)) + rest
     theta = 0.5 * (theta + np.swapaxes(theta, -1, -2).conj())
-    lam = np.linalg.eigvalsh(theta)
+    lam = hermitian_eigenvalues(theta)
     eig = np.sort(np.repeat(lam.ravel(), (1 << (n - n // 2)) // lam.shape[0]))
     return FrameBounds(
         c_lower=float(math.sqrt(max(eig[0], 0.0))),

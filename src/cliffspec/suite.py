@@ -27,7 +27,7 @@ from .functions import (
     regularizer,
     resolve_function,
 )
-from .module import CliffordOperator, Diagonal, rho_matrix, spectral_norm
+from .module import CliffordOperator, Diagonal, block_products, rho_matrix, spectral_norm
 from .quadratic import check_frame_memory, default_quad_grid, family_frames, lattice_contour
 from .quadrature import pairwise_sum
 from .serialization import (
@@ -313,7 +313,8 @@ def _composition_bound_records(gname, g, c_theta, t_grid, w_grid, blocks, rng):
     """Composition bounds: uniform, integrated, and the square-kernel form.
 
     Products and norms run on the spinor blocks: the norm of rho(g(tT) g(tau T))
-    is the largest norm of the products of its blocks; ``blocks`` holds those
+    is the largest norm of the products of its blocks (``block_products``,
+    entry by entry for 2 x 2 blocks, and ``spectral_norm``); ``blocks`` holds those
     of the family on the grid (t, w), as their ``Diagonal`` when the engine
     has an eigenbasis.  Every record reads its values off the family: each
     random parameter 10^u of i) and ii), in units of the centre 1 / ||T|| of
@@ -339,7 +340,7 @@ def _composition_bound_records(gname, g, c_theta, t_grid, w_grid, blocks, rng):
         for lo in range(0, len(ks), t_grid.size):
             a, b = blocks[ks[lo:lo + t_grid.size]], blocks[ls[lo:lo + t_grid.size]]
             out[lo:lo + t_grid.size] = (a.product_norms(b) if isinstance(a, Diagonal)
-                                        else spectral_norm(a @ b).max(axis=-1))
+                                        else spectral_norm(block_products(a, b)).max(axis=-1))
         return out
 
     # the grid is (+t, -t), h_t its interior weight; the nodes within three
@@ -414,7 +415,8 @@ def _sup_domination_records(gname, T, fb, cg, rng, gs, g_hinf):
 
 def _dyadic_splitting_upper(gname, g, self_adjoint, fb, hinf):
     """The dyadic upper bound of the frame constant: c = 1 for self-adjoint
-    T (``module.self_adjoint_basis``), else the largest hinf norm ratio."""
+    T (``module.self_adjoint_basis``), else the largest hinf norm ratio,
+    which is refused where it is 0: every f(T) vanishes."""
     beta, c_beta = g.decay.alpha, g.decay.c_alpha
     if self_adjoint:
         c = 1.0
@@ -422,6 +424,11 @@ def _dyadic_splitting_upper(gname, g, self_adjoint, fb, hinf):
     else:
         c = max(_quotient(norm, f.bounded.sup_norm) for f, res, norm in hinf.values())
         one_sided = True
+        if c == 0.0:
+            raise NumericalFailureError(
+                f"record dyadic_splitting_upper[g={gname}] takes c = 0, the largest "
+                "||f(T)|| / ||f||_inf over the bounded f: every f(T) vanishes, and a "
+                "zero ratio is no estimate of the calculus constant")
     rhs = _quotient(math.sqrt(8.0 * math.log(2.0)) * c * c_beta, 1.0 - 2.0 ** -beta)
     return _record(f"dyadic_splitting_upper[g={gname}]", fb.d_upper, rhs,
                    tol=fb.combined_error,

@@ -572,3 +572,13 @@ def test_a_non_finite_f_ab_sample_names_its_node(reports):
     with pytest.raises(cs.NumericalFailureError) as err:
         calculus.f_ab_operators(f, [(0.1, 10.0)], T, rep, engine=eng)
     assert err.value.node["u"] == pytest.approx(math.log(abs(poisoned[0])), abs=1e-12)
+
+
+def test_engine_roundoff_keeps_the_norm_of_a_tiny_operator():
+    # ||T|| = 2e-300 squares to 0 in A^H A; read off 2^-e T, the T beta P
+    # term of the roundoff bound keeps it
+    T = cs.CliffordOperator.from_real_matrix([[1e-300, 0.0], [0.0, -2e-300]], n=1)
+    phi = 0.5 * (OMEGA + THETA)
+    bisector = cs.check_bisectorial(T, OMEGA, cs.RaySampling(phis=(phi, THETA)))
+    engine = cs.ContourEngine(T, bisector, THETA, cs.ContourConfig(nodes=500))
+    assert engine._k_fro[1].max() > 0.0

@@ -654,3 +654,20 @@ def test_verify_refuses_a_record_whose_bound_is_not_finite(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: inequalities stage, g=regularizer: ")
     assert "composition_square_kernel" in err and "not finite" in err
+
+
+def test_verify_refuses_a_calculus_constant_of_zero(tmp_path, capsys):
+    # f_ab(2, 2) vanishes, so does every f(T), and the c of
+    # dyadic_splitting_upper on a non-self-adjoint T, the largest
+    # ||f(T)|| / ||f||_inf, is 0: refused, where each record would fail on
+    # an operator that satisfies it
+    op = tmp_path / "op.json"
+    write_operator(op, [[1.0, 1.0], [0.0, 1.0]])
+    fn = tmp_path / "f.json"
+    fn.write_text(json.dumps({"name": "f_ab", "params": {"a": 2, "b": 2,
+                                                         "inner": {"name": "regularizer"}}}))
+    assert main(["verify", "--operator", str(op), "--function", str(fn),
+                 "--out", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: inequalities stage, g=regularizer: ")
+    assert "dyadic_splitting_upper[g=regularizer] takes c = 0" in err

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cliffspec as cs
+from cliffspec.module import block_products, hermitian_eigenvalues, spectral_norm
 
 from conftest import random_clifford, random_operator, random_paravector, random_vector
 
@@ -208,3 +210,77 @@ def test_spectral_norm_scales_only_the_matrices_whose_gram_overflows(rng):
     norms = cs.module.spectral_norm(a)
     assert norms[[0, 2]].tolist() == alone[[0, 2]].tolist()
     assert norms[1] == pytest.approx(alone[1] * 2.0 ** 700, rel=1e-14)
+
+
+def test_spectral_norm_scales_the_matrices_whose_gram_underflows(rng):
+    # |a|^2 underflows at 1e-300 and loses bits at 1e-160: a 1 x 1 norm is
+    # |a| exactly, and a matrix whose A^H A lies below 2^-1000 is scaled by
+    # 2^-e while every other matrix of the stack keeps its norm bit for bit
+    for x in (1e-300, -1e-160, 5e-324, 3e-310j, 1e200):
+        assert spectral_norm(np.array([[x]])) == abs(x)
+    for k in (2, 4):
+        a = rng.standard_normal((3, k, k)) + 1j * rng.standard_normal((3, k, k))
+        alone = spectral_norm(a)
+        a[1] *= 2.0 ** -1000
+        norms = spectral_norm(a)
+        assert norms[[0, 2]].tolist() == alone[[0, 2]].tolist()
+        if k == 2:   # the closed form commutes with the scaling
+            assert norms[1] == alone[1] * 2.0 ** -1000
+        else:
+            assert norms[1] == pytest.approx(alone[1] * 2.0 ** -1000, rel=1e-14)
+
+
+EPS = np.finfo(float).eps
+
+
+@st.composite
+def small_stacks(draw, k):
+    """A stack of k x k matrices, k <= 2, real or complex: random, a scalar
+    times a unitary plus 1e-12 noise (near-equal singular values), rank 1,
+    or zero, with entries near 1, 1e+-160 or 1e+-200."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    real = draw(st.booleans())
+
+    def sample(*shape):
+        x = rng.standard_normal(shape)
+        return x if real else x + 1j * rng.standard_normal(shape)
+
+    kind = draw(st.sampled_from(["random", "unitary", "rank1", "zero"]))
+    a = {"random": lambda: sample(6, k, k),
+         "unitary": lambda: (np.linalg.qr(sample(6, k, k))[0] * rng.standard_normal((6, 1, 1))
+                             + 1e-12 * sample(6, k, k)),
+         "rank1": lambda: sample(6, k, 1) * sample(6, 1, k).conj(),
+         "zero": lambda: 0.0 * sample(6, k, k)}[kind]()
+    return a * 10.0 ** draw(st.sampled_from([0, 160, -160, 200, -200]))
+
+
+def _unit_scaled(a):
+    """(2^-e A, e) per matrix, 2^e > max |a_ij|: exact, and no Gram over- or underflows."""
+    e = np.frexp(np.abs(a).max(axis=(-1, -2)))[1]
+    return a * np.exp2(-e)[:, None, None], e
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.sampled_from([1, 2]).flatmap(lambda k: st.tuples(small_stacks(k), small_stacks(k))))
+def test_closed_form_norms_and_products_match_lapack_and_matmul(pair):
+    a, b = pair
+    # the norm: within 4 eps of sqrt(lambda_max) of A^H A by eigvalsh, the
+    # reference taken of 2^-e A, whose A^H A neither over- nor underflows
+    unit, e = _unit_scaled(a)
+    want = np.ldexp(np.sqrt(np.maximum(
+        np.linalg.eigvalsh(np.swapaxes(unit, -1, -2).conj() @ unit)[:, -1], 0.0)), e)
+    got = spectral_norm(a)
+    assert np.all(np.abs(got - want) <= 4.0 * EPS * want)
+    # the product: within 2 eps ||A|| ||B|| of matmul
+    a, b = unit, _unit_scaled(b)[0]
+    gap = np.linalg.norm(block_products(a, b) - a @ b, 2, axis=(-2, -1))
+    assert np.all(gap <= 2.0 * EPS * spectral_norm(a) * spectral_norm(b))
+    # the eigenvalues of a Hermitian h: within 4 eps ||h|| of eigvalsh, and
+    # exact on a diagonal h
+    h = a + np.swapaxes(a, -1, -2).conj()
+    want = np.linalg.eigvalsh(h)
+    assert np.all(np.abs(hermitian_eigenvalues(h) - want)
+                  <= 4.0 * EPS * np.abs(want).max(axis=-1, keepdims=True))
+    diag = np.diagonal(h, axis1=-2, axis2=-1).real
+    assert np.array_equal(hermitian_eigenvalues(np.eye(a.shape[-1]) * diag[:, None, :]),
+                          np.sort(diag, axis=-1))

@@ -464,7 +464,8 @@ def test_a_non_finite_claim_is_refused():
 def test_records_whose_constant_divides_by_zero_are_refused():
     # 2 alpha^2 underflows to 0 at alpha = 1e-163, 1 - 2^-beta rounds to 0
     # at beta = 1e-17, and an f of sup norm 0 divides the hinf norm ratio
-    # of a non-self-adjoint T by 0: each bound is inf, which its record refuses
+    # of a non-self-adjoint T by 0: each bound is inf, which its record
+    # refuses; an f(T) = 0 makes that ratio 0, no estimate of the constant
     T = cs.CliffordOperator.from_real_matrix([[1.0, 0.0], [0.0, -2.0]], n=1)
     g, _, c_theta, fam, blocks = regularizer_family(T)
     tiny = g.with_decay(cs.DecayCertificate(1e-163, 1.0))
@@ -478,6 +479,10 @@ def test_records_whose_constant_divides_by_zero_are_refused():
     zero = cs.rational_function([0.0], [1.0]).with_bounded(cs.BoundedCertificate(0.0))
     with pytest.raises(cs.NumericalFailureError, match="dyadic_splitting_upper"):
         suite._dyadic_splitting_upper("g", g, False, frame, {"zero": (zero, None, 0.0)})
+    vanishing = cs.rational_function([0.0], [1.0]).with_bounded(cs.BoundedCertificate(1.0))
+    with pytest.raises(cs.NumericalFailureError,
+                       match=r"dyadic_splitting_upper\[g=g\] takes c = 0"):
+        suite._dyadic_splitting_upper("g", g, False, frame, {"vanishing": (vanishing, None, 0.0)})
 
 
 @pytest.mark.parametrize("case", ["diag", "1+e1"])
@@ -541,3 +546,28 @@ def test_a_non_finite_profile_in_a_batch_names_u_t_and_its_f():
         suite._hinf_stage("hinf_norms", [("f=good", good), ("f=bad", bad)],
                           T, report, None, engine)
     assert err.value.node["t"] == 1.0 and math.exp(err.value.node["u"]) > 5.0
+
+
+@pytest.mark.parametrize("case", ["jordan", "1+e1"])
+def test_dense_verify_sends_no_small_stack_to_eigvalsh(case, monkeypatch):
+    # 1 x 1 and 2 x 2 norms (products, frame and ladder estimates, the
+    # resolvent samples) and frame eigenvalues are closed forms; the 4 x 4
+    # rho matrices of the Jordan block still reach eigvalsh
+    T, config = {
+        "jordan": (cs.CliffordOperator.from_real_matrix([[1.0, 1.0], [0.0, 1.0]], n=1),
+                   cs.SuiteConfig()),
+        "1+e1": (cs.CliffordOperator(1, 1, np.array([[[1.0, 1.0]]])),
+                 cs.SuiteConfig(omega=0.9, theta=1.2)),
+    }[case]
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recording(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    report = cs.run_theorem_suite(T, config=config)
+    assert report["passed"] and report["contour"]["basis"]["path"] == "dense"
+    assert all(shape[-1] > 2 for shape in shapes)
+    assert any(shape[-1] == 4 for shape in shapes) == (case == "jordan")
