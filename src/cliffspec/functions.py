@@ -7,8 +7,11 @@ conditions hold by construction and the Cauchy-Riemann equations reduce to
 analyticity of the profile.
 
 Decay certificates (alpha, C_alpha) witness |f(s)| <= C |s|^a / (1 + |s|^2a)
-on the sector; bounded certificates record a sampled sup norm.  Certificates
-carry sample counts when they were fit by sampling.
+on the sector; bounded certificates record a sup norm.  A fitted certificate
+evaluates |f| once on one sector sample set, and carries its point count; a
+rational with a pole in the closed sector, or one that grows at infinity
+where a sup norm is asked for, is refused before.  A product combines the
+certificates of its factors by one rule (``product_function``).
 """
 
 from __future__ import annotations
@@ -191,29 +194,16 @@ def product_function(*factors) -> IntrinsicFunction:
             out = out * p(z)
         return out
 
-    # combine certificates: decaying factors contribute (alpha, C); bounded
-    # factors multiply the constant; one decaying factor suffices
-    alpha = 0.0
-    c = 1.0
-    have_decay = False
-    bounded_all = True
-    sup = 1.0
-    for f in factors:
-        if f.decay is not None:
-            alpha += f.decay.alpha
-            c *= f.decay.c_alpha
-            have_decay = True
-        elif f.bounded is not None:
-            c *= f.bounded.sup_norm
-        else:
-            c = None
-            break
-        if f.bounded is not None:
-            sup *= f.bounded.sup_norm
-        else:
-            bounded_all = False
-    decay = DecayCertificate(alpha, c) if (c is not None and have_decay) else None
-    bounded = BoundedCertificate(sup) if bounded_all else None
+    # one rule: exponents add and constants multiply, where a factor without
+    # decay brings its sup norm; a factor with neither certificate voids both
+    sups = [None if f.bounded is None else f.bounded.sup_norm for f in factors]
+    consts = [s if f.decay is None else f.decay.c_alpha for f, s in zip(factors, sups)]
+    alphas = [f.decay.alpha for f in factors if f.decay is not None]
+    decay = bounded = None
+    if alphas and None not in consts:
+        decay = DecayCertificate(sum(alphas), math.prod(consts))
+    if None not in sups:
+        bounded = BoundedCertificate(math.prod(sups))
     return IntrinsicFunction(profile, theta, kind="product", decay=decay, bounded=bounded)
 
 
@@ -245,6 +235,38 @@ def _sample_points(theta, samples_per_ray, radius_span=(1e-4, 1e4)):
     return np.concatenate(pts)
 
 
+def _refuse_unbounded_rational(f, at_infinity=False):
+    """CertificationError for a rational with a pole in the closed double
+    sector, 0 included, and with ``at_infinity`` for one that grows there."""
+    if f.kind != "rational":
+        return
+    for pole in np.roots(f.params["den"]):
+        if math.atan2(abs(pole.imag), abs(pole.real)) <= f.theta:
+            where = f"{pole.real:.6g}" if pole.imag == 0 else f"{complex(pole):.6g}"
+            raise CertificationError(
+                f"the rational has a pole at {where}, in the closed double sector "
+                f"of half-angle {f.theta:.6g}")
+    if not at_infinity:
+        return
+    num, den = (np.trim_zeros(np.array(f.params[k]), "f").size - 1 for k in ("num", "den"))
+    if num > den:
+        raise CertificationError(
+            f"the rational grows at infinity: its numerator has degree {num}, "
+            f"its denominator {den}")
+
+
+def _sampled_sup(f, weigh=None):
+    """max |f|, or max ``weigh(|f|, r)``, on the sector sample set at r = |z|:
+    over all its radii and over those in [1e-2, 1e2], with the point count."""
+    z = _sample_points(f.theta, _CERTIFY_SAMPLES)
+    vals = np.abs(f.eval_complex(z))
+    r = np.abs(z)
+    if weigh is not None:
+        vals = weigh(vals, r)
+    narrow = (r >= 1e-2) & (r <= 1e2)
+    return float(np.max(vals)), float(np.max(vals[narrow])), z.size
+
+
 def certify_decay(f: IntrinsicFunction, alpha) -> DecayCertificate:
     """Fit the smallest C_alpha over the sample set for the given alpha.
 
@@ -254,32 +276,24 @@ def certify_decay(f: IntrinsicFunction, alpha) -> DecayCertificate:
     """
     if alpha <= 0.0:
         raise ArgumentError("decay exponent alpha must be positive")
-    z_wide = _sample_points(f.theta, _CERTIFY_SAMPLES)
-    z_narrow = _sample_points(f.theta, _CERTIFY_SAMPLES, radius_span=(1e-2, 1e2))
-
-    def fit(z):
-        vals = np.abs(f.eval_complex(z))
-        r = np.abs(z)
-        need = vals * (1.0 + r ** (2 * alpha)) / r ** alpha
-        return float(np.max(need))
-
-    c_wide = fit(z_wide)
-    c_narrow = fit(z_narrow)
+    _refuse_unbounded_rational(f)
+    c_wide, c_narrow, samples = _sampled_sup(
+        f, lambda vals, r: vals * (1.0 + r ** (2 * alpha)) / r ** alpha)
     if not np.isfinite(c_wide) or c_wide > 5.0 * c_narrow:
         raise CertificationError(
             f"no stable decay of order alpha={alpha}: constant grows from "
             f"{c_narrow:.3e} to {c_wide:.3e} as the radius window widens"
         )
-    return DecayCertificate(float(alpha), c_wide, samples=z_wide.size)
+    return DecayCertificate(float(alpha), c_wide, samples=samples)
 
 
 def certify_bounded(f: IntrinsicFunction) -> BoundedCertificate:
     """Sampled sup norm over the sector sampling set."""
-    z = _sample_points(f.theta, _CERTIFY_SAMPLES)
-    vals = np.abs(f.eval_complex(z))
-    if not np.all(np.isfinite(vals)):
+    _refuse_unbounded_rational(f, at_infinity=True)
+    sup, _, samples = _sampled_sup(f)
+    if not np.isfinite(sup):
         raise CertificationError("function is non-finite on the sample set")
-    return BoundedCertificate(float(np.max(vals)), samples=z.size)
+    return BoundedCertificate(sup, samples=samples)
 
 
 def ensure_bounded(f: IntrinsicFunction) -> IntrinsicFunction:

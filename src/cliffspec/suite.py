@@ -19,7 +19,7 @@ from .calculus import (
     f_ab_operators,
     hinf_operators,
 )
-from .errors import ArgumentError, NumericalFailureError
+from .errors import ArgumentError, CertificationError, NumericalFailureError
 from .functions import (
     ensure_bounded,
     f0_infty,
@@ -64,8 +64,12 @@ def default_f_specs():
 
 
 def spec_name(spec) -> str:
+    if not isinstance(spec, dict):  # a malformed spec, which resolve_function refuses
+        return "?"
     name = spec.get("name", "?")
     params = spec.get("params", {})
+    if not isinstance(params, dict):
+        params = {}
     if name == "rational":
         return f"rational({params.get('num')}/{params.get('den')})"
     if name == "e_alpha":
@@ -116,6 +120,16 @@ def _stage(name, item):
         yield
     except (ArgumentError, NumericalFailureError) as exc:
         exc.args = (f"{name} stage, {item}: {exc}",)
+        raise
+
+
+def _certified(kind, spec, theta):
+    """The function of ``spec`` with a bounded certificate; a refused
+    certificate is prefixed with the label ``kind=name`` of the spec."""
+    try:
+        return ensure_bounded(resolve_function(spec, theta))
+    except CertificationError as exc:
+        exc.args = (f"{kind}={spec_name(spec)}: {exc}",)
         raise
 
 
@@ -182,8 +196,8 @@ def run_theorem_suite(T: CliffordOperator, g_specs=None, f_specs=None,
         "f_registry_specs": f_specs,
     }
 
-    gs = [(spec_name(s), ensure_bounded(resolve_function(s, theta))) for s in g_specs]
-    fs = [(spec_name(s), ensure_bounded(resolve_function(s, theta))) for s in f_specs]
+    gs = [(spec_name(s), _certified("g", s, theta)) for s in g_specs]
+    fs = [(spec_name(s), _certified("f", s, theta)) for s in f_specs]
 
     # stage: bisectoriality certificate ------------------------------------
     spread = RaySampling().resolved_phis(config.omega)

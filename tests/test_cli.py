@@ -393,6 +393,59 @@ def test_calc_rejects_malformed_function_spec(tmp_path, capsys, monkeypatch, spe
 
 
 @pytest.mark.parametrize("command, flag", [
+    ("calc", "--function"), ("verify", "--function"), ("verify", "--g"),
+])
+@pytest.mark.parametrize("params, reason", [
+    ({"num": [1.0], "den": [1.0, -3.0], "bounded": True}, "pole at 3,"),
+    ({"num": [1.0], "den": [1.0, -3.0]}, "pole at 3,"),
+    ({"num": [1.0, 0.0], "den": [1.0]}, "numerator has degree 1"),
+    ({"num": [1.0, 0.0], "den": [1.0], "bounded": True}, "numerator has degree 1"),
+], ids=["pole", "pole-unmarked", "growth", "growth-marked"])
+def test_a_rational_no_sample_set_can_bound_is_refused(tmp_path, capsys, command, flag,
+                                                       params, reason):
+    # sampling gave the pole at 3 a sup of 224.7 and s one of 1e4, and calc and
+    # verify exited 0 on diag(1, -2) with wrong values and tiny claims
+    op, fn = tmp_path / "op.json", tmp_path / "f.json"
+    write_operator(op, [[1.0, 0.0], [0.0, -2.0]])
+    fn.write_text(json.dumps({"name": "rational", "params": params}))
+    out = tmp_path / "r.json"
+    assert main([command, "--operator", str(op), flag, str(fn), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and reason in err
+    if command == "verify":
+        label = f"{flag[2]}=rational({params['num']}/{params['den']}): "
+        assert err.startswith("error: " + label)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"name": "rational", "params": [1.0]}, "function 'rational': 'params' must be"),
+    ({"name": "product", "params": {"factors": [{"name": "rational", "params": [1.0]}]}},
+     "function 'rational': 'params' must be"),
+    ({"name": "product", "params": {"factors": [1.0]}}, "function spec must be a dict"),
+], ids=["params-not-an-object", "nested-params-not-an-object", "factor-not-an-object"])
+def test_verify_refuses_a_malformed_spec_with_a_message(tmp_path, capsys, spec, message):
+    # the spec's label was formed before the spec was checked, and ended in a traceback
+    op, fn = tmp_path / "op.json", tmp_path / "g.json"
+    write_operator(op, [[1.0, 0.0], [0.0, -2.0]])
+    fn.write_text(json.dumps(spec))
+    assert main(["verify", "--operator", str(op), "--g", str(fn),
+                 "--out", str(tmp_path / "r.json")]) == 2
+    assert capsys.readouterr().err.startswith("error: " + message)
+
+
+def test_verify_names_the_g_whose_decay_certificate_it_refuses(tmp_path, capsys):
+    op, fn = tmp_path / "op.json", tmp_path / "g.json"
+    write_operator(op, [[1.0, 0.0], [0.0, -2.0]])
+    fn.write_text(json.dumps({"name": "rational",
+                              "params": {"num": [1.0], "den": [1.0], "alpha": 1.0}}))
+    assert main(["verify", "--operator", str(op), "--g", str(fn),
+                 "--out", str(tmp_path / "r.json")]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: g=rational([1.0]/[1.0]): no stable decay of order alpha=1.0: ")
+
+
+@pytest.mark.parametrize("command, flag", [
     ("calc", "--function"), ("frame", "--g"), ("verify", "--g"), ("verify", "--function"),
 ])
 @pytest.mark.parametrize("spec", [

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -8,7 +9,7 @@ import pytest
 
 import cliffspec as cs
 from cliffspec import quadrature
-from cliffspec.functions import DEFAULT_THETA, _sample_points, arctan_tails
+from cliffspec.functions import DEFAULT_THETA, _sample_points, arctan_tails, ensure_bounded
 from cliffspec.quadrature import gl_panel_grid
 
 
@@ -250,6 +251,43 @@ def test_certify_bounded():
     assert np.all(np.abs(f.eval_complex(z)) <= cert.sup_norm)
 
 
+def test_certify_decay_evaluates_each_profile_once():
+    # one pass over the sample set gives C_alpha and the narrow window of the
+    # stability check, which reads the wide set's radii in [1e-2, 1e2]
+    g = cs.resolve_function(cs.default_g_specs()[2])
+    seen = []
+
+    def counting(z):
+        seen.append(z.size)
+        return g.profile(z)
+
+    cert = cs.certify_decay(cs.IntrinsicFunction(counting, g.theta), 1.0)
+    assert sum(seen) == cert.samples == 10_000
+    assert cert.c_alpha == g.decay.c_alpha == 2.4140010885392806
+
+
+@pytest.mark.parametrize("num, den, message", [
+    ([1.0], [1.0, -3.0], "pole at 3,"),
+    ([1.0], [1.0, 0.0], "pole at 0,"),
+    ([1.0], [1.0, 0.0, -1.0, 0.0], "pole at "),
+    ([1.0], [1.0, -2.0, 2.0], "pole at 1+1j,"),
+], ids=["real", "zero", "on-both-halves", "on-the-edge"])
+def test_certificates_refuse_a_rational_with_a_pole_in_the_closed_sector(num, den, message):
+    f = cs.rational_function(num, den)
+    for certify in (cs.certify_bounded, lambda f: cs.certify_decay(f, 1.0)):
+        with pytest.raises(cs.CertificationError, match=re.escape(message)):
+            certify(f)
+
+
+def test_certify_bounded_refuses_a_rational_that_grows_at_infinity():
+    for num, den in (([1.0, 0.0], [0.0, 0.0, 1.0]), ([1.0, 0.0, 0.0, 0.0], [1.0, 0.0, 1.0])):
+        with pytest.raises(cs.CertificationError, match="numerator has degree"):
+            cs.certify_bounded(cs.rational_function(num, den))
+    # leading zeros do not count as degree: s^2 / (1 + s^2) is bounded
+    f = cs.rational_function([0.0, 1.0, 0.0, 0.0], [0.0, 1.0, 0.0, 1.0])
+    assert cs.certify_bounded(f).sup_norm == pytest.approx(1.0)
+
+
 def test_cauchy_riemann_residuals(rng):
     theta = DEFAULT_THETA
     builtins = [
@@ -278,6 +316,23 @@ def test_product_certificates_multiply():
     r = np.abs(z)
     a, c = prod.decay.alpha, prod.decay.c_alpha
     assert np.all(vals <= c * r ** a / (1 + r ** (2 * a)) * (1 + 1e-12))
+
+
+def test_product_certificates_come_from_one_rule():
+    # a factor with neither certificate voids both of the product's: |5 / (1 + s^2)|
+    # reaches 5 as s -> 0, above the sup norm 1 of the constant before it
+    one = cs.constant_function(1.0)
+    prod = cs.product_function(one, cs.rational_function([5.0], [1.0, 0.0, 1.0]))
+    assert prod.decay is None and prod.bounded is None
+    assert ensure_bounded(prod).bounded.sup_norm == 5.0
+    # a bounded factor without decay brings its sup norm to the constant
+    e = cs.regularizer()
+    two = cs.constant_function(-2.0)
+    prod = cs.product_function(e, two, e)
+    assert prod.decay == cs.DecayCertificate(2.0, e.decay.c_alpha * 2.0 * e.decay.c_alpha)
+    assert prod.bounded is None
+    assert cs.product_function(one, two).decay is None
+    assert cs.product_function(one, two).bounded == cs.BoundedCertificate(2.0)
 
 
 def test_schwarz_symmetry_of_builtins():

@@ -453,6 +453,23 @@ def test_frame_ratio_bound_refuses_a_zero_frame_lower_bound():
         suite._frame_ratio_bound("regularizer", "regularizer", f, 1.0, None, fb, 1.0, THETA)
 
 
+def test_a_product_with_an_uncertified_factor_takes_its_sampled_sup_norm():
+    # |5 / (1 + s^2)| reaches 5 as s -> 0; the product with the constant 1 had
+    # the sup norm 1 of that constant, below its own hinf norm of 2.5 on
+    # diag(1, -2), and a frame ratio bound and a truncation claim 5 times too small
+    one = {"name": "rational", "params": {"num": [1.0], "den": [1.0], "bounded": True}}
+    prod = {"name": "product", "params": {"factors": [
+        one, {"name": "rational", "params": {"num": [5.0], "den": [1.0, 0.0, 1.0]}}]}}
+    T = cs.CliffordOperator.from_real_matrix([[1.0, 0.0], [0.0, -2.0]], n=1)
+    report = cs.run_theorem_suite(T, [{"name": "regularizer"}], [one, prod])
+    norm_one, norm_prod = (report["hinf_norms"][suite.spec_name(s)] for s in (one, prod))
+    assert norm_prod["norm"] == pytest.approx(2.5)
+    assert norm_prod["truncation_error"] == pytest.approx(5.0 * norm_one["truncation_error"])
+    rhs_one, rhs_prod = (r["rhs"] for r in report["records"]
+                         if r["name"].startswith("frame_ratio_norm_bound"))
+    assert rhs_prod == pytest.approx(5.0 * rhs_one)
+
+
 def test_a_non_finite_claim_is_refused():
     # an infinite tolerance or bound would pass any lhs
     with pytest.raises(cs.NumericalFailureError, match="truncation inf"):
