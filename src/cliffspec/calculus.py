@@ -10,13 +10,15 @@ families f(tT) cheap: only the scalar factors change between nodes.
 Error accounting: the truncation estimate comes from the decay certificate
 and the certificate's C_phi at the contour angle; the discretization
 estimate is the gap between the sums over the even and the odd nodes plus a
-roundoff bound of the value (see ``ContourEngine._contract``).
+roundoff bound of the value (see ``ContourEngine._contract``), and for the
+f_ab ladder an a-priori bound of its rule in t (``f_ab_node_error``).
 
 Families whose distinct |t| are consecutive points of the contour's log
 lattice (the grids of ``quadratic.lattice_contour`` are) read their profile
 values off one sequence per ray, since t_j z_k then depends on j and k only
-through a lattice index, and all their values are one FFT correlation of
-those sequences with the kernels fa P, fb P (``lattice_correlation``); the
+through a lattice index, and all their values and estimates are one FFT
+correlation of those sequences, alternated and plain, with the kernels
+fa P, fb P (``lattice_correlation``); the
 f_ab ladder integrates on the same lattice (``f_ab_nodes``).  Values off the
 lattice are sums at lag 0, one product of the weighted profile values with P.
 """
@@ -443,10 +445,14 @@ class ContourEngine:
         entry rounds as it would alone, its rows over (ray, node) weighted by
         fa (fb) times P; on the lattice, an FFT correlation of each ray's
         sequence with the kernel fa P (fb P) at the lags j p, the kernels
-        formed there per ``_COLUMNS`` columns of P.  The alternating signs
-        give +-(S_0 - S_1), S_0, S_1 the sums over the even and the odd
-        nodes, whose norm estimates the error of S_0 + S_1 against the rule
-        2 S_0, plus a roundoff bound (``_direct_roundoff``, ``lattice_roundoff``)."""
+        formed there per ``_COLUMNS`` columns of P, and the alternated and
+        the plain sequences of a part stacked on a leading axis, so that one
+        correlation forms and transforms each block of kernels for both
+        passes, once per family (the engine keeps no spectra).  The
+        alternating signs give +-(S_0 - S_1), S_0, S_1 the sums over the even
+        and the odd nodes, whose norm estimates the error of S_0 + S_1
+        against the rule 2 S_0, plus a roundoff bound (``_direct_roundoff``,
+        ``lattice_roundoff``)."""
         n, length = self.u_ray.size, parts[0].shape[-1]
         # per sign, the parts the + and the - ray nodes read: -|t| z = |t| (-z)
         seqs = [np.stack([part[[flip, 1 - flip]] for flip in map(int, signs)]) for part in parts]
@@ -466,32 +472,35 @@ class ContourEngine:
             return plain, block_norms(self._values(alt)) + roundoff
 
         rows, cols = len(signs) * ((length - n) // p + 1), self._p_flat.shape[1]
+        both = [np.stack([seq * alternate, seq]) for seq in seqs]
 
-        def node_sums(sign):
-            sums = [np.empty((rows, cols)) for _ in parts]
-            weighted = [seq * sign for seq in seqs]
+        def node_sums():
+            # (pass, row, column) per part: the alternating pass, then the plain one
+            sums = [np.empty((2, rows, cols)) for _ in parts]
             for lo in range(0, cols, _COLUMNS):
                 block = slice(lo, lo + _COLUMNS)
                 # the kernels fa P, fb P of this block, (part, ray, node, column)
                 kernels = self._p_flat[:, block].reshape(1, 2, n, -1) * np.reshape(
                     [self._fa, self._fb], (2, 2, n, 1))
-                for total, seq, kernel in zip(sums, weighted, kernels):
+                for total, seq, kernel in zip(sums, both, kernels):
                     # freed before the next correlation's buffers
-                    total[:, block] = lattice_correlation(seq, kernel, p).reshape(rows, -1)
-            return self._combine(*sums)
+                    total[..., block] = lattice_correlation(seq, kernel, p).reshape(2, rows, -1)
+            return self._combine(*(total.reshape(2 * rows, cols) for total in sums))
 
-        # the alternating sums are freed before the plain ones are made
-        estimates = block_norms(self._values(node_sums(alternate)))
+        # the sums of beta P are freed before the norms take their Grams
+        values = node_sums()
+        estimates = block_norms(self._values(values[:rows]))
         estimates += sum(map(lattice_roundoff, seqs, self._k_fro))
-        return node_sums(1.0), estimates
+        return values[rows:], estimates
 
     def _combine(self, sum_a, sum_b):
         """alpha P - T beta P from the contractions sum_a, sum_b of alpha and
         beta with P, written over sum_a: the blocks, or on the eigen path
         their diagonals d = sum_a - lam sum_b (values, r, km)."""
         if self.basis is None:
-            out = sum_a.view(complex).reshape(-1, *self._bt.shape)
-            out -= self._bt @ sum_b.view(complex).reshape(out.shape)
+            out, b = (s.view(complex).reshape(-1, *self._bt.shape) for s in (sum_a, sum_b))
+            for lo in range(0, len(out), _CHUNK):    # one chunk's product at a time
+                out[lo:lo + _CHUNK] -= self._bt @ b[lo:lo + _CHUNK]
         else:
             out = sum_a.reshape(-1, *self.basis.lam.shape)
             out -= self.basis.lam * sum_b.reshape(out.shape)
@@ -588,20 +597,27 @@ def scaled_calculus(f: IntrinsicFunction, t, T: CliffordOperator,
     return omega_calculus(scale_function(f, t), T, report, cfg, engine)
 
 
+def _window_cells(engine, a, b):
+    """log a, broadcast with log b, and each end of each window (a, b) as a
+    cell index j of the cells [x_j, x_j + h], x_j = u_min + min log a + j h,
+    and the part of that cell before it, (2, windows)."""
+    log_a, log_b = np.broadcast_arrays(np.log(a), np.log(b))
+    cells, rest = np.divmod(np.stack([log_a.ravel(), log_b.ravel()]) - log_a.min(), engine.step)
+    return log_a, cells, rest
+
+
 def f_ab_nodes(engine: ContourEngine, f: IntrinsicFunction, a, b, points=12):
     """The scalar f_ab at the nodes e^{u_k} e^{i phi}, u_k = u_min + k h, of
     the + ray of ``engine``, per window [a, b] of the broadcast arrays a, b:
     (*their shape, nodes).  There f_ab(e^u e^{i phi}) = Phi(u + log b) -
     Phi(u + log a), Phi a primitive of G(x) = F(e^x e^{i phi}) -
     F(-e^x e^{i phi}), and f_ab(-z) = -f_ab(z).  G is sampled once, at
-    ``points`` Gauss-Legendre points in each cell [x_j, x_j + h],
-    x_j = u_min + min log a + j h, h the step of the contour; Phi at
-    x_j + c h, 0 <= c < 1, is a prefix sum of cell integrals plus the
-    integral of the interpolant through cell j's samples over [0, c]."""
-    log_a, log_b = np.broadcast_arrays(np.log(a), np.log(b))
+    ``points`` Gauss-Legendre points in each cell [x_j, x_j + h] of
+    ``_window_cells``, h the step of the contour; Phi at x_j + c h,
+    0 <= c < 1, is a prefix sum of cell integrals plus the integral of the
+    interpolant through cell j's samples over [0, c]."""
+    log_a, cells, rest = _window_cells(engine, a, b)
     n, h = engine.u_ray.size, engine.step
-    # each end of each window as a cell index and the fraction of that cell before it
-    cells, rest = np.divmod(np.stack([log_a.ravel(), log_b.ravel()]) - log_a.min(), h)
     s, w, w_part = gl_cell_rule(points, rest / h)
     x = engine.cfg.u_min + log_a.min() + h * (np.arange(n + cells.max())[:, None] + s)
     vals = engine._sample(f, np.exp(x), lambda j, q: {"u": float(x[j, q])})
@@ -612,16 +628,53 @@ def f_ab_nodes(engine: ContourEngine, f: IntrinsicFunction, a, b, points=12):
     return (ends[1] - ends[0]).reshape(*log_a.shape, n)
 
 
+def f_ab_node_error(engine: ContourEngine, f: IntrinsicFunction, a, b, points=12):
+    """A bound on the error of each node value of ``f_ab_nodes``, per window
+    of the broadcast arrays a, b, a priori, from f's decay certificate.
+
+    G is analytic for |Im x| < theta - phi, where e^x e^{i phi} stays in f's
+    sector, and there |G| <= B(x) = 2 C_alpha e^(alpha x) / (1 + e^(2 alpha x))
+    <= M = C_alpha.  Around each cell the Bernstein ellipse of semi-minor axis
+    (theta - phi) / 2 has rho - 1/rho = 2 (theta - phi) / h, and G's
+    Chebyshev coefficients there are at most 2 M rho^-k (Trefethen,
+    Approximation Theory and Approximation Practice, 2013, Theorem 8.1).  So
+    the rule, exact to degree 2 points - 1, errs on a cell by at most
+    (h / 2) (64/15) M rho^(2 - 2 points) / (rho^2 - 1) (ibid., Theorem 19.3),
+    and the interpolant's integral over the part c h of a cell, exact to
+    degree points - 1, by at most (c h + h sum|w_part|) 2 M rho^(1 - points) /
+    (rho - 1) (the tail of Theorem 8.2), at each end of a window.  The sums
+    round by at most gamma_K, K = cells + points + 3, times the sum of their
+    terms' moduli, at most S = M (pi / alpha + h) (the integral of B plus one
+    cell) for the cell and prefix sums, since the terms before a window's
+    first cell are common to both its ends (Higham, Accuracy and Stability
+    of Numerical Algorithms, 2002, section 4.2), and h M sum|w_part| for
+    the part cells.  Where rho rounds to 1 the bound is inf, a claim that
+    ``_ErrorBudget`` refuses."""
+    log_a, cells, rest = _window_cells(engine, a, b)
+    h, m = engine.step, f.decay.c_alpha
+    part = np.abs(gl_cell_rule(points, rest / h)[2]).sum(axis=-1)
+    y = (f.theta - engine.phi) / h
+    rho = np.float64(y + math.sqrt(1.0 + y * y))
+    with np.errstate(divide="ignore"):
+        per_cell = h / 2.0 * 64.0 / 15.0 * m * rho ** (2 - 2 * points) / (rho * rho - 1.0)
+        per_end = 2.0 * m * rho ** (1 - points) / (rho - 1.0)
+    k = (engine.u_ray.size + cells.max() + points + 3) * np.finfo(float).eps
+    errors = ((cells[1] - cells[0]) * per_cell + (rest + h * part).sum(axis=0) * per_end
+              + k / (1.0 - k) * m * (math.pi / f.decay.alpha + h + h * part.sum(axis=0)))
+    return errors.reshape(log_a.shape)
+
+
 def f_ab_operators(f: IntrinsicFunction, windows, T: CliffordOperator,
                    report: BisectorReport, cfg: ContourConfig | None = None,
                    engine: ContourEngine | None = None) -> list[CalculusResult]:
     """Truncated parameter integrals of f(tT) dt/t over a <= |t| <= b, one
     per window (a, b) in ``windows``: by Fubini each is the contour calculus
-    of the scalar f_ab, the contraction of its node values (``f_ab_nodes``)
-    with the contour's discretization estimate, and of those with 6 instead
-    of 12 points per cell as a second value, whose gap estimates the error
-    of the t quadrature, all in one contraction.  The truncation estimate
-    integrates that of f(tT) over a <= |t| <= b, on ``gl_panel_grid``."""
+    of the scalar f_ab, the contraction of its node values (``f_ab_nodes``),
+    all windows in one contraction.  The discretization estimate is the
+    contour's plus the bound on the node values (``f_ab_node_error``) times
+    sum_k ||fa_k P_k||_F + ||T|| ||fb_k P_k||_F over the nodes.  The
+    truncation estimate integrates that of f(tT) over a <= |t| <= b, on
+    ``gl_panel_grid``."""
     a, b = np.array(windows, dtype=float).T
     if not np.all((0.0 < a) & (a <= b) & (b < math.inf)):
         raise ArgumentError(f"need 0 < a <= b < inf for each window (a, b), got {windows}")
@@ -633,11 +686,11 @@ def f_ab_operators(f: IntrinsicFunction, windows, T: CliffordOperator,
         grids = [gl_panel_grid(lo, hi, points=12) for lo, hi in zip(np.log(a), np.log(b))]
         truncs = [float(np.dot(w, 2.0 * eng.truncation_bound(f.decay, np.exp(u))))
                   for u, w in grids]
-    # both rules of each window as values at t = 1, on the + and the - ray (f_ab is odd)
-    rays = np.concatenate([f_ab_nodes(eng, f, a, b, points) for points in (12, 6)])
+    # the values at t = 1 on the + and the - ray (f_ab is odd)
+    rays = f_ab_nodes(eng, f, a, b)
     sums, discs = eng._contract(eng._parts(np.stack([rays, -rays])), [False])
-    discs = discs[:a.size] + block_norms(eng._values(sums[:a.size] - sums[a.size:]))
-    coeffs = coeffs_from_blocks(eng.dense_blocks(eng._values(sums[:a.size])), T.n)
+    discs += f_ab_node_error(eng, f, a, b) * eng._k_fro.sum()
+    coeffs = coeffs_from_blocks(eng.dense_blocks(eng._values(sums)), T.n)
     return [CalculusResult(CliffordOperator(T.n, T.m, c), trunc, float(disc))
             for c, trunc, disc in zip(coeffs, truncs, discs)]
 

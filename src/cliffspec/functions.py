@@ -177,7 +177,8 @@ def scale_function(f: IntrinsicFunction, t) -> IntrinsicFunction:
         except OverflowError:   # inf, a claim ``truncation_bound`` refuses
             c = math.inf
         decay = DecayCertificate(a, c, f.decay.samples)
-    return IntrinsicFunction(profile, f.theta, kind="scaled", decay=decay, bounded=f.bounded)
+    return IntrinsicFunction(profile, f.theta, kind="scaled", params={"t": t, "inner": f},
+                             decay=decay, bounded=f.bounded)
 
 
 def product_function(*factors) -> IntrinsicFunction:
@@ -204,7 +205,8 @@ def product_function(*factors) -> IntrinsicFunction:
         decay = DecayCertificate(sum(alphas), math.prod(consts))
     if None not in sups:
         bounded = BoundedCertificate(math.prod(sups))
-    return IntrinsicFunction(profile, theta, kind="product", decay=decay, bounded=bounded)
+    return IntrinsicFunction(profile, theta, kind="product", params={"factors": factors},
+                             decay=decay, bounded=bounded)
 
 
 def sum_function(f: IntrinsicFunction, g: IntrinsicFunction) -> IntrinsicFunction:
@@ -235,20 +237,36 @@ def _sample_points(theta, samples_per_ray, radius_span=(1e-4, 1e4)):
     return np.concatenate(pts)
 
 
+def _rational_factors(f):
+    """(poles, numerator degree, denominator degree) of each rational that
+    f is a product or scaling of, None for a factor of another kind: under
+    s -> r(t s) a pole p of r moves to p / t."""
+    if f.kind == "rational":
+        num, den = (np.trim_zeros(np.array(f.params[k]), "f") for k in ("num", "den"))
+        return [(np.roots(den), num.size - 1, den.size - 1)]
+    if f.kind == "scaled":
+        t = f.params["t"]
+        return [r if r is None else (r[0] / t, *r[1:]) for r in _rational_factors(f.params["inner"])]
+    if f.kind == "product":
+        return [r for g in f.params["factors"] for r in _rational_factors(g)]
+    return [None]
+
+
 def _refuse_unbounded_rational(f, at_infinity=False):
-    """CertificationError for a rational with a pole in the closed double
-    sector, 0 included, and with ``at_infinity`` for one that grows there."""
-    if f.kind != "rational":
-        return
-    for pole in np.roots(f.params["den"]):
+    """CertificationError for a rational, or a product or scaling of
+    rationals, with a pole in the closed double sector, 0 included, and with
+    ``at_infinity`` for one that grows there: its degrees add over the
+    factors of a product."""
+    factors = _rational_factors(f)
+    for pole in (p for r in factors if r for p in r[0]):
         if math.atan2(abs(pole.imag), abs(pole.real)) <= f.theta:
             where = f"{pole.real:.6g}" if pole.imag == 0 else f"{complex(pole):.6g}"
             raise CertificationError(
                 f"the rational has a pole at {where}, in the closed double sector "
                 f"of half-angle {f.theta:.6g}")
-    if not at_infinity:
+    if not at_infinity or None in factors:
         return
-    num, den = (np.trim_zeros(np.array(f.params[k]), "f").size - 1 for k in ("num", "den"))
+    num, den = (sum(r[k] for r in factors) for k in (1, 2))
     if num > den:
         raise CertificationError(
             f"the rational grows at infinity: its numerator has degree {num}, "
@@ -272,14 +290,22 @@ def certify_decay(f: IntrinsicFunction, alpha) -> DecayCertificate:
 
     The fit must be stable: widening the radius window from [1e-2, 1e2] to
     [1e-4, 1e4] may not inflate the constant by more than a factor 5,
-    otherwise there is no decay of that order and CertificationError is raised.
+    otherwise there is no decay of that order and CertificationError is raised,
+    as it is for a constant that overflows on the sample set.
     """
     if alpha <= 0.0:
         raise ArgumentError("decay exponent alpha must be positive")
     _refuse_unbounded_rational(f)
-    c_wide, c_narrow, samples = _sampled_sup(
-        f, lambda vals, r: vals * (1.0 + r ** (2 * alpha)) / r ** alpha)
-    if not np.isfinite(c_wide) or c_wide > 5.0 * c_narrow:
+
+    def weigh(vals, r):
+        with np.errstate(all="ignore"):    # inf or nan, refused below
+            return vals * (1.0 + r ** (2 * alpha)) / r ** alpha
+
+    c_wide, c_narrow, samples = _sampled_sup(f, weigh)
+    if not np.isfinite(c_wide):
+        raise CertificationError(
+            f"the decay constant of order alpha={alpha} overflows on the sample set")
+    if c_wide > 5.0 * c_narrow:
         raise CertificationError(
             f"no stable decay of order alpha={alpha}: constant grows from "
             f"{c_narrow:.3e} to {c_wide:.3e} as the radius window widens"

@@ -107,8 +107,10 @@ def check_frame_memory(T: CliffordOperator, nodes, n_g=1, contour_nodes=2000):
 
     Each of the n_g functions g keeps its family as spinor blocks B (16 r
     (km)^2 bytes a value).  The families are made one at a time, and the one
-    in the making holds at its peak four block stacks (B, B^H, the copy of B
-    the Gram of B^H reads, the Gram stack; its node sums take three) and the
+    in the making holds at its peak four block stacks: while its node sums
+    are made, those of both parts for both the alternating and the plain
+    pass (``ContourEngine._contract``), and later B, B^H, the copy of B the
+    Gram of B^H reads and the Gram stack.  The node sums hold besides the
     FFT buffers of one block of ``_COLUMNS`` columns (``lattice_correlation``);
     with no g there is no frame stage.
     """
@@ -116,8 +118,9 @@ def check_frame_memory(T: CliffordOperator, nodes, n_g=1, contour_nodes=2000):
     # default_quad_grid fixes whatever ||T||
     cfg, p = lattice_contour(QuadGridConfig(1e-5, 1e5, nodes), ContourConfig(nodes=contour_nodes))
     # the kernels of both parts and rays, the spectra of one part's, and the
-    # products of both signs (with one temporary) and their correlations
-    buffers = 8 * _COLUMNS * (4 * cfg.nodes + 7 * _smooth_size((nodes | 1) * p - p + cfg.nodes))
+    # products of both passes and signs (with one temporary) and their
+    # correlations, with one length to spare for the FFT's own work space
+    buffers = 8 * _COLUMNS * (4 * cfg.nodes + 11 * _smooth_size((nodes | 1) * p - p + cfg.nodes))
     r, _, k, _ = spinor_blades(T.n).shape
     stack = 16 * r * (k * T.m) ** 2 * 2 * (nodes | 1)
     need = n_g * stack + min(1, n_g) * (4 * stack + buffers)

@@ -469,8 +469,8 @@ def test_f_ab_operator_contracts_both_rules_at_once(monkeypatch, reports):
 
     monkeypatch.setattr(calculus.ContourEngine, "_contract", counting)
     cs.f_ab_operator(cs.regularizer(THETA), 0.1, 10.0, T, rep)
-    # the 12- and the 6-point values of both rays in one call
-    assert len(calls) == 1 and calls[0][:2] == (2, 2)
+    # the 12-point values of both rays in one call, with no second rule
+    assert len(calls) == 1 and calls[0][:2] == (2, 1)
 
 
 def test_truncation_bounds_of_an_array_are_those_of_its_entries(reports):

@@ -418,6 +418,50 @@ def test_a_rational_no_sample_set_can_bound_is_refused(tmp_path, capsys, command
     assert not out.exists()
 
 
+_ONE = {"name": "rational", "params": {"num": [1.0], "den": [1.0], "bounded": True}}
+
+
+@pytest.mark.parametrize("command, flag", [("calc", "--function"), ("verify", "--function")])
+@pytest.mark.parametrize("spec, reason", [
+    ({"name": "product", "params": {"factors": [
+        _ONE, {"name": "rational", "params": {"num": [1.0, 0.0], "den": [1.0]}}]}},
+     "numerator has degree 1, its denominator 0"),
+    ({"name": "scaled", "params": {"t": 2.0, "inner": {
+        "name": "rational", "params": {"num": [1.0], "den": [1.0, -3.0]}}}},
+     "pole at 1.5,"),
+], ids=["product-growth", "scaled-pole"])
+def test_a_product_or_scaling_of_rationals_is_refused_as_a_rational(tmp_path, capsys, command,
+                                                                     flag, spec, reason):
+    # their sampled sup norms (1e4 for s) gave calc exit 0 on diag(1, -2) with
+    # diag(0.333, -1.167), and diag(-0.077, -0.308) where 1 / (2 s - 3) is
+    # diag(-1, -0.143)
+    op, fn = tmp_path / "op.json", tmp_path / "f.json"
+    write_operator(op, [[1.0, 0.0], [0.0, -2.0]])
+    fn.write_text(json.dumps(spec))
+    out = tmp_path / "r.json"
+    assert main([command, "--operator", str(op), flag, str(fn), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and reason in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("num, alpha", [([1.0, 0.0], 400.0), ([1.0, 0.0], 1e308),
+                                        ([1e308, 0.0], 1.0)])
+def test_a_decay_constant_that_overflows_is_refused_without_warnings(tmp_path, capsys,
+                                                                     num, alpha):
+    # the weighted sup of s / (1 + s^2) overflowed with numpy RuntimeWarnings
+    # (errors under this suite) and a message "constant grows from nan to nan"
+    op, fn = tmp_path / "op.json", tmp_path / "f.json"
+    write_operator(op, [[1.0, 0.0], [0.0, -2.0]])
+    fn.write_text(json.dumps({"name": "rational",
+                              "params": {"num": num, "den": [1.0, 0.0, 1.0], "alpha": alpha}}))
+    assert main(["calc", "--operator", str(op), "--function", str(fn),
+                 "--out", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "overflows on the sample set" in err
+    assert "nan" not in err and "inf" not in err
+
+
 @pytest.mark.parametrize("spec, message", [
     ({"name": "rational", "params": [1.0]}, "function 'rational': 'params' must be"),
     ({"name": "product", "params": {"factors": [{"name": "rational", "params": [1.0]}]}},

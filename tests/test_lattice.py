@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 import cliffspec as cs
 from cliffspec import calculus, suite
 from cliffspec.calculus import f_ab_nodes, lattice_correlation, lattice_roundoff
+from cliffspec.module import block_norms
 
 from conftest import OMEGA, THETA
 
@@ -243,9 +244,9 @@ def test_each_rung_lies_within_its_claim_of_the_one_window_operator(T):
 
 
 def test_the_ladder_samples_once_and_contracts_once(monkeypatch):
-    # the four rungs (10^-k, 10^k) of ``verify`` and both rules in one
-    # contraction, on samples of G over the cells of the widest rung only:
-    # 2 rays x 18 points x (2,087 + 640) cells = 98,172 profile points
+    # the four rungs (10^-k, 10^k) of ``verify`` in one contraction, on
+    # samples of G over the cells of the widest rung only: 2 rays x 12
+    # points x (2,087 + 640) cells = 65,448 profile points
     T = cs.CliffordOperator.from_real_matrix([[1.0, 0.0], [0.0, -2.0]], n=1)
     rep = cs.check_bisectorial(T, OMEGA)
     cfg, _ = cs.lattice_contour(cs.default_quad_grid(T))
@@ -264,8 +265,126 @@ def test_the_ladder_samples_once_and_contracts_once(monkeypatch):
     monkeypatch.setattr(suite, "regularizer", lambda theta: g)
     records = suite._fab_ladder_records(T, rep, cfg, THETA, eng)
     assert records[-1]["name"] == "truncation_ladder_monotone" and records[-1]["pass"]
-    assert len(calls) == 1 and calls[0][:2] == (2, 8)
-    assert seen[0] - target_points <= 100_000
+    assert len(calls) == 1 and calls[0][:2] == (2, 4)
+    assert seen[0] - target_points <= 65_448
+
+
+def two_pass_contract(eng, parts, signs, p):
+    """The lattice route of ``ContourEngine._contract`` as two passes, each
+    forming and transforming the kernels fa P, fb P again: the alternating
+    pass for the estimate, then the plain one for the values."""
+    n, length = eng.u_ray.size, parts[0].shape[-1]
+    seqs = [np.stack([part[[flip, 1 - flip]] for flip in map(int, signs)]) for part in parts]
+    rows, cols = len(signs) * ((length - n) // p + 1), eng._p_flat.shape[1]
+
+    def node_sums(sign):
+        sums = [np.empty((rows, cols)) for _ in parts]
+        for lo in range(0, cols, calculus._COLUMNS):
+            block = slice(lo, lo + calculus._COLUMNS)
+            kernels = eng._p_flat[:, block].reshape(1, 2, n, -1) * np.reshape(
+                [eng._fa, eng._fb], (2, 2, n, 1))
+            for total, seq, kernel in zip(sums, seqs, kernels):
+                total[:, block] = lattice_correlation(seq * sign, kernel, p).reshape(rows, -1)
+        return eng._combine(*sums)
+
+    alternate = np.where(np.arange(length) % 2, -1.0, 1.0)
+    estimates = block_norms(eng._values(node_sums(alternate)))
+    estimates += sum(map(lattice_roundoff, seqs, eng._k_fro))
+    return node_sums(1.0), estimates
+
+
+@pytest.mark.parametrize("case, fft_length", [("jordan", 2916), ("diag", 2916), ("1+e1", 729)])
+def test_a_lattice_family_transforms_each_kernel_block_once(case, fft_length, monkeypatch):
+    # one correlation per part and block of columns serves the alternating
+    # and the plain pass, and gives the values and estimates of two passes
+    # bit for bit, at the default lattice and at 100 grid and 500 contour nodes
+    omega, theta, quad, nodes = ((0.9, 1.2, 100, 500) if case == "1+e1"
+                                 else (OMEGA, THETA, 400, 2000))
+    T = {"jordan": cs.CliffordOperator.from_real_matrix([[1.0, 1.0], [0.0, 1.0]], n=1),
+         "diag": cs.CliffordOperator.from_real_matrix([[1.0, 0.0], [0.0, -2.0]], n=1),
+         "1+e1": cs.CliffordOperator(1, 1, np.array([[[1.0, 1.0]]]))}[case]
+    qcfg = cs.default_quad_grid(T, quad)
+    cfg, _ = cs.lattice_contour(qcfg, cs.ContourConfig(nodes=nodes))
+    eng = cs.ContourEngine(T, cs.check_bisectorial(T, omega), theta, cfg)
+    t, _ = qcfg.grid()
+    mags, which = np.unique(np.abs(t), return_inverse=True)
+    _, _, parts, p = next(eng._windows(cs.regularizer(theta), t, mags, which))
+    assert calculus._smooth_size(parts[0].shape[-1]) == fft_length
+    calls = []
+
+    def counted(seqs, kernels, stride):
+        calls.append(seqs.shape[:-2])
+        return lattice_correlation(seqs, kernels, stride)
+
+    monkeypatch.setattr(calculus, "lattice_correlation", counted)
+    values, estimates = eng._contract(parts, [False, True], p)
+    blocks = -(-eng._p_flat.shape[1] // calculus._COLUMNS)
+    # (pass, sign) sequences per call, one call per part and block
+    assert calls == [(2, 2)] * (2 * blocks)
+    want_values, want_estimates = two_pass_contract(eng, parts, [False, True], p)
+    assert np.array_equal(eng.dense_blocks(eng._values(values)),
+                          eng.dense_blocks(eng._values(want_values)))
+    assert np.array_equal(estimates, want_estimates)
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(st.sampled_from([(OMEGA, THETA), (0.05, 0.1), (0.3, 1.4)]), st.integers(16, 200),
+       st.sampled_from([2, 3, 4, 6, 12]))
+def test_the_node_error_bound_covers_the_rule(angles, nodes, points):
+    # on coarse contours, where few points per cell err visibly, each node
+    # value of the regularizer's f_ab against 2 (atan(b z) - atan(a z))
+    omega, theta = angles
+    T = cs.CliffordOperator.from_real_matrix([[1.0, 0.0], [0.0, -2.0]], n=1)
+    rep = cs.check_bisectorial(T, omega, cs.RaySampling(phis=(0.5 * (omega + theta),)))
+    eng = cs.ContourEngine(T, rep, theta, cs.ContourConfig(nodes=nodes))
+    e = cs.regularizer(theta)
+    a, b = 10.0 ** -np.arange(0.3, 5.0, 0.7), 10.0 ** np.arange(0.3, 5.0, 0.7)
+    z = np.exp(eng.u_ray) * np.exp(1j * eng.phi)
+    want = 2.0 * (np.arctan(np.multiply.outer(b, z)) - np.arctan(np.multiply.outer(a, z)))
+    gap = np.abs(f_ab_nodes(eng, e, a, b, points) - want).max(axis=-1)
+    assert np.all(gap <= calculus.f_ab_node_error(eng, e, a, b, points))
+
+
+def _rungs_and_reference(T, omega, theta, points):
+    """The four rungs of ``verify``'s ladder and, per rung, the reference
+    value: the closed form for a real diagonal T, else the contraction of
+    ``f_ab_nodes`` at ``points`` points per cell."""
+    phi = 0.5 * (omega + theta)
+    rep = cs.check_bisectorial(T, omega, cs.RaySampling(phis=(phi,)))
+    cfg, _ = cs.lattice_contour(cs.default_quad_grid(T))
+    eng = cs.ContourEngine(T, rep, theta, cfg)
+    e = cs.regularizer(theta)
+    a, b = 10.0 ** -np.arange(1, 5), 10.0 ** np.arange(1, 5)
+    rungs = calculus.f_ab_operators(e, list(zip(a, b)), T, rep, engine=eng)
+    if points is None:
+        lam = np.diag(T.coeffs[..., 0])
+        want = [np.diag(2.0 * (np.arctan(hi * lam) - np.arctan(lo * lam))) for lo, hi in zip(a, b)]
+        return rungs, [cs.rho_matrix(cs.CliffordOperator.from_real_matrix(d, n=T.n)) for d in want]
+    rays = f_ab_nodes(eng, e, a, b, points)
+    sums, _ = eng._contract(eng._parts(np.stack([rays, -rays])), [False])
+    coeffs = cs.module.coeffs_from_blocks(eng.dense_blocks(eng._values(sums)), T.n)
+    return rungs, [cs.rho_matrix(cs.CliffordOperator(T.n, T.m, c)) for c in coeffs]
+
+
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(st.sampled_from([(OMEGA, THETA), (0.05, 0.1)]), st.booleans(),
+       st.integers(0, 2 ** 32 - 1))
+def test_each_rung_claim_covers_its_gap(angles, diagonal, seed):
+    # a real diagonal T against the closed form 2 (atan(b lam) - atan(a lam)),
+    # a non-normal 2 x 2 (real diagonal, random corner over R_2) against the
+    # ladder at 24 points per cell
+    rng = np.random.default_rng(seed)
+    lam = rng.choice([-1.0, 1.0], 2) * 10.0 ** rng.uniform(-1.0, 1.0, 2)
+    if diagonal:
+        T = cs.CliffordOperator.from_real_matrix(np.diag(lam), n=1)
+    else:
+        coeffs = np.zeros((2, 2, 4))
+        coeffs[[0, 1], [0, 1], 0] = lam
+        coeffs[0, 1] = rng.standard_normal(4)
+        T = cs.CliffordOperator(2, 2, coeffs)
+    rungs, want = _rungs_and_reference(T, *angles, None if diagonal else 24)
+    for rung, ref in zip(rungs, want):
+        assert np.linalg.norm(cs.rho_matrix(rung.op) - ref, 2) <= rung.combined_error
 
 
 def closed_form_square(T_diag, ts):
