@@ -115,8 +115,8 @@ class _ErrorBudget:
         if not (math.isfinite(self.truncation_error)
                 and math.isfinite(self.discretization_error)):
             raise NumericalFailureError(
-                f"the claimed error is not finite (truncation {self.truncation_error!r}, "
-                f"discretization {self.discretization_error!r})")
+                f"the claimed error is not finite (truncation {float(self.truncation_error)!r}, "
+                f"discretization {float(self.discretization_error)!r})")
 
     @property
     def combined_error(self):
@@ -326,7 +326,7 @@ class ContourEngine:
         """The truncation estimate of f(t T) at each t of a scalar or an array."""
         alpha, c_alpha = decay.alpha, decay.c_alpha
         if not math.isfinite(c_alpha):    # inf or nan at every t: refused before any profile
-            raise NumericalFailureError(f"the claimed error is not finite (C_alpha {c_alpha!r})")
+            raise NumericalFailureError(f"the claimed error is not finite (C_alpha {c_alpha:g})")
         with np.errstate(over="ignore"):    # b = inf has the tail 0
             a, b = (np.abs(t) * math.exp(u) for u in (self.cfg.u_min, self.cfg.u_max))
         return 2.0 * self.c_phi * c_alpha * arctan_tails(a, b, alpha) / (math.pi * alpha)

@@ -207,33 +207,16 @@ def block_form(coeffs, n):
 
 
 class Diagonal:
-    """A stack of block forms B = U diag(d) U^H in the ``EigenBasis`` U of
-    a self-adjoint T: the diagonals ``d`` (..., r, km) and a bound ``e``
-    (..., r) on the norm of the rest of W^H B W beyond diag(d), W the
-    unitary polar factor of U."""
+    """A stack of block forms B = U diag(d) U^H in the ``EigenBasis`` U of a
+    self-adjoint T: real diagonals ``d`` (..., r, km) and a bound ``e`` (..., r)
+    on the norm of the rest of W^H B W beyond diag(d), W the unitary polar
+    factor of U.  Norms of B and of products are bounds from |d| and e."""
 
     __slots__ = ("d", "e")
 
     def __init__(self, d, e):
         self.d = d
         self.e = e
-
-    def __getitem__(self, index):
-        return Diagonal(self.d[index], self.e[index])
-
-    def norms(self):
-        """Upper bound max|d| + e on the norm of each matrix, the largest over its blocks."""
-        return (np.abs(self.d).max(axis=-1) + self.e).max(axis=-1)
-
-    def product_norms(self, other):
-        """Upper bound on the norm of each product A B, A in self and B in
-        ``other`` (broadcast), the largest over the blocks: with A = diag(a) + E,
-        B = diag(b) + F, ||A B|| <= max|a b| + e (||b||inf + f) + ||a||inf f."""
-        a_inf = np.abs(self.d).max(axis=-1)
-        b_inf = np.abs(other.d).max(axis=-1)
-        bound = (np.abs(self.d * other.d).max(axis=-1) + self.e * (b_inf + other.e)
-                 + a_inf * other.e)
-        return bound.max(axis=-1)
 
 
 class EigenBasis:
@@ -294,7 +277,7 @@ def block_norms(blocks):
     the largest over its blocks: by ``spectral_norm``, or for a ``Diagonal``
     the bound max|d| + e, with no eigensolve."""
     if isinstance(blocks, Diagonal):
-        return blocks.norms()
+        return (np.abs(blocks.d).max(axis=-1) + blocks.e).max(axis=-1)
     return spectral_norm(blocks).max(axis=-1)
 
 

@@ -323,39 +323,56 @@ def _frame_sandwich_records(gname, fb, xs, quad_tol):
     ]
 
 
+def _product_norms(blocks, chunk):
+    """(ks, ls) -> ||B_k B_l|| over a family, ``chunk`` at a time: by
+    ``block_products`` and ``spectral_norm``, or on a ``Diagonal`` the bound
+    max|d_k d_l| + e_k (||d_l||inf + e_l) + ||d_k||inf e_l, from rows (r, values)
+    of |d|, max|d| and e taken once: one gather per factor, one multiply and
+    maxima of whole rows (d is real, so |d_k| |d_l| = |d_k d_l| to the bit)."""
+    if isinstance(blocks, Diagonal):
+        mag = np.abs(blocks.d)
+        table = np.concatenate([mag, mag.max(axis=-1, keepdims=True), blocks.e[..., None]],
+                               axis=-1).transpose(2, 1, 0).copy()
+
+        def bound(k, l):
+            a, b = table.take(k, axis=-1), table.take(l, axis=-1)
+            each = np.maximum.reduce(a[:-2] * b[:-2]) + a[-1] * (b[-2] + b[-1]) + a[-2] * b[-1]
+            return np.maximum.reduce(each)
+    else:
+        def bound(k, l):
+            return spectral_norm(block_products(blocks[k], blocks[l])).max(axis=-1)
+
+    def norms(ks, ls):
+        out = np.empty(len(ks))
+        for lo in range(0, len(ks), chunk):
+            out[lo:lo + chunk] = bound(ks[lo:lo + chunk], ls[lo:lo + chunk])
+        return out
+    return norms
+
+
 def _composition_bound_records(gname, g, c_theta, t_grid, w_grid, blocks, rng):
     """Composition bounds: uniform, integrated, and the square-kernel form.
 
-    Products and norms run on the spinor blocks: the norm of rho(g(tT) g(tau T))
-    is the largest norm of the products of its blocks (``block_products``,
-    entry by entry for 2 x 2 blocks, and ``spectral_norm``); ``blocks`` holds those
-    of the family on the grid (t, w), as their ``Diagonal`` when the engine
-    has an eigenbasis.  Every record reads its values off the family: each
-    random parameter 10^u of i) and ii), in units of the centre 1 / ||T|| of
-    the grid, is the node nearest to it within three decades of the centre,
-    and the square kernel takes every second node of each sign there.
+    The norm of rho(g(tT) g(tau T)) is the largest norm of the products of
+    its spinor blocks (``_product_norms``, as many products at a time as the
+    family has values); ``blocks`` holds those of the family on the grid
+    (t, w), as their ``Diagonal`` when the engine has an eigenbasis.  Every
+    record reads its values off the family: each random parameter 10^u of
+    i) and ii), in units of the centre 1 / ||T|| of the grid, is the node
+    nearest to it within three decades of the centre, and the square kernel
+    takes every second node of each sign there.
 
-    In an eigenbasis (``Diagonal``) each block B_k is diagonal up to
-    roundoff, D_k = U^H B_k U = diag(d_k) plus a rest of norm at most e_k,
-    and the norm of a product is replaced by the bound
-    max|d_k d_l| + e_k (||d_l||inf + e_l) + ||d_k||inf e_l
-    (``Diagonal.product_norms``), with no product and no eigensolve.  Each
-    lhs is a max, a positively weighted sum, or a sum of squares of
-    positively weighted sums of those norms, so it can only rise, and a pass
-    is still a pass of the exact records.
+    In an eigenbasis each block B_k is diagonal up to roundoff,
+    D_k = U^H B_k U = diag(d_k) plus a rest of norm at most e_k, and the
+    norm of a product is a bound from d and e.  Each lhs is a max, a
+    positively weighted sum, or a sum of squares of positively weighted sums
+    of those norms, so it can only rise, and a pass is still a pass of the
+    exact records.
     """
     alpha, c_alpha = g.decay.alpha, g.decay.c_alpha
     sup_g = g.bounded.sup_norm
     records = []
-
-    def norms(ks, ls):
-        # ||B_k B_l||, stacked, at most as many products a call as the family has values
-        out = np.empty(len(ks))
-        for lo in range(0, len(ks), t_grid.size):
-            a, b = blocks[ks[lo:lo + t_grid.size]], blocks[ls[lo:lo + t_grid.size]]
-            out[lo:lo + t_grid.size] = (a.product_norms(b) if isinstance(a, Diagonal)
-                                        else spectral_norm(block_products(a, b)).max(axis=-1))
-        return out
+    norms = _product_norms(blocks, t_grid.size)
 
     # the grid is (+t, -t), h_t its interior weight; the nodes within three
     # decades of the centre lie within ``half`` steps of it

@@ -489,6 +489,16 @@ def test_verify_names_the_g_whose_decay_certificate_it_refuses(tmp_path, capsys)
         "error: g=rational([1.0]/[1.0]): no stable decay of order alpha=1.0: ")
 
 
+def test_a_claim_that_is_not_finite_is_printed_as_a_float(tmp_path, capsys):
+    # the claims of the two-step calculus on T = 1e-310 are inf, which the
+    # message printed as np.float64(inf)
+    op = tmp_path / "op.json"
+    op.write_text(json.dumps({"n": 1, "m": 1, "matrix": [[[1e-310, 0]]]}))
+    assert main(["verify", "--operator", str(op), "--out", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "truncation inf" in err and "np." not in err
+
+
 @pytest.mark.parametrize("command, flag", [
     ("calc", "--function"), ("frame", "--g"), ("verify", "--g"), ("verify", "--function"),
 ])

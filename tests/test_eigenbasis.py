@@ -12,10 +12,16 @@ from hypothesis import given, settings, strategies as st
 
 import cliffspec as cs
 from cliffspec import calculus
-from cliffspec.module import block_form, operator_from_real, self_adjoint_basis, spectral_norm
+from cliffspec.module import (
+    Diagonal,
+    block_form,
+    operator_from_real,
+    self_adjoint_basis,
+    spectral_norm,
+)
 from cliffspec.quadratic import family_frames, lattice_contour
 from cliffspec.spectrum import q_inverse_stack
-from cliffspec.suite import _composition_bound_records
+from cliffspec.suite import _composition_bound_records, _product_norms
 
 from conftest import (
     OMEGA,
@@ -90,6 +96,39 @@ def test_eigen_path_bounds_the_dense_records_and_inverts_q(n, m, log_scale, seed
     assert engine.P.shape == ref.shape[:-1]
     err = np.abs(basis.blocks(engine.P) - ref).max(axis=(1, 2, 3))
     assert np.all(err <= 16 * lam.shape[-1] * np.finfo(float).eps * scale)
+
+
+@st.composite
+def _diagonals_and_pairs(draw):
+    """A real ``Diagonal`` (values <= 900, r <= 4, km <= 8) whose d has zeros,
+    both signs and magnitudes 1e-300 to 1e300, an e >= 0 with zeros, and
+    index pairs into it, up to three chunks of ``values`` pairs."""
+    values, r, km = draw(st.integers(1, 900)), draw(st.integers(1, 4)), draw(st.integers(1, 8))
+    zeros = draw(st.sampled_from([0.0, 0.1, 0.5]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def magnitudes(shape):
+        out = 10.0 ** rng.uniform(-300.0, 300.0, shape)
+        return np.where(rng.random(shape) < zeros, 0.0, out)
+
+    d = magnitudes((values, r, km)) * rng.choice([-1.0, 1.0], (values, r, km))
+    pairs = rng.integers(0, values, (draw(st.integers(1, 3 * values + 1)), 2))
+    return Diagonal(d, magnitudes((values, r))), pairs[:, 0], pairs[:, 1]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_diagonals_and_pairs())
+def test_product_bounds_match_the_formula_bit_for_bit(case):
+    # max|a b| + e_k (||b||inf + e_l) + ||a||inf e_l per block, then the
+    # largest over the blocks: the bound the records take, as products of
+    # the Diagonals of each pair; inf and nan (0 * inf) included
+    diag, ks, ls = case
+    a, b, e_k, e_l = diag.d[ks], diag.d[ls], diag.e[ks], diag.e[ls]
+    with np.errstate(over="ignore", invalid="ignore"):
+        a_inf, b_inf = np.abs(a).max(axis=-1), np.abs(b).max(axis=-1)
+        want = (np.abs(a * b).max(axis=-1) + e_k * (b_inf + e_l) + a_inf * e_l).max(axis=-1)
+        got = _product_norms(diag, len(diag.d))(ks, ls)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_a_self_adjoint_engine_stores_diagonals_without_inverses(monkeypatch):

@@ -7,7 +7,14 @@ import pytest
 import cliffspec as cs
 from cliffspec import suite
 from cliffspec.functions import ensure_bounded
-from cliffspec.module import blocks_from_rho, coeffs_from_blocks, rho_stack, spectral_norm
+from cliffspec.module import (
+    Diagonal,
+    block_products,
+    blocks_from_rho,
+    coeffs_from_blocks,
+    rho_stack,
+    spectral_norm,
+)
 from cliffspec.quadrature import pairwise_sum
 from cliffspec.spectrum import q_inverse_stack
 from cliffspec.suite import INTEGRAL_TAUS, _composition_bound_records
@@ -124,7 +131,8 @@ def _full_square_kernel(g, c_theta, family, blocks, rng):
     w3[[0, idx.size // 2 - 1, idx.size // 2, -1]] = step
     kernel = np.empty((idx.size, idx.size))
     for k in range(idx.size):
-        kernel[k, k:] = kernel[k:, k] = spectral_norm(fam3[k] @ fam3[k:]).max(axis=-1)
+        kernel[k, k:] = kernel[k:, k] = spectral_norm(
+            block_products(fam3[k], fam3[k:])).max(axis=-1)
     lo, hi = sorted(10.0 ** rng.uniform(-2, 2, size=2))
     hi = max(hi, 10.0 * lo)
     mid = abs(t_grid[center])
@@ -187,13 +195,33 @@ def test_composition_records_on_a_self_adjoint_operator_take_no_product_norms(mo
     assert calls and all(shape == (dim, dim) for shape in calls)
 
 
+def test_composition_records_on_a_self_adjoint_operator_index_no_diagonal(monkeypatch):
+    # the records read one magnitude table of the family: no Diagonal of
+    # the factors of a pair is formed
+    T = self_adjoint_operator(np.random.default_rng(3), 3, 2)
+    g, engine, c_theta, fam, values = regularizer_family(T)
+    calls = []
+
+    def counting_getitem(self, index):
+        calls.append(index)
+        return Diagonal(self.d[index], self.e[index])
+
+    monkeypatch.setattr(Diagonal, "__getitem__", counting_getitem, raising=False)
+    records = _composition_bound_records("g", g, c_theta, *fam[:2], values,
+                                         np.random.default_rng(0))
+    assert [r["pass"] for r in records] == [True] * 3
+    assert calls == []
+
+
 def _dense_uniform_and_integral(t_grid, w_grid, blocks, rng):
     """lhs of the uniform and integral records from the products of the
-    blocks and ``spectral_norm``, at the nodes the records draw."""
+    blocks (``block_products``) and ``spectral_norm``, at the nodes the
+    records draw."""
     pairs, taus = composition_nodes(rng, t_grid)
-    lhs_i = float(np.max(spectral_norm(blocks[pairs[:, 0]] @ blocks[pairs[:, 1]]).max(axis=-1)))
-    lhs_ii = max(float(pairwise_sum(w_grid * spectral_norm(blocks @ blocks[k]).max(axis=-1)))
-                 for k in taus)
+    lhs_i = float(np.max(spectral_norm(
+        block_products(blocks[pairs[:, 0]], blocks[pairs[:, 1]])).max(axis=-1)))
+    lhs_ii = max(float(pairwise_sum(
+        w_grid * spectral_norm(block_products(blocks, blocks[k])).max(axis=-1))) for k in taus)
     return lhs_i, lhs_ii
 
 
@@ -215,6 +243,11 @@ def test_operators_that_are_not_self_adjoint_keep_the_dense_path(case):
     want = _dense_uniform_and_integral(t_grid, w_grid, blocks, np.random.default_rng(1))
     want += _full_square_kernel(g, c_theta, fam, blocks, np.random.default_rng(1))[:1]
     assert tuple(r["lhs"] for r in records) == want
+    # the products match matmul entrywise within 2 eps |a| |b|; 1 x 1 blocks
+    # differ from it in the last bit
+    a, b = blocks[:, None], blocks[composition_nodes(np.random.default_rng(1), t_grid)[1]]
+    gap = np.abs(block_products(a, b) - a @ b)
+    assert np.all(gap <= 2.0 * np.finfo(float).eps * (np.abs(a) @ np.abs(b)))
     mats = rho_stack(coeffs_from_blocks(blocks, T.n), T.n)
     fb = cs.frame_bounds(g, T, family=(t_grid, w_grid, mats, truncs, discs))
     scale = spectral_norm(blocks_from_rho(mats, T.n)).max(axis=-1)
