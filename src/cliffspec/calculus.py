@@ -82,9 +82,9 @@ class ContourConfig:
     """
 
     phi: float | None = None
-    u_min: float = -30.0
     u_max: float = 30.0
     nodes: int = 2000
+    u_min = -30.0  # a constant, not a field: every contour starts at u = log r = -30
 
     def __post_init__(self):
         if self.u_min >= self.u_max:

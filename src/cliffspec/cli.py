@@ -15,13 +15,12 @@ Exit codes: 0 all checks pass, 1 at least one inequality fails,
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
-from .calculus import ContourConfig, ContourEngine, hinf_calculus, omega_calculus
+from .calculus import ContourConfig, hinf_calculus, omega_calculus
 from .errors import ArgumentError, CliffSpecError
 from .functions import ensure_bounded, resolve_function
-from .quadratic import check_frame_memory, default_quad_grid, family_frames, lattice_contour
+from .quadratic import _grid_engine, check_frame_memory, default_quad_grid, family_frames
 from .serialization import (
     bisector_report_dict,
     contour_dict,
@@ -70,6 +69,11 @@ def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--operator", required=True, help="operator JSON file")
     common.add_argument("--out", required=True, help="output file")
+    # the run settings of calc, frame and verify, with the suite's defaults
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--omega", type=float, default=SuiteConfig.omega)
+    run.add_argument("--theta", type=float, default=SuiteConfig.theta)
+    run.add_argument("--nodes", type=int, default=SuiteConfig.contour_nodes)
 
     p = sub.add_parser("spectrum", parents=[common],
                        help="sigma_min heatmap over a half-plane grid")
@@ -80,30 +84,21 @@ def build_parser():
                        help="certify or refute bisectoriality at --omega")
     p.add_argument("--omega", type=float, required=True)
 
-    p = sub.add_parser("calc", parents=[common], help="evaluate f(T)")
+    p = sub.add_parser("calc", parents=[common, run], help="evaluate f(T)")
     p.add_argument("--function", required=True, help="function registry JSON file")
-    p.add_argument("--omega", type=float, default=math.pi / 12)
-    p.add_argument("--theta", type=float, default=math.pi / 4)
     p.add_argument("--phi", type=float, default=None)
-    p.add_argument("--nodes", type=int, default=2000)
 
-    p = sub.add_parser("frame", parents=[common],
+    p = sub.add_parser("frame", parents=[common, run],
                        help="frame bounds of (g, T) and (g, T*)")
     p.add_argument("--g", required=True, help="function registry JSON file")
-    p.add_argument("--omega", type=float, default=math.pi / 12)
-    p.add_argument("--theta", type=float, default=math.pi / 4)
-    p.add_argument("--nodes", type=int, default=2000)
 
-    p = sub.add_parser("verify", parents=[common], help="full inequality suite")
+    p = sub.add_parser("verify", parents=[common, run], help="full inequality suite")
     p.add_argument("--g", action="append", default=None,
                    help="decay-class function file (repeatable)")
     p.add_argument("--function", action="append", default=None,
                    help="bounded function file (repeatable)")
-    p.add_argument("--omega", type=float, default=math.pi / 12)
-    p.add_argument("--theta", type=float, default=math.pi / 4)
     p.add_argument("--phi", type=float, default=None)
-    p.add_argument("--nodes", type=int, default=2000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=SuiteConfig.seed)
     return parser
 
 
@@ -147,16 +142,14 @@ def cmd_frame(args):
     check_frame_memory(T, qcfg.nodes, contour_nodes=args.nodes)
     g = resolve_function(load_function_spec(args.g), theta=args.theta)
     report = check_bisectorial(T, args.omega, RaySampling(phis=(phi,)))
-    cfg, stride = lattice_contour(qcfg, requested)
+    t, w, engine, stride = _grid_engine(T, report, g.theta, qcfg, requested)
     # T*'s frame from the blocks B^H of T's family, as verify takes it
-    fb, fb_star, _ = family_frames(g, ContourEngine(T, report, g.theta, cfg),
-                                   *qcfg.grid(), adjoint=True)
-    grid_echo = {"t_min": qcfg.t_min, "t_max": qcfg.t_max, "nodes": qcfg.nodes}
+    fb, fb_star, _ = family_frames(g, engine, t, w, adjoint=True)
     payload = {
         "T": frame_report_dict(fb),
         "Tstar": frame_report_dict(fb_star),
-        "grid": grid_echo,
-        "contour": contour_dict(cfg, stride),
+        "grid": {"t_min": qcfg.t_min, "t_max": qcfg.t_max, "nodes": qcfg.nodes},
+        "contour": contour_dict(engine.cfg, stride),
     }
     write_json(payload, args.out)
     return EXIT_PASS

@@ -53,10 +53,11 @@ MAX_SIGN_WINDOW = 20  # exact enumeration cap on 2n
 
 @dataclass(frozen=True)
 class QuadGridConfig:
-    """Log-spaced |t| grid over both signs for the dt/|t| quadrature."""
+    """Log-spaced |t| grid over both signs for the dt/|t| quadrature; the
+    default window is that of ``default_quad_grid`` at ||T|| = 1."""
 
-    t_min: float
-    t_max: float
+    t_min: float = 1e-5
+    t_max: float = 1e5
     nodes: int = 400  # per sign
 
     def __post_init__(self):
@@ -73,9 +74,9 @@ class QuadGridConfig:
         return np.concatenate([t, -t]), np.concatenate([w, w])
 
 
-def default_quad_grid(T: CliffordOperator, nodes=400) -> QuadGridConfig:
+def default_quad_grid(T: CliffordOperator, nodes=QuadGridConfig.nodes) -> QuadGridConfig:
     scale = max(operator_norm(T), 1e-30)
-    return QuadGridConfig(1e-5 / scale, 1e5 / scale, nodes)
+    return QuadGridConfig(QuadGridConfig.t_min / scale, QuadGridConfig.t_max / scale, nodes)
 
 
 def lattice_contour(qcfg: QuadGridConfig, cfg: ContourConfig | None = None):
@@ -96,11 +97,10 @@ def lattice_contour(qcfg: QuadGridConfig, cfg: ContourConfig | None = None):
     h_u = h_t / stride
     steps = math.ceil((cfg.u_max - cfg.u_min) / h_u)
     steps += steps % 2
-    return ContourConfig(phi=cfg.phi, u_min=cfg.u_min, u_max=cfg.u_min + steps * h_u,
-                         nodes=steps + 1), stride
+    return ContourConfig(phi=cfg.phi, u_max=cfg.u_min + steps * h_u, nodes=steps + 1), stride
 
 
-def check_frame_memory(T: CliffordOperator, nodes, n_g=1, contour_nodes=2000):
+def check_frame_memory(T: CliffordOperator, nodes, n_g=1, contour_nodes=ContourConfig.nodes):
     """Refuse a frame stage whose stacks of quadrature-grid values would
     exceed the engine cap.  ``nodes`` is the per-sign node count of the
     grid, ``contour_nodes`` the contour's requested node count.
@@ -116,7 +116,7 @@ def check_frame_memory(T: CliffordOperator, nodes, n_g=1, contour_nodes=2000):
     """
     # the lattice contour depends on the log step of the grid only, which
     # default_quad_grid fixes whatever ||T||
-    cfg, p = lattice_contour(QuadGridConfig(1e-5, 1e5, nodes), ContourConfig(nodes=contour_nodes))
+    cfg, p = lattice_contour(QuadGridConfig(nodes=nodes), ContourConfig(nodes=contour_nodes))
     # the kernels of both parts and rays, the spectra of one part's, and the
     # products of both passes and signs (with one temporary) and their
     # correlations, with one length to spare for the FFT's own work space
@@ -140,12 +140,13 @@ class FrameBounds(_ErrorBudget):
     discretization_error: float
 
 
-def _grid_engine(g, T, qcfg, cfg, report):
-    """(t, w, engine): the grid and the engine of the report on its lattice."""
+def _grid_engine(T, report, theta, qcfg=None, cfg=None):
+    """(t, w, engine, stride): the grid (``default_quad_grid`` if None) and
+    the engine of the report on its lattice contour (``lattice_contour``)."""
     _check_report(report)
     qcfg = qcfg or default_quad_grid(T)
-    cfg, _ = lattice_contour(qcfg, cfg)
-    return (*qcfg.grid(), ContourEngine(T, report, g.theta, cfg))
+    cfg, stride = lattice_contour(qcfg, cfg)
+    return (*qcfg.grid(), ContourEngine(T, report, theta, cfg), stride)
 
 
 def quadratic_norm(g: IntrinsicFunction, T: CliffordOperator, v: ModuleVector,
@@ -159,7 +160,7 @@ def quadratic_norm(g: IntrinsicFunction, T: CliffordOperator, v: ModuleVector,
     when evaluating many vectors against one operator.
     """
     if family is None:
-        t, w, engine = _grid_engine(g, T, qcfg, cfg, report)
+        t, w, engine, _ = _grid_engine(T, report, g.theta, qcfg, cfg)
         family = (t, w) + engine.evaluate_family(g, t)
     _, w, mats, _, _ = family
     applied = np.einsum("kij,vj->kvi", mats, v.flatten()[None, :])
@@ -195,7 +196,7 @@ def frame_bounds(g: IntrinsicFunction, T: CliffordOperator,
     The error estimates scale with ||B_k|| (``module.block_norms``).
     """
     if family is None:
-        t, w, engine = _grid_engine(g, T, qcfg, cfg, report)
+        t, w, engine, _ = _grid_engine(T, report, g.theta, qcfg, cfg)
         return family_frames(g, engine, t, w)[0]
     _, w, mats, truncs, discs = family
     blocks = blocks_from_rho(mats, T.n)

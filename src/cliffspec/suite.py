@@ -21,6 +21,7 @@ from .calculus import (
 )
 from .errors import ArgumentError, CertificationError, NumericalFailureError
 from .functions import (
+    DEFAULT_THETA,
     ensure_bounded,
     f0_infty,
     product_function,
@@ -28,7 +29,8 @@ from .functions import (
     resolve_function,
 )
 from .module import CliffordOperator, Diagonal, block_products, rho_matrix, spectral_norm
-from .quadratic import check_frame_memory, default_quad_grid, family_frames, lattice_contour
+from .quadratic import (QuadGridConfig, _grid_engine, check_frame_memory, default_quad_grid,
+                        family_frames)
 from .quadrature import pairwise_sum
 from .serialization import (
     bisector_report_dict,
@@ -86,10 +88,10 @@ def spec_name(spec) -> str:
 @dataclass(frozen=True)
 class SuiteConfig:
     omega: float = math.pi / 12
-    theta: float = math.pi / 4
+    theta: float = DEFAULT_THETA
     phi: float | None = None
-    contour_nodes: int = 2000  # a bound on the contour step (``lattice_contour``)
-    quad_nodes: int = 400
+    contour_nodes: int = ContourConfig.nodes  # a bound on the contour step (``lattice_contour``)
+    quad_nodes: int = QuadGridConfig.nodes
     n_sandwich: int = 100
     seed: int = 0
 
@@ -217,16 +219,12 @@ def run_theorem_suite(T: CliffordOperator, g_specs=None, f_specs=None,
         return report
 
     c_theta = bisector.c_at(theta)
-    qcfg = default_quad_grid(T, config.quad_nodes)
-    cfg, stride = lattice_contour(qcfg, requested)
+    t_grid, w_grid, engine, stride = _grid_engine(
+        T, bisector, theta, default_quad_grid(T, config.quad_nodes), requested)
+    cfg, basis = engine.cfg, engine.basis
     report["contour"] = contour_dict(cfg, stride)
-    engine = ContourEngine(T, bisector, theta, cfg)
-    basis = engine.basis
-    t_star = T.adjoint()
 
     # stage: frame bounds for each g on T and T* ---------------------------
-    t_grid, w_grid = qcfg.grid()
-
     frames = {}
     for name, g in gs:
         with _stage("frames", f"g={name}"):
@@ -287,11 +285,12 @@ def run_theorem_suite(T: CliffordOperator, g_specs=None, f_specs=None,
     stages.append({"name": "convergence", "status": "done"})
     engine = None
 
-    # stage: adjoint identity; T* = T reads T's values, else T* is certified at
-    # phi alone: rho(Q_s(T*)) = rho(Q_s(T))^T stands or falls with T's above
-    if np.array_equal(t_star.coeffs, T.coeffs):
+    # stage: adjoint identity; T* = T (T has a ``basis``) reads T's values, else
+    # T* is certified at phi alone: rho(Q_s(T*)) = rho(Q_s(T))^T stands or falls with T's
+    if basis is not None:
         stars = [res for _, res, _ in hinf.values()]
     else:
+        t_star = T.adjoint()
         star = check_bisectorial(t_star, config.omega, RaySampling(phis=(phi_resolved,)))
         stars = _hinf_stage("adjoint", [(f"f={name}", f) for name, (f, _, _) in hinf.items()],
                             t_star, star, cfg, ContourEngine(t_star, star, theta, cfg))

@@ -323,7 +323,7 @@ def test_contour_config_validation():
     with pytest.raises(cs.ArgumentError):
         cs.ContourConfig(nodes=8)
     with pytest.raises(cs.ArgumentError):
-        cs.ContourConfig(u_min=3.0, u_max=-3.0)
+        cs.ContourConfig(u_max=cs.ContourConfig.u_min)
     with pytest.raises(cs.ArgumentError):
         cs.ContourConfig(phi=2.0).resolve_phi(OMEGA, THETA)
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import cliffspec as cs
-from cliffspec.cli import main
+from cliffspec.cli import build_parser, main
 from cliffspec.quadratic import check_frame_memory
 
 from conftest import full_c_phi_table, random_operator
@@ -310,6 +310,43 @@ def test_verify_and_frame_echo_the_lattice_contour(tmp_path, nodes, contour):
         echo = json.loads(out.read_text())["contour"]
         assert {k: echo[k] for k in contour} == contour
         assert 30.0 <= echo["u_max"] < 30.0 + 60.0 / (echo["nodes"] - 1) * 2
+
+
+@pytest.mark.parametrize("nodes", [[], ["--nodes", "500"]], ids=["default", "nodes-500"])
+@pytest.mark.parametrize("matrix, angles", [
+    ([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-2.0, 0.0]]], []),
+    ([[[1.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]], []),
+    ([[[1.0, 1.0]]], ["--omega", "0.9", "--theta", "1.2"]),
+], ids=["diag", "jordan", "1+e1"])
+def test_frame_and_verify_give_the_same_frames(tmp_path, matrix, angles, nodes):
+    # both take the family of g on one grid, lattice contour and engine, so
+    # frame's T, T* and contour are those of verify to the bit
+    op, g = tmp_path / "op.json", tmp_path / "g.json"
+    op.write_text(json.dumps({"n": 1, "m": len(matrix), "matrix": matrix}))
+    g.write_text(json.dumps({"name": "regularizer"}))
+    outs = {}
+    for command in ("frame", "verify"):
+        out = tmp_path / f"{command}.json"
+        args = [command, "--operator", str(op), "--g", str(g), "--out", str(out)]
+        assert main(args + angles + nodes) in (0, 1)
+        outs[command] = json.loads(out.read_text())
+    frame, verify = outs["frame"], outs["verify"]
+    assert {"T": frame["T"], "Tstar": frame["Tstar"]} == verify["frames"]["regularizer"]
+    assert frame["contour"] == {k: verify["contour"][k] for k in ("nodes", "u_max", "stride")}
+
+
+def test_run_settings_default_to_the_configs():
+    # calc, frame and verify take each default from its one definition
+    suite, contour = cs.SuiteConfig(), cs.ContourConfig()
+    required = {"calc": ["--function", "f.json"], "frame": ["--g", "g.json"], "verify": []}
+    for command, extra in required.items():
+        args = build_parser().parse_args([command, "--operator", "op.json", "--out", "o.json"]
+                                         + extra)
+        assert (args.omega, args.theta) == (suite.omega, suite.theta)
+        assert args.nodes == suite.contour_nodes == contour.nodes
+        assert getattr(args, "phi", None) == suite.phi == contour.phi
+        if command == "verify":
+            assert args.seed == suite.seed
 
 
 def test_verify_short_circuits_on_sphere_spectrum(tmp_path):

@@ -123,7 +123,7 @@ def test_settings_inventory():
     def names(cls):
         return [f.name for f in fields(cls)]
 
-    assert names(cs.ContourConfig) == ["phi", "u_min", "u_max", "nodes"]
+    assert names(cs.ContourConfig) == ["phi", "u_max", "nodes"]
     assert names(cs.RaySampling) == ["phis"]
     assert names(cs.SuiteConfig) == ["omega", "theta", "phi", "contour_nodes", "quad_nodes",
                                      "n_sandwich", "seed"]
