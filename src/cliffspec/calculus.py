@@ -16,11 +16,11 @@ f_ab ladder an a-priori bound of its rule in t (``f_ab_node_error``).
 Families whose distinct |t| are consecutive points of the contour's log
 lattice (the grids of ``quadratic.lattice_contour`` are) read their profile
 values off one sequence per ray, since t_j z_k then depends on j and k only
-through a lattice index, and all their values and estimates are one FFT
-correlation of those sequences, alternated and plain, with the kernels
-fa P, fb P (``lattice_correlation``); the
-f_ab ladder integrates on the same lattice (``f_ab_nodes``).  Values off the
-lattice are sums at lag 0, one product of the weighted profile values with P.
+through a lattice index, and their sums over the even and the odd nodes are
+FFT correlations of the parity phases of those sequences and of the kernels
+fa P, -fb T P (``lattice_correlations``); the f_ab ladder integrates on the
+same lattice (``f_ab_nodes``).  Values off the lattice are sums at lag 0,
+one product of the weighted profile values with P.
 """
 
 from __future__ import annotations
@@ -145,25 +145,31 @@ def _smooth_size(length):
     return length
 
 
-def lattice_correlation(seqs, kernels, stride):
-    """sum_r sum_k seqs[..., r, j stride + k] kernels[r, k] over the 2 rays
-    r, as (..., j, columns) at every j with a whole window, by real FFTs of
-    length ``_smooth_size(length)``, at which no such lag wraps around."""
-    size = _smooth_size(seqs.shape[-1])
-    spec = np.fft.rfft(seqs, size)[..., None, :, :]
-    # transformed along a contiguous axis, which pocketfft takes fastest
-    kspec = np.fft.rfft(np.ascontiguousarray(kernels.transpose(2, 0, 1)), size).conj()
-    prod = spec[..., 0, :] * kspec[:, 0]
-    prod += spec[..., 1, :] * kspec[:, 1]
-    lags = slice(0, seqs.shape[-1] - kernels.shape[1] + 1, stride)
-    return np.fft.irfft(prod, size)[..., lags].swapaxes(-1, -2)
+def lattice_correlations(spectra, kernels, size, stride, rows):
+    """(S_0, S_1), (2, ..., rows, columns): S_q(j) = sum_r sum_{k = q mod 2}
+    s[..., r, j stride + k] K[r, k] over the channels r, from ``spectra``
+    conj(rfft(s[..., c::2], size)) (phase c, ..., r, frequency) and
+    ``kernels`` K[r, 2 m + q] (q, column, r, m).  S_q(j) reads phase
+    c = (j stride + q) mod 2 at lag floor((j stride + q) / 2); each pair
+    (c, q) takes one inverse FFT of its products summed over r, which is the
+    correlation reversed in time, read at -lag mod ``size``."""
+    kspectra, j = np.fft.rfft(kernels, size), np.arange(rows)
+    out = np.empty((2, *spectra.shape[1:-2], rows, kernels.shape[1]))
+    for c, q in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        js = np.flatnonzero((j * stride + q) % 2 == c)
+        if js.size:    # an even stride needs the pairs c = q only
+            prod = np.einsum("...rf,krf->...kf", spectra[c], kspectra[q])
+            lags = -((js * stride + q) // 2) % size
+            out[q][..., js, :] = np.fft.irfft(prod, size)[..., lags].swapaxes(-1, -2)
+    return out
 
 
-def lattice_roundoff(seqs, norms):
-    """A bound on the 2-norm of the error of ``lattice_correlation(seqs,
-    kernels, stride)``, over all its lags and columns at each index of the
-    leading axes of ``seqs``, the largest over them, given
-    norms[r, k] >= ||kernels[r, k]||_2.
+def lattice_roundoff(seqs, norms, fold):
+    """A bound on the 2-norm of the error of a phase pair of
+    ``lattice_correlations`` of the phases ``seqs`` (..., channels, length)
+    at the FFT length ``_smooth_size(length)``, over all lags and columns at
+    each index of the leading axes, the largest over them, given norms[r, k]
+    >= ||K[r, k]||_2 and kernels formed within fold[r] norms[r, k] of K.
 
     An FFT of length L computed with twiddle factors within mu of the
     exact roots of unity has a normwise relative error of at most
@@ -173,10 +179,13 @@ def lattice_roundoff(seqs, norms):
     ||rfft s||_2 <= sqrt L ||s||_2 and max|rfft K| <= ||K||_1, so the three
     transforms and the products contribute, to first order and per column,
     (2 mu_L + sqrt 2 gamma_2) ||s||_2 ||K||_1 + mu_L ||s||_1 ||K||_2; summed
-    over the rays, over the columns by Minkowski's inequality, and with the
-    sum over rays and the second-order terms taken up by
-    (3 mu_L + 2 gamma_2) ||s||_2 sum_k ||K_k|| + mu_L ||s||_1 (sum_k
-    ||K_k||^2)^(1/2) per ray.
+    over the channels, over the columns by Minkowski's inequality, and with
+    the sum of at most 4 channels (within gamma_3(u) < mu_L at L >= 2) and
+    the second-order terms taken up by (3 mu_L + 2 gamma_2) ||s||_2 sum_k
+    ||K_k|| + mu_L ||s||_1 (sum_k ||K_k||^2)^(1/2) per channel, at the norms
+    (1 + fold) norms of the kernels as formed; their error adds ||s||_2
+    sum_k fold norms_k by Young's inequality, as a last rounding of each
+    value by relative fold does.
 
     gamma_k = k eps / (1 - k eps) with eps = 2^-52, twice the unit roundoff,
     as in the rest of this module.  Assumed: numpy's FFT (pocketfft) has
@@ -189,9 +198,10 @@ def lattice_roundoff(seqs, norms):
     eps = np.finfo(float).eps
     gamma2, gamma4 = (k * eps / (1.0 - k * eps) for k in (2, 4))
     eta = math.log2(_smooth_size(seqs.shape[-1])) * (eps + gamma4 * (math.sqrt(2.0) + eps))
-    mu = eta / (1.0 - eta)
-    bound = ((3.0 * mu + 2.0 * gamma2) * np.linalg.norm(seqs, axis=-1) @ norms.sum(axis=-1)
-             + mu * np.abs(seqs).sum(axis=-1) @ np.linalg.norm(norms, axis=-1))
+    mu, fold = eta / (1.0 - eta), np.asarray(fold)[:, None]
+    coef = (3.0 * mu + 2.0 * gamma2) * (1.0 + fold) + fold
+    bound = (np.linalg.norm(seqs, axis=-1) @ (coef * norms).sum(axis=-1)
+             + mu * np.abs(seqs).sum(axis=-1) @ np.linalg.norm((1.0 + fold) * norms, axis=-1))
     return float(bound.max())
 
 
@@ -438,21 +448,16 @@ class ContourEngine:
         block of values, rows for each sign in ``signs`` (True for t < 0) in
         turn, from ``parts`` Im F, Im(e^{i phi} F) in u order: (2 rays,
         length) on the lattice of stride p, else (2 rays, values, n) or
-        (2 rays, batch, values, n), rows in (batch, sign, value) order.
+        (2 rays, batch, values, n), rows in (batch, sign, value) order.  The
+        norm of S_0 - S_1, the sums over the even and the odd nodes, estimates
+        the error of S_0 + S_1 against the rule 2 S_0, plus a roundoff bound.
 
-        The node sums of alpha_k = fa_k Im F (beta_k = fb_k Im(e^{i phi} F))
-        at lag 0 are one GEMM per part and batch entry, stacked, so that each
-        entry rounds as it would alone, its rows over (ray, node) weighted by
-        fa (fb) times P; on the lattice, an FFT correlation of each ray's
-        sequence with the kernel fa P (fb P) at the lags j p, the kernels
-        formed there per ``_COLUMNS`` columns of P, and the alternated and
-        the plain sequences of a part stacked on a leading axis, so that one
-        correlation forms and transforms each block of kernels for both
-        passes, once per family (the engine keeps no spectra).  The
-        alternating signs give +-(S_0 - S_1), S_0, S_1 the sums over the even
-        and the odd nodes, whose norm estimates the error of S_0 + S_1
-        against the rule 2 S_0, plus a roundoff bound (``_direct_roundoff``,
-        ``lattice_roundoff``)."""
+        At lag 0 the node sums of alpha_k = fa_k Im F (beta_k = fb_k Im(e^{i
+        phi} F)) are one GEMM per part and batch entry, stacked, so that each
+        rounds as it would alone, its rows over (ray, node) weighted by fa
+        (fb) P and by the alternating (for +-(S_0 - S_1)) and plain signs.  On
+        the lattice S_0 and S_1 are ``lattice_correlations`` of the kernels
+        fa P, -fb T P (``_kernels``) per block of ``_COLUMNS`` columns."""
         n, length = self.u_ray.size, parts[0].shape[-1]
         # per sign, the parts the + and the - ray nodes read: -|t| z = |t| (-z)
         seqs = [np.stack([part[[flip, 1 - flip]] for flip in map(int, signs)]) for part in parts]
@@ -471,27 +476,53 @@ class ContourEngine:
             roundoff = sum(map(_direct_roundoff, flat, self._k_fro.reshape(2, -1)))
             return plain, block_norms(self._values(alt)) + roundoff
 
-        rows, cols = len(signs) * ((length - n) // p + 1), self._p_flat.shape[1]
-        both = [np.stack([seq * alternate, seq]) for seq in seqs]
+        rows, half = (length - n) // p + 1, (length + 1) // 2
+        size = _smooth_size(half)
+        # node 2 i + c at (phase c, sign, part and ray, i), padded with a 0
+        padded = np.pad(np.stack(seqs, axis=1), [(0, 0)] * 3 + [(0, length % 2)])
+        phases = np.moveaxis(padded.reshape(len(signs), 4, half, 2), -1, 0)
+        spectra = np.fft.rfft(phases, size).conj()
+        # kernels within fold norms: fa P by u, T P by gamma_km sqrt(km) ||T|| ||P||_F
+        # (Higham, 3.5), -fb T P by u more; u more each for S_0 +- S_1
+        eps, km = np.finfo(float).eps, self._bt.shape[-1]
+        fold = np.repeat([eps, math.sqrt(km) * (km + 1) * eps / (1.0 - (km + 1) * eps)], 2)
+        pairs = np.array([[lattice_roundoff(phases[c], self._k_fro[..., q::2].reshape(4, -1),
+                                            fold) for q in (0, 1)] for c in (0, 1)])
+        c = np.arange(rows) * p % 2    # value j takes the pairs (c, 0) and (1 - c, 1)
+        roundoff = np.tile(pairs[c, 0] + pairs[1 - c, 1], len(signs))
 
-        def node_sums():
-            # (pass, row, column) per part: the alternating pass, then the plain one
-            sums = [np.empty((2, rows, cols)) for _ in parts]
-            for lo in range(0, cols, _COLUMNS):
-                block = slice(lo, lo + _COLUMNS)
-                # the kernels fa P, fb P of this block, (part, ray, node, column)
-                kernels = self._p_flat[:, block].reshape(1, 2, n, -1) * np.reshape(
-                    [self._fa, self._fb], (2, 2, n, 1))
-                for total, seq, kernel in zip(sums, both, kernels):
-                    # freed before the next correlation's buffers
-                    total[..., block] = lattice_correlation(seq, kernel, p).reshape(2, rows, -1)
-            return self._combine(*(total.reshape(2 * rows, cols) for total in sums))
+        cols = np.arange(self._p_flat.shape[1])
+        if self.basis is None:    # by column l of P_r, so that a block's T P reads its l only
+            cols = cols.reshape(*self._bt.shape, 2).transpose(0, 2, 1, 3).ravel()
+        # S_0 + S_1 and S_0 - S_1 as ``_combine`` gives sums, and their real columns
+        sums = np.empty((2, len(signs) * rows, *self.P.shape[1:]), self.P.dtype)
+        flat = sums.view(float).reshape(2, len(signs), rows, -1)
+        for lo in range(0, cols.size, _COLUMNS):
+            block = cols[lo:lo + _COLUMNS]
+            phase = lattice_correlations(spectra, self._kernels(block), size, p, rows)
+            flat[0][..., block] = phase[0] + phase[1]
+            flat[1][..., block] = phase[0] - phase[1]
+        return sums[0], block_norms(self._values(sums[1])) + roundoff
 
-        # the sums of beta P are freed before the norms take their Grams
-        values = node_sums()
-        estimates = block_norms(self._values(values[:rows]))
-        estimates += sum(map(lattice_roundoff, seqs, self._k_fro))
-        return values[rows:], estimates
+    def _kernels(self, cols):
+        """The kernels fa P and -fb T P at the real columns ``cols`` of P, node
+        2 m + q at (q, column, part and ray, m); T P is formed there only, as
+        lam P on the eigen path, else as one product T_r P_r per column l met."""
+        n, p = self.u_ray.size, self._p_flat[:, cols]
+        if self.basis is None:
+            km = self._bt.shape[-1]
+            r, i, l = np.unravel_index(cols[::2] // 2, self._bt.shape)
+            heads, at = np.unique(r * km + l, return_inverse=True)
+            # (column l, node, row i) of T_r P_r
+            tp = self.P[:, heads // km, :, heads % km] @ np.swapaxes(self._bt[heads // km], -1, -2)
+            tp = np.ascontiguousarray(tp[at, :, i].T).view(float)
+        else:
+            tp = self.basis.lam.ravel()[cols] * p
+        kernels = np.zeros((2, 2, n + 1, cols.size))
+        np.multiply(p.reshape(2, n, -1), self._fa.reshape(2, n, 1), out=kernels[0, :, :n])
+        np.multiply(tp.reshape(2, n, -1), -self._fb.reshape(2, n, 1), out=kernels[1, :, :n])
+        # transformed along m, a contiguous axis, which pocketfft takes fastest
+        return np.ascontiguousarray(kernels.reshape(4, -1, 2, cols.size).transpose(2, 3, 0, 1))
 
     def _combine(self, sum_a, sum_b):
         """alpha P - T beta P from the contractions sum_a, sum_b of alpha and

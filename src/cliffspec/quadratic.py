@@ -107,19 +107,17 @@ def check_frame_memory(T: CliffordOperator, nodes, n_g=1, contour_nodes=ContourC
 
     Each of the n_g functions g keeps its family as spinor blocks B (16 r
     (km)^2 bytes a value).  The families are made one at a time, and the one
-    in the making holds at its peak four block stacks: while its node sums
-    are made, those of both parts for both the alternating and the plain
-    pass (``ContourEngine._contract``), and later B, B^H, the copy of B the
-    Gram of B^H reads and the Gram stack.  The node sums hold besides the
-    FFT buffers of one block of ``_COLUMNS`` columns (``lattice_correlation``);
-    with no g there is no frame stage.
+    in the making holds at its peak four block stacks: B, B^H, the copy of B
+    the Gram of B^H reads and the Gram stack.  Its node sums (two stacks,
+    ``ContourEngine._contract``) count as four too, with 4 n + 11 L reals per
+    column of one block of ``_COLUMNS`` (n the nodes of a ray, L the FFT
+    length of a whole sequence), above the 12 n that forming the kernels
+    takes (km <= 16) and the 4 n + 7 L that correlating them does; with no
+    g there is no frame stage.
     """
     # the lattice contour depends on the log step of the grid only, which
     # default_quad_grid fixes whatever ||T||
     cfg, p = lattice_contour(QuadGridConfig(nodes=nodes), ContourConfig(nodes=contour_nodes))
-    # the kernels of both parts and rays, the spectra of one part's, and the
-    # products of both passes and signs (with one temporary) and their
-    # correlations, with one length to spare for the FFT's own work space
     buffers = 8 * _COLUMNS * (4 * cfg.nodes + 11 * _smooth_size((nodes | 1) * p - p + cfg.nodes))
     r, _, k, _ = spinor_blades(T.n).shape
     stack = 16 * r * (k * T.m) ** 2 * 2 * (nodes | 1)

@@ -46,9 +46,9 @@ def gl_panel_grid(u_lo, u_hi, points=12):
     O(h^2) endpoint terms."""
     n_panels = max(2, int(math.ceil((u_hi - u_lo) / 0.5)))
     edges = np.linspace(u_lo, u_hi, n_panels + 1)
-    s, w, _ = gl_cell_rule(points, 0.0)
+    x, wx = _leggauss(points)
     width = np.diff(edges)[:, None]
-    return (edges[:-1, None] + width * s).ravel(), (width * w).ravel()
+    return (edges[:-1, None] + width * (0.5 * (x + 1.0))).ravel(), (width * (0.5 * wx)).ravel()
 
 
 @functools.cache
@@ -59,6 +59,14 @@ def _leggauss(points):
     return x, w
 
 
+@functools.cache
+def _legvander(points):
+    """``legvander`` at the ``_leggauss`` nodes, once per count, read-only."""
+    at_x = np.polynomial.legendre.legvander(_leggauss(points)[0], points - 1)
+    at_x.flags.writeable = False
+    return at_x
+
+
 def gl_cell_rule(points, fractions):
     """Gauss-Legendre nodes s and weights w of ``points`` points on [0, 1],
     and for each of the array ``fractions`` the weights (..., points) that
@@ -66,7 +74,7 @@ def gl_cell_rule(points, fractions):
     set of samples per cell gives the integral over the cell and over any
     leading part of it."""
     x, wx = _leggauss(points)
-    at_x = np.polynomial.legendre.legvander(x, points - 1)
+    at_x = _legvander(points)
     end = 2.0 * np.asarray(fractions, dtype=float) - 1.0
     at_end = np.polynomial.legendre.legvander(end, points).reshape(*end.shape, points + 1)
     # the interpolant's Legendre coefficients are w_i (m + 1/2) P_m(x_i), and

@@ -416,12 +416,12 @@ def _composition_bound_records(gname, g, c_theta, t_grid, w_grid, blocks, rng):
     mid = abs(t_grid[center])
     psi = np.where((np.abs(t3) >= lo * mid) & (np.abs(t3) <= hi * mid), 1.0, 0.0)
     # g(tT) and g(tau T) commute, so the kernel is symmetric, and ``inner``
-    # reads only the rows in supp(psi): each pair k <= l with k or l there
-    # is multiplied once, and every other entry stays 0
+    # reads only the rows in supp(psi): each pair (min, max) of a there and b
+    # not there or b >= a is multiplied once, and every other entry stays 0
+    supp = np.flatnonzero(psi > 0.0)
+    a, b = np.repeat(supp, idx.size), np.tile(np.arange(idx.size), supp.size)
+    ks, ls = (pick(a, b)[(psi[b] == 0.0) | (b >= a)] for pick in (np.minimum, np.maximum))
     kernel = np.zeros((idx.size, idx.size))
-    ks, ls = np.triu_indices(idx.size)
-    keep = (psi[ks] > 0.0) | (psi[ls] > 0.0)
-    ks, ls = ks[keep], ls[keep]
     kernel[ks, ls] = kernel[ls, ks] = norms(idx[ks], idx[ls])
     inner = kernel.T @ (w3 * psi)          # integral over t for each tau
     lhs_iii = float(pairwise_sum(w3 * inner ** 2))

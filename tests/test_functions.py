@@ -450,3 +450,38 @@ def test_gauss_legendre_nodes_are_computed_once_per_count(monkeypatch):
         assert np.array_equal(s, 0.5 * (want_x + 1.0)) and np.array_equal(w, 0.5 * want_w)
     finally:
         quadrature._leggauss.cache_clear()
+
+
+def test_the_cell_rule_forms_its_vandermonde_once_per_count(monkeypatch):
+    # gl_cell_rule reads one cached, read-only Legendre Vandermonde at its
+    # nodes per count, and gl_panel_grid none; the weights and panels are
+    # bit for bit those of a fresh Vandermonde and of the cell rule at 0
+    legvander = np.polynomial.legendre.legvander
+    degrees = []
+
+    def counting(x, deg):
+        degrees.append(deg)
+        return legvander(x, deg)
+
+    monkeypatch.setattr(np.polynomial.legendre, "legvander", counting)
+    quadrature._legvander.cache_clear()
+    fractions = np.array([0.0, 0.25, 1.0])
+    try:
+        for _ in range(3):
+            s, w, parts = quadrature.gl_cell_rule(9, fractions)
+            u, wu = gl_panel_grid(-2.0, 3.0, points=9)
+        # at the nodes (degree 8) once, at the fractions (degree 9) per call
+        assert sorted(degrees) == [8, 9, 9, 9]
+        assert not quadrature._legvander(9).flags.writeable
+    finally:
+        quadrature._legvander.cache_clear()
+    x, wx = np.polynomial.legendre.leggauss(9)
+    end = 2.0 * fractions - 1.0
+    at_end = legvander(end, 9)
+    integrals = np.concatenate([0.5 * (end[:, None] + 1.0), 0.5 * (at_end[:, 2:] - at_end[:, :-2])],
+                               axis=-1)
+    assert np.array_equal(parts, 0.5 * wx * (integrals @ legvander(x, 8).T))
+    edges = np.linspace(-2.0, 3.0, 11)
+    width = np.diff(edges)[:, None]
+    assert np.array_equal(u, (edges[:-1, None] + width * s).ravel())
+    assert np.array_equal(wu, (width * w).ravel())

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import cliffspec as cs
 from cliffspec import calculus, suite
-from cliffspec.calculus import f_ab_nodes, lattice_correlation, lattice_roundoff
+from cliffspec.calculus import f_ab_nodes, lattice_correlations, lattice_roundoff
 from cliffspec.module import block_norms
 
 from conftest import OMEGA, THETA
@@ -184,25 +184,53 @@ def test_lattice_claims_cover_the_gap_to_the_per_value_evaluation(n):
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
-@given(st.sampled_from([1, 2, 3]), st.integers(1, 40), st.integers(2, 300), st.integers(1, 5),
+@given(st.sampled_from([1, 2, 3]), st.integers(1, 40), st.integers(4, 300), st.integers(1, 3),
        st.floats(0.0, 30.0), st.integers(0, 2 ** 32 - 1))
-def test_lattice_roundoff_covers_the_fft_correlation(stride, count, n, cols, decades, seed):
-    # the FFT correlation against a long-double direct one, on sequences and
-    # kernels whose entries spread over ``decades`` decades each way
+def test_lattice_roundoff_covers_the_fft_correlation(stride, count, n, km, decades, seed):
+    # the values S_0 + S_1 of the phase correlations of a lattice family,
+    # with a dense km x km T folded into the second part's kernels, against
+    # a long-double direct correlation of the exact kernels fa P, -fb T P, on
+    # sequences and blocks P whose entries spread over ``decades`` decades
+    # each way: each value within the roundoff of its two phase pairs
     rng = np.random.default_rng(seed)
     length = (count - 1) * stride + n
 
     def draw(*shape):
         return rng.standard_normal(shape) * 10.0 ** rng.uniform(-decades, decades, shape)
 
-    seqs, kernels = draw(3, 2, length), draw(2, n, cols)
-    got = lattice_correlation(seqs, kernels, stride)
-    s, k = seqs.astype(np.longdouble), kernels.astype(np.longdouble)
-    windows = np.stack([s[..., j * stride:j * stride + n] for j in range(count)], axis=-3)
-    want = np.einsum("ajrk,rkc->ajc", windows, k)
-    gap = np.sqrt((((got - want) ** 2).sum(axis=(-2, -1))).astype(float))
-    assert got.shape == (3, count, cols)
-    assert np.all(gap <= lattice_roundoff(seqs, np.linalg.norm(kernels, axis=-1)))
+    seqs = draw(3, 4, length)   # (sign, part and ray, length)
+    P = draw(2, n, km, km) + 1j * draw(2, n, km, km)
+    T = rng.standard_normal((km, km)) + 1j * rng.standard_normal((km, km))
+    fa, fb = draw(2, n, 1, 1), draw(2, n, 1, 1)
+    formed = np.concatenate([fa * P, -fb * (T @ P)]).reshape(4, n, -1).view(float)
+    P_ld, T_ld = P.astype(np.clongdouble), T.astype(np.clongdouble)
+    exact = np.concatenate([fa * P_ld, -fb * (T_ld @ P_ld)]).reshape(4, n, -1)
+    exact = np.stack([exact.real, exact.imag], axis=-1).reshape(formed.shape)
+    p_fro = np.linalg.norm(P, axis=(-2, -1))
+    norms = np.concatenate([np.abs(fa[..., 0, 0]) * p_fro,
+                            np.linalg.norm(T, 2) * np.abs(fb[..., 0, 0]) * p_fro])
+    g = (km + 1) * np.finfo(float).eps
+    fold = np.repeat([np.finfo(float).eps, math.sqrt(km) * g / (1.0 - g)], 2)
+
+    half = (length + 1) // 2
+    size = calculus._smooth_size(half)
+    phases = np.zeros((2, 3, 4, half))
+    phases[0], phases[1, ..., :length // 2] = seqs[..., ::2], seqs[..., 1::2]
+    kernels = np.concatenate([formed, np.zeros((4, n % 2, formed.shape[-1]))], axis=1)
+    kernels = kernels.reshape(4, -1, 2, formed.shape[-1]).transpose(2, 3, 0, 1)
+    sums = lattice_correlations(np.fft.rfft(phases, size).conj(), kernels, size, stride, count)
+    # S_0 + S_1, and the roundoff of the two phase pairs of each value
+    got, bound, j = sums[0] + sums[1], np.zeros(count), np.arange(count)
+    for c in (0, 1):
+        for q in (0, 1):
+            js = j[(j * stride + q) % 2 == c]
+            if js.size:
+                bound[js] += lattice_roundoff(phases[c], norms[:, q::2], fold)
+    s = seqs.astype(np.longdouble)
+    windows = np.stack([s[..., i * stride:i * stride + n] for i in j], axis=-3)
+    want = np.einsum("ajrk,rkc->ajc", windows, exact)
+    gap = np.sqrt((((got - want) ** 2).sum(axis=-1)).astype(float))
+    assert np.all(gap <= bound)
 
 
 @pytest.mark.parametrize("contour", ["default", "lattice"])
@@ -269,62 +297,93 @@ def test_the_ladder_samples_once_and_contracts_once(monkeypatch):
     assert seen[0] - target_points <= 65_448
 
 
+def correlate(seqs, kernels, stride):
+    """sum_r sum_k seqs[..., r, j stride + k] kernels[r, k] at every j with
+    a whole window, as (..., j, columns), by real FFTs of whole sequences."""
+    size = calculus._smooth_size(seqs.shape[-1])
+    prod = (np.fft.rfft(seqs, size)[..., None, :, :]
+            * np.fft.rfft(kernels.transpose(2, 0, 1), size).conj()).sum(axis=-2)
+    lags = slice(0, seqs.shape[-1] - kernels.shape[1] + 1, stride)
+    return np.fft.irfft(prod, size)[..., lags].swapaxes(-1, -2)
+
+
 def two_pass_contract(eng, parts, signs, p):
-    """The lattice route of ``ContourEngine._contract`` as two passes, each
-    forming and transforming the kernels fa P, fb P again: the alternating
-    pass for the estimate, then the plain one for the values."""
-    n, length = eng.u_ray.size, parts[0].shape[-1]
+    """The lattice family as two passes over whole sequences with the
+    kernels fa P, fb P and T applied to the sums of fb P: the values, and
+    their estimates from the alternated pass plus the FFT roundoff bound of
+    whole sequences."""
+    n = eng.u_ray.size
     seqs = [np.stack([part[[flip, 1 - flip]] for flip in map(int, signs)]) for part in parts]
-    rows, cols = len(signs) * ((length - n) // p + 1), eng._p_flat.shape[1]
+    kernels = eng._p_flat.reshape(1, 2, n, -1) * np.reshape([eng._fa, eng._fb], (2, 2, n, 1))
+    alternate = np.where(np.arange(parts[0].shape[-1]) % 2, -1.0, 1.0)
 
     def node_sums(sign):
-        sums = [np.empty((rows, cols)) for _ in parts]
-        for lo in range(0, cols, calculus._COLUMNS):
-            block = slice(lo, lo + calculus._COLUMNS)
-            kernels = eng._p_flat[:, block].reshape(1, 2, n, -1) * np.reshape(
-                [eng._fa, eng._fb], (2, 2, n, 1))
-            for total, seq, kernel in zip(sums, seqs, kernels):
-                total[:, block] = lattice_correlation(seq * sign, kernel, p).reshape(rows, -1)
-        return eng._combine(*sums)
+        sums = [correlate(seq * sign, kernel, p) for seq, kernel in zip(seqs, kernels)]
+        return eng._combine(*(s.reshape(-1, s.shape[-1]) for s in sums))
 
-    alternate = np.where(np.arange(length) % 2, -1.0, 1.0)
-    estimates = block_norms(eng._values(node_sums(alternate)))
-    estimates += sum(map(lattice_roundoff, seqs, eng._k_fro))
-    return node_sums(1.0), estimates
+    roundoff = sum(lattice_roundoff(seq, norms, np.zeros(2))
+                   for seq, norms in zip(seqs, eng._k_fro))
+    return node_sums(1.0), block_norms(eng._values(node_sums(alternate))), roundoff
 
 
-@pytest.mark.parametrize("case, fft_length", [("jordan", 2916), ("diag", 2916), ("1+e1", 729)])
-def test_a_lattice_family_transforms_each_kernel_block_once(case, fft_length, monkeypatch):
-    # one correlation per part and block of columns serves the alternating
-    # and the plain pass, and gives the values and estimates of two passes
-    # bit for bit, at the default lattice and at 100 grid and 500 contour nodes
-    omega, theta, quad, nodes = ((0.9, 1.2, 100, 500) if case == "1+e1"
-                                 else (OMEGA, THETA, 400, 2000))
-    T = {"jordan": cs.CliffordOperator.from_real_matrix([[1.0, 1.0], [0.0, 1.0]], n=1),
-         "diag": cs.CliffordOperator.from_real_matrix([[1.0, 0.0], [0.0, -2.0]], n=1),
-         "1+e1": cs.CliffordOperator(1, 1, np.array([[[1.0, 1.0]]]))}[case]
-    qcfg = cs.default_quad_grid(T, quad)
-    cfg, _ = cs.lattice_contour(qcfg, cs.ContourConfig(nodes=nodes))
-    eng = cs.ContourEngine(T, cs.check_bisectorial(T, omega), theta, cfg)
+@pytest.mark.parametrize("stride", [1, 2, 3])
+@pytest.mark.parametrize("case", ["diag", "jordan", "non-normal"])
+def test_a_lattice_family_transforms_each_kernel_block_once(case, stride, monkeypatch):
+    # the sums over the even and the odd nodes, each a correlation of half
+    # length per phase pair (two at an even stride, four at an odd one),
+    # with T folded into the kernels: each kernel block is formed and
+    # transformed once, each pair and block takes one inverse transform for
+    # both signs, and each value lies within its claim of the two-pass
+    # value, claiming no more than the two passes do; every stride-th |t|
+    # of the grid on a 500-node contour (stride 1), on the eigen path, the
+    # Jordan block and a dense D = 16
+    T = {"diag": cs.CliffordOperator.from_real_matrix([[1.0, 0.0], [0.0, -2.0]], n=1),
+         "jordan": cs.CliffordOperator.from_real_matrix([[1.0, 1.0], [0.0, 1.0]], n=1),
+         "non-normal": non_normal(3)}[case]
+    qcfg = cs.default_quad_grid(T)
+    cfg, _ = cs.lattice_contour(qcfg, cs.ContourConfig(nodes=500))
+    eng = cs.ContourEngine(T, cs.check_bisectorial(T, OMEGA), THETA, cfg)
+    assert (eng.basis is None) == (case != "diag")
     t, _ = qcfg.grid()
+    t = t[:t.size // 2][::stride]
+    t = np.concatenate([t, -t])
     mags, which = np.unique(np.abs(t), return_inverse=True)
-    _, _, parts, p = next(eng._windows(cs.regularizer(theta), t, mags, which))
-    assert calculus._smooth_size(parts[0].shape[-1]) == fft_length
-    calls = []
+    _, _, parts, p = next(eng._windows(cs.regularizer(THETA), t, mags, which))
+    assert p == stride
+    blocks, rffts, irffts = [], [], []
+    kernels, rfft, irfft = calculus.ContourEngine._kernels, np.fft.rfft, np.fft.irfft
 
-    def counted(seqs, kernels, stride):
-        calls.append(seqs.shape[:-2])
-        return lattice_correlation(seqs, kernels, stride)
+    def counted_kernels(self, cols):
+        blocks.append(cols.copy())
+        return kernels(self, cols)
 
-    monkeypatch.setattr(calculus, "lattice_correlation", counted)
-    values, estimates = eng._contract(parts, [False, True], p)
-    blocks = -(-eng._p_flat.shape[1] // calculus._COLUMNS)
-    # (pass, sign) sequences per call, one call per part and block
-    assert calls == [(2, 2)] * (2 * blocks)
-    want_values, want_estimates = two_pass_contract(eng, parts, [False, True], p)
-    assert np.array_equal(eng.dense_blocks(eng._values(values)),
-                          eng.dense_blocks(eng._values(want_values)))
-    assert np.array_equal(estimates, want_estimates)
+    def counted(shapes, fn):
+        def wrapper(x, *args):
+            shapes.append(x.shape)
+            return fn(x, *args)
+        return wrapper
+
+    with monkeypatch.context() as patch:
+        patch.setattr(calculus.ContourEngine, "_kernels", counted_kernels)
+        patch.setattr(np.fft, "rfft", counted(rffts, rfft))
+        patch.setattr(np.fft, "irfft", counted(irffts, irfft))
+        values, estimates = eng._contract(parts, [False, True], p)
+    cols = eng._p_flat.shape[1]
+    assert len(blocks) == -(-cols // calculus._COLUMNS)
+    assert np.array_equal(np.sort(np.concatenate(blocks)), np.arange(cols))
+    # the phases of the sequences once, then each kernel block once
+    half, nodes = rffts[0][-1], (eng.u_ray.size + 1) // 2
+    assert rffts == [(2, 2, 4, half)] + [(2, b.size, 4, nodes) for b in blocks]
+    pairs = 2 if stride % 2 == 0 else 4
+    assert irffts == [(2, b.size, irffts[0][-1]) for b in blocks for _ in range(pairs)]
+
+    want_values, want_parity, want_roundoff = two_pass_contract(eng, parts, [False, True], p)
+    assert np.all(block_norms(eng._values(values - want_values)) <= estimates)
+    with monkeypatch.context() as patch:
+        patch.setattr(calculus, "lattice_roundoff", lambda *_: 0.0)
+        parity = eng._contract(parts, [False, True], p)[1]
+    assert np.abs(parity - want_parity).max() <= 1e-13 * block_norms(eng._values(values)).max()
+    assert np.all(estimates <= want_parity + want_roundoff)
 
 
 @settings(max_examples=25, derandomize=True, deadline=None)

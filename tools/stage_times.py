@@ -10,7 +10,8 @@ of FILE, else the default registry, and any other option given, such as
 each writing its report to a temporary directory.  It prints each
 stage's mean milliseconds per call and its share of the whole
 ``run_theorem_suite`` call.  Stages may nest: the ``f0_infty`` row holds the
-ladder's call too, so the shares need not add up to 100%.
+ladder's call too, and "frames" holds the lattice correlations, so the
+shares need not add up to 100%.
 
 A row is timed through those of its names the tree has, and needs one of
 them.  Exit codes: 0 done, 2 a tree without ``src/cliffspec`` or without any
@@ -31,6 +32,10 @@ STAGES = [
     ("whole verify", "cli", ("run_theorem_suite",)),
     ("f_ab ladder", "suite", ("_fab_ladder_records",)),
     ("frames", "suite", ("family_frames",)),
+    # the FFT correlations of the frame families, within "frames": one call
+    # per block of kernels (lattice_correlations), or per part and block
+    # before the sums went by parity phase (lattice_correlation)
+    ("lattice correlations", "calculus", ("lattice_correlations", "lattice_correlation")),
     ("composition records", "suite", ("_composition_bound_records",)),
     ("hinf (T, each g, T*)", "suite", ("_hinf_stage",)),
     # the suite builds T's engine in _grid_engine (by ContourEngine before
@@ -70,7 +75,8 @@ def main(argv=None):
     if not cli.__file__.startswith(str(src)):
         print(f"error: cliffspec is already imported from {cli.__file__}", file=sys.stderr)
         return 2
-    modules = {name: importlib.import_module(f"cliffspec.{name}") for name in ("cli", "suite")}
+    modules = {name: importlib.import_module(f"cliffspec.{name}")
+               for name in ("cli", "suite", "calculus")}
     missing = [f"{module}.{' or '.join(names)}" for _, module, names in STAGES
                if not any(hasattr(modules[module], name) for name in names)]
     if missing:
