@@ -560,14 +560,14 @@ def omega_calculus(f: IntrinsicFunction, T: CliffordOperator,
 
 
 def rational_calculus(f: IntrinsicFunction, T: CliffordOperator) -> CliffordOperator:
-    """Direct evaluation p(T) q(T)^{-1} for a rational intrinsic function.
+    """Direct evaluation p(T) q(T)^{-1} for a rational intrinsic function,
+    products, scalings and sums of rationals included: they are rationals.
 
     Serves as the independent oracle for the quadrature path.
     """
     if f.kind != "rational":
-        raise ArgumentError("rational_calculus needs a rational registry function")
-    num = f.params["num"]
-    den = f.params["den"]
+        raise ArgumentError(f"rational_calculus needs a rational function, not a {f.kind} one")
+    num, den = f.params["num"], f.params["den"]
     rho_t = rho_matrix(T)
     d = rho_t.shape[0]
 

@@ -10,12 +10,14 @@ Decay certificates (alpha, C_alpha) witness |f(s)| <= C |s|^a / (1 + |s|^2a)
 on the sector; bounded certificates record a sup norm.  A fitted certificate
 evaluates |f| once on one sector sample set, and carries its point count; a
 rational with a pole in the closed sector, or one that grows at infinity
-where a sup norm is asked for, is refused before.  A product combines the
-certificates of its factors by one rule (``product_function``).
+where a sup norm is asked for, is refused before.  A product, scaling or
+sum of rationals is a rational, with the poles of the rationals it is built
+from; a product combines its factors' certificates by one rule.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -46,7 +48,8 @@ class BoundedCertificate:
 
 
 class IntrinsicFunction:
-    """Intrinsic slice function given by a vectorized complex profile."""
+    """Intrinsic slice function given by a vectorized complex profile, which
+    is called with a complex array."""
 
     __slots__ = ("profile", "theta", "kind", "params", "decay", "bounded")
 
@@ -62,9 +65,8 @@ class IntrinsicFunction:
         self.bounded = bounded
 
     def with_decay(self, cert):
-        f = IntrinsicFunction(self.profile, self.theta, self.kind, self.params,
-                              cert, self.bounded)
-        return f
+        return IntrinsicFunction(self.profile, self.theta, self.kind, self.params,
+                                 cert, self.bounded)
 
     def with_bounded(self, cert):
         return IntrinsicFunction(self.profile, self.theta, self.kind, self.params,
@@ -129,14 +131,32 @@ def e_alpha_family(alpha, theta=DEFAULT_THETA) -> IntrinsicFunction:
 
 def rational_function(num, den, theta=DEFAULT_THETA) -> IntrinsicFunction:
     """Real-coefficient rational profile; coefficients are highest power first."""
-    num = [float(c) for c in np.atleast_1d(num)]
-    den = [float(c) for c in np.atleast_1d(den)]
+    num, den = (np.atleast_1d(np.asarray(c, dtype=float)) for c in (num, den))
     if not any(den):
         raise ArgumentError("denominator is identically zero")
+    return _rational(num, den, np.roots(den), theta, "the rational")
+
+
+def _rational(num, den, poles, theta, built, decay=None, bounded=None, e=0):
+    """num / den with the poles it was built with.  Coefficient k of a degree-d
+    polynomial is taken times 2^(e (d - k)), and all by the power of two that
+    puts den's largest |coefficient| in [1, 2): exactly, where a nonzero one
+    stays a normal double, and with ArgumentError naming ``built`` where not."""
+    num, den = (np.trim_zeros(c, "f") for c in (num, den))
+    num = num if num.size else np.zeros(1)
+    exps = [e * np.arange(c.size - 1, -1, -1) for c in (num, den)]
+    shift = 1 - int(np.max((np.frexp(den)[1] + exps[1])[den != 0.0]))
+    with np.errstate(all="ignore"):     # inf or a subnormal, refused below
+        scaled = [np.ldexp(c, k + shift) for c, k in zip((num, den), exps)]
+    given, coeffs = np.concatenate([num, den]), np.abs(np.concatenate(scaled))
+    if not np.all((given == 0.0) | ((coeffs >= np.finfo(float).tiny) & np.isfinite(coeffs))):
+        raise ArgumentError(f"{built} has a coefficient beyond the normal double "
+                            "range once its denominator is normalized")
+    num, den = scaled
 
     # where polyval overflows (|z| > ~1e154 for a quadratic), p / q is taken as
     # w^(deg q - deg p) p~(w) / q~(w), w = 1 / z, p~ and q~ reversed and trimmed
-    rev_num, rev_den = (np.trim_zeros(np.array(c), "f")[::-1] for c in (num, den))
+    rev_num, rev_den = (np.trim_zeros(c, "f")[::-1] for c in (num, den))
 
     def profile(z):
         z = np.asarray(z, dtype=complex)
@@ -150,8 +170,8 @@ def rational_function(num, den, theta=DEFAULT_THETA) -> IntrinsicFunction:
                             / np.polyval(rev_den, w))
         return out
 
-    return IntrinsicFunction(profile, theta, kind="rational",
-                             params={"num": num, "den": den})
+    return IntrinsicFunction(profile, theta, "rational", {"num": num, "den": den, "poles": poles},
+                             decay, bounded)
 
 
 def constant_function(value, theta=DEFAULT_THETA) -> IntrinsicFunction:
@@ -160,15 +180,11 @@ def constant_function(value, theta=DEFAULT_THETA) -> IntrinsicFunction:
 
 
 def scale_function(f: IntrinsicFunction, t) -> IntrinsicFunction:
-    """The intrinsic function s -> f(t s) for real t != 0."""
+    """The intrinsic function s -> f(t s) for real t != 0; of a rational, the
+    rational with coefficients c_k t^(deg - k), whose poles p move to p / t."""
     t = float(t)
     if t == 0.0:
         raise ArgumentError("scale factor t must be nonzero")
-    inner = f.profile
-
-    def profile(z):
-        return inner(t * np.asarray(z, dtype=complex))
-
     decay = None
     if f.decay is not None:
         a = f.decay.alpha
@@ -177,23 +193,25 @@ def scale_function(f: IntrinsicFunction, t) -> IntrinsicFunction:
         except OverflowError:   # inf, a claim ``truncation_bound`` refuses
             c = math.inf
         decay = DecayCertificate(a, c, f.decay.samples)
-    return IntrinsicFunction(profile, f.theta, kind="scaled", params={"t": t, "inner": f},
-                             decay=decay, bounded=f.bounded)
+    poles = f.params.get("poles", np.zeros(0)) / t
+    if f.kind == "rational":    # t = m 2^e: m^j 2^(e j) keeps t^j in range
+        m, e = math.frexp(t)
+        num, den = (c * np.float_power(m, np.arange(c.size - 1.0, -1.0, -1.0))
+                    for c in (f.params["num"], f.params["den"]))
+        return _rational(num, den, poles, f.theta, f"the scaling by t={t:g}", decay,
+                         f.bounded, e)
+    inner = f.profile
+    return IntrinsicFunction(lambda z: inner(t * z), f.theta, "scaled", {"poles": poles},
+                             decay, f.bounded)
 
 
 def product_function(*factors) -> IntrinsicFunction:
-    """Pointwise product; decay exponents add and constants multiply."""
+    """Pointwise product; decay exponents add and constants multiply.  Of
+    rationals, the rational of the multiplied coefficients and the poles of
+    all factors."""
     if len(factors) < 2:
         raise ArgumentError("product needs at least two factors")
     theta = min(f.theta for f in factors)
-    profiles = [f.profile for f in factors]
-
-    def profile(z):
-        z = np.asarray(z, dtype=complex)
-        out = profiles[0](z)
-        for p in profiles[1:]:
-            out = out * p(z)
-        return out
 
     # one rule: exponents add and constants multiply, where a factor without
     # decay brings its sup norm; a factor with neither certificate voids both
@@ -205,18 +223,27 @@ def product_function(*factors) -> IntrinsicFunction:
         decay = DecayCertificate(sum(alphas), math.prod(consts))
     if None not in sups:
         bounded = BoundedCertificate(math.prod(sups))
-    return IntrinsicFunction(profile, theta, kind="product", params={"factors": factors},
-                             decay=decay, bounded=bounded)
+    poles = np.concatenate([f.params.get("poles", np.zeros(0)) for f in factors])
+    if all(f.kind == "rational" for f in factors):
+        num, den = (functools.reduce(np.convolve, (f.params[k] for f in factors))
+                    for k in ("num", "den"))
+        return _rational(num, den, poles, theta, "the product", decay, bounded)
+    first, *rest = (f.profile for f in factors)
+    return IntrinsicFunction(lambda z: functools.reduce(lambda out, p: out * p(z), rest, first(z)),
+                             theta, "product", {"poles": poles}, decay, bounded)
 
 
 def sum_function(f: IntrinsicFunction, g: IntrinsicFunction) -> IntrinsicFunction:
+    """Pointwise sum; of two rationals, (p1 q2 + p2 q1) / (q1 q2)."""
+    theta = min(f.theta, g.theta)
+    if f.kind == g.kind == "rational":
+        (p1, q1), (p2, q2) = ((h.params["num"], h.params["den"]) for h in (f, g))
+        with np.errstate(all="ignore"):     # inf, refused by ``_rational``
+            num = np.polyadd(np.convolve(p1, q2), np.convolve(p2, q1))
+        poles = np.concatenate([f.params["poles"], g.params["poles"]])
+        return _rational(num, np.convolve(q1, q2), poles, theta, "the sum")
     pf, pg = f.profile, g.profile
-
-    def profile(z):
-        z = np.asarray(z, dtype=complex)
-        return pf(z) + pg(z)
-
-    return IntrinsicFunction(profile, min(f.theta, g.theta), kind="sum")
+    return IntrinsicFunction(lambda z: pf(z) + pg(z), theta, kind="sum")
 
 
 # ---------------------------------------------------------------------------
@@ -227,50 +254,26 @@ def _sample_points(theta, samples_per_ray, radius_span=(1e-4, 1e4)):
     radii = np.logspace(math.log10(radius_span[0]), math.log10(radius_span[1]),
                         samples_per_ray)
     edge = theta * (1.0 - 1e-9)
-    angles = []
-    for base in (0.0, math.pi):
-        for off in (edge, -edge, theta / 2, -theta / 2, 0.0):
-            angles.append(base + off)
-    pts = []
-    for ang in angles:
-        pts.append(radii * np.exp(1j * ang))
-    return np.concatenate(pts)
-
-
-def _rational_factors(f):
-    """(poles, numerator degree, denominator degree) of each rational that
-    f is a product or scaling of, None for a factor of another kind: under
-    s -> r(t s) a pole p of r moves to p / t."""
-    if f.kind == "rational":
-        num, den = (np.trim_zeros(np.array(f.params[k]), "f") for k in ("num", "den"))
-        return [(np.roots(den), num.size - 1, den.size - 1)]
-    if f.kind == "scaled":
-        t = f.params["t"]
-        return [r if r is None else (r[0] / t, *r[1:]) for r in _rational_factors(f.params["inner"])]
-    if f.kind == "product":
-        return [r for g in f.params["factors"] for r in _rational_factors(g)]
-    return [None]
+    return np.concatenate([radii * np.exp(1j * (base + off)) for base in (0.0, math.pi)
+                           for off in (edge, -edge, theta / 2, -theta / 2, 0.0)])
 
 
 def _refuse_unbounded_rational(f, at_infinity=False):
-    """CertificationError for a rational, or a product or scaling of
-    rationals, with a pole in the closed double sector, 0 included, and with
-    ``at_infinity`` for one that grows there: its degrees add over the
-    factors of a product."""
-    factors = _rational_factors(f)
-    for pole in (p for r in factors if r for p in r[0]):
+    """CertificationError for a function built with a pole in the closed
+    double sector, 0 included (a rational's, or a rational factor's), and
+    with ``at_infinity`` for a rational that grows there."""
+    for pole in f.params.get("poles", ()):
         if math.atan2(abs(pole.imag), abs(pole.real)) <= f.theta:
             where = f"{pole.real:.6g}" if pole.imag == 0 else f"{complex(pole):.6g}"
             raise CertificationError(
                 f"the rational has a pole at {where}, in the closed double sector "
                 f"of half-angle {f.theta:.6g}")
-    if not at_infinity or None in factors:
-        return
-    num, den = (sum(r[k] for r in factors) for k in (1, 2))
-    if num > den:
-        raise CertificationError(
-            f"the rational grows at infinity: its numerator has degree {num}, "
-            f"its denominator {den}")
+    if at_infinity and f.kind == "rational":
+        num, den = (f.params[k].size - 1 for k in ("num", "den"))
+        if num > den:
+            raise CertificationError(
+                f"the rational grows at infinity: its numerator has degree {num}, "
+                f"its denominator {den}")
 
 
 def _sampled_sup(f, weigh=None):
@@ -329,16 +332,12 @@ def ensure_bounded(f: IntrinsicFunction) -> IntrinsicFunction:
 
 def check_intrinsic(f: IntrinsicFunction, points, h=1e-6):
     """Max relative Cauchy-Riemann residual of the profile at complex points."""
-    worst = 0.0
-    for z in np.atleast_1d(points):
-        z = complex(z)
-        fx = (complex(f.eval_complex(z + h)) - complex(f.eval_complex(z - h))) / (2 * h)
-        fy = (complex(f.eval_complex(z + 1j * h)) - complex(f.eval_complex(z - 1j * h))) / (2 * h)
-        # analyticity: d/dy = i d/dx
-        resid = abs(fy - 1j * fx)
-        scale = max(abs(fx), abs(fy), 1e-30)
-        worst = max(worst, resid / scale)
-    return worst
+    z = np.atleast_1d(np.asarray(points, dtype=complex))
+    fx = (f.eval_complex(z + h) - f.eval_complex(z - h)) / (2 * h)
+    fy = (f.eval_complex(z + 1j * h) - f.eval_complex(z - 1j * h)) / (2 * h)
+    # analyticity: d/dy = i d/dx
+    scale = np.maximum(np.maximum(np.abs(fx), np.abs(fy)), 1e-30)
+    return float(np.max(np.abs(fy - 1j * fx) / scale))
 
 
 # ---------------------------------------------------------------------------

@@ -111,8 +111,26 @@ def test_rational_calculus_pole_on_spectrum(reports):
 
 def test_rational_calculus_rejects_non_rational(reports):
     T, _ = reports["diag12"]
-    with pytest.raises(cs.ArgumentError):
-        cs.rational_calculus(cs.e_alpha_family(0.5), T)
+    e_alpha = cs.e_alpha_family(0.5)
+    for f in (e_alpha, cs.product_function(cs.regularizer(), e_alpha)):
+        with pytest.raises(cs.ArgumentError, match="needs a rational function"):
+            cs.rational_calculus(f, T)
+
+
+def test_rational_calculus_reaches_every_rational_default(reports):
+    # products and scalings of rationals are rationals: every default g, the
+    # rational default f and e f for each, with e the regularizer
+    T, _ = reports["jordan"]
+    e = cs.regularizer(THETA)
+    fs = [cs.resolve_function(spec, THETA) for spec in cs.default_f_specs()]
+    gs = [cs.resolve_function(spec, THETA) for spec in cs.default_g_specs()]
+    rational_fs = [f for f in fs if f.kind == "rational"]
+    assert len(rational_fs) == 3
+    for f in gs + rational_fs + [cs.product_function(e, f) for f in rational_fs]:
+        assert np.all(np.isfinite(cs.rho_matrix(cs.rational_calculus(f, T))))
+    # e times the constant 1 at the Jordan block of 1: e(1) I + e'(1) N, e'(1) = 0
+    ef = cs.rho_matrix(cs.rational_calculus(cs.product_function(e, rational_fs[0]), T))
+    np.testing.assert_allclose(ef, 0.5 * np.eye(4), rtol=0.0, atol=1e-15)
 
 
 def test_hinf_constant_is_identity(reports):
@@ -337,6 +355,8 @@ def test_oracle_equivalence_for_registry_rationals(reports):
                                         "alpha": 1.0}},
         {"name": "rational", "params": {"num": [1.0, 0.0], "den": [1.0, 0.0, 2.0],
                                         "alpha": 1.0}},
+        {"name": "product", "params": {"factors": [{"name": "regularizer"}] * 2}},
+        {"name": "scaled", "params": {"t": -2.5, "inner": {"name": "regularizer"}}},
     ]
     for key in ("diag12", "diag1m2", "jordan"):
         T, rep = reports[key]

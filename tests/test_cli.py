@@ -482,6 +482,37 @@ def test_a_product_or_scaling_of_rationals_is_refused_as_a_rational(tmp_path, ca
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, flag, inner", [
+    ("calc", "--function", {"name": "rational", "params": {
+        "num": [1.0, 0.0, 0.0], "den": [1.0, 0.0, 1.0], "bounded": True}}),
+    ("verify", "--g", {"name": "regularizer"}),
+], ids=["calc-function", "verify-g"])
+@pytest.mark.parametrize("t", [1e155, -1e-155])
+def test_a_scaling_beyond_the_normal_range_is_refused(tmp_path, capsys, command, flag,
+                                                      inner, t):
+    # the scaled coefficients hold t^2 next to 1, which no power of two brings
+    # into the normal double range together
+    op, fn = tmp_path / "op.json", tmp_path / "f.json"
+    write_operator(op, [[1.0, 0.0], [0.0, -2.0]])
+    fn.write_text(json.dumps({"name": "scaled", "params": {"t": t, "inner": inner}}))
+    out = tmp_path / "r.json"
+    assert main([command, "--operator", str(op), flag, str(fn), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"the scaling by t={t:g} has a coefficient" in err
+    assert not out.exists()
+
+
+def test_verify_takes_a_g_with_coefficients_near_1e200(tmp_path):
+    # s / (1 + s^2) given times 1e200: its products g g and e g g, read by the
+    # inequality records, are formed from coefficients normalized to [1, 2)
+    op, g = tmp_path / "op.json", tmp_path / "g.json"
+    write_operator(op, [[1.0, 0.0], [0.0, -2.0]])
+    g.write_text(json.dumps({"name": "rational", "params": {
+        "num": [1e200, 0.0], "den": [1e200, 0.0, 1e200], "alpha": 1.0}}))
+    assert main(["verify", "--operator", str(op), "--g", str(g),
+                 "--out", str(tmp_path / "r.json")]) == 0
+
+
 @pytest.mark.parametrize("num, alpha", [([1.0, 0.0], 400.0), ([1.0, 0.0], 1e308),
                                         ([1e308, 0.0], 1.0)])
 def test_a_decay_constant_that_overflows_is_refused_without_warnings(tmp_path, capsys,

@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cliffspec as cs
 from cliffspec import quadrature
@@ -333,6 +334,67 @@ def test_product_certificates_come_from_one_rule():
     assert prod.bounded is None
     assert cs.product_function(one, two).decay is None
     assert cs.product_function(one, two).bounded == cs.BoundedCertificate(2.0)
+
+
+def test_products_scalings_and_sums_of_rationals_are_rationals():
+    e = cs.regularizer()
+    f = cs.rational_function([1.0, 2.0, 0.0], [1.0, 0.0, 3.0])
+    z = _sample_points(e.theta, 100)
+    for built, expected, poles in [
+        (cs.product_function(e, f), e.eval_complex(z) * f.eval_complex(z),
+         [-1j, 1j, -math.sqrt(3.0) * 1j, math.sqrt(3.0) * 1j]),
+        (cs.scale_function(f, -2.5), f.eval_complex(-2.5 * z),
+         [-math.sqrt(3.0) / 2.5 * 1j, math.sqrt(3.0) / 2.5 * 1j]),
+        (cs.sum_function(e, f), e.eval_complex(z) + f.eval_complex(z),
+         [-1j, 1j, -math.sqrt(3.0) * 1j, math.sqrt(3.0) * 1j]),
+    ]:
+        assert built.kind == "rational"
+        np.testing.assert_allclose(built.eval_complex(z), expected, rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(np.sort_complex(built.params["poles"]), np.sort_complex(poles),
+                                   rtol=1e-15)
+        # coefficients by one power of two: den's largest in [1, 2)
+        assert 1.0 <= np.max(np.abs(built.params["den"])) < 2.0
+    # the scaling keeps its certificates' rule, the product combines by its one rule
+    assert cs.scale_function(e, -2.5).decay == cs.DecayCertificate(1.0, 2.5 * e.decay.c_alpha)
+    assert cs.product_function(e, e).decay == cs.DecayCertificate(2.0, e.decay.c_alpha ** 2)
+    # a factor of another kind keeps the product a pointwise one, with the rational's poles
+    mixed = cs.product_function(cs.rational_function([1.0], [1.0, -3.0]), cs.e_alpha_family(0.5))
+    assert mixed.kind == "product"
+    with pytest.raises(cs.CertificationError, match="pole at 3,"):
+        cs.certify_bounded(mixed)
+
+
+def test_a_product_keeps_the_poles_of_its_factors():
+    # np.roots of (1 + s^2)^3 moves its poles +-i by 5e-6 rad toward the real
+    # axis, into the sector at theta = pi/2 - 2e-6; the product keeps +-i
+    theta = math.pi / 2 - 2e-6
+    e = cs.regularizer(theta)
+    e3 = cs.product_function(e, e, e)
+    assert e3.kind == "rational"
+    assert sorted(e3.params["poles"].imag) == [-1.0] * 3 + [1.0] * 3
+    assert np.all(e3.params["poles"].real == 0.0)
+    assert np.isfinite(cs.certify_bounded(e3).sup_norm)
+
+
+_COEFFS = st.lists(st.just(0.0) | st.floats(1e-6, 1e3) | st.floats(-1e3, -1e-6),
+                   min_size=1, max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(num=_COEFFS, den=_COEFFS.filter(any),
+       r=st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=8),
+       phi=st.just(0.0) | st.floats(1e-6, math.pi) | st.floats(-math.pi, -1e-6))
+def test_a_rational_keeps_the_values_of_its_given_coefficients(num, den, r, phi):
+    # the coefficients are normalized by a power of two, so that num / den
+    # is the ratio of the given polynomials bit for bit where that is finite
+    # (and where z has no subnormal part, which no scaling keeps exact: a
+    # phi of 2.2e-311 moved the last bit of a subnormal imaginary part)
+    z = np.asarray(r) * np.exp(1j * phi)
+    with np.errstate(all="ignore"):
+        expected = np.polyval(num, z) / np.polyval(den, z)
+    vals = cs.rational_function(num, den).eval_complex(z)
+    ok = np.isfinite(expected)
+    assert vals[ok].tobytes() == expected[ok].tobytes()
 
 
 def test_schwarz_symmetry_of_builtins():

@@ -51,7 +51,7 @@ def test_moved_values_and_verdicts_are_listed_per_path(tmp_path, capsys):
     assert out == [
         "w/gone.json: only in old",
         "w/r.json: records[*].lhs: 2 moved, largest abs 0.5 at records[a].lhs, "
-        "largest rel 0.333 at records[a].lhs",
+        "largest rel 0.333 at records[a].lhs, largest of scale 0.167 (scale 3)",
         "w/r.json: VERDICT bisector.certified: True -> False",
         "w/r.json: contour.rule: only in new",
         "w/r.json: VERDICT passed: True -> False",

@@ -8,7 +8,10 @@ relative path in the other tree.  A JSON path is written with its list
 indices as ``[*]``, so all the records of a report share ``records[*].lhs``;
 for each such path that moved, the tool prints how many numbers moved and
 the largest absolute and relative change, each with the concrete path where
-it happened (a list item that has a "name" is named by it).  Every changed
+it happened (a list item that has a "name" is named by it), and the largest
+absolute change over the path's scale: the largest finite |value| under the
+path in either report.  A rounding-level move of a cancellation residue reads
+large relative to itself but small against its path's scale.  Every changed
 ``pass``, ``passed`` or ``certified`` is printed on its own line, as is every
 other change that is not a number: a string, a missing key or a list of
 another length.
@@ -57,9 +60,14 @@ def _is_number(x):
 
 def compare(old, new):
     """Differences of two JSON values: (per generic path: [count, (abs, where),
-    (rel, where)], a list of lines for verdicts and other changes)."""
+    (rel, where), scale], a list of lines for verdicts and other changes)."""
     old_leaves, new_leaves = dict(_leaves(old)), dict(_leaves(new))
-    moved, lines = {}, []
+    moved, lines, scales = {}, [], {}
+    for leaves, root in ((old_leaves, old), (new_leaves, new)):
+        for path, x in leaves.items():
+            if _is_number(x) and math.isfinite(x):
+                key = _render(path, root, generic=True)
+                scales[key] = max(scales.get(key, 0.0), abs(x))
     for path in sorted(old_leaves.keys() | new_leaves.keys(), key=str):
         if path not in new_leaves or path not in old_leaves:
             side, root = ("old", old) if path in old_leaves else ("new", new)
@@ -74,9 +82,8 @@ def compare(old, new):
                 diff = math.inf
             scale = max(abs(a), abs(b))
             rel = diff / scale if math.isfinite(scale) else math.inf
-            where = _render(path, new)
-            entry = moved.setdefault(_render(path, new, generic=True),
-                                     [0, (0.0, where), (0.0, where)])
+            where, key = _render(path, new), _render(path, new, generic=True)
+            entry = moved.setdefault(key, [0, (0.0, where), (0.0, where), scales.get(key, 0.0)])
             entry[0] += 1
             entry[1] = max(entry[1], (diff, where))
             entry[2] = max(entry[2], (rel, where))
@@ -117,9 +124,11 @@ def main(argv=None):
             changed += 1
             continue
         moved, lines = compare(old, new)
-        for path, (count, (diff, at_abs), (rel, at_rel)) in moved.items():
+        for path, (count, (diff, at_abs), (rel, at_rel), scale) in moved.items():
+            of_scale = diff / scale if scale else math.inf
             print(f"{label}: {path}: {count} moved, largest abs {diff:.3g} at {at_abs}, "
-                  f"largest rel {rel:.3g} at {at_rel}")
+                  f"largest rel {rel:.3g} at {at_rel}, "
+                  f"largest of scale {of_scale:.3g} (scale {scale:.3g})")
         for line in lines:
             print(f"{label}: {line}")
         changed += len(moved) + len(lines)
