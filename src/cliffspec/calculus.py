@@ -120,7 +120,7 @@ class _ErrorBudget:
 
     @property
     def combined_error(self):
-        return self.truncation_error + self.discretization_error
+        return combined_tolerance(self, floor=0.0)
 
 
 @dataclass(frozen=True)
@@ -131,11 +131,12 @@ class CalculusResult(_ErrorBudget):
 
 
 def combined_tolerance(*results, floor=1e-9):
-    """Sum of the error estimates of several results plus a roundoff floor."""
-    tol = floor
+    """The claims of ``results`` plus a roundoff floor, summed in one order: each
+    result's truncation, then its discretization estimate, left to right; ``floor`` last."""
+    tol = 0.0
     for r in results:
-        tol += r.combined_error
-    return tol
+        tol = tol + r.truncation_error + r.discretization_error
+    return tol + floor
 
 
 def _smooth_size(length):
@@ -739,8 +740,9 @@ def adjoint_calculus_check(f: IntrinsicFunction, T: CliffordOperator,
     """Norm gap between f(T*) and f(T)*, both computed independently."""
     res_t = hinf_calculus(f, T, report, cfg)
     t_star = T.adjoint()
-    # T*'s certificate at the angles of T's, so that it runs wherever T's does
-    report_star = check_bisectorial(t_star, report.omega,
-                                    RaySampling(phis=tuple(p for p, _ in report.c_phi_table)))
+    # T*'s certificate at the contour angle alone: rho(Q_s(T*)) = rho(Q_s(T))^T
+    # stands or falls with T's
+    phi = (cfg or ContourConfig()).resolve_phi(report.omega, f.theta)
+    report_star = check_bisectorial(t_star, report.omega, RaySampling(phis=(phi,)))
     res_star = hinf_calculus(f, t_star, report_star, cfg)
     return float(spectral_norm(rho_matrix(res_star.op) - rho_matrix(res_t.op).T))

@@ -234,16 +234,17 @@ def product_function(*factors) -> IntrinsicFunction:
 
 
 def sum_function(f: IntrinsicFunction, g: IntrinsicFunction) -> IntrinsicFunction:
-    """Pointwise sum; of two rationals, (p1 q2 + p2 q1) / (q1 q2)."""
+    """Pointwise sum, with the poles of both terms; of two rationals,
+    (p1 q2 + p2 q1) / (q1 q2)."""
     theta = min(f.theta, g.theta)
+    poles = np.concatenate([h.params.get("poles", np.zeros(0)) for h in (f, g)])
     if f.kind == g.kind == "rational":
         (p1, q1), (p2, q2) = ((h.params["num"], h.params["den"]) for h in (f, g))
         with np.errstate(all="ignore"):     # inf, refused by ``_rational``
             num = np.polyadd(np.convolve(p1, q2), np.convolve(p2, q1))
-        poles = np.concatenate([f.params["poles"], g.params["poles"]])
         return _rational(num, np.convolve(q1, q2), poles, theta, "the sum")
     pf, pg = f.profile, g.profile
-    return IntrinsicFunction(lambda z: pf(z) + pg(z), theta, kind="sum")
+    return IntrinsicFunction(lambda z: pf(z) + pg(z), theta, "sum", {"poles": poles})
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +450,7 @@ def resolve_function(spec, theta=DEFAULT_THETA) -> IntrinsicFunction:
     a malformed parameter raises SchemaError.
     """
     if not isinstance(spec, dict) or "name" not in spec:
-        raise ArgumentError("function spec must be a dict with a 'name' key")
+        raise SchemaError("function spec must be a dict with a 'name' key")
     name = spec["name"]
     params = spec.get("params", {})
     if not isinstance(params, dict):

@@ -16,6 +16,7 @@ import numpy as np
 from .calculus import (
     ContourConfig,
     ContourEngine,
+    combined_tolerance,
     f_ab_operators,
     hinf_operators,
 )
@@ -126,11 +127,16 @@ def _stage(name, item):
 
 
 def _certified(kind, spec, theta):
-    """The function of ``spec`` with a bounded certificate; a refused
-    certificate is prefixed with the label ``kind=name`` of the spec."""
+    """The function of ``spec`` with a bounded certificate, and a decay one
+    for a g; a refused function is prefixed with the label ``kind=name`` of
+    the spec (a malformed spec, a SchemaError, has none)."""
     try:
-        return ensure_bounded(resolve_function(spec, theta))
-    except CertificationError as exc:
+        f = ensure_bounded(resolve_function(spec, theta))
+        if kind == "g" and f.decay is None:
+            raise CertificationError("a g needs a decay certificate, and this one has none; "
+                                     "give each rational in it an 'alpha' to fit one")
+        return f
+    except (ArgumentError, CertificationError) as exc:
         exc.args = (f"{kind}={spec_name(spec)}: {exc}",)
         raise
 
@@ -259,8 +265,7 @@ def run_theorem_suite(T: CliffordOperator, g_specs=None, f_specs=None,
     for gname, g in gs:
         fb, fb_star, frame = frames[gname]
         with _stage("inequalities", f"g={gname}"):
-            records.extend(_frame_sandwich_records(gname, fb, sandwich_vecs,
-                                                   fb.combined_error + 1e-9))
+            records.extend(_frame_sandwich_records(gname, fb, sandwich_vecs))
             records.extend(_composition_bound_records(gname, g, c_theta, t_grid, w_grid,
                                                       frame, rng))
             egg = f0_infty(product_function(e, g, g))
@@ -297,9 +302,8 @@ def run_theorem_suite(T: CliffordOperator, g_specs=None, f_specs=None,
     for (fname, (f, res, norm)), res_star in zip(hinf.items(), stars):
         with _stage("adjoint", f"f={fname}"):
             gap_norm = float(spectral_norm(rho_matrix(res_star.op) - rho_matrix(res.op).T))
-            tol = (res.truncation_error + res.discretization_error
-                   + res_star.truncation_error + res_star.discretization_error + 1e-8)
-            records.append(_record(f"adjoint[f={fname}]", gap_norm, 0.0, tol=tol))
+            records.append(_record(f"adjoint[f={fname}]", gap_norm, 0.0,
+                                   tol=combined_tolerance(res, res_star, floor=1e-8)))
     stages.append({"name": "adjoint", "status": "done"})
 
     report.update(records=records, stages=stages, passed=all(r["pass"] for r in records))
@@ -311,14 +315,14 @@ def _frame_norms2(fb, xs):
     return np.einsum("vi,vi->v", xs @ fb.theta, xs)
 
 
-def _frame_sandwich_records(gname, fb, xs, quad_tol):
+def _frame_sandwich_records(gname, fb, xs):
     qn = np.sqrt(np.maximum(_frame_norms2(fb, xs), 0.0))
     nv = np.linalg.norm(xs, axis=1)
     worst_low = float(np.max(fb.c_lower * nv - qn))
     worst_high = float(np.max(qn - fb.d_upper * nv))
     return [
-        _record(f"frame_sandwich_lower[g={gname}]", worst_low, 0.0, tol=quad_tol),
-        _record(f"frame_sandwich_upper[g={gname}]", worst_high, 0.0, tol=quad_tol),
+        _record(f"frame_sandwich_lower[g={gname}]", worst_low, 0.0, tol=combined_tolerance(fb)),
+        _record(f"frame_sandwich_upper[g={gname}]", worst_high, 0.0, tol=combined_tolerance(fb)),
     ]
 
 
@@ -461,7 +465,7 @@ def _dyadic_splitting_upper(gname, g, self_adjoint, fb, hinf):
                 "zero ratio is no estimate of the calculus constant")
     rhs = _quotient(math.sqrt(8.0 * math.log(2.0)) * c * c_beta, 1.0 - 2.0 ** -beta)
     return _record(f"dyadic_splitting_upper[g={gname}]", fb.d_upper, rhs,
-                   tol=fb.combined_error,
+                   tol=combined_tolerance(fb, floor=0.0),
                    one_sided=one_sided, c_used=c)
 
 
@@ -473,19 +477,18 @@ def _frame_ratio_bound(gname, fname, f, norm, res, fb, cg, theta):
             "the frame ratio bound divides by it")
     rhs = cg * fb.d_upper / lower * f.bounded.sup_norm
     return _record(f"frame_ratio_norm_bound[g={gname},f={fname}]", norm, rhs,
-                   tol=res.combined_error)
+                   tol=combined_tolerance(res, floor=0.0))
 
 
 def _adjoint_side_lower(gname, g, fb, fb_star):
     gg = product_function(g, g)
     g2_val = f0_infty(gg)
     lhs = g2_val / fb_star.d_upper if fb_star.d_upper > 0 else 0.0
-    tol = 1e-3 * max(abs(lhs), abs(fb.c_lower)) + (
-        fb.truncation_error + fb.discretization_error
-        + fb_star.truncation_error + fb_star.discretization_error)
     # g^2 with a zero parameter integral (an even g^2) makes the lhs 0
     extra = {"vacuous": True} if g2_val == 0.0 else {}
-    return _record(f"adjoint_side_lower_bound[g={gname}]", lhs, fb.c_lower, tol=tol,
+    floor = 1e-3 * max(abs(lhs), abs(fb.c_lower))
+    return _record(f"adjoint_side_lower_bound[g={gname}]", lhs, fb.c_lower,
+                   tol=combined_tolerance(fb, fb_star, floor=floor),
                    g2_integral=g2_val, **extra)
 
 
@@ -512,16 +515,14 @@ def _fab_ladder_records(T, bisector, cfg, theta, engine=None):
     records = [_record("parameter_integral_value", abs(target - math.pi), 1e-8)]
     rho_t = rho_matrix(T)
     sign_target = math.pi * _matrix_sign(rho_t)
-    devs, sign_devs = [], []
-    tol = 0.1
     windows = [(10.0 ** -k, 10.0 ** k) for k in range(1, 5)]
-    for res in f_ab_operators(e, windows, T, bisector, cfg, engine=engine):
-        fab = rho_matrix(res.op)
-        devs.append(float(spectral_norm(fab - target * np.eye(rho_t.shape[0]))))
-        sign_devs.append(float(spectral_norm(fab - sign_target)))
-        tol += res.combined_error
+    rungs = f_ab_operators(e, windows, T, bisector, cfg, engine=engine)
+    fabs = [rho_matrix(res.op) for res in rungs]
+    devs = [float(spectral_norm(fab - target * np.eye(rho_t.shape[0]))) for fab in fabs]
+    sign_devs = [float(spectral_norm(fab - sign_target)) for fab in fabs]
     ratios = [sign_devs[i + 1] / sign_devs[i] for i in range(len(sign_devs) - 1)
               if sign_devs[i] > 0]
-    records.append(_record("truncation_ladder_monotone", max(ratios), 1.0, tol=tol,
+    records.append(_record("truncation_ladder_monotone", max(ratios), 1.0,
+                           tol=combined_tolerance(*rungs, floor=0.1),
                            deviations=devs, sign_deviations=sign_devs))
     return records

@@ -326,6 +326,33 @@ def test_adjoint_calculus_check(reports):
     assert cs.adjoint_calculus_check(one, T, rep) <= 1e-10
 
 
+@pytest.mark.parametrize("fault", ["singular", "non-finite"])
+def test_engine_refuses_a_singular_or_non_finite_pseudo_resolvent(monkeypatch, reports, fault):
+    # on the dense path (the Jordan block has no eigenbasis) P = Q_s^-1 is
+    # refused with the node where it fails: the contour angle where Q_s is
+    # singular, the (u, sign) of the first node where P is not finite
+    T, rep = reports["jordan"]
+    ref = cs.ContourEngine(T, rep, THETA)
+    k = ref.u_ray.size + 5                     # the sixth node of the - ray
+    inverse = calculus.q_inverse_stack
+
+    def q_inverse(bt, s0, abs2):
+        if fault == "singular":
+            raise np.linalg.LinAlgError("Singular matrix")
+        p = inverse(bt, s0, abs2)
+        p[k:] = np.nan
+        return p
+    monkeypatch.setattr(calculus, "q_inverse_stack", q_inverse)
+    with pytest.raises(cs.NumericalFailureError) as err:
+        cs.ContourEngine(T, rep, THETA)
+    if fault == "singular":
+        assert "pseudo-resolvent singular on the contour" in str(err.value)
+        assert err.value.node == {"phi": ref.phi}
+    else:
+        assert "non-finite resolvent value on the contour" in str(err.value)
+        assert err.value.node == {"u": float(ref.u[k]), "sign": -1.0}
+
+
 def test_calculus_result_error_fields(reports):
     T, rep = reports["diag12"]
     res = cs.omega_calculus(cs.regularizer(THETA), T, rep)

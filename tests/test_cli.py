@@ -557,6 +557,30 @@ def test_verify_names_the_g_whose_decay_certificate_it_refuses(tmp_path, capsys)
         "error: g=rational([1.0]/[1.0]): no stable decay of order alpha=1.0: ")
 
 
+_E_ALPHA_1 = {"name": "e_alpha", "params": {"alpha": 1.0}}
+
+
+@pytest.mark.parametrize("command, flag, spec, message", [
+    ("verify", "--g", {"name": "rational", "params": {"num": [1.0, 0.0], "den": [1.0, 0.0, 1.0]}},
+     "g=rational([1.0, 0.0]/[1.0, 0.0, 1.0]): a g needs a decay certificate"),
+    ("verify", "--g", {"name": "scaled", "params": {"t": 1e155, "inner": {"name": "regularizer"}}},
+     "g=scaled(1e+155,regularizer): the scaling by t=1e+155 has a coefficient beyond"),
+    # scale_function's other kinds: C_alpha |t|^-alpha overflows to inf
+    ("verify", "--g", {"name": "scaled", "params": {"t": 1e-320, "inner": _E_ALPHA_1}},
+     "frames stage, g=scaled(1e-320,e_alpha(1.0)): the claimed error is not finite (C_alpha inf)"),
+    ("calc", "--function", {"name": "scaled", "params": {"t": 1e-320, "inner": _E_ALPHA_1}},
+     "the claimed error is not finite (C_alpha inf)"),
+], ids=["verify-rational-no-alpha", "verify-scaled-huge-t", "verify-scaled-tiny-t-e_alpha",
+        "calc-scaled-tiny-t-e_alpha"])
+def test_a_refused_function_is_named(tmp_path, capsys, command, flag, spec, message):
+    op, fn = tmp_path / "op.json", tmp_path / "g.json"
+    write_operator(op, [[1.0, 0.0], [0.0, -2.0]])
+    fn.write_text(json.dumps(spec))
+    assert main([command, "--operator", str(op), flag, str(fn),
+                 "--out", str(tmp_path / "r.json")]) == 2
+    assert capsys.readouterr().err.startswith("error: " + message)
+
+
 def test_a_claim_that_is_not_finite_is_printed_as_a_float(tmp_path, capsys):
     # the claims of the two-step calculus on T = 1e-310 are inf, which the
     # message printed as np.float64(inf)
@@ -760,7 +784,9 @@ def test_f_ab_with_an_infinite_bound_exits_2(tmp_path, capsys, command, flag):
     assert main([command, "--operator", str(op), flag, str(fn),
                  "--out", str(tmp_path / "r.json")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: need 0 < a <= b < inf") and "Traceback" not in err
+    # verify names the g it refuses
+    label = "g=f_ab(0.001,inf,regularizer): " if command == "verify" else ""
+    assert err.startswith(f"error: {label}need 0 < a <= b < inf") and "Traceback" not in err
 
 
 def test_verify_with_a_vanishing_parameter_integral_exits_2(tmp_path, capsys):

@@ -376,6 +376,19 @@ def test_a_product_keeps_the_poles_of_its_factors():
     assert np.isfinite(cs.certify_bounded(e3).sup_norm)
 
 
+@pytest.mark.parametrize("combine", [cs.product_function, cs.sum_function],
+                         ids=["product", "sum"])
+def test_a_mixed_product_or_sum_keeps_the_poles_of_its_terms(combine):
+    # the sum of 1 / (s - 3) and e_alpha once dropped the pole at 3 and took
+    # a sampled sup of 224.1, although the pole lies in the sector
+    mixed = combine(cs.rational_function([1.0], [1.0, -3.0]), cs.e_alpha_family(0.5))
+    assert mixed.kind != "rational"
+    assert mixed.params["poles"].tolist() == [3.0]
+    for certify in (cs.certify_bounded, lambda f: cs.certify_decay(f, 0.5)):
+        with pytest.raises(cs.CertificationError, match="pole at 3, in the closed double sector"):
+            certify(mixed)
+
+
 _COEFFS = st.lists(st.just(0.0) | st.floats(1e-6, 1e3) | st.floats(-1e3, -1e-6),
                    min_size=1, max_size=6)
 
@@ -428,6 +441,12 @@ def test_registry_rational_certification():
 def test_registry_unknown_name():
     with pytest.raises(cs.ArgumentError):
         cs.resolve_function({"name": "mystery"})
+
+
+@pytest.mark.parametrize("spec", [1.0, [], {"params": {}}], ids=["float", "list", "no-name"])
+def test_registry_refuses_a_spec_that_is_not_an_entry(spec):
+    with pytest.raises(cs.SchemaError, match="function spec must be a dict with a 'name' key"):
+        cs.resolve_function(spec)
 
 
 def test_registry_f_ab_entry():

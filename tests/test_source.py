@@ -97,6 +97,22 @@ def test_the_contour_samples_profiles_in_one_place():
     assert readers == {"ContourEngine._sample"}
 
 
+def test_the_suite_sums_claims_in_one_place():
+    # every record's tol is a combined_tolerance call, and no arithmetic in
+    # the suite reads a claim: the claims are summed in one order, there
+    claims = ("truncation_error", "discretization_error", "combined_error")
+    tols, sums = [], []
+    for node in ast.walk(_tree(PACKAGE / "suite.py")):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_record":
+            tols += [kw.value for kw in node.keywords if kw.arg == "tol"]
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)):
+            sums += [sub.attr for sub in ast.walk(node)
+                     if isinstance(sub, ast.Attribute) and sub.attr in claims]
+    assert tols and all(isinstance(t, ast.Call) and getattr(t.func, "id", None)
+                        == "combined_tolerance" for t in tols), [ast.unparse(t) for t in tols]
+    assert sums == []
+
+
 def test_modules_do_no_work_at_import():
     # every import compiles each module from source when bytecode is not
     # written, and that time lands in the set-up of every run: a module body

@@ -503,3 +503,19 @@ def test_engine_takes_c_phi_from_the_certificate_alone(monkeypatch):
     eng = cs.ContourEngine(S, rep, THETA, cfg)
     assert eng.basis is not None
     assert eng.c_phi == math.sqrt(2.0) / math.sin(0.3)
+
+
+@pytest.mark.parametrize("fault", ["singular", "non-finite"])
+def test_a_failed_resolvent_sample_refuses_the_certificate(monkeypatch, fault):
+    # resolvent_bound gives C = inf where Q_s is singular at a node or a left
+    # resolvent is not finite, and a C of inf is no certificate
+    T = _real([[1.0, 1.0], [0.0, 1.0]])
+
+    def q_inverse(bt, s0, abs2):
+        if fault == "singular":
+            raise np.linalg.LinAlgError("Singular matrix")
+        return np.full((s0.size,) + bt.shape, np.nan, dtype=complex)
+    monkeypatch.setattr("cliffspec.spectrum.q_inverse_stack", q_inverse)
+    rep = cs.check_bisectorial(T, OMEGA, cs.RaySampling(phis=(0.6,)))
+    assert rep.c_phi_table == ((0.6, math.inf),)
+    assert rep.injective and rep.spectrum_in_sector and not rep.certified
