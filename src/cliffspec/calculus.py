@@ -10,8 +10,11 @@ families f(tT) cheap: only the scalar factors change between nodes.
 Error accounting: the truncation estimate comes from the decay certificate
 and the certificate's C_phi at the contour angle; the discretization
 estimate is the gap between the sums over the even and the odd nodes plus a
-roundoff bound of the value (see ``ContourEngine._contract``), and for the
-f_ab ladder an a-priori bound of its rule in t (``f_ab_node_error``).
+roundoff bound of the value (see ``ContourEngine._contract``), plus the
+a-priori bound of the trapezoid rule in the contour's analyticity strip
+(``ContourEngine.rule_error``), and for the f_ab ladder an a-priori bound
+of its rule in t (``f_ab_node_error``).  The strip also sets how many nodes
+a run takes (``rule_fits``).
 
 Families whose distinct |t| are consecutive points of the contour's log
 lattice (the grids of ``quadratic.lattice_contour`` are) read their profile
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import unit_imag
+from .clifford import spinor_blades, unit_imag
 from .errors import (
     ArgumentError,
     NumericalFailureError,
@@ -55,7 +58,7 @@ from .module import (
     self_adjoint_basis,
     spectral_norm,
 )
-from .quadrature import gl_cell_rule, gl_panel_grid, trapezoid_grid
+from .quadrature import gl_cell_rule, gl_panel_grid, trapezoid_error, trapezoid_grid
 from .spectrum import (
     _CHUNK,
     BisectorReport,
@@ -70,15 +73,21 @@ from .spectrum import (
 # beyond this size, before anything is allocated
 _MAX_ENGINE_BYTES = 2 ** 31
 _COLUMNS = 32   # columns of the stored resolvents per block of lattice kernels
+# the rule error a run's contour is chosen for (``rule_fits``): a tenth of the
+# floor 1e-9 that ``combined_tolerance`` adds to the frame records
+RULE_TARGET = 1e-10
 
 
 @dataclass(frozen=True)
 class ContourConfig:
     """Contour and quadrature choices for the slice integral.
 
-    phi = None resolves to the midpoint of (omega, theta) at call time.  Node
-    counts are per ray and are rounded up to an odd number so the halved
-    grid nests for Richardson estimates.
+    phi = None resolves to the midpoint of (omega, theta) at call time.
+    ``nodes`` per ray, rounded up to an odd number, is the finest contour a
+    run may use: the even and the odd nodes then give the two halves of the
+    even/odd estimate, and ``calc``, ``frame`` and ``verify`` take fewer
+    where the rule's a-priori error already meets ``RULE_TARGET``
+    (``rule_fits``).
     """
 
     phi: float | None = None
@@ -104,6 +113,22 @@ class ContourConfig:
                 f"({omega:.6g}, {theta:.6g})"
             )
         return float(phi)
+
+    def strip(self, omega, theta):
+        """a = (31/32) min(phi - omega, theta - phi): turning the rays by any
+        angle below a keeps them off the sector of omega and inside the
+        sector theta of the functions, so the integrand in u = log r is
+        analytic in the strip |Im u| < a, with its resolvent bounded by C at
+        phi - a (``ContourEngine.rule_error``)."""
+        phi = self.resolve_phi(omega, theta)
+        return 31.0 / 32.0 * min(phi - omega, theta - phi)
+
+    def contour_angles(self, omega, theta):
+        """(phi - a, phi), the angles at which a certificate must give C for
+        an engine on this contour: its truncation reads C at phi, its rule
+        error C at the strip's lower edge."""
+        phi = self.resolve_phi(omega, theta)
+        return phi - self.strip(omega, theta), phi
 
 
 class _ErrorBudget:
@@ -222,6 +247,20 @@ def _stored_nodes(cfg):
     return 2 * (cfg.nodes | 1)
 
 
+def check_engine_memory(T: CliffordOperator, cfg: ContourConfig):
+    """Refuse an engine on the contour of ``cfg`` whose stored resolvent
+    stack or one block of profile values would pass the cap, before
+    anything is allocated."""
+    r, _, k, _ = spinor_blades(T.n).shape
+    stored = _stored_nodes(cfg)
+    need = 16 * stored * max(r * (k * T.m) ** 2, _CHUNK)
+    if need > _MAX_ENGINE_BYTES:
+        raise ArgumentError(
+            f"contour engine with {stored} stored nodes at D = {T.m << T.n} needs "
+            f"{need / 2 ** 30:.3g} GiB, above {_MAX_ENGINE_BYTES / 2 ** 30:g} GiB; "
+            "use fewer nodes")
+
+
 class ContourEngine:
     """Precomputed resolvent data along the contour for one operator.
 
@@ -243,8 +282,10 @@ class ContourEngine:
     None and P is the dense inverse (nodes, r, km, km).
 
     The truncation bounds take C_phi from the certificate alone,
-    ``report.c_at(phi)``; a report that gives no C at phi, one sampled only
-    above phi, is refused, and the engine samples nothing itself.
+    ``report.c_at(phi)``, and the rule error C at the lower edge phi - a of
+    the contour's strip (``ContourConfig.strip``); a report that gives no C
+    there, one sampled only above phi - a, is refused, and the engine
+    samples nothing itself.
     """
 
     def __init__(self, T: CliffordOperator, report: BisectorReport,
@@ -258,20 +299,17 @@ class ContourEngine:
         self.T = T
         self.cfg = cfg
         self.phi = cfg.resolve_phi(report.omega, float(theta))
-        self.c_phi = report.c_at(self.phi)
-        if math.isinf(self.c_phi):
+        self.strip = cfg.strip(report.omega, float(theta))
+        # C at phi - a bounds C at phi: a finite one has a sampled angle below both
+        self.c_phi, self.c_strip = (report.c_at(p) for p in (self.phi, self.phi - self.strip))
+        if math.isinf(self.c_strip):
             raise PreconditionError(
-                f"the certificate gives no C_phi at the contour angle phi={self.phi:.6g}, "
-                "below every angle it sampled; certify at phi")
+                f"the certificate gives no C at phi - a={self.phi - self.strip:.6g}, the lower "
+                f"edge of the strip of the contour angle phi={self.phi:.6g}, below every "
+                "angle it sampled; certify at phi - a and phi")
 
+        check_engine_memory(T, cfg)
         self._bt = block_form(T.coeffs, T.n)
-        stored = _stored_nodes(cfg)
-        need = 16 * stored * max(self._bt.size, _CHUNK)
-        if need > _MAX_ENGINE_BYTES:
-            raise ArgumentError(
-                f"contour engine with {stored} stored nodes at D = {T.m << T.n} needs "
-                f"{need / 2 ** 30:.3g} GiB, above {_MAX_ENGINE_BYTES / 2 ** 30:g} GiB; "
-                "use fewer nodes")
         n = cfg.nodes | 1
         u, w_ray = trapezoid_grid(cfg.u_min, cfg.u_max, n)
         # the step in u, from the config as linspace takes it: u[1] - u[0]
@@ -342,6 +380,15 @@ class ContourEngine:
             a, b = (np.abs(t) * math.exp(u) for u in (self.cfg.u_min, self.cfg.u_max))
         return 2.0 * self.c_phi * c_alpha * arctan_tails(a, b, alpha) / (math.pi * alpha)
 
+    def rule_error(self, decay, windows=1.0):
+        """``trapezoid_error`` at the engine's step for f(tT), any t, of a
+        function with the certificate ``decay``; ``windows`` (an array too)
+        times that for its parameter integrals (``f_ab_operators``).  In the
+        strip (``ContourConfig.strip``) |z| ||S_L^-1(z)|| <= C at phi - a, and
+        the decay bound of f(t z) integrates over u to C_alpha pi / (2 alpha)
+        whatever t: over four rays, with 1 / (2 pi), M = C C_alpha / alpha."""
+        return trapezoid_error(self.strip, self.step, windows * _rule_bound(self.c_strip, decay))
+
     def evaluate(self, f: IntrinsicFunction):
         """Real-representation matrix of f(T) with error estimates."""
         mats, truncs, discs = self.evaluate_family(f, [1.0])
@@ -359,8 +406,9 @@ class ContourEngine:
 
     def evaluate_blocks(self, f: IntrinsicFunction, ts):
         """f(t T) for a whole vector of nonzero finite scalings, with their
-        truncation and discretization estimates: as spinor blocks
-        (values, r, km, km), or on the eigen path as their ``Diagonal``.
+        truncation and discretization estimates, the rule error included:
+        as spinor blocks (values, r, km, km), or on the eigen path as their
+        ``Diagonal``.
 
         The profile is evaluated once per distinct |t| and node of the two
         rays, or, when the distinct |t| lie on the contour's log lattice,
@@ -386,7 +434,7 @@ class ContourEngine:
             if values is None:
                 values = np.empty((ts.size, *sums.shape[1:]), dtype=sums.dtype)
             values[rows], discs[rows] = sums[picks], estimates[picks]
-        return self._values(values), truncs, discs
+        return self._values(values), truncs, discs + self.rule_error(f.decay)
 
     def _stride(self, mags):
         """p if the sorted distinct |t| ``mags`` are consecutive lattice
@@ -543,6 +591,33 @@ class ContourEngine:
         return sums if self.basis is None else self.basis.values(sums)
 
 
+def _rule_bound(c, decay):
+    """M = c C_alpha / alpha of ``ContourEngine.rule_error``, c the C at phi - a."""
+    return c * decay.c_alpha / decay.alpha
+
+
+def rule_fits(report, theta, cfg, fs, steps):
+    """Whether ``ContourEngine.rule_error`` of every function of ``fs`` is
+    at most RULE_TARGET at each contour step of the array ``steps``, on the
+    contour of ``cfg`` (a step and a bound M that is not finite fit nowhere)."""
+    lower, _ = cfg.contour_angles(report.omega, theta)
+    m = np.max([_rule_bound(report.c_at(lower), f.decay) for f in fs])
+    return trapezoid_error(cfg.strip(report.omega, theta), steps, m) <= RULE_TARGET
+
+
+def rule_contour(f: IntrinsicFunction, report: BisectorReport,
+                 cfg: ContourConfig | None = None) -> ContourConfig:
+    """``cfg`` with the fewest odd node count, at most its own, at which the
+    rule error of the function the contour integrates fits (``rule_fits``):
+    f, or e f for a bounded f without decay (``hinf_operators``)."""
+    cfg = cfg or ContourConfig()
+    integrand = f if f.decay is not None else _regularized([f])[1][0]
+    counts = np.arange(17, (cfg.nodes | 1) + 1, 2)
+    fits = rule_fits(report, f.theta, cfg, [integrand], (cfg.u_max - cfg.u_min) / (counts - 1))
+    nodes = counts[np.argmax(fits | (counts == counts[-1]))]
+    return ContourConfig(phi=cfg.phi, u_max=cfg.u_max, nodes=int(nodes))
+
+
 def _check_report(report):
     if not isinstance(report, BisectorReport):
         raise PreconditionError("a BisectorReport for the operator is required")
@@ -597,12 +672,13 @@ def hinf_operators(fs, T: CliffordOperator, report: BisectorReport,
         raise PreconditionError("hinf calculus requires a bounded certificate on f")
     if not report.injective:
         raise PreconditionError("hinf calculus requires an injective operator")
-    e = regularizer(fs[0].theta)
+    e, efs = _regularized(fs)
     eng = engine or ContourEngine(T, report, fs[0].theta, cfg)
-    efs, one = [product_function(e, f) for f in fs], np.ones(1)
+    one = np.ones(1)
     truncs = [eng.truncation_bound(ef.decay) for ef in efs]
     profiles = [next(eng._windows(ef, one, one, np.zeros(1, int)))[2] for ef in efs]
     sums, discs = eng._contract([np.stack(p, axis=1) for p in zip(*profiles)], [False])
+    discs = discs + [eng.rule_error(ef.decay) for ef in efs]
     coeffs = coeffs_from_blocks(eng.dense_blocks(eng._values(sums)), T.n)
     solver = OperatorSolver(rho_matrix(rational_calculus(e, T)), T.n, T.m)
     solver.require_invertible(what="regularizer operator e(T)")
@@ -610,6 +686,12 @@ def hinf_operators(fs, T: CliffordOperator, report: BisectorReport,
     scale = 1.0 / solver.sigma_min
     return [CalculusResult(operator_from_real(x, T.n, T.m), trunc * scale, disc * scale)
             for x, trunc, disc in zip(np.split(xs, len(fs), axis=1), truncs, discs)]
+
+
+def _regularized(fs):
+    """(e, the e f of each f of ``fs``), e the regularizer at the first f's angle."""
+    e = regularizer(fs[0].theta)
+    return e, [product_function(e, f) for f in fs]
 
 
 def hinf_calculus(f: IntrinsicFunction, T: CliffordOperator,
@@ -704,7 +786,10 @@ def f_ab_operators(f: IntrinsicFunction, windows, T: CliffordOperator,
     of the scalar f_ab, the contraction of its node values (``f_ab_nodes``),
     all windows in one contraction.  The discretization estimate is the
     contour's plus the bound on the node values (``f_ab_node_error``) times
-    sum_k ||fa_k P_k||_F + ||T|| ||fb_k P_k||_F over the nodes.  The
+    sum_k ||fa_k P_k||_F + ||T|| ||fb_k P_k||_F over the nodes, plus the
+    rule error of f_ab: |f_ab| <= the integral over log t in (log a, log b)
+    of |f(t z)| + |f(-t z)|, so by Fubini its M is 2 log(b / a) times f's
+    (``ContourEngine.rule_error``).  The
     truncation estimate integrates that of f(tT) over a <= |t| <= b, on
     ``gl_panel_grid``."""
     a, b = np.array(windows, dtype=float).T
@@ -722,6 +807,7 @@ def f_ab_operators(f: IntrinsicFunction, windows, T: CliffordOperator,
     rays = f_ab_nodes(eng, f, a, b)
     sums, discs = eng._contract(eng._parts(np.stack([rays, -rays])), [False])
     discs += f_ab_node_error(eng, f, a, b) * eng._k_fro.sum()
+    discs += eng.rule_error(f.decay, 2.0 * (np.log(b) - np.log(a)))
     coeffs = coeffs_from_blocks(eng.dense_blocks(eng._values(sums)), T.n)
     return [CalculusResult(CliffordOperator(T.n, T.m, c), trunc, float(disc))
             for c, trunc, disc in zip(coeffs, truncs, discs)]
@@ -740,9 +826,9 @@ def adjoint_calculus_check(f: IntrinsicFunction, T: CliffordOperator,
     """Norm gap between f(T*) and f(T)*, both computed independently."""
     res_t = hinf_calculus(f, T, report, cfg)
     t_star = T.adjoint()
-    # T*'s certificate at the contour angle alone: rho(Q_s(T*)) = rho(Q_s(T))^T
+    # T*'s certificate at the contour's angles alone: rho(Q_s(T*)) = rho(Q_s(T))^T
     # stands or falls with T's
-    phi = (cfg or ContourConfig()).resolve_phi(report.omega, f.theta)
-    report_star = check_bisectorial(t_star, report.omega, RaySampling(phis=(phi,)))
+    phis = (cfg or ContourConfig()).contour_angles(report.omega, f.theta)
+    report_star = check_bisectorial(t_star, report.omega, RaySampling(phis=phis))
     res_star = hinf_calculus(f, t_star, report_star, cfg)
     return float(spectral_norm(rho_matrix(res_star.op) - rho_matrix(res_t.op).T))

@@ -17,7 +17,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .calculus import ContourConfig, hinf_calculus, omega_calculus
+from .calculus import (ContourConfig, check_engine_memory, hinf_calculus, omega_calculus,
+                       rule_contour)
 from .errors import ArgumentError, CliffSpecError
 from .functions import ensure_bounded, resolve_function
 from .quadratic import _grid_engine, check_frame_memory, default_quad_grid, family_frames
@@ -39,7 +40,7 @@ from .spectrum import (
     default_scan_grid,
     scan_spectrum_slice,
 )
-from .suite import SuiteConfig, run_theorem_suite
+from .suite import SuiteConfig, _certified, run_theorem_suite
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -118,15 +119,19 @@ def cmd_bisect(args):
 
 
 def cmd_calc(args):
-    cfg = ContourConfig(phi=args.phi, nodes=args.nodes)
-    phi = cfg.resolve_phi(args.omega, args.theta)
+    finest = ContourConfig(phi=args.phi, nodes=args.nodes)
+    angles = finest.contour_angles(args.omega, args.theta)
     T = parse_operator_file(args.operator)
+    check_engine_memory(T, finest)
     f = resolve_function(load_function_spec(args.function), theta=args.theta)
-    report = check_bisectorial(T, args.omega, RaySampling(phis=(phi,)))
+    f = f if f.decay is not None else ensure_bounded(f)
+    report = check_bisectorial(T, args.omega, RaySampling(phis=angles))
+    # the fewest nodes, up to --nodes, at which the rule meets its target
+    cfg = rule_contour(f, report, finest)
     if f.decay is not None:
         result = omega_calculus(f, T, report, cfg)
     else:
-        result = hinf_calculus(ensure_bounded(f), T, report, cfg)
+        result = hinf_calculus(f, T, report, cfg)
     payload = operator_to_dict(result.op)
     payload["trunc_err"] = result.truncation_error
     payload["disc_err"] = result.discretization_error
@@ -136,13 +141,13 @@ def cmd_calc(args):
 
 def cmd_frame(args):
     requested = ContourConfig(nodes=args.nodes)
-    phi = requested.resolve_phi(args.omega, args.theta)
+    angles = requested.contour_angles(args.omega, args.theta)
     T = parse_operator_file(args.operator)
     qcfg = default_quad_grid(T)
     check_frame_memory(T, qcfg.nodes, contour_nodes=args.nodes)
-    g = resolve_function(load_function_spec(args.g), theta=args.theta)
-    report = check_bisectorial(T, args.omega, RaySampling(phis=(phi,)))
-    t, w, engine, stride = _grid_engine(T, report, g.theta, qcfg, requested)
+    g = _certified("g", load_function_spec(args.g), args.theta)
+    report = check_bisectorial(T, args.omega, RaySampling(phis=angles))
+    t, w, engine, stride = _grid_engine(T, report, g.theta, [g], qcfg, requested)
     # T*'s frame from the blocks B^H of T's family, as verify takes it
     fb, fb_star, _ = family_frames(g, engine, t, w, adjoint=True)
     payload = {

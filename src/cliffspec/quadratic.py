@@ -31,6 +31,7 @@ from .calculus import (
     _check_report,
     _ErrorBudget,
     _smooth_size,
+    rule_fits,
 )
 from .clifford import spinor_blades
 from .errors import ArgumentError
@@ -79,13 +80,15 @@ def default_quad_grid(T: CliffordOperator, nodes=QuadGridConfig.nodes) -> QuadGr
     return QuadGridConfig(QuadGridConfig.t_min / scale, QuadGridConfig.t_max / scale, nodes)
 
 
-def lattice_contour(qcfg: QuadGridConfig, cfg: ContourConfig | None = None):
+def lattice_contour(qcfg: QuadGridConfig, cfg: ContourConfig | None = None, fits=None):
     """(contour, stride): ``cfg`` with its step refined so that the step
     h_t of the quadrature grid is ``stride`` contour steps.
 
-    The step becomes h_u = h_t / p, p the smallest integer with h_u at most
-    the step (u_max - u_min) / (nodes - 1) that ``cfg`` asks for; the node
-    count is the smallest odd one whose nodes from u_min cover u_max.  Then
+    The step becomes h_u = h_t / p, p the smallest stride >= 1 at whose step
+    ``fits`` (an array of steps to an array of bools) holds, or else the
+    smallest with h_u at most the step (u_max - u_min) / (nodes - 1) that
+    ``cfg`` asks for, which is the finest contour; the node count is the
+    smallest odd one whose nodes from u_min cover u_max.  Then
     t_j z_k is the lattice point j p + k of the contour: the engine finds
     that lattice in the scalings (``ContourEngine.evaluate_blocks``), and p
     is returned for the report's ``contour.stride``.  Both steps come from
@@ -93,7 +96,10 @@ def lattice_contour(qcfg: QuadGridConfig, cfg: ContourConfig | None = None):
     """
     cfg = cfg or ContourConfig()
     h_t = (math.log(qcfg.t_max) - math.log(qcfg.t_min)) / ((qcfg.nodes | 1) - 1)
-    stride = max(1, math.ceil(h_t / ((cfg.u_max - cfg.u_min) / (cfg.nodes - 1))))
+    finest = max(1, math.ceil(h_t / ((cfg.u_max - cfg.u_min) / (cfg.nodes - 1))))
+    strides = np.arange(1, finest + 1)
+    fit = (strides == finest) | (False if fits is None else fits(h_t / strides))
+    stride = int(strides[np.argmax(fit)])
     h_u = h_t / stride
     steps = math.ceil((cfg.u_max - cfg.u_min) / h_u)
     steps += steps % 2
@@ -138,12 +144,14 @@ class FrameBounds(_ErrorBudget):
     discretization_error: float
 
 
-def _grid_engine(T, report, theta, qcfg=None, cfg=None):
+def _grid_engine(T, report, theta, gs, qcfg=None, cfg=None):
     """(t, w, engine, stride): the grid (``default_quad_grid`` if None) and
-    the engine of the report on its lattice contour (``lattice_contour``)."""
+    the engine of the report on its lattice contour (``lattice_contour``),
+    of the smallest stride at which the rule error of each g of ``gs`` fits
+    (``rule_fits``), and at most the stride of ``cfg``."""
     _check_report(report)
-    qcfg = qcfg or default_quad_grid(T)
-    cfg, stride = lattice_contour(qcfg, cfg)
+    qcfg, cfg = qcfg or default_quad_grid(T), cfg or ContourConfig()
+    cfg, stride = lattice_contour(qcfg, cfg, lambda steps: rule_fits(report, theta, cfg, gs, steps))
     return (*qcfg.grid(), ContourEngine(T, report, theta, cfg), stride)
 
 
@@ -158,7 +166,7 @@ def quadratic_norm(g: IntrinsicFunction, T: CliffordOperator, v: ModuleVector,
     when evaluating many vectors against one operator.
     """
     if family is None:
-        t, w, engine, _ = _grid_engine(T, report, g.theta, qcfg, cfg)
+        t, w, engine, _ = _grid_engine(T, report, g.theta, [g], qcfg, cfg)
         family = (t, w) + engine.evaluate_family(g, t)
     _, w, mats, _, _ = family
     applied = np.einsum("kij,vj->kvi", mats, v.flatten()[None, :])
@@ -194,7 +202,7 @@ def frame_bounds(g: IntrinsicFunction, T: CliffordOperator,
     The error estimates scale with ||B_k|| (``module.block_norms``).
     """
     if family is None:
-        t, w, engine, _ = _grid_engine(T, report, g.theta, qcfg, cfg)
+        t, w, engine, _ = _grid_engine(T, report, g.theta, [g], qcfg, cfg)
         return family_frames(g, engine, t, w)[0]
     _, w, mats, truncs, discs = family
     blocks = blocks_from_rho(mats, T.n)

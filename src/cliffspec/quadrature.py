@@ -1,9 +1,10 @@
 """Quadrature grids and deterministic summation.
 
 Every log-grid quadrature in the package comes from here: the composite
-trapezoid rule on a uniform grid, Gauss-Legendre panels for finite
-intervals, and the Gauss-Legendre cell rule of the f_ab lattice.  Node sums
-use a fixed-order pairwise reduction.
+trapezoid rule on a uniform grid and the bound on its error for integrands
+analytic in a strip, Gauss-Legendre panels for finite intervals, and the
+Gauss-Legendre cell rule of the f_ab lattice.  Node sums use a fixed-order
+pairwise reduction.
 """
 
 import functools
@@ -37,6 +38,17 @@ def trapezoid_grid(lo, hi, n):
     w = np.full(n, h)
     w[0] = w[-1] = 0.5 * h
     return u, w
+
+
+def trapezoid_error(a, h, m):
+    """2 m / (e^(2 pi a / h) - 1), a bound on the error of the trapezoid rule
+    of step h on the real line for an integrand analytic in the strip
+    |Im u| < a, decaying along it, whose modulus integrates along each line
+    of the strip to at most m (Trefethen and Weideman, "The exponentially
+    convergent trapezoidal rule", SIAM Review 56, 2014, Theorem 5.1); for
+    arrays m too."""
+    with np.errstate(over="ignore"):    # an overflowed exponential is an error of 0
+        return 2.0 * m / np.expm1(2.0 * math.pi * a / h)
 
 
 def gl_panel_grid(u_lo, u_hi, points=12):

@@ -75,16 +75,16 @@ def unit_blocks(unit: Paravector, m):
     return block_form(CliffordOperator.scalar_mul(unit, m).coeffs, unit.n)
 
 
-def q_blocks(bt, s0, abs2):
+def q_blocks(bt, s0, abs2, chunk=_CHUNK):
     """Q_s = T^2 - 2 s0 T + |s|^2 on the blocks bt of rho(T), at each node.
 
     Yields (slice of the nodes, stack of shape (nodes, r, km, km)) for
-    consecutive blocks of ``_CHUNK`` nodes.
+    consecutive blocks of ``chunk`` nodes.
     """
     bt2 = bt @ bt
     eye = np.eye(bt.shape[-1])
-    for lo in range(0, s0.size, _CHUNK):
-        sl = slice(lo, lo + _CHUNK)
+    for lo in range(0, s0.size, chunk):
+        sl = slice(lo, lo + chunk)
         yield sl, (bt2 - 2.0 * s0[sl, None, None, None] * bt
                    + abs2[sl, None, None, None] * eye)
 
@@ -94,12 +94,30 @@ def q_inverse_stack(bt, s0, abs2):
 
     Q_s depends on s only through (s0, |s|), so one inverse serves s and
     its conjugate; raises np.linalg.LinAlgError when Q_s is exactly singular
-    at a node.
+    at a node.  Blocks of size km <= 2 are inverted in closed form over all
+    nodes at once, as 1 / q or adj(Q) / det(Q); larger ones by LAPACK.
     """
-    out = np.empty((s0.size,) + bt.shape, dtype=complex)
-    for sl, q in q_blocks(bt, s0, abs2):
-        out[sl] = np.linalg.inv(q)
-    return out
+    km = bt.shape[-1]
+    if km > 2:
+        out = np.empty((s0.size,) + bt.shape, dtype=complex)
+        for sl, q in q_blocks(bt, s0, abs2):
+            out[sl] = np.linalg.inv(q)
+        return out
+    _, q = next(q_blocks(bt, s0, abs2, s0.size))
+    with np.errstate(all="ignore"):   # an inf or nan is refused by the callers
+        if km == 1:
+            det, adj, scale = q[..., 0, 0], np.ones_like(q), 1.0
+        else:
+            # Q over the power of two at its largest |entry|, exactly, so
+            # that its determinant cannot overflow
+            scale = np.ldexp(1.0, np.frexp(np.abs(q).max(axis=(-2, -1), keepdims=True))[1])
+            q = q / scale
+            det = q[..., 0, 0] * q[..., 1, 1] - q[..., 0, 1] * q[..., 1, 0]
+            adj = np.stack([q[..., 1, 1], -q[..., 0, 1], -q[..., 1, 0], q[..., 0, 0]],
+                           axis=-1).reshape(q.shape)
+        if np.any(det == 0.0):
+            raise np.linalg.LinAlgError("Singular matrix")
+        return adj / det[..., None, None] / scale
 
 
 def _left_from_q_inverse(bt, p, s0, y, bj):

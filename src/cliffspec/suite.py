@@ -91,7 +91,7 @@ class SuiteConfig:
     omega: float = math.pi / 12
     theta: float = DEFAULT_THETA
     phi: float | None = None
-    contour_nodes: int = ContourConfig.nodes  # a bound on the contour step (``lattice_contour``)
+    contour_nodes: int = ContourConfig.nodes  # the finest contour a run may use (``_grid_engine``)
     quad_nodes: int = QuadGridConfig.nodes
     n_sandwich: int = 100
     seed: int = 0
@@ -184,7 +184,7 @@ def run_theorem_suite(T: CliffordOperator, g_specs=None, f_specs=None,
     config = config or SuiteConfig()
     theta = config.theta
     requested = ContourConfig(phi=config.phi, nodes=config.contour_nodes)
-    phi_resolved = requested.resolve_phi(config.omega, theta)
+    angles = requested.contour_angles(config.omega, theta)
     if config.seed < 0:
         raise ArgumentError(f"seed={config.seed} must be a non-negative integer")
     g_specs = g_specs if g_specs is not None else default_g_specs()
@@ -209,7 +209,7 @@ def run_theorem_suite(T: CliffordOperator, g_specs=None, f_specs=None,
 
     # stage: bisectoriality certificate ------------------------------------
     spread = RaySampling().resolved_phis(config.omega)
-    phis = tuple(sorted(set(spread) | {theta, phi_resolved}))
+    phis = tuple(sorted(set(spread) | {theta, *angles}))
     bisector = check_bisectorial(T, config.omega, RaySampling(phis=phis))
     stages.append({"name": "bisectorial", "status": "done"})
     report["bisector"] = bisector_report_dict(bisector)
@@ -226,7 +226,7 @@ def run_theorem_suite(T: CliffordOperator, g_specs=None, f_specs=None,
 
     c_theta = bisector.c_at(theta)
     t_grid, w_grid, engine, stride = _grid_engine(
-        T, bisector, theta, default_quad_grid(T, config.quad_nodes), requested)
+        T, bisector, theta, [g for _, g in gs], default_quad_grid(T, config.quad_nodes), requested)
     cfg, basis = engine.cfg, engine.basis
     report["contour"] = contour_dict(cfg, stride)
 
@@ -291,12 +291,13 @@ def run_theorem_suite(T: CliffordOperator, g_specs=None, f_specs=None,
     engine = None
 
     # stage: adjoint identity; T* = T (T has a ``basis``) reads T's values, else
-    # T* is certified at phi alone: rho(Q_s(T*)) = rho(Q_s(T))^T stands or falls with T's
+    # T* is certified at the contour's angles alone: rho(Q_s(T*)) = rho(Q_s(T))^T
+    # stands or falls with T's
     if basis is not None:
         stars = [res for _, res, _ in hinf.values()]
     else:
         t_star = T.adjoint()
-        star = check_bisectorial(t_star, config.omega, RaySampling(phis=(phi_resolved,)))
+        star = check_bisectorial(t_star, config.omega, RaySampling(phis=angles))
         stars = _hinf_stage("adjoint", [(f"f={name}", f) for name, (f, _, _) in hinf.items()],
                             t_star, star, cfg, ContourEngine(t_star, star, theta, cfg))
     for (fname, (f, res, norm)), res_star in zip(hinf.items(), stars):

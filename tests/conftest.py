@@ -93,6 +93,15 @@ OMEGA = math.pi / 12
 THETA = math.pi / 4
 
 
+def contour_report(T, omega=OMEGA, theta=THETA, cfg=None, phis=None):
+    """check_bisectorial at ``phis`` (the default ray angles if None) and at
+    the angles of the contour of ``cfg`` (``ContourConfig.contour_angles``),
+    which an engine on that contour reads: C at phi - a and at phi."""
+    angles = (cfg or cs.ContourConfig()).contour_angles(omega, theta)
+    phis = cs.RaySampling().resolved_phis(omega) if phis is None else tuple(phis)
+    return cs.check_bisectorial(T, omega, cs.RaySampling(phis=phis + angles))
+
+
 def unit_e12(n):
     """The slice unit (e_1 + e_2)/sqrt 2 of R_n, n >= 2."""
     v = np.zeros(n)
@@ -127,8 +136,7 @@ def regularizer_family(T, omega=None, theta=None, quad_nodes=100):
     omega = OMEGA if omega is None else omega
     theta = THETA if theta is None else theta
     g = ensure_bounded(cs.resolve_function({"name": "regularizer"}, theta))
-    phi = 0.5 * (omega + theta)
-    bisector = cs.check_bisectorial(T, omega, cs.RaySampling(phis=(phi, theta)))
+    bisector = contour_report(T, omega, theta, phis=(theta,))
     qcfg = cs.default_quad_grid(T, quad_nodes)
     cfg, _ = cs.lattice_contour(qcfg, cs.ContourConfig(nodes=500))
     engine = cs.ContourEngine(T, bisector, theta, cfg)
@@ -227,4 +235,4 @@ def reports():
         "diag1m2": cs.CliffordOperator.from_real_matrix([[1.0, 0.0], [0.0, -2.0]], n=1),
         "jordan": cs.CliffordOperator.from_real_matrix([[1.0, 1.0], [0.0, 1.0]], n=1),
     }
-    return {k: (T, cs.check_bisectorial(T, OMEGA)) for k, T in ops.items()}
+    return {k: (T, contour_report(T)) for k, T in ops.items()}

@@ -15,6 +15,7 @@ from cliffspec.quadrature import pairwise_sum
 from conftest import (
     OMEGA,
     THETA,
+    contour_report,
     four_ray_sum,
     non_normal_operator,
     random_clifford,
@@ -42,7 +43,8 @@ def ctx():
         "jordan": cs.CliffordOperator.from_real_matrix([[1.0, 1.0], [0.0, 1.0]], n=1),
     }
     out = {}
-    phis = tuple(sorted({THETA} | {OMEGA + k * (math.pi / 2 - OMEGA) / 6 for k in range(1, 6)}))
+    phis = tuple(sorted({THETA, *cs.ContourConfig().contour_angles(OMEGA, THETA)}
+                        | {OMEGA + k * (math.pi / 2 - OMEGA) / 6 for k in range(1, 6)}))
     for key, T in ops.items():
         rep = cs.check_bisectorial(T, OMEGA, cs.RaySampling(phis=phis))
         eng = cs.ContourEngine(T, rep, THETA)
@@ -158,7 +160,7 @@ def test_criterion_05_quadrature_vs_rational(ctx):
     # Clifford-valued non-normal T must equal the explicit four-ray sum in
     # the slice J = (e_1 + e_2)/sqrt 2
     T2 = non_normal_operator(np.random.default_rng(5), 2)
-    rep2 = cs.check_bisectorial(T2, OMEGA)
+    rep2 = contour_report(T2)
     eng2 = cs.ContourEngine(T2, rep2, THETA, cs.ContourConfig(nodes=64))
     rj = cs.omega_calculus(e, T2, rep2, engine=eng2)
     explicit = four_ray_sum(e, T2, eng2, [1.0], unit_e12(2), nodes=65)[0]

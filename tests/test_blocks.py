@@ -15,7 +15,7 @@ from cliffspec.module import block_form, blocks_from_rho, coeffs_from_blocks, sp
 from cliffspec.quadrature import pairwise_sum
 from cliffspec.suite import _composition_bound_records
 
-from conftest import OMEGA, THETA, composition_nodes
+from conftest import THETA, composition_nodes, contour_report
 
 # kept blocks per n: (count r, spinor size k); n = 3 keeps both real classes
 BLOCKS = {1: (1, 1), 2: (1, 2), 3: (2, 2), 4: (1, 4), 5: (1, 4), 6: (1, 8)}
@@ -91,7 +91,7 @@ def test_engine_stores_the_blocks_only(n):
     for matrix, per_block in (([[1.0, 0.0], [0.0, -2.0]], k * m * 8),
                               ([[1.0, 1.0], [0.0, 1.0]], (k * m) ** 2 * 16)):
         T = cs.CliffordOperator.from_real_matrix(matrix, n=n)
-        eng = cs.ContourEngine(T, cs.check_bisectorial(T, OMEGA), THETA, cfg)
+        eng = cs.ContourEngine(T, contour_report(T), THETA, cfg)
         assert _stored_nodes(cfg) == 2 * 65 == eng.z.size
         assert eng.P.nbytes == eng.z.size * r * per_block
         assert eng.A.shape == (eng.z.size, m << n, m << n)
@@ -108,7 +108,7 @@ def family_ctx(request):
     coeffs[0, 1] = np.random.default_rng(n).standard_normal(1 << n)
     T = cs.CliffordOperator(n, 2, coeffs)
     cfg = cs.ContourConfig(nodes=400)
-    eng = cs.ContourEngine(T, cs.check_bisectorial(T, OMEGA), THETA, cfg)
+    eng = cs.ContourEngine(T, contour_report(T), THETA, cfg)
     g = cs.regularizer(THETA)
     t, w = cs.default_quad_grid(T, 64).grid()
     return T, cfg, eng, g, (t, w) + eng.evaluate_family(g, t)
@@ -197,7 +197,7 @@ def test_transposed_family_gives_the_frames_of_the_adjoint(family_ctx):
     assert (from_bh.truncation_error, from_bh.discretization_error) == pytest.approx(
         (fb_star.truncation_error, fb_star.discretization_error), rel=1e-14)
     # against the frames of T* on its own certificate and engine
-    eng_star = cs.ContourEngine(t_star, cs.check_bisectorial(t_star, OMEGA), THETA, cfg)
+    eng_star = cs.ContourEngine(t_star, contour_report(t_star), THETA, cfg)
     fb_ind = cs.frame_bounds(g, t_star, family=(t, w) + eng_star.evaluate_family(g, t))
     tol = fb_star.combined_error + fb_ind.combined_error
     gaps = (np.linalg.norm(fb_star.theta - fb_ind.theta, 2),

@@ -12,6 +12,7 @@ from cliffspec.functions import ensure_bounded
 from conftest import (
     OMEGA,
     THETA,
+    contour_report,
     four_ray_sum,
     non_normal_operator,
     self_adjoint_operator,
@@ -54,7 +55,7 @@ def test_j_independence(rng):
     # the engine takes no slice: its f(T) for a Clifford-valued non-normal T
     # is the explicit four-ray sum in the slice J = (e_1 + e_2)/sqrt 2
     T = non_normal_operator(rng, 3)
-    rep = cs.check_bisectorial(T, OMEGA)
+    rep = contour_report(T)
     e = cs.regularizer(THETA)
     eng = cs.ContourEngine(T, rep, THETA, cs.ContourConfig(nodes=64))
     res = cs.omega_calculus(e, T, rep, engine=eng)
@@ -76,7 +77,7 @@ def test_multiplication_operator_oracle():
     # multiplication by f(s); exercises the noncommutative wiring
     s = cs.Paravector(1.0, np.array([1.0]))
     T = cs.CliffordOperator.scalar_mul(s, 1)
-    rep = cs.check_bisectorial(T, 1.0)
+    rep = contour_report(T, 1.0, 1.35, cs.ContourConfig(phi=1.2))
     f = cs.regularizer(theta=1.35)
     res = cs.omega_calculus(f, T, rep, cs.ContourConfig(phi=1.2))
     expected = cs.eval_intrinsic(f, s).left_matrix()
@@ -399,22 +400,24 @@ def test_oracle_equivalence_for_registry_rationals(reports):
     [[1.0, 1.0], [0.0, -2.0]], [[1.0, 3.0], [0.0, -2.0]], [[1.0, 0.0], [0.0, -2.0]],
 ], ids=["non-normal", "non-normal-3", "self-adjoint"])
 def test_claims_at_phi_cover_the_oracle(rows, phi):
-    # certified at the contour angle only, the claimed error still covers
+    # certified at the contour's angles only, the claimed error still covers
     # the gap to the direct evaluation, on the dense and the eigen path
     # (at 0.3 the sample of [[1, 3], [0, -2]] is 4.79, against 3.06 at the
     # first default angle, 0.480)
     T = cs.CliffordOperator.from_real_matrix(rows, n=1)
-    rep = cs.check_bisectorial(T, OMEGA, cs.RaySampling(phis=(phi,)))
+    rep = contour_report(T, cfg=cs.ContourConfig(phi=phi), phis=())
     e = cs.regularizer(THETA)
     res = cs.omega_calculus(e, T, rep, cs.ContourConfig(phi=phi))
     assert op_gap(res.op, cs.rational_calculus(e, T)) <= res.combined_error
 
 
 def test_adjoint_check_certifies_the_adjoint_at_the_angles_of_the_report(monkeypatch):
-    # T's report holds 0.3 only, below every default angle; T* is
-    # certified at 0.3 too, so the check runs wherever T's report runs
+    # T's report holds the contour's angles at phi = 0.3 only, below every
+    # default angle; T* is certified at them too, so the check runs wherever
+    # T's report runs
     T = cs.CliffordOperator.from_real_matrix([[1.0, 1.0], [0.0, 1.0]], n=1)
-    rep = cs.check_bisectorial(T, OMEGA, cs.RaySampling(phis=(0.3,)))
+    cfg = cs.ContourConfig(phi=0.3)
+    rep = contour_report(T, cfg=cfg, phis=())
     sampled = []
     certify = cs.check_bisectorial
 
@@ -425,8 +428,8 @@ def test_adjoint_check_certifies_the_adjoint_at_the_angles_of_the_report(monkeyp
     monkeypatch.setattr(cs.calculus, "check_bisectorial", recording)
     f = cs.resolve_function({"name": "rational", "params": {
         "num": [1.0, 0.0, 0.0], "den": [1.0, 0.0, 1.0], "bounded": True}}, theta=THETA)
-    gap = cs.adjoint_calculus_check(f, T, rep, cs.ContourConfig(phi=0.3))
-    assert sampled == [(0.3,)]
+    gap = cs.adjoint_calculus_check(f, T, rep, cfg)
+    assert sampled == [cfg.contour_angles(OMEGA, THETA)]
     assert gap <= 1e-6
 
 
@@ -444,8 +447,7 @@ def test_folded_family_matches_four_ray_sum(rng, n, unit, spec):
     # engine's folded sum holds no slice and matches both
     T = non_normal_operator(rng, n)
     f = cs.resolve_function(spec, theta=THETA)
-    eng = cs.ContourEngine(T, cs.check_bisectorial(T, OMEGA), THETA,
-                           cs.ContourConfig(nodes=64))
+    eng = cs.ContourEngine(T, contour_report(T), THETA, cs.ContourConfig(nodes=64))
     ts = np.array([0.5, -0.5, 2.0, -3.0])
     mats, _, _ = eng.evaluate_family(f, ts)
     expected = four_ray_sum(f, T, eng, ts, unit, nodes=65)
@@ -496,7 +498,7 @@ def test_a_single_value_on_a_dense_engine_forms_no_kernel_block():
     # one product of its profile rows with P, where a block of kernels of 32
     # columns alone would take 2 MB
     T = non_normal_operator(np.random.default_rng(0), 3)
-    engine = cs.ContourEngine(T, cs.check_bisectorial(T, OMEGA), THETA)
+    engine = cs.ContourEngine(T, contour_report(T), THETA)
     f = cs.regularizer(THETA)
     engine.evaluate(f)
     (mat, _, _), _, peak = _traced(lambda: engine.evaluate(f))
@@ -542,7 +544,7 @@ def test_hinf_operators_agree_with_each_f_on_its_own(case, reports):
     # time, on the eigen path (diag(1, -2)) and the dense path
     if case == "non-normal-R2":
         T = non_normal_operator(np.random.default_rng(0), 2)
-        rep = cs.check_bisectorial(T, OMEGA)
+        rep = contour_report(T)
     else:
         T, rep = reports[case]
     eng = cs.ContourEngine(T, rep, THETA)

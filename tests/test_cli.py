@@ -9,7 +9,7 @@ import cliffspec as cs
 from cliffspec.cli import build_parser, main
 from cliffspec.quadratic import check_frame_memory
 
-from conftest import full_c_phi_table, random_operator
+from conftest import contour_report, full_c_phi_table, random_operator
 
 
 def write_operator(path, matrix, n=1):
@@ -221,15 +221,17 @@ def _certificates_and_engines(monkeypatch):
 
 
 def _assert_one_angle_and_engine(tmp_path, monkeypatch, args, phi):
-    # one certificate, at exactly the contour angle, and one engine, whose C
-    # is that certificate's C at phi: the engine samples nothing itself
+    # one certificate, at exactly the contour angle and the lower edge of its
+    # strip, and one engine, whose C are that certificate's C at both: the
+    # engine samples nothing itself
     certificates, engines = _certificates_and_engines(monkeypatch)
     assert main(args + ["--out", str(tmp_path / "out.json")]) == 0
     [(phis, report)] = certificates
     [(engine, engine_report)] = engines
     assert engine.phi == pytest.approx(phi, rel=1e-12)
-    assert phis == (engine.phi,) and engine_report is report
+    assert phis == (engine.phi - engine.strip, engine.phi) and engine_report is report
     assert engine.c_phi == report.c_at(engine.phi)
+    assert engine.c_strip == report.c_at(engine.phi - engine.strip)
 
 
 def test_calc_of_a_self_adjoint_operator_reads_the_closed_form_at_phi(tmp_path, monkeypatch):
@@ -266,8 +268,7 @@ def test_frame_subcommand(tmp_path):
                  "--out", str(out)]) == 0
     star = json.loads(out.read_text())["Tstar"]
     t_star = T.adjoint()
-    direct = cs.frame_bounds(cs.regularizer(math.pi / 4), t_star,
-                             report=cs.check_bisectorial(t_star, math.pi / 12))
+    direct = cs.frame_bounds(cs.regularizer(math.pi / 4), t_star, report=contour_report(t_star))
     tol = sum(star["errorEstimates"].values()) + direct.combined_error
     assert abs(star["cLower"] ** 2 - direct.c_lower ** 2) <= tol
     assert abs(star["dUpper"] ** 2 - direct.d_upper ** 2) <= tol
@@ -292,17 +293,21 @@ def test_verify_deterministic_and_exit_codes(tmp_path):
     assert all(r["pass"] for r in report["records"])
 
 
-@pytest.mark.parametrize("nodes, contour", [
-    (None, {"nodes": 2087, "stride": 2}),
-    ("500", {"nodes": 1045, "stride": 1}),
-], ids=["default", "nodes-500"])
-def test_verify_and_frame_echo_the_lattice_contour(tmp_path, nodes, contour):
-    # --nodes bounds the contour step; the contour follows the 400-node grid
+@pytest.mark.parametrize("nodes, angles, contour", [
+    (None, [], {"nodes": 1045, "stride": 1}),
+    ("500", [], {"nodes": 1045, "stride": 1}),
+    ("3000", ["--omega", "1.0", "--theta", "1.2"], {"nodes": 3129, "stride": 3}),
+], ids=["default", "nodes-500", "strip-0.097-nodes-3000"])
+def test_verify_and_frame_echo_the_lattice_contour(tmp_path, nodes, angles, contour):
+    # --nodes bounds the contour step, and the contour follows the 400-node
+    # grid at the smallest stride whose rule error is at most 1e-10: 1 at the
+    # default angles, 3 in the strip a = 0.097 of omega = 1, theta = 1.2
+    # (6e-9 at stride 2)
     op = tmp_path / "op.json"
     write_operator(op, [[1.0]])
     g = tmp_path / "g.json"
     g.write_text(json.dumps({"name": "regularizer"}))
-    extra = ["--nodes", nodes] if nodes else []
+    extra = (["--nodes", nodes] if nodes else []) + angles
     runs = {"verify": ["--g", str(g)], "frame": ["--g", str(g)]}
     for command, args in runs.items():
         out = tmp_path / f"{command}.json"
@@ -772,6 +777,23 @@ def test_frame_refuses_a_frame_stage_beyond_the_memory_cap(tmp_path, capsys, mon
     _assert_frame_stage_refused(tmp_path, capsys, monkeypatch, "frame", ["--g", str(g)], 1, 65)
 
 
+def test_frame_refuses_a_g_without_decay_before_any_certificate(tmp_path, capsys, monkeypatch):
+    # as verify does: named, with the hint to give alpha, before T is
+    # certified or an engine built
+    op, g = tmp_path / "op.json", tmp_path / "g.json"
+    write_operator(op, [[1.0, 0.0], [0.0, -2.0]])
+    g.write_text(json.dumps({"name": "rational", "params": {"num": [1, 0], "den": [1, 0, 1]}}))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("frame certified T")
+    monkeypatch.setattr(cs.cli, "check_bisectorial", refuse)
+    assert main(["frame", "--operator", str(op), "--g", str(g),
+                 "--out", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: g=rational([1, 0]/[1, 0, 1]): a g needs a decay certificate")
+    assert "give each rational in it an 'alpha'" in err
+
+
 @pytest.mark.parametrize("command, flag", [("calc", "--function"), ("frame", "--g"),
                                            ("verify", "--g")])
 def test_f_ab_with_an_infinite_bound_exits_2(tmp_path, capsys, command, flag):
@@ -784,8 +806,8 @@ def test_f_ab_with_an_infinite_bound_exits_2(tmp_path, capsys, command, flag):
     assert main([command, "--operator", str(op), flag, str(fn),
                  "--out", str(tmp_path / "r.json")]) == 2
     err = capsys.readouterr().err
-    # verify names the g it refuses
-    label = "g=f_ab(0.001,inf,regularizer): " if command == "verify" else ""
+    # verify and frame name the g they refuse
+    label = "g=f_ab(0.001,inf,regularizer): " if command != "calc" else ""
     assert err.startswith(f"error: {label}need 0 < a <= b < inf") and "Traceback" not in err
 
 
@@ -844,16 +866,20 @@ def test_verify_with_a_zero_frame_lower_bound_exits_2(tmp_path, capsys):
 
 
 def test_verify_refuses_a_record_whose_bound_is_not_finite(tmp_path, capsys):
-    # at theta = 1e-155 the frame claims stay finite, but C_theta = 1.4e155
-    # squared overflows in the square-kernel bound, which would pass any lhs
+    # g(s) = f(1e100 s) has C_alpha = 1.4e100: the frame claims stay finite,
+    # but the square-kernel bound, which squares C_alpha^2, overflows, and
+    # would pass any lhs (at theta = 1e-155, where C_theta = 1.4e155 made it
+    # overflow, the frames' rule error in the strip a = 2.4e-156 is already
+    # infinite, and refused first)
     op = tmp_path / "op.json"
     write_operator(op, [[1.0, 0.0], [0.0, -2.0]])
     g = tmp_path / "g.json"
-    g.write_text(json.dumps({"name": "regularizer"}))
-    assert main(["verify", "--operator", str(op), "--g", str(g), "--omega", "1e-156",
-                 "--theta", "1e-155", "--out", str(tmp_path / "r.json")]) == 2
+    g.write_text(json.dumps({"name": "scaled", "params": {"t": 1e100,
+                                                          "inner": {"name": "regularizer"}}}))
+    assert main(["verify", "--operator", str(op), "--g", str(g),
+                 "--out", str(tmp_path / "r.json")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: inequalities stage, g=regularizer: ")
+    assert err.startswith("error: inequalities stage, g=scaled(1e+100,regularizer): ")
     assert "composition_square_kernel" in err and "not finite" in err
 
 

@@ -26,6 +26,7 @@ from cliffspec.suite import _composition_bound_records, _product_norms
 from conftest import (
     OMEGA,
     THETA,
+    contour_report,
     non_normal_operator,
     regularizer_family,
     self_adjoint_operator,
@@ -275,7 +276,7 @@ def test_an_operator_self_adjoint_only_to_rounding_takes_the_dense_path(name):
     assert not np.array_equal(X.coeffs, X.adjoint().coeffs)
     qcfg = cs.default_quad_grid(S, 64)
     cfg, _ = lattice_contour(qcfg)
-    reports = [cs.check_bisectorial(T, OMEGA) for T in (S, X)]
+    reports = [contour_report(T) for T in (S, X)]
     eigen, dense = (cs.ContourEngine(T, report, THETA, cfg)
                     for T, report in zip((S, X), reports))
     _assert_paths_agree(eigen, dense, reports, qcfg, cfg)

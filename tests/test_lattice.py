@@ -15,7 +15,7 @@ from cliffspec import calculus, suite
 from cliffspec.calculus import f_ab_nodes, lattice_correlations, lattice_roundoff
 from cliffspec.module import block_norms
 
-from conftest import OMEGA, THETA
+from conftest import OMEGA, THETA, contour_report
 
 
 def counting(f):
@@ -42,7 +42,7 @@ def non_normal(n):
 def lattice_engine(T, qcfg=None):
     qcfg = qcfg or cs.default_quad_grid(T)
     cfg, stride = cs.lattice_contour(qcfg)
-    return cs.ContourEngine(T, cs.check_bisectorial(T, OMEGA), THETA, cfg), qcfg, stride
+    return cs.ContourEngine(T, contour_report(T), THETA, cfg), qcfg, stride
 
 
 def test_lattice_contour_at_the_defaults():
@@ -260,7 +260,7 @@ def test_f_ab_nodes_match_the_arctan_closed_form(contour):
 def test_each_rung_lies_within_its_claim_of_the_one_window_operator(T):
     # the rungs of one call, sampled on the cells of the widest window, move
     # from the one-window operator of each by less than their claimed error
-    rep = cs.check_bisectorial(T, OMEGA)
+    rep = contour_report(T)
     eng = lattice_engine(T)[0]
     e = cs.regularizer(THETA)
     windows = [(10.0 ** -k, 10.0 ** k) for k in range(1, 5)]
@@ -342,7 +342,7 @@ def test_a_lattice_family_transforms_each_kernel_block_once(case, stride, monkey
          "non-normal": non_normal(3)}[case]
     qcfg = cs.default_quad_grid(T)
     cfg, _ = cs.lattice_contour(qcfg, cs.ContourConfig(nodes=500))
-    eng = cs.ContourEngine(T, cs.check_bisectorial(T, OMEGA), THETA, cfg)
+    eng = cs.ContourEngine(T, contour_report(T), THETA, cfg)
     assert (eng.basis is None) == (case != "diag")
     t, _ = qcfg.grid()
     t = t[:t.size // 2][::stride]
@@ -408,8 +408,7 @@ def _rungs_and_reference(T, omega, theta, points):
     """The four rungs of ``verify``'s ladder and, per rung, the reference
     value: the closed form for a real diagonal T, else the contraction of
     ``f_ab_nodes`` at ``points`` points per cell."""
-    phi = 0.5 * (omega + theta)
-    rep = cs.check_bisectorial(T, omega, cs.RaySampling(phis=(phi,)))
+    rep = contour_report(T, omega, theta, phis=())
     cfg, _ = cs.lattice_contour(cs.default_quad_grid(T))
     eng = cs.ContourEngine(T, rep, theta, cfg)
     e = cs.regularizer(theta)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import cliffspec as cs
+from cliffspec.quadratic import _grid_engine
 
-from conftest import OMEGA, THETA, random_vector
+from conftest import OMEGA, THETA, contour_report, random_vector
 
 
 @pytest.fixture(scope="module")
@@ -53,7 +54,7 @@ def test_frame_operator_identity(id_ctx):
 
 
 def test_frame_operator_gram_structure(rng, jordan):
-    rep = cs.check_bisectorial(jordan, OMEGA)
+    rep = contour_report(jordan)
     theta, _, _ = cs.frame_operator(cs.regularizer(THETA), jordan, report=rep)
     assert np.allclose(theta, theta.T, atol=1e-12)
     assert np.linalg.eigvalsh(theta).min() >= -1e-10
@@ -83,7 +84,7 @@ def test_frame_bounds_jordan_closed_form(jordan):
     # Theta for the Jordan block is diag(1, 4/3) tensor I_2:
     # int a^2 dt/|t| = 1, int a b dt/|t| = 0, int b^2 dt/|t| = 1/3
     # with a = t/(1+t^2), b = t(1-t^2)/(1+t^2)^2
-    rep = cs.check_bisectorial(jordan, OMEGA)
+    rep = contour_report(jordan)
     fb = cs.frame_bounds(cs.regularizer(THETA), jordan, report=rep)
     assert fb.c_lower == pytest.approx(1.0, abs=1e-6)
     assert fb.d_upper == pytest.approx(2.0 / math.sqrt(3.0), abs=1e-6)
@@ -93,7 +94,7 @@ def test_frame_bounds_jordan_closed_form(jordan):
 
 
 def test_frame_sandwich(rng, jordan):
-    rep = cs.check_bisectorial(jordan, OMEGA)
+    rep = contour_report(jordan)
     e = cs.regularizer(THETA)
     engine = cs.ContourEngine(jordan, rep, THETA)
     qcfg = cs.default_quad_grid(jordan)
@@ -109,21 +110,20 @@ def test_frame_sandwich(rng, jordan):
 
 def _frame_pair(g, T, report):
     """The frame bounds of T and T* from the one family of T on the default
-    grid and the engine of its lattice, as ``frame`` takes them."""
-    qcfg = cs.default_quad_grid(T)
-    cfg, _ = cs.lattice_contour(qcfg)
-    engine = cs.ContourEngine(T, report, g.theta, cfg)
-    return cs.family_frames(g, engine, *qcfg.grid(), adjoint=True)[:2]
+    grid and the engine of its lattice at the stride the rule picks for g,
+    as ``frame`` takes them."""
+    t, w, engine, _ = _grid_engine(T, report, g.theta, [g])
+    return cs.family_frames(g, engine, t, w, adjoint=True)[:2]
 
 
 def test_adjoint_frame_bounds(jordan):
     # T*'s frame from the blocks B^H of T's family against T*'s own
     # certificate, engine and family
-    rep = cs.check_bisectorial(jordan, OMEGA)
+    rep = contour_report(jordan)
     e = cs.regularizer(THETA)
     _, fb_star = _frame_pair(e, jordan, rep)
     direct = cs.frame_bounds(e, cs.adjoint_operator(jordan),
-                             report=cs.check_bisectorial(cs.adjoint_operator(jordan), OMEGA))
+                             report=contour_report(cs.adjoint_operator(jordan)))
     assert fb_star.c_lower == pytest.approx(direct.c_lower, rel=1e-10)
     assert fb_star.d_upper == pytest.approx(direct.d_upper, rel=1e-10)
 
@@ -205,7 +205,7 @@ def test_frame_bounds_sphere_spectrum_closed_form():
     # for left multiplication by 1 + e_1 the squared quadratic integral is
     # 4 int_0^inf t/(1+4t^4) dt = pi/2 per unit vector, so c = d = sqrt(pi/2)
     T = cs.CliffordOperator.scalar_mul(cs.Paravector(1.0, np.array([1.0])), 1)
-    rep = cs.check_bisectorial(T, 0.9)
+    rep = contour_report(T, 0.9, 1.2, cs.ContourConfig(phi=1.05))
     g = cs.regularizer(theta=1.2)
     fb = cs.frame_bounds(g, T, cfg=cs.ContourConfig(phi=1.05), report=rep)
     assert fb.c_lower == pytest.approx(math.sqrt(math.pi / 2.0), abs=1e-6)
@@ -226,7 +226,7 @@ def test_adjoint_frame_bounds_of_non_normal_operator():
     # instead of T* shows
     T = cs.CliffordOperator.from_real_matrix(
         [[1.0, 3.0, 0.5], [0.0, 2.0, -4.0], [0.0, 0.0, -1.5]], n=1)
-    rep = cs.check_bisectorial(T, OMEGA)
+    rep = contour_report(T)
     e = cs.regularizer(THETA)
     fb, fb_star = _frame_pair(e, T, rep)
     alone = cs.frame_bounds(e, T, report=rep)

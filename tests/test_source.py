@@ -113,6 +113,40 @@ def test_the_suite_sums_claims_in_one_place():
     assert sums == []
 
 
+def test_the_contour_rule_is_written_once():
+    # the strip's 31/32, the target of the node counts and the rule's error
+    # bound (the one expm1 of src) each have one definition; 1e-10 is that
+    # target's value and the invertibility tolerance's, both named
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            inner = where
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = f"{where}.{child.name}"
+                if child.name == "trapezoid_error":
+                    found.append(("def trapezoid_error", where))
+            elif isinstance(child, ast.Assign) and isinstance(child.value, ast.Constant):
+                if child.value.value == 1e-10:
+                    found.append(("1e-10", f"{where}.{child.targets[0].id}"))
+                continue
+            elif isinstance(child, ast.Constant) and child.value == 1e-10:
+                found.append(("1e-10", where))
+            elif isinstance(child, ast.Attribute) and child.attr == "expm1":
+                found.append(("expm1", where))
+            elif (isinstance(child, ast.BinOp) and isinstance(child.op, ast.Div)
+                  and ast.unparse(child) in ("31 / 32", "31.0 / 32.0")):
+                found.append(("31/32", where))
+            visit(child, inner)
+
+    for path in MODULES:
+        visit(_tree(path), path.stem)
+    assert sorted(found) == [
+        ("1e-10", "calculus.RULE_TARGET"), ("1e-10", "module.INVERTIBILITY_RTOL"),
+        ("31/32", "calculus.ContourConfig.strip"),
+        ("def trapezoid_error", "quadrature"), ("expm1", "quadrature.trapezoid_error")]
+
+
 def test_modules_do_no_work_at_import():
     # every import compiles each module from source when bytecode is not
     # written, and that time lands in the set-up of every run: a module body

@@ -7,10 +7,10 @@ from hypothesis import given, settings, strategies as st
 import cliffspec as cs
 
 from cliffspec.module import block_form, spectral_norm
-from cliffspec.spectrum import (block_sigmas, left_resolvents, q_inverse_stack, series_bounds,
-                                unit_blocks)
-from conftest import (OMEGA, THETA, full_c_phi_table, non_normal_operator, random_operator,
-                      random_paravector, ray_samples, self_adjoint_operator)
+from cliffspec.spectrum import (block_sigmas, left_resolvents, q_blocks, q_inverse_stack,
+                                resolvent_bound, series_bounds, unit_blocks)
+from conftest import (OMEGA, THETA, contour_report, full_c_phi_table, non_normal_operator,
+                      random_operator, random_paravector, ray_samples, self_adjoint_operator)
 
 
 def scalar_resolvent(s, lam):
@@ -213,7 +213,7 @@ def planted_operators(draw):
 @given(planted_operators())
 def test_certified_iff_planted_spectrum_in_sector(case):
     T, omega, contained = case
-    report = cs.check_bisectorial(T, omega)
+    report = contour_report(T, omega, 0.5 * (omega + math.pi / 2))
     assert report.certified == contained
     if report.certified:
         e = cs.regularizer(0.5 * (omega + math.pi / 2))
@@ -259,8 +259,7 @@ def test_s_resolvent_identity_on_non_normal_operators(rng):
         coeffs[0, 0, 0], coeffs[1, 1, 0], coeffs[0, 1] = 1.0, -2.0, off
         for eigen, T in enumerate((cs.CliffordOperator(n, 2, coeffs),
                                    self_adjoint_operator(np.random.default_rng(n), n, 2))):
-            eng = cs.ContourEngine(T, cs.check_bisectorial(T, OMEGA), THETA,
-                                   cs.ContourConfig(nodes=64))
+            eng = cs.ContourEngine(T, contour_report(T), THETA, cs.ContourConfig(nodes=64))
             assert eng.P.ndim == (3 if eigen else 4)
             for k in np.flatnonzero(np.abs(eng.u) < 1.0)[::9]:
                 s = cs.Paravector(eng.z[k].real, eng.z[k].imag * cs.unit_imag(n).svec)
@@ -479,18 +478,19 @@ def test_self_adjoint_c_phi_bounds_every_slice(case):
 def test_engine_takes_c_phi_from_the_certificate_alone(monkeypatch):
     # phi = 0.3 lies below every sampled angle at OMEGA (the first is 0.480):
     # the dense engine is refused, naming phi, and takes the certificate's
-    # sample once certified at 0.3; the eigen path reads the closed form at
-    # 0.3 from the default certificate and inverts nothing
+    # sample once certified at 0.3 and at the strip's lower edge; the eigen
+    # path reads the closed form at 0.3 from the default certificate and
+    # inverts nothing
     T = non_normal_operator(np.random.default_rng(1), 2)
     rep = cs.check_bisectorial(T, OMEGA)
     assert math.isinf(rep.c_at(0.3))
     cfg = cs.ContourConfig(phi=0.3, nodes=64)
     with pytest.raises(cs.PreconditionError, match=r"phi=0\.3\b.*certify at phi"):
         cs.ContourEngine(T, rep, THETA, cfg)
-    rep = cs.check_bisectorial(T, OMEGA, cs.RaySampling(phis=(0.3,)))
+    rep = contour_report(T, cfg=cfg, phis=())
     eng = cs.ContourEngine(T, rep, THETA, cfg)
     assert eng.basis is None
-    assert eng.c_phi == rep.c_phi_table[0][1]
+    assert eng.c_phi == dict(rep.c_phi_table)[0.3]
 
     S = self_adjoint_operator(np.random.default_rng(1), 2, 2)
     rep = cs.check_bisectorial(S, OMEGA)
@@ -519,3 +519,34 @@ def test_a_failed_resolvent_sample_refuses_the_certificate(monkeypatch, fault):
     rep = cs.check_bisectorial(T, OMEGA, cs.RaySampling(phis=(0.6,)))
     assert rep.c_phi_table == ((0.6, math.inf),)
     assert rep.injective and rep.spectrum_in_sector and not rep.certified
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.integers(1, 2), st.integers(1, 2), st.integers(1, 300), st.integers(0, 2 ** 16),
+       st.floats(-8.0, 8.0))
+def test_closed_form_inverses_match_lapack(km, r, nodes, seed, exponent):
+    # 1 / q and adj(Q) / det(Q) on stacks of 1 x 1 and 2 x 2 blocks, of any
+    # scale, against np.linalg.inv, within the conditioning of each block
+    rng = np.random.default_rng(seed)
+    bt = (rng.standard_normal((r, km, km)) + 1j * rng.standard_normal((r, km, km))) * 2.0 ** (
+        8 * exponent)
+    s0 = rng.standard_normal(nodes) * 2.0 ** (8 * exponent)
+    abs2 = s0 * s0 + (rng.standard_normal(nodes) * 2.0 ** (8 * exponent)) ** 2
+    got = q_inverse_stack(bt, s0, abs2)
+    q = np.concatenate([blocks for _, blocks in q_blocks(bt, s0, abs2)])
+    want = np.linalg.inv(q)
+    cond = np.linalg.cond(q)
+    gap = np.linalg.norm(got - want, 2, axis=(-2, -1))
+    assert np.all(gap <= 64 * np.finfo(float).eps * cond * np.linalg.norm(want, 2, axis=(-2, -1)))
+
+
+@pytest.mark.parametrize("bt", [np.array([[[1.0 + 0j]]]), np.diag([1.0 + 0j, 3.0])[None]],
+                         ids=["1x1", "2x2"])
+def test_a_singular_closed_form_block_raises(bt):
+    # s = 1 is an eigenvalue: Q_s = (T - 1)^2 is singular, exactly
+    s0, abs2 = np.array([2.0, 1.0]), np.array([5.0, 1.0])
+    with pytest.raises(np.linalg.LinAlgError):
+        q_inverse_stack(bt, s0, abs2)
+    bj = unit_blocks(cs.unit_imag(1), bt.shape[-1])
+    sigmas = block_sigmas(bt)
+    assert resolvent_bound(bt, s0, np.zeros(2), np.sqrt(abs2), bj, sigmas) == math.inf

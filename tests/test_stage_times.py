@@ -30,11 +30,14 @@ def test_every_stage_is_timed_and_printed(tmp_path, capsys):
                if module == "suite" for name in names}
     assert tool.main([str(ROOT), str(_diag(tmp_path)), "--calls", "1"]) == 0
     rows = capsys.readouterr().out.splitlines()[2:]
+    rows, under = rows[:-1], rows[-1]
     assert len(rows) == len(tool.STAGES)
     for (label, _, _), row in zip(tool.STAGES, rows):
         match = re.fullmatch(rf"{re.escape(label)} +([\d.]+) +([\d.]+)%", row)
         assert match and float(match[1]) > 0.0, row
     assert rows[0].endswith(" 100.0%")
+    # the contour of the timed calls: diag(1, -2) takes stride 1 at the defaults
+    assert under == "contour: nodes 1045, stride 1, basis.path eigen"
     # the wrappers are taken off again
     assert all(getattr(suite, name) is fn for name, fn in wrapped.items())
 

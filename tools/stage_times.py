@@ -9,9 +9,11 @@ of FILE, else the default registry, and any other option given, such as
 ``--omega 0.9 --theta 1.2``) once to warm up and then ``--calls`` times,
 each writing its report to a temporary directory.  It prints each
 stage's mean milliseconds per call and its share of the whole
-``run_theorem_suite`` call.  Stages may nest: the ``f0_infty`` row holds the
-ladder's call too, and "frames" holds the lattice correlations, so the
-shares need not add up to 100%.
+``run_theorem_suite`` call, and under the table the contour the timed
+calls ran on, from the last report: nodes per ray, stride and basis
+path.  Stages may nest: the ``f0_infty`` row holds the ladder's call too,
+and "frames" holds the lattice correlations, so the shares need not add
+up to 100%.
 
 A row is timed through those of its names the tree has, and needs one of
 them.  Exit codes: 0 done, 2 a tree without ``src/cliffspec`` or without any
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import importlib
+import json
 import sys
 import tempfile
 import time
@@ -98,6 +101,7 @@ def main(argv=None):
             totals.update(dict.fromkeys(totals, 0.0))
             for _ in range(args.calls):
                 cli.main(argv)
+            contour = json.loads((Path(out) / "r.json").read_text()).get("contour")
     finally:
         for _, module, name, fn in saved:
             setattr(module, name, fn)
@@ -107,6 +111,11 @@ def main(argv=None):
     for label, seconds in totals.items():
         share = seconds / whole if whole else 0.0
         print(f"{label:<40} {1e3 * seconds / args.calls:8.1f} {share:7.1%}")
+    if contour is None:
+        print("contour: none, the calculus stages were skipped")
+    else:
+        print(f"contour: nodes {contour['nodes']}, stride {contour['stride']}, "
+              f"basis.path {contour['basis']['path']}")
     return 0
 
 
