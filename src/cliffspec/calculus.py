@@ -76,6 +76,9 @@ _COLUMNS = 32   # columns of the stored resolvents per block of lattice kernels
 # the rule error a run's contour is chosen for (``rule_fits``): a tenth of the
 # floor 1e-9 that ``combined_tolerance`` adds to the frame records
 RULE_TARGET = 1e-10
+# the share of an analyticity strip that a rule bound takes, so that its lines
+# keep off the strip's edge (``ContourConfig.strip``, ``quadratic.GridBound``)
+STRIP_SHARE = 31.0 / 32.0
 
 
 @dataclass(frozen=True)
@@ -121,7 +124,7 @@ class ContourConfig:
         analytic in the strip |Im u| < a, with its resolvent bounded by C at
         phi - a (``ContourEngine.rule_error``)."""
         phi = self.resolve_phi(omega, theta)
-        return 31.0 / 32.0 * min(phi - omega, theta - phi)
+        return STRIP_SHARE * min(phi - omega, theta - phi)
 
     def contour_angles(self, omega, theta):
         """(phi - a, phi), the angles at which a certificate must give C for
@@ -298,6 +301,7 @@ class ContourEngine:
             )
         self.T = T
         self.cfg = cfg
+        self.omega = report.omega
         self.phi = cfg.resolve_phi(report.omega, float(theta))
         self.strip = cfg.strip(report.omega, float(theta))
         # C at phi - a bounds C at phi: a finite one has a sampled angle below both
@@ -434,7 +438,7 @@ class ContourEngine:
             if values is None:
                 values = np.empty((ts.size, *sums.shape[1:]), dtype=sums.dtype)
             values[rows], discs[rows] = sums[picks], estimates[picks]
-        return self._values(values), truncs, discs + self.rule_error(f.decay)
+        return self._values(values), truncs, discs + self.rule_error(*_rule_terms(f))
 
     def _stride(self, mags):
         """p if the sorted distinct |t| ``mags`` are consecutive lattice
@@ -596,12 +600,23 @@ def _rule_bound(c, decay):
     return c * decay.c_alpha / decay.alpha
 
 
+def _rule_terms(f):
+    """(decay, windows) of ``ContourEngine.rule_error`` for f: for an f_ab,
+    by Fubini, its inner function's certificate and 2 log(b / a), as
+    ``f_ab_operators`` takes them, not its own decay certificate, whose
+    C_alpha 2 k grows like (b / a)^alpha (``functions.f_ab_function``)."""
+    if f.kind == "f_ab":
+        return f.params["inner_decay"], f.params["rule_factor"]
+    return f.decay, 1.0
+
+
 def rule_fits(report, theta, cfg, fs, steps):
     """Whether ``ContourEngine.rule_error`` of every function of ``fs`` is
     at most RULE_TARGET at each contour step of the array ``steps``, on the
     contour of ``cfg`` (a step and a bound M that is not finite fit nowhere)."""
     lower, _ = cfg.contour_angles(report.omega, theta)
-    m = np.max([_rule_bound(report.c_at(lower), f.decay) for f in fs])
+    m = np.max([windows * _rule_bound(report.c_at(lower), decay)
+                for decay, windows in map(_rule_terms, fs)])
     return trapezoid_error(cfg.strip(report.omega, theta), steps, m) <= RULE_TARGET
 
 

@@ -27,6 +27,7 @@ from .serialization import (
     contour_dict,
     dumps_report,
     frame_report_dict,
+    grid_nodes,
     load_function_spec,
     operator_to_dict,
     parse_operator_file,
@@ -153,7 +154,7 @@ def cmd_frame(args):
     payload = {
         "T": frame_report_dict(fb),
         "Tstar": frame_report_dict(fb_star),
-        "grid": {"t_min": qcfg.t_min, "t_max": qcfg.t_max, "nodes": qcfg.nodes},
+        "grid": {"t_min": qcfg.t_min, "t_max": qcfg.t_max, "nodes": grid_nodes(t)},
         "contour": contour_dict(engine.cfg, stride),
     }
     write_json(payload, args.out)

@@ -434,7 +434,11 @@ def f_ab_function(f: IntrinsicFunction, a, b) -> IntrinsicFunction:
         k = math.inf
     decay = DecayCertificate(alpha, 2.0 * cert.c_alpha * k)
     bounded = BoundedCertificate(cert.c_alpha * math.pi / alpha)
-    return IntrinsicFunction(profile, f.theta, kind="f_ab", decay=decay, bounded=bounded)
+    # the contour's rule bound of f_ab: f's certificate times 2 log(b / a), by
+    # Fubini (``calculus._rule_terms``)
+    params = {"inner_decay": cert, "rule_factor": 2.0 * (math.log(b) - math.log(a))}
+    return IntrinsicFunction(profile, f.theta, kind="f_ab", params=params, decay=decay,
+                             bounded=bounded)
 
 
 # ---------------------------------------------------------------------------

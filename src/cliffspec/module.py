@@ -318,8 +318,8 @@ def spectral_norm(stack):
     """Largest singular value of each matrix in a stack, sqrt(lambda_max(A^H A)).
 
     A 1 x 1 matrix gives |a|.  A 2 x 2 one gives it in closed form from the
-    entries p, q and m12 of A^H A (see ``hermitian_eigenvalues``), a larger
-    one by ``eigvalsh`` of A^H A.  Where lambda_max overflows or falls below
+    entries p, q and m12 of A^H A (``entry_norms``), a larger one by
+    ``eigvalsh`` of A^H A.  Where lambda_max overflows or falls below
     2^-1000, the norm is 2^e ||2^-e A|| with 2^e > max |a_ij|, scaled exactly.
     """
     a = np.asarray(stack)
@@ -327,6 +327,8 @@ def spectral_norm(stack):
         return np.abs(a[..., 0, 0])
     lead = a.shape[:-2]
     a = a.reshape(-1, *a.shape[-2:])
+    if a.shape[-2:] == (2, 2):
+        return entry_norms(a[:, 0, 0], a[:, 0, 1], a[:, 1, 0], a[:, 1, 1]).reshape(lead)
     lam = _gram_lambda_max(a)
     e = np.zeros(lam.shape, dtype=int)
     # a zero matrix has lambda_max 0 and no scale
@@ -337,14 +339,44 @@ def spectral_norm(stack):
     return np.ldexp(np.sqrt(np.maximum(lam, 0.0)), e).reshape(lead)
 
 
+def entry_norms(a00, a01, a10, a11):
+    """``spectral_norm`` of the 2 x 2 matrices given by four arrays of their
+    entries (arrays of one shape, with at least one axis), in the closed form
+    of ``_entry_lambda_max``, with the same exact 2^-e scaling where
+    lambda_max overflows or falls below 2^-1000."""
+    entries = (a00, a01, a10, a11)
+    lam = _entry_lambda_max(*entries)
+    e = np.zeros(lam.shape, dtype=int)
+    scale = ~((lam >= _GRAM_TINY) & (lam < np.inf))
+    if scale.any():
+        # a zero matrix has lambda_max 0 and no scale
+        scale &= np.logical_or.reduce([x != 0 for x in entries])
+        e[scale] = np.frexp(np.maximum.reduce([np.abs(x[scale]) for x in entries]))[1]
+        lam[scale] = _entry_lambda_max(*(_ldexp(x[scale], -e[scale]) for x in entries))
+    return np.ldexp(np.sqrt(np.maximum(lam, 0.0)), e)
+
+
+def _entry_lambda_max(a00, a01, a10, a11):
+    """lambda_max of A^H A from the entries of 2 x 2 matrices A: max(p, q) +
+    ``_split`` of the entries p, q and m12 of A^H A, inf where it overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = _abs2(a00) + _abs2(a10)
+        q = _abs2(a01) + _abs2(a11)
+        return np.maximum(p, q) + _split(p, q, np.abs(a00.conj() * a01 + a10.conj() * a11))
+
+
+def _ldexp(a, e):
+    """a 2^e, exactly, for a real or complex array a and one e per index of
+    its leading axes, those of e."""
+    a = np.ascontiguousarray(a)
+    parts = a[..., None].view(np.float64) if np.iscomplexobj(a) else a
+    out = np.ldexp(parts, e.reshape(e.shape + (1,) * (parts.ndim - e.ndim)))
+    return out.view(a.dtype)[..., 0] if np.iscomplexobj(a) else out
+
+
 def _gram_lambda_max(a):
     """lambda_max of each A^H A in a stack, inf where A^H A overflows."""
     with np.errstate(over="ignore", invalid="ignore"):
-        if a.shape[-1] == 2:
-            a00, a01, a10, a11 = a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
-            p = _abs2(a00) + _abs2(a10)
-            q = _abs2(a01) + _abs2(a11)
-            return np.maximum(p, q) + _split(p, q, np.abs(a00.conj() * a01 + a10.conj() * a11))
         gram = np.swapaxes(a, -1, -2).conj() @ a
     big = ~np.isfinite(gram).all(axis=(-1, -2))
     gram[big] = 0.0
@@ -365,13 +397,6 @@ def _split(p, q, m12):
         half = 0.5 * np.abs(p - q)
         den = np.hypot(half, m12) + half
         return np.where(m12 > 0.0, m12 * (m12 / den), 0.0)
-
-
-def _ldexp(a, e):
-    """a 2^e, exactly, for a stack of real or complex matrices and one e each."""
-    a = np.ascontiguousarray(a)
-    parts = a.view(np.float64) if np.iscomplexobj(a) else a
-    return np.ldexp(parts, e[:, None, None]).view(a.dtype)
 
 
 def hermitian_eigenvalues(h):

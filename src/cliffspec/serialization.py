@@ -147,6 +147,8 @@ def frame_report_dict(bounds) -> dict:
         "errorEstimates": {
             "truncation": bounds.truncation_error,
             "discretization": bounds.discretization_error,
+            "gridRule": bounds.grid_rule_error,
+            "windowTails": bounds.window_tail_error,
         },
     }
 
@@ -155,6 +157,12 @@ def contour_dict(cfg, stride) -> dict:
     """The contour a frame family ran on: nodes per ray, the upper end in
     u = log r and the quadrature step in contour steps."""
     return {"nodes": cfg.nodes, "u_max": cfg.u_max, "stride": stride}
+
+
+def grid_nodes(t) -> int:
+    """The per-sign node count, as ``QuadGridConfig.nodes`` counts it (the
+    steps), of a frame grid t = (+grid, -grid)."""
+    return t.size // 2 - 1
 
 
 def bisector_report_dict(report) -> dict:

@@ -29,7 +29,8 @@ from .functions import (
     regularizer,
     resolve_function,
 )
-from .module import CliffordOperator, Diagonal, block_products, rho_matrix, spectral_norm
+from .module import (CliffordOperator, Diagonal, block_products, entry_norms, rho_matrix,
+                     spectral_norm)
 from .quadratic import (QuadGridConfig, _grid_engine, check_frame_memory, default_quad_grid,
                         family_frames)
 from .quadrature import pairwise_sum
@@ -37,6 +38,7 @@ from .serialization import (
     bisector_report_dict,
     contour_dict,
     frame_report_dict,
+    grid_nodes,
     operator_to_dict,
 )
 from .spectrum import RaySampling, check_bisectorial
@@ -194,7 +196,7 @@ def run_theorem_suite(T: CliffordOperator, g_specs=None, f_specs=None,
     records, stages = [], []
 
     report = {
-        "report_version": 6,
+        "report_version": 7,
         "operator": operator_to_dict(T),
         "config": asdict(config),
         "seed": config.seed,
@@ -239,6 +241,9 @@ def run_theorem_suite(T: CliffordOperator, g_specs=None, f_specs=None,
         name: {"T": frame_report_dict(fb), "Tstar": frame_report_dict(fbs)}
         for name, (fb, fbs, _) in frames.items()
     }
+    report["contour"]["grid_nodes"] = grid_nodes(t_grid)
+    report["contour"]["grid_rule_error"] = max(
+        (fb.grid_rule_error for fb, _, _ in frames.values()), default=0.0)
     report["contour"]["basis"] = {
         "path": "dense" if basis is None else "eigen",
         "residual": None if basis is None else max(
@@ -329,10 +334,14 @@ def _frame_sandwich_records(gname, fb, xs):
 
 def _product_norms(blocks, chunk):
     """(ks, ls) -> ||B_k B_l|| over a family, ``chunk`` at a time: by
-    ``block_products`` and ``spectral_norm``, or on a ``Diagonal`` the bound
-    max|d_k d_l| + e_k (||d_l||inf + e_l) + ||d_k||inf e_l, from rows (r, values)
-    of |d|, max|d| and e taken once: one gather per factor, one multiply and
-    maxima of whole rows (d is real, so |d_k| |d_l| = |d_k d_l| to the bit)."""
+    ``block_products`` and ``spectral_norm``, or from one table (entry, r,
+    values) read once per family, one gather per factor:
+    - on a ``Diagonal``, the bound max|d_k d_l| + e_k (||d_l||inf + e_l) +
+      ||d_k||inf e_l, from rows of |d|, max|d| and e, one multiply and maxima
+      of whole rows (d is real, so |d_k| |d_l| = |d_k d_l| to the bit);
+    - on blocks of size km <= 2, the entries of the products as
+      ``block_products`` forms them and their norms by ``spectral_norm``'s
+      closed form (``module.entry_norms``), the same floats."""
     if isinstance(blocks, Diagonal):
         mag = np.abs(blocks.d)
         table = np.concatenate([mag, mag.max(axis=-1, keepdims=True), blocks.e[..., None]],
@@ -342,6 +351,15 @@ def _product_norms(blocks, chunk):
             a, b = table.take(k, axis=-1), table.take(l, axis=-1)
             each = np.maximum.reduce(a[:-2] * b[:-2]) + a[-1] * (b[-2] + b[-1]) + a[-2] * b[-1]
             return np.maximum.reduce(each)
+    elif blocks.shape[-1] <= 2:
+        table = blocks.reshape(*blocks.shape[:2], -1).transpose(2, 1, 0).copy()
+
+        def bound(k, l):
+            a, b = table.take(k, axis=-1), table.take(l, axis=-1)
+            if len(a) == 1:
+                return np.maximum.reduce(np.abs(a[0] * b[0]))
+            products = (a[i] * b[j] + a[i + 1] * b[j + 2] for i in (0, 2) for j in (0, 1))
+            return np.maximum.reduce(entry_norms(*products))
     else:
         def bound(k, l):
             return spectral_norm(block_products(blocks[k], blocks[l])).max(axis=-1)

@@ -187,15 +187,17 @@ def test_transposed_family_gives_the_frames_of_the_adjoint(family_ctx):
     dense = pairwise_sum(w[:, None, None] * np.einsum("kac,kbc->kab", mats, mats))
     assert np.abs(fb_star.theta - dense).max() <= 1e-13 * np.linalg.norm(dense, 2)
     # as verify and frame assemble them: from the conjugate-transposed
-    # blocks B^H of the engine, with the scale of T
+    # blocks B^H of the engine, with the scale of T, and the grid's two terms,
+    # which a given family does not carry
     from_bh = cs.family_frames(g, eng, t, w, adjoint=True)[1]
+    grid = from_bh.grid_rule_error + from_bh.window_tail_error
     assert np.abs(from_bh.theta - fb_star.theta).max() <= 1e-14 * np.linalg.norm(dense, 2)
     assert np.abs(from_bh.eigenvalues - fb_star.eigenvalues).max() <= (
         1e-14 * np.linalg.norm(dense, 2))
     assert (from_bh.c_lower, from_bh.d_upper) == pytest.approx(
         (fb_star.c_lower, fb_star.d_upper), rel=1e-13)
     assert (from_bh.truncation_error, from_bh.discretization_error) == pytest.approx(
-        (fb_star.truncation_error, fb_star.discretization_error), rel=1e-14)
+        (fb_star.truncation_error, fb_star.discretization_error + grid), rel=1e-14)
     # against the frames of T* on its own certificate and engine
     eng_star = cs.ContourEngine(t_star, contour_report(t_star), THETA, cfg)
     fb_ind = cs.frame_bounds(g, t_star, family=(t, w) + eng_star.evaluate_family(g, t))

@@ -285,7 +285,7 @@ def test_verify_deterministic_and_exit_codes(tmp_path):
                  "--nodes", "500", "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
     report = json.loads(out1.read_text())
-    assert report["report_version"] == 6
+    assert report["report_version"] == 7
     assert report["contour"]["basis"]["path"] == "eigen"
     assert 0.0 <= report["contour"]["basis"]["residual"] < 1e-12
     assert report["seed"] == 7
@@ -294,15 +294,18 @@ def test_verify_deterministic_and_exit_codes(tmp_path):
 
 
 @pytest.mark.parametrize("nodes, angles, contour", [
-    (None, [], {"nodes": 1045, "stride": 1}),
+    (None, [], {"nodes": 1045, "stride": 2}),
     ("500", [], {"nodes": 1045, "stride": 1}),
     ("3000", ["--omega", "1.0", "--theta", "1.2"], {"nodes": 3129, "stride": 3}),
 ], ids=["default", "nodes-500", "strip-0.097-nodes-3000"])
 def test_verify_and_frame_echo_the_lattice_contour(tmp_path, nodes, angles, contour):
-    # --nodes bounds the contour step, and the contour follows the 400-node
-    # grid at the smallest stride whose rule error is at most 1e-10: 1 at the
-    # default angles, 3 in the strip a = 0.097 of omega = 1, theta = 1.2
-    # (6e-9 at stride 2)
+    # --nodes bounds the contour step, and the contour follows the frame
+    # grid at the smallest stride whose rule error is at most 1e-10: at the
+    # default angles the grid takes every second of its 400 steps and the
+    # contour stride 2 (the step of stride 1 on all 400); with --nodes 500
+    # that grid would coarsen the contour, so the run keeps all 400 at
+    # stride 1; 3 in the strip a = 0.097 of omega = 1, theta = 1.2 (6e-9 at
+    # stride 2), where the grid keeps all 400 steps too
     op = tmp_path / "op.json"
     write_operator(op, [[1.0]])
     g = tmp_path / "g.json"
@@ -587,13 +590,15 @@ def test_a_refused_function_is_named(tmp_path, capsys, command, flag, spec, mess
 
 
 def test_a_claim_that_is_not_finite_is_printed_as_a_float(tmp_path, capsys):
-    # the claims of the two-step calculus on T = 1e-310 are inf, which the
-    # message printed as np.float64(inf)
+    # the claims on T = 1e-310 are inf, which the message printed as
+    # np.float64(inf): the frames' window tails, first, since the grid's
+    # window 1e25 to 1e35 (``default_quad_grid`` floors ||T|| at 1e-30)
+    # leaves the spectrum out, and then the two-step calculus's
     op = tmp_path / "op.json"
     op.write_text(json.dumps({"n": 1, "m": 1, "matrix": [[[1e-310, 0]]]}))
     assert main(["verify", "--operator", str(op), "--out", str(tmp_path / "r.json")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "truncation inf" in err and "np." not in err
+    assert err.startswith("error: ") and "discretization inf" in err and "np." not in err
 
 
 @pytest.mark.parametrize("command, flag", [
@@ -651,12 +656,15 @@ def test_verify_rejects_bad_arguments_before_any_work(tmp_path, capsys, args, ne
 
 def test_verify_refuses_an_operator_whose_values_overflow_their_gram(tmp_path, capsys):
     # at diag(1e-300, -2e-300) the hinf values reach 1e282, whose A^H A
-    # overflows; their norms are taken, and the zero frame lower bound of
-    # the regularizer is refused
+    # overflows; the frame grid's window (1e25 to 1e35, ``default_quad_grid``
+    # floors ||T|| at 1e-30) leaves the spectrum out, and the frames of the
+    # regularizer, whose lower bound is 0, are refused on their infinite
+    # window tails before the inequality stage refused that zero bound
     op = tmp_path / "op.json"
     write_operator(op, [[1e-300, 0.0], [0.0, -2e-300]])
     assert main(["verify", "--operator", str(op), "--out", str(tmp_path / "r.json")]) == 2
-    assert capsys.readouterr().err.startswith("error: inequalities stage, g=regularizer")
+    assert capsys.readouterr().err.startswith(
+        "error: frames stage, g=regularizer: the claimed error is not finite")
 
 
 def test_calc_refuses_an_engine_beyond_the_memory_cap(tmp_path, capsys):

@@ -92,14 +92,15 @@ def _verify_d32_operator():
 
 
 @pytest.mark.parametrize("case, angles, stride", [
-    ("diag", (OMEGA, THETA), 1),
+    ("diag", (OMEGA, THETA), 2),
     ("jordan", (OMEGA, THETA), 1),
-    ("verify-d32", (OMEGA, THETA), 1),
+    ("verify-d32", (OMEGA, THETA), 2),
     ("1+e1", (0.9, 1.2), 2),
 ])
 def test_default_runs_take_the_stride_the_strip_allows(case, angles, stride):
-    # the default g of verify on the perfbench operators: stride 1 (1,045
-    # nodes per ray) at the default angles, 2 in the strip 0.145 of 1 + e1
+    # the default g of verify on the perfbench operators: 1,045 nodes per ray
+    # at the default angles, at stride 2 on the grids of every second node
+    # of diag(1, -2) and verify-d32, and 2,087 in the strip 0.145 of 1 + e1
     T = {"diag": cs.CliffordOperator.from_real_matrix([[1.0, 0.0], [0.0, -2.0]], n=1),
          "jordan": cs.CliffordOperator.from_real_matrix([[1.0, 1.0], [0.0, 1.0]], n=1),
          "verify-d32": _verify_d32_operator(),
@@ -108,7 +109,7 @@ def test_default_runs_take_the_stride_the_strip_allows(case, angles, stride):
     gs = [_certified("g", spec, theta) for spec in cs.default_g_specs()]
     rep = contour_report(T, omega, theta, phis=())
     _, _, engine, got = _grid_engine(T, rep, theta, gs)
-    assert got == stride and engine.u_ray.size == {1: 1045, 2: 2087}[stride]
+    assert got == stride and engine.u_ray.size == (2087 if case == "1+e1" else 1045)
     errors = [engine.rule_error(g.decay) for g in gs]
     assert max(errors) <= calculus.RULE_TARGET
     if stride > 1:   # one stride less misses it

@@ -30,14 +30,16 @@ def test_every_stage_is_timed_and_printed(tmp_path, capsys):
                if module == "suite" for name in names}
     assert tool.main([str(ROOT), str(_diag(tmp_path)), "--calls", "1"]) == 0
     rows = capsys.readouterr().out.splitlines()[2:]
-    rows, under = rows[:-1], rows[-1]
+    rows, under, grid = rows[:-2], rows[-2], rows[-1]
     assert len(rows) == len(tool.STAGES)
     for (label, _, _), row in zip(tool.STAGES, rows):
         match = re.fullmatch(rf"{re.escape(label)} +([\d.]+) +([\d.]+)%", row)
         assert match and float(match[1]) > 0.0, row
     assert rows[0].endswith(" 100.0%")
-    # the contour of the timed calls: diag(1, -2) takes stride 1 at the defaults
-    assert under == "contour: nodes 1045, stride 1, basis.path eigen"
+    # the contour of the timed calls: diag(1, -2) takes stride 2 at the
+    # defaults, on the grid of every second node of the finest one
+    assert under == "contour: nodes 1045, stride 2, basis.path eigen"
+    assert re.fullmatch(r"grid: nodes 200 per sign, rule error [\d.]+e-\d+", grid), grid
     # the wrappers are taken off again
     assert all(getattr(suite, name) is fn for name, fn in wrapped.items())
 

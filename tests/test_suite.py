@@ -416,7 +416,8 @@ def test_verify_takes_each_frame_family_to_the_eigenbasis_once(monkeypatch):
     # composition records and the frames of T and of T*: no stack of grid
     # values is assembled as blocks, and each g assembles one frame Gram
     T = cs.CliffordOperator.from_real_matrix([[1.0, 0.0], [0.0, -2.0]], n=1)
-    grid_size = 2 * (cs.SuiteConfig().quad_nodes | 1)
+    # every second node of the finest grid, the grid diag(1, -2) takes at the defaults
+    grid_size = 2 * (cs.SuiteConfig().quad_nodes // 2 | 1)
     families, assembled = [], []
     evaluate, blocks = cs.ContourEngine.evaluate_blocks, cs.module.EigenBasis.blocks
 

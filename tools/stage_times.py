@@ -11,7 +11,8 @@ each writing its report to a temporary directory.  It prints each
 stage's mean milliseconds per call and its share of the whole
 ``run_theorem_suite`` call, and under the table the contour the timed
 calls ran on, from the last report: nodes per ray, stride and basis
-path.  Stages may nest: the ``f0_infty`` row holds the ladder's call too,
+path, and under it the frame grid: its nodes per sign and its rule
+error.  Stages may nest: the ``f0_infty`` row holds the ladder's call too,
 and "frames" holds the lattice correlations, so the shares need not add
 up to 100%.
 
@@ -116,6 +117,9 @@ def main(argv=None):
     else:
         print(f"contour: nodes {contour['nodes']}, stride {contour['stride']}, "
               f"basis.path {contour['basis']['path']}")
+        if "grid_nodes" in contour:     # a tree whose grid follows its strip
+            print(f"grid: nodes {contour['grid_nodes']} per sign, "
+                  f"rule error {contour['grid_rule_error']:.3g}")
     return 0
 
 
