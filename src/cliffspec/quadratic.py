@@ -38,12 +38,11 @@ from .calculus import (
     rule_fits,
 )
 from .clifford import spinor_blades
-from .errors import ArgumentError
+from .errors import ArgumentError, PreconditionError
 from .functions import IntrinsicFunction
 from .module import (
     CliffordOperator,
     ModuleVector,
-    block_form,
     block_norms,
     blocks_from_rho,
     coeffs_from_blocks,
@@ -273,40 +272,33 @@ def _grid_bound(engine, g):
 
 
 def _grid_engine(T, report, theta, gs, qcfg=None, cfg=None):
-    """(t, w, engine, stride): the grid and the engine of the report on its
-    lattice contour (``lattice_contour``), of the smallest stride at which
+    """(t, w, engine, stride): the frame grid and T's engine on the lattice
+    contour (``lattice_contour``) of ``qcfg`` (``default_quad_grid`` if
+    None), the finest grid a run may use, at the smallest stride at which
     the rule error of each g of ``gs`` fits (``rule_fits``), and at most
-    the stride of ``cfg``.
+    that of ``cfg``.
 
-    The grid is every q-th node of ``qcfg`` (``default_quad_grid`` if
-    None), the finest a run may use: q the largest divisor of its steps
-    that leaves an even count of at least 32 steps, at whose step the
-    grid's rule error of each g fits (``GridBound.rule`` at most
-    RULE_TARGET), and whose contour is no coarser than that of ``qcfg``
-    itself: a coarser grid never coarsens the contour."""
+    The grid is every q-th node of ``qcfg``, q the largest divisor of its
+    steps that leaves an even count of at least 32 steps and at whose step
+    ``GridBound.rule`` of each g is at most RULE_TARGET, at stride q p on
+    that contour of stride p: a coarser grid never coarsens the contour."""
     _check_report(report)
+    if any(g.decay is None for g in gs):
+        raise PreconditionError("contour calculus requires a decay certificate")
     qcfg, cfg = qcfg or default_quad_grid(T), cfg or ContourConfig()
-    lower, phi = cfg.contour_angles(report.omega, theta)
-    bt = block_form(T.coeffs, T.n)
-    bounds = [GridBound(g, bt, report.omega, lower, report.c_at(lower), report.c_at(phi))
-              for g in gs]
-
-    def contour(grid):
-        return lattice_contour(grid, cfg, lambda steps: rule_fits(report, theta, cfg, gs, steps))
-
-    lattice, stride = contour(qcfg)
+    lattice, stride = lattice_contour(
+        qcfg, cfg, lambda steps: rule_fits(report, theta, cfg, gs, steps))
+    engine = ContourEngine(T, report, theta, lattice)
+    bounds = [_grid_bound(engine, g) for g in gs]
     steps = (qcfg.nodes | 1) - 1
     for q in range(steps // 32, 1, -1):
         if steps % q or steps // q % 2:
             continue
         grid = QuadGridConfig(qcfg.t_min, qcfg.t_max, steps // q)
-        if not all(b.rule(grid.step) <= RULE_TARGET for b in bounds):
-            continue
-        coarse, p = contour(grid)
-        if q * stride <= p:     # a contour step h_t q / p <= h_t / stride
-            qcfg, lattice, stride = grid, coarse, p
+        if all(b.rule(grid.step) <= RULE_TARGET for b in bounds):
+            qcfg, stride = grid, q * stride
             break
-    return (*qcfg.grid(), ContourEngine(T, report, theta, lattice), stride)
+    return (*qcfg.grid(), engine, stride)
 
 
 def quadratic_norm(g: IntrinsicFunction, T: CliffordOperator, v: ModuleVector,

@@ -183,8 +183,7 @@ def bisector_report_dict(report) -> dict:
 
 def write_json(obj, path):
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(dumps_report(obj))
 
 
 def dumps_report(obj) -> str:

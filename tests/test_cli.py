@@ -295,16 +295,16 @@ def test_verify_deterministic_and_exit_codes(tmp_path):
 
 @pytest.mark.parametrize("nodes, angles, contour", [
     (None, [], {"nodes": 1045, "stride": 2}),
-    ("500", [], {"nodes": 1045, "stride": 1}),
+    ("500", [], {"nodes": 1045, "stride": 2}),
     ("3000", ["--omega", "1.0", "--theta", "1.2"], {"nodes": 3129, "stride": 3}),
 ], ids=["default", "nodes-500", "strip-0.097-nodes-3000"])
 def test_verify_and_frame_echo_the_lattice_contour(tmp_path, nodes, angles, contour):
     # --nodes bounds the contour step, and the contour follows the frame
     # grid at the smallest stride whose rule error is at most 1e-10: at the
     # default angles the grid takes every second of its 400 steps and the
-    # contour stride 2 (the step of stride 1 on all 400); with --nodes 500
-    # that grid would coarsen the contour, so the run keeps all 400 at
-    # stride 1; 3 in the strip a = 0.097 of omega = 1, theta = 1.2 (6e-9 at
+    # contour stride 2 (the step of stride 1 on all 400), with --nodes 500
+    # too, on the contour of all 400, which a coarser grid never coarsens;
+    # 3 in the strip a = 0.097 of omega = 1, theta = 1.2 (6e-9 at
     # stride 2), where the grid keeps all 400 steps too
     op = tmp_path / "op.json"
     write_operator(op, [[1.0]])

@@ -75,14 +75,68 @@ def test_the_grid_takes_every_qth_node_the_strip_allows(tmp_path, case, angles, 
 
 
 def test_a_coarser_grid_never_coarsens_the_contour():
-    # --nodes 500 asks for a contour step of 0.120: on the grid of every
-    # second node the lattice contour would step 0.115, twice that of the
-    # 400-step grid, so the run keeps every node
+    # --nodes 500 asks for a contour step of 0.120: the lattice contour of
+    # the 400-step grid steps 0.058, and the grid of every second node
+    # takes it at stride 2, where that grid's own lattice contour would
+    # step 0.115; the contour is the parent's, bit for bit
     T = _operator("diag")
     rep = contour_report(T, phis=())
     g = cs.regularizer(THETA)
-    t, _, engine, stride = _grid_engine(T, rep, THETA, [g], cfg=cs.ContourConfig(nodes=500))
-    assert t.size == 802 and stride == 1 and engine.cfg.nodes == 1045
+    cfg = cs.ContourConfig(nodes=500)
+    t, _, engine, stride = _grid_engine(T, rep, THETA, [g], cfg=cfg)
+    assert t.size == 402 and stride == 2 and engine.cfg.nodes == 1045
+    assert float.hex(engine.cfg.u_max) == "0x1.e18f3dacc6598p+4"
+    grid = cs.default_quad_grid(T)
+    own, _ = cs.lattice_contour(cs.QuadGridConfig(grid.t_min, grid.t_max, 200), cfg)
+    assert own.nodes < engine.cfg.nodes
+
+
+def test_a_wide_strip_takes_every_fourth_node_on_the_same_contour(tmp_path):
+    # at omega 0.1, theta 1.4 (b = 1.26) the grid of 100 steps meets the
+    # target for every g, on the 1,045-node contour of the 400-step grid
+    # at stride 4; the next coarser divisor, q = 5, misses it
+    omega, theta, angles = 0.1, 1.4, ["--omega", "0.1", "--theta", "1.4"]
+    T = _operator("diag")
+    op, g = tmp_path / "op.json", tmp_path / "g.json"
+    op.write_text(json.dumps(cs.operator_to_dict(T)))
+    g.write_text(json.dumps({"name": "regularizer"}))
+    for command, args in (("verify", []), ("frame", ["--g", str(g)])):
+        out = tmp_path / f"{command}.json"
+        assert main([command, "--operator", str(op), "--out", str(out)] + args + angles) == 0
+        report = json.loads(out.read_text())
+        echo = report["contour"]
+        assert {"nodes": echo["nodes"], "u_max": float.hex(echo["u_max"]),
+                "stride": echo["stride"]} == {
+            "nodes": 1045, "u_max": "0x1.e18f3dacc6598p+4", "stride": 4}
+        nodes = report["grid"]["nodes"] if command == "frame" else echo["grid_nodes"]
+        assert nodes == 100
+
+    gs = [_certified("g", spec, theta) for spec in cs.default_g_specs()]
+    rep = contour_report(T, omega, theta, phis=())
+    t, w, engine, stride = _grid_engine(T, rep, theta, gs)
+    assert t.size == 2 * 101 and stride == 4
+    bounds = [quadratic._grid_bound(engine, g) for g in gs]
+    assert max(b.rule(w[1]) for b in bounds) <= calculus.RULE_TARGET
+    assert max(b.rule(5 * cs.default_quad_grid(T).step) for b in bounds) > calculus.RULE_TARGET
+
+    # the regularizer's frame covers the exact constant 1 within its claim
+    fb = cs.frame_bounds(cs.regularizer(theta), T, report=rep)
+    claim = fb.combined_error
+    assert np.abs(fb.eigenvalues - 1.0).max() <= claim
+    assert abs(fb.c_lower - 1.0) <= claim and abs(fb.d_upper - 1.0) <= claim
+
+
+def test_a_g_without_decay_is_refused_as_the_calculus_refuses_it():
+    # the grid bound reads C_alpha; a g with none gets the calculus's error
+    T = _operator("diag")
+    rep = contour_report(T, phis=())
+    g = cs.rational_function([1, 0], [1, 0, 1])
+    v = cs.ModuleVector(1, 2, np.ones((2, 2)))
+    for call in (lambda: cs.frame_bounds(g, T, report=rep),
+                 lambda: cs.frame_operator(g, T, report=rep),
+                 lambda: cs.quadratic_norm(g, T, v, report=rep)):
+        with pytest.raises(cs.PreconditionError, match="requires a decay certificate"):
+            call()
 
 
 def test_a_report_without_c_at_the_strip_edge_is_refused_as_before(recwarn):
