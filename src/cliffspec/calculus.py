@@ -55,7 +55,6 @@ from .module import (
     operator_from_real,
     rho_matrix,
     rho_stack,
-    self_adjoint_basis,
     spectral_norm,
 )
 from .quadrature import gl_cell_rule, gl_panel_grid, trapezoid_error, trapezoid_grid
@@ -277,14 +276,15 @@ class ContourEngine:
     slice unit J.  Only P at the nodes of angle +phi is stored, on the
     spinor blocks of rho (``module.block_form``), where the values stay.
 
-    When T is self-adjoint (``module.self_adjoint_basis``), ``basis`` holds
+    When T is self-adjoint, ``basis`` (the certificate's) holds
     one eigenbasis U per block, P = U diag(1 / (lam^2 - 2 s0 lam + |s|^2))
     U^H is stored as its diagonals (nodes, r, km), and each value comes out
     as its ``module.Diagonal``, with norm bounds max|d| + e; ``dense_blocks``
     assembles blocks for the callers that ask.  Otherwise ``basis`` is
     None and P is the dense inverse (nodes, r, km, km).
 
-    The truncation bounds take C_phi from the certificate alone,
+    ``report`` must be T's own: the engine takes its ``basis`` and
+    ``sigmas`` (||T|| in the roundoff bound), the truncation bounds C_phi,
     ``report.c_at(phi)``, and the rule error C at the lower edge phi - a of
     the contour's strip (``ContourConfig.strip``); a report that gives no C
     there, one sampled only above phi - a, is refused, and the engine
@@ -336,7 +336,7 @@ class ContourEngine:
 
         # rho(J) on the slice e_1, for the assembled A
         self._bj = unit_blocks(unit_imag(T.n), T.m)
-        self.basis = self_adjoint_basis(self._bt)
+        self.basis, self.sigmas = report.basis, report.sigmas
         s0, abs2 = np.real(self.z), r * r
         if self.basis is None:
             try:
@@ -364,8 +364,7 @@ class ContourEngine:
             # ||U diag(p) U^H||_F <= ||U||^2 ||p||_2, ||U|| <= 1 + delta
             p_fro *= (1.0 + self.basis.departure.max()) ** 2
         # ||fa_k P_k||_F and ||T|| ||fb_k P_k||_F (part, ray, node) bound the roundoff
-        t_norm = float(spectral_norm(self._bt).max())
-        self._k_fro = (np.abs([self._fa, t_norm * self._fb]) * p_fro).reshape(2, 2, n)
+        self._k_fro = (np.abs([self._fa, self.sigmas[1] * self._fb]) * p_fro).reshape(2, 2, n)
 
     @property
     def A(self):

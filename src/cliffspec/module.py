@@ -248,21 +248,13 @@ class EigenBasis:
         return (self.u * d[..., None, :]) @ np.swapaxes(self.u, -1, -2).conj()
 
 
-def is_self_adjoint(bt):
-    """Whether the spinor blocks ``bt`` of T are exactly Hermitian.
-
-    The map to blocks takes T* to bt^H, so a T equal to T* coefficient for
-    coefficient passes, and a T self-adjoint only to rounding does not.
-    """
-    return bool(np.array_equal(bt, np.swapaxes(bt, -1, -2).conj()))
-
-
 def self_adjoint_basis(bt):
-    """The ``EigenBasis`` of the spinor blocks ``bt`` of T when T is
-    self-adjoint (``is_self_adjoint``), else None: a T self-adjoint only
-    to rounding takes the dense path.
+    """The ``EigenBasis`` of the spinor blocks ``bt`` of T when they are
+    exactly Hermitian, else None.  The map to blocks takes T* to bt^H, so a
+    T equal to T* coefficient for coefficient has one, and a T self-adjoint
+    only to rounding takes the dense path.
     """
-    if not is_self_adjoint(bt):
+    if not np.array_equal(bt, np.swapaxes(bt, -1, -2).conj()):
         return None
     lam, u = np.linalg.eigh(bt)
     km = bt.shape[-1]

@@ -47,12 +47,11 @@ from .module import (
     blocks_from_rho,
     coeffs_from_blocks,
     hermitian_eigenvalues,
-    is_self_adjoint,
     operator_norm,
     rho_stack,
 )
 from .quadrature import pairwise_sum, trapezoid_error, trapezoid_grid
-from .spectrum import BisectorReport, block_sigmas
+from .spectrum import BisectorReport
 
 MAX_SIGN_WINDOW = 20  # exact enumeration cap on 2n
 
@@ -130,8 +129,7 @@ def check_frame_memory(T: CliffordOperator, nodes, n_g=1, contour_nodes=ContourC
     ``ContourEngine._contract``) count as four too, with 4 n + 11 L reals per
     column of one block of ``_COLUMNS`` (n the nodes of a ray, L the FFT
     length of a whole sequence), above the 12 n that forming the kernels
-    takes (km <= 16) and the 4 n + 7 L that correlating them does; with no
-    g there is no frame stage.
+    takes (km <= 16) and the 4 n + 7 L that correlating them does.
     """
     # the lattice contour depends on the log step of the grid only, which
     # default_quad_grid fixes whatever ||T||
@@ -139,7 +137,7 @@ def check_frame_memory(T: CliffordOperator, nodes, n_g=1, contour_nodes=ContourC
     buffers = 8 * _COLUMNS * (4 * cfg.nodes + 11 * _smooth_size((nodes | 1) * p - p + cfg.nodes))
     r, _, k, _ = spinor_blades(T.n).shape
     stack = 16 * r * (k * T.m) ** 2 * 2 * (nodes | 1)
-    need = n_g * stack + min(1, n_g) * (4 * stack + buffers)
+    need = (n_g + 4) * stack + buffers
     if need > _MAX_ENGINE_BYTES:
         raise ArgumentError(
             f"frame stage at D = {T.m << T.n} with {n_g} g needs about {need / 2 ** 30:.3g} "
@@ -184,8 +182,9 @@ def _power_sum(a, b, alpha, beta, x, h):
 
 
 class GridBound:
-    """The grid's rule error and window tails for the frame of one g on T,
-    both over the two signs of t and in units of the Gram eigenvalues.
+    """The grid's rule error and window tails for the frame of one g on the
+    engine's T and contour, from its certificate's basis, sigmas and C, both
+    over the two signs of t and in units of the Gram eigenvalues.
 
     u -> g(e^u T) continues analytically to |Im u| < b, b = (31/32)(theta -
     omega): e^(iv) turns the spectrum in the sector omega no further than
@@ -217,29 +216,28 @@ class GridBound:
     of the two at the window's ends, with C at phi for real t.
     """
 
-    def __init__(self, g, bt, omega, lower, c_lower, c_phi):
+    def __init__(self, g, engine):
         alpha, c_alpha = g.decay.alpha, g.decay.c_alpha
-        self.strip = STRIP_SHARE * (g.theta - omega)
+        self.strip = STRIP_SHARE * (g.theta - engine.omega)
         self.c_alpha, self.alpha = c_alpha, alpha
-        if is_self_adjoint(bt):
-            self.lam = np.abs(np.linalg.eigvalsh(bt)).ravel()
+        if engine.basis is not None:
+            self.lam = np.abs(engine.basis.lam).ravel()
             self.m = 2.0 * c_alpha ** 2 / alpha
             return
         self.lam = None
-        self.strip = min(self.strip, g.theta - lower)
+        self.strip = min(self.strip, g.theta - (engine.phi - engine.strip))
         self.beta = _BETA * min(alpha, 1.0)
-        self.sigmas = np.array(block_sigmas(bt))    # sigma_min 0 gives inf, not an exception
-        self.c_phi = c_phi
-        self.m = math.inf   # with no C at phi - a, which the engine refuses too
-        if math.isfinite(c_lower):
-            lo, hi, b = self._coefficients(c_lower)
-            k = c_lower * c_alpha / alpha
-            ends = 2.0 ** np.arange(-40.0, 6.0)
-            below, above = (_power_sum(a, b, alpha, self.beta, ends, 0.0) for a in (lo, hi))
-            with np.errstate(divide="ignore"):    # sigma_min = 0: M inf
-                width = np.log(4.0 * self.sigmas[1] / self.sigmas[0]) - np.log(ends)
-            between = k * k * np.maximum(0.0, width[:, None] - np.log(ends)[None, :])
-            self.m = 2.0 * float(np.min(below[:, None] + between + above[None, :]))
+        self.sigmas = np.array(engine.sigmas)    # sigma_min 0 gives inf, not an exception
+        # C at phi - a is finite: the engine refuses a report without it
+        self.c_phi, c_lower = engine.c_phi, engine.c_strip
+        lo, hi, b = self._coefficients(c_lower)
+        k = c_lower * c_alpha / alpha
+        ends = 2.0 ** np.arange(-40.0, 6.0)
+        below, above = (_power_sum(a, b, alpha, self.beta, ends, 0.0) for a in (lo, hi))
+        with np.errstate(divide="ignore"):    # sigma_min = 0: M inf
+            width = np.log(4.0 * self.sigmas[1] / self.sigmas[0]) - np.log(ends)
+        between = k * k * np.maximum(0.0, width[:, None] - np.log(ends)[None, :])
+        self.m = 2.0 * float(np.min(below[:, None] + between + above[None, :]))
 
     def _coefficients(self, c):
         """(a below, a above, b): the power coefficients of the dense bounds."""
@@ -265,12 +263,6 @@ class GridBound:
                                + _power_sum(hi, b, alpha, self.beta, 2.0 / (t_max * smin), h))
 
 
-def _grid_bound(engine, g):
-    """The ``GridBound`` of g on the engine's T and contour."""
-    return GridBound(g, engine._bt, engine.omega, engine.phi - engine.strip, engine.c_strip,
-                     engine.c_phi)
-
-
 def _grid_engine(T, report, theta, gs, qcfg=None, cfg=None):
     """(t, w, engine, stride): the frame grid and T's engine on the lattice
     contour (``lattice_contour``) of ``qcfg`` (``default_quad_grid`` if
@@ -289,7 +281,7 @@ def _grid_engine(T, report, theta, gs, qcfg=None, cfg=None):
     lattice, stride = lattice_contour(
         qcfg, cfg, lambda steps: rule_fits(report, theta, cfg, gs, steps))
     engine = ContourEngine(T, report, theta, lattice)
-    bounds = [_grid_bound(engine, g) for g in gs]
+    bounds = [GridBound(g, engine) for g in gs]
     steps = (qcfg.nodes | 1) - 1
     for q in range(steps // 32, 1, -1):
         if steps % q or steps // q % 2:
@@ -377,7 +369,7 @@ def family_frames(g: IntrinsicFunction, engine: ContourEngine, t, w, adjoint=Fal
     """
     values, truncs, discs = engine.evaluate_blocks(g, t)
     basis, n, scale = engine.basis, engine.T.n, block_norms(values)
-    bound, h = _grid_bound(engine, g), w[1]
+    bound, h = GridBound(g, engine), w[1]
     grid = (float(bound.rule(h)), bound.tails(t[0], t[t.size // 2 - 1], h))
     if basis is None:
         fb_star = (_block_frame_bounds(w, _gram(w, np.swapaxes(values, -1, -2).conj()),

@@ -19,7 +19,7 @@ since Q_sbar = Q_s.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,12 +28,13 @@ from .errors import ArgumentError, DimensionMismatchError, NumericalFailureError
 from .module import (
     INVERTIBILITY_RTOL,
     CliffordOperator,
+    EigenBasis,
     OperatorSolver,
     block_form,
     coeffs_from_blocks,
-    is_self_adjoint,
     operator_norm,
     rho_matrix,
+    self_adjoint_basis,
     spectral_norm,
 )
 
@@ -355,10 +356,13 @@ def self_adjoint_c_phi(phi) -> float:
 
 @dataclass(frozen=True)
 class BisectorReport:
-    """Bisectoriality certificate of angle omega.
+    """Bisectoriality certificate of angle omega, with T's ``sigmas`` =
+    (sigma_min, ||T||) of its blocks and ``basis``, their
+    ``module.self_adjoint_basis`` (neither compared nor serialized), which
+    later stages read and from which ``injective`` and ``c_phi_source`` derive.
 
     ``c_phi_source`` says where each C_phi in ``c_phi_table`` comes from.
-    For a self-adjoint T ("self_adjoint_bound") it is
+    For a T with a basis ("self_adjoint_bound") it is
     ``self_adjoint_c_phi``, a bound over the whole sphere S, which ``c_at``
     gives at every angle, in the table or not.  Otherwise
     ("sampled") it is the constant on the slice e_1: the largest sampled
@@ -371,11 +375,19 @@ class BisectorReport:
     """
 
     omega: float
-    injective: bool
     c_phi_table: tuple          # pairs (phi, C_phi)
     spectrum_in_sector: bool
+    sigmas: tuple               # (sigma_min, ||T||)
     detections: tuple = ()      # SpectralPoints of the S-spectrum
-    c_phi_source: str = "sampled"
+    basis: EigenBasis | None = field(default=None, compare=False, repr=False)
+
+    @property
+    def injective(self) -> bool:
+        return bool(self.sigmas[0] > INVERTIBILITY_RTOL * self.sigmas[1])
+
+    @property
+    def c_phi_source(self) -> str:
+        return "sampled" if self.basis is None else "self_adjoint_bound"
 
     @property
     def certified(self) -> bool:
@@ -388,7 +400,7 @@ class BisectorReport:
         at the largest sampled angle <= phi, which bounds C_phi since the
         table decreases in phi, and inf below every sampled angle.  A caller
         that reads C at phi certifies at phi: ``RaySampling(phis=(phi,))``."""
-        if self.c_phi_source == "self_adjoint_bound":
+        if self.basis is not None:
             return self_adjoint_c_phi(phi)
         best = math.inf
         for p, c in self.c_phi_table:
@@ -425,7 +437,7 @@ def check_bisectorial(
 
     Checks injectivity of rho(T), containment of the S-spectrum in the
     closed double sector, and gives C_phi for each requested larger sector.
-    For a self-adjoint T (``module.is_self_adjoint``) C_phi is the closed
+    For a self-adjoint T (``module.self_adjoint_basis``) C_phi is the closed
     form ``self_adjoint_c_phi`` and no resolvent is formed.  Otherwise it is
     estimated on the boundary rays in the slice e_1, as the largest sample
     at 200 radii on 4 rays; a radius outside [sigma_min, ||T||] is
@@ -442,7 +454,6 @@ def check_bisectorial(
             raise ArgumentError(f"sampled phi={phi} outside (omega, pi/2)")
     bt = block_form(T.coeffs, T.n)
     sigma_min, sigma_max = block_sigmas(bt)
-    injective = sigma_min > INVERTIBILITY_RTOL * sigma_max
     spectrum = s_spectrum(bt, sigma_max)
     # the closed double sector, with 1e-9 rad of angular slack
     angles = [math.atan2(p.y, p.x) for p in spectrum]
@@ -456,11 +467,10 @@ def check_bisectorial(
     bound = r_max + sigma_max
     if not math.isfinite(2.0 * bound * bound):
         raise NumericalFailureError("Q_s overflows on the sampled rays", node={"r": r_max})
-    if is_self_adjoint(bt):
-        source = "self_adjoint_bound"
+    basis = self_adjoint_basis(bt)
+    if basis is not None:
         table = [(float(phi), self_adjoint_c_phi(phi)) for phi in phis]
     else:
-        source = "sampled"
         radii = scale * np.logspace(-4.0, 4.0, 200)
         bj = unit_blocks(unit_imag(T.n), T.m)
         table = []
@@ -473,9 +483,9 @@ def check_bisectorial(
             table.append((float(phi), float(c)))
     return BisectorReport(
         omega=float(omega),
-        injective=bool(injective),
         c_phi_table=tuple(table),
         spectrum_in_sector=contained,
+        sigmas=(sigma_min, sigma_max),
         detections=spectrum,
-        c_phi_source=source,
+        basis=basis,
     )

@@ -191,6 +191,9 @@ def run_theorem_suite(T: CliffordOperator, g_specs=None, f_specs=None,
         raise ArgumentError(f"seed={config.seed} must be a non-negative integer")
     g_specs = g_specs if g_specs is not None else default_g_specs()
     f_specs = f_specs if f_specs is not None else default_f_specs()
+    for what, specs in (("g", g_specs), ("f", f_specs)):
+        if not specs:
+            raise ArgumentError(f"{what}_specs is empty: the suite needs at least one {what}")
     check_frame_memory(T, config.quad_nodes, len(g_specs), config.contour_nodes)
     rng = np.random.default_rng(config.seed)
     records, stages = [], []
@@ -468,7 +471,7 @@ def _sup_domination_records(gname, T, fb, cg, rng, gs, g_hinf):
 
 def _dyadic_splitting_upper(gname, g, self_adjoint, fb, hinf):
     """The dyadic upper bound of the frame constant: c = 1 for self-adjoint
-    T (``module.self_adjoint_basis``), else the largest hinf norm ratio,
+    T (the certificate's ``basis``), else the largest hinf norm ratio,
     which is refused where it is 0: every f(T) vanishes."""
     beta, c_beta = g.decay.alpha, g.decay.c_alpha
     if self_adjoint:

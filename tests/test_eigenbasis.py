@@ -1,9 +1,12 @@
 """Self-adjoint operators through one eigenbasis per spinor block: the
-exact self-adjointness predicate, Q_s^-1 stored as diagonals without
+exact self-adjointness predicate, decided once by the certificate, whose
+basis the engine and the grid bounds read, Q_s^-1 stored as diagonals without
 inverses, the composition bounds against the dense norms, the diagonal path
 against the dense one, and operators self-adjoint only to rounding on the
 dense path against their exactly self-adjoint twins."""
 
+import collections
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -11,7 +14,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cliffspec as cs
-from cliffspec import calculus
 from cliffspec.module import (
     Diagonal,
     block_form,
@@ -19,7 +21,7 @@ from cliffspec.module import (
     self_adjoint_basis,
     spectral_norm,
 )
-from cliffspec.quadratic import family_frames, lattice_contour
+from cliffspec.quadratic import GridBound, family_frames, lattice_contour
 from cliffspec.spectrum import q_inverse_stack
 from cliffspec.suite import _composition_bound_records, _product_norms
 
@@ -246,15 +248,15 @@ def _assert_paths_agree(eigen, dense, reports, qcfg, cfg):
 @settings(max_examples=12, derandomize=True, deadline=None)
 @given(st.integers(1, 4), st.integers(1, 2), st.integers(0, 2 ** 32 - 1))
 def test_diagonal_path_agrees_with_the_dense_path(n, m, seed):
+    # the dense engine reads the same certificate without its basis, at the
+    # contour's angles, so both engines take the closed-form C
     T = _unitary_conjugate(np.random.default_rng(seed), n, m)
-    report = cs.check_bisectorial(T, OMEGA)
     qcfg = cs.default_quad_grid(T, 64)
     cfg, _ = lattice_contour(qcfg)
-    eigen = cs.ContourEngine(T, report, THETA, cfg)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(calculus, "self_adjoint_basis", lambda bt: None)
-        dense = cs.ContourEngine(T, report, THETA, cfg)
-    _assert_paths_agree(eigen, dense, (report, report), qcfg, cfg)
+    reports = [contour_report(T, cfg=cfg)]
+    reports.append(dataclasses.replace(reports[0], basis=None))
+    eigen, dense = (cs.ContourEngine(T, report, THETA, cfg) for report in reports)
+    _assert_paths_agree(eigen, dense, reports, qcfg, cfg)
 
 
 def _rounding_self_adjoint():
@@ -294,3 +296,44 @@ def test_self_adjoint_inputs_give_exactly_hermitian_blocks(n):
             bt = block_form(T.coeffs, T.n)
             assert np.array_equal(bt, np.swapaxes(bt, -1, -2).conj())
             assert self_adjoint_basis(bt) is not None
+
+
+@pytest.mark.parametrize("case, calls", [("diag(1,-2)", 1), ("jordan", 2)])
+def test_the_certificate_decides_the_eigen_path_and_the_norm_once(case, calls, monkeypatch):
+    # one certificate per operator decides the path and ||T||: T's, and for
+    # the Jordan block T*'s in the adjoint stage; the engine and the grid
+    # bounds read them
+    calls_to = collections.Counter()
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls_to[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in ("self_adjoint_basis", "block_sigmas"):
+        for mod in (cs.module, cs.spectrum, cs.calculus, cs.quadratic, cs.suite):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, counting(name, getattr(mod, name)))
+    T = _operators()[case][0]
+    assert cs.run_theorem_suite(T)["passed"]
+    assert calls_to == {"self_adjoint_basis": calls, "block_sigmas": calls}
+
+
+def test_a_certificate_without_its_basis_takes_the_dense_path_everywhere():
+    T = _operators()["diag(1,-2)"][0]
+    report = contour_report(T)
+    dense = dataclasses.replace(report, basis=None)
+    assert dense == report and dense.c_phi_source == "sampled"
+    g = cs.regularizer(THETA)
+    engine = cs.ContourEngine(T, dense, THETA)
+    assert engine.basis is None and GridBound(g, engine).lam is None
+    assert GridBound(g, cs.ContourEngine(T, report, THETA)).lam is not None
+
+
+def test_two_certificates_of_one_self_adjoint_operator_compare_and_hash_equal():
+    T = _operators()["A+A*"][0]
+    one, two = (cs.check_bisectorial(T, OMEGA) for _ in range(2))
+    assert one.basis is not None and one.basis is not two.basis
+    assert one == two and hash(one) == hash(two)
+    assert one.sigmas == two.sigmas and one.injective

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cliffspec as cs
-from cliffspec import calculus, quadratic
+from cliffspec import calculus
 from cliffspec.cli import main
 from cliffspec.module import block_products, spectral_norm
 from cliffspec.quadratic import GridBound, _grid_engine
@@ -68,7 +68,7 @@ def test_the_grid_takes_every_qth_node_the_strip_allows(tmp_path, case, angles, 
     rep = contour_report(T, omega, theta, phis=())
     t, _, engine, _ = _grid_engine(T, rep, theta, gs)
     assert t.size == 2 * (400 // q + 1)
-    bounds = [quadratic._grid_bound(engine, g) for g in gs]
+    bounds = [GridBound(g, engine) for g in gs]
     coarser = next(k for k in (2, 4, 5, 8) if k > q)
     assert max(b.rule(coarser * cs.default_quad_grid(T).step) for b in bounds) > (
         calculus.RULE_TARGET)
@@ -115,7 +115,7 @@ def test_a_wide_strip_takes_every_fourth_node_on_the_same_contour(tmp_path):
     rep = contour_report(T, omega, theta, phis=())
     t, w, engine, stride = _grid_engine(T, rep, theta, gs)
     assert t.size == 2 * 101 and stride == 4
-    bounds = [quadratic._grid_bound(engine, g) for g in gs]
+    bounds = [GridBound(g, engine) for g in gs]
     assert max(b.rule(w[1]) for b in bounds) <= calculus.RULE_TARGET
     assert max(b.rule(5 * cs.default_quad_grid(T).step) for b in bounds) > calculus.RULE_TARGET
 
@@ -221,9 +221,7 @@ def test_grid_bound_of_the_dense_path_decays_beyond_the_window():
     # side cuts them by at least 10^3, and M does not depend on the window
     T = _operator("jordan")
     rep = contour_report(T, phis=())
-    lower, phi = cs.ContourConfig().contour_angles(rep.omega, THETA)
-    bound = GridBound(cs.regularizer(THETA), cs.module.block_form(T.coeffs, T.n), rep.omega,
-                      lower, rep.c_at(lower), rep.c_at(phi))
+    bound = GridBound(cs.regularizer(THETA), cs.ContourEngine(T, rep, THETA))
     assert bound.lam is None and math.isfinite(bound.m)
     h = cs.default_quad_grid(T).step
     near, far = (bound.tails(1e-5 / k, 1e5 * k, h) for k in (1.0, 1e4))

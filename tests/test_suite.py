@@ -46,6 +46,22 @@ def test_suite_passes_on_bisectorial_operators(matrix, expect_strict_gap):
             assert 0.0 < payload["T"]["cLower"] < payload["T"]["dUpper"]
 
 
+@pytest.mark.parametrize("matrix", [[[1.0, 0.0], [0.0, -2.0]], [[1.0, 1.0], [0.0, 1.0]]],
+                         ids=["diag", "jordan"])
+@pytest.mark.parametrize("empty", ["g", "f"])
+def test_an_empty_function_list_is_refused_before_any_certificate(matrix, empty, monkeypatch):
+    # the CLI defaults its registries, so only the API can pass an empty list
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the suite went on with an empty list")
+
+    monkeypatch.setattr(suite, "check_frame_memory", unreachable)
+    monkeypatch.setattr(suite, "check_bisectorial", unreachable)
+    T = cs.CliffordOperator.from_real_matrix(matrix, n=1)
+    specs = {"g_specs": None, "f_specs": None, f"{empty}_specs": []}
+    with pytest.raises(cs.ArgumentError, match=f"^{empty}_specs is empty"):
+        cs.run_theorem_suite(T, **specs)
+
+
 def test_suite_short_circuits_for_off_sector_spectrum():
     T = cs.CliffordOperator(1, 1, np.array([[[0.0, 1.0]]]))
     report = cs.run_theorem_suite(T)
