@@ -281,7 +281,8 @@ class ContourEngine:
     U^H is stored as its diagonals (nodes, r, km), and each value comes out
     as its ``module.Diagonal``, with norm bounds max|d| + e; ``dense_blocks``
     assembles blocks for the callers that ask.  Otherwise ``basis`` is
-    None and P is the dense inverse (nodes, r, km, km).
+    None and P is the dense inverse (nodes, r, km, km).  Both are
+    ``q_inverse_stack`` of Q_s, on the 1 x 1 blocks of lam or on T's.
 
     ``report`` must be T's own: the engine takes its ``basis`` and
     ``sigmas`` (||T|| in the roundoff bound), the truncation bounds C_phi,
@@ -337,20 +338,17 @@ class ContourEngine:
         # rho(J) on the slice e_1, for the assembled A
         self._bj = unit_blocks(unit_imag(T.n), T.m)
         self.basis, self.sigmas = report.basis, report.sigmas
-        s0, abs2 = np.real(self.z), r * r
-        if self.basis is None:
-            try:
-                self.P = q_inverse_stack(self._bt, s0, abs2)
-            except np.linalg.LinAlgError as exc:
-                raise NumericalFailureError(
-                    "pseudo-resolvent singular on the contour (operator spectrum "
-                    "touches the integration rays)",
-                    node={"phi": self.phi},
-                ) from exc
-        else:
-            lam = self.basis.lam
-            with np.errstate(divide="ignore"):
-                self.P = 1.0 / (lam * lam - 2.0 * s0[:, None, None] * lam + abs2[:, None, None])
+        bt = self._bt if self.basis is None else self.basis.lam.reshape(-1, 1, 1)
+        try:
+            self.P = q_inverse_stack(bt, np.real(self.z), r * r)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalFailureError(
+                "pseudo-resolvent singular on the contour (operator spectrum "
+                "touches the integration rays)",
+                node={"phi": self.phi},
+            ) from exc
+        if self.basis is not None:
+            self.P = self.P.reshape(-1, *self.basis.lam.shape)
         if not np.all(np.isfinite(self.P)):
             bad = int(np.argwhere(~np.isfinite(self.P))[0][0])
             raise NumericalFailureError(
@@ -485,7 +483,8 @@ class ContourEngine:
             raise ArgumentError(f"the contour angle phi={self.phi:.6g} lies outside the "
                                 f"sector theta={f.theta:.6g} of the {f.kind} function")
         z = r * np.exp(1j * self.phi)
-        vals = f.eval_complex(np.stack([z, -z]))
+        with np.errstate(all="ignore"):    # a non-finite value is refused below, unwarned
+            vals = f.eval_complex(np.stack([z, -z]))
         if not np.all(np.isfinite(vals)):
             raise NumericalFailureError("non-finite function value on the contour",
                                         node=node(*np.argwhere(~np.isfinite(vals))[0][1:]))
@@ -716,13 +715,12 @@ def hinf_calculus(f: IntrinsicFunction, T: CliffordOperator,
 
 
 def scaled_calculus(f: IntrinsicFunction, t, T: CliffordOperator,
-                    report: BisectorReport, cfg: ContourConfig | None = None,
-                    engine: ContourEngine | None = None) -> CalculusResult:
-    """f(tT) as the contour calculus of the scaled function; t = 1 is bitwise
-    identical to omega_calculus."""
+                    report: BisectorReport) -> CalculusResult:
+    """f(tT) as the contour calculus of the scaled function, on the default
+    contour; t = 1 is bitwise identical to omega_calculus."""
     if t == 0.0:
         raise ArgumentError("scaling parameter t must be nonzero")
-    return omega_calculus(scale_function(f, t), T, report, cfg, engine)
+    return omega_calculus(scale_function(f, t), T, report)
 
 
 def _window_cells(engine, a, b):

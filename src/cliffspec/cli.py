@@ -25,7 +25,6 @@ from .quadratic import _grid_engine, check_frame_memory, default_quad_grid, fami
 from .serialization import (
     bisector_report_dict,
     contour_dict,
-    dumps_report,
     frame_report_dict,
     grid_nodes,
     load_function_spec,
@@ -174,8 +173,7 @@ def cmd_verify(args):
         contour_nodes=args.nodes, seed=args.seed,
     )
     report = run_theorem_suite(T, g_specs, f_specs, config)
-    with open(args.out, "w") as fh:
-        fh.write(dumps_report(report))
+    write_json(report, args.out)
     return EXIT_PASS if report["passed"] else EXIT_FAIL
 
 

@@ -391,21 +391,6 @@ def _split(p, q, m12):
         return np.where(m12 > 0.0, m12 * (m12 / den), 0.0)
 
 
-def hermitian_eigenvalues(h):
-    """Eigenvalues, ascending, of each matrix in a stack of Hermitian h
-    (..., k, k): in closed form for k <= 2, max(p, q) + s and
-    min(p, q) - s with s from ``_split``, exact on diagonal h; else by
-    ``eigvalsh``."""
-    h = np.asarray(h)
-    if h.shape[-1] == 1:
-        return h[..., 0].real
-    if h.shape[-1] != 2:
-        return np.linalg.eigvalsh(h)
-    p, q = h[..., 0, 0].real, h[..., 1, 1].real
-    s = _split(p, q, np.abs(h[..., 0, 1]))
-    return np.stack([np.minimum(p, q) - s, np.maximum(p, q) + s], axis=-1)
-
-
 def block_products(a, b):
     """A B for each pair of two stacks of blocks (broadcast): entry by entry
     for 1 x 1 and 2 x 2 blocks, with no matmul loop, else ``a @ b``."""

@@ -46,7 +46,6 @@ from .module import (
     block_norms,
     blocks_from_rho,
     coeffs_from_blocks,
-    hermitian_eigenvalues,
     operator_norm,
     rho_stack,
 )
@@ -222,7 +221,8 @@ class GridBound:
         self.c_alpha, self.alpha = c_alpha, alpha
         if engine.basis is not None:
             self.lam = np.abs(engine.basis.lam).ravel()
-            self.m = 2.0 * c_alpha ** 2 / alpha
+            with np.errstate(over="ignore"):    # inf, a claim ``FrameBounds`` refuses
+                self.m = 2.0 * np.float64(c_alpha) ** 2 / alpha
             return
         self.lam = None
         self.strip = min(self.strip, g.theta - (engine.phi - engine.strip))
@@ -236,7 +236,9 @@ class GridBound:
         below, above = (_power_sum(a, b, alpha, self.beta, ends, 0.0) for a in (lo, hi))
         with np.errstate(divide="ignore"):    # sigma_min = 0: M inf
             width = np.log(4.0 * self.sigmas[1] / self.sigmas[0]) - np.log(ends)
-        between = k * k * np.maximum(0.0, width[:, None] - np.log(ends)[None, :])
+        gap = width[:, None] - np.log(ends)[None, :]
+        with np.errstate(over="ignore", invalid="ignore"):    # k^2 inf: M inf
+            between = np.where(gap > 0.0, k * k * gap, 0.0)
         self.m = 2.0 * float(np.min(below[:, None] + between + above[None, :]))
 
     def _coefficients(self, c):
@@ -256,7 +258,8 @@ class GridBound:
                 lam = self.lam[self.lam > 0.0]
                 ends = np.float_power(t_min * lam, 2 * alpha) + np.float_power(t_max * lam,
                                                                                -2 * alpha)
-                return float(self.c_alpha ** 2 * h / math.tanh(alpha * h) * ends.max(initial=0.0))
+                return float(np.float64(self.c_alpha) ** 2 * h / math.tanh(alpha * h)
+                             * ends.max(initial=0.0))
             lo, hi, b = self._coefficients(self.c_phi)
             smin, norm = self.sigmas
             return 2.0 * float(_power_sum(lo, b, alpha, self.beta, 2.0 * t_min * norm, h)
@@ -293,33 +296,32 @@ def _grid_engine(T, report, theta, gs, qcfg=None, cfg=None):
     return (*qcfg.grid(), engine, stride)
 
 
+def _frame_norms2(fb, xs):
+    """x^T Theta x = the discretized integral of ||g(tT) x||^2 dt/|t|, per
+    row x of ``xs``, from the Gram of ``frame_bounds``."""
+    return np.einsum("vi,vi->v", xs @ fb.theta, xs)
+
+
 def quadratic_norm(g: IntrinsicFunction, T: CliffordOperator, v: ModuleVector,
                    qcfg: QuadGridConfig | None = None,
-                   cfg: ContourConfig | None = None,
                    report: BisectorReport | None = None,
                    family=None) -> float:
-    """Discretized (integral of ||g(tT)v||^2 dt/|t|)^(1/2).
+    """Discretized (integral of ||g(tT)v||^2 dt/|t|)^(1/2), as (v^T Theta v)^(1/2)
+    with Theta the Gram of ``frame_bounds`` (of ``family`` when given).
 
-    Pass a precomputed ``family`` (as returned by grid + evaluate_family)
-    when evaluating many vectors against one operator.
+    Each call assembles Theta; for many vectors against one operator, read
+    Theta once through ``frame_operator`` or ``frame_bounds``.
     """
-    if family is None:
-        t, w, engine, _ = _grid_engine(T, report, g.theta, [g], qcfg, cfg)
-        family = (t, w) + engine.evaluate_family(g, t)
-    _, w, mats, _, _ = family
-    applied = np.einsum("kij,vj->kvi", mats, v.flatten()[None, :])
-    norms2 = pairwise_sum(w[:, None] * np.einsum("kvi,kvi->kv", applied, applied))
-    return float(math.sqrt(max(norms2[0], 0.0)))
+    fb = frame_bounds(g, T, qcfg, None, report, family)
+    return float(math.sqrt(max(_frame_norms2(fb, v.flatten()[None, :])[0], 0.0)))
 
 
 def frame_operator(g: IntrinsicFunction, T: CliffordOperator,
-                   qcfg: QuadGridConfig | None = None,
-                   cfg: ContourConfig | None = None,
-                   report: BisectorReport | None = None,
-                   family=None):
-    """Weighted Gram matrix Theta of the family t -> rho(g(tT)); symmetric PSD.
+                   report: BisectorReport | None = None):
+    """Weighted Gram matrix Theta of the family t -> rho(g(tT)) on the
+    default grid and contour; symmetric PSD.
     Returns (Theta, truncation estimate, discretization estimate)."""
-    fb = frame_bounds(g, T, qcfg, cfg, report, family)
+    fb = frame_bounds(g, T, report=report)
     return fb.theta, fb.truncation_error, fb.discretization_error
 
 
@@ -404,7 +406,7 @@ def _block_frame_bounds(w, theta, truncs, discs, scale, n, rest=0.0,
         trunc = float(np.dot(w, 2.0 * scale * truncs + truncs ** 2))
         disc = float(np.dot(w, 2.0 * scale * discs + discs ** 2)) + rest + grid[0] + grid[1]
     theta = 0.5 * (theta + np.swapaxes(theta, -1, -2).conj())
-    lam = hermitian_eigenvalues(theta)
+    lam = np.linalg.eigvalsh(theta)
     eig = np.sort(np.repeat(lam.ravel(), (1 << (n - n // 2)) // lam.shape[0]))
     return FrameBounds(
         c_lower=float(math.sqrt(max(eig[0], 0.0))),
@@ -449,21 +451,21 @@ def sign_vectors(half_window):
 
 def dyadic_sign_identity(g: IntrinsicFunction, T: CliffordOperator,
                          v: ModuleVector, t: float, half_window: int,
-                         cfg: ContourConfig | None = None,
                          report: BisectorReport | None = None,
                          engine=None):
     """Both sides of the random-sign square identity over a dyadic window.
 
     lhs sums ||g(t 2^k T) v||^2 over k in [-n, n); rhs averages
     ||sum_k sign_k g(t 2^k T) v||^2 over all 2^(2n) sign vectors, enumerated
-    exactly.
+    exactly.  The family comes from ``engine``, else from T's engine on the
+    default contour.
     """
     if half_window < 1:
         raise ArgumentError("window must contain at least one dyadic index")
     signs = sign_matrix(half_window)
     if engine is None:
         _check_report(report)
-        engine = ContourEngine(T, report, g.theta, cfg)
+        engine = ContourEngine(T, report, g.theta)
     ks = np.arange(-half_window, half_window)
     ts = t * np.exp2(ks.astype(float))
     mats, _, _ = engine.evaluate_family(g, ts)

@@ -107,7 +107,7 @@ def q_inverse_stack(bt, s0, abs2):
     _, q = next(q_blocks(bt, s0, abs2, s0.size))
     with np.errstate(all="ignore"):   # an inf or nan is refused by the callers
         if km == 1:
-            det, adj, scale = q[..., 0, 0], np.ones_like(q), 1.0
+            det, adj, scale = q[..., 0, 0], 1.0, 1.0
         else:
             # Q over the power of two at its largest |entry|, exactly, so
             # that its determinant cannot overflow

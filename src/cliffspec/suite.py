@@ -31,8 +31,8 @@ from .functions import (
 )
 from .module import (CliffordOperator, Diagonal, block_products, entry_norms, rho_matrix,
                      spectral_norm)
-from .quadratic import (QuadGridConfig, _grid_engine, check_frame_memory, default_quad_grid,
-                        family_frames)
+from .quadratic import (QuadGridConfig, _frame_norms2, _grid_engine, check_frame_memory,
+                        default_quad_grid, family_frames)
 from .quadrature import pairwise_sum
 from .serialization import (
     bisector_report_dict,
@@ -317,11 +317,6 @@ def run_theorem_suite(T: CliffordOperator, g_specs=None, f_specs=None,
 
     report.update(records=records, stages=stages, passed=all(r["pass"] for r in records))
     return report
-
-
-def _frame_norms2(fb, xs):
-    """x^T Theta x = the discretized integral of ||g(tT) x||^2 dt/|t|, per row x."""
-    return np.einsum("vi,vi->v", xs @ fb.theta, xs)
 
 
 def _frame_sandwich_records(gname, fb, xs):

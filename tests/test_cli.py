@@ -589,6 +589,41 @@ def test_a_refused_function_is_named(tmp_path, capsys, command, flag, spec, mess
     assert capsys.readouterr().err.startswith("error: " + message)
 
 
+def _f_ab(a, b):
+    return {"name": "f_ab", "params": {"a": a, "b": b, "inner": {"name": "regularizer"}}}
+
+
+@pytest.mark.parametrize("operator, command, flag, spec, message", [
+    ("diag", "verify", "--g", _f_ab(1e-160, 1e-150),
+     "frames stage, g=f_ab(1e-160,1e-150,regularizer): the claimed error is not finite"),
+    ("diag", "frame", "--g", _f_ab(1e-160, 1e-150), "the claimed error is not finite"),
+    ("jordan", "verify", "--g", _f_ab(1e-160, 1e-150),
+     "frames stage, g=f_ab(1e-160,1e-150,regularizer): the claimed error is not finite"),
+    ("jordan", "frame", "--g", _f_ab(1e-160, 1e-150), "the claimed error is not finite"),
+    ("diag", "verify", "--g", {"name": "e_alpha", "params": {"alpha": 0.02}},
+     "inequalities stage, g=e_alpha(0.02): non-finite function value"),
+    ("jordan", "calc", "--function", _f_ab(1e290, 1e300),
+     "non-finite function value on the contour"),
+], ids=["verify-diag-grid-m", "frame-diag-grid-m", "verify-jordan-grid-m", "frame-jordan-grid-m",
+        "verify-f0-infty", "calc-contour-profile"])
+def test_an_overflow_is_refused_without_warnings(tmp_path, capsys, operator, command, flag,
+                                                 spec, message):
+    # under this suite's warnings as errors: the grid's M of a g whose C_alpha
+    # (2e160 here) squared overflows (a traceback with exit 1 on the eigen
+    # path, inf * 0 on the dense one), f0_infty's profile beyond |t| = 1e154,
+    # and the f_ab profile's t z on the contour each overflowed with a
+    # RuntimeWarning.  The windows are narrow in log t, so the profiles are
+    # cheap; the workflow runs f_ab(1e-200, 1e200) and f_ab(1e-300, 1e300),
+    # which take the same routes at about 30 times the cost
+    op, fn = tmp_path / "op.json", tmp_path / "g.json"
+    write_operator(op, {"diag": [[1.0, 0.0], [0.0, -2.0]], "jordan": [[1.0, 1.0], [0.0, 1.0]]}
+                   [operator])
+    fn.write_text(json.dumps(spec))
+    assert main([command, "--operator", str(op), flag, str(fn),
+                 "--out", str(tmp_path / "r.json")]) == 2
+    assert capsys.readouterr().err.startswith("error: " + message)
+
+
 def test_a_claim_that_is_not_finite_is_printed_as_a_float(tmp_path, capsys):
     # the claims on T = 1e-310 are inf, which the message printed as
     # np.float64(inf): the frames' window tails, first, since the grid's

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cliffspec as cs
+from cliffspec import calculus
 from cliffspec.module import (
     Diagonal,
     block_form,
@@ -158,6 +159,29 @@ def test_a_self_adjoint_engine_stores_diagonals_without_inverses(monkeypatch):
     assert engine.basis is not None and inverses == []
     assert engine.P.shape == (engine.z.size, r, km)
     assert peak < engine.z.size * r * km * km * 16 / 4
+
+
+def test_both_engine_paths_form_p_by_the_one_inverse_kernel(monkeypatch):
+    # one q_inverse_stack per engine build: on the 1 x 1 blocks of lam for
+    # the eigen path, whose P is 1 / (lam^2 - 2 s0 lam + |s|^2) bit for bit,
+    # and on T's spinor blocks for the dense path
+    calls = []
+
+    def counting(bt, s0, abs2):
+        calls.append(bt.shape)
+        return q_inverse_stack(bt, s0, abs2)
+
+    monkeypatch.setattr(calculus, "q_inverse_stack", counting)
+    diag = cs.CliffordOperator.from_real_matrix([[1.0, 0.0], [0.0, -2.0]], n=1)
+    jordan = cs.CliffordOperator.from_real_matrix([[1.0, 1.0], [0.0, 1.0]], n=1)
+    engine = cs.ContourEngine(diag, contour_report(diag), THETA)
+    assert engine.basis is not None and calls == [(engine.basis.lam.size, 1, 1)]
+    lam, s0, r = engine.basis.lam, np.real(engine.z)[:, None, None], np.exp(engine.u)
+    want = 1.0 / (lam * lam - 2.0 * s0 * lam + (r * r)[:, None, None])
+    assert np.array_equal(engine.P, want)
+    calls.clear()
+    engine = cs.ContourEngine(jordan, contour_report(jordan), THETA)
+    assert engine.basis is None and calls == [engine._bt.shape]
 
 
 def _twin(X):

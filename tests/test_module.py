@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cliffspec as cs
-from cliffspec.module import block_products, hermitian_eigenvalues, spectral_norm
+from cliffspec.module import block_products, spectral_norm
 
 from conftest import random_clifford, random_operator, random_paravector, random_vector
 
@@ -275,12 +275,3 @@ def test_closed_form_norms_and_products_match_lapack_and_matmul(pair):
     a, b = unit, _unit_scaled(b)[0]
     gap = np.linalg.norm(block_products(a, b) - a @ b, 2, axis=(-2, -1))
     assert np.all(gap <= 2.0 * EPS * spectral_norm(a) * spectral_norm(b))
-    # the eigenvalues of a Hermitian h: within 4 eps ||h|| of eigvalsh, and
-    # exact on a diagonal h
-    h = a + np.swapaxes(a, -1, -2).conj()
-    want = np.linalg.eigvalsh(h)
-    assert np.all(np.abs(hermitian_eigenvalues(h) - want)
-                  <= 4.0 * EPS * np.abs(want).max(axis=-1, keepdims=True))
-    diag = np.diagonal(h, axis1=-2, axis2=-1).real
-    assert np.array_equal(hermitian_eigenvalues(np.eye(a.shape[-1]) * diag[:, None, :]),
-                          np.sort(diag, axis=-1))

@@ -46,6 +46,22 @@ def test_quadratic_norm_invariant_under_operator_scaling(rng, diag12):
     assert qn2 == pytest.approx(qn1, rel=1e-6)
 
 
+@pytest.mark.parametrize("name", ["diag", "jordan"])
+def test_quadratic_norm_reads_the_frame_gram(name, diag1m2, jordan):
+    # (x^T Theta x)^(1/2) of the Gram that frame_operator returns, bit for
+    # bit; a norm summed over the family's D x D values differs from it in
+    # the last bits for some of these vectors on both operators
+    T = {"diag": diag1m2, "jordan": jordan}[name]
+    rep, g = contour_report(T), cs.regularizer(THETA)
+    theta, _, _ = cs.frame_operator(g, T, report=rep)
+    rng = np.random.default_rng(3)
+    for _ in range(5):
+        v = random_vector(rng, T.n, T.m)
+        x = v.flatten()[None, :]
+        want = math.sqrt(max(np.einsum("vi,vi->v", x @ theta, x)[0], 0.0))
+        assert cs.quadratic_norm(g, T, v, report=rep) == want
+
+
 def test_frame_operator_identity(id_ctx):
     T, rep = id_ctx
     theta, trunc, disc = cs.frame_operator(cs.regularizer(THETA), T, report=rep)

@@ -6,6 +6,7 @@ import argparse
 import ast
 import importlib
 import importlib.util
+import inspect
 from dataclasses import fields
 from pathlib import Path
 
@@ -191,6 +192,20 @@ def test_settings_inventory():
         "verify": sorted(common + ["--g", "--function", "--omega", "--theta", "--phi",
                                    "--nodes", "--seed"]),
     }
+
+
+def test_entry_point_parameters():
+    # the parameters of these entry points, whose contour, grid and step are
+    # constants; a new setting here is a deliberate edit
+    def params(fn):
+        return list(inspect.signature(fn).parameters)
+
+    assert params(cs.scaled_calculus) == ["f", "t", "T", "report"]
+    assert params(cs.quadratic_norm) == ["g", "T", "v", "qcfg", "report", "family"]
+    assert params(cs.frame_operator) == ["g", "T", "report"]
+    assert params(cs.dyadic_sign_identity) == ["g", "T", "v", "t", "half_window", "report",
+                                               "engine"]
+    assert params(cs.check_intrinsic) == ["f", "points"]
 
 
 def test_perfbench_trace_targets_resolve():

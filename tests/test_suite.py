@@ -620,8 +620,9 @@ def test_a_non_finite_profile_in_a_batch_names_u_t_and_its_f():
 @pytest.mark.parametrize("case", ["jordan", "1+e1"])
 def test_dense_verify_sends_no_small_stack_to_eigvalsh(case, monkeypatch):
     # 1 x 1 and 2 x 2 norms (products, frame and ladder estimates, the
-    # resolvent samples) and frame eigenvalues are closed forms; the 4 x 4
-    # rho matrices of the Jordan block still reach eigvalsh
+    # resolvent samples) are closed forms; the small stacks that reach
+    # eigvalsh are the frame Grams, one (1, km, km) stack for T and one for
+    # T* per g, and the 4 x 4 rho matrices of the Jordan block reach it too
     T, config = {
         "jordan": (cs.CliffordOperator.from_real_matrix([[1.0, 1.0], [0.0, 1.0]], n=1),
                    cs.SuiteConfig()),
@@ -638,5 +639,6 @@ def test_dense_verify_sends_no_small_stack_to_eigvalsh(case, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", recording)
     report = cs.run_theorem_suite(T, config=config)
     assert report["passed"] and report["contour"]["basis"]["path"] == "dense"
-    assert all(shape[-1] > 2 for shape in shapes)
+    assert all(shape[-1] > 2 or shape[:-2] == (1,) for shape in shapes)
+    assert sum(shape[-1] <= 2 for shape in shapes) == 2 * len(cs.default_g_specs())
     assert any(shape[-1] == 4 for shape in shapes) == (case == "jordan")
